@@ -198,6 +198,23 @@ pub fn health_view(report: &RunReport) -> String {
     out
 }
 
+/// KMC solver cost per executed event, from the per-cycle
+/// `kmc.rate.*` counters and the KMC cycle samples; empty when the run
+/// recorded no KMC events.
+pub fn kmc_solver_cost_view(report: &RunReport) -> String {
+    let named = &report.counters.named;
+    let evals = |name: &str| named.get(name).copied().unwrap_or(0.0);
+    let events: u64 = report.samples.kmc.iter().map(|s| s.events).sum();
+    if events == 0 {
+        return String::new();
+    }
+    format!(
+        "  kmc solver: {:.1} site evals/event, {:.2} rate evals/event over {events} events\n",
+        evals("kmc.rate.site_evals") / events as f64,
+        evals("kmc.rate.rate_evals") / events as f64,
+    )
+}
+
 /// The full `mmds-inspect summary` rendering.
 pub fn summary(report: &RunReport) -> String {
     let mut out = String::new();
@@ -218,6 +235,7 @@ pub fn summary(report: &RunReport) -> String {
     out.push_str(&local_hot_path_view(&report.spans));
     out.push_str("\n-- physics health --\n");
     out.push_str(&health_view(report));
+    out.push_str(&kmc_solver_cost_view(report));
     out.push_str("\n-- alerts --\n");
     out.push_str(&alerts_view(report));
     out
@@ -696,6 +714,31 @@ mod tests {
         assert!(text.contains("handoff placed into KMC"));
         assert!(text.contains("volume ratio       : 0.0260"), "{text}");
         assert!(text.contains("dirty-site fraction: 0.0300"), "{text}");
+    }
+
+    #[test]
+    fn summary_reports_kmc_evals_per_event() {
+        let registry = mmds_telemetry::CounterRegistry::default();
+        assert_eq!(
+            kmc_solver_cost_view(&RunReport::default()),
+            "",
+            "no KMC events, no line"
+        );
+        for (cycle, events) in [(1, 3), (2, 1)] {
+            registry.push_kmc(mmds_telemetry::KmcCycleSample {
+                cycle,
+                events,
+                ..Default::default()
+            });
+        }
+        registry.add_named("kmc.rate.site_evals", 9000.0);
+        registry.add_named("kmc.rate.rate_evals", 26.0);
+        let report = mmds_telemetry::report::build_run_report(vec![], vec![], &registry);
+        let text = summary(&report);
+        assert!(
+            text.contains("2250.0 site evals/event, 6.50 rate evals/event over 4 events"),
+            "{text}"
+        );
     }
 
     #[test]

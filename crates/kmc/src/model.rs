@@ -51,6 +51,9 @@ pub struct EnergyModel {
 }
 
 /// Statistics of rate evaluations (feeds the compute-time model).
+/// Counts evaluations actually performed: the solver's event catalogue
+/// re-evaluates only the rates a hop can change, so these grow with the
+/// work done, not with `events × active vacancies`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RateStats {
     /// Rate evaluations performed.

@@ -4,6 +4,48 @@
 //! in the sector, select one proportionally to rate, advance the local
 //! clock by an exponential deviate, repeat until the synchronisation
 //! quantum `dt` is exhausted.
+//!
+//! # The event catalogue
+//!
+//! A hop swaps two sites, so it can only change rates that *read* one
+//! of them. [`run_sector`] therefore evaluates every rate once, on
+//! sector entry, into a catalogue, and afterwards patches it per hop
+//! instead of recomputing the sector:
+//!
+//! * **Order.** Active vacancies (owned, inside the sector) in
+//!   ascending site id — the order of `KmcLattice::vacancies()` — each
+//!   with its `(partner, rate)` events in `nn1` order, vacancy partners
+//!   skipped. This is exactly the order in which a from-scratch
+//!   enumeration lists the events.
+//! * **Patch.** After a hop `v → n` the entry of `v` is dropped, an
+//!   entry for `n` is inserted at its sorted position if `n` is still
+//!   in the sector (a vacancy that hops onto a ghost or into another
+//!   sector becomes inactive), and every entry whose rates can read
+//!   `v` or `n` is re-evaluated through the unchanged
+//!   [`EnergyModel::rate`].
+//! * **Invalidation bound.** `rate(w, p)` sums site energies over the
+//!   patch `{w, p} ∪ N(w) ∪ N(p)`; `p` is one neighbour reach from `w`,
+//!   the patch sites a second, and each site energy scans a third. In
+//!   cells that is `3 × offsets.max_cell_reach()` along every axis —
+//!   the same three reaches [`crate::lattice::required_ghost`] reserves
+//!   as ghost width, derived from the lattice's offsets, never a
+//!   literal. The test is a Chebyshev cell distance, which only ever
+//!   over-invalidates: recomputing an unaffected rate returns the same
+//!   bits, missing an affected one is the only possible bug, and the
+//!   oracle test below exists to catch it.
+//! * **Sum and pick stay linear.** The total is re-summed from the
+//!   cached rates, and the pick scans them, in catalogue order on every
+//!   step, so the floating-point sum, both RNG draws per step, the
+//!   chosen event and hence every trajectory bit equal the
+//!   recompute-everything loop's. A Fenwick tree would make the pick
+//!   O(log n) but sums in a different association order and would
+//!   re-pin every fingerprint; rate evaluation is three orders of
+//!   magnitude dearer than the scan, so it is deliberately not done.
+//!
+//! The catalogue lives for one `run_sector` call: ghosts are rewritten
+//! between sector entries, so nothing cached survives them. The
+//! recompute-everything loop is kept under `#[cfg(test)]` as the
+//! bitwise oracle.
 
 use rand::Rng;
 
@@ -49,9 +91,165 @@ pub fn sectors() -> [[usize; 3]; 8] {
     ]
 }
 
+/// One active vacancy with its cached events.
+struct Entry {
+    /// The vacancy's site id.
+    v: usize,
+    /// Its local cell, for the invalidation distance.
+    cell: [usize; 3],
+    /// `(partner, rate)` per atom 1NN partner, in `nn1` order.
+    events: Vec<(usize, f64)>,
+}
+
+/// The sector's events: entries in ascending `v`.
+struct Catalogue {
+    entries: Vec<Entry>,
+    /// Cells (Chebyshev) within which a swapped site can change a
+    /// vacancy's rates: three neighbour reaches, as `required_ghost`.
+    reach: usize,
+}
+
+fn cell_of(lat: &KmcLattice, s: usize) -> [usize; 3] {
+    let (i, j, k, _) = lat.grid.decode(s);
+    [i, j, k]
+}
+
+/// Evaluates the events of the vacancy at `v` into `events`.
+fn evaluate(
+    lat: &mut KmcLattice,
+    model: &EnergyModel,
+    v: usize,
+    events: &mut Vec<(usize, f64)>,
+    stats: &mut RateStats,
+) {
+    events.clear();
+    let b = v & 1;
+    for idx in 0..lat.nn1_deltas[b].len() {
+        let n = (v as isize + lat.nn1_deltas[b][idx]) as usize;
+        if lat.state[n].is_atom() {
+            events.push((n, model.rate(lat, v, n, stats)));
+        }
+    }
+}
+
+impl Catalogue {
+    /// Every rate of the sector, evaluated once on entry.
+    fn build(
+        lat: &mut KmcLattice,
+        model: &EnergyModel,
+        sec: [usize; 3],
+        stats: &mut RateStats,
+    ) -> Self {
+        let active: Vec<usize> = lat
+            .vacancies()
+            .filter(|&v| in_sector(lat, v, sec))
+            .collect();
+        let entries = active
+            .into_iter()
+            .map(|v| {
+                let mut events = Vec::with_capacity(lat.nn1_deltas[v & 1].len());
+                evaluate(lat, model, v, &mut events, stats);
+                Entry {
+                    v,
+                    cell: cell_of(lat, v),
+                    events,
+                }
+            })
+            .collect();
+        Self {
+            entries,
+            reach: 3 * lat.offsets.max_cell_reach(),
+        }
+    }
+
+    fn rates(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.entries
+            .iter()
+            .flat_map(|e| e.events.iter().map(move |&(n, k)| (e.v, n, k)))
+    }
+
+    /// Σ rate, summed in catalogue order from zero.
+    fn total(&self) -> f64 {
+        let mut total = 0.0;
+        for (_, _, k) in self.rates() {
+            total += k;
+        }
+        total
+    }
+
+    /// The event at cumulative rate `pick` (the last one if round-off
+    /// leaves `pick` positive after all of them). Requires an event.
+    fn select(&self, mut pick: f64) -> (usize, usize) {
+        let mut chosen = None;
+        for (v, n, k) in self.rates() {
+            chosen = Some((v, n));
+            pick -= k;
+            if pick <= 0.0 {
+                break;
+            }
+        }
+        chosen.expect("a positive total rate implies at least one event")
+    }
+
+    /// Brings the catalogue up to date after the vacancy at `v` swapped
+    /// with the atom at `n` (`lat` already holds the new states).
+    fn apply_hop(
+        &mut self,
+        lat: &mut KmcLattice,
+        model: &EnergyModel,
+        sec: [usize; 3],
+        v: usize,
+        n: usize,
+        stats: &mut RateStats,
+    ) {
+        let at = self
+            .entries
+            .binary_search_by_key(&v, |e| e.v)
+            .expect("the hopping vacancy is in the catalogue");
+        let mut moved = self.entries.remove(at);
+        let swapped = [moved.cell, cell_of(lat, n)];
+        if in_sector(lat, n, sec) {
+            let at = self
+                .entries
+                .binary_search_by_key(&n, |e| e.v)
+                .expect_err("the arrival site held an atom");
+            moved.v = n;
+            moved.cell = swapped[1];
+            // Its events are evaluated below: it is zero cells from `n`.
+            self.entries.insert(at, moved);
+        }
+        let reach = self.reach;
+        for e in &mut self.entries {
+            let near = swapped
+                .iter()
+                .any(|c| (0..3).all(|ax| e.cell[ax].abs_diff(c[ax]) <= reach));
+            if near {
+                evaluate(lat, model, e.v, &mut e.events, stats);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Catalogue {
+    /// Every unit test that hops doubles as an invalidation test: the
+    /// patched catalogue must equal one built from scratch, bit for bit
+    /// (a stale rate can leave the chosen events unchanged for a while).
+    fn assert_equals_rebuild(&self, lat: &mut KmcLattice, model: &EnergyModel, sec: [usize; 3]) {
+        let fresh = Self::build(lat, model, sec, &mut RateStats::default());
+        let bits = |c: &Self| -> Vec<(usize, Vec<(usize, u64)>)> {
+            let events = |e: &Entry| e.events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
+            c.entries.iter().map(|e| (e.v, events(e))).collect()
+        };
+        assert_eq!(bits(self), bits(&fresh), "patched catalogue is stale");
+    }
+}
+
 /// Runs BKL dynamics in one sector for a time quantum `dt` (in KMC
 /// seconds). Vacancies may hop onto ghost sites (the sublattice method
-/// guarantees the owner is not concurrently active there).
+/// guarantees the owner is not concurrently active there). `stats`
+/// counts the evaluations performed: every rate once on entry, then per
+/// hop only those the hop can have changed (see the module doc).
 pub fn run_sector(
     lat: &mut KmcLattice,
     model: &EnergyModel,
@@ -62,29 +260,10 @@ pub fn run_sector(
 ) -> SectorOutcome {
     let _span = mmds_telemetry::span!("kmc.sector");
     let mut out = SectorOutcome::default();
+    let mut cat = Catalogue::build(lat, model, sec, stats);
     let mut t_local = 0.0;
-    loop {
-        // Active vacancies: owned, inside the sector.
-        let active: Vec<usize> = lat
-            .vacancies()
-            .filter(|&v| in_sector(lat, v, sec))
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        // Enumerate events (vacancy, 1NN atom partner) with rates.
-        let mut events: Vec<(usize, usize, f64)> = Vec::with_capacity(active.len() * 8);
-        let mut total = 0.0;
-        for &v in &active {
-            let partners: Vec<usize> = lat.nn1(v).collect();
-            for n in partners {
-                if lat.state[n].is_atom() {
-                    let k = model.rate(lat, v, n, stats);
-                    total += k;
-                    events.push((v, n, k));
-                }
-            }
-        }
+    while !cat.entries.is_empty() {
+        let total = cat.total();
         if total <= 0.0 {
             break;
         }
@@ -96,22 +275,16 @@ pub fn run_sector(
             break;
         }
         // Select the event proportionally to rate.
-        let mut pick = rng.random::<f64>() * total;
-        let mut chosen = events.len() - 1;
-        for (i, &(_, _, k)) in events.iter().enumerate() {
-            pick -= k;
-            if pick <= 0.0 {
-                chosen = i;
-                break;
-            }
-        }
-        let (v, n, _) = events[chosen];
+        let (v, n) = cat.select(rng.random::<f64>() * total);
         let atom = lat.state[n];
         lat.set_state(v, atom);
         lat.set_state(n, SiteState::Vacancy);
         out.dirty.push(v);
         out.dirty.push(n);
         out.events += 1;
+        cat.apply_hop(lat, model, sec, v, n, stats);
+        #[cfg(test)]
+        cat.assert_equals_rebuild(lat, model, sec);
     }
     out
 }
@@ -123,6 +296,71 @@ mod tests {
     use mmds_lattice::{BccGeometry, LocalGrid};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The recompute-everything loop `run_sector` replaced, verbatim: the
+    /// bitwise oracle for the catalogue.
+    fn run_sector_reference(
+        lat: &mut KmcLattice,
+        model: &EnergyModel,
+        sec: [usize; 3],
+        dt: f64,
+        rng: &mut impl Rng,
+        stats: &mut RateStats,
+    ) -> SectorOutcome {
+        let mut out = SectorOutcome::default();
+        let mut t_local = 0.0;
+        loop {
+            // Active vacancies: owned, inside the sector.
+            let active: Vec<usize> = lat
+                .vacancies()
+                .filter(|&v| in_sector(lat, v, sec))
+                .collect();
+            if active.is_empty() {
+                break;
+            }
+            // Enumerate events (vacancy, 1NN atom partner) with rates.
+            let mut events: Vec<(usize, usize, f64)> = Vec::with_capacity(active.len() * 8);
+            let mut total = 0.0;
+            for &v in &active {
+                let partners: Vec<usize> = lat.nn1(v).collect();
+                for n in partners {
+                    if lat.state[n].is_atom() {
+                        let k = model.rate(lat, v, n, stats);
+                        total += k;
+                        events.push((v, n, k));
+                    }
+                }
+            }
+            if total <= 0.0 {
+                break;
+            }
+            // Advance the clock first; if we overshoot the quantum, the
+            // event does not happen in this cycle.
+            let u: f64 = rng.random::<f64>().max(1e-300);
+            t_local += -u.ln() / total;
+            if t_local > dt {
+                break;
+            }
+            // Select the event proportionally to rate.
+            let mut pick = rng.random::<f64>() * total;
+            let mut chosen = events.len() - 1;
+            for (i, &(_, _, k)) in events.iter().enumerate() {
+                pick -= k;
+                if pick <= 0.0 {
+                    chosen = i;
+                    break;
+                }
+            }
+            let (v, n, _) = events[chosen];
+            let atom = lat.state[n];
+            lat.set_state(v, atom);
+            lat.set_state(n, SiteState::Vacancy);
+            out.dirty.push(v);
+            out.dirty.push(n);
+            out.events += 1;
+        }
+        out
+    }
 
     fn setup() -> (KmcLattice, EnergyModel) {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(8), 3);
@@ -219,5 +457,175 @@ mod tests {
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
         assert_eq!(a.2, b.2);
+    }
+
+    /// A periodic box with filled ghosts, built for the oracle cases.
+    fn oracle_box(cells: usize, rate_cutoff: f64) -> (KmcLattice, EnergyModel, KmcConfig) {
+        let cfg = KmcConfig {
+            table_knots: 800,
+            rate_cutoff,
+            ..Default::default()
+        };
+        let ghost = crate::lattice::required_ghost(cfg.a0, rate_cutoff);
+        let grid = LocalGrid::whole(BccGeometry::fe_cube(cells), ghost);
+        let lat = KmcLattice::all_fe(grid, rate_cutoff);
+        let model = EnergyModel::new(&cfg, &lat);
+        (lat, model, cfg)
+    }
+
+    /// Which of the situations the issue names a run actually met.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        events: u64,
+        ghost_partner: bool,
+        left_sector: bool,
+        arrived_beside_active: bool,
+    }
+
+    /// Runs the catalogue path and the reference from the same lattice
+    /// and RNG state, asserts they agree on everything observable, and
+    /// leaves `lat`/`rng` advanced. Returns (catalogue, reference) rate
+    /// evaluations.
+    fn assert_paths_agree(
+        lat: &mut KmcLattice,
+        model: &EnergyModel,
+        sec: [usize; 3],
+        dt: f64,
+        rng: &mut StdRng,
+        cov: &mut Coverage,
+    ) -> (u64, u64) {
+        let before = lat.clone();
+        let mut ref_lat = lat.clone();
+        let mut ref_rng = rng.clone();
+        let (mut stats, mut ref_stats) = (RateStats::default(), RateStats::default());
+        let out = run_sector(lat, model, sec, dt, rng, &mut stats);
+        let want = run_sector_reference(&mut ref_lat, model, sec, dt, &mut ref_rng, &mut ref_stats);
+        assert_eq!(out.events, want.events, "events, sector {sec:?}");
+        assert_eq!(out.dirty, want.dirty, "dirty, sector {sec:?}");
+        assert_eq!(lat.state, ref_lat.state, "state, sector {sec:?}");
+        assert_eq!(
+            lat.vacancies().collect::<Vec<_>>(),
+            ref_lat.vacancies().collect::<Vec<_>>()
+        );
+        assert_eq!(rng.random::<u64>(), ref_rng.random::<u64>(), "next draw");
+        assert!(
+            stats.rate_evals <= ref_stats.rate_evals && stats.site_evals <= ref_stats.site_evals,
+            "catalogue evaluated more than the reference: {stats:?} vs {ref_stats:?}"
+        );
+
+        // Replay the hops on the entry state to see what they exercised.
+        let mut replay = before;
+        cov.events += out.events;
+        cov.ghost_partner |= replay
+            .vacancies()
+            .filter(|&v| in_sector(&replay, v, sec))
+            .any(|v| replay.nn1(v).any(|n| !replay.is_owned(n)));
+        for hop in out.dirty.chunks(2) {
+            let (v, n) = (hop[0], hop[1]);
+            let atom = replay.state[n];
+            replay.set_state(v, atom);
+            replay.set_state(n, SiteState::Vacancy);
+            if in_sector(&replay, n, sec) {
+                cov.arrived_beside_active |= replay
+                    .neighbors(n)
+                    .any(|x| replay.state[x] == SiteState::Vacancy && in_sector(&replay, x, sec));
+            } else {
+                cov.left_sector = true;
+            }
+        }
+        (stats.rate_evals, ref_stats.rate_evals)
+    }
+
+    #[test]
+    fn catalogue_matches_full_recompute() {
+        use crate::comm::LoopbackK;
+        use crate::exchange::full_exchange;
+
+        let mut params = StdRng::seed_from_u64(0xCA7A_1060);
+        let mut cov = Coverage::default();
+        for case in 0..12u64 {
+            let (mut lat, model, cfg) = oracle_box(10, 3.0);
+            // Vacancy fractions 1e-3 … 5e-2, log-uniform; the ends pinned.
+            let fraction = match case {
+                0 => 1e-3,
+                1 => 5e-2,
+                _ => 1e-3 * 50f64.powf(params.random::<f64>()),
+            };
+            let n_vac = ((fraction * lat.n_owned() as f64).round() as usize).max(1);
+            lat.seed_vacancies(n_vac, 100 + case);
+            if case % 2 == 1 {
+                lat.seed_solutes_global(lat.n_owned() / 50, 200 + case);
+            }
+            // Bound clusters: a 1NN pair in sector 0, and a 2NN pair
+            // (one cell apart, same basis) straddling the sector 0 / 1
+            // boundary at the edge of the box, ghost partners included.
+            let g = lat.grid.ghost;
+            let a = lat.grid.site_id(g + 2, g + 2, g + 2, 0);
+            let a_nn1 = lat.nn1(a).next().expect("8 first neighbours");
+            let b = lat.grid.site_id(g + 4, g, g, 0);
+            let b_nn2 = lat.grid.site_id(g + 5, g, g, 0);
+            lat.set_vacancies(&[a, a_nn1, b, b_nn2]);
+            full_exchange(&mut lat, &mut LoopbackK);
+
+            let dt = 3.0 / cfg.reference_rate();
+            let mut rng = StdRng::seed_from_u64(300 + case);
+            for _sweep in 0..2 {
+                for sec in sectors() {
+                    assert_paths_agree(&mut lat, &model, sec, dt, &mut rng, &mut cov);
+                    // Vacancies that left through a face come back as
+                    // ghost (and owned-image) vacancies next sector.
+                    full_exchange(&mut lat, &mut LoopbackK);
+                }
+            }
+        }
+        assert!(cov.events > 500, "{cov:?}");
+        assert!(
+            cov.ghost_partner && cov.left_sector && cov.arrived_beside_active,
+            "the seeded cases must meet every situation: {cov:?}"
+        );
+    }
+
+    #[test]
+    fn separated_vacancies_are_not_recomputed() {
+        // Sector 0 of a 16-cell box spans 8 cells; its two corner
+        // vacancies are 7 cells apart, beyond three reaches (3 cells)
+        // plus a hop, so a hop of one never touches the other's rates.
+        let (mut lat, model, cfg) = oracle_box(16, 3.0);
+        let g = lat.grid.ghost;
+        let far = lat.grid.site_id(g + 7, g + 7, g + 7, 0);
+        lat.set_vacancies(&[lat.grid.site_id(g, g, g, 0), far]);
+        let mut cov = Coverage::default();
+        let mut rng = StdRng::seed_from_u64(11);
+        let dt = 1.0 / cfg.reference_rate();
+        let (cat, reference) =
+            assert_paths_agree(&mut lat, &model, [0, 0, 0], dt, &mut rng, &mut cov);
+        assert!(
+            cov.events >= 1,
+            "a hop must fire for the comparison to bite"
+        );
+        assert!(cat < reference, "{cat} rate evaluations vs {reference}");
+    }
+
+    #[test]
+    fn invalidation_reach_follows_the_rate_cutoff() {
+        // A 5 Å cutoff reaches two cells per neighbour step, and rates
+        // then read sites four cells away: a basis-1 vacancy at cell c
+        // reads the basis-0 site at c + (4, 1, 1) through 1NN → 4NN →
+        // 4NN. A radius fixed at the default cutoff's three cells
+        // leaves that rate stale.
+        let (mut lat, model, cfg) = oracle_box(16, 5.0);
+        assert_eq!(lat.offsets.max_cell_reach(), 2);
+        let g = lat.grid.ghost;
+        let reader = lat.grid.site_id(g + 1, g + 1, g + 1, 1);
+        let mover = lat.grid.site_id(g + 5, g + 2, g + 2, 0);
+        lat.set_vacancies(&[reader, mover]);
+        lat.seed_vacancies(12, 5);
+        let mut cov = Coverage::default();
+        let mut rng = StdRng::seed_from_u64(12);
+        let dt = 2.0 / cfg.reference_rate();
+        for sec in sectors() {
+            assert_paths_agree(&mut lat, &model, sec, dt, &mut rng, &mut cov);
+        }
+        assert!(cov.events >= 8, "{cov:?}");
     }
 }

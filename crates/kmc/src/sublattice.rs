@@ -13,7 +13,11 @@ use crate::solver::{run_sector, sectors};
 
 /// Modelled MPE seconds per patch-site energy evaluation (the dominant
 /// KMC compute kernel: a 14-neighbour occupancy scan plus one embedding
-/// table interpolation).
+/// table interpolation). A cycle is charged for the evaluations the
+/// solver *performed* (`RateStats::site_evals`): every rate of a sector
+/// on entry, then per hop only the rates the hop can change — so the
+/// rank's virtual KMC compute time follows the event catalogue, not a
+/// recompute of the whole sector per event.
 pub const SITE_EVAL_SECONDS: f64 = 6.0e-8;
 
 /// Cumulative run statistics.
@@ -98,7 +102,7 @@ impl KmcSimulation {
             self.time = self.cfg.t_threshold;
             return 0;
         }
-        let evals_before = self.stats.rate.site_evals;
+        let rate_before = self.stats.rate;
         let vac_before = self.lat.n_vacancies() as u64;
         let mut events = 0;
         let mut ghost_bytes = 0u64;
@@ -127,8 +131,8 @@ impl KmcSimulation {
         self.stats.events += events;
         self.stats.cycles += 1;
         self.time += dt;
-        let evals = self.stats.rate.site_evals - evals_before;
-        t.tick_compute(evals as f64 * SITE_EVAL_SECONDS);
+        let site_evals = self.stats.rate.site_evals - rate_before.site_evals;
+        t.tick_compute(site_evals as f64 * SITE_EVAL_SECONDS);
         if mmds_telemetry::enabled() {
             let vac_after = self.lat.n_vacancies() as u64;
             let sample = mmds_telemetry::KmcCycleSample {
@@ -142,6 +146,11 @@ impl KmcSimulation {
             mmds_telemetry::global().counters().push_kmc(sample);
             mmds_telemetry::emit(mmds_telemetry::Event::Kmc(sample));
             mmds_telemetry::add_counter("kmc.ghost_bytes", ghost_bytes as f64);
+            // Solver work of this cycle, so a trace alone says how many
+            // evaluations an event cost.
+            let rate_evals = self.stats.rate.rate_evals - rate_before.rate_evals;
+            mmds_telemetry::add_counter("kmc.rate.site_evals", site_evals as f64);
+            mmds_telemetry::add_counter("kmc.rate.rate_evals", rate_evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.
             let cycle = self.stats.cycles;

@@ -640,7 +640,7 @@ pub fn density_pass_plan(
     let mut stats = BatchStats::default();
     let mut sites = interior.iter();
     for c in &site_chunks {
-        for (&s, &rho) in sites.by_ref().zip(&c.rhos) {
+        for (&rho, &s) in c.rhos.iter().zip(sites.by_ref()) {
             l.rho[s] = rho;
         }
         plan.append_chunk(c);
@@ -652,7 +652,7 @@ pub fn density_pass_plan(
     });
     let mut ras = runaways.iter();
     for c in &ra_chunks {
-        for (&i, &rho) in ras.by_ref().zip(&c.rhos) {
+        for (&rho, &i) in c.rhos.iter().zip(ras.by_ref()) {
             l.runaway_mut(i).rho = rho;
         }
         plan.append_chunk(c);

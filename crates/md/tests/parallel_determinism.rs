@@ -8,9 +8,15 @@
 //! separate lookups, and the batched SoA lane kernels replay the
 //! scalar op sequence per lane with partner-ordered accumulation — so
 //! every comparison below is `assert_eq`, not a tolerance.
+//!
+//! The second test crosses a 256-site chunk boundary off the 0 K
+//! lattice (and carries a live run-away): the plan path's ordered ρ
+//! write-back once lost one site per boundary, which a single-chunk box
+//! or a perfect crystal (all ρ equal) cannot see.
 
 use mmds_md::domain::Loopback;
 use mmds_md::force::PassConfig;
+use mmds_md::sim::StepSample;
 use mmds_md::{MdConfig, MdSimulation};
 
 /// A full bitwise state snapshot after a few MD steps.
@@ -20,6 +26,18 @@ struct Snapshot {
     pos: Vec<[f64; 3]>,
     pair: f64,
     embed: f64,
+}
+
+impl Snapshot {
+    fn of(sim: &MdSimulation, last: &StepSample) -> Self {
+        Self {
+            rho: sim.lnl.rho.clone(),
+            force: sim.lnl.force.clone(),
+            pos: sim.lnl.pos.clone(),
+            pair: last.pair,
+            embed: last.embed,
+        }
+    }
 }
 
 fn run(pass_config: PassConfig, steps: usize) -> Snapshot {
@@ -38,14 +56,7 @@ fn run(pass_config: PassConfig, steps: usize) -> Snapshot {
     for _ in 0..steps {
         last = Some(sim.step(&mut Loopback));
     }
-    let s = last.expect("at least one step");
-    Snapshot {
-        rho: sim.lnl.rho.clone(),
-        force: sim.lnl.force.clone(),
-        pos: sim.lnl.pos.clone(),
-        pair: s.pair,
-        embed: s.embed,
-    }
+    Snapshot::of(&sim, &last.expect("at least one step"))
 }
 
 fn assert_bitwise(a: &Snapshot, b: &Snapshot, what: &str) {
@@ -101,4 +112,68 @@ fn passes_are_bitwise_deterministic_across_thread_counts() {
             }
         }
     }
+}
+
+/// 6³ cells = 432 owned sites = two chunks (256 + 176), with thermal
+/// velocities so neighbouring ρ differ after a step.
+fn thermal_two_chunk_box(pass_config: PassConfig) -> MdSimulation {
+    let cfg = MdConfig {
+        temperature: 300.0,
+        table_knots: 2000,
+        ..Default::default()
+    };
+    let mut sim = MdSimulation::single_box(cfg, 6);
+    assert!(sim.interior.len() > 256, "the box must span two chunks");
+    sim.pass_config = pass_config;
+    sim.init_velocities();
+    sim
+}
+
+#[test]
+fn plan_path_matches_seed_serial_across_a_chunk_boundary() {
+    let run = |pass_config: PassConfig| {
+        let mut sim = thermal_two_chunk_box(pass_config);
+        // One atom pushed past the run-away threshold along [100], so
+        // the run-away write-back loop runs too.
+        let a = sim.lnl.grid.site_id(4, 4, 4, 0);
+        sim.lnl.pos[a][0] += 1.1 * sim.cfg.runaway_distance();
+        let mut last = None;
+        for _ in 0..5 {
+            last = Some(sim.step(&mut Loopback));
+        }
+        let live = sim.lnl.live_runaways();
+        assert!(
+            !live.is_empty(),
+            "the displaced atom must still be a run-away"
+        );
+        let ra: Vec<_> = live
+            .iter()
+            .map(|&i| {
+                let r = sim.lnl.runaway(i);
+                (
+                    r.rho.to_bits(),
+                    r.force.map(f64::to_bits),
+                    r.pos.map(f64::to_bits),
+                )
+            })
+            .collect();
+        (Snapshot::of(&sim, &last.expect("five steps ran")), ra)
+    };
+    let (plan, plan_ra) = run(PassConfig::default());
+    let (seed, seed_ra) = run(PassConfig::seed_serial());
+    assert_bitwise(&plan, &seed, "two-chunk thermal box vs seed serial path");
+    assert_eq!(plan_ra, seed_ra, "run-away rho/force/position");
+}
+
+#[test]
+fn nve_energy_is_conserved_across_a_chunk_boundary() {
+    let mut sim = thermal_two_chunk_box(PassConfig::default());
+    sim.cfg.thermostat_tau = None;
+    let e0 = sim.step(&mut Loopback).total();
+    let mut last = e0;
+    for _ in 0..40 {
+        last = sim.step(&mut Loopback).total();
+    }
+    let drift = (last - e0).abs() / e0.abs();
+    assert!(drift < 2e-4, "relative NVE drift {drift:e} over 40 steps");
 }
