@@ -357,10 +357,92 @@ fn density_on_central_batched(
 /// the scalar force sweep would compute; the per-central ½Σφ and the
 /// force accumulation replay the scalar accumulation order unchanged.
 ///
-/// Central order matches the pass order: one entry per interior site
-/// (vacancies hold an empty range) followed by one per live run-away.
+/// Layout: the plan is **chunk-resident and persistent**. It owns one
+/// [`DensityChunk`] per fixed [`PAR_CHUNK_SITES`]-item work chunk — the
+/// chunks of the interior sites (vacancies hold an empty range) followed
+/// by the chunks of the live run-aways — and keeps them across steps:
+/// every step clears the chunk arrays without releasing them, so once
+/// the capacities have grown to the box's partner counts a force
+/// evaluation stages, replays and writes back without allocating, the
+/// host-side analogue of the paper's fixed LDM staging buffer. The
+/// density pass hands chunk *i* of the items together with `&mut` chunk
+/// *i* of the plan to a worker; the force pass replays each chunk in
+/// place. Chunk boundaries never depend on the worker count, and every
+/// reduction over chunks runs in chunk order on the calling thread, so
+/// the results do not depend on it either.
+///
+/// Each central's partner range is addressed by a chunk-local `u32`
+/// start. A chunk stages at most [`PAR_CHUNK_SITES`] centrals, so the
+/// start cannot wrap (a rank-wide `u32` offset would, past 2³² staged
+/// partners — about 9·10⁷ atoms per rank); the staging loop
+/// `debug_assert!`s the chunk-local bound.
 #[derive(Debug, Clone, Default)]
 pub struct GatherPlan {
+    chunks: Vec<DensityChunk>,
+}
+
+impl GatherPlan {
+    /// Drops all staged data; the chunks and their capacities stay.
+    fn clear(&mut self) {
+        self.chunks.iter_mut().for_each(DensityChunk::clear);
+    }
+
+    /// True when no pass has staged anything into the plan.
+    pub fn is_empty(&self) -> bool {
+        self.chunks.iter().all(|c| c.counts.is_empty())
+    }
+
+    /// Sizes the plan for `sites` interior sites and `runaways` live
+    /// run-aways (a no-op unless a chunk count changed) and returns the
+    /// site chunks and the run-away chunks.
+    fn split_for(
+        &mut self,
+        sites: usize,
+        runaways: usize,
+    ) -> (&mut [DensityChunk], &mut [DensityChunk]) {
+        let site_chunks = sites.div_ceil(PAR_CHUNK_SITES);
+        let ra_chunks = runaways.div_ceil(PAR_CHUNK_SITES);
+        self.chunks
+            .resize_with(site_chunks + ra_chunks, DensityChunk::default);
+        self.chunks.split_at_mut(site_chunks)
+    }
+
+    /// The site chunks and the run-away chunks as the density pass left
+    /// them. Panics unless every chunk holds exactly the centrals of
+    /// the matching chunk of `interior`, then of `runaways`.
+    fn split_staged(
+        &mut self,
+        interior: &[usize],
+        runaways: &[u32],
+    ) -> (&mut [DensityChunk], &mut [DensityChunk]) {
+        let site_lens = interior.chunks(PAR_CHUNK_SITES).map(<[usize]>::len);
+        let ra_lens = runaways.chunks(PAR_CHUNK_SITES).map(<[u32]>::len);
+        assert!(
+            self.chunks
+                .iter()
+                .map(|c| c.counts.len())
+                .eq(site_lens.chain(ra_lens)),
+            "gather plan is stale: central population changed since the density pass"
+        );
+        self.chunks
+            .split_at_mut(interior.len().div_ceil(PAR_CHUNK_SITES))
+    }
+}
+
+/// One work chunk of the [`GatherPlan`]: the chunk's centrals' staged
+/// partner data in SoA layout, their partner ranges, and the per-central
+/// outputs of both passes (ρ and ½Σφ from the density pass, the force
+/// from the replay), which the calling thread writes back in order.
+#[derive(Debug, Clone, Default)]
+struct DensityChunk {
+    rhos: Vec<f64>,
+    /// Per-central ½Σφ, accumulated in partner order.
+    pair_es: Vec<f64>,
+    forces: Vec<[f64; 3]>,
+    /// `starts[k]..starts[k] + counts[k]` is central `k`'s partner range
+    /// in the arrays below.
+    starts: Vec<u32>,
+    counts: Vec<u32>,
     dx: Vec<f64>,
     dy: Vec<f64>,
     dz: Vec<f64>,
@@ -374,15 +456,17 @@ pub struct GatherPlan {
     /// a non-negative value for regular atoms, `-(pool_index + 1)` for
     /// run-away records.
     pref: Vec<i64>,
-    /// Per-central ½Σφ, accumulated in partner order.
-    pair_e: Vec<f64>,
-    /// `offsets[c]..offsets[c + 1]` is central `c`'s partner range.
-    offsets: Vec<u32>,
+    stats: BatchStats,
 }
 
-impl GatherPlan {
-    /// Drops all staged data (capacity is retained across steps).
+impl DensityChunk {
+    /// Empties every array, keeping its capacity.
     fn clear(&mut self) {
+        self.rhos.clear();
+        self.pair_es.clear();
+        self.forces.clear();
+        self.starts.clear();
+        self.counts.clear();
         self.dx.clear();
         self.dy.clear();
         self.dz.clear();
@@ -390,141 +474,90 @@ impl GatherPlan {
         self.dphi.clear();
         self.df.clear();
         self.pref.clear();
-        self.pair_e.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-    }
-
-    /// True when no pass has staged anything into the plan.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.len() <= 1
-    }
-
-    /// Number of centrals staged.
-    fn centrals(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Bulk-appends one work chunk's staged SoA data.
-    fn append_chunk(&mut self, c: &DensityChunk) {
-        self.dx.extend_from_slice(&c.dx);
-        self.dy.extend_from_slice(&c.dy);
-        self.dz.extend_from_slice(&c.dz);
-        self.r.extend_from_slice(&c.r);
-        self.dphi.extend_from_slice(&c.dphi);
-        self.df.extend_from_slice(&c.df);
-        self.pref.extend_from_slice(&c.pref);
-        self.pair_e.extend_from_slice(&c.pair_es);
-        let mut end = *self.offsets.last().expect("offsets seeded by clear()");
-        for &n in &c.counts {
-            end += n;
-            self.offsets.push(end);
-        }
-    }
-
-    /// Central `c`'s partner range.
-    fn range(&self, c: usize) -> std::ops::Range<usize> {
-        self.offsets[c] as usize..self.offsets[c + 1] as usize
+        self.stats = BatchStats::default();
     }
 }
 
-/// One parallel work chunk's output of the plan-building density pass:
-/// the chunk's centrals' staged partner data in SoA layout plus their ρ
-/// and ½Σφ values, concatenated into the [`GatherPlan`] in chunk order
-/// on the calling thread.
-struct DensityChunk {
-    rhos: Vec<f64>,
-    pair_es: Vec<f64>,
-    counts: Vec<u32>,
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    r: Vec<f64>,
-    dphi: Vec<f64>,
-    df: Vec<f64>,
-    pref: Vec<i64>,
-    stats: BatchStats,
-}
-
-/// Maps `f` over fixed-size chunks of `items`, serially or across the
-/// thread pool. The chunk decomposition matches [`chunked_map`], so the
-/// output concatenation — and every result bit — is independent of the
-/// thread count.
-fn map_chunks<T, R, F>(items: &[T], parallel: bool, f: F) -> Vec<R>
+/// Runs `f` on every fixed-size chunk of `items` paired with its plan
+/// chunk, serially or across the thread pool. The decomposition matches
+/// [`chunked_map`], and each call writes only its own plan chunk, so
+/// the outcome is independent of the thread count and of the order in
+/// which the workers run.
+fn for_each_chunk<T, F>(items: &[T], chunks: &mut [DensityChunk], parallel: bool, f: F)
 where
-    T: Copy + Send + Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
+    T: Sync,
+    F: Fn(&[T], &mut DensityChunk) + Sync,
 {
+    let work = items.chunks(PAR_CHUNK_SITES).zip(chunks);
     if !parallel || items.len() <= PAR_CHUNK_SITES {
-        return items.chunks(PAR_CHUNK_SITES).map(f).collect();
+        work.for_each(|(it, c)| f(it, c));
+    } else {
+        work.collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(it, c)| f(it, c));
     }
-    let chunks: Vec<&[T]> = items.chunks(PAR_CHUNK_SITES).collect();
-    chunks.into_par_iter().map(&f).collect()
 }
 
 /// Runs the plan-building density sweep for one work chunk: partners
-/// are staged straight into the chunk's SoA buffers (one allocation set
-/// per chunk, not per central), then each central's staged range goes
-/// through the lane square roots and the **fused** batch lookup in
-/// [`BATCH_GATHER_CAP`] chunks — identical chunk boundaries and op
-/// sequence to [`force_on_central_batched`]'s flushes, so every staged
-/// φ', f' and the accumulated ρ and ½Σφ match the scalar sweeps bit for
-/// bit. φ' and f' land in the chunk's SoA arrays for the force pass to
-/// replay; φ and f are folded into ½Σφ and ρ on the spot.
-fn density_chunk_plan<T: Copy>(
+/// are staged straight into the chunk's resident SoA buffers, then each
+/// central's staged range goes through the lane square roots and the
+/// **fused** batch lookup in [`BATCH_GATHER_CAP`] chunks — identical
+/// chunk boundaries and op sequence to [`force_on_central_batched`]'s
+/// flushes, so every staged φ', f' and the accumulated ρ and ½Σφ match
+/// the scalar sweeps bit for bit. φ' and f' land in the chunk's SoA
+/// arrays for the force pass to replay; φ and f are folded into ½Σφ and
+/// ρ on the spot.
+fn stage_chunk<T: Copy>(
     l: &LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
     cutoff: f64,
     items: &[T],
     as_central: impl Fn(T) -> Option<Central>,
-) -> DensityChunk {
+    c: &mut DensityChunk,
+) {
+    c.clear();
+    // A BCC central sees ~58 partners within the cutoff: one up-front
+    // reservation on a chunk's first use, a no-op on every later step.
     let cap = items.len() * 64;
-    let mut c = DensityChunk {
-        rhos: Vec::with_capacity(items.len()),
-        pair_es: Vec::with_capacity(items.len()),
-        counts: Vec::with_capacity(items.len()),
-        dx: Vec::with_capacity(cap),
-        dy: Vec::with_capacity(cap),
-        dz: Vec::with_capacity(cap),
-        r: Vec::with_capacity(cap),
-        dphi: Vec::with_capacity(cap),
-        df: Vec::with_capacity(cap),
-        pref: Vec::with_capacity(cap),
-        stats: BatchStats::default(),
-    };
+    c.dx.reserve(cap);
+    c.dy.reserve(cap);
+    c.dz.reserve(cap);
+    c.r.reserve(cap);
+    c.dphi.reserve(cap);
+    c.df.reserve(cap);
+    c.pref.reserve(cap);
     let mut phi = [0.0; BATCH_GATHER_CAP];
     let mut fval = [0.0; BATCH_GATHER_CAP];
     for &item in items {
-        let Some(central) = as_central(item) else {
-            c.rhos.push(0.0);
-            c.pair_es.push(0.0);
-            c.counts.push(0);
-            continue;
-        };
         let start = c.r.len();
-        partner_sweep::<false>(l, central, cutoff, |p| {
-            // `r` temporarily holds r²; the lane loop below replaces it
-            // with the square root.
-            c.r.push(p.r2);
-            c.dx.push(p.dx[0]);
-            c.dy.push(p.dx[1]);
-            c.dz.push(p.dx[2]);
-            c.pref.push(if p.is_runaway {
-                -(p.ra_index as i64) - 1
-            } else {
-                p.site as i64
+        if let Some(central) = as_central(item) {
+            partner_sweep::<false>(l, central, cutoff, |p| {
+                // `r` temporarily holds r²; the lane loop below replaces
+                // it with the square root.
+                c.r.push(p.r2);
+                c.dx.push(p.dx[0]);
+                c.dy.push(p.dx[1]);
+                c.dz.push(p.dx[2]);
+                c.pref.push(if p.is_runaway {
+                    -(p.ra_index as i64) - 1
+                } else {
+                    p.site as i64
+                });
             });
-        });
-        let n = c.r.len() - start;
-        c.dphi.resize(start + n, 0.0);
-        c.df.resize(start + n, 0.0);
+        }
+        let end = c.r.len();
+        debug_assert!(
+            end <= u32::MAX as usize,
+            "chunk-local partner range exceeds u32"
+        );
+        c.dphi.resize(end, 0.0);
+        c.df.resize(end, 0.0);
         let mut rho = 0.0;
         let mut pair_e = 0.0;
         let mut at = start;
-        while at < start + n {
-            let len = (start + n - at).min(BATCH_GATHER_CAP);
+        while at < end {
+            let len = (end - at).min(BATCH_GATHER_CAP);
             // The deferred square roots, as one vectorizable lane loop.
             for r in c.r[at..at + len].iter_mut() {
                 *r = r.sqrt();
@@ -545,12 +578,12 @@ fn density_chunk_plan<T: Copy>(
         }
         c.rhos.push(rho);
         c.pair_es.push(pair_e);
-        c.counts.push(n as u32);
+        c.starts.push(start as u32);
+        c.counts.push((end - start) as u32);
         // The plan stages the three displacement components, r, φ', f'
         // and the partner reference: 56 B per partner.
-        c.stats.charge(n, 56);
+        c.stats.charge(end - start, 56);
     }
-    c
 }
 
 /// Pass 1: electron densities for owned atoms and owned run-aways.
@@ -613,11 +646,12 @@ pub fn density_pass_with(
 }
 
 /// Pass 1, building the per-step [`GatherPlan`] as a side effect: each
-/// central's partner sweep is staged into SoA records, ρ is evaluated
-/// from the staged records through the batch kernels, and the records
-/// are concatenated (in central order) into `plan` for the force pass
-/// to replay. Falls back to [`density_pass_with`] (clearing the plan)
-/// when the batched path is disabled.
+/// work chunk's partner sweeps are staged into the plan's resident
+/// chunk, ρ is evaluated from the staged records through the batch
+/// kernels and written back in central order, and the staged records
+/// stay where they are for the force pass to replay. Falls back to
+/// [`density_pass_with`] (leaving the plan empty, capacity kept) when
+/// the batched path is disabled.
 pub fn density_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -626,36 +660,32 @@ pub fn density_pass_plan(
     cfg: PassConfig,
     plan: &mut GatherPlan,
 ) {
-    plan.clear();
     if !cfg.batched {
+        plan.clear();
         return density_pass_with(l, pot, form, interior, cfg);
     }
     let _span = mmds_telemetry::span!("md.density");
     let cutoff = pot.cutoff();
-    let site_chunks = map_chunks(interior, cfg.parallel, |sites| {
-        density_chunk_plan(l, pot, form, cutoff, sites, |s| {
-            (l.id[s] >= 0).then_some(Central::Site(s))
-        })
-    });
+    let runaways = l.live_runaways();
+    let (site_chunks, ra_chunks) = plan.split_for(interior.len(), runaways.len());
     let mut stats = BatchStats::default();
-    let mut sites = interior.iter();
-    for c in &site_chunks {
-        for (&rho, &s) in c.rhos.iter().zip(sites.by_ref()) {
+    for_each_chunk(interior, site_chunks, cfg.parallel, |sites, c| {
+        let as_central = |s| (l.id[s] >= 0).then_some(Central::Site(s));
+        stage_chunk(l, pot, form, cutoff, sites, as_central, c)
+    });
+    for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&*site_chunks) {
+        for (&rho, &s) in c.rhos.iter().zip(sites) {
             l.rho[s] = rho;
         }
-        plan.append_chunk(c);
         stats.absorb(c.stats);
     }
-    let runaways = l.live_runaways();
-    let ra_chunks = map_chunks(&runaways, cfg.parallel, |ras| {
-        density_chunk_plan(l, pot, form, cutoff, ras, |i| Some(Central::Runaway(i)))
+    for_each_chunk(&runaways, ra_chunks, cfg.parallel, |ras, c| {
+        stage_chunk(l, pot, form, cutoff, ras, |i| Some(Central::Runaway(i)), c)
     });
-    let mut ras = runaways.iter();
-    for c in &ra_chunks {
-        for (&rho, &i) in c.rhos.iter().zip(ras.by_ref()) {
+    for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
+        for (&rho, &i) in c.rhos.iter().zip(ras) {
             l.runaway_mut(i).rho = rho;
         }
-        plan.append_chunk(c);
         stats.absorb(c.stats);
     }
     stats.emit();
@@ -904,88 +934,84 @@ pub fn force_pass_with(
     pair_energy
 }
 
-/// Force accumulation for one central, replaying its staged partner
-/// range from the gather plan. Only the partners' F' values are
+/// Force accumulation for one work chunk, replaying each central's
+/// staged partner range in place. Only the partners' F' values are
 /// fetched fresh (8 B per partner); r, the displacements, φ' and f'
-/// come straight from the plan's SoA arrays, and ½Σφ was already
+/// come straight from the chunk's SoA arrays, and ½Σφ was already
 /// accumulated by the density pass. The per-partner scale expression
 /// and the accumulation order are exactly those of
 /// [`force_on_central`]'s fused branch, so the bits match the scalar
-/// sweep.
-fn force_from_plan(
+/// sweep. A vacancy holds an empty range and so gets a zero force.
+fn replay_chunk<T: Copy>(
     l: &LatticeNeighborList,
-    plan: &GatherPlan,
-    central: usize,
-    fp_c: f64,
-) -> ([f64; 3], f64, BatchStats) {
-    let range = plan.range(central);
-    let mut fv = [0.0; 3];
-    let mut stats = BatchStats::default();
-    stats.charge(range.len(), 8);
-    for k in range {
-        let pr = plan.pref[k];
-        let fp = if pr >= 0 {
-            l.fp[pr as usize]
-        } else {
-            l.runaway((-pr - 1) as u32).fp
-        };
-        let scale = -(plan.dphi[k] + (fp_c + fp) * plan.df[k]) / plan.r[k];
-        fv[0] += scale * plan.dx[k];
-        fv[1] += scale * plan.dy[k];
-        fv[2] += scale * plan.dz[k];
+    items: &[T],
+    fp_of: impl Fn(T) -> f64,
+    c: &mut DensityChunk,
+) {
+    c.forces.clear();
+    for ((&item, &start), &count) in items.iter().zip(&c.starts).zip(&c.counts) {
+        let fp_c = fp_of(item);
+        let mut fv = [0.0; 3];
+        for k in start as usize..start as usize + count as usize {
+            let pr = c.pref[k];
+            let fp = if pr >= 0 {
+                l.fp[pr as usize]
+            } else {
+                l.runaway((-pr - 1) as u32).fp
+            };
+            let scale = -(c.dphi[k] + (fp_c + fp) * c.df[k]) / c.r[k];
+            fv[0] += scale * c.dx[k];
+            fv[1] += scale * c.dy[k];
+            fv[2] += scale * c.dz[k];
+        }
+        c.forces.push(fv);
     }
-    (fv, plan.pair_e[central], stats)
 }
 
 /// Pass 2, replaying the [`GatherPlan`] built by [`density_pass_plan`]
-/// in the same step: no second neighbour traversal — each central's
-/// staged partner range goes straight through the lane square roots and
-/// fused batch lookups, with only the partners' F' fetched fresh.
-/// Falls back to [`force_pass_with`] when the batched path is disabled
-/// or the plan is empty. Panics if the plan's central count does not
-/// match the current interior + run-away population (a stale plan).
+/// in the same step: no second neighbour traversal and no table
+/// evaluation — each chunk's staged partner ranges are replayed in
+/// place, with only the partners' F' fetched fresh, and the forces and
+/// the ½Σφ reduction are written back in central order on the calling
+/// thread. Falls back to [`force_pass_with`] when the batched path is
+/// disabled or the plan is empty. Panics if any plan chunk's central
+/// count does not match the current interior + run-away population (a
+/// stale plan).
 pub fn force_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
     interior: &[usize],
     cfg: PassConfig,
-    plan: &GatherPlan,
+    plan: &mut GatherPlan,
 ) -> f64 {
     if !cfg.batched || plan.is_empty() {
         return force_pass_with(l, pot, form, interior, cfg);
     }
     let _span = mmds_telemetry::span!("md.pair");
     let runaways = l.live_runaways();
-    assert_eq!(
-        plan.centrals(),
-        interior.len() + runaways.len(),
-        "gather plan is stale: central population changed since the density pass"
-    );
-    let site_idx: Vec<usize> = (0..interior.len()).collect();
-    let site_force = chunked_map(&site_idx, cfg.parallel, |c| {
-        let s = interior[c];
-        if l.id[s] < 0 {
-            return ([0.0; 3], 0.0, BatchStats::default());
-        }
-        force_from_plan(l, plan, c, l.fp[s])
-    });
+    let (site_chunks, ra_chunks) = plan.split_staged(interior, &runaways);
     let mut pair_energy = 0.0;
     let mut stats = BatchStats::default();
-    for (&s, (fv, pe, st)) in interior.iter().zip(site_force) {
-        l.force[s] = fv;
-        pair_energy += pe;
-        stats.absorb(st);
-    }
-    let ra_idx: Vec<usize> = (0..runaways.len()).collect();
-    let ra_force = chunked_map(&ra_idx, cfg.parallel, |k| {
-        let i = runaways[k];
-        force_from_plan(l, plan, interior.len() + k, l.runaway(i).fp)
+    for_each_chunk(interior, site_chunks, cfg.parallel, |sites, c| {
+        replay_chunk(l, sites, |s| l.fp[s], c)
     });
-    for (&i, (fv, pe, st)) in runaways.iter().zip(ra_force) {
-        l.runaway_mut(i).force = fv;
-        pair_energy += pe;
-        stats.absorb(st);
+    for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&*site_chunks) {
+        for (k, &s) in sites.iter().enumerate() {
+            l.force[s] = c.forces[k];
+            pair_energy += c.pair_es[k];
+            stats.charge(c.counts[k] as usize, 8);
+        }
+    }
+    for_each_chunk(&runaways, ra_chunks, cfg.parallel, |ras, c| {
+        replay_chunk(l, ras, |i| l.runaway(i).fp, c)
+    });
+    for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
+        for (k, &i) in ras.iter().enumerate() {
+            l.runaway_mut(i).force = c.forces[k];
+            pair_energy += c.pair_es[k];
+            stats.charge(c.counts[k] as usize, 8);
+        }
     }
     stats.emit();
     pair_energy
@@ -1235,7 +1261,14 @@ mod tests {
             );
             let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
             fill_periodic_ghosts(&mut l);
-            let pair = force_pass_plan(&mut l, &pot, TableForm::Compacted, &interior, cfg, &plan);
+            let pair = force_pass_plan(
+                &mut l,
+                &pot,
+                TableForm::Compacted,
+                &interior,
+                cfg,
+                &mut plan,
+            );
             let ra = l.runaway(idx);
             assert_eq!(scalar.0, l.rho, "rho arrays differ (parallel={parallel})");
             assert_eq!(
@@ -1256,6 +1289,123 @@ mod tests {
                 "run-away force differs (parallel={parallel})"
             );
         }
+    }
+
+    /// Address and capacity of every array of every plan chunk.
+    fn footprint(plan: &GatherPlan) -> Vec<(usize, usize)> {
+        fn of<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.as_ptr() as usize, v.capacity())
+        }
+        plan.chunks
+            .iter()
+            .flat_map(|c| {
+                [
+                    of(&c.rhos),
+                    of(&c.pair_es),
+                    of(&c.forces),
+                    of(&c.starts),
+                    of(&c.counts),
+                    of(&c.dx),
+                    of(&c.dy),
+                    of(&c.dz),
+                    of(&c.r),
+                    of(&c.dphi),
+                    of(&c.df),
+                    of(&c.pref),
+                ]
+            })
+            .collect()
+    }
+
+    /// A 300 K two-chunk box (6³ cells, 432 sites) with one live
+    /// run-away, and a velocity-Verlet step over the plan passes that
+    /// applies no transitions, so the central population stays put.
+    fn thermal_box_with_runaway() -> (LatticeNeighborList, EamPotential, Vec<usize>) {
+        use rand::SeedableRng;
+        let (mut l, pot, interior) = setup(6);
+        assert!(interior.len() > PAR_CHUNK_SITES, "two site chunks");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        crate::integrate::maxwell_boltzmann(&mut l, &interior, Species::Fe.mass(), 300.0, &mut rng);
+        let v = l.grid.site_id(3, 3, 3, 0);
+        let id = l.make_vacancy(v);
+        let lp = l.grid.site_position(3, 3, 3, 0);
+        l.add_runaway(v, id, [lp[0] + 1.3, lp[1] + 0.4, lp[2]], [0.0; 3]);
+        (l, pot, interior)
+    }
+
+    fn plan_step(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        interior: &[usize],
+        plan: &mut GatherPlan,
+    ) {
+        use crate::integrate::{drift, kick};
+        let (dt, mass) = (crate::MdConfig::default().dt, Species::Fe.mass());
+        let cfg = PassConfig::default();
+        kick(l, interior, 0.5 * dt, mass);
+        drift(l, interior, dt);
+        fill_periodic_ghosts(l);
+        density_pass_plan(l, pot, TableForm::Compacted, interior, cfg, plan);
+        embedding_pass_with(l, pot, TableForm::Compacted, interior, cfg);
+        fill_periodic_ghosts(l);
+        force_pass_plan(l, pot, TableForm::Compacted, interior, cfg, plan);
+        kick(l, interior, 0.5 * dt, mass);
+    }
+
+    #[test]
+    fn plan_arrays_are_not_reallocated_after_warm_up() {
+        let (mut l, pot, interior) = thermal_box_with_runaway();
+        let mut plan = GatherPlan::default();
+        for _ in 0..20 {
+            plan_step(&mut l, &pot, &interior, &mut plan);
+        }
+        assert_eq!(
+            plan.chunks.len(),
+            3,
+            "two site chunks and one run-away chunk"
+        );
+        let warm = footprint(&plan);
+        assert!(warm.iter().all(|&(_, cap)| cap > 0));
+        for _ in 0..20 {
+            plan_step(&mut l, &pot, &interior, &mut plan);
+        }
+        assert_eq!(warm, footprint(&plan), "a chunk array moved or grew");
+
+        // The unbatched fallback empties the plan and keeps the chunks.
+        let cfg = PassConfig::seed_serial();
+        density_pass_plan(
+            &mut l,
+            &pot,
+            TableForm::Compacted,
+            &interior,
+            cfg,
+            &mut plan,
+        );
+        assert!(plan.is_empty());
+        assert_eq!(warm, footprint(&plan), "the fallback dropped capacity");
+    }
+
+    #[test]
+    #[should_panic(expected = "gather plan is stale")]
+    fn plan_staged_for_another_population_is_rejected() {
+        let (mut l, pot, interior) = thermal_box_with_runaway();
+        let mut plan = GatherPlan::default();
+        plan_step(&mut l, &pot, &interior, &mut plan);
+        // A second run-away joins the first one's chunk: the chunk count
+        // still matches, the chunk's central count does not.
+        let v = l.grid.site_id(5, 5, 5, 1);
+        let (pos, vel) = (l.pos[v], l.vel[v]);
+        let id = l.make_vacancy(v);
+        l.add_runaway(v, id, pos, vel);
+        let cfg = PassConfig::default();
+        force_pass_plan(
+            &mut l,
+            &pot,
+            TableForm::Compacted,
+            &interior,
+            cfg,
+            &mut plan,
+        );
     }
 
     #[test]

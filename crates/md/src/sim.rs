@@ -81,8 +81,9 @@ pub struct MdSimulation {
     /// stay monotonic across repeated [`MdSimulation::run`] calls).
     pub steps_done: u64,
     forces_current: bool,
-    /// Per-step SoA gather plan, staged by the density pass and
-    /// replayed by the force pass (capacity persists across steps).
+    /// Chunk-resident SoA gather plan, staged by the density pass and
+    /// replayed in place by the force pass; the chunks and their
+    /// capacities persist across steps.
     gather_plan: GatherPlan,
 }
 
@@ -176,7 +177,7 @@ impl MdSimulation {
             self.table_form,
             &self.interior,
             self.pass_config,
-            &self.gather_plan,
+            &mut self.gather_plan,
         );
         self.forces_current = true;
         EnergySample { pair, embed }

@@ -13,6 +13,14 @@
 //! lattice (and carries a live run-away): the plan path's ordered ρ
 //! write-back once lost one site per boundary, which a single-chunk box
 //! or a perfect crystal (all ρ equal) cannot see.
+//!
+//! The third shrinks the run-away population across evaluations (two
+//! run-away chunks, then one, then none): the gather plan keeps its
+//! chunks across steps, so a chunk tail or a whole chunk left over from
+//! a larger population must never be replayed, and handing `&mut`
+//! chunks to workers must not depend on how many workers there are.
+
+use std::sync::Mutex;
 
 use mmds_md::domain::Loopback;
 use mmds_md::force::PassConfig;
@@ -67,8 +75,21 @@ fn assert_bitwise(a: &Snapshot, b: &Snapshot, what: &str) {
     assert_eq!(a.embed.to_bits(), b.embed.to_bits(), "{what}: embed energy");
 }
 
-/// One test (not several) so the `RAYON_NUM_THREADS` sweep cannot race
-/// against itself under the parallel test harness.
+/// Serialises the tests that sweep `RAYON_NUM_THREADS`, so one sweep
+/// cannot unset the variable under another in the parallel harness.
+static THREADS_ENV: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the rayon shim pinned to `threads` workers.
+fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
+    let _guard = THREADS_ENV
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    std::env::set_var("RAYON_NUM_THREADS", threads);
+    let out = f();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
+}
+
 #[test]
 fn passes_are_bitwise_deterministic_across_thread_counts() {
     let steps = 3;
@@ -79,9 +100,7 @@ fn passes_are_bitwise_deterministic_across_thread_counts() {
     // exercises 1, 2, and 8 workers even on a single-core host — with
     // the batched kernels enabled.
     for threads in ["1", "2", "8"] {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let got = run(PassConfig::default(), steps);
-        std::env::remove_var("RAYON_NUM_THREADS");
+        let got = with_threads(threads, || run(PassConfig::default(), steps));
         assert_bitwise(&reference, &got, &format!("{threads} threads"));
     }
 
@@ -141,22 +160,11 @@ fn plan_path_matches_seed_serial_across_a_chunk_boundary() {
         for _ in 0..5 {
             last = Some(sim.step(&mut Loopback));
         }
-        let live = sim.lnl.live_runaways();
+        let ra = runaway_bits(&sim);
         assert!(
-            !live.is_empty(),
+            !ra.is_empty(),
             "the displaced atom must still be a run-away"
         );
-        let ra: Vec<_> = live
-            .iter()
-            .map(|&i| {
-                let r = sim.lnl.runaway(i);
-                (
-                    r.rho.to_bits(),
-                    r.force.map(f64::to_bits),
-                    r.pos.map(f64::to_bits),
-                )
-            })
-            .collect();
         (Snapshot::of(&sim, &last.expect("five steps ran")), ra)
     };
     let (plan, plan_ra) = run(PassConfig::default());
@@ -176,4 +184,71 @@ fn nve_energy_is_conserved_across_a_chunk_boundary() {
     }
     let drift = (last - e0).abs() / e0.abs();
     assert!(drift < 2e-4, "relative NVE drift {drift:e} over 40 steps");
+}
+
+/// ρ, force and position bits of one run-away.
+type RunawayBits = (u64, [u64; 3], [u64; 3]);
+
+/// The live run-aways' bits, in pool order.
+fn runaway_bits(sim: &MdSimulation) -> Vec<RunawayBits> {
+    sim.lnl
+        .live_runaways()
+        .iter()
+        .map(|&i| {
+            let r = sim.lnl.runaway(i);
+            (
+                r.rho.to_bits(),
+                r.force.map(f64::to_bits),
+                r.pos.map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
+/// Evaluates forces on a thermal two-chunk box while its run-away
+/// population shrinks: 300 atoms are re-filed as run-aways where they
+/// stand (two run-away chunks, 256 + 44), then all but 100 are
+/// re-seated (one chunk, shorter than the one the plan held), then the
+/// rest (none).
+fn shrinking_population(pass_config: PassConfig) -> Vec<(Snapshot, Vec<RunawayBits>)> {
+    let mut sim = thermal_two_chunk_box(pass_config);
+    for _ in 0..3 {
+        sim.step(&mut Loopback);
+    }
+    for &s in &sim.interior[..300] {
+        let (pos, vel) = (sim.lnl.pos[s], sim.lnl.vel[s]);
+        let id = sim.lnl.make_vacancy(s);
+        sim.lnl.add_runaway(s, id, pos, vel);
+    }
+    let mut evaluations = Vec::new();
+    for keep in [300, 100, 0] {
+        for &i in &sim.lnl.live_runaways()[keep..] {
+            let r = sim.lnl.remove_runaway(i);
+            sim.lnl.occupy(r.home as usize, r.id, r.pos, r.vel);
+        }
+        assert_eq!(sim.lnl.live_runaways().len(), keep);
+        let e = sim.compute_forces(&mut Loopback);
+        let snapshot = Snapshot {
+            rho: sim.lnl.rho.clone(),
+            force: sim.lnl.force.clone(),
+            pos: sim.lnl.pos.clone(),
+            pair: e.pair,
+            embed: e.embed,
+        };
+        evaluations.push((snapshot, runaway_bits(&sim)));
+    }
+    evaluations
+}
+
+#[test]
+fn shrinking_runaway_population_never_replays_a_stale_chunk() {
+    let seed = shrinking_population(PassConfig::seed_serial());
+    for threads in ["1", "2", "8"] {
+        let plan = with_threads(threads, || shrinking_population(PassConfig::default()));
+        for (n, (got, want)) in plan.iter().zip(&seed).enumerate() {
+            let what = format!("{threads} threads, evaluation {n}");
+            assert_bitwise(&got.0, &want.0, &what);
+            assert_eq!(got.1, want.1, "{what}: run-aways");
+        }
+    }
 }
