@@ -28,8 +28,6 @@
 //!   store, so backward halo references are free.
 //! * `double_buffer`: block staging DMA overlaps compute (Fig. 6).
 
-use std::collections::HashSet;
-
 use mmds_eam::compact::{CompactTable, RECON_EXTRA_FLOPS};
 use mmds_eam::spline::{TraditionalTable, PAPER_TABLE_N};
 use mmds_eam::{EamPotential, TableForm, LOCATE_FLOPS, SEG_EVAL_FLOPS};
@@ -273,6 +271,39 @@ impl BatchStage {
     }
 }
 
+/// The halo positions one block has already fetched: an exact set over
+/// the only partners a block can have — storage sites within `reach`
+/// of the block, each in two planes (the site's regular atom, and the
+/// run-aways anchored there, which travel as one fetch). A bitmap
+/// indexed relative to the block's window: no hashing on a path that
+/// runs for roughly every second partner of every central in all
+/// three sweeps.
+#[derive(Default)]
+struct HaloSeen {
+    bits: Vec<u64>,
+    lo: usize,
+}
+
+impl HaloSeen {
+    /// Empties the set and re-centres it on the block `blk_lo..=blk_hi`.
+    /// The backing store is reused from block to block.
+    fn start_block(&mut self, blk_lo: usize, blk_hi: usize, reach: usize) {
+        self.lo = blk_lo.saturating_sub(reach);
+        let slots = 2 * (blk_hi + reach - self.lo + 1);
+        self.bits.clear();
+        self.bits.resize(slots.div_ceil(64), 0);
+    }
+
+    /// Records the partner's fetch; true if it is the block's first.
+    fn insert(&mut self, site: usize, is_runaway: bool) -> bool {
+        let slot = 2 * (site - self.lo) + usize::from(is_runaway);
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        let first = self.bits[word] & bit == 0;
+        self.bits[word] |= bit;
+        first
+    }
+}
+
 /// Evaluates one staged batch against the resident table and folds the
 /// results into the central's accumulators **in partner order** — the
 /// batch kernels replay the scalar expressions per element, so the
@@ -417,13 +448,14 @@ fn slab_kernel(
             .expect("batch gather+eval lane buffers fit in the local store")
     });
 
-    let mut halo_seen: HashSet<usize> = HashSet::new();
+    let mut halo_seen = HaloSeen::default();
     ctx.begin_blocks(cfg.double_buffer);
     let nblocks = item.sites.len().div_ceil(cfg.block_sites).max(1);
     for (bi, block) in item.sites.chunks(cfg.block_sites.max(1)).enumerate() {
-        halo_seen.clear();
         let blk_lo = block[0];
         let blk_hi = *block.last().expect("chunks are non-empty");
+        debug_assert!(block.is_sorted(), "slab sites ascend");
+        halo_seen.start_block(blk_lo, blk_hi, reach);
         let window_lo = if cfg.data_reuse {
             blk_lo.saturating_sub(reach)
         } else {
@@ -460,7 +492,7 @@ fn slab_kernel(
                 for_each_partner(l, Central::Site(s), cutoff, |p| {
                     ctx.charge_flops(R_FLOPS);
                     if (p.is_runaway || p.site < window_lo || p.site > blk_hi)
-                        && halo_seen.insert(p.site + if p.is_runaway { l.n_sites() } else { 0 })
+                        && halo_seen.insert(p.site, p.is_runaway)
                     {
                         ctx.charge_dma_gather(24);
                     }
@@ -511,7 +543,7 @@ fn slab_kernel(
                 // Halo position fetch: once per distinct off-window site
                 // per block (it stays in the local store afterwards).
                 if (p.is_runaway || p.site < window_lo || p.site > blk_hi)
-                    && halo_seen.insert(p.site + if p.is_runaway { l.n_sites() } else { 0 })
+                    && halo_seen.insert(p.site, p.is_runaway)
                 {
                     ctx.charge_dma_gather(24);
                 }
@@ -787,6 +819,31 @@ mod tests {
     use crate::domain::{exchange_ghosts, GhostPhase, Loopback};
     use crate::sim::MdSimulation;
     use mmds_sunway::SwModel;
+
+    #[test]
+    fn halo_seen_is_an_exact_per_block_set() {
+        let mut seen = HaloSeen::default();
+        // Block 100..=163 with reach 40: window 60..=203, and a block
+        // near the origin whose window is cut at site 0.
+        for (blk_lo, blk_hi, reach) in [(100, 163, 40), (3, 66, 40)] {
+            seen.start_block(blk_lo, blk_hi, reach);
+            let (lo, hi) = (blk_lo.saturating_sub(reach), blk_hi + reach);
+            let mut reference = std::collections::HashSet::new();
+            // Every slot of both planes, visited twice in a scrambled
+            // order: first visits report true, repeats false.
+            let span = hi - lo + 1;
+            for k in 0..4 * span {
+                let site = lo + (k * 37) % span;
+                let is_runaway = (k / span) % 2 == 1;
+                assert_eq!(
+                    seen.insert(site, is_runaway),
+                    reference.insert((site, is_runaway)),
+                    "site {site} run-away {is_runaway}"
+                );
+            }
+            assert_eq!(reference.len(), 2 * span);
+        }
+    }
 
     fn sim() -> MdSimulation {
         let cfg = MdConfig {

@@ -6,10 +6,15 @@
 //! of the operation. This reproduces the paper's observation that
 //! "collective operations used for time synchronization" dominate KMC
 //! weak-scaling communication time (Fig. 15).
+//!
+//! On the host a collective is a rendezvous at the [`CollectiveHub`]:
+//! a non-blocking [`arrive`](CollectiveHub::arrive), a wait through the
+//! rank's `wait` primitive (spin on the generation counter,
+//! then park), and a non-blocking [`try_take`](CollectiveHub::try_take).
+//! The two halves are public so the rendezvous can be model-checked
+//! under every interleaving (`mmds-audit`, `tests/model_checks.rs`).
 
-use std::collections::HashMap;
-
-use parking_lot::{Condvar, Mutex};
+use crate::wait::{Gate, Waiter};
 
 /// A rank's contribution to (and the result of) one collective call.
 ///
@@ -33,9 +38,11 @@ pub enum Acc {
     Gather(Vec<Option<Vec<u8>>>),
 }
 
-fn combine(a: Acc, b: Acc) -> Acc {
+/// Folds two contributions; `Err` carries the protocol violation, which
+/// the caller raises once it no longer holds the hub's lock.
+fn combine(a: Acc, b: Acc) -> Result<Acc, String> {
     use Acc::*;
-    match (a, b) {
+    Ok(match (a, b) {
         (Barrier, Barrier) => Barrier,
         (SumF64(x), SumF64(y)) => SumF64(x + y),
         (MinF64(x), MinF64(y)) => MinF64(x.min(y)),
@@ -45,35 +52,56 @@ fn combine(a: Acc, b: Acc) -> Acc {
         (Gather(mut xs), Gather(ys)) => {
             for (i, y) in ys.into_iter().enumerate() {
                 if let Some(v) = y {
-                    assert!(
-                        xs[i].is_none(),
-                        "two ranks contributed to allgather slot {i}"
-                    );
+                    if xs[i].is_some() {
+                        return Err(format!("two ranks contributed to allgather slot {i}"));
+                    }
                     xs[i] = Some(v);
                 }
             }
             Gather(xs)
         }
-        (a, b) => panic!("mismatched collective variants: {a:?} vs {b:?}"),
-    }
+        (a, b) => return Err(format!("mismatched collective variants: {a:?} vs {b:?}")),
+    })
 }
 
+/// What every participant of one collective leaves with: `(combined
+/// result, max virtual clock, max Lamport clock, generation)`. The
+/// generation is the world-wide collective ordinal — the match id
+/// causal traces use to join all ranks' halves of one collective call.
+pub type Collected = (Acc, f64, u64, u64);
+
 struct Inner {
-    generation: u64,
     arrived: usize,
     acc: Option<Acc>,
     clock_max: f64,
     lamport_max: u64,
-    /// generation -> (result, synced clock, synced Lamport clock,
-    /// readers still to consume).
-    results: HashMap<u64, (Acc, f64, u64, usize)>,
+    /// The most recently completed collective.
+    slot: Option<Slot>,
+}
+
+struct Slot {
+    generation: u64,
+    acc: Acc,
+    clock_max: f64,
+    lamport_max: u64,
 }
 
 /// Shared rendezvous point for all collectives of one world.
+///
+/// The generation in progress is the gate's epoch: the last arrival of
+/// generation *g* writes the result slot and publishes, which moves the
+/// epoch to *g + 1* — the one atomic a waiting rank polls.
+///
+/// **One result slot is enough.** A rank arrives at generation *g + 1*
+/// only after it has taken its result of *g* (a rank's collectives are
+/// sequential), and *g + 1* completes — overwriting the slot — only
+/// once *every* rank has arrived at it. So when the slot is overwritten
+/// no reader of the previous result is outstanding, and a rank asking
+/// for *g* finds in the slot either an older generation (not complete
+/// yet) or exactly *g*.
 pub struct CollectiveHub {
     n: usize,
-    inner: Mutex<Inner>,
-    cond: Condvar,
+    gate: Gate<Inner>,
 }
 
 impl CollectiveHub {
@@ -82,15 +110,13 @@ impl CollectiveHub {
         assert!(n > 0, "world must have at least one rank");
         Self {
             n,
-            inner: Mutex::new(Inner {
-                generation: 0,
+            gate: Gate::new(Inner {
                 arrived: 0,
                 acc: None,
                 clock_max: f64::NEG_INFINITY,
                 lamport_max: 0,
-                results: HashMap::new(),
+                slot: None,
             }),
-            cond: Condvar::new(),
         }
     }
 
@@ -99,67 +125,121 @@ impl CollectiveHub {
         self.n
     }
 
-    /// Performs one collective: contributes `mine`, this rank's virtual
-    /// `clock`, and its Lamport clock, blocks until all `n` ranks have
-    /// arrived, and returns `(combined result, max clock, max Lamport
-    /// clock, generation)` over the participants. The generation is
-    /// the world-wide collective ordinal — the match id causal traces
-    /// use to join all ranks' halves of one collective call.
-    pub fn collect(&self, mine: Acc, clock: f64, lamport: u64) -> (Acc, f64, u64, u64) {
-        let mut g = self.inner.lock();
-        let my_gen = g.generation;
+    /// First half of a collective, non-blocking: contributes `mine`,
+    /// this rank's virtual `clock` and its Lamport clock to the
+    /// generation in progress and returns that generation — the ticket
+    /// for [`try_take`](Self::try_take). The last of the `n` arrivals
+    /// completes the generation and publishes its result.
+    pub fn arrive(&self, mine: Acc, clock: f64, lamport: u64) -> u64 {
+        let mut g = self.gate.lock();
+        let generation = g.epoch();
         g.clock_max = g.clock_max.max(clock);
         g.lamport_max = g.lamport_max.max(lamport);
-        g.acc = Some(match g.acc.take() {
-            None => mine,
+        let acc = match g.acc.take() {
+            None => Ok(mine),
             Some(a) => combine(a, mine),
-        });
+        };
+        match acc {
+            Ok(acc) => g.acc = Some(acc),
+            Err(violation) => {
+                drop(g);
+                panic!("{violation}");
+            }
+        }
         g.arrived += 1;
         if g.arrived == self.n {
             let acc = g.acc.take().expect("accumulator present at completion");
-            let ck = g.clock_max;
-            let lam = g.lamport_max;
-            g.results.insert(my_gen, (acc, ck, lam, self.n));
-            g.generation += 1;
+            g.slot = Some(Slot {
+                generation,
+                acc,
+                clock_max: g.clock_max,
+                lamport_max: g.lamport_max,
+            });
             g.arrived = 0;
             g.clock_max = f64::NEG_INFINITY;
             g.lamport_max = 0;
-            self.cond.notify_all();
-        } else {
-            while !g.results.contains_key(&my_gen) {
-                self.cond.wait(&mut g);
-            }
+            g.publish();
         }
-        let entry = g
-            .results
-            .get_mut(&my_gen)
-            .expect("result published for this generation");
-        let out = (entry.0.clone(), entry.1, entry.2, my_gen);
-        entry.3 -= 1;
-        if entry.3 == 0 {
-            g.results.remove(&my_gen);
-        }
-        out
+        generation
+    }
+
+    /// Second half, non-blocking: the result of `generation` if that
+    /// generation is complete, `None` while arrivals are outstanding.
+    /// Every participant takes its own copy.
+    pub fn try_take(&self, generation: u64) -> Option<Collected> {
+        Self::take(&mut self.gate.lock(), generation)
+    }
+
+    fn take(inner: &mut Inner, generation: u64) -> Option<Collected> {
+        let slot = inner.slot.as_ref()?;
+        debug_assert!(
+            slot.generation <= generation,
+            "result of generation {generation} overwritten by {}",
+            slot.generation
+        );
+        (slot.generation == generation).then(|| {
+            (
+                slot.acc.clone(),
+                slot.clock_max,
+                slot.lamport_max,
+                generation,
+            )
+        })
+    }
+
+    /// Performs one collective: [`arrive`](Self::arrive), wait for the
+    /// other `n − 1` ranks, take the result.
+    pub(crate) fn collect(
+        &self,
+        waiter: &Waiter,
+        mine: Acc,
+        clock: f64,
+        lamport: u64,
+    ) -> Collected {
+        let generation = self.arrive(mine, clock, lamport);
+        waiter.wait(&self.gate, |inner| Self::take(inner, generation))
+    }
+
+    /// Wakes every rank asleep in a collective (world abort).
+    pub(crate) fn wake_all(&self) {
+        self.gate.wake_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wait::Abort;
     use std::sync::Arc;
+
+    /// One rank's view of the hub under test: `collect` as `Comm`
+    /// drives it, through a parking waiter.
+    struct RankHub<'a> {
+        hub: &'a CollectiveHub,
+        waiter: Waiter,
+    }
+
+    impl RankHub<'_> {
+        fn collect(&self, mine: Acc, clock: f64, lamport: u64) -> Collected {
+            self.hub.collect(&self.waiter, mine, clock, lamport)
+        }
+    }
 
     fn run_ranks<F, R>(n: usize, f: F) -> Vec<R>
     where
-        F: Fn(usize, &CollectiveHub) -> R + Sync,
+        F: Fn(usize, &RankHub<'_>) -> R + Sync,
         R: Send,
     {
-        let hub = Arc::new(CollectiveHub::new(n));
+        let hub = CollectiveHub::new(n);
+        let abort = Arc::new(Abort::default());
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
                 .map(|r| {
-                    let hub = Arc::clone(&hub);
-                    let f = &f;
-                    s.spawn(move || f(r, &hub))
+                    let (hub, f, abort) = (&hub, &f, Arc::clone(&abort));
+                    s.spawn(move || {
+                        let waiter = Waiter::new(r, abort, false);
+                        f(r, &RankHub { hub, waiter })
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -10,6 +10,7 @@ use crate::model::MachineModel;
 use crate::onesided::{PutRecord, WindowHub};
 use crate::stats::CommStats;
 use crate::trace::{self, CommEvent, CommOp, OpTimer};
+use crate::wait::{Abort, WaitStats, Waiter};
 use crate::{Rank, Tag};
 
 /// State shared by every rank of one [`crate::World`].
@@ -18,6 +19,19 @@ pub(crate) struct Shared {
     pub hub: CollectiveHub,
     pub windows: WindowHub,
     pub model: MachineModel,
+    pub abort: Arc<Abort>,
+}
+
+impl Shared {
+    /// Records that `rank` panicked and wakes every rank asleep at a
+    /// blocking point so it can see the flag and unwind.
+    pub fn abort_world(&self, rank: Rank) {
+        self.abort.raise(rank);
+        self.hub.wake_all();
+        for mailbox in &self.mailboxes {
+            mailbox.wake_all();
+        }
+    }
 }
 
 /// A rank's communicator: the analogue of `MPI_COMM_WORLD` plus the
@@ -40,13 +54,17 @@ pub struct Comm {
     /// Per-rank outgoing message ordinal; `(rank, send_seq)` is the
     /// globally unique match id of each send/put.
     send_seq: Cell<u64>,
+    /// How this rank waits at the hub and at its mailbox (host side
+    /// only; see [`crate::wait`]).
+    waiter: Waiter,
 }
 
 impl Comm {
-    pub(crate) fn new(rank: Rank, size: usize, shared: Arc<Shared>) -> Self {
+    pub(crate) fn new(rank: Rank, size: usize, shared: Arc<Shared>, spin: bool) -> Self {
         Self {
             rank,
             size,
+            waiter: Waiter::new(rank, Arc::clone(&shared.abort), spin),
             shared,
             clock: Cell::new(0.0),
             stats: RefCell::new(CommStats::default()),
@@ -89,6 +107,18 @@ impl Comm {
     /// Snapshot of this rank's pairwise communication matrix.
     pub fn comm_matrix(&self) -> CommMatrix {
         self.matrix.borrow().snapshot(self.rank)
+    }
+
+    /// How this rank's blocking calls have waited on the host so far
+    /// (spun, parked, cool-downs). Scheduling facts that differ from
+    /// run to run — which is why they are not in [`Comm::stats`].
+    pub fn wait_stats(&self) -> WaitStats {
+        self.waiter.stats()
+    }
+
+    /// True once this rank has begun unwinding because a peer failed.
+    pub(crate) fn stopped_by_peer(&self) -> bool {
+        self.waiter.stopped_by_peer()
     }
 
     /// Resets counters, the comm matrix, and clock (e.g. after a
@@ -177,7 +207,7 @@ impl Comm {
     /// its payload.
     pub fn recv(&self, src: Source, tag: Tag) -> Vec<u8> {
         let timer = OpTimer::start(self.clock.get());
-        let env = self.shared.mailboxes[self.rank].recv(src, tag);
+        let env = self.shared.mailboxes[self.rank].recv(&self.waiter, src, tag);
         self.finish_recv(env, timer)
     }
 
@@ -218,7 +248,7 @@ impl Comm {
     /// Blocks until a matching message is queued; returns metadata
     /// without consuming the message (`MPI_Probe`).
     pub fn probe(&self, src: Source, tag: Tag) -> MsgInfo {
-        self.shared.mailboxes[self.rank].probe(src, tag)
+        self.shared.mailboxes[self.rank].probe(&self.waiter, src, tag)
     }
 
     /// Non-blocking probe for any source on `tag`.
@@ -247,7 +277,7 @@ impl Comm {
         let (acc, clock_max, lamport_max, generation) =
             self.shared
                 .hub
-                .collect(mine, self.clock.get(), self.lamport.get());
+                .collect(&self.waiter, mine, self.clock.get(), self.lamport.get());
         self.advance_comm(clock_max + cost);
         self.stats.borrow_mut().collectives += 1;
         let lamport = lamport_max + 1;

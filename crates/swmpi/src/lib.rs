@@ -32,6 +32,14 @@
 //!   match closure, deadlock freedom and fence enclosure are proven
 //!   for all P and reconciled against traced runs by `mmds-audit`.
 //!
+//! * **One host-side wait primitive** (the private `wait` module): every
+//!   blocking point polls an atomic completion counter for a bounded
+//!   time before it parks, decided per world and per rank from what the
+//!   host shows ([`Comm::wait_stats`] reports it); none of it reaches
+//!   clocks, counters or traces. A rank that panics ends the world:
+//!   blocked peers unwind and [`World::run`] re-raises the original
+//!   panic.
+//!
 //! Communication *volume* results (paper Fig. 12) read the exact counters;
 //! communication *time* results (Figs. 10–16) read the virtual clocks, and
 //! `EXPERIMENTS.md` documents that substitution.
@@ -49,6 +57,7 @@ pub mod skeleton;
 pub mod stats;
 pub mod topology;
 pub mod trace;
+mod wait;
 pub mod wire;
 pub mod world;
 
@@ -59,6 +68,7 @@ pub use skeleton::{ByteSpec, CommPlan, SkelOp, SkelViolation};
 pub use stats::{CommStats, ExchangeSavings};
 pub use topology::CartGrid;
 pub use trace::{CommEvent, CommOp, CommTracer};
+pub use wait::WaitStats;
 pub use wire::{Packer, Unpacker, Wire};
 pub use world::{World, WorldConfig};
 

@@ -2,15 +2,19 @@
 //!
 //! Each rank owns one [`Mailbox`]. Senders push [`Envelope`]s; receivers
 //! block until a message matching `(source, tag)` is available, exactly
-//! like `MPI_Recv`. [`Mailbox::probe`] mirrors `MPI_Probe`: it blocks
+//! like `MPI_Recv`. [`crate::Comm::probe`] mirrors `MPI_Probe`: it blocks
 //! until a matching message exists and returns its metadata *without*
 //! dequeuing it — the mechanism the paper's on-demand KMC exchange uses
 //! to discover runtime-determined message sizes (§2.2.1).
+//!
+//! The queue is a `wait::Gate` whose epoch counts deliveries:
+//! a blocked receiver polls that counter for a bounded spin before it
+//! sleeps, and a sender wakes the condvar only when the owner really is
+//! asleep on it.
 
 use std::collections::VecDeque;
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::wait::{Gate, Waiter};
 use crate::{Rank, Tag};
 
 /// Matches either a specific source rank or any source (`MPI_ANY_SOURCE`).
@@ -72,13 +76,23 @@ impl Queue {
             .iter()
             .position(|m| source.matches(m.src) && m.tag == tag)
     }
+
+    fn info(&self, source: Source, tag: Tag) -> Option<MsgInfo> {
+        self.position(source, tag).map(|i| {
+            let m = &self.msgs[i];
+            MsgInfo {
+                src: m.src,
+                tag: m.tag,
+                len: m.payload.len(),
+            }
+        })
+    }
 }
 
 /// One rank's incoming message queue.
 #[derive(Default)]
 pub struct Mailbox {
-    queue: Mutex<Queue>,
-    cond: Condvar,
+    queue: Gate<Queue>,
 }
 
 impl Mailbox {
@@ -91,63 +105,50 @@ impl Mailbox {
     pub fn deliver(&self, env: Envelope) {
         let mut q = self.queue.lock();
         q.msgs.push_back(env);
-        self.cond.notify_all();
+        q.publish();
     }
 
     /// Blocks until a message matching `(source, tag)` arrives, then
     /// dequeues and returns it. Messages between a fixed (src, tag) pair
     /// are delivered in FIFO order.
-    pub fn recv(&self, source: Source, tag: Tag) -> Envelope {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(i) = q.position(source, tag) {
-                return q.msgs.remove(i).expect("position was valid");
-            }
-            self.cond.wait(&mut q);
-        }
+    pub(crate) fn recv(&self, waiter: &Waiter, source: Source, tag: Tag) -> Envelope {
+        waiter.wait(&self.queue, |q| {
+            q.position(source, tag).and_then(|i| q.msgs.remove(i))
+        })
     }
 
     /// Blocks until a message matching `(source, tag)` is queued and
     /// returns its metadata without consuming it (`MPI_Probe`).
-    pub fn probe(&self, source: Source, tag: Tag) -> MsgInfo {
-        let mut q = self.queue.lock();
-        loop {
-            if let Some(i) = q.position(source, tag) {
-                let m = &q.msgs[i];
-                return MsgInfo {
-                    src: m.src,
-                    tag: m.tag,
-                    len: m.payload.len(),
-                };
-            }
-            self.cond.wait(&mut q);
-        }
+    pub(crate) fn probe(&self, waiter: &Waiter, source: Source, tag: Tag) -> MsgInfo {
+        waiter.wait(&self.queue, |q| q.info(source, tag))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): returns metadata if a matching
     /// message is already queued.
     pub fn try_probe(&self, source: Source, tag: Tag) -> Option<MsgInfo> {
-        let q = self.queue.lock();
-        q.position(source, tag).map(|i| {
-            let m = &q.msgs[i];
-            MsgInfo {
-                src: m.src,
-                tag: m.tag,
-                len: m.payload.len(),
-            }
-        })
+        self.queue.lock().info(source, tag)
     }
 
     /// Number of currently queued messages (diagnostics / leak tests).
     pub fn pending(&self) -> usize {
         self.queue.lock().msgs.len()
     }
+
+    /// Wakes the owner if it is asleep in `recv`/`probe` (world abort).
+    pub(crate) fn wake_all(&self) {
+        self.queue.wake_all();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wait::Abort;
     use std::sync::Arc;
+
+    fn parking() -> Waiter {
+        Waiter::new(0, Arc::new(Abort::default()), false)
+    }
 
     fn env(src: Rank, tag: Tag, payload: Vec<u8>) -> Envelope {
         Envelope {
@@ -163,14 +164,15 @@ mod tests {
     #[test]
     fn recv_matches_tag_and_source() {
         let mb = Mailbox::new();
+        let w = parking();
         mb.deliver(env(1, 10, vec![1]));
         mb.deliver(env(2, 20, vec![2]));
         mb.deliver(env(1, 20, vec![3]));
-        let m = mb.recv(Source::Of(2), 20);
+        let m = mb.recv(&w, Source::Of(2), 20);
         assert_eq!(m.payload, vec![2]);
-        let m = mb.recv(Source::Of(1), 20);
+        let m = mb.recv(&w, Source::Of(1), 20);
         assert_eq!(m.payload, vec![3]);
-        let m = mb.recv(Source::Any, 10);
+        let m = mb.recv(&w, Source::Any, 10);
         assert_eq!(m.payload, vec![1]);
         assert_eq!(mb.pending(), 0);
     }
@@ -178,19 +180,21 @@ mod tests {
     #[test]
     fn fifo_per_source_tag_pair() {
         let mb = Mailbox::new();
+        let w = parking();
         mb.deliver(env(0, 5, vec![1]));
         mb.deliver(env(0, 5, vec![2]));
         mb.deliver(env(0, 5, vec![3]));
-        assert_eq!(mb.recv(Source::Of(0), 5).payload, vec![1]);
-        assert_eq!(mb.recv(Source::Of(0), 5).payload, vec![2]);
-        assert_eq!(mb.recv(Source::Of(0), 5).payload, vec![3]);
+        assert_eq!(mb.recv(&w, Source::Of(0), 5).payload, vec![1]);
+        assert_eq!(mb.recv(&w, Source::Of(0), 5).payload, vec![2]);
+        assert_eq!(mb.recv(&w, Source::Of(0), 5).payload, vec![3]);
     }
 
     #[test]
     fn probe_does_not_consume() {
         let mb = Mailbox::new();
+        let w = parking();
         mb.deliver(env(3, 7, vec![0; 42]));
-        let info = mb.probe(Source::Any, 7);
+        let info = mb.probe(&w, Source::Any, 7);
         assert_eq!(
             info,
             MsgInfo {
@@ -200,7 +204,7 @@ mod tests {
             }
         );
         assert_eq!(mb.pending(), 1);
-        let m = mb.recv(Source::Of(info.src), info.tag);
+        let m = mb.recv(&w, Source::Of(info.src), info.tag);
         assert_eq!(m.payload.len(), 42);
     }
 
@@ -217,7 +221,7 @@ mod tests {
     fn blocking_recv_wakes_on_delivery() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let h = std::thread::spawn(move || mb2.recv(Source::Any, 9).payload);
+        let h = std::thread::spawn(move || mb2.recv(&parking(), Source::Any, 9).payload);
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.deliver(env(4, 9, vec![99]));
         assert_eq!(h.join().unwrap(), vec![99]);
