@@ -1,13 +1,22 @@
 //! Checkpoint/restart for KMC runs.
 //!
-//! A [`KmcCheckpoint`] captures the site states, clock and statistics.
-//! The RNG is reseeded from `(seed, cycles)` on restore, so a restarted
-//! run is *statistically* a valid continuation (every trajectory drawn
-//! is a legal KMC trajectory of the restored state) but not bitwise
-//! identical to the uninterrupted one — the standard contract for
-//! stochastic-simulation restarts.
+//! A [`KmcCheckpoint`] captures the site states (ghosts included), the
+//! clock, the statistics and the position of the random stream, so a
+//! restored run *is* the uninterrupted one: `n + m` cycles and
+//! `n` cycles + save + load + `m` cycles agree bit for bit — states,
+//! time, statistics and every later random draw — under all three
+//! exchange strategies. (Derived data — neighbour tables, energy
+//! tables, the owned-vacancy index — is rebuilt from the config and the
+//! states.)
+//!
+//! A checkpoint is input from outside the program: a file that is cut
+//! short, altered or written for another grid yields an error from
+//! [`KmcSimulation::load_checkpoint`], not a panic.
+
+use std::fmt;
 
 use mmds_lattice::LocalGrid;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::KmcConfig;
@@ -27,6 +36,67 @@ pub struct KmcCheckpoint {
     pub time: f64,
     /// Statistics.
     pub stats: RunStats,
+    /// State of the event-selection random stream.
+    pub rng: [u64; 4],
+}
+
+/// Why a [`KmcCheckpoint`] cannot be restored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The state vector is not the size of the grid's storage.
+    StateCount {
+        /// Stored sites of the checkpoint's grid (`None`: overflows).
+        grid_sites: Option<usize>,
+        /// States in the checkpoint.
+        states: usize,
+    },
+    /// The grid's sectors cannot cover its ghost shell.
+    Grid {
+        /// Owned cells per axis.
+        len: [usize; 3],
+        /// Ghost width in cells.
+        ghost: usize,
+    },
+    /// A state byte encodes no [`SiteState`].
+    InvalidState {
+        /// Stored site index.
+        site: usize,
+        /// The byte found.
+        value: u8,
+    },
+    /// The random stream state is all zero, which no run produces.
+    DeadRng,
+}
+
+impl fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RestoreError::StateCount { grid_sites, states } => write!(
+                f,
+                "checkpoint grid mismatch: {states} states for a grid of {} stored sites",
+                grid_sites.map_or("more than usize::MAX".into(), |n| n.to_string())
+            ),
+            RestoreError::Grid { len, ghost } => write!(
+                f,
+                "checkpoint grid of {len:?} owned cells cannot hold a ghost shell of {ghost}: \
+                 a sector (half the owned length) must cover it, and it must be at least 1"
+            ),
+            RestoreError::InvalidState { site, value } => {
+                write!(f, "checkpoint site {site} holds invalid state byte {value}")
+            }
+            RestoreError::DeadRng => write!(f, "checkpoint random stream state is all zero"),
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
+/// Stored sites of `grid`, or `None` on overflow (a grid read from a
+/// file may hold anything).
+fn stored_sites(grid: &LocalGrid) -> Option<usize> {
+    grid.len.iter().try_fold(2usize, |n, &l| {
+        n.checked_mul(l.checked_add(grid.ghost.checked_mul(2)?)?)
+    })
 }
 
 impl KmcSimulation {
@@ -38,27 +108,42 @@ impl KmcSimulation {
             states: self.lat.state.iter().map(|s| s.to_u8()).collect(),
             time: self.time,
             stats: self.stats,
+            rng: self.rng.state(),
         }
     }
 
-    /// Rebuilds a simulation from a snapshot (RNG reseeded from the
-    /// seed and completed cycle count).
-    pub fn restore(ck: KmcCheckpoint) -> Self {
-        let mut cfg = ck.cfg;
-        cfg.seed = ck.cfg.seed.wrapping_add(ck.stats.cycles);
-        let mut sim = KmcSimulation::new(cfg, ck.grid);
-        sim.cfg = ck.cfg;
-        assert_eq!(
-            sim.lat.state.len(),
-            ck.states.len(),
-            "checkpoint grid mismatch"
-        );
-        for (s, &v) in ck.states.iter().enumerate() {
-            sim.lat.set_state(s, SiteState::from_u8(v));
+    /// Rebuilds a simulation from a snapshot; it continues exactly as
+    /// the one the snapshot was taken from. Everything is checked
+    /// before the lattice is allocated.
+    pub fn restore(ck: KmcCheckpoint) -> Result<Self, RestoreError> {
+        let grid_sites = stored_sites(&ck.grid);
+        if grid_sites != Some(ck.states.len()) {
+            return Err(RestoreError::StateCount {
+                grid_sites,
+                states: ck.states.len(),
+            });
+        }
+        let LocalGrid { len, ghost, .. } = ck.grid;
+        if ghost == 0 || len.iter().any(|&l| l / 2 < ghost) {
+            return Err(RestoreError::Grid { len, ghost });
+        }
+        let states = ck
+            .states
+            .iter()
+            .enumerate()
+            .map(|(site, &value)| {
+                SiteState::try_from_u8(value).ok_or(RestoreError::InvalidState { site, value })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let rng = StdRng::from_state(ck.rng).ok_or(RestoreError::DeadRng)?;
+        let mut sim = KmcSimulation::new(ck.cfg, ck.grid);
+        for (s, st) in states.into_iter().enumerate() {
+            sim.lat.set_state(s, st);
         }
         sim.time = ck.time;
         sim.stats = ck.stats;
-        sim
+        sim.rng = rng;
+        Ok(sim)
     }
 
     /// Writes a checkpoint as JSON.
@@ -72,7 +157,7 @@ impl KmcSimulation {
         let s = std::fs::read_to_string(path)?;
         let ck: KmcCheckpoint =
             serde_json::from_str(&s).map_err(|e| std::io::Error::other(e.to_string()))?;
-        Ok(Self::restore(ck))
+        Self::restore(ck).map_err(std::io::Error::other)
     }
 }
 
@@ -80,9 +165,15 @@ impl KmcSimulation {
 mod tests {
     use super::*;
     use crate::comm::LoopbackK;
-    use crate::exchange::ExchangeStrategy;
+    use crate::exchange::{ExchangeStrategy, OnDemandMode};
     use crate::lattice::required_ghost;
     use mmds_lattice::BccGeometry;
+
+    const STRATEGIES: [ExchangeStrategy; 3] = [
+        ExchangeStrategy::Traditional,
+        ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
+        ExchangeStrategy::OnDemand(OnDemandMode::OneSided),
+    ];
 
     fn sim() -> KmcSimulation {
         let cfg = KmcConfig {
@@ -94,43 +185,109 @@ mod tests {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(8), ghost);
         let mut s = KmcSimulation::new(cfg, grid);
         s.lat.seed_vacancies_global(6, 3);
+        s.lat.seed_solutes_global(12, 4);
         s.initialize(&mut LoopbackK);
         s
+    }
+
+    /// Everything a run's future depends on, as bits.
+    fn bits(s: &KmcSimulation) -> (Vec<u8>, u64, [u64; 4], [u64; 4]) {
+        let ck = s.checkpoint();
+        let st = ck.stats;
+        (
+            ck.states,
+            ck.time.to_bits(),
+            [st.events, st.cycles, st.rate.rate_evals, st.rate.site_evals],
+            ck.rng,
+        )
     }
 
     #[test]
     fn restore_preserves_state_and_clock() {
         let mut s = sim();
         s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 5);
-        let r = KmcSimulation::restore(s.checkpoint());
-        assert_eq!(r.lat.state, s.lat.state);
-        assert_eq!(r.time, s.time);
-        assert_eq!(r.stats.events, s.stats.events);
-        assert_eq!(r.lat.n_vacancies(), s.lat.n_vacancies());
+        let r = KmcSimulation::restore(s.checkpoint()).unwrap();
+        assert_eq!(bits(&r), bits(&s));
+        assert!(r.lat.vacancies().eq(s.lat.vacancies()));
     }
 
     #[test]
     fn restored_run_continues_validly() {
-        let mut s = sim();
-        s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 4);
-        let n_vac = s.lat.n_vacancies();
-        let mut r = KmcSimulation::restore(s.checkpoint());
-        let events = r.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 6);
-        assert!(events > 0, "dynamics must continue");
-        assert_eq!(r.lat.n_vacancies(), n_vac, "conservation across restart");
-        assert!(r.time > s.time);
+        // 30 cycles ≡ 15 + checkpoint + 15, bit for bit.
+        for strategy in STRATEGIES {
+            let mut straight = sim();
+            straight.run_cycles(strategy, &mut LoopbackK, 30);
+            assert!(straight.stats.events > 10, "{strategy:?}: dynamics happen");
+
+            let mut first = sim();
+            first.run_cycles(strategy, &mut LoopbackK, 15);
+            let mut resumed = KmcSimulation::restore(first.checkpoint()).unwrap();
+            resumed.run_cycles(strategy, &mut LoopbackK, 15);
+            assert_eq!(bits(&resumed), bits(&straight), "{strategy:?}");
+            assert!(resumed.lat.vacancies().eq(straight.lat.vacancies()));
+        }
     }
 
     #[test]
     fn json_round_trip() {
         let mut s = sim();
-        s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 2);
+        s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 7);
         let dir = std::env::temp_dir().join("mmds_kmc_ck");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kmc.ckpt.json");
         s.save_checkpoint(&path).unwrap();
         let r = KmcSimulation::load_checkpoint(&path).unwrap();
-        assert_eq!(r.lat.state, s.lat.state);
-        assert_eq!(r.stats.cycles, s.stats.cycles);
+        assert_eq!(bits(&r), bits(&s));
+    }
+
+    #[test]
+    fn mismatched_checkpoints_are_typed_errors() {
+        let mut s = sim();
+        s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 2);
+        let good = s.checkpoint();
+        let sites = good.states.len();
+
+        let mut ck = good.clone();
+        ck.grid.len[1] += 1;
+        assert!(matches!(
+            KmcSimulation::restore(ck),
+            Err(RestoreError::StateCount { states, .. }) if states == sites
+        ));
+        let mut ck = good.clone();
+        ck.states.pop();
+        assert!(matches!(
+            KmcSimulation::restore(ck),
+            Err(RestoreError::StateCount { grid_sites: Some(n), .. }) if n == sites
+        ));
+        let mut ck = good.clone();
+        ck.grid.len = [usize::MAX; 3];
+        assert_eq!(
+            KmcSimulation::restore(ck).err(),
+            Some(RestoreError::StateCount {
+                grid_sites: None,
+                states: sites
+            })
+        );
+        // Same storage, but sectors narrower than the ghost shell.
+        let mut ck = good.clone();
+        ck.grid.len = ck.grid.len.map(|l| l - 4);
+        ck.grid.ghost += 2;
+        assert!(matches!(
+            KmcSimulation::restore(ck),
+            Err(RestoreError::Grid { .. })
+        ));
+        let mut ck = good.clone();
+        ck.states[17] = 3;
+        assert_eq!(
+            KmcSimulation::restore(ck).err(),
+            Some(RestoreError::InvalidState { site: 17, value: 3 })
+        );
+        let mut ck = good.clone();
+        ck.rng = [0; 4];
+        assert_eq!(
+            KmcSimulation::restore(ck).err(),
+            Some(RestoreError::DeadRng)
+        );
+        assert!(KmcSimulation::restore(good).is_ok());
     }
 }

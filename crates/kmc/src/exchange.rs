@@ -12,9 +12,31 @@
 //! Implemented over two-sided messaging (probe + receive, zero-size
 //! messages included) and over one-sided puts + fence (which eliminates
 //! the zero-size messages).
+//!
+//! # How a slab is packed (DESIGN §6.21)
+//!
+//! The traditional wire format — one 16 B record per site, `u64` global
+//! id then `f64` state — is the baseline the paper measures against and
+//! never changes. What it costs the host does: a site's stored index is
+//! `((k·d1 + j)·d0 + i)·2 + basis`, so the `i`/basis run of one `(k, j)`
+//! row of a `Slab` is one contiguous slice of `KmcLattice::state`, and
+//! along it the global id `((gz·ny + gy)·nx + gx)·2 + basis` advances by
+//! stride, `gx` wrapping at the periodic boundary. `pack_states` and
+//! `unpack_states` therefore do the coordinate arithmetic once per row
+//! and copy records in between; the unpack writes only the sites whose
+//! received state differs from the stored one (re-writing the current
+//! state is a no-op, see `KmcLattice::set_state`). The bytes go into the
+//! buffer the previous `KmcTransport::shift` returned
+//! (`KmcLattice::wire`), so the steady state allocates nothing. The
+//! per-site walk this replaces lives on as the byte-for-byte oracle of
+//! this module's tests.
+
+use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use mmds_lattice::LocalGrid;
 use mmds_swmpi::{Packer, Unpacker};
 
 use crate::comm::KmcTransport;
@@ -44,93 +66,187 @@ enum Side {
     High,
 }
 
+impl Side {
+    /// The side a sector's corner touches along an axis.
+    fn of_sector(sec: [usize; 3], axis: usize) -> Self {
+        if sec[axis] == 0 {
+            Side::Low
+        } else {
+            Side::High
+        }
+    }
+
+    fn opposite(self) -> Self {
+        match self {
+            Side::Low => Side::High,
+            Side::High => Side::Low,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
     OwnedEdge,
     Ghost,
 }
 
-/// Slab ranges along each axis for one (axis, side, role) combination.
-/// `done_axes_full` marks axes whose staging has already completed and
-/// therefore span the full storage extent.
-fn ranges(
-    lat: &KmcLattice,
-    axis: usize,
-    side: Side,
-    role: Role,
-    width: usize,
-    full: impl Fn(usize) -> bool,
-) -> [std::ops::Range<usize>; 3] {
-    let g = lat.grid.ghost;
-    let len = lat.grid.len;
-    let dims = lat.grid.dims();
-    assert!(width <= g);
-    let mut r: [std::ops::Range<usize>; 3] = [0..0, 0..0, 0..0];
-    for b in 0..3 {
-        r[b] = if b == axis {
-            // Slabs hug the owned/ghost boundary `width` cells deep.
-            match (role, side) {
-                (Role::OwnedEdge, Side::Low) => g..g + width,
-                (Role::OwnedEdge, Side::High) => g + len[b] - width..g + len[b],
-                (Role::Ghost, Side::Low) => g - width..g,
-                (Role::Ghost, Side::High) => g + len[b]..g + len[b] + width,
-            }
-        } else if full(b) {
-            0..dims[b]
-        } else {
-            g..g + len[b]
-        };
-    }
-    r
-}
-
-/// How far (in cells) one event can write beyond the sector: the cell
-/// reach of a 1NN hop.
-fn event_reach(lat: &KmcLattice) -> usize {
-    lat.offsets
-        .first_shell(0)
-        .iter()
-        .chain(lat.offsets.first_shell(1).iter())
-        .flat_map(|o| {
-            [
-                o.di.unsigned_abs(),
-                o.dj.unsigned_abs(),
-                o.dk.unsigned_abs(),
-            ]
-        })
-        .max()
-        .unwrap_or(1) as usize
-}
-
 /// Bytes of one traditional SPPARKS-style slab record (u64 global id +
 /// f64 state — see [`pack_states`]).
 const SLAB_SITE_BYTES: u64 = 16;
+
+/// One basis pair of slab records: the unit a row is copied in.
+const SLAB_CELL_BYTES: usize = 2 * SLAB_SITE_BYTES as usize;
 
 /// Bytes of one on-demand dirty-site record (3×u32 coords + u8 basis +
 /// u8 state — see [`on_demand_put`]).
 const DIRTY_SITE_BYTES: u64 = 14;
 
-/// Sites in one exchange slab of `width` cells along `axis` (both basis
-/// sites counted). Slab sizes are side- and sector-independent; only
-/// the position changes with the sector corner.
-fn slab_sites(lat: &KmcLattice, axis: usize, width: usize) -> u64 {
-    let r = ranges(lat, axis, Side::Low, Role::OwnedEdge, width, |b| b < axis);
-    r.iter().map(|r| r.len() as u64).product::<u64>() * 2
+/// The `f64` wire image of each [`SiteState`], indexed by its `u8`
+/// encoding: the little-endian bytes of 0.0, 1.0 and 2.0.
+const STATE_WIRE: [[u8; 8]; 3] = [
+    0.0f64.to_le_bytes(),
+    1.0f64.to_le_bytes(),
+    2.0f64.to_le_bytes(),
+];
+
+/// The stored cells of one exchange slab: `width` cells deep along
+/// `axis`, hugging the owned/ghost boundary on `side`. Axes whose
+/// staging has already completed (`b < axis`: ascending for the get,
+/// and the put is its time reversal) span the full storage extent, so
+/// corners ride along; the others span the owned cells.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Slab {
+    axis: usize,
+    side: Side,
+    role: Role,
+    cells: [Range<usize>; 3],
+}
+
+impl Slab {
+    fn new(lat: &KmcLattice, axis: usize, side: Side, role: Role, width: usize) -> Self {
+        let g = lat.grid.ghost;
+        let len = lat.grid.len;
+        let dims = lat.grid.dims();
+        assert!(width <= g);
+        let mut cells: [Range<usize>; 3] = [0..0, 0..0, 0..0];
+        for b in 0..3 {
+            cells[b] = if b == axis {
+                match (role, side) {
+                    (Role::OwnedEdge, Side::Low) => g..g + width,
+                    (Role::OwnedEdge, Side::High) => g + len[b] - width..g + len[b],
+                    (Role::Ghost, Side::Low) => g - width..g,
+                    (Role::Ghost, Side::High) => g + len[b]..g + len[b] + width,
+                }
+            } else if b < axis {
+                0..dims[b]
+            } else {
+                g..g + len[b]
+            };
+        }
+        Self {
+            axis,
+            side,
+            role,
+            cells,
+        }
+    }
+
+    /// Sites in the slab (both basis sites counted).
+    fn sites(&self) -> usize {
+        2 * self.cells.iter().map(Range::len).product::<usize>()
+    }
+
+    /// Payload bytes of the slab on the wire.
+    fn wire_bytes(&self) -> usize {
+        self.sites() * SLAB_SITE_BYTES as usize
+    }
+
+    /// Bytes of one `(k, j)` row on the wire.
+    fn row_bytes(&self) -> usize {
+        self.cells[0].len() * SLAB_CELL_BYTES
+    }
+
+    /// The slab's `(k, j)` rows in wire order: the stored index of each
+    /// row's first site and the global ids along it.
+    fn rows(&self, grid: LocalGrid) -> impl Iterator<Item = (usize, RowIds)> + '_ {
+        let i0 = self.cells[0].start;
+        let (nx, ny) = (grid.global.nx as u64, grid.global.ny as u64);
+        self.cells[2].clone().flat_map(move |k| {
+            self.cells[1].clone().map(move |j| {
+                let g = grid.global_cell(i0, j, k);
+                let ids = RowIds {
+                    row: (g[2] as u64 * ny + g[1] as u64) * nx,
+                    gx: g[0] as u64,
+                    nx,
+                };
+                (grid.site_id(i0, j, k, 0), ids)
+            })
+        })
+    }
+}
+
+impl fmt::Display for Slab {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [x, y, z] = &self.cells;
+        write!(
+            f,
+            "axis {} {:?} {:?} slab (cells {x:?} × {y:?} × {z:?})",
+            self.axis, self.side, self.role
+        )
+    }
+}
+
+/// Canonical global ids — the SPPARKS-style record key
+/// `((gz·ny + gy)·nx + gx)·2 + basis` — of the basis-0 sites along one
+/// stored row; the basis-1 site of a cell is the next id. Stepping a
+/// cell along `i` adds one to `gx`, which wraps at the periodic
+/// boundary (twice, when a whole-box row starts and ends in ghosts);
+/// `gy`/`gz` are fixed by the row.
+#[derive(Debug, Clone)]
+struct RowIds {
+    row: u64,
+    gx: u64,
+    nx: u64,
+}
+
+impl RowIds {
+    /// The id `next` returns next.
+    #[inline]
+    fn peek(&self) -> u64 {
+        (self.row + self.gx) * 2
+    }
+}
+
+impl Iterator for RowIds {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let id = self.peek();
+        self.gx += 1;
+        if self.gx == self.nx {
+            self.gx = 0;
+        }
+        Some(id)
+    }
 }
 
 /// Payload bytes [`traditional_get`] sends for any one sector —
-/// computed analytically from the slab geometry, without sending.
+/// computed analytically from the slab geometry, without sending. (Slab
+/// sizes are side- and sector-independent; only the position changes
+/// with the sector corner.)
 pub fn traditional_get_bytes(lat: &KmcLattice) -> u64 {
-    (0..3)
-        .map(|axis| slab_sites(lat, axis, lat.grid.ghost) * SLAB_SITE_BYTES)
-        .sum()
+    slab_bytes_per_sector(lat, lat.grid.ghost)
 }
 
 /// Payload bytes [`traditional_put`] sends for any one sector.
 pub fn traditional_put_bytes(lat: &KmcLattice) -> u64 {
-    let w = event_reach(lat);
+    slab_bytes_per_sector(lat, lat.event_reach)
+}
+
+fn slab_bytes_per_sector(lat: &KmcLattice, width: usize) -> u64 {
     (0..3)
-        .map(|axis| slab_sites(lat, axis, w) * SLAB_SITE_BYTES)
+        .map(|axis| Slab::new(lat, axis, Side::Low, Role::OwnedEdge, width).wire_bytes() as u64)
         .sum()
 }
 
@@ -150,22 +266,6 @@ pub fn full_ghost_baseline_bytes(lat: &KmcLattice) -> u64 {
     traditional_get_bytes(lat) + traditional_put_bytes(lat)
 }
 
-/// Unique dirty sites the on-demand protocol ships to at least one of
-/// the sector's 7 neighbour directions.
-pub fn shipped_site_count(lat: &KmcLattice, sec: [usize; 3], dirty: &[usize]) -> u64 {
-    let dirs = sector_dirs(sec);
-    let mut unique: Vec<usize> = dirty.to_vec();
-    unique.sort_unstable();
-    unique.dedup();
-    unique
-        .iter()
-        .filter(|&&s| {
-            let (i, j, k, _) = lat.grid.decode(s);
-            dirs.iter().any(|d| relevant_to(lat, [i, j, k], *d))
-        })
-        .count() as u64
-}
-
 /// Byte accounting of one sector's post-exchange, alongside the
 /// analytic full-ghost baseline and dirty-site census that the
 /// comm-savings counters aggregate.
@@ -182,55 +282,107 @@ pub struct SectorExchange {
     pub candidate_sites: u64,
 }
 
-/// Canonical global id of a stored site (used as the SPPARKS-style
-/// record key and as an alignment check on unpack).
-fn global_id(lat: &KmcLattice, s: usize) -> u64 {
-    let (g, b) = lat.local_to_global(s);
-    let nx = lat.grid.global.nx as u64;
-    let ny = lat.grid.global.ny as u64;
-    (((g[2] as u64 * ny + g[1] as u64) * nx + g[0] as u64) * 2) + b as u64
-}
-
-/// Traditional slabs carry SPPARKS-style site records — integer site id
-/// plus a double-width value (16 B/site) — matching the baseline codes
-/// the paper compares against ("used in the KMC software, such as
+/// Writes `slab` into `buf` as SPPARKS-style site records — integer
+/// site id plus a double-width value (16 B/site) — matching the baseline
+/// codes the paper compares against ("used in the KMC software, such as
 /// SPPARKS and KMCLib"). The id doubles as a hard check that sender and
 /// receiver slabs are globally aligned.
-fn pack_states(lat: &KmcLattice, r: &[std::ops::Range<usize>; 3]) -> Vec<u8> {
-    let mut p = Packer::new();
-    for k in r[2].clone() {
-        for j in r[1].clone() {
-            for i in r[0].clone() {
-                for b in 0..2 {
-                    let s = lat.grid.site_id(i, j, k, b);
-                    p.put_u64(global_id(lat, s));
-                    p.put_f64(lat.state[s].to_u8() as f64);
-                }
-            }
+///
+/// `buf` is a recycled buffer with arbitrary contents: it is cut or
+/// grown to the slab's size and every byte of it is then overwritten.
+fn pack_states(lat: &KmcLattice, slab: &Slab, buf: &mut Vec<u8>) {
+    buf.resize(slab.wire_bytes(), 0);
+    let row_sites = 2 * slab.cells[0].len();
+    let rows = buf.chunks_exact_mut(slab.row_bytes());
+    for (row, (s0, ids)) in rows.zip(slab.rows(lat.grid)) {
+        let states = lat.state[s0..s0 + row_sites].chunks_exact(2);
+        for ((cell, st), id) in row.chunks_exact_mut(SLAB_CELL_BYTES).zip(states).zip(ids) {
+            cell[..8].copy_from_slice(&id.to_le_bytes());
+            cell[8..16].copy_from_slice(&STATE_WIRE[st[0] as usize]);
+            cell[16..24].copy_from_slice(&(id + 1).to_le_bytes());
+            cell[24..].copy_from_slice(&STATE_WIRE[st[1] as usize]);
         }
     }
-    p.finish()
 }
 
-fn unpack_states(lat: &mut KmcLattice, r: &[std::ops::Range<usize>; 3], bytes: &[u8]) {
-    let mut u = Unpacker::new(bytes);
-    for k in r[2].clone() {
-        for j in r[1].clone() {
-            for i in r[0].clone() {
-                for b in 0..2 {
-                    let s = lat.grid.site_id(i, j, k, b);
-                    let gid = u.get_u64();
-                    debug_assert_eq!(
-                        gid,
-                        global_id(lat, s),
-                        "slab misaligned at local ({i},{j},{k},{b})"
-                    );
-                    lat.set_state(s, SiteState::from_u8(u.get_f64() as u8));
+/// Applies a received payload to `slab`. The payload's length and the
+/// id that leads every row are checked in every build (a payload cut
+/// short, or packed from another slab, aborts naming the slab); every
+/// other id is checked in debug builds. Only sites whose state changed
+/// go through `set_state` — all but a handful per slab skip the
+/// ownership test and the vacancy-index update.
+fn unpack_states(lat: &mut KmcLattice, slab: &Slab, bytes: &[u8]) {
+    assert_eq!(
+        bytes.len(),
+        slab.wire_bytes(),
+        "kmc {slab}: payload is {} B, the slab's {} sites need {} B",
+        bytes.len(),
+        slab.sites(),
+        slab.wire_bytes(),
+    );
+    debug_assert!(
+        lat.vacancy_index_is_exact(),
+        "owned-vacancy index out of step with the states"
+    );
+    let rows = bytes.chunks_exact(slab.row_bytes());
+    for (row, (s0, ids)) in rows.zip(slab.rows(lat.grid)) {
+        let leading = u64::from_le_bytes(row[..8].try_into().expect("8 B id"));
+        let expected = ids.peek();
+        assert_eq!(
+            leading, expected,
+            "kmc {slab}: the row stored from site {s0} leads with global id {leading}, \
+             expected {expected} — the payload is corrupt or was packed for another slab"
+        );
+        for (c, (cell, id)) in row.chunks_exact(SLAB_CELL_BYTES).zip(ids).enumerate() {
+            for (b, rec) in cell.chunks_exact(SLAB_SITE_BYTES as usize).enumerate() {
+                let s = s0 + 2 * c + b;
+                debug_assert_eq!(
+                    u64::from_le_bytes(rec[..8].try_into().expect("8 B id")),
+                    id + b as u64,
+                    "kmc {slab}: misaligned at stored site {s}"
+                );
+                let wire: [u8; 8] = rec[8..].try_into().expect("8 B state");
+                if wire != STATE_WIRE[lat.state[s] as usize] {
+                    lat.set_state(s, SiteState::from_u8(f64::from_le_bytes(wire) as u8));
                 }
             }
         }
     }
-    assert!(u.is_exhausted(), "state slab size mismatch");
+}
+
+/// One staged slab transfer: packs `send` into the recycled wire
+/// buffer, shifts it along `axis`, applies what arrives to `recv` and
+/// keeps the arrived buffer for the next send (under `LoopbackK` the
+/// same allocation goes round; under `CommK` buffers circulate between
+/// ranks). Returns payload bytes sent.
+fn shift_slab(
+    lat: &mut KmcLattice,
+    t: &mut impl KmcTransport,
+    toward_high: bool,
+    send: &Slab,
+    recv: &Slab,
+) -> u64 {
+    let mut buf = std::mem::take(&mut lat.wire);
+    pack_states(lat, send, &mut buf);
+    let sent = buf.len() as u64;
+    let got = t.shift(send.axis, toward_high, buf);
+    unpack_states(lat, recv, &got);
+    lat.wire = got;
+    sent
+}
+
+/// One stage of a ghost fill: the ghost slab on `recv_side` of `axis`
+/// is refreshed from the opposite owned edge of the neighbour beyond it.
+fn fill_ghost_slab(
+    lat: &mut KmcLattice,
+    t: &mut impl KmcTransport,
+    axis: usize,
+    recv_side: Side,
+) -> u64 {
+    let g = lat.grid.ghost;
+    let send = Slab::new(lat, axis, recv_side.opposite(), Role::OwnedEdge, g);
+    let recv = Slab::new(lat, axis, recv_side, Role::Ghost, g);
+    shift_slab(lat, t, recv_side == Side::Low, &send, &recv)
 }
 
 /// Full 6-direction ghost fill (initialisation; also used by tests).
@@ -239,18 +391,8 @@ pub fn full_exchange(lat: &mut KmcLattice, t: &mut impl KmcTransport) -> u64 {
     let _span = mmds_telemetry::span!("kmc.exchange.full");
     let mut bytes = 0;
     for axis in 0..3 {
-        for (toward_high, recv_side) in [(true, Side::Low), (false, Side::High)] {
-            let send_side = match recv_side {
-                Side::Low => Side::High,
-                Side::High => Side::Low,
-            };
-            let g = lat.grid.ghost;
-            let send = ranges(lat, axis, send_side, Role::OwnedEdge, g, |b| b < axis);
-            let payload = pack_states(lat, &send);
-            bytes += payload.len() as u64;
-            let got = t.shift(axis, toward_high, payload);
-            let recv = ranges(lat, axis, recv_side, Role::Ghost, g, |b| b < axis);
-            unpack_states(lat, &recv, &got);
+        for recv_side in [Side::Low, Side::High] {
+            bytes += fill_ghost_slab(lat, t, axis, recv_side);
         }
     }
     bytes
@@ -261,27 +403,9 @@ pub fn full_exchange(lat: &mut KmcLattice, t: &mut impl KmcTransport) -> u64 {
 /// Returns payload bytes sent.
 pub fn traditional_get(lat: &mut KmcLattice, sec: [usize; 3], t: &mut impl KmcTransport) -> u64 {
     let _span = mmds_telemetry::span!("kmc.exchange.get");
-    let mut bytes = 0;
-    for axis in 0..3 {
-        let recv_side = if sec[axis] == 0 {
-            Side::Low
-        } else {
-            Side::High
-        };
-        let toward_high = sec[axis] == 0;
-        let send_side = match recv_side {
-            Side::Low => Side::High,
-            Side::High => Side::Low,
-        };
-        let g = lat.grid.ghost;
-        let send = ranges(lat, axis, send_side, Role::OwnedEdge, g, |b| b < axis);
-        let payload = pack_states(lat, &send);
-        bytes += payload.len() as u64;
-        let got = t.shift(axis, toward_high, payload);
-        let recv = ranges(lat, axis, recv_side, Role::Ghost, g, |b| b < axis);
-        unpack_states(lat, &recv, &got);
-    }
-    bytes
+    (0..3)
+        .map(|axis| fill_ghost_slab(lat, t, axis, Side::of_sector(sec, axis)))
+        .sum()
 }
 
 /// Traditional post-sector *put* (Fig. 8 c): push the same slabs back
@@ -300,48 +424,30 @@ pub fn traditional_put(lat: &mut KmcLattice, sec: [usize; 3], t: &mut impl KmcTr
     // have been modified by the sector's events, and correspondingly
     // only that ring of the receiver's owned edge may be overwritten —
     // the receiver's *own* boundary hops live just inside it.
-    let w = event_reach(lat);
+    let w = lat.event_reach;
     for axis in (0..3).rev() {
-        let ghost_side = if sec[axis] == 0 {
-            Side::Low
-        } else {
-            Side::High
-        };
+        let ghost_side = Side::of_sector(sec, axis);
+        let send = Slab::new(lat, axis, ghost_side, Role::Ghost, w);
+        let recv = Slab::new(lat, axis, ghost_side.opposite(), Role::OwnedEdge, w);
         // My low ghost flows to the −axis owner.
-        let toward_high = sec[axis] != 0;
-        let send = ranges(lat, axis, ghost_side, Role::Ghost, w, |b| b < axis);
-        let payload = pack_states(lat, &send);
-        bytes += payload.len() as u64;
-        let got = t.shift(axis, toward_high, payload);
-        let recv_side = match ghost_side {
-            Side::Low => Side::High,
-            Side::High => Side::Low,
-        };
-        let recv = ranges(lat, axis, recv_side, Role::OwnedEdge, w, |b| b < axis);
-        unpack_states(lat, &recv, &got);
+        bytes += shift_slab(lat, t, ghost_side == Side::High, &send, &recv);
     }
     bytes
 }
 
 /// The 7 neighbour directions touched by a sector's corner.
-pub fn sector_dirs(sec: [usize; 3]) -> Vec<[i64; 3]> {
+fn sector_dirs(sec: [usize; 3]) -> [[i64; 3]; 7] {
     let sign = |ax: usize| if sec[ax] == 0 { -1i64 } else { 1 };
-    let mut dirs = Vec::with_capacity(7);
-    for mx in 0..2 {
-        for my in 0..2 {
-            for mz in 0..2 {
-                if mx + my + mz == 0 {
-                    continue;
-                }
-                dirs.push([
-                    mx as i64 * sign(0),
-                    my as i64 * sign(1),
-                    mz as i64 * sign(2),
-                ]);
-            }
-        }
-    }
-    dirs
+    // Masks 1..8 over (x, y, z) with z the fastest bit: the message
+    // order every declared `CommPlan` and trace relies on.
+    std::array::from_fn(|n| {
+        let m = n as i64 + 1;
+        [
+            ((m >> 2) & 1) * sign(0),
+            ((m >> 1) & 1) * sign(1),
+            (m & 1) * sign(2),
+        ]
+    })
 }
 
 /// True if stored-cell coords `c` fall inside the storage region of the
@@ -361,7 +467,8 @@ fn relevant_to(lat: &KmcLattice, c: [usize; 3], d: [i64; 3]) -> bool {
 pub fn apply_global_update(lat: &mut KmcLattice, gcell: [usize; 3], basis: usize, st: SiteState) {
     let dims = lat.grid.dims();
     let global_dims = [lat.grid.global.nx, lat.grid.global.ny, lat.grid.global.nz];
-    let mut per_axis: [Vec<usize>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut images = [[0usize; 3]; 3];
+    let mut n_images = [0usize; 3];
     for ax in 0..3 {
         let raw = gcell[ax] as i64 - lat.grid.start[ax] as i64 + lat.grid.ghost as i64;
         for cand in [
@@ -369,14 +476,16 @@ pub fn apply_global_update(lat: &mut KmcLattice, gcell: [usize; 3], basis: usize
             raw + global_dims[ax] as i64,
             raw - global_dims[ax] as i64,
         ] {
-            if cand >= 0 && (cand as usize) < dims[ax] && !per_axis[ax].contains(&(cand as usize)) {
-                per_axis[ax].push(cand as usize);
+            let found = &images[ax][..n_images[ax]];
+            if cand >= 0 && (cand as usize) < dims[ax] && !found.contains(&(cand as usize)) {
+                images[ax][n_images[ax]] = cand as usize;
+                n_images[ax] += 1;
             }
         }
     }
-    for &i in &per_axis[0] {
-        for &j in &per_axis[1] {
-            for &k in &per_axis[2] {
+    for &i in &images[0][..n_images[0]] {
+        for &j in &images[1][..n_images[1]] {
+            for &k in &images[2][..n_images[2]] {
                 let s = lat.grid.site_id(i, j, k, basis);
                 lat.set_state(s, st);
             }
@@ -384,28 +493,39 @@ pub fn apply_global_update(lat: &mut KmcLattice, gcell: [usize; 3], basis: usize
     }
 }
 
+/// What one sector's on-demand transfer sent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DirtyShipment {
+    /// Payload bytes over all 7 directions (the "dirty ghost" traffic
+    /// Fig. 12 measures).
+    pub bytes: u64,
+    /// Unique dirty sites shipped to at least one direction.
+    pub sites: u64,
+}
+
 /// On-demand post-sector transfer (Fig. 8 d): sends each affected site
-/// to every neighbour that stores it; applies what arrives. Returns
-/// payload bytes sent (the "dirty ghost" traffic Fig. 12 measures).
+/// to every neighbour that stores it; applies what arrives.
 pub fn on_demand_put(
     lat: &mut KmcLattice,
     sec: [usize; 3],
     dirty: &[usize],
     mode: OnDemandMode,
     t: &mut impl KmcTransport,
-) -> u64 {
+) -> DirtyShipment {
     let _span = mmds_telemetry::span!("kmc.exchange.dirty");
     let dirs = sector_dirs(sec);
     let mut unique: Vec<usize> = dirty.to_vec();
     unique.sort_unstable();
     unique.dedup();
-    let mut msgs: Vec<Packer> = (0..dirs.len()).map(|_| Packer::new()).collect();
+    let mut msgs: [Packer; 7] = std::array::from_fn(|_| Packer::new());
+    let mut sites = 0;
     for &s in &unique {
         let (i, j, k, b) = lat.grid.decode(s);
-        let (g, _) = (lat.grid.global_cell(i, j, k), b);
-        for (di, d) in dirs.iter().enumerate() {
+        let g = lat.grid.global_cell(i, j, k);
+        let mut shipped = false;
+        for (d, p) in dirs.iter().zip(&mut msgs) {
             if relevant_to(lat, [i, j, k], *d) {
-                let p = &mut msgs[di];
+                shipped = true;
                 p.put_u32(g[0] as u32);
                 p.put_u32(g[1] as u32);
                 p.put_u32(g[2] as u32);
@@ -413,15 +533,19 @@ pub fn on_demand_put(
                 p.put_u8(lat.state[s].to_u8());
             }
         }
+        sites += shipped as u64;
     }
-    let payloads: Vec<Vec<u8>> = msgs.into_iter().map(|p| p.finish()).collect();
+    let payloads: Vec<Vec<u8>> = msgs.into_iter().map(Packer::finish).collect();
     let bytes: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     debug_assert_eq!(bytes % DIRTY_SITE_BYTES, 0, "dirty records are 14 B");
     let received = match mode {
         OnDemandMode::TwoSided => t.neighbor_exchange(&dirs, payloads),
         OnDemandMode::OneSided => t.put_fence(&dirs, payloads),
     };
-    let me = t.rank();
+    // In loopback mode the sent updates double as the received ones; in
+    // multi-rank mode the local images of *our own* dirty ghost writes
+    // are already stored locally (we wrote them), so applying what
+    // arrives is all there is to do.
     for bytes in received {
         let mut u = Unpacker::new(&bytes);
         while !u.is_exhausted() {
@@ -434,12 +558,8 @@ pub fn on_demand_put(
             let st = SiteState::from_u8(u.get_u8());
             apply_global_update(lat, g, b, st);
         }
-        let _ = me;
     }
-    // In loopback mode the sent updates double as the received ones; in
-    // multi-rank mode the local images of *our own* dirty ghost writes
-    // are already stored locally (we wrote them), so nothing else to do.
-    bytes
+    DirtyShipment { bytes, sites }
 }
 
 /// Strategy dispatcher: pre-sector hook. Returns payload bytes sent.
@@ -476,12 +596,11 @@ pub fn post_sector(
             candidate_sites,
         },
         ExchangeStrategy::OnDemand(mode) => {
-            let dirty_sites = shipped_site_count(lat, sec, dirty);
-            let bytes = on_demand_put(lat, sec, dirty, mode, t);
+            let shipped = on_demand_put(lat, sec, dirty, mode, t);
             let out = SectorExchange {
-                bytes,
+                bytes: shipped.bytes,
                 baseline_bytes,
-                dirty_sites,
+                dirty_sites: shipped.sites,
                 candidate_sites,
             };
             t.record_savings(mmds_swmpi::ExchangeSavings {
@@ -626,11 +745,328 @@ pub fn exchange_plans(strategy: ExchangeStrategy) -> Vec<mmds_swmpi::CommPlan> {
 mod tests {
     use super::*;
     use crate::comm::LoopbackK;
+    use crate::lattice::required_ghost;
     use mmds_lattice::{BccGeometry, LocalGrid};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-site slab walk the row walk replaced, kept verbatim as
+    /// the byte-for-byte oracle: `site_id` + `global_id` (a `decode` and
+    /// three `rem_euclid`) + two `Packer::put_*` per site, and a
+    /// `set_state` per received site.
+    mod per_site {
+        use super::*;
+
+        pub fn global_id(lat: &KmcLattice, s: usize) -> u64 {
+            let (g, b) = lat.local_to_global(s);
+            let nx = lat.grid.global.nx as u64;
+            let ny = lat.grid.global.ny as u64;
+            (((g[2] as u64 * ny + g[1] as u64) * nx + g[0] as u64) * 2) + b as u64
+        }
+
+        pub fn pack_states(lat: &KmcLattice, r: &[Range<usize>; 3]) -> Vec<u8> {
+            let mut p = Packer::new();
+            for k in r[2].clone() {
+                for j in r[1].clone() {
+                    for i in r[0].clone() {
+                        for b in 0..2 {
+                            let s = lat.grid.site_id(i, j, k, b);
+                            p.put_u64(global_id(lat, s));
+                            p.put_f64(lat.state[s].to_u8() as f64);
+                        }
+                    }
+                }
+            }
+            p.finish()
+        }
+
+        pub fn unpack_states(lat: &mut KmcLattice, r: &[Range<usize>; 3], bytes: &[u8]) {
+            let mut u = Unpacker::new(bytes);
+            for k in r[2].clone() {
+                for j in r[1].clone() {
+                    for i in r[0].clone() {
+                        for b in 0..2 {
+                            let s = lat.grid.site_id(i, j, k, b);
+                            let gid = u.get_u64();
+                            debug_assert_eq!(
+                                gid,
+                                global_id(lat, s),
+                                "slab misaligned at local ({i},{j},{k},{b})"
+                            );
+                            lat.set_state(s, SiteState::from_u8(u.get_f64() as u8));
+                        }
+                    }
+                }
+            }
+            assert!(u.is_exhausted(), "state slab size mismatch");
+        }
+
+        pub fn shipped_site_count(lat: &KmcLattice, sec: [usize; 3], dirty: &[usize]) -> u64 {
+            let dirs = sector_dirs(sec);
+            let mut unique: Vec<usize> = dirty.to_vec();
+            unique.sort_unstable();
+            unique.dedup();
+            unique
+                .iter()
+                .filter(|&&s| {
+                    let (i, j, k, _) = lat.grid.decode(s);
+                    dirs.iter().any(|d| relevant_to(lat, [i, j, k], *d))
+                })
+                .count() as u64
+        }
+    }
 
     fn lat() -> KmcLattice {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(6), 2);
         KmcLattice::all_fe(grid, 3.0)
+    }
+
+    /// Whole boxes and rank sub-domains (`start ≠ 0`, reaching the end
+    /// of the box, so ghost rows cross the periodic wrap on every axis),
+    /// odd and even lengths, ghost widths 3 and 6.
+    fn sweep_grids() -> Vec<(LocalGrid, f64)> {
+        let a0 = BccGeometry::fe_cube(1).a0;
+        let mut grids = Vec::new();
+        for cutoff in [3.0, 5.0] {
+            let g = required_ghost(a0, cutoff);
+            assert_eq!(g, if cutoff == 3.0 { 3 } else { 6 });
+            // Whole boxes: even cube, odd mixed lengths.
+            grids.push((LocalGrid::whole(BccGeometry::fe_cube(2 * g), g), cutoff));
+            let odd = BccGeometry::new(a0, 2 * g + 1, 2 * g + 3, 2 * g);
+            grids.push((LocalGrid::whole(odd, g), cutoff));
+            // Sub-domains of a 2 × 2 × 3 decomposition: the last rank
+            // (every high ghost wraps) and one on the low y edge in the
+            // middle of z (high x and low y wrap, z does not).
+            let len = [2 * g + 1, 2 * g, 2 * g + 2];
+            let global = BccGeometry::new(a0, 2 * len[0], 2 * len[1], 3 * len[2]);
+            grids.push((
+                LocalGrid::new(global, [len[0], len[1], 2 * len[2]], len, g),
+                cutoff,
+            ));
+            grids.push((LocalGrid::new(global, [len[0], 0, len[2]], len, g), cutoff));
+        }
+        grids
+    }
+
+    /// Every slab the three slab exchanges send from or receive into.
+    fn exchange_slabs(lat: &KmcLattice) -> Vec<Slab> {
+        let mut slabs = Vec::new();
+        for axis in 0..3 {
+            for side in [Side::Low, Side::High] {
+                for (role, width) in [
+                    // full_exchange and traditional_get
+                    (Role::OwnedEdge, lat.grid.ghost),
+                    (Role::Ghost, lat.grid.ghost),
+                    // traditional_put
+                    (Role::Ghost, lat.event_reach),
+                    (Role::OwnedEdge, lat.event_reach),
+                ] {
+                    slabs.push(Slab::new(lat, axis, side, role, width));
+                }
+            }
+        }
+        slabs
+    }
+
+    fn random_lattice(grid: LocalGrid, cutoff: f64, rng: &mut StdRng) -> KmcLattice {
+        let mut l = KmcLattice::all_fe(grid, cutoff);
+        for s in 0..l.n_sites() {
+            // Mostly iron, like a real slab, with both minorities present.
+            let st = match rng.random_range(0..10u32) {
+                0 => SiteState::Vacancy,
+                1 => SiteState::Cu,
+                _ => SiteState::Fe,
+            };
+            l.set_state(s, st);
+        }
+        assert!(l.vacancy_index_is_exact());
+        l
+    }
+
+    #[test]
+    fn state_wire_images_are_the_f64_encodings() {
+        for st in [SiteState::Fe, SiteState::Cu, SiteState::Vacancy] {
+            assert_eq!(
+                STATE_WIRE[st.to_u8() as usize],
+                (st.to_u8() as f64).to_le_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn row_walk_matches_the_per_site_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x51ab);
+        let mut slabs_checked = 0;
+        for (grid, cutoff) in sweep_grids() {
+            let sender = random_lattice(grid, cutoff, &mut rng);
+            let receiver = random_lattice(grid, cutoff, &mut rng);
+            // One recycled buffer across all slabs of a grid, dirtied
+            // and left longer or shorter than the next slab needs.
+            let mut buf = Vec::new();
+            for slab in exchange_slabs(&sender) {
+                let want = per_site::pack_states(&sender, &slab.cells);
+                assert_eq!(want.len(), slab.wire_bytes(), "{slab}");
+                buf.fill(0xFF);
+                match slabs_checked % 3 {
+                    0 => buf.resize(want.len() + 37, 0xFF),
+                    1 => buf.truncate(want.len() / 2),
+                    _ => {}
+                }
+                pack_states(&sender, &slab, &mut buf);
+                assert!(buf == want, "packed bytes differ: {slab} on {grid:?}");
+
+                // The same ids arrive at the receiver's copy of the slab.
+                let mut new = receiver.clone();
+                let mut old = receiver.clone();
+                unpack_states(&mut new, &slab, &want);
+                per_site::unpack_states(&mut old, &slab.cells, &want);
+                assert!(new.state == old.state, "unpacked states differ: {slab}");
+                assert!(
+                    new.vacancies().eq(old.vacancies()),
+                    "owned-vacancy index differs: {slab}"
+                );
+                assert!(new.vacancy_index_is_exact());
+                assert!(
+                    slab.cells.iter().all(|r| !r.is_empty()) && new.state != receiver.state,
+                    "the slab changed nothing: {slab}"
+                );
+                slabs_checked += 1;
+            }
+        }
+        assert_eq!(slabs_checked, 8 * 24);
+    }
+
+    #[test]
+    fn whole_box_rows_wrap_twice() {
+        // A full-extent row of a whole-box grid starts in the low ghost
+        // (global x = nx − g), crosses the box and ends in the high
+        // ghost: the strided id wraps at both boundaries.
+        let l = lat();
+        let slab = Slab::new(&l, 1, Side::Low, Role::Ghost, 2);
+        assert_eq!(slab.cells[0], 0..10);
+        let (s0, ids) = slab.rows(l.grid).next().unwrap();
+        let ids: Vec<u64> = ids.take(10).collect();
+        let gx: Vec<u64> = ids.iter().map(|id| id / 2 - ids[2] / 2).collect();
+        assert_eq!(gx, [4, 5, 0, 1, 2, 3, 4, 5, 0, 1]);
+        let per_site: Vec<u64> = (0..10)
+            .map(|c| per_site::global_id(&l, s0 + 2 * c))
+            .collect();
+        assert_eq!(ids, per_site);
+    }
+
+    /// Runs `f`, which must panic, and returns the panic message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err.downcast::<&str>().map(|s| s.to_string()).unwrap(),
+        }
+    }
+
+    /// A lattice whose axis-0 and axis-1 get slabs have the same number
+    /// of sites (`len[1] == dims[0]`), with the payload of each.
+    fn same_length_slabs() -> (KmcLattice, [Slab; 2], [Vec<u8>; 2]) {
+        let a0 = BccGeometry::fe_cube(1).a0;
+        let grid = LocalGrid::whole(BccGeometry::new(a0, 6, 12, 8), 3);
+        let mut rng = StdRng::seed_from_u64(9);
+        let l = random_lattice(grid, 3.0, &mut rng);
+        let slabs = [0, 1].map(|axis| Slab::new(&l, axis, Side::Low, Role::Ghost, 3));
+        assert_eq!(slabs[0].wire_bytes(), slabs[1].wire_bytes());
+        let payloads = [0, 1].map(|n| per_site::pack_states(&l, &slabs[n].cells));
+        (l, slabs, payloads)
+    }
+
+    #[test]
+    fn truncated_payload_is_refused_before_anything_is_written() {
+        let (mut l, [slab, _], [payload, _]) = same_length_slabs();
+        let before = l.clone();
+        for cut in [0, 16, payload.len() - 16, payload.len() - 1] {
+            let msg = panic_message(|| unpack_states(&mut l, &slab, &payload[..cut]));
+            assert!(
+                msg.contains("axis 0 Low Ghost slab")
+                    && msg.contains(&format!("payload is {cut} B"))
+                    && msg.contains(&format!("need {} B", payload.len())),
+                "{msg}"
+            );
+            assert!(l.state == before.state && l.vacancies().eq(before.vacancies()));
+        }
+        let mut long = payload.clone();
+        long.extend_from_slice(&[0; 16]);
+        let msg = panic_message(|| unpack_states(&mut l, &slab, &long));
+        assert!(
+            msg.contains(&format!("payload is {} B", long.len())),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn payload_from_another_axis_is_refused() {
+        let (mut l, [slab_x, _], [_, payload_y]) = same_length_slabs();
+        let before = l.clone();
+        let msg = panic_message(|| unpack_states(&mut l, &slab_x, &payload_y));
+        assert!(
+            msg.contains("axis 0 Low Ghost slab") && msg.contains("packed for another slab"),
+            "{msg}"
+        );
+        // The first row already disagrees, so nothing was written.
+        assert!(l.state == before.state);
+        // Different lengths are caught by the size check.
+        let put = Slab::new(&l, 1, Side::Low, Role::Ghost, 1);
+        let msg = panic_message(|| unpack_states(&mut l, &put, &payload_y));
+        assert!(
+            msg.contains("axis 1 Low Ghost slab") && msg.contains("payload is"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn corrupted_row_leading_id_is_refused() {
+        let (mut l, [slab, _], [mut payload, _]) = same_length_slabs();
+        let row = slab.rows(l.grid).count() / 2;
+        payload[row * slab.row_bytes()] ^= 0x04;
+        let msg = panic_message(|| unpack_states(&mut l, &slab, &payload));
+        assert!(
+            msg.contains("axis 0 Low Ghost slab") && msg.contains("leads with global id"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_state_value_is_refused() {
+        let (mut l, [slab, _], [mut payload, _]) = same_length_slabs();
+        let rec = payload.len() / 2;
+        payload[rec + 8..rec + 16].copy_from_slice(&3.0f64.to_le_bytes());
+        let msg = panic_message(|| unpack_states(&mut l, &slab, &payload));
+        assert_eq!(msg, "invalid site state 3");
+    }
+
+    #[test]
+    fn slab_exchange_allocates_nothing_after_warm_up() {
+        let cfg = crate::config::KmcConfig::default();
+        let ghost = required_ghost(cfg.a0, cfg.rate_cutoff);
+        let grid = LocalGrid::whole(BccGeometry::fe_cube(2 * ghost + 2), ghost);
+        let mut l = KmcLattice::all_fe(grid, cfg.rate_cutoff);
+        l.seed_vacancies(5, 3);
+        full_exchange(&mut l, &mut LoopbackK);
+        let sectors = crate::solver::sectors();
+        for &sec in &sectors {
+            traditional_get(&mut l, sec, &mut LoopbackK);
+            traditional_put(&mut l, sec, &mut LoopbackK);
+        }
+        let (ptr, cap) = (l.wire.as_ptr(), l.wire.capacity());
+        assert!(cap >= traditional_get_bytes(&l) as usize / 3);
+        for n in 0..100 {
+            let sec = sectors[n % 8];
+            // A hop into the ghost shell, so slabs carry changes.
+            let ghost_site = l.grid.site_id(ghost - 1, ghost + n % 4, ghost + 1, n % 2);
+            let st = [SiteState::Vacancy, SiteState::Fe][n / 8 % 2];
+            l.set_state(ghost_site, st);
+            traditional_get(&mut l, sec, &mut LoopbackK);
+            assert_eq!((l.wire.as_ptr(), l.wire.capacity()), (ptr, cap), "get {n}");
+            traditional_put(&mut l, sec, &mut LoopbackK);
+            assert_eq!((l.wire.as_ptr(), l.wire.capacity()), (ptr, cap), "put {n}");
+        }
     }
 
     #[test]
@@ -651,13 +1087,21 @@ mod tests {
 
     #[test]
     fn sector_dirs_are_seven() {
-        let d = sector_dirs([0, 0, 0]);
-        assert_eq!(d.len(), 7);
-        assert!(d.contains(&[-1, -1, -1]));
-        assert!(d.contains(&[-1, 0, 0]));
+        assert_eq!(
+            sector_dirs([0, 0, 0]),
+            [
+                [0, 0, -1],
+                [0, -1, 0],
+                [0, -1, -1],
+                [-1, 0, 0],
+                [-1, 0, -1],
+                [-1, -1, 0],
+                [-1, -1, -1]
+            ]
+        );
         let d2 = sector_dirs([1, 0, 1]);
-        assert!(d2.contains(&[1, 0, 0]));
-        assert!(d2.contains(&[1, -1, 1]));
+        assert_eq!(d2[3], [1, 0, 0]);
+        assert_eq!(d2[6], [1, -1, 1]);
     }
 
     #[test]
@@ -773,6 +1217,26 @@ mod tests {
             &mut LoopbackK,
         );
         assert_eq!(trad.dirty_sites, trad.candidate_sites);
+    }
+
+    #[test]
+    fn shipment_census_matches_the_separate_count() {
+        // The census `on_demand_put` takes while it packs equals the
+        // separate sort/dedup/relevance pass it replaced, for dirty
+        // lists with repeats, interior sites and ghost sites.
+        let mut rng = StdRng::seed_from_u64(77);
+        let mut l = lat();
+        full_exchange(&mut l, &mut LoopbackK);
+        for sec in crate::solver::sectors() {
+            let dirty: Vec<usize> = (0..rng.random_range(0..12usize))
+                .map(|_| rng.random_range(0..l.n_sites()))
+                .flat_map(|s| [s, s])
+                .collect();
+            let want = per_site::shipped_site_count(&l, sec, &dirty);
+            let got = on_demand_put(&mut l, sec, &dirty, OnDemandMode::TwoSided, &mut LoopbackK);
+            assert_eq!(got.sites, want, "sector {sec:?}, dirty {dirty:?}");
+            assert!(got.bytes >= got.sites * DIRTY_SITE_BYTES);
+        }
     }
 
     #[test]

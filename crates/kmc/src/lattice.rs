@@ -3,7 +3,18 @@
 //! "AKMC uses an on-lattice approximation method to map each atom or
 //! vacancy to a lattice point, and the atoms and vacancies are
 //! uniformly named as 'sites'" (§2.2). We reuse the BCC grid machinery
-//! of `mmds-lattice`; states are one byte per site.
+//! of `mmds-lattice`; states are one byte per site, stored in the
+//! grid's `(k, j, i, basis)` order, so the `i`/basis run of one `(k, j)`
+//! row is one contiguous slice of [`KmcLattice::state`] — the fact the
+//! full-ghost slab exchange (`crate::exchange`, DESIGN §6.21) packs by.
+//!
+//! Besides the states the lattice carries two things derived from them
+//! or from its geometry: the owned-vacancy index, which
+//! [`KmcLattice::set_state`] keeps equal to
+//! `{owned s : state[s] == Vacancy}` (every state write outside
+//! `model::delta_e`'s swap-and-restore goes through it), and the
+//! exchange's scratch — the recycled slab wire buffer and the cell reach
+//! of one hop.
 
 use std::collections::BTreeSet;
 
@@ -34,13 +45,18 @@ impl SiteState {
         self as u8
     }
 
-    /// Wire decoding.
+    /// Wire decoding; panics on a byte that encodes no state.
     pub fn from_u8(v: u8) -> Self {
+        Self::try_from_u8(v).unwrap_or_else(|| panic!("invalid site state {v}"))
+    }
+
+    /// Wire decoding of a byte from outside the program (checkpoints).
+    pub fn try_from_u8(v: u8) -> Option<Self> {
         match v {
-            0 => SiteState::Fe,
-            1 => SiteState::Cu,
-            2 => SiteState::Vacancy,
-            _ => panic!("invalid site state {v}"),
+            0 => Some(SiteState::Fe),
+            1 => Some(SiteState::Cu),
+            2 => Some(SiteState::Vacancy),
+            _ => None,
         }
     }
 }
@@ -69,6 +85,13 @@ pub struct KmcLattice {
     pub state: Vec<SiteState>,
     /// Owned vacancies (sorted for deterministic iteration).
     vacancies: BTreeSet<usize>,
+    /// Cell reach of one 1NN hop — how far beyond its sector an event
+    /// can write (the depth of the traditional put slabs).
+    pub(crate) event_reach: usize,
+    /// The full-ghost exchange's wire buffer: whatever
+    /// `KmcTransport::shift` returned last, kept to be the next send
+    /// buffer, so the slab exchange allocates nothing in steady state.
+    pub(crate) wire: Vec<u8>,
 }
 
 impl KmcLattice {
@@ -80,10 +103,23 @@ impl KmcLattice {
             grid.flat_deltas(&offsets.basis0, 0),
             grid.flat_deltas(&offsets.basis1, 1),
         ];
+        let first_shell = [offsets.first_shell(0), offsets.first_shell(1)];
         let nn1_deltas = [
-            grid.flat_deltas(&offsets.first_shell(0), 0),
-            grid.flat_deltas(&offsets.first_shell(1), 1),
+            grid.flat_deltas(&first_shell[0], 0),
+            grid.flat_deltas(&first_shell[1], 1),
         ];
+        let event_reach = first_shell
+            .iter()
+            .flatten()
+            .flat_map(|o| {
+                [
+                    o.di.unsigned_abs(),
+                    o.dj.unsigned_abs(),
+                    o.dk.unsigned_abs(),
+                ]
+            })
+            .max()
+            .unwrap_or(1) as usize;
         let n = grid.n_sites();
         Self {
             grid,
@@ -92,6 +128,8 @@ impl KmcLattice {
             nn1_deltas,
             state: vec![SiteState::Fe; n],
             vacancies: BTreeSet::new(),
+            event_reach,
+            wire: Vec::new(),
         }
     }
 
@@ -122,6 +160,20 @@ impl KmcLattice {
                 self.vacancies.remove(&s);
             }
         }
+    }
+
+    /// True if the owned-vacancy index equals
+    /// `{owned s : state[s] == Vacancy}` — the invariant that makes
+    /// re-writing a site's current state a no-op, which the slab unpack
+    /// relies on to skip unchanged sites. O(sites): debug builds and
+    /// tests only.
+    pub(crate) fn vacancy_index_is_exact(&self) -> bool {
+        let owned_vacancies = self
+            .grid
+            .interior_ids()
+            .filter(|&s| self.state[s] == SiteState::Vacancy);
+        // Both ascend: `interior_ids` walks (k, j, i, basis) like `site_id`.
+        owned_vacancies.eq(self.vacancies())
     }
 
     /// Owned vacancies in deterministic (sorted) order.

@@ -43,7 +43,7 @@ pub struct KmcSimulation {
     pub time: f64,
     /// Statistics.
     pub stats: RunStats,
-    rng: StdRng,
+    pub(crate) rng: StdRng,
 }
 
 impl KmcSimulation {

@@ -166,6 +166,22 @@ pub mod rngs {
         }
     }
 
+    impl StdRng {
+        /// The generator's whole state: with [`Self::from_state`], what
+        /// a checkpoint stores to resume the stream where it stopped
+        /// (real `rand` offers the same through its `serde` feature).
+        pub fn state(&self) -> [u64; 4] {
+            self.s
+        }
+
+        /// A generator that continues the stream [`Self::state`] was
+        /// taken from. `None` for the all-zero state, the one state
+        /// xoshiro256++ never reaches and never leaves.
+        pub fn from_state(s: [u64; 4]) -> Option<Self> {
+            (s != [0; 4]).then_some(Self { s })
+        }
+    }
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             // xoshiro256++
@@ -228,6 +244,19 @@ mod tests {
             assert!((-1.0..1.0).contains(&z));
             b.random_range(-1.0f64..1.0);
         }
+    }
+
+    #[test]
+    fn state_resumes_the_stream() {
+        let mut a = StdRng::seed_from_u64(5);
+        for _ in 0..17 {
+            a.random::<u64>();
+        }
+        let mut b = StdRng::from_state(a.state()).expect("a live state");
+        for _ in 0..100 {
+            assert_eq!(a.random::<u64>(), b.random::<u64>());
+        }
+        assert!(StdRng::from_state([0; 4]).is_none());
     }
 
     #[test]

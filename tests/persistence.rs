@@ -3,7 +3,7 @@
 use mmds::analysis::io::{write_points_csv, write_xyz};
 use mmds::kmc::comm::LoopbackK;
 use mmds::kmc::lattice::required_ghost;
-use mmds::kmc::{ExchangeStrategy, KmcConfig, KmcSimulation};
+use mmds::kmc::{ExchangeStrategy, KmcConfig, KmcSimulation, OnDemandMode};
 use mmds::lattice::{BccGeometry, LocalGrid};
 use mmds::md::cascade::{launch_pka, PKA_DIRECTION};
 use mmds::md::{MdConfig, MdSimulation};
@@ -45,8 +45,7 @@ fn md_checkpoint_resume_matches_uninterrupted_cascade() {
     }
 }
 
-#[test]
-fn kmc_checkpoint_preserves_counts_and_continues() {
+fn kmc_sim() -> KmcSimulation {
     let cfg = KmcConfig {
         table_knots: 600,
         ..Default::default()
@@ -57,24 +56,101 @@ fn kmc_checkpoint_preserves_counts_and_continues() {
     sim.lat.seed_vacancies_global(5, 9);
     sim.lat.seed_solutes_global(20, 10);
     sim.initialize(&mut LoopbackK);
-    sim.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 4);
-    sim.save_checkpoint(&tmp("kmc.ckpt.json")).unwrap();
+    sim
+}
 
-    let mut restored = KmcSimulation::load_checkpoint(&tmp("kmc.ckpt.json")).unwrap();
-    assert_eq!(restored.lat.state, sim.lat.state);
-    restored.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 4);
-    assert_eq!(
-        restored.lat.n_vacancies(),
-        5,
-        "vacancies conserved over restart"
-    );
-    let cu = restored
-        .lat
-        .grid
-        .interior_ids()
-        .filter(|&s| restored.lat.state[s] == mmds::kmc::SiteState::Cu)
-        .count();
-    assert_eq!(cu, 20, "solutes conserved over restart");
+/// Everything a KMC run's future depends on, as bits: states, clock,
+/// statistics and the position of the random stream (the next draw).
+fn kmc_bits(sim: &KmcSimulation) -> (Vec<u8>, u64, [u64; 4], [u64; 4]) {
+    let ck = sim.checkpoint();
+    let st = ck.stats;
+    (
+        ck.states,
+        ck.time.to_bits(),
+        [st.events, st.cycles, st.rate.rate_evals, st.rate.site_evals],
+        ck.rng,
+    )
+}
+
+#[test]
+fn kmc_checkpoint_preserves_counts_and_continues() {
+    for (n, strategy) in [
+        ExchangeStrategy::Traditional,
+        ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
+        ExchangeStrategy::OnDemand(OnDemandMode::OneSided),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut straight = kmc_sim();
+        straight.run_cycles(strategy, &mut LoopbackK, 30);
+
+        let path = tmp(&format!("kmc{n}.ckpt.json"));
+        let mut first = kmc_sim();
+        first.run_cycles(strategy, &mut LoopbackK, 15);
+        first.save_checkpoint(&path).unwrap();
+        let mut resumed = KmcSimulation::load_checkpoint(&path).unwrap();
+        assert_eq!(kmc_bits(&resumed), kmc_bits(&first), "{strategy:?}: load");
+        resumed.run_cycles(strategy, &mut LoopbackK, 15);
+        assert_eq!(
+            kmc_bits(&resumed),
+            kmc_bits(&straight),
+            "{strategy:?}: 15 + save + load + 15 is not the 30-cycle run"
+        );
+
+        assert!(straight.stats.events > 0, "dynamics happen");
+        assert_eq!(resumed.lat.n_vacancies(), 5, "vacancies conserved");
+        let cu = resumed
+            .lat
+            .grid
+            .interior_ids()
+            .filter(|&s| resumed.lat.state[s] == mmds::kmc::SiteState::Cu)
+            .count();
+        assert_eq!(cu, 20, "solutes conserved over restart");
+    }
+}
+
+#[test]
+fn damaged_kmc_checkpoints_are_errors_not_panics() {
+    let mut sim = kmc_sim();
+    sim.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 3);
+    let path = tmp("kmc_damaged.ckpt.json");
+    sim.save_checkpoint(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        KmcSimulation::load_checkpoint(&path).map(|_| ())
+    };
+    assert!(load(&good).is_ok());
+
+    // Truncated: anywhere from an empty file to one byte short.
+    for cut in [0, 1, good.len() / 3, good.len() / 2, good.len() - 1] {
+        assert!(load(&good[..cut]).is_err(), "cut at {cut}");
+    }
+
+    // One flipped bit. In the states array: a vacancy's '2' becomes '3',
+    // which encodes no state.
+    let text = String::from_utf8(good.clone()).unwrap();
+    let states = text.find("\"states\"").expect("states field");
+    let vacancy = states + text[states..].find('2').expect("a vacancy");
+    let mut bad = good.clone();
+    bad[vacancy] ^= 0x01;
+    let err = load(&bad).expect_err("state byte 3");
+    assert!(err.to_string().contains("invalid state byte 3"), "{err}");
+
+    // In the grid: an owned length changes ('8' → '9'), so the state
+    // vector no longer fits the grid.
+    let len = text.find("\"len\"").expect("len field");
+    let digit = len + text[len..].find('8').expect("a length of 8");
+    let mut bad = good.clone();
+    bad[digit] ^= 0x01;
+    let err = load(&bad).expect_err("grid mismatch");
+    assert!(err.to_string().contains("grid mismatch"), "{err}");
+
+    // In the structure: the opening brace.
+    let mut bad = good.clone();
+    bad[0] ^= 0x20;
+    assert!(load(&bad).is_err());
 }
 
 #[test]
