@@ -1,34 +1,25 @@
 //! `mdstep` — the persistent MD hot-path benchmark.
 //!
 //! Times full velocity-Verlet steps (both EAM passes + ghost exchange)
-//! under the six host execution strategies of
-//! [`mmds_md::force::PassConfig`]:
+//! on the two host implementations [`mmds_md::force::PassConfig`]
+//! selects:
 //!
-//! * `serial`                 — the seed path: one thread, separate
-//!   pair and density lookups (two segment locates per partner);
-//! * `serial+fused`           — one thread, fused single-locate
-//!   [`mmds_eam::EamPotential::pair_density`] lookups;
-//! * `serial+fused+batched`   — one thread, SoA gather + lane-batched
-//!   table kernels;
-//! * `parallel`               — chunked multi-thread sweeps, separate
-//!   lookups;
-//! * `parallel+fused`         — chunked multi-thread sweeps, fused
-//!   lookups;
-//! * `parallel+fused+batched` — the default production path.
+//! * `reference`  — the scalar oracle (`PassConfig::seed_serial()`):
+//!   one thread, one `sqrt` and separate pair and density lookups (two
+//!   segment locates) per partner, two neighbour sweeps per step;
+//! * `production` — the default: chunks over the thread pool, fused
+//!   lane-batched lookups staged into the persistent gather plan, one
+//!   neighbour sweep per step.
 //!
-//! All six configurations produce bitwise-identical trajectories (see
-//! the determinism tests in `mmds-md`), so the comparison is work-fair
-//! by construction. The headline `speedup_parallel_fused_vs_serial` is
-//! measured with the batched kernel enabled (the production default).
+//! Both produce bitwise-identical trajectories (see the determinism
+//! tests in `mmds-md`), so the comparison is work-fair by construction.
 //! Writes `BENCH_mdstep.json` into the current directory — committed
 //! at the repo root as the persistent baseline — with per-phase times
 //! from `mmds-telemetry` spans.
 //!
-//! Knobs: `--smoke` shrinks the box for CI; `MMDS_MDSTEP_CELLS` /
-//! `MMDS_MDSTEP_STEPS` override the box edge (unit cells) and the
-//! timed step count; `MMDS_MDSTEP_REPEATS` sets how many times each
-//! configuration is timed (min wall time wins — scheduling noise only
-//! ever adds time; default 3).
+//! `--smoke` shrinks the box for CI; `RAYON_NUM_THREADS` sets the
+//! worker count. Each row is timed three times and the minimum wall
+//! time wins — scheduling noise only ever adds time.
 
 use std::time::Instant;
 
@@ -55,12 +46,8 @@ struct PhaseSeconds {
 #[derive(Debug, Serialize)]
 struct ConfigResult {
     name: &'static str,
-    parallel: bool,
-    fused: bool,
-    batched: bool,
     wall_s: f64,
     atoms_steps_per_sec: f64,
-    speedup_vs_serial: f64,
     phase_s: PhaseSeconds,
 }
 
@@ -75,9 +62,7 @@ struct MdstepReport {
     host_cores: usize,
     table_form: String,
     configs: Vec<ConfigResult>,
-    speedup_fused_vs_serial: f64,
-    speedup_batched_vs_parallel_fused: f64,
-    speedup_parallel_fused_vs_serial: f64,
+    speedup_production_vs_reference: f64,
 }
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -123,7 +108,7 @@ fn run_config(
     let mut wall = f64::INFINITY;
     let mut atoms = 0;
     let mut phases = PhaseSeconds::default();
-    for _ in 0..repeats.max(1) {
+    for _ in 0..repeats {
         let mut sim = build_sim(cells, pass_config);
         atoms = sim.n_atoms();
         for _ in 0..warmup {
@@ -160,11 +145,8 @@ fn run_config(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cells = env_usize("MMDS_MDSTEP_CELLS", if smoke { 4 } else { 8 });
-    let steps = env_usize("MMDS_MDSTEP_STEPS", if smoke { 3 } else { 20 });
-    let repeats = env_usize("MMDS_MDSTEP_REPEATS", if smoke { 1 } else { 3 });
-    let warmup = if smoke { 1 } else { 3 };
-    header("mdstep: MD hot-path baseline (serial/parallel × separate/fused × batched kernels)");
+    let (cells, warmup, steps, repeats) = if smoke { (4, 1, 3, 1) } else { (8, 3, 20, 3) };
+    header("mdstep: MD hot-path baseline (scalar reference vs production plan path)");
     // Summary mode records spans without a JSONL sink; per-config
     // resets isolate each configuration's phase totals. An explicit
     // MMDS_TELEMETRY (e.g. jsonl: for the CI trace artefact) wins.
@@ -178,82 +160,26 @@ fn main() {
         .unwrap_or(1);
     let host_threads = env_usize("RAYON_NUM_THREADS", host_cores);
 
-    let matrix: [(&'static str, PassConfig); 6] = [
-        ("serial", PassConfig::seed_serial()),
-        (
-            "serial+fused",
-            PassConfig {
-                parallel: false,
-                fused: true,
-                batched: false,
-            },
-        ),
-        (
-            "serial+fused+batched",
-            PassConfig {
-                parallel: false,
-                fused: true,
-                batched: true,
-            },
-        ),
-        (
-            "parallel",
-            PassConfig {
-                parallel: true,
-                fused: false,
-                batched: false,
-            },
-        ),
-        (
-            "parallel+fused",
-            PassConfig {
-                parallel: true,
-                fused: true,
-                batched: false,
-            },
-        ),
-        ("parallel+fused+batched", PassConfig::default()),
+    let rows = [
+        ("reference", PassConfig::seed_serial()),
+        ("production", PassConfig::default()),
     ];
-
     let mut configs = Vec::new();
-    let mut serial_wall = 0.0;
     let mut atoms = 0;
-    for (name, pc) in matrix {
+    for (name, pc) in rows {
         let (wall, n, phases) = run_config(name, pc, cells, warmup, steps, repeats);
         atoms = n;
-        if name == "serial" {
-            serial_wall = wall;
-        }
         configs.push(ConfigResult {
             name,
-            parallel: pc.parallel,
-            fused: pc.fused,
-            batched: pc.batched,
             wall_s: wall,
             atoms_steps_per_sec: (n * steps) as f64 / wall,
-            speedup_vs_serial: serial_wall / wall,
             phase_s: phases,
         });
     }
-
-    let wall_of = |name: &str| {
-        configs
-            .iter()
-            .find(|c| c.name == name)
-            .expect("config in matrix")
-            .wall_s
-    };
-    let speedup_fused = wall_of("serial") / wall_of("serial+fused");
-    let speedup_batched = wall_of("parallel+fused") / wall_of("parallel+fused+batched");
-    // The headline: the full production path (parallel + fused +
-    // batched) against the seed path.
-    let speedup_pf = wall_of("serial") / wall_of("parallel+fused+batched");
+    let speedup = configs[0].wall_s / configs[1].wall_s;
     println!();
-    println!("fused vs serial:                    {speedup_fused:.2}x");
-    println!("batched vs parallel+fused:          {speedup_batched:.2}x");
     println!(
-        "parallel+fused(+batched) vs serial: {speedup_pf:.2}x  \
-         ({host_threads} threads, {host_cores} cores)"
+        "production vs reference: {speedup:.2}x  ({host_threads} threads, {host_cores} cores)"
     );
 
     let report = MdstepReport {
@@ -266,9 +192,7 @@ fn main() {
         host_cores,
         table_form: "Compacted".to_string(),
         configs,
-        speedup_fused_vs_serial: speedup_fused,
-        speedup_batched_vs_parallel_fused: speedup_batched,
-        speedup_parallel_fused_vs_serial: speedup_pf,
+        speedup_production_vs_reference: speedup,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_mdstep.json", json.clone() + "\n").expect("write BENCH_mdstep.json");

@@ -418,7 +418,7 @@ pub fn timeline(report: &RunReport) -> String {
 /// One configuration row of `BENCH_mdstep.json`, as the gate reads it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BenchConfigRow {
-    /// Configuration name (e.g. `parallel+fused`).
+    /// Configuration name (e.g. `production`).
     pub name: String,
     /// Throughput, atom·steps per second — the gated metric.
     pub atoms_steps_per_sec: f64,

@@ -559,11 +559,6 @@ impl CompactTable {
             db,
         );
     }
-
-    /// Batched value-only lookup from this owned table.
-    pub fn eval_values_batch(&self, xs: &[f64], val: &mut [f64]) {
-        Self::eval_values_batch_slice(&self.values, self.x0, self.dx, xs, val);
-    }
 }
 
 #[cfg(test)]
@@ -664,7 +659,7 @@ mod tests {
             let mut db = vec![0.0; len];
             a.eval2_batch(&b, &xs, &mut va, &mut da, &mut vb, &mut db);
             let mut vals = vec![0.0; len];
-            a.eval_values_batch(&xs, &mut vals);
+            CompactTable::eval_values_batch_slice(&a.values, a.x0, a.dx, &xs, &mut vals);
             let mut v1 = vec![0.0; len];
             let mut d1 = vec![0.0; len];
             CompactTable::eval_batch_slice(&a.values, a.x0, a.dx, &xs, &mut v1, &mut d1);

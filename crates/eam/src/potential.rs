@@ -164,18 +164,6 @@ impl EamPotential {
         }
     }
 
-    /// Batched value-only density lookup: `out[j] = f(rs[j])`, bitwise
-    /// identical to the value half of [`EamPotential::density`] — the ρ
-    /// accumulation never reads f'(r), so the batched density pass
-    /// skips the derivative combine.
-    #[inline]
-    pub fn density_values_batch(&self, form: TableForm, rs: &[f64], out: &mut [f64]) {
-        match form {
-            TableForm::Traditional => self.trad_density.eval_values_batch(rs, out),
-            TableForm::Compacted => self.comp_density.eval_values_batch(rs, out),
-        }
-    }
-
     /// Total bytes of the three tables in the given form — what a CPE
     /// would need to hold them resident.
     pub fn table_bytes(&self, form: TableForm) -> usize {

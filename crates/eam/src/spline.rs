@@ -261,26 +261,6 @@ impl TraditionalTable {
             db[j] = pdb;
         }
     }
-
-    /// Batched value-only lookup (the density pass discards f'(r)).
-    /// Values are bitwise identical to per-element
-    /// [`TraditionalTable::eval`].
-    pub fn eval_values_batch(&self, xs: &[f64], val: &mut [f64]) {
-        assert_eq!(xs.len(), val.len());
-        let full = xs.len() - xs.len() % BATCH_LANES;
-        let mut k = 0;
-        while k < full {
-            let xw: &[f64; BATCH_LANES] = xs[k..k + BATCH_LANES].try_into().expect("lane window");
-            let (c, t) = self.gather_lanes(xw);
-            for (off, tk) in t.iter().enumerate() {
-                val[k + off] = ((c[3][off] * tk + c[4][off]) * tk + c[5][off]) * tk + c[6][off];
-            }
-            k += BATCH_LANES;
-        }
-        for j in full..xs.len() {
-            val[j] = self.eval(xs[j]);
-        }
-    }
 }
 
 /// Solves the natural-spline tridiagonal system for second derivatives.
@@ -391,8 +371,6 @@ mod tests {
             let mut v1 = vec![0.0; len];
             let mut d1 = vec![0.0; len];
             a.eval_batch(&xs, &mut v1, &mut d1);
-            let mut vals = vec![0.0; len];
-            a.eval_values_batch(&xs, &mut vals);
             for (j, &x) in xs.iter().enumerate() {
                 let (sva, sda, svb, sdb) = a.eval2(&b, x);
                 assert_eq!(
@@ -401,7 +379,6 @@ mod tests {
                     "len {len}"
                 );
                 assert_eq!((v1[j], d1[j]), a.eval_both(x), "len {len} lane {j}");
-                assert_eq!(vals[j], a.eval(x), "len {len} lane {j}");
             }
         }
     }

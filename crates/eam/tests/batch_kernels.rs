@@ -54,16 +54,6 @@ fn assert_pair_density_bitwise(form: TableForm, rs: &[f64]) {
     }
 }
 
-fn assert_density_values_bitwise(form: TableForm, rs: &[f64]) {
-    let p = pot();
-    let mut out = vec![0.0; rs.len()];
-    p.density_values_batch(form, rs, &mut out);
-    for (j, &r) in rs.iter().enumerate() {
-        let scalar = p.density(form, r).0;
-        assert_eq!(out[j].to_bits(), scalar.to_bits(), "{form:?} f[{j}] r={r}");
-    }
-}
-
 fn assert_alloy_bitwise(s1: Species, s2: Species, rs: &[f64]) {
     let a = alloy();
     let (mut phi, mut dphi, mut f, mut df) = bufs(rs.len());
@@ -93,7 +83,6 @@ proptest! {
     ) {
         for form in [TableForm::Traditional, TableForm::Compacted] {
             assert_pair_density_bitwise(form, &rs);
-            assert_density_values_bitwise(form, &rs);
         }
     }
 
@@ -125,7 +114,6 @@ fn ragged_boundary_lengths_are_bitwise_exact() {
             .collect();
         for form in [TableForm::Traditional, TableForm::Compacted] {
             assert_pair_density_bitwise(form, &rs);
-            assert_density_values_bitwise(form, &rs);
         }
         for (s1, s2) in SPECIES_PAIRS {
             assert_alloy_bitwise(s1, s2, &rs);

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::KmcConfig;
-use crate::lattice::SiteState;
+use crate::lattice::{required_ghost, SiteState};
 use crate::sublattice::{KmcSimulation, RunStats};
 
 /// Serializable snapshot of one rank's KMC state.
@@ -41,7 +41,7 @@ pub struct KmcCheckpoint {
 }
 
 /// Why a [`KmcCheckpoint`] cannot be restored.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RestoreError {
     /// The state vector is not the size of the grid's storage.
     StateCount {
@@ -66,7 +66,19 @@ pub enum RestoreError {
     },
     /// The random stream state is all zero, which no run produces.
     DeadRng,
+    /// A configuration value no simulation can be built from.
+    Config {
+        /// The [`KmcConfig`] field (`grid.global.a0`: the grid's
+        /// lattice constant, which the offset table is built from).
+        field: &'static str,
+        /// The value found.
+        value: f64,
+    },
 }
+
+/// Most `table_knots` a checkpoint may ask for — 200 × the paper's
+/// 5 000, 8 MB per table; the model builds eight.
+const MAX_TABLE_KNOTS: usize = 1_000_000;
 
 impl fmt::Display for RestoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -85,6 +97,9 @@ impl fmt::Display for RestoreError {
                 write!(f, "checkpoint site {site} holds invalid state byte {value}")
             }
             RestoreError::DeadRng => write!(f, "checkpoint random stream state is all zero"),
+            RestoreError::Config { field, value } => {
+                write!(f, "checkpoint config: {field} = {value} is out of range")
+            }
         }
     }
 }
@@ -97,6 +112,50 @@ fn stored_sites(grid: &LocalGrid) -> Option<usize> {
     grid.len.iter().try_fold(2usize, |n, &l| {
         n.checked_mul(l.checked_add(grid.ghost.checked_mul(2)?)?)
     })
+}
+
+/// Range-checks the values [`KmcSimulation::new`] builds its tables
+/// from: finite and positive where the physics divides by them or takes
+/// their logarithm, finite elsewhere, `table_knots` within what the
+/// 5-point stencil needs and [`MAX_TABLE_KNOTS`], and a `rate_cutoff`
+/// whose offset table holds the first shell (the event directions) and
+/// fits `grid`'s ghost shell three reaches deep.
+fn check_config(cfg: &KmcConfig, grid: &LocalGrid) -> Result<(), RestoreError> {
+    let a0 = grid.global.a0;
+    // (field, value, must be positive)
+    let floats = [
+        ("a0", cfg.a0, true),
+        ("grid.global.a0", a0, true),
+        ("temperature", cfg.temperature, true),
+        ("nu", cfg.nu, true),
+        ("rate_cutoff", cfg.rate_cutoff, true),
+        ("events_per_cycle", cfg.events_per_cycle, true),
+        ("e_mig0", cfg.e_mig0, false),
+        ("e_mig_floor", cfg.e_mig_floor, false),
+        ("t_threshold", cfg.t_threshold, false),
+    ];
+    for (field, value, positive) in floats {
+        if !value.is_finite() || (positive && value <= 0.0) {
+            return Err(RestoreError::Config { field, value });
+        }
+    }
+    if !(6..=MAX_TABLE_KNOTS).contains(&cfg.table_knots) {
+        return Err(RestoreError::Config {
+            field: "table_knots",
+            value: cfg.table_knots as f64,
+        });
+    }
+    // The first test bounds the cost of generating the offsets for the
+    // second: a cutoff beyond `ghost · a0` reaches past the shell anyway.
+    if cfg.rate_cutoff > grid.ghost as f64 * a0
+        || !(1..=grid.ghost).contains(&required_ghost(a0, cfg.rate_cutoff))
+    {
+        return Err(RestoreError::Config {
+            field: "rate_cutoff",
+            value: cfg.rate_cutoff,
+        });
+    }
+    Ok(())
 }
 
 impl KmcSimulation {
@@ -127,6 +186,7 @@ impl KmcSimulation {
         if ghost == 0 || len.iter().any(|&l| l / 2 < ghost) {
             return Err(RestoreError::Grid { len, ghost });
         }
+        check_config(&ck.cfg, &ck.grid)?;
         let states = ck
             .states
             .iter()
@@ -166,7 +226,6 @@ mod tests {
     use super::*;
     use crate::comm::LoopbackK;
     use crate::exchange::{ExchangeStrategy, OnDemandMode};
-    use crate::lattice::required_ghost;
     use mmds_lattice::BccGeometry;
 
     const STRATEGIES: [ExchangeStrategy; 3] = [
@@ -289,5 +348,68 @@ mod tests {
             Some(RestoreError::DeadRng)
         );
         assert!(KmcSimulation::restore(good).is_ok());
+    }
+
+    #[test]
+    fn hostile_config_values_are_typed_errors() {
+        let mut s = sim();
+        s.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 2);
+        let good = s.checkpoint();
+        type Edit = fn(&mut KmcCheckpoint, f64);
+        let floats: [(&str, Edit, &[f64]); 10] = [
+            ("a0", |c, v| c.cfg.a0 = v, &[0.0, -1.0]),
+            (
+                "grid.global.a0",
+                |c, v| c.grid.global.a0 = v,
+                &[0.0, -2.855],
+            ),
+            ("temperature", |c, v| c.cfg.temperature = v, &[0.0, -600.0]),
+            ("nu", |c, v| c.cfg.nu = v, &[0.0]),
+            // Below the first shell; three reaches past the ghost shell;
+            // past `ghost · a0`.
+            (
+                "rate_cutoff",
+                |c, v| c.cfg.rate_cutoff = v,
+                &[0.0, 1.0, 5.0, 9.0, 1e12],
+            ),
+            (
+                "events_per_cycle",
+                |c, v| c.cfg.events_per_cycle = v,
+                &[0.0, -1.0],
+            ),
+            ("e_mig0", |c, v| c.cfg.e_mig0 = v, &[]),
+            ("e_mig_floor", |c, v| c.cfg.e_mig_floor = v, &[]),
+            ("t_threshold", |c, v| c.cfg.t_threshold = v, &[]),
+            // `as usize` saturates: NaN → 0, ∞ → usize::MAX.
+            (
+                "table_knots",
+                |c, v| c.cfg.table_knots = v as usize,
+                &[0.0, 3.0, 5.0, 1e12],
+            ),
+        ];
+        for (field, edit, hostile) in floats {
+            let non_finite = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for &v in hostile.iter().chain(&non_finite) {
+                let mut ck = good.clone();
+                edit(&mut ck, v);
+                match KmcSimulation::restore(ck) {
+                    Err(RestoreError::Config { field: f, .. }) => assert_eq!(f, field, "{v}"),
+                    other => panic!("{field} = {v}: expected Config, got {:?}", other.err()),
+                }
+            }
+        }
+        // The same gate guards the file path.
+        let dir = std::env::temp_dir().join("mmds_kmc_ck_hostile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("knots3.ckpt.json");
+        let mut ck = good.clone();
+        ck.cfg.table_knots = 3;
+        std::fs::write(&path, serde_json::to_string(&ck).unwrap()).unwrap();
+        let err = KmcSimulation::load_checkpoint(&path)
+            .err()
+            .expect("rejected");
+        assert!(err.to_string().contains("table_knots = 3"), "{err}");
+        // And the unedited checkpoint still restores bit for bit.
+        assert_eq!(bits(&KmcSimulation::restore(good).unwrap()), bits(&s));
     }
 }

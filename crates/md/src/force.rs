@@ -16,65 +16,53 @@
 use mmds_eam::{EamPotential, TableForm};
 use mmds_lattice::lnl::LatticeNeighborList;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Sites per parallel work unit. Chunking is fixed (not derived from
 /// the worker count), so the sweep decomposition — and therefore every
 /// result bit — is identical at any thread count.
 pub const PAR_CHUNK_SITES: usize = 256;
 
-/// Capacity of the per-central SoA gather buffers used by the batched
-/// passes — four [`mmds_eam::BATCH_LANES`]-wide lane groups. A BCC
-/// central within the paper's 5 Å cutoff sees ~58 partners, so most
-/// centrals flush once full plus one partial buffer; the buffers stay
-/// small enough to live on the stack host-side and inside the 64 KB
+/// Partners per fused batch-lookup call of the staging sweep — four
+/// [`mmds_eam::BATCH_LANES`]-wide lane groups. A BCC central within the
+/// paper's 5 Å cutoff sees ~58 partners, so most centrals take one full
+/// window plus one partial; the window's φ/f value buffers stay small
+/// enough to live on the stack host-side and inside the 64 KB
 /// local-store plan on the CPE side (see `md::offload`).
 pub const BATCH_GATHER_CAP: usize = 4 * mmds_eam::BATCH_LANES;
 
-/// How the host-side EAM passes execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PassConfig {
-    /// Run the per-site sweeps as chunked multi-thread read-only maps
-    /// over the neighbor list, with ordered write-back. Results are
-    /// bitwise deterministic across thread counts: chunk boundaries are
-    /// fixed, per-site work reads shared state only, and write-back and
-    /// energy reduction happen in site order on the calling thread.
-    pub parallel: bool,
-    /// Use the fused single-locate [`EamPotential::pair_density`]
-    /// lookup in the force pass (one table locate per partner) instead
-    /// of independent `pair` + `density` calls (two locates).
-    pub fused: bool,
-    /// Gather each central's partner contributions into contiguous SoA
-    /// buffers (r and displacement components in separate arrays) and
-    /// evaluate the table kernels a [`mmds_eam::BATCH_LANES`]-wide lane
-    /// group at a time ([`EamPotential::pair_density_batch`] /
-    /// [`EamPotential::density_values_batch`]), with a scalar tail.
-    /// Accumulation stays in partner order and every lane replays the
-    /// scalar op sequence, so results are bitwise identical to the
-    /// unbatched sweep. The batched force pass always uses the fused
-    /// single-locate lookup (itself bitwise-identical to separate
-    /// lookups), so `fused` has no further effect when this is set.
-    pub batched: bool,
-}
+/// Which implementation of the host-side EAM passes runs. There are
+/// exactly two: the production path (`Default`) and the scalar
+/// reference it must reproduce bit for bit
+/// ([`PassConfig::seed_serial`]).
+///
+/// The production path sweeps fixed [`PAR_CHUNK_SITES`]-site chunks
+/// over the thread pool, stages each chunk's partners into the
+/// persistent [`GatherPlan`] and evaluates them through the fused
+/// lane-batched table kernels. Results are bitwise deterministic across
+/// thread counts: chunk boundaries are fixed, per-site work reads
+/// shared state only, and write-back and energy reduction happen in
+/// site order on the calling thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PassConfig(Path);
 
-impl Default for PassConfig {
-    fn default() -> Self {
-        Self {
-            parallel: true,
-            fused: true,
-            batched: true,
-        }
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Path {
+    #[default]
+    Plan,
+    Reference,
 }
 
 impl PassConfig {
-    /// The pre-optimisation host path: serial sweeps, separate lookups.
+    /// The pre-optimisation host path, kept as the bitwise oracle:
+    /// serial sweeps, one `sqrt` and separate `pair` + `density`
+    /// lookups per partner (the private `reference` module).
     pub fn seed_serial() -> Self {
-        Self {
-            parallel: false,
-            fused: false,
-            batched: false,
-        }
+        Self(Path::Reference)
+    }
+
+    /// Whether the per-site sweeps are chunked over the thread pool.
+    pub(crate) fn parallel(self) -> bool {
+        self.0 == Path::Plan
     }
 }
 
@@ -292,49 +280,6 @@ pub fn for_each_partner(
     });
 }
 
-/// Batched ρ accumulation for one central: partner distances are
-/// gathered into a contiguous buffer and evaluated through the
-/// value-only SoA batch kernel. Only `r` is staged (8 B per partner) —
-/// the density pass never reads the displacement. Accumulation stays
-/// in partner order and the batch kernel replays the scalar op
-/// sequence per lane, so ρ is bitwise identical to the scalar sweep.
-fn density_on_central_batched(
-    l: &LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    central: Central,
-    cutoff: f64,
-) -> (f64, BatchStats) {
-    let mut r2s = [0.0; BATCH_GATHER_CAP];
-    let mut rs = [0.0; BATCH_GATHER_CAP];
-    let mut vals = [0.0; BATCH_GATHER_CAP];
-    let mut len = 0usize;
-    let mut rho = 0.0;
-    let mut stats = BatchStats::default();
-    let flush = |r2s: &[f64], rs: &mut [f64], vals: &mut [f64], rho: &mut f64| {
-        // The deferred square roots, as one vectorizable lane loop.
-        for (r, &r2) in rs.iter_mut().zip(r2s) {
-            *r = r2.sqrt();
-        }
-        pot.density_values_batch(form, rs, vals);
-        for &v in vals.iter() {
-            *rho += v;
-        }
-    };
-    for_each_partner_sq(l, central, cutoff, |p| {
-        r2s[len] = p.r2;
-        len += 1;
-        if len == BATCH_GATHER_CAP {
-            flush(&r2s, &mut rs, &mut vals, &mut rho);
-            stats.charge(BATCH_GATHER_CAP, 8);
-            len = 0;
-        }
-    });
-    flush(&r2s[..len], &mut rs[..len], &mut vals[..len], &mut rho);
-    stats.charge(len, 8);
-    (rho, stats)
-}
-
 /// The per-step SoA gather plan: the density pass runs each central's
 /// neighbour sweep through the **fused** batch lookup and stages
 /// everything the force pass will need — partner displacements, r,
@@ -382,16 +327,6 @@ pub struct GatherPlan {
 }
 
 impl GatherPlan {
-    /// Drops all staged data; the chunks and their capacities stay.
-    fn clear(&mut self) {
-        self.chunks.iter_mut().for_each(DensityChunk::clear);
-    }
-
-    /// True when no pass has staged anything into the plan.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.iter().all(|c| c.counts.is_empty())
-    }
-
     /// Sizes the plan for `sites` interior sites and `runaways` live
     /// run-aways (a no-op unless a chunk count changed) and returns the
     /// site chunks and the run-away chunks.
@@ -422,7 +357,8 @@ impl GatherPlan {
                 .iter()
                 .map(|c| c.counts.len())
                 .eq(site_lens.chain(ra_lens)),
-            "gather plan is stale: central population changed since the density pass"
+            "gather plan is stale: this step's density pass did not stage it for the current \
+             central population"
         );
         self.chunks
             .split_at_mut(interior.len().div_ceil(PAR_CHUNK_SITES))
@@ -479,17 +415,17 @@ impl DensityChunk {
 }
 
 /// Runs `f` on every fixed-size chunk of `items` paired with its plan
-/// chunk, serially or across the thread pool. The decomposition matches
+/// chunk across the thread pool. The decomposition matches
 /// [`chunked_map`], and each call writes only its own plan chunk, so
 /// the outcome is independent of the thread count and of the order in
 /// which the workers run.
-fn for_each_chunk<T, F>(items: &[T], chunks: &mut [DensityChunk], parallel: bool, f: F)
+fn for_each_chunk<T, F>(items: &[T], chunks: &mut [DensityChunk], f: F)
 where
     T: Sync,
     F: Fn(&[T], &mut DensityChunk) + Sync,
 {
     let work = items.chunks(PAR_CHUNK_SITES).zip(chunks);
-    if !parallel || items.len() <= PAR_CHUNK_SITES {
+    if items.len() <= PAR_CHUNK_SITES {
         work.for_each(|(it, c)| f(it, c));
     } else {
         work.collect::<Vec<_>>()
@@ -501,10 +437,11 @@ where
 /// Runs the plan-building density sweep for one work chunk: partners
 /// are staged straight into the chunk's resident SoA buffers, then each
 /// central's staged range goes through the lane square roots and the
-/// **fused** batch lookup in [`BATCH_GATHER_CAP`] chunks — identical
-/// chunk boundaries and op sequence to [`force_on_central_batched`]'s
-/// flushes, so every staged φ', f' and the accumulated ρ and ½Σφ match
-/// the scalar sweeps bit for bit. φ' and f' land in the chunk's SoA
+/// **fused** batch lookup in [`BATCH_GATHER_CAP`] windows. `sqrt` is
+/// correctly rounded, the fused lookup replays the op sequence of the
+/// separate ones per lane, and accumulation stays in partner order, so
+/// every staged φ', f' and the accumulated ρ and ½Σφ match the
+/// [`reference`] sweeps bit for bit. φ' and f' land in the chunk's SoA
 /// arrays for the force pass to replay; φ and f are folded into ½Σφ and
 /// ρ on the spot.
 fn stage_chunk<T: Copy>(
@@ -586,72 +523,13 @@ fn stage_chunk<T: Copy>(
     }
 }
 
-/// Pass 1: electron densities for owned atoms and owned run-aways.
-/// Defaults to the parallel, fused execution strategy.
-pub fn density_pass(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-) {
-    density_pass_with(l, pot, form, interior, PassConfig::default());
-}
-
-/// Pass 1 with an explicit execution strategy: a read-only sweep over
-/// the neighbor list computing each central's ρ, then an ordered
-/// write-back (the gather-then-write staging the serial code already
-/// used, now safe to chunk across threads).
-pub fn density_pass_with(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-    cfg: PassConfig,
-) {
-    let _span = mmds_telemetry::span!("md.density");
-    let cutoff = pot.cutoff();
-    let density_of = |l: &LatticeNeighborList, central: Central| {
-        if cfg.batched {
-            density_on_central_batched(l, pot, form, central, cutoff)
-        } else {
-            let mut rho = 0.0;
-            for_each_partner(l, central, cutoff, |p| {
-                rho += pot.density(form, p.r).0;
-            });
-            (rho, BatchStats::default())
-        }
-    };
-    let site_rho = chunked_map(interior, cfg.parallel, |s| {
-        if l.id[s] < 0 {
-            return (0.0, BatchStats::default());
-        }
-        density_of(l, Central::Site(s))
-    });
-    let mut stats = BatchStats::default();
-    for (&s, (rho, st)) in interior.iter().zip(site_rho) {
-        l.rho[s] = rho;
-        stats.absorb(st);
-    }
-    let runaways = l.live_runaways();
-    let ra_rho = chunked_map(&runaways, cfg.parallel, |i| {
-        density_of(l, Central::Runaway(i))
-    });
-    for (&i, (rho, st)) in runaways.iter().zip(ra_rho) {
-        l.runaway_mut(i).rho = rho;
-        stats.absorb(st);
-    }
-    if cfg.batched {
-        stats.emit();
-    }
-}
-
 /// Pass 1, building the per-step [`GatherPlan`] as a side effect: each
 /// work chunk's partner sweeps are staged into the plan's resident
 /// chunk, ρ is evaluated from the staged records through the batch
 /// kernels and written back in central order, and the staged records
-/// stay where they are for the force pass to replay. Falls back to
-/// [`density_pass_with`] (leaving the plan empty, capacity kept) when
-/// the batched path is disabled.
+/// stay where they are for the force pass to replay. With
+/// [`PassConfig::seed_serial`] the scalar `reference` sweep runs
+/// instead and the plan is left empty, its capacity kept.
 pub fn density_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -660,16 +538,16 @@ pub fn density_pass_plan(
     cfg: PassConfig,
     plan: &mut GatherPlan,
 ) {
-    if !cfg.batched {
-        plan.clear();
-        return density_pass_with(l, pot, form, interior, cfg);
-    }
     let _span = mmds_telemetry::span!("md.density");
+    if cfg.0 == Path::Reference {
+        plan.chunks.iter_mut().for_each(DensityChunk::clear);
+        return reference::density_sweep(l, pot, form, interior);
+    }
     let cutoff = pot.cutoff();
     let runaways = l.live_runaways();
     let (site_chunks, ra_chunks) = plan.split_for(interior.len(), runaways.len());
     let mut stats = BatchStats::default();
-    for_each_chunk(interior, site_chunks, cfg.parallel, |sites, c| {
+    for_each_chunk(interior, site_chunks, |sites, c| {
         let as_central = |s| (l.id[s] >= 0).then_some(Central::Site(s));
         stage_chunk(l, pot, form, cutoff, sites, as_central, c)
     });
@@ -679,7 +557,7 @@ pub fn density_pass_plan(
         }
         stats.absorb(c.stats);
     }
-    for_each_chunk(&runaways, ra_chunks, cfg.parallel, |ras, c| {
+    for_each_chunk(&runaways, ra_chunks, |ras, c| {
         stage_chunk(l, pot, form, cutoff, ras, |i| Some(Central::Runaway(i)), c)
     });
     for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
@@ -692,19 +570,8 @@ pub fn density_pass_plan(
 }
 
 /// Embedding pass: F'(ρ) for owned atoms/run-aways, returning Σ F(ρ).
-/// Defaults to the parallel execution strategy.
-pub fn embedding_pass(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-) -> f64 {
-    embedding_pass_with(l, pot, form, interior, PassConfig::default())
-}
-
-/// Embedding pass with an explicit execution strategy. The Σ F(ρ)
-/// reduction runs in site order on the calling thread, so the energy is
-/// identical at any thread count.
+/// The reduction runs in site order on the calling thread, so the
+/// energy is identical on either path and at any thread count.
 pub fn embedding_pass_with(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -713,7 +580,7 @@ pub fn embedding_pass_with(
     cfg: PassConfig,
 ) -> f64 {
     let _span = mmds_telemetry::span!("md.embed");
-    let site_embed = chunked_map(interior, cfg.parallel, |s| {
+    let site_embed = chunked_map(interior, cfg.parallel(), |s| {
         if l.id[s] < 0 {
             return (0.0, 0.0);
         }
@@ -725,7 +592,7 @@ pub fn embedding_pass_with(
         l.fp[s] = f_der;
     }
     let runaways = l.live_runaways();
-    let ra_embed = chunked_map(&runaways, cfg.parallel, |i| {
+    let ra_embed = chunked_map(&runaways, cfg.parallel(), |i| {
         pot.embed(form, l.runaway(i).rho)
     });
     for (&i, (f_val, f_der)) in runaways.iter().zip(ra_embed) {
@@ -735,213 +602,14 @@ pub fn embedding_pass_with(
     e
 }
 
-/// Accumulates one central's force and pair-energy contribution.
-#[inline]
-fn force_on_central(
-    l: &LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    central: Central,
-    cutoff: f64,
-    fp_c: f64,
-    fused: bool,
-) -> ([f64; 3], f64) {
-    let mut fv = [0.0; 3];
-    let mut pair_e = 0.0;
-    for_each_partner(l, central, cutoff, |p| {
-        let (phi, dphi, df) = if fused {
-            let (phi, dphi, _f, df) = pot.pair_density(form, p.r);
-            (phi, dphi, df)
-        } else {
-            let (phi, dphi) = pot.pair(form, p.r);
-            let (_, df) = pot.density(form, p.r);
-            (phi, dphi, df)
-        };
-        pair_e += 0.5 * phi;
-        let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
-        for ax in 0..3 {
-            fv[ax] += scale * p.dx[ax];
-        }
-    });
-    (fv, pair_e)
-}
-
-/// Evaluates one flushed SoA gather buffer through the fused batch
-/// lookup and accumulates pair energy and force in partner order —
-/// exactly the per-partner expressions of [`force_on_central`]'s fused
-/// branch, so the accumulators stay bitwise identical to the scalar
-/// sweep.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn flush_force_batch(
-    pot: &EamPotential,
-    form: TableForm,
-    r2s: &[f64],
-    dxs: &[f64],
-    dys: &[f64],
-    dzs: &[f64],
-    fps: &[f64],
-    fp_c: f64,
-    fv: &mut [f64; 3],
-    pair_e: &mut f64,
-) {
-    let len = r2s.len();
-    let mut rs = [0.0; BATCH_GATHER_CAP];
-    // The deferred square roots, as one vectorizable lane loop.
-    for (r, &r2) in rs[..len].iter_mut().zip(r2s) {
-        *r = r2.sqrt();
-    }
-    let mut phi = [0.0; BATCH_GATHER_CAP];
-    let mut dphi = [0.0; BATCH_GATHER_CAP];
-    let mut fval = [0.0; BATCH_GATHER_CAP];
-    let mut df = [0.0; BATCH_GATHER_CAP];
-    pot.pair_density_batch(
-        form,
-        &rs[..len],
-        &mut phi[..len],
-        &mut dphi[..len],
-        &mut fval[..len],
-        &mut df[..len],
-    );
-    for k in 0..len {
-        *pair_e += 0.5 * phi[k];
-        let scale = -(dphi[k] + (fp_c + fps[k]) * df[k]) / rs[k];
-        fv[0] += scale * dxs[k];
-        fv[1] += scale * dys[k];
-        fv[2] += scale * dzs[k];
-    }
-}
-
-/// Batched force/pair-energy accumulation for one central: partner
-/// data is gathered into SoA buffers (r, dx, dy, dz, F' — 40 B per
-/// partner) and flushed through [`flush_force_batch`] whenever the
-/// buffer fills and once at the end of the sweep.
-fn force_on_central_batched(
-    l: &LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    central: Central,
-    cutoff: f64,
-    fp_c: f64,
-) -> ([f64; 3], f64, BatchStats) {
-    let mut r2s = [0.0; BATCH_GATHER_CAP];
-    let mut dxs = [0.0; BATCH_GATHER_CAP];
-    let mut dys = [0.0; BATCH_GATHER_CAP];
-    let mut dzs = [0.0; BATCH_GATHER_CAP];
-    let mut fps = [0.0; BATCH_GATHER_CAP];
-    let mut len = 0usize;
-    let mut fv = [0.0; 3];
-    let mut pair_e = 0.0;
-    let mut stats = BatchStats::default();
-    for_each_partner_sq(l, central, cutoff, |p| {
-        r2s[len] = p.r2;
-        dxs[len] = p.dx[0];
-        dys[len] = p.dx[1];
-        dzs[len] = p.dx[2];
-        fps[len] = p.fp;
-        len += 1;
-        if len == BATCH_GATHER_CAP {
-            flush_force_batch(
-                pot,
-                form,
-                &r2s,
-                &dxs,
-                &dys,
-                &dzs,
-                &fps,
-                fp_c,
-                &mut fv,
-                &mut pair_e,
-            );
-            stats.charge(BATCH_GATHER_CAP, 40);
-            len = 0;
-        }
-    });
-    flush_force_batch(
-        pot,
-        form,
-        &r2s[..len],
-        &dxs[..len],
-        &dys[..len],
-        &dzs[..len],
-        &fps[..len],
-        fp_c,
-        &mut fv,
-        &mut pair_e,
-    );
-    stats.charge(len, 40);
-    (fv, pair_e, stats)
-}
-
-/// Pass 2: forces on owned atoms/run-aways, returning the pair energy.
-/// Ghost F' values must be current (exchange between the passes).
-/// Defaults to the parallel, fused execution strategy.
-pub fn force_pass(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-) -> f64 {
-    force_pass_with(l, pot, form, interior, PassConfig::default())
-}
-
-/// Pass 2 with an explicit execution strategy. Each central's force and
-/// pair-energy contribution are computed in a read-only sweep; the
-/// write-back and the ½Σφ reduction run in site order on the calling
-/// thread, keeping both bitwise deterministic across thread counts.
-pub fn force_pass_with(
-    l: &mut LatticeNeighborList,
-    pot: &EamPotential,
-    form: TableForm,
-    interior: &[usize],
-    cfg: PassConfig,
-) -> f64 {
-    let _span = mmds_telemetry::span!("md.pair");
-    let cutoff = pot.cutoff();
-    let force_of = |l: &LatticeNeighborList, central: Central, fp_c: f64| {
-        if cfg.batched {
-            force_on_central_batched(l, pot, form, central, cutoff, fp_c)
-        } else {
-            let (fv, pe) = force_on_central(l, pot, form, central, cutoff, fp_c, cfg.fused);
-            (fv, pe, BatchStats::default())
-        }
-    };
-    let site_force = chunked_map(interior, cfg.parallel, |s| {
-        if l.id[s] < 0 {
-            return ([0.0; 3], 0.0, BatchStats::default());
-        }
-        force_of(l, Central::Site(s), l.fp[s])
-    });
-    let mut pair_energy = 0.0;
-    let mut stats = BatchStats::default();
-    for (&s, (fv, pe, st)) in interior.iter().zip(site_force) {
-        l.force[s] = fv;
-        pair_energy += pe;
-        stats.absorb(st);
-    }
-    let runaways = l.live_runaways();
-    let ra_force = chunked_map(&runaways, cfg.parallel, |i| {
-        force_of(l, Central::Runaway(i), l.runaway(i).fp)
-    });
-    for (&i, (fv, pe, st)) in runaways.iter().zip(ra_force) {
-        l.runaway_mut(i).force = fv;
-        pair_energy += pe;
-        stats.absorb(st);
-    }
-    if cfg.batched {
-        stats.emit();
-    }
-    pair_energy
-}
-
 /// Force accumulation for one work chunk, replaying each central's
 /// staged partner range in place. Only the partners' F' values are
 /// fetched fresh (8 B per partner); r, the displacements, φ' and f'
 /// come straight from the chunk's SoA arrays, and ½Σφ was already
 /// accumulated by the density pass. The per-partner scale expression
 /// and the accumulation order are exactly those of
-/// [`force_on_central`]'s fused branch, so the bits match the scalar
-/// sweep. A vacancy holds an empty range and so gets a zero force.
+/// [`reference::force_sweep`], so the bits match the scalar sweep. A
+/// vacancy holds an empty range and so gets a zero force.
 fn replay_chunk<T: Copy>(
     l: &LatticeNeighborList,
     items: &[T],
@@ -973,10 +641,11 @@ fn replay_chunk<T: Copy>(
 /// evaluation — each chunk's staged partner ranges are replayed in
 /// place, with only the partners' F' fetched fresh, and the forces and
 /// the ½Σφ reduction are written back in central order on the calling
-/// thread. Falls back to [`force_pass_with`] when the batched path is
-/// disabled or the plan is empty. Panics if any plan chunk's central
-/// count does not match the current interior + run-away population (a
-/// stale plan).
+/// thread. Ghost F' values must be current (exchange between the
+/// passes). Panics if any plan chunk's central count does not match the
+/// current interior + run-away population — a stale plan, or one the
+/// density pass never staged. With [`PassConfig::seed_serial`] the
+/// scalar `reference` sweep runs instead and the plan is not read.
 pub fn force_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -985,15 +654,15 @@ pub fn force_pass_plan(
     cfg: PassConfig,
     plan: &mut GatherPlan,
 ) -> f64 {
-    if !cfg.batched || plan.is_empty() {
-        return force_pass_with(l, pot, form, interior, cfg);
-    }
     let _span = mmds_telemetry::span!("md.pair");
+    if cfg.0 == Path::Reference {
+        return reference::force_sweep(l, pot, form, interior);
+    }
     let runaways = l.live_runaways();
     let (site_chunks, ra_chunks) = plan.split_staged(interior, &runaways);
     let mut pair_energy = 0.0;
     let mut stats = BatchStats::default();
-    for_each_chunk(interior, site_chunks, cfg.parallel, |sites, c| {
+    for_each_chunk(interior, site_chunks, |sites, c| {
         replay_chunk(l, sites, |s| l.fp[s], c)
     });
     for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&*site_chunks) {
@@ -1003,7 +672,7 @@ pub fn force_pass_plan(
             stats.charge(c.counts[k] as usize, 8);
         }
     }
-    for_each_chunk(&runaways, ra_chunks, cfg.parallel, |ras, c| {
+    for_each_chunk(&runaways, ra_chunks, |ras, c| {
         replay_chunk(l, ras, |i| l.runaway(i).fp, c)
     });
     for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
@@ -1015,6 +684,91 @@ pub fn force_pass_plan(
     }
     stats.emit();
     pair_energy
+}
+
+/// The scalar oracle the production passes are pinned against, bit for
+/// bit: one central at a time on the calling thread, one `sqrt` and
+/// separate `pair` + `density` lookups (two table locates) per partner,
+/// accumulation in partner order. Reached only through
+/// [`density_pass_plan`] / [`force_pass_plan`] with
+/// [`PassConfig::seed_serial`].
+mod reference {
+    use super::{for_each_partner, Central};
+    use mmds_eam::{EamPotential, TableForm};
+    use mmds_lattice::lnl::LatticeNeighborList;
+
+    fn rho_of(l: &LatticeNeighborList, pot: &EamPotential, form: TableForm, c: Central) -> f64 {
+        let mut rho = 0.0;
+        for_each_partner(l, c, pot.cutoff(), |p| rho += pot.density(form, p.r).0);
+        rho
+    }
+
+    /// Pass 1: ρ of every owned atom and live run-away (a vacancy gets 0).
+    pub(super) fn density_sweep(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+    ) {
+        for &s in interior {
+            l.rho[s] = if l.id[s] < 0 {
+                0.0
+            } else {
+                rho_of(l, pot, form, Central::Site(s))
+            };
+        }
+        for i in l.live_runaways() {
+            l.runaway_mut(i).rho = rho_of(l, pot, form, Central::Runaway(i));
+        }
+    }
+
+    /// One central's force and ½Σφ.
+    fn force_of(
+        l: &LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        central: Central,
+        fp_c: f64,
+    ) -> ([f64; 3], f64) {
+        let mut fv = [0.0; 3];
+        let mut pair_e = 0.0;
+        for_each_partner(l, central, pot.cutoff(), |p| {
+            let (phi, dphi) = pot.pair(form, p.r);
+            let (_, df) = pot.density(form, p.r);
+            pair_e += 0.5 * phi;
+            let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
+            for ax in 0..3 {
+                fv[ax] += scale * p.dx[ax];
+            }
+        });
+        (fv, pair_e)
+    }
+
+    /// Pass 2: the force on every owned atom and live run-away (a
+    /// vacancy gets 0), returning ½Σφ summed in central order.
+    pub(super) fn force_sweep(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+    ) -> f64 {
+        let mut pair_energy = 0.0;
+        for &s in interior {
+            let (fv, pe) = if l.id[s] < 0 {
+                ([0.0; 3], 0.0)
+            } else {
+                force_of(l, pot, form, Central::Site(s), l.fp[s])
+            };
+            l.force[s] = fv;
+            pair_energy += pe;
+        }
+        for i in l.live_runaways() {
+            let (fv, pe) = force_of(l, pot, form, Central::Runaway(i), l.runaway(i).fp);
+            l.runaway_mut(i).force = fv;
+            pair_energy += pe;
+        }
+        pair_energy
+    }
 }
 
 #[cfg(test)]
@@ -1034,13 +788,28 @@ mod tests {
 
     use crate::domain::fill_periodic_ghosts;
 
-    fn eval(l: &mut LatticeNeighborList, pot: &EamPotential, interior: &[usize]) -> EnergySample {
+    /// One full force evaluation — the pass sequence of
+    /// [`crate::MdSimulation::compute_forces`] — on the path `cfg` names.
+    fn eval_with(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+        cfg: PassConfig,
+    ) -> EnergySample {
+        let mut plan = GatherPlan::default();
         fill_periodic_ghosts(l);
-        density_pass(l, pot, TableForm::Compacted, interior);
-        let embed = embedding_pass(l, pot, TableForm::Compacted, interior);
+        density_pass_plan(l, pot, form, interior, cfg, &mut plan);
+        let embed = embedding_pass_with(l, pot, form, interior, cfg);
         fill_periodic_ghosts(l);
-        let pair = force_pass(l, pot, TableForm::Compacted, interior);
+        let pair = force_pass_plan(l, pot, form, interior, cfg, &mut plan);
         EnergySample { pair, embed }
+    }
+
+    /// The production path, as `MdSimulation` runs it.
+    fn eval(l: &mut LatticeNeighborList, pot: &EamPotential, interior: &[usize]) -> EnergySample {
+        let cfg = PassConfig::default();
+        eval_with(l, pot, TableForm::Compacted, interior, cfg)
     }
 
     #[test]
@@ -1151,34 +920,12 @@ mod tests {
     }
 
     #[test]
-    fn serial_unfused_and_parallel_fused_agree_bitwise() {
-        // The old (seed) path — serial sweeps, separate pair/density
-        // lookups — and the new default — chunked parallel sweeps,
-        // fused single-locate lookup — must produce identical bits.
-        let run = |cfg: PassConfig| {
-            let (mut l, pot, interior) = setup(5);
-            let s = l.grid.site_id(4, 4, 4, 0);
-            l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            (l.rho, l.force, e, pair)
-        };
-        let old = run(PassConfig::seed_serial());
-        let new = run(PassConfig::default());
-        assert_eq!(old.0, new.0, "rho arrays differ");
-        assert_eq!(old.1, new.1, "force arrays differ");
-        assert_eq!(old.2, new.2, "embedding energy differs");
-        assert_eq!(old.3, new.3, "pair energy differs");
-    }
-
-    #[test]
-    fn batched_passes_agree_bitwise_with_scalar() {
-        // The batched SoA gather/eval path must replay the scalar op
-        // sequence exactly — including for run-away centrals, whose
-        // partner counts exercise the ragged scalar tails.
+    fn plan_passes_agree_bitwise_with_reference() {
+        // The production pipeline (chunked fused staging in the density
+        // pass, traversal-free replay in the force pass) must reproduce
+        // the scalar reference exactly — a displaced atom, a vacancy and
+        // a run-away central, whose partner counts exercise the ragged
+        // scalar tails of the lane kernels.
         let run = |cfg: PassConfig| {
             let (mut l, pot, interior) = setup(5);
             let s = l.grid.site_id(4, 4, 4, 0);
@@ -1187,108 +934,17 @@ mod tests {
             let id = l.make_vacancy(v);
             let lp = l.grid.site_position(3, 3, 3, 0);
             let idx = l.add_runaway(v, id, [lp[0] + 1.3, lp[1] + 0.4, lp[2]], [0.0; 3]);
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
+            let e = eval_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
             let ra = l.runaway(idx);
-            (l.rho.clone(), l.force.clone(), e, pair, ra.rho, ra.force)
+            (l.rho.clone(), l.force.clone(), e, ra.rho, ra.force)
         };
-        let scalar = run(PassConfig {
-            parallel: false,
-            fused: true,
-            batched: false,
-        });
-        for (parallel, fused) in [(false, true), (true, false), (true, true)] {
-            let batched = run(PassConfig {
-                parallel,
-                fused,
-                batched: true,
-            });
-            assert_eq!(scalar.0, batched.0, "rho arrays differ");
-            assert_eq!(scalar.1, batched.1, "force arrays differ");
-            assert_eq!(scalar.2, batched.2, "embedding energy differs");
-            assert_eq!(scalar.3, batched.3, "pair energy differs");
-            assert_eq!(scalar.4, batched.4, "run-away rho differs");
-            assert_eq!(scalar.5, batched.5, "run-away force differs");
-        }
-    }
-
-    #[test]
-    fn plan_passes_agree_bitwise_with_scalar() {
-        // The gather-plan pipeline (fused staging in the density pass,
-        // traversal-free replay in the force pass) must reproduce the
-        // scalar sweeps exactly, run-away centrals and ragged tails
-        // included.
-        let build = || {
-            let (mut l, pot, interior) = setup(5);
-            let s = l.grid.site_id(4, 4, 4, 0);
-            l.pos[s] = [l.pos[s][0] + 0.21, l.pos[s][1] - 0.13, l.pos[s][2] + 0.07];
-            let v = l.grid.site_id(3, 3, 3, 0);
-            let id = l.make_vacancy(v);
-            let lp = l.grid.site_position(3, 3, 3, 0);
-            let idx = l.add_runaway(v, id, [lp[0] + 1.3, lp[1] + 0.4, lp[2]], [0.0; 3]);
-            (l, pot, interior, idx)
-        };
-        let scalar = {
-            let (mut l, pot, interior, idx) = build();
-            let cfg = PassConfig::seed_serial();
-            fill_periodic_ghosts(&mut l);
-            density_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            let ra = l.runaway(idx);
-            (l.rho.clone(), l.force.clone(), e, pair, ra.rho, ra.force)
-        };
-        for parallel in [false, true] {
-            let (mut l, pot, interior, idx) = build();
-            let cfg = PassConfig {
-                parallel,
-                fused: true,
-                batched: true,
-            };
-            let mut plan = GatherPlan::default();
-            fill_periodic_ghosts(&mut l);
-            density_pass_plan(
-                &mut l,
-                &pot,
-                TableForm::Compacted,
-                &interior,
-                cfg,
-                &mut plan,
-            );
-            let e = embedding_pass_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
-            fill_periodic_ghosts(&mut l);
-            let pair = force_pass_plan(
-                &mut l,
-                &pot,
-                TableForm::Compacted,
-                &interior,
-                cfg,
-                &mut plan,
-            );
-            let ra = l.runaway(idx);
-            assert_eq!(scalar.0, l.rho, "rho arrays differ (parallel={parallel})");
-            assert_eq!(
-                scalar.1, l.force,
-                "force arrays differ (parallel={parallel})"
-            );
-            assert_eq!(
-                scalar.2, e,
-                "embedding energy differs (parallel={parallel})"
-            );
-            assert_eq!(scalar.3, pair, "pair energy differs (parallel={parallel})");
-            assert_eq!(
-                scalar.4, ra.rho,
-                "run-away rho differs (parallel={parallel})"
-            );
-            assert_eq!(
-                scalar.5, ra.force,
-                "run-away force differs (parallel={parallel})"
-            );
-        }
+        let reference = run(PassConfig::seed_serial());
+        let plan = run(PassConfig::default());
+        assert_eq!(reference.0, plan.0, "rho arrays differ");
+        assert_eq!(reference.1, plan.1, "force arrays differ");
+        assert_eq!(reference.2, plan.2, "pair or embedding energy differs");
+        assert_eq!(reference.3, plan.3, "run-away rho differs");
+        assert_eq!(reference.4, plan.4, "run-away force differs");
     }
 
     /// Address and capacity of every array of every plan chunk.
@@ -1371,7 +1027,7 @@ mod tests {
         }
         assert_eq!(warm, footprint(&plan), "a chunk array moved or grew");
 
-        // The unbatched fallback empties the plan and keeps the chunks.
+        // The reference path empties the plan and keeps the chunks.
         let cfg = PassConfig::seed_serial();
         density_pass_plan(
             &mut l,
@@ -1381,15 +1037,37 @@ mod tests {
             cfg,
             &mut plan,
         );
-        assert!(plan.is_empty());
-        assert_eq!(warm, footprint(&plan), "the fallback dropped capacity");
+        assert!(plan.chunks.iter().all(|c| c.counts.is_empty()));
+        assert_eq!(
+            warm,
+            footprint(&plan),
+            "the reference path dropped capacity"
+        );
     }
 
     #[test]
     #[should_panic(expected = "gather plan is stale")]
     fn plan_staged_for_another_population_is_rejected() {
         let (mut l, pot, interior) = thermal_box_with_runaway();
-        let mut plan = GatherPlan::default();
+        let (cfg, mut plan) = (PassConfig::default(), GatherPlan::default());
+        // A plan no density pass ever staged is stale too: it must be
+        // rejected, not served through some other path.
+        let never_staged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            force_pass_plan(
+                &mut l,
+                &pot,
+                TableForm::Compacted,
+                &interior,
+                cfg,
+                &mut plan,
+            )
+        }));
+        let why = never_staged.expect_err("a never-staged plan was accepted");
+        let why = why
+            .downcast_ref::<&str>()
+            .expect("a literal assert message");
+        assert!(why.starts_with("gather plan is stale"), "{why}");
+
         plan_step(&mut l, &pot, &interior, &mut plan);
         // A second run-away joins the first one's chunk: the chunk count
         // still matches, the chunk's central count does not.
@@ -1397,7 +1075,6 @@ mod tests {
         let (pos, vel) = (l.pos[v], l.vel[v]);
         let id = l.make_vacancy(v);
         l.add_runaway(v, id, pos, vel);
-        let cfg = PassConfig::default();
         force_pass_plan(
             &mut l,
             &pot,
@@ -1413,10 +1090,10 @@ mod tests {
         let (mut l, pot, interior) = setup(4);
         let s = l.grid.site_id(3, 3, 3, 0);
         l.pos[s][0] += 0.2;
-        fill_periodic_ghosts(&mut l);
-        density_pass(&mut l, &pot, TableForm::Compacted, &interior);
+        let cfg = PassConfig::default();
+        eval_with(&mut l, &pot, TableForm::Compacted, &interior, cfg);
         let rho_c = l.rho[s];
-        density_pass(&mut l, &pot, TableForm::Traditional, &interior);
+        eval_with(&mut l, &pot, TableForm::Traditional, &interior, cfg);
         let rho_t = l.rho[s];
         assert!((rho_c - rho_t).abs() < 1e-6, "{rho_c} vs {rho_t}");
     }

@@ -56,7 +56,7 @@ pub struct OffloadConfig {
     /// Overlap staging DMA with compute.
     pub double_buffer: bool,
     /// Evaluate resident-table lookups through the SoA lane-batch
-    /// kernels (the CPE mirror of [`crate::force::PassConfig::batched`]).
+    /// kernels (the CPE mirror of the host's lane-batched plan path).
     /// Reserves lane buffers in the LDM plan; only effective with
     /// compacted tables (traditional rows are gathered per access, so
     /// there is nothing contiguous to batch).
@@ -752,7 +752,8 @@ pub fn offload_compute_forces(
     for (&i, rho) in runaways.iter().zip(ra_rho) {
         l.runaway_mut(i).rho = rho;
     }
-    let embed_energy = crate::force::embedding_pass(l, pot, cfg.form, interior);
+    let embed_energy =
+        crate::force::embedding_pass_with(l, pot, cfg.form, interior, Default::default());
     exchange_fp(l);
     let (force_rep, mut pair_energy) = match cfg.form {
         TableForm::Traditional => run_pass(

@@ -67,8 +67,9 @@ pub struct MdSimulation {
     pub interior: Vec<usize>,
     /// Which table machinery evaluates the potential.
     pub table_form: TableForm,
-    /// Host execution strategy for the EAM passes (parallel + fused by
-    /// default; benchmarks flip the flags to measure the seed path).
+    /// Which host implementation of the EAM passes runs: the production
+    /// plan path by default; tests and benchmarks set
+    /// [`PassConfig::seed_serial`] to run the scalar reference instead.
     pub pass_config: PassConfig,
     /// Simulated time (ps).
     pub time_ps: f64,
@@ -275,7 +276,7 @@ impl MdSimulation {
                     self.observatory.observe(
                         &self.lnl,
                         &self.interior,
-                        self.pass_config.parallel,
+                        self.pass_config.parallel(),
                         self.steps_done,
                     );
                 }

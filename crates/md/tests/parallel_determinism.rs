@@ -1,13 +1,14 @@
-//! The parallel EAM passes must be bitwise deterministic: identical
+//! The production EAM passes must be bitwise deterministic: identical
 //! ρ/force/energy at any worker-thread count, and identical to the
-//! seed's serial separate-lookup path.
+//! scalar reference (`PassConfig::seed_serial()`: the seed's serial
+//! separate-lookup sweeps).
 //!
-//! The sweeps rely on fixed-size chunking (independent of the thread
-//! count) plus ordered write-back on the calling thread, the fused
-//! `pair_density` lookup replays the exact operation order of the two
-//! separate lookups, and the batched SoA lane kernels replay the
-//! scalar op sequence per lane with partner-ordered accumulation — so
-//! every comparison below is `assert_eq`, not a tolerance.
+//! The production path relies on fixed-size chunking (independent of
+//! the thread count) plus ordered write-back on the calling thread, the
+//! fused `pair_density` lookup replays the exact operation order of the
+//! two separate lookups, and the SoA lane kernels replay the scalar op
+//! sequence per lane with partner-ordered accumulation — so every
+//! comparison below is `assert_eq`, not a tolerance.
 //!
 //! The second test crosses a 256-site chunk boundary off the 0 K
 //! lattice (and carries a live run-away): the plan path's ordered ρ
@@ -93,44 +94,19 @@ fn with_threads<R>(threads: &str, f: impl FnOnce() -> R) -> R {
 #[test]
 fn passes_are_bitwise_deterministic_across_thread_counts() {
     let steps = 3;
-    // The production default: parallel, fused, batched.
     let reference = run(PassConfig::default(), steps);
 
     // Thread-count sweep: the shim honours RAYON_NUM_THREADS, so this
-    // exercises 1, 2, and 8 workers even on a single-core host — with
-    // the batched kernels enabled.
+    // exercises 1, 2, and 8 workers even on a single-core host.
     for threads in ["1", "2", "8"] {
         let got = with_threads(threads, || run(PassConfig::default(), steps));
         assert_bitwise(&reference, &got, &format!("{threads} threads"));
     }
 
     // The seed's serial separate-lookup path is the ground truth the
-    // whole matrix must reproduce exactly.
+    // production path must reproduce exactly.
     let seed = run(PassConfig::seed_serial(), steps);
     assert_bitwise(&reference, &seed, "seed serial path");
-
-    // And every other point of the parallel × fused × batched cube
-    // agrees too (batched forces the fused lookup internally, so the
-    // (·, false, true) corners cover batched-over-unfused as well).
-    for parallel in [false, true] {
-        for fused in [false, true] {
-            for batched in [false, true] {
-                let got = run(
-                    PassConfig {
-                        parallel,
-                        fused,
-                        batched,
-                    },
-                    steps,
-                );
-                assert_bitwise(
-                    &reference,
-                    &got,
-                    &format!("parallel={parallel} fused={fused} batched={batched}"),
-                );
-            }
-        }
-    }
 }
 
 /// 6³ cells = 432 owned sites = two chunks (256 + 176), with thermal
