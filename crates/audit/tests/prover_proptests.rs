@@ -1,6 +1,6 @@
 //! Property tests tying the symbolic LDM prover to the runtime
 //! allocator: for any plan, a `LocalStore` driven through the plan's
-//! allocation schedule reaches exactly the high-water mark the prover
+//! reservations reaches exactly the high-water mark the prover
 //! computed symbolically — so a plan the prover accepts can never
 //! overflow a real CPE local store, and `ClusterReport::ldm_high_water`
 //! stays bounded by the declared plan.
@@ -27,7 +27,7 @@ proptest! {
     }
 
     /// Every fitted offload configuration's declared plans fit, and a
-    /// real LocalStore allocating each plan's items peaks at the
+    /// real LocalStore reserving each plan's items peaks at the
     /// symbolic total without overflowing.
     #[test]
     fn fitted_offload_plans_allocate_cleanly(knots in 100usize..6000) {
@@ -39,7 +39,7 @@ proptest! {
                 .items
                 .iter()
                 .map(|item| {
-                    ls.alloc_with::<u8>(item.bytes(), 0)
+                    ls.reserve(item.bytes())
                         .unwrap_or_else(|e| panic!("{}: {e}", plan.kernel))
                 })
                 .collect();

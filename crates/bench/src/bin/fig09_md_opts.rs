@@ -8,138 +8,51 @@
 //! Here: the same four kernel configurations run on a simulated SW26010
 //! CPE cluster over a scaled-down atom count (default 2·10⁵; set
 //! `MMDS_SCALE` to grow it). The work is split evenly across core
-//! groups, exactly as the paper's strong-scaled bars.
+//! groups, exactly as the paper's strong-scaled bars. The experiment
+//! itself is [`mmds_bench::fig09`].
 
-use mmds_bench::{emit_report, fmt_pct, fmt_s, header, paper, scale};
-use mmds_md::domain::{exchange_ghosts, GhostPhase, Loopback};
-use mmds_md::offload::{offload_compute_forces, OffloadConfig};
-use mmds_md::{MdConfig, MdSimulation};
-use mmds_sunway::{CpeCluster, SwModel};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig9Row {
-    core_groups: usize,
-    cores: usize,
-    atoms_per_cg: usize,
-    variant: &'static str,
-    runtime_s: f64,
-}
-
-#[derive(Serialize)]
-struct Fig9Result {
-    total_atoms: usize,
-    steps: usize,
-    rows: Vec<Fig9Row>,
-    compaction_improvement_geomean: f64,
-    reuse_improvement_geomean: f64,
-    double_buffer_improvement_geomean: f64,
-    paper_compaction_improvement: f64,
-    paper_reuse_improvement: f64,
-}
-
-fn run_variant(atoms_per_cg: usize, steps: usize, ocfg: &OffloadConfig) -> f64 {
-    // One core group's share, run for `steps` force evaluations.
-    let cells = (((atoms_per_cg / 2) as f64).cbrt().round() as usize).max(6);
-    let cfg = MdConfig {
-        table_knots: 5000,
-        temperature: 600.0,
-        ..Default::default()
-    };
-    let mut sim = MdSimulation::single_box(cfg, cells);
-    sim.init_velocities();
-    let cluster = CpeCluster::new(SwModel::sw26010());
-    let mut total = 0.0;
-    for _ in 0..steps {
-        exchange_ghosts(&mut sim.lnl, &mut Loopback, GhostPhase::Positions);
-        let interior = sim.interior.clone();
-        let pot = sim.pot.clone();
-        let out = offload_compute_forces(&mut sim.lnl, &pot, &cluster, ocfg, &interior, |l| {
-            exchange_ghosts(l, &mut Loopback, GhostPhase::Fp)
-        });
-        total += out.kernel_time();
-    }
-    total
-}
-
-fn geomean(xs: &[f64]) -> f64 {
-    (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
-}
+use mmds_bench::{emit_report, fig09, fmt_pct, fmt_s, header, paper, scale};
+use mmds_md::offload::OffloadConfig;
 
 fn main() {
     header(
         "Figure 9: MD optimisation ablation (traditional vs compacted vs +reuse vs +double-buffer)",
     );
-    let total_atoms = (2.0e5 * scale().powi(3)) as usize;
-    let steps = 3;
+    let result = fig09::run(scale());
     let variants = OffloadConfig::fig9_variants();
-    let cg_counts = [1usize, 2, 4, 8, 16];
-
-    let mut rows = Vec::new();
-    let mut per_variant_times: Vec<Vec<f64>> = vec![Vec::new(); 4];
     println!(
         "{:>6} {:>7} {:>12} | {:>16} {:>16} {:>16} {:>16}",
         "CGs", "cores", "atoms/CG", variants[0].0, "Compacted", "+DataReuse", "+DoubleBuffer"
     );
-    for &cgs in &cg_counts {
-        let atoms_per_cg = total_atoms / cgs;
-        let mut cells_times = Vec::new();
-        for (vi, (name, ocfg)) in variants.iter().enumerate() {
-            let t = run_variant(atoms_per_cg, steps, ocfg);
-            per_variant_times[vi].push(t);
-            cells_times.push(t);
-            rows.push(Fig9Row {
-                core_groups: cgs,
-                cores: cgs * 65,
-                atoms_per_cg,
-                variant: name,
-                runtime_s: t,
-            });
-        }
+    for bars in result.rows.chunks(variants.len()) {
+        let row = &bars[0];
         println!(
             "{:>6} {:>7} {:>12} | {:>16} {:>16} {:>16} {:>16}",
-            cgs,
-            cgs * 65,
-            atoms_per_cg,
-            fmt_s(cells_times[0]),
-            fmt_s(cells_times[1]),
-            fmt_s(cells_times[2]),
-            fmt_s(cells_times[3]),
+            row.core_groups,
+            row.cores,
+            row.atoms_per_cg,
+            fmt_s(bars[0].runtime_s),
+            fmt_s(bars[1].runtime_s),
+            fmt_s(bars[2].runtime_s),
+            fmt_s(bars[3].runtime_s),
         );
     }
-
-    let imp = |a: &[f64], b: &[f64]| 1.0 - geomean(b) / geomean(a);
-    let compaction = imp(&per_variant_times[0], &per_variant_times[1]);
-    let reuse = imp(&per_variant_times[1], &per_variant_times[2]);
-    let dbuf = imp(&per_variant_times[2], &per_variant_times[3]);
 
     println!();
     println!(
         "compaction improvement (geomean): {}   [paper: {}]",
-        fmt_pct(compaction),
+        fmt_pct(result.compaction_improvement_geomean),
         fmt_pct(paper::FIG9_COMPACTION_IMPROVEMENT)
     );
     println!(
         "ghost-data reuse improvement:     {}   [paper: ~{}]",
-        fmt_pct(reuse),
+        fmt_pct(result.reuse_improvement_geomean),
         fmt_pct(paper::FIG9_REUSE_IMPROVEMENT)
     );
     println!(
         "double-buffer improvement:        {}   [paper: no obvious improvement]",
-        fmt_pct(dbuf)
+        fmt_pct(result.double_buffer_improvement_geomean)
     );
 
-    emit_report(
-        "fig09.json",
-        &Fig9Result {
-            total_atoms,
-            steps,
-            rows,
-            compaction_improvement_geomean: compaction,
-            reuse_improvement_geomean: reuse,
-            double_buffer_improvement_geomean: dbuf,
-            paper_compaction_improvement: paper::FIG9_COMPACTION_IMPROVEMENT,
-            paper_reuse_improvement: paper::FIG9_REUSE_IMPROVEMENT,
-        },
-    );
+    emit_report("fig09.json", &result);
 }

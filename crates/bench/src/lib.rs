@@ -14,6 +14,7 @@
 
 pub mod archive;
 pub mod causal;
+pub mod fig09;
 pub mod inspect;
 pub mod reconcile;
 pub mod watch;

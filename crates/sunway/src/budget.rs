@@ -11,8 +11,8 @@
 //! anything.
 //!
 //! The symbolic and concrete sides are tied together two ways:
-//! * [`LdmPlan::simulate_high_water`] performs the plan's allocations
-//!   in a real [`crate::LocalStore`] and must reproduce
+//! * [`LdmPlan::simulate_high_water`] reserves the plan's items in a
+//!   real [`crate::LocalStore`] and must reproduce
 //!   [`LdmPlan::total_bytes`] exactly (property-tested in `mmds-audit`);
 //! * [`crate::ClusterReport::ldm_high_water`] reports what a kernel
 //!   actually kept live, which must stay at or below its declared plan.
@@ -139,7 +139,7 @@ impl LdmPlan {
         self.total_bytes() as f64 / self.capacity as f64
     }
 
-    /// Performs this plan's allocations simultaneously in a real
+    /// Reserves this plan's items simultaneously in a real
     /// [`LocalStore`] (sized to the plan, so over-capacity plans can
     /// still be simulated) and returns the store's high-water mark.
     /// Must equal [`LdmPlan::total_bytes`] — the prover's symbolic
@@ -150,7 +150,7 @@ impl LdmPlan {
             .items
             .iter()
             .map(|item| {
-                ls.alloc_with::<u8>(item.bytes(), 0)
+                ls.reserve(item.bytes())
                     .expect("store sized to the plan total")
             })
             .collect();

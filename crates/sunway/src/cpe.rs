@@ -1,10 +1,18 @@
 //! CPE execution contexts and the 64-core cluster executor.
+//!
+//! A [`CpeCtx`] is one CPE's view of a kernel launch: its local store
+//! and the counters and virtual time every charge lands in. One launch
+//! of [`CpeCluster::run`] gives each CPE `K` contexts, each accounted —
+//! time, counters, local-store high water — as a sweep of its own. The
+//! host walks the data once and charges each context exactly what its
+//! modelled sweep would have been charged: that is how `md::offload`
+//! runs the paper's two one-table-resident force sweeps as one walk.
 
 use rayon::prelude::*;
 
 use crate::arch::SwModel;
 use crate::counters::CpeCounters;
-use crate::local_store::{LdmOverflow, LocalStore, LsVec};
+use crate::local_store::{LdmOverflow, LocalStore, LsReservation, LsVec, LsView};
 use crate::pipeline::{pipeline_time, BlockCost};
 
 /// Execution context of one CPE (slave core) during a kernel.
@@ -51,6 +59,12 @@ impl CpeCtx {
     /// Allocates a local-store `f64` buffer.
     pub fn alloc_f64(&self, n: usize) -> Result<LsVec<f64>, LdmOverflow> {
         self.ls.alloc_f64(n)
+    }
+
+    /// Reserves room for `n` `f64`s the host kernel never reads (see
+    /// [`LocalStore::reserve`]).
+    pub fn reserve_f64(&self, n: usize) -> Result<LsReservation, LdmOverflow> {
+        self.ls.reserve(n * std::mem::size_of::<f64>())
     }
 
     /// Snapshot of this CPE's counters.
@@ -172,13 +186,18 @@ impl CpeCtx {
         self.charge_dma_put(src.len() * 8);
     }
 
-    /// Loads `table` into a resident local-store buffer (one bulk DMA).
-    /// Fails if the table does not fit — which is exactly what happens to
-    /// the traditional 273 KB interpolation table.
-    pub fn load_resident_table(&mut self, table: &[f64]) -> Result<LsVec<f64>, LdmOverflow> {
-        let mut buf = self.ls.alloc_f64(table.len())?;
-        self.dma_get_f64(table, &mut buf);
-        Ok(buf)
+    /// Makes `table` resident: reserves its bytes and charges one bulk
+    /// DMA get, and returns a view that reads `table` in place — the
+    /// bytes a copy would hold, without the copy. Fails if the table
+    /// does not fit — which is exactly what happens to the traditional
+    /// 273 KB interpolation table.
+    pub fn load_resident_table<'a>(
+        &mut self,
+        table: &'a [f64],
+    ) -> Result<LsView<'a, f64>, LdmOverflow> {
+        let view = self.ls.map(table)?;
+        self.charge_dma_get(std::mem::size_of_val(table));
+        Ok(view)
     }
 
     // ------------------------------------------------------------------
@@ -222,7 +241,8 @@ impl CpeCtx {
     }
 }
 
-/// Aggregate outcome of one cluster kernel launch.
+/// Aggregate outcome of one cluster kernel launch — of one of its `K`
+/// context slots, when a launch carries several.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterReport {
     /// Kernel wall time as the MPE sees it: max over CPE virtual times.
@@ -259,44 +279,49 @@ impl CpeCluster {
     }
 
     /// Runs `kernel` over `items`: item `i` executes on CPE `i % 64`,
-    /// items assigned to the same CPE run in order within one context
-    /// (so a CPE can keep resident buffers across its items — the
-    /// mechanism behind ghost-data reuse).
-    pub fn run<I, F>(&self, items: Vec<I>, kernel: F) -> ClusterReport
+    /// items assigned to the same CPE run in order (so a CPE can keep
+    /// resident buffers across its items — the mechanism behind
+    /// ghost-data reuse). Each CPE carries `K` contexts and hands all of
+    /// them to every item; report `k` aggregates context `k` of every
+    /// CPE as if it had been a launch of its own.
+    pub fn run<const K: usize, I, F>(&self, items: Vec<I>, kernel: F) -> [ClusterReport; K]
     where
         I: Send,
-        F: Fn(&mut CpeCtx, I) + Sync,
+        F: Fn(&mut [CpeCtx; K], I) + Sync,
     {
         let n = self.model.n_cpes;
         let mut buckets: Vec<Vec<I>> = (0..n).map(|_| Vec::new()).collect();
         for (i, item) in items.into_iter().enumerate() {
             buckets[i % n].push(item);
         }
-        let results: Vec<(f64, CpeCounters, bool, usize)> = buckets
+        // Per CPE, one single-CPE report per context.
+        let per_cpe: Vec<[ClusterReport; K]> = buckets
             .into_par_iter()
             .enumerate()
             .map(|(id, batch)| {
-                let mut ctx = CpeCtx::new(id, self.model);
-                let active = !batch.is_empty();
+                let mut ctxs: [CpeCtx; K] = std::array::from_fn(|_| CpeCtx::new(id, self.model));
+                let active_cpes = usize::from(!batch.is_empty());
                 for item in batch {
-                    kernel(&mut ctx, item);
+                    kernel(&mut ctxs, item);
                 }
-                (
-                    ctx.time(),
-                    ctx.counters(),
-                    active,
-                    ctx.local_store().high_water(),
-                )
+                ctxs.map(|ctx| ClusterReport {
+                    time: ctx.time(),
+                    counters: ctx.counters(),
+                    active_cpes,
+                    ldm_high_water: ctx.ls.high_water(),
+                })
             })
             .collect();
-        let mut report = ClusterReport::default();
-        for (t, c, active, hw) in results {
-            report.time = report.time.max(t);
-            report.counters = report.counters.merge(&c);
-            report.active_cpes += usize::from(active);
-            report.ldm_high_water = report.ldm_high_water.max(hw);
+        let mut reports = [ClusterReport::default(); K];
+        for cpe in per_cpe {
+            for (report, c) in reports.iter_mut().zip(cpe) {
+                report.time = report.time.max(c.time);
+                report.counters = report.counters.merge(&c.counters);
+                report.active_cpes += c.active_cpes;
+                report.ldm_high_water = report.ldm_high_water.max(c.ldm_high_water);
+            }
         }
-        report
+        reports
     }
 }
 
@@ -309,7 +334,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let cluster = CpeCluster::new(SwModel::free());
         let sum = AtomicU64::new(0);
-        let report = cluster.run((0..1000u64).collect(), |_ctx, item| {
+        let [report] = cluster.run((0..1000u64).collect(), |_, item| {
             sum.fetch_add(item, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 499_500);
@@ -319,7 +344,7 @@ mod tests {
     #[test]
     fn fewer_items_than_cpes() {
         let cluster = CpeCluster::new(SwModel::free());
-        let report = cluster.run(vec![1, 2, 3], |ctx, _| ctx.charge_flops(10));
+        let [report] = cluster.run(vec![1, 2, 3], |[ctx], _| ctx.charge_flops(10));
         assert_eq!(report.active_cpes, 3);
         assert_eq!(report.counters.flops, 30);
     }
@@ -328,7 +353,7 @@ mod tests {
     fn time_is_max_over_cpes() {
         let cluster = CpeCluster::new(SwModel::sw26010());
         // CPE 0 gets items 0 and 64 → twice the work of the rest.
-        let report = cluster.run((0..65).collect::<Vec<u32>>(), |ctx, _| {
+        let [report] = cluster.run((0..65).collect::<Vec<u32>>(), |[ctx], _| {
             ctx.charge_flops(1_000_000);
         });
         let per_item = SwModel::sw26010().flops_time(1_000_000);
@@ -361,8 +386,44 @@ mod tests {
         let mut ctx = CpeCtx::new(0, SwModel::sw26010());
         let traditional = vec![0.0; 5000 * 7];
         assert!(ctx.load_resident_table(&traditional).is_err());
-        let compacted = vec![0.0; 5000];
-        assert!(ctx.load_resident_table(&compacted).is_ok());
+        assert_eq!(ctx.counters().dma_gets, 0, "a rejected table moves nothing");
+        let compacted: Vec<f64> = (0..5000).map(f64::from).collect();
+        let resident = ctx.load_resident_table(&compacted).unwrap();
+        // The view reads the table in place, holds its bytes in the
+        // store and paid one bulk DMA for them — as a copy would have.
+        assert_eq!(&resident[..], &compacted[..]);
+        assert_eq!(ctx.local_store().used(), 40_000);
+        let c = ctx.counters();
+        assert_eq!((c.dma_gets, c.bytes_in), (1, 40_000));
+        drop(resident);
+        assert_eq!(ctx.local_store().used(), 0);
+        assert_eq!(ctx.local_store().high_water(), 40_000);
+    }
+
+    #[test]
+    fn each_context_reports_as_its_own_launch() {
+        // Two contexts per CPE, charged differently on every item: each
+        // report must equal a one-context launch charged the same way.
+        let cluster = CpeCluster::new(SwModel::sw26010());
+        let charge = |ctx: &mut CpeCtx, item: u64, k: u64| {
+            let _held = ctx.reserve_f64(100 * (k as usize + 1)).unwrap();
+            ctx.charge_dma_get(8 * (item as usize + 1));
+            ctx.charge_flops(1_000 * (item + 1) * (k + 1));
+        };
+        let both = cluster.run((0..100).collect(), |[a, b], item| {
+            charge(a, item, 0);
+            charge(b, item, 1);
+        });
+        for (k, report) in both.iter().enumerate() {
+            let [alone] = cluster.run((0..100).collect(), |[ctx], item| {
+                charge(ctx, item, k as u64)
+            });
+            assert_eq!(report.time.to_bits(), alone.time.to_bits(), "context {k}");
+            assert_eq!(report.counters, alone.counters, "context {k}");
+            assert_eq!(report.ldm_high_water, alone.ldm_high_water, "context {k}");
+            assert_eq!(report.active_cpes, alone.active_cpes, "context {k}");
+        }
+        assert_eq!(both[1].ldm_high_water, 2 * both[0].ldm_high_water);
     }
 
     #[test]
@@ -414,7 +475,7 @@ mod tests {
     #[test]
     fn cluster_report_counts_all_cpes_counters() {
         let cluster = CpeCluster::new(SwModel::sw26010());
-        let report = cluster.run((0..128u32).collect(), |ctx, _| {
+        let [report] = cluster.run((0..128u32).collect(), |[ctx], _| {
             ctx.charge_dma_get(100);
             ctx.charge_dma_put(50);
         });

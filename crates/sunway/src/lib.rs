@@ -12,13 +12,17 @@
 //!
 //! * [`LocalStore`] is a capacity-enforced allocator: asking for a 273 KB
 //!   traditional interpolation table *fails*, exactly like on the real
-//!   hardware, while the 39 KB compacted table fits.
+//!   hardware, while the 39 KB compacted table fits. Buffers the host
+//!   kernel never reads are reservations (capacity, no storage), a
+//!   resident table is a view of the main-memory original.
 //! * [`CpeCtx::dma_get_f64`] / [`CpeCtx::dma_put_f64`] really copy data
 //!   between "main memory" (host slices) and local-store buffers, and
 //!   charge virtual time through [`SwModel`].
 //! * [`CpeCluster`] executes kernels on 64 logical CPEs in parallel
 //!   (via rayon) and reports the cluster kernel time as the *maximum*
-//!   per-CPE virtual time — the quantity an MPE would observe.
+//!   per-CPE virtual time — the quantity an MPE would observe. A launch
+//!   may carry several contexts per CPE, each reported as a launch of
+//!   its own (two modelled sweeps, one host walk).
 //! * [`pipeline::pipeline_time`] models the double-buffer overlap of
 //!   Fig. 6.
 //!
@@ -43,5 +47,5 @@ pub use budget::{LdmBudgetError, LdmItem, LdmPlan};
 pub use counters::CpeCounters;
 pub use cpe::{ClusterReport, CpeCluster, CpeCtx};
 pub use ldm_cache::SoftCache;
-pub use local_store::{LdmOverflow, LocalStore, LsVec};
+pub use local_store::{LdmOverflow, LocalStore, LsReservation, LsVec, LsView};
 pub use register::RegisterMesh;

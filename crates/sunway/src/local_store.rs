@@ -1,10 +1,23 @@
 //! The 64 KB CPE local store, modelled as a capacity-enforced allocator.
 //!
-//! Buffers really hold data (kernels compute from them), and the store
-//! tracks how many bytes are live so that over-allocation fails exactly
-//! where the real hardware would: the paper's traditional 273 KB
-//! interpolation table cannot be made resident, while the 39 KB compacted
-//! table can (§2.1.2).
+//! The store tracks how many bytes are live so that over-allocation
+//! fails exactly where the real hardware would: the paper's traditional
+//! 273 KB interpolation table cannot be made resident, while the 39 KB
+//! compacted table can (§2.1.2). Every holding goes through one
+//! accounting path, [`LocalStore::reserve`], and comes in one of three
+//! shapes, chosen by what the host kernel does with the bytes:
+//!
+//! * [`LsReservation`] — capacity only. For the buffers a modelled
+//!   kernel owns but the host kernel never reads (block staging and
+//!   its double-buffer shadows, the ghost-reuse margin, batch lanes):
+//!   the capacity check and the high-water mark are the real ones,
+//!   there is no host storage to fill.
+//! * [`LsView`] — a reservation plus the main-memory slice it stands
+//!   for. A resident table is DMA'd in once and never written, so the
+//!   host reads the original in place instead of a copy with the same
+//!   bytes.
+//! * [`LsVec`] — a reservation plus real host storage, for buffers a
+//!   kernel really reads and writes.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -73,14 +86,10 @@ impl LocalStore {
         self.high_water.get()
     }
 
-    /// Allocates an `n`-element `f64` buffer, zero-initialised.
-    pub fn alloc_f64(&self, n: usize) -> Result<LsVec<f64>, LdmOverflow> {
-        self.alloc_with(n, 0.0)
-    }
-
-    /// Allocates an `n`-element buffer filled with `fill`.
-    pub fn alloc_with<T: Copy>(&self, n: usize, fill: T) -> Result<LsVec<T>, LdmOverflow> {
-        let bytes = n * std::mem::size_of::<T>();
+    /// Holds `bytes` of capacity without host storage, until the
+    /// reservation drops. The one place capacity is checked and the
+    /// high-water mark moves.
+    pub fn reserve(&self, bytes: usize) -> Result<LsReservation, LdmOverflow> {
         let in_use = self.used.get();
         if in_use + bytes > self.capacity {
             return Err(LdmOverflow {
@@ -90,13 +99,35 @@ impl LocalStore {
             });
         }
         self.used.set(in_use + bytes);
-        if self.used.get() > self.high_water.get() {
-            self.high_water.set(self.used.get());
-        }
-        Ok(LsVec {
-            data: vec![fill; n],
+        self.high_water
+            .set(self.high_water.get().max(in_use + bytes));
+        Ok(LsReservation {
             bytes,
             used: Rc::clone(&self.used),
+        })
+    }
+
+    /// Reserves room for `data` and reads it in place: the view of a
+    /// buffer whose contents would be a DMA'd copy of `data` (the DMA
+    /// charge is the caller's job).
+    pub(crate) fn map<'a, T>(&self, data: &'a [T]) -> Result<LsView<'a, T>, LdmOverflow> {
+        Ok(LsView {
+            data,
+            slot: self.reserve(std::mem::size_of_val(data))?,
+        })
+    }
+
+    /// Allocates an `n`-element `f64` buffer, zero-initialised.
+    pub fn alloc_f64(&self, n: usize) -> Result<LsVec<f64>, LdmOverflow> {
+        self.alloc_with(n, 0.0)
+    }
+
+    /// Allocates an `n`-element buffer filled with `fill`.
+    pub fn alloc_with<T: Copy>(&self, n: usize, fill: T) -> Result<LsVec<T>, LdmOverflow> {
+        let slot = self.reserve(n * std::mem::size_of::<T>())?;
+        Ok(LsVec {
+            data: vec![fill; n],
+            slot,
         })
     }
 
@@ -109,12 +140,62 @@ impl LocalStore {
     }
 }
 
+/// Local-store capacity held without host storage; returned to the
+/// store on drop.
+pub struct LsReservation {
+    bytes: usize,
+    used: Rc<Cell<usize>>,
+}
+
+impl LsReservation {
+    /// Bytes held.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+impl std::fmt::Debug for LsReservation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LsReservation({} B)", self.bytes)
+    }
+}
+
+impl Drop for LsReservation {
+    fn drop(&mut self) {
+        self.used.set(self.used.get() - self.bytes);
+    }
+}
+
+/// A main-memory slice standing in for its local-store copy: the
+/// capacity is reserved, the bytes are read where they are.
+pub struct LsView<'a, T> {
+    data: &'a [T],
+    slot: LsReservation,
+}
+
+impl<T> std::ops::Deref for LsView<'_, T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.data
+    }
+}
+
+impl<T> std::fmt::Debug for LsView<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "LsView({} elems, {} B)",
+            self.data.len(),
+            self.slot.bytes
+        )
+    }
+}
+
 /// A buffer living in a [`LocalStore`]; freed (and its bytes returned to
 /// the store) on drop.
 pub struct LsVec<T> {
     data: Vec<T>,
-    bytes: usize,
-    used: Rc<Cell<usize>>,
+    slot: LsReservation,
 }
 
 impl<T> LsVec<T> {
@@ -130,13 +211,13 @@ impl<T> LsVec<T> {
 
     /// Size of this buffer in local-store bytes.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.slot.bytes()
     }
 }
 
 impl<T> std::fmt::Debug for LsVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LsVec({} elems, {} B)", self.data.len(), self.bytes)
+        write!(f, "LsVec({} elems, {} B)", self.data.len(), self.bytes())
     }
 }
 
@@ -150,12 +231,6 @@ impl<T> std::ops::Deref for LsVec<T> {
 impl<T> std::ops::DerefMut for LsVec<T> {
     fn deref_mut(&mut self) -> &mut [T] {
         &mut self.data
-    }
-}
-
-impl<T> Drop for LsVec<T> {
-    fn drop(&mut self) {
-        self.used.set(self.used.get() - self.bytes);
     }
 }
 
@@ -195,6 +270,37 @@ mod tests {
         assert!(ls.alloc_with::<u8>(40, 0).is_err());
         drop(a);
         assert!(ls.alloc_with::<u8>(40, 0).is_ok());
+    }
+
+    #[test]
+    fn reservations_share_the_one_accounting_path() {
+        let ls = LocalStore::new(crate::SwModel::sw26010().ldm_bytes);
+        // The paper's traditional table (5000 rows × 7 f64 = 280 kB)
+        // cannot be reserved; the 40 kB compacted one can.
+        let err = ls.reserve(5000 * 7 * 8).unwrap_err();
+        assert_eq!((err.requested, err.in_use), (280_000, 0));
+        let table = ls.reserve(5000 * 8).unwrap();
+        assert_eq!(table.bytes(), 40_000);
+        // Reservations, views and allocations stack exactly.
+        let knots = vec![1.5f64; 100];
+        let view = ls.map(&knots).unwrap();
+        assert_eq!(&view[..], &knots[..]);
+        let buf = ls.alloc_f64(10).unwrap();
+        assert_eq!(ls.used(), 40_000 + 800 + 80);
+        assert_eq!(ls.high_water(), 40_880);
+        // Dropping each returns exactly its bytes; the mark stays.
+        drop(view);
+        assert_eq!(ls.used(), 40_080);
+        drop(table);
+        assert_eq!(ls.used(), 80);
+        drop(buf);
+        assert_eq!(ls.used(), 0);
+        assert_eq!(ls.high_water(), 40_880);
+        // A freed reservation's room is reusable up to the last byte.
+        let full = ls.reserve(ls.capacity()).unwrap();
+        assert!(ls.reserve(1).is_err());
+        drop(full);
+        assert_eq!(ls.available(), ls.capacity());
     }
 
     #[test]

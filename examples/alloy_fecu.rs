@@ -43,9 +43,9 @@ fn main() {
     let alloy = AlloyEam::fe_cu(0.01, 5000);
     let plan = LdmPlacement::plan(&alloy, budget);
     let cluster = CpeCluster::new(SwModel::sw26010());
-    let report = cluster.run(vec![()], |ctx, ()| {
+    let [report] = cluster.run(vec![()], |[ctx], ()| {
         // Reserve the block buffers a real kernel needs.
-        let _buffers = ctx.alloc_f64(24 * 1024 / 8).expect("block buffers fit");
+        let _buffers = ctx.reserve_f64(24 * 1024 / 8).expect("block buffers fit");
         let mut resident = Vec::new();
         for id in &plan.resident {
             let t = alloy.table(*id);
@@ -57,7 +57,7 @@ fn main() {
         // The first non-resident table must NOT fit on top.
         let overflow = alloy.table(plan.in_main_memory[0]);
         assert!(
-            ctx.local_store().alloc_f64(overflow.values.len()).is_err(),
+            ctx.local_store().reserve(overflow.memory_bytes()).is_err(),
             "placement plan must be tight"
         );
         println!(
