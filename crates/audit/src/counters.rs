@@ -17,6 +17,14 @@
 //! 2. every manifest entry must still be charged somewhere (no stale
 //!    rows that make readers look for data that never arrives).
 //!
+//! The manifest's `## Environment knobs` table gets the same two-way
+//! check, so the knob surface cannot grow back unnoticed:
+//!
+//! 3. every `"MMDS_…"` literal in live workspace code (`crates/`,
+//!    `src/`, `examples/`; integration tests and `#[cfg(test)]` blocks
+//!    excluded) must have a row;
+//! 4. every row must name files that still read its knob.
+//!
 //! Like the other lexical passes, the scan runs over scrubbed text, so
 //! names mentioned in comments or test modules don't count as charges;
 //! the literal itself is recovered from the raw line (scrubbing blanks
@@ -30,6 +38,12 @@ use crate::workspace::{self, SourceFile};
 
 /// The checked-in registry manifest, relative to the workspace root.
 pub const MANIFEST: &str = "TELEMETRY_MANIFEST.md";
+
+/// Prefix of every environment knob the workspace reads.
+const KNOB_PREFIX: &str = "MMDS_";
+
+/// The trees scanned for knob reads.
+const KNOB_DIRS: [&str; 3] = ["crates", "src", "examples"];
 
 /// The crates whose charges the manifest must cover. `crates/bench`
 /// joined when the run archive started charging `archive.*` counters.
@@ -50,10 +64,11 @@ const CALL_TOKENS: [&str; 5] = [
     "emit_phase_heartbeat(",
 ];
 
-/// One charged telemetry name found in live code.
+/// One name found in live code: a charged telemetry name or a read
+/// environment knob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Charge {
-    /// The dotted counter/series name.
+    /// The dotted counter/series name, or the `MMDS_*` knob.
     pub name: String,
     /// Workspace-relative file.
     pub file: String,
@@ -76,6 +91,70 @@ pub fn parse_manifest(text: &str) -> BTreeSet<String> {
         }
     }
     names
+}
+
+/// One `## Environment knobs` row: the knob and the files it names as
+/// its readers.
+struct KnobRow {
+    /// The `MMDS_*` variable.
+    name: String,
+    /// Workspace-relative files the row says read it.
+    readers: Vec<String>,
+}
+
+/// Extracts the knob rows from manifest text: table rows whose first
+/// cell is a backticked `MMDS_*` name, readers being the backticked
+/// paths of the second cell.
+fn parse_knob_rows(text: &str) -> Vec<KnobRow> {
+    let backticked = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    text.lines()
+        .filter_map(|line| {
+            let mut cells = line.trim().strip_prefix('|')?.split('|');
+            let name = backticked(cells.next()?).into_iter().next()?;
+            if !is_knob(&name) {
+                return None;
+            }
+            let readers = backticked(cells.next().unwrap_or(""));
+            Some(KnobRow { name, readers })
+        })
+        .collect()
+}
+
+fn is_knob(s: &str) -> bool {
+    s.len() > KNOB_PREFIX.len()
+        && s.starts_with(KNOB_PREFIX)
+        && s.chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// Scans one file's live (non-test) code for `"MMDS_…"` string
+/// literals — the knobs it reads.
+fn knob_reads(file: &SourceFile) -> Vec<Charge> {
+    let live = workspace::strip_test_blocks(&file.scrubbed);
+    let mut out = Vec::new();
+    for (ln, (live_line, raw_line)) in live.lines().zip(file.raw.lines()).enumerate() {
+        // Scrubbing keeps each literal's opening quote in place.
+        for (col, ch) in live_line.chars().enumerate() {
+            if ch != '"' {
+                continue;
+            }
+            let name = read_literal(raw_line, col);
+            if is_knob(&name) {
+                out.push(Charge {
+                    name,
+                    file: file.rel.clone(),
+                    line: ln + 1,
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Scans one file's live (non-test) code for charged names.
@@ -220,7 +299,8 @@ fn read_literal(raw_line: &str, col: usize) -> String {
 }
 
 /// Runs the manifest cross-checker against the workspace at `root`.
-pub fn run(root: &Path) -> Vec<Finding> {
+/// Returns the rendered knob inventory and the findings.
+pub fn run(root: &Path) -> (String, Vec<Finding>) {
     let mut findings = Vec::new();
     let manifest_path = root.join(MANIFEST);
     let Ok(manifest_text) = std::fs::read_to_string(&manifest_path) else {
@@ -230,7 +310,7 @@ pub fn run(root: &Path) -> Vec<Finding> {
             0,
             "registry manifest missing — every charged telemetry name must be checked in",
         ));
-        return findings;
+        return (String::new(), findings);
     };
     let manifest = parse_manifest(&manifest_text);
 
@@ -270,7 +350,72 @@ pub fn run(root: &Path) -> Vec<Finding> {
         }
     }
 
+    let reads: Vec<Charge> = workspace::load_sources(root, &KNOB_DIRS)
+        .iter()
+        .filter(|f| !f.rel.contains("/tests/"))
+        .flat_map(knob_reads)
+        .collect();
+    let rows = parse_knob_rows(&manifest_text);
+    findings.extend(check_knobs(&reads, &rows));
+    (render_knob_table(&rows), findings)
+}
+
+/// The knob half of the cross-check: every read has a row, and every
+/// file a row names still reads the row's knob.
+fn check_knobs(reads: &[Charge], rows: &[KnobRow]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for r in reads {
+        if !rows.iter().any(|row| row.name == r.name) {
+            findings.push(Finding::at(
+                Pass::CounterManifest,
+                r.file.clone(),
+                r.line,
+                format!(
+                    "environment knob `{}` has no row in {MANIFEST}'s \
+                     Environment knobs table — add one or drop the knob",
+                    r.name
+                ),
+            ));
+        }
+    }
+    for row in rows {
+        let readers: BTreeSet<&str> = reads
+            .iter()
+            .filter(|r| r.name == row.name)
+            .map(|r| r.file.as_str())
+            .collect();
+        if row.readers.is_empty() {
+            findings.push(Finding::at(
+                Pass::CounterManifest,
+                MANIFEST,
+                0,
+                format!("knob row `{}` names no reader", row.name),
+            ));
+        }
+        for file in &row.readers {
+            if !readers.contains(file.as_str()) {
+                findings.push(Finding::at(
+                    Pass::CounterManifest,
+                    MANIFEST,
+                    0,
+                    format!(
+                        "knob row `{}` names `{file}`, which does not read it — stale row",
+                        row.name
+                    ),
+                ));
+            }
+        }
+    }
     findings
+}
+
+/// Renders the knob inventory: one line per manifest row.
+fn render_knob_table(rows: &[KnobRow]) -> String {
+    let mut out = format!("environment knobs ({}):\n", rows.len());
+    for row in rows {
+        out.push_str(&format!("  {:<18} {}\n", row.name, row.readers.join(", ")));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -329,9 +474,62 @@ mod tests {
         );
     }
 
+    fn knob_manifest() -> Vec<KnobRow> {
+        parse_knob_rows(
+            "## Environment knobs\n\n| knob | read by | meaning |\n|---|---|---|\n\
+             | `MMDS_FOO` | `crates/fake/src/x.rs` | a knob |\n\
+             | `MMDS_GONE` | `crates/fake/src/x.rs` | nobody reads it |\n\
+             | `kmc.ghost_bytes` | counter | not a knob |\n",
+        )
+    }
+
+    #[test]
+    fn knob_rows_parse() {
+        let rows = knob_manifest();
+        assert_eq!(
+            rows.iter().map(|r| r.name.as_str()).collect::<Vec<_>>(),
+            vec!["MMDS_FOO", "MMDS_GONE"]
+        );
+        assert_eq!(rows[0].readers, vec!["crates/fake/src/x.rs".to_string()]);
+    }
+
+    #[test]
+    fn knob_reads_skip_comments_tests_and_the_bare_prefix() {
+        let src = "const P: &str = \"MMDS_\";\n\
+                   fn f() {\n    // std::env::var(\"MMDS_IN_COMMENT\")\n    \
+                   let _ = std::env::var(\"MMDS_FOO\");\n}\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { std::env::set_var(\"MMDS_TEST_ONLY\", \"1\"); }\n}\n";
+        let reads = knob_reads(&file(src));
+        assert_eq!(reads.len(), 1);
+        assert_eq!((reads[0].name.as_str(), reads[0].line), ("MMDS_FOO", 4));
+    }
+
+    #[test]
+    fn unlisted_knob_read_is_a_finding() {
+        let src = "fn f() {\n    let _ = std::env::var(\"MMDS_FOO\");\n    \
+                   let _ = std::env::var(\"MMDS_NEW\");\n}\n";
+        let findings = check_knobs(&knob_reads(&file(src)), &knob_manifest());
+        let unlisted: Vec<_> = findings
+            .iter()
+            .filter(|f| f.message.contains("has no row"))
+            .collect();
+        assert_eq!(unlisted.len(), 1, "{findings:?}");
+        assert!(unlisted[0].message.contains("`MMDS_NEW`"));
+        assert_eq!(unlisted[0].line, 3);
+    }
+
+    #[test]
+    fn row_without_a_reader_is_a_finding() {
+        let src = "fn f() {\n    let _ = std::env::var(\"MMDS_FOO\");\n}\n";
+        let findings = check_knobs(&knob_reads(&file(src)), &knob_manifest());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("`MMDS_GONE`"));
+        assert!(findings[0].message.contains("stale row"));
+    }
+
     #[test]
     fn workspace_charges_match_manifest() {
-        let findings = run(&crate::built_workspace_root());
+        let (knobs, findings) = run(&crate::built_workspace_root());
         assert!(
             findings.is_empty(),
             "{}",
@@ -341,5 +539,6 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
+        assert!(knobs.starts_with("environment knobs (8):"), "{knobs}");
     }
 }

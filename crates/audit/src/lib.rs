@@ -41,7 +41,9 @@
 //!    `kmc`, `coupled` must have a row in the checked-in registry
 //!    manifest (`TELEMETRY_MANIFEST.md`), and every manifest row must
 //!    still be charged somewhere (no typo'd names silently dropping
-//!    observatory data, no stale documentation).
+//!    observatory data, no stale documentation). Every `MMDS_*`
+//!    environment knob read by live code gets the same two-way check
+//!    against the manifest's knob table, listed as an inventory.
 //! 6. [`protocol`] — **communication-protocol verifier**: the exchange
 //!    code declares its per-phase communication skeletons as
 //!    `mmds_swmpi::CommPlan`s (symbolic op sequences over rank-offset
@@ -76,7 +78,8 @@ pub mod workspace;
 pub use findings::Finding;
 
 /// Runs every pass against the workspace at `root`, returning the
-/// rendered budget table and all findings (empty = audit passed).
+/// rendered budget, knob and skeleton tables and all findings (empty =
+/// audit passed).
 pub fn run_all(root: &std::path::Path) -> (String, Vec<Finding>) {
     let mut findings = Vec::new();
     let (mut table, f) = ldm::run(root);
@@ -84,11 +87,14 @@ pub fn run_all(root: &std::path::Path) -> (String, Vec<Finding>) {
     findings.extend(determinism::run(root));
     findings.extend(flops::run(root));
     findings.extend(unsafe_audit::run(root));
-    findings.extend(counters::run(root));
+    let (knobs, f) = counters::run(root);
+    findings.extend(f);
     let (skeletons, f) = protocol::run(root);
     findings.extend(f);
-    table.push('\n');
-    table.push_str(&skeletons);
+    for t in [knobs, skeletons] {
+        table.push('\n');
+        table.push_str(&t);
+    }
     (table, findings)
 }
 

@@ -29,13 +29,13 @@ PASSES (default: --all):
     --determinism     determinism linter (md, kmc, coupled, eam, analysis)
     --flops           flop-ledger cross-checker
     --unsafe-audit    forbid(unsafe_code) + unsafe-token audit
-    --counters        telemetry counter-manifest cross-checker
+    --counters        telemetry counter-manifest + env-knob cross-checker
     --protocol        comm-skeleton prover + rank-uniformity lint
 
 OPTIONS:
     --root PATH       workspace root (default: nearest [workspace] above cwd)
     --json PATH       also write the findings as JSON (stable schema) to PATH
-    --quiet           findings only, no budget/skeleton tables
+    --quiet           findings only, no budget/knob/skeleton tables
     --help            this text";
 
 struct Options {
@@ -155,7 +155,11 @@ fn main() -> ExitCode {
         findings.extend(unsafe_audit::run(&root));
     }
     if opts.counters {
-        findings.extend(counters::run(&root));
+        let (knobs, f) = counters::run(&root);
+        if !opts.quiet {
+            println!("{knobs}");
+        }
+        findings.extend(f);
     }
     if opts.protocol {
         let (table, f) = protocol::run(&root);

@@ -4,7 +4,7 @@
 //! mmds-inspect summary  <report.telemetry.json | trace.jsonl>
 //! mmds-inspect timeline <report.telemetry.json | trace.jsonl>
 //! mmds-inspect watch    <trace.jsonl> [--once] [--interval <s>]
-//!                       [--serve <addr>] [--alerts-out <path>]
+//!                       [--alerts-out <path>]
 //! mmds-inspect causal   <trace.jsonl> [--json <out>] [--strict]
 //!                       [--model <taihulight|free>]
 //! mmds-inspect trace    <trace.jsonl> [-o out.perfetto.json]
@@ -36,9 +36,8 @@
 //!   a refreshing live dashboard: per-rank heartbeat ages, open spans,
 //!   span totals, series sparkline tails, and the watchdog alert feed.
 //!   `--once` reads to end-of-file and prints a single frame (the
-//!   scripted/CI mode); `--serve` additionally exposes `/metrics` +
-//!   `/healthz`; `--alerts-out` writes the alert log as JSONL. Exit
-//!   code 1 when any `crit` alert was raised.
+//!   scripted/CI mode); `--alerts-out` writes the alert log as JSONL.
+//!   Exit code 1 when any `crit` alert was raised.
 //! * `trace` converts a JSONL event stream to Chrome `trace_event`
 //!   JSON for <https://ui.perfetto.dev>.
 //! * `diff` compares two artefacts. For bench artefacts
@@ -86,8 +85,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  mmds-inspect summary <report.telemetry.json | trace.jsonl>\n  \
          mmds-inspect timeline <report.telemetry.json | trace.jsonl>\n  \
-         mmds-inspect watch <trace.jsonl> [--once] [--interval <s>] [--serve <addr>] \
-         [--alerts-out <path>]\n  \
+         mmds-inspect watch <trace.jsonl> [--once] [--interval <s>] [--alerts-out <path>]\n  \
          mmds-inspect causal <trace.jsonl> [--json <out>] [--strict] \
          [--model <taihulight|free>]\n  \
          mmds-inspect trace <trace.jsonl> [-o out.json]\n  \
@@ -332,13 +330,6 @@ fn main() {
                     "--interval" => match args.get(i + 1).and_then(|s| s.parse().ok()) {
                         Some(v) => {
                             opts.interval = v;
-                            i += 1;
-                        }
-                        None => usage(),
-                    },
-                    "--serve" => match args.get(i + 1) {
-                        Some(a) => {
-                            opts.serve = Some(a.clone());
                             i += 1;
                         }
                         None => usage(),

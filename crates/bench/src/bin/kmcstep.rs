@@ -17,9 +17,7 @@
 //! repo root as the persistent baseline — plus the per-strategy
 //! comm-savings accounting against the analytic full-ghost baseline.
 //!
-//! Knobs: `--smoke` shrinks the box for CI; `MMDS_KMCSTEP_CELLS` /
-//! `MMDS_KMCSTEP_CYCLES` override the box edge (unit cells) and the
-//! timed cycle count.
+//! `--smoke` shrinks the box and the cycle count for CI.
 
 use std::time::Instant;
 
@@ -57,14 +55,6 @@ struct KmcstepReport {
     warmup_cycles: usize,
     vacancies: usize,
     configs: Vec<ConfigResult>,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
 }
 
 fn build_sim(cells: usize) -> KmcSimulation {
@@ -131,14 +121,11 @@ fn run_config(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cells = env_usize("MMDS_KMCSTEP_CELLS", if smoke { 8 } else { 12 });
-    let cycles = env_usize("MMDS_KMCSTEP_CYCLES", if smoke { 4 } else { 12 });
-    let warmup = if smoke { 1 } else { 3 };
+    let (cells, cycles, warmup) = if smoke { (8, 4, 1) } else { (12, 12, 3) };
     header("kmcstep: KMC hot-path baseline (traditional vs on-demand exchange)");
     if mmds_telemetry::Mode::from_env() == Mode::Off {
         mmds_telemetry::set_mode(Mode::Summary);
     }
-    let monitor = mmds_bench::maybe_serve_metrics();
 
     let matrix: [(&'static str, ExchangeStrategy); 3] = [
         ("traditional", ExchangeStrategy::Traditional),
@@ -183,6 +170,4 @@ fn main() {
     println!("\n[artefact] BENCH_kmcstep.json");
     mmds_bench::archive::auto_archive_bench("kmcstep", &json);
     mmds_telemetry::flush();
-    mmds_bench::metrics_linger();
-    drop(monitor);
 }

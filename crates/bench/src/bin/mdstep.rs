@@ -153,7 +153,6 @@ fn main() {
     if mmds_telemetry::Mode::from_env() == Mode::Off {
         mmds_telemetry::set_mode(Mode::Summary);
     }
-    let monitor = mmds_bench::maybe_serve_metrics();
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -201,6 +200,4 @@ fn main() {
     // hash a seeded BENCH_mdstep.json baseline produces.
     mmds_bench::archive::auto_archive_bench("mdstep", &json);
     mmds_telemetry::flush();
-    mmds_bench::metrics_linger();
-    drop(monitor);
 }

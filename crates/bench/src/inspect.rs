@@ -165,25 +165,6 @@ pub fn local_hot_path_view(spans: &[SpanReport]) -> String {
     out
 }
 
-/// Watchdog alerts carried by the report, one per line.
-pub fn alerts_view(report: &RunReport) -> String {
-    let mut out = String::new();
-    for a in &report.alerts {
-        let _ = writeln!(
-            out,
-            "  [{}] {} {}: {}",
-            a.severity.as_str(),
-            a.rule,
-            a.subject,
-            a.message
-        );
-    }
-    if out.is_empty() {
-        out.push_str("  none\n");
-    }
-    out
-}
-
 /// Health counters (`*.health.*`) with non-zero values, one per line.
 pub fn health_view(report: &RunReport) -> String {
     let mut out = String::new();
@@ -236,8 +217,6 @@ pub fn summary(report: &RunReport) -> String {
     out.push_str("\n-- physics health --\n");
     out.push_str(&health_view(report));
     out.push_str(&kmc_solver_cost_view(report));
-    out.push_str("\n-- alerts --\n");
-    out.push_str(&alerts_view(report));
     out
 }
 

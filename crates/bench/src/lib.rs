@@ -98,39 +98,6 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Starts the in-process live monitor + `/metrics` endpoint when
-/// `MMDS_METRICS_ADDR` is set (e.g. `127.0.0.1:9464`). Keep the handle
-/// alive for the run; drop it (or let it fall at end of `main`) to
-/// detach. Combine with `MMDS_HEARTBEAT=<n>` for liveness beats.
-pub fn maybe_serve_metrics() -> Option<mmds_telemetry::MonitorHandle> {
-    let addr = std::env::var("MMDS_METRICS_ADDR").ok()?;
-    match mmds_telemetry::start_live_monitor(mmds_telemetry::WatchdogConfig::default(), Some(&addr))
-    {
-        Ok(handle) => {
-            if let Some(a) = handle.addr() {
-                println!("[monitor] serving /metrics on http://{a}");
-            }
-            Some(handle)
-        }
-        Err(e) => {
-            eprintln!("[monitor] cannot bind {addr}: {e}");
-            None
-        }
-    }
-}
-
-/// Holds the process open for `MMDS_METRICS_LINGER_MS` milliseconds
-/// (if set) so an external scraper can read the final state of a short
-/// run before the endpoint disappears. No-op when unset.
-pub fn metrics_linger() {
-    if let Some(ms) = std::env::var("MMDS_METRICS_LINGER_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-    {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-}
-
 /// Formats seconds compactly.
 pub fn fmt_s(s: f64) -> String {
     if s >= 100.0 {

@@ -10,12 +10,9 @@
 //! exits — the scripted/CI mode.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
-use mmds_telemetry::{
-    AlertSeverity, LiveAggregator, LiveMonitor, MetricsServer, TailReader, WatchdogConfig,
-};
+use mmds_telemetry::{AlertSeverity, LiveAggregator, TailReader, WatchdogConfig};
 
 /// Options of one `watch` invocation.
 #[derive(Debug, Clone, Default)]
@@ -24,8 +21,6 @@ pub struct WatchOptions {
     pub once: bool,
     /// Poll/refresh interval, seconds (live mode).
     pub interval: f64,
-    /// Also serve `/metrics` + `/healthz` on this address.
-    pub serve: Option<String>,
     /// Write the alert log as JSONL to this path on every frame.
     pub alerts_out: Option<String>,
 }
@@ -192,26 +187,11 @@ fn write_alerts_jsonl(path: &str, agg: &LiveAggregator) {
 /// 0 when the stream ended (or `--once` finished) healthy, 1 when any
 /// `Crit` alert was raised at any point.
 pub fn run_watch(path: &str, opts: &WatchOptions) -> i32 {
-    let agg = if opts.once {
+    let mut agg = if opts.once {
         LiveAggregator::retaining(WatchdogConfig::default())
     } else {
         LiveAggregator::live(WatchdogConfig::default())
     };
-    let monitor = Arc::new(LiveMonitor::new(agg));
-    let server = match &opts.serve {
-        Some(addr) => match MetricsServer::spawn(addr, Arc::clone(&monitor)) {
-            Ok(s) => {
-                eprintln!("[monitor] serving /metrics on http://{}", s.addr());
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("mmds-inspect: cannot bind {addr}: {e}");
-                return 2;
-            }
-        },
-        None => None,
-    };
-
     let mut tail = TailReader::new(path);
     let mut had_crit = false;
     loop {
@@ -222,48 +202,43 @@ pub fn run_watch(path: &str, opts: &WatchOptions) -> i32 {
                 return 2;
             }
         };
-        {
-            let mut g = monitor.lock();
-            for r in &records {
-                g.fold(r);
-                g.evaluate(r.t_ns);
-            }
-            if opts.once {
-                // End-of-stream: a final record without a trailing
-                // newline still counts.
-                if let Some(r) = tail.finish() {
-                    g.fold(&r);
-                    g.evaluate(r.t_ns);
-                }
-            } else {
-                // Between records, age heartbeats on the stream-clock
-                // estimate of now so a stall is noticed without new
-                // input.
-                let now = g.now_ns();
-                g.evaluate(now);
-            }
-            g.note_parse_errors(tail.parse_errors());
-            had_crit |= g.alerts().iter().any(|a| a.severity == AlertSeverity::Crit);
-
-            let frame = render_dashboard(&g, g.now_ns(), path);
-            if let Some(out) = &opts.alerts_out {
-                write_alerts_jsonl(out, &g);
-            }
-            if opts.once {
-                print!("{frame}");
-            } else {
-                // ANSI clear + home, then the frame.
-                print!("\x1b[2J\x1b[H{frame}");
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-            }
+        for r in &records {
+            agg.fold(r);
+            agg.evaluate(r.t_ns);
         }
         if opts.once {
+            // End-of-stream: a final record without a trailing newline
+            // still counts.
+            if let Some(r) = tail.finish() {
+                agg.fold(&r);
+                agg.evaluate(r.t_ns);
+            }
+        } else {
+            // Between records, age heartbeats on the stream-clock
+            // estimate of now so a stall is noticed without new input.
+            let now = agg.now_ns();
+            agg.evaluate(now);
+        }
+        agg.note_parse_errors(tail.parse_errors());
+        had_crit |= agg
+            .alerts()
+            .iter()
+            .any(|a| a.severity == AlertSeverity::Crit);
+
+        let frame = render_dashboard(&agg, agg.now_ns(), path);
+        if let Some(out) = &opts.alerts_out {
+            write_alerts_jsonl(out, &agg);
+        }
+        if opts.once {
+            print!("{frame}");
             break;
         }
+        // ANSI clear + home, then the frame.
+        print!("\x1b[2J\x1b[H{frame}");
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
         std::thread::sleep(Duration::from_secs_f64(opts.interval.max(0.05)));
     }
-    drop(server);
     i32::from(had_crit)
 }
 

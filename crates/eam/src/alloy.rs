@@ -225,11 +225,6 @@ impl LdmPlacement {
             resident_bytes: used,
         }
     }
-
-    /// True if `id` is resident.
-    pub fn is_resident(&self, id: AlloyTableId) -> bool {
-        self.resident.contains(&id)
-    }
 }
 
 #[cfg(test)]

@@ -34,11 +34,12 @@ pub struct KmcConfig {
 
 impl Default for KmcConfig {
     fn default() -> Self {
+        use mmds_eam::units::{E_MIG_FE, LATTICE_FE, NU_ATTEMPT};
         Self {
-            a0: 2.855,
+            a0: LATTICE_FE,
             temperature: 600.0,
-            nu: 1.0e13,
-            e_mig0: 0.65,
+            nu: NU_ATTEMPT,
+            e_mig0: E_MIG_FE,
             e_mig_floor: 0.05,
             rate_cutoff: 3.0,
             t_threshold: 2.0e-4,

@@ -141,11 +141,6 @@ pub fn max_comm_time<T>(out: &[RankOutput<T>]) -> f64 {
     out.iter().map(|r| r.stats.comm_time).fold(0.0, f64::max)
 }
 
-/// Aggregates: maximum per-rank total virtual time (runtime proxy).
-pub fn max_total_time<T>(out: &[RankOutput<T>]) -> f64 {
-    out.iter().map(|r| r.clock).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -350,15 +350,6 @@ impl LatticeNeighborList {
             .count()
     }
 
-    /// Interior vacancy positions (lattice points).
-    pub fn vacancy_positions(&self) -> Vec<[f64; 3]> {
-        self.grid
-            .interior_ids()
-            .filter(|&s| self.is_vacancy(s))
-            .map(|s| self.pos[s])
-            .collect()
-    }
-
     /// Bytes of memory used by the structure (the quantity behind the
     /// paper's capacity claim; see [`crate::memory`]).
     pub fn memory_bytes(&self) -> usize {

@@ -12,7 +12,7 @@ use rayon::prelude::*;
 
 use crate::arch::SwModel;
 use crate::counters::CpeCounters;
-use crate::local_store::{LdmOverflow, LocalStore, LsReservation, LsVec, LsView};
+use crate::local_store::{LdmOverflow, LocalStore, LsReservation, LsView};
 use crate::pipeline::{pipeline_time, BlockCost};
 
 /// Execution context of one CPE (slave core) during a kernel.
@@ -54,11 +54,6 @@ impl CpeCtx {
     /// The local store of this CPE.
     pub fn local_store(&self) -> &LocalStore {
         &self.ls
-    }
-
-    /// Allocates a local-store `f64` buffer.
-    pub fn alloc_f64(&self, n: usize) -> Result<LsVec<f64>, LdmOverflow> {
-        self.ls.alloc_f64(n)
     }
 
     /// Reserves room for `n` `f64`s the host kernel never reads (see
@@ -158,32 +153,6 @@ impl CpeCtx {
     ) {
         self.counters.table_batches += 1;
         self.charge_flops(lanes * (locate_flops + segments * seg_flops));
-    }
-
-    /// DMA get: copies `src` (main memory) into `dst` (local store) and
-    /// charges one transaction.
-    pub fn dma_get_f64(&mut self, src: &[f64], dst: &mut LsVec<f64>) {
-        assert!(
-            src.len() <= dst.len(),
-            "dma_get: src {} > dst {}",
-            src.len(),
-            dst.len()
-        );
-        dst[..src.len()].copy_from_slice(src);
-        self.charge_dma_get(src.len() * 8);
-    }
-
-    /// DMA put: copies `src` (local store) back to `dst` (main memory)
-    /// and charges one transaction.
-    pub fn dma_put_f64(&mut self, src: &[f64], dst: &mut [f64]) {
-        assert!(
-            src.len() <= dst.len(),
-            "dma_put: src {} > dst {}",
-            src.len(),
-            dst.len()
-        );
-        dst[..src.len()].copy_from_slice(src);
-        self.charge_dma_put(src.len() * 8);
     }
 
     /// Makes `table` resident: reserves its bytes and charges one bulk
@@ -359,26 +328,6 @@ mod tests {
         let per_item = SwModel::sw26010().flops_time(1_000_000);
         assert!((report.time - 2.0 * per_item).abs() < 1e-12);
         assert_eq!(report.counters.flops, 65_000_000);
-    }
-
-    #[test]
-    fn dma_copies_and_charges() {
-        let model = SwModel::sw26010();
-        let mut ctx = CpeCtx::new(0, model);
-        let src = vec![1.0, 2.0, 3.0];
-        let mut buf = ctx.alloc_f64(3).unwrap();
-        ctx.dma_get_f64(&src, &mut buf);
-        assert_eq!(&buf[..], &[1.0, 2.0, 3.0]);
-        let mut out = vec![0.0; 3];
-        buf[1] = 9.0;
-        ctx.dma_put_f64(&buf, &mut out);
-        assert_eq!(out, vec![1.0, 9.0, 3.0]);
-        let c = ctx.counters();
-        assert_eq!(c.dma_gets, 1);
-        assert_eq!(c.dma_puts, 1);
-        assert_eq!(c.bytes_in, 24);
-        assert_eq!(c.bytes_out, 24);
-        assert!(ctx.time() > 0.0);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! We have no Sunway toolchain, so this crate provides the closest
 //! substitute that exercises the same code paths:
 //!
-//! * [`LocalStore`] is a capacity-enforced allocator: asking for a 273 KB
+//! * [`LocalStore`] is capacity-enforced accounting: asking for a 273 KB
 //!   traditional interpolation table *fails*, exactly like on the real
 //!   hardware, while the 39 KB compacted table fits. Buffers the host
 //!   kernel never reads are reservations (capacity, no storage), a
-//!   resident table is a view of the main-memory original.
-//! * [`CpeCtx::dma_get_f64`] / [`CpeCtx::dma_put_f64`] really copy data
-//!   between "main memory" (host slices) and local-store buffers, and
-//!   charge virtual time through [`SwModel`].
+//!   resident table is a view of the main-memory original
+//!   ([`CpeCtx::load_resident_table`]).
+//! * [`CpeCtx`]'s `charge_dma_*` calls price every DMA transaction the
+//!   modelled kernel would issue in virtual time through [`SwModel`].
 //! * [`CpeCluster`] executes kernels on 64 logical CPEs in parallel
 //!   (via rayon) and reports the cluster kernel time as the *maximum*
 //!   per-CPE virtual time — the quantity an MPE would observe. A launch
@@ -47,5 +47,5 @@ pub use budget::{LdmBudgetError, LdmItem, LdmPlan};
 pub use counters::CpeCounters;
 pub use cpe::{ClusterReport, CpeCluster, CpeCtx};
 pub use ldm_cache::SoftCache;
-pub use local_store::{LdmOverflow, LocalStore, LsReservation, LsVec, LsView};
+pub use local_store::{LdmOverflow, LocalStore, LsReservation, LsView};
 pub use register::RegisterMesh;

@@ -1,10 +1,10 @@
-//! The 64 KB CPE local store, modelled as a capacity-enforced allocator.
+//! The 64 KB CPE local store, modelled as capacity-enforced accounting.
 //!
 //! The store tracks how many bytes are live so that over-allocation
 //! fails exactly where the real hardware would: the paper's traditional
 //! 273 KB interpolation table cannot be made resident, while the 39 KB
 //! compacted table can (§2.1.2). Every holding goes through one
-//! accounting path, [`LocalStore::reserve`], and comes in one of three
+//! accounting path, [`LocalStore::reserve`], and comes in one of two
 //! shapes, chosen by what the host kernel does with the bytes:
 //!
 //! * [`LsReservation`] — capacity only. For the buffers a modelled
@@ -16,8 +16,6 @@
 //!   for. A resident table is DMA'd in once and never written, so the
 //!   host reads the original in place instead of a copy with the same
 //!   bytes.
-//! * [`LsVec`] — a reservation plus real host storage, for buffers a
-//!   kernel really reads and writes.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -116,28 +114,6 @@ impl LocalStore {
             slot: self.reserve(std::mem::size_of_val(data))?,
         })
     }
-
-    /// Allocates an `n`-element `f64` buffer, zero-initialised.
-    pub fn alloc_f64(&self, n: usize) -> Result<LsVec<f64>, LdmOverflow> {
-        self.alloc_with(n, 0.0)
-    }
-
-    /// Allocates an `n`-element buffer filled with `fill`.
-    pub fn alloc_with<T: Copy>(&self, n: usize, fill: T) -> Result<LsVec<T>, LdmOverflow> {
-        let slot = self.reserve(n * std::mem::size_of::<T>())?;
-        Ok(LsVec {
-            data: vec![fill; n],
-            slot,
-        })
-    }
-
-    /// Allocates and fills a buffer by copying `src` (a "resident load";
-    /// the DMA charge is the caller's job via `CpeCtx::dma_get_f64`).
-    pub fn alloc_copy<T: Copy + Default>(&self, src: &[T]) -> Result<LsVec<T>, LdmOverflow> {
-        let mut v = self.alloc_with(src.len(), T::default())?;
-        v.data.copy_from_slice(src);
-        Ok(v)
-    }
 }
 
 /// Local-store capacity held without host storage; returned to the
@@ -191,49 +167,6 @@ impl<T> std::fmt::Debug for LsView<'_, T> {
     }
 }
 
-/// A buffer living in a [`LocalStore`]; freed (and its bytes returned to
-/// the store) on drop.
-pub struct LsVec<T> {
-    data: Vec<T>,
-    slot: LsReservation,
-}
-
-impl<T> LsVec<T> {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the buffer has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Size of this buffer in local-store bytes.
-    pub fn bytes(&self) -> usize {
-        self.slot.bytes()
-    }
-}
-
-impl<T> std::fmt::Debug for LsVec<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LsVec({} elems, {} B)", self.data.len(), self.bytes())
-    }
-}
-
-impl<T> std::ops::Deref for LsVec<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.data
-    }
-}
-
-impl<T> std::ops::DerefMut for LsVec<T> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,9 +174,9 @@ mod tests {
     #[test]
     fn alloc_within_capacity() {
         let ls = LocalStore::new(1024);
-        let a = ls.alloc_f64(64).unwrap(); // 512 B
+        let a = ls.reserve(512).unwrap();
         assert_eq!(ls.used(), 512);
-        let b = ls.alloc_f64(64).unwrap(); // 512 B more: exactly full
+        let b = ls.reserve(512).unwrap(); // exactly full
         assert_eq!(ls.available(), 0);
         drop(a);
         assert_eq!(ls.used(), 512);
@@ -256,20 +189,21 @@ mod tests {
     fn overflow_is_rejected() {
         let ls = LocalStore::new(crate::SwModel::sw26010().ldm_bytes);
         // The paper's traditional interpolation table: 5000*7 f64 = 280 kB.
-        let err = ls.alloc_f64(5000 * 7).unwrap_err();
+        let traditional = vec![0.0f64; 5000 * 7];
+        let err = ls.map(&traditional).unwrap_err();
         assert_eq!(err.requested, 5000 * 7 * 8);
         assert_eq!(err.in_use, 0);
         // The compacted table fits.
-        assert!(ls.alloc_f64(5000).is_ok());
+        assert!(ls.map(&traditional[..5000]).is_ok());
     }
 
     #[test]
     fn freed_space_is_reusable() {
         let ls = LocalStore::new(100);
-        let a = ls.alloc_with::<u8>(80, 0).unwrap();
-        assert!(ls.alloc_with::<u8>(40, 0).is_err());
+        let a = ls.reserve(80).unwrap();
+        assert!(ls.reserve(40).is_err());
         drop(a);
-        assert!(ls.alloc_with::<u8>(40, 0).is_ok());
+        assert!(ls.reserve(40).is_ok());
     }
 
     #[test]
@@ -281,11 +215,10 @@ mod tests {
         assert_eq!((err.requested, err.in_use), (280_000, 0));
         let table = ls.reserve(5000 * 8).unwrap();
         assert_eq!(table.bytes(), 40_000);
-        // Reservations, views and allocations stack exactly.
+        // Reservations and views stack exactly.
         let knots = vec![1.5f64; 100];
         let view = ls.map(&knots).unwrap();
-        assert_eq!(&view[..], &knots[..]);
-        let buf = ls.alloc_f64(10).unwrap();
+        let lanes = ls.reserve(80).unwrap();
         assert_eq!(ls.used(), 40_000 + 800 + 80);
         assert_eq!(ls.high_water(), 40_880);
         // Dropping each returns exactly its bytes; the mark stays.
@@ -293,7 +226,7 @@ mod tests {
         assert_eq!(ls.used(), 40_080);
         drop(table);
         assert_eq!(ls.used(), 80);
-        drop(buf);
+        drop(lanes);
         assert_eq!(ls.used(), 0);
         assert_eq!(ls.high_water(), 40_880);
         // A freed reservation's room is reusable up to the last byte.
@@ -305,11 +238,14 @@ mod tests {
 
     #[test]
     fn buffers_hold_data() {
+        // A view reads the mapped slice in place and holds its bytes.
         let ls = LocalStore::new(1024);
-        let mut v = ls.alloc_with(4, 1.5f64).unwrap();
-        v[2] = 9.0;
+        let knots = [1.5f64, 1.5, 9.0, 1.5];
+        let v = ls.map(&knots).unwrap();
         assert_eq!(&v[..], &[1.5, 1.5, 9.0, 1.5]);
-        let c = ls.alloc_copy(&[1u32, 2, 3]).unwrap();
+        let ids = [1u32, 2, 3];
+        let c = ls.map(&ids).unwrap();
         assert_eq!(&c[..], &[1, 2, 3]);
+        assert_eq!(ls.used(), 32 + 12);
     }
 }

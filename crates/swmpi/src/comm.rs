@@ -256,11 +256,6 @@ impl Comm {
         self.shared.mailboxes[self.rank].try_probe(Source::Any, tag)
     }
 
-    /// Messages currently queued for this rank (diagnostics).
-    pub fn pending_messages(&self) -> usize {
-        self.shared.mailboxes[self.rank].pending()
-    }
-
     /// Paired exchange: sends to `dst` and receives from `src` on the
     /// same tag (`MPI_Sendrecv`) — the halo-exchange workhorse.
     pub fn sendrecv(&self, dst: Rank, src: Rank, tag: Tag, payload: Vec<u8>) -> Vec<u8> {

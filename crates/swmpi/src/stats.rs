@@ -122,26 +122,6 @@ impl CommStats {
     pub fn max_compute_time(all: &[CommStats]) -> f64 {
         all.iter().map(|s| s.compute_time).fold(0.0, f64::max)
     }
-
-    /// Mean total virtual time across ranks (0 for an empty slice).
-    pub fn avg_total_time(all: &[CommStats]) -> f64 {
-        if all.is_empty() {
-            return 0.0;
-        }
-        all.iter().map(|s| s.total_time()).sum::<f64>() / all.len() as f64
-    }
-
-    /// Load-imbalance ratio of total virtual time: `max / avg` across
-    /// ranks. 1.0 is perfectly balanced; the Fig. 16 narrative's
-    /// "sector-by-sector cost skew" shows up here first. Returns 1.0
-    /// when no time was charged.
-    pub fn time_imbalance(all: &[CommStats]) -> f64 {
-        let avg = Self::avg_total_time(all);
-        if avg <= 0.0 {
-            return 1.0;
-        }
-        all.iter().map(|s| s.total_time()).fold(0.0, f64::max) / avg
-    }
 }
 
 #[cfg(test)]

@@ -85,7 +85,7 @@ pub struct HeartbeatSample {
 pub enum AlertSeverity {
     /// Worth a look; the run is still considered healthy.
     Warn,
-    /// The run is unhealthy (`/healthz` turns 503 while active).
+    /// The run is unhealthy (`watch` exits 1 once one was raised).
     Crit,
 }
 
@@ -99,10 +99,9 @@ impl AlertSeverity {
     }
 }
 
-/// One structured watchdog alert. Raised by the live aggregator's rule
-/// evaluation and re-emitted through the normal sink path, so alerts
-/// appear in the JSONL stream (and the [`crate::report::RunReport`])
-/// like any other event.
+/// One structured watchdog alert, raised by the live aggregator's rule
+/// evaluation over a tailed trace (`mmds-inspect watch`, which writes
+/// them out with `--alerts-out`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AlertRecord {
     /// Rule that fired (dotted, e.g. `alert.heartbeat_stale`).
@@ -211,8 +210,6 @@ pub enum Event {
     Series(SeriesSample),
     /// A liveness beat from a step loop.
     Heartbeat(HeartbeatSample),
-    /// A watchdog alert raised by the live monitor.
-    Alert(AlertRecord),
     /// One traced communication operation (causal comm tracing).
     Comm(CommRecord),
 }

@@ -51,7 +51,6 @@ pub mod monitor;
 pub mod perfetto;
 pub mod render;
 pub mod report;
-pub mod serve;
 pub mod span;
 
 use std::sync::{Arc, OnceLock};
@@ -61,15 +60,11 @@ pub use event::{
     AlertRecord, AlertSeverity, CommRecord, Event, EventSink, FileSink, HeartbeatSample,
     KmcCycleSample, MdStepSample, MemorySink, Record, SeriesSample,
 };
-pub use monitor::{
-    render_prometheus, validate_prometheus_text, LiveAggregator, LiveMonitor, TailReader,
-    WatchdogConfig, ALERT_COUNTERS, COMM_COUNTERS, MONITOR_COUNTERS,
-};
+pub use monitor::{LiveAggregator, TailReader, WatchdogConfig, ALERT_COUNTERS, COMM_COUNTERS};
 pub use report::{
     CounterRegistry, PhaseImbalance, RankComm, RankReport, RunReport, SeriesPoint, SeriesTrack,
     SpanReport,
 };
-pub use serve::MetricsServer;
 pub use span::{
     current_rank, rank_scope, set_thread_rank, thread_tid, RankScope, SpanGuard, Telemetry,
 };
@@ -256,72 +251,12 @@ pub fn emit_phase_heartbeat(source: &str, progress: u64, total: u64) {
     }));
 }
 
-/// Handle returned by [`start_live_monitor`]: keeps the monitor
-/// attached to the global telemetry instance and the optional metrics
-/// server alive. Dropping it detaches both.
-pub struct MonitorHandle {
-    monitor: Arc<LiveMonitor>,
-    server: Option<MetricsServer>,
-}
-
-impl MonitorHandle {
-    /// The shared monitor (for direct inspection in tests/tools).
-    pub fn monitor(&self) -> &Arc<LiveMonitor> {
-        &self.monitor
-    }
-
-    /// Bound address of the metrics endpoint, when one was requested.
-    pub fn addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(MetricsServer::addr)
-    }
-
-    /// Detaches the monitor from the global instance and stops the
-    /// metrics server (also happens on drop).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        global().detach_monitor();
-        if let Some(mut s) = self.server.take() {
-            s.stop();
-        }
-    }
-}
-
-impl Drop for MonitorHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Attaches an in-process live monitor to the global telemetry
-/// instance: every emitted record is folded into a bounded
-/// [`LiveAggregator`], the watchdog rules in `cfg` are evaluated as
-/// records arrive, and raised alerts flow back through the sink as
-/// [`Event::Alert`] records (and into the run report). When `addr` is
-/// given (e.g. `"127.0.0.1:9464"`, port 0 for an ephemeral port), a
-/// [`MetricsServer`] serves `/metrics` and `/healthz` from the same
-/// aggregator until the handle is dropped.
-pub fn start_live_monitor(
-    cfg: WatchdogConfig,
-    addr: Option<&str>,
-) -> std::io::Result<MonitorHandle> {
-    let monitor = Arc::new(LiveMonitor::new(LiveAggregator::live(cfg)));
-    let server = match addr {
-        Some(a) => Some(MetricsServer::spawn(a, Arc::clone(&monitor))?),
-        None => None,
-    };
-    global().attach_monitor(Arc::clone(&monitor));
-    Ok(MonitorHandle { monitor, server })
-}
-
 /// Adds a named counter on the global instance. The increment is
 /// accumulated in the counter registry *and* streamed as an
-/// [`Event::Counter`] record, so tailing consumers (the live monitor,
-/// `mmds-inspect watch`/`summary` over a JSONL trace) see the same
-/// named totals the in-process report does — the watchdog's
-/// health-threshold rule depends on this.
+/// [`Event::Counter`] record, so tailing consumers (`mmds-inspect
+/// watch`/`summary` over a JSONL trace) see the same named totals the
+/// in-process report does — the watchdog's health-threshold rule
+/// depends on this.
 pub fn add_counter(name: &str, value: f64) {
     let tel = global();
     tel.counters().add_named(name, value);

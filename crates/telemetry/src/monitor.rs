@@ -26,15 +26,12 @@
 //!   [`AlertRecord`]s, deduplicated per `(rule, subject)` while the
 //!   condition persists.
 //!
-//! [`LiveMonitor`] wraps the aggregator in a mutex so the in-process
-//! emit path ([`crate::Telemetry::emit`]) and the HTTP scrape thread
-//! ([`crate::serve::MetricsServer`]) can share it.
+//! `mmds-inspect watch` is the one consumer: it owns a
+//! [`LiveAggregator`] and feeds it from a [`TailReader`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 use std::io::{Read as _, Seek as _};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::event::{
@@ -57,16 +54,6 @@ pub const ALERT_COUNTERS: [&str; 5] = [
 /// records (causal comm tracing), so a live watch shows comm-op volume
 /// without replaying the trace. Manifest contract as above.
 pub const COMM_COUNTERS: [&str; 3] = ["comm.events", "comm.bytes", "comm.block_ns"];
-
-/// Stream-statistics names the monitor exposes on `/metrics` and the
-/// `watch` dashboard header (same manifest contract as
-/// [`ALERT_COUNTERS`]).
-pub const MONITOR_COUNTERS: [&str; 4] = [
-    "monitor.records",
-    "monitor.parse_errors",
-    "monitor.heartbeats",
-    "monitor.alerts",
-];
 
 /// Points kept per series tail when the aggregator is in bounded
 /// (live) mode.
@@ -329,10 +316,7 @@ impl LiveAggregator {
         Self::new(cfg, true)
     }
 
-    /// Folds one record into the rolling view. Alerts arriving *from
-    /// the stream* (another process's watchdog) are absorbed into the
-    /// alert log and the active set, so a downstream watcher doesn't
-    /// re-raise them.
+    /// Folds one record into the rolling view.
     pub fn fold(&mut self, r: &Record) {
         self.records += 1;
         if r.t_ns >= self.latest_t_ns {
@@ -414,16 +398,6 @@ impl LiveAggregator {
                     .or_insert(0.0) += c.dur_ns as f64;
             }
             Event::Heartbeat(h) => self.fold_heartbeat(r.rank, h, r.t_ns),
-            Event::Alert(a) => {
-                // Absorbing a producer's alert marks it active so this
-                // watcher won't re-raise it; if the watcher already
-                // raised the same (rule, subject) itself from the
-                // counter stream, the producer's copy is the same
-                // condition, not a second entry for the feed.
-                if self.active.insert((a.rule.clone(), a.subject.clone())) {
-                    self.alerts.push(a.clone());
-                }
-            }
         }
     }
 
@@ -511,7 +485,7 @@ impl LiveAggregator {
         &self.active
     }
 
-    /// True while no `Crit` alert is active — the `/healthz` verdict.
+    /// True while no `Crit` alert is active.
     pub fn healthy(&self) -> bool {
         !self.alerts.iter().any(|a| {
             a.severity == AlertSeverity::Crit
@@ -551,8 +525,8 @@ impl LiveAggregator {
     /// pairing, self time equals total time.
     ///
     /// In bounded mode the report carries only the retained tails
-    /// (newest MD/KMC sample, capped series) — counts are preserved in
-    /// the monitor statistics, not the report.
+    /// (newest MD/KMC sample, capped series) — counts are preserved by
+    /// the aggregator's accessors, not the report.
     pub fn report(&self) -> RunReport {
         let registry = CounterRegistry::default();
         for (name, v) in &self.named {
@@ -568,9 +542,6 @@ impl LiveAggregator {
             for p in &tail.points {
                 registry.push_series(*rank, name, p.t, p.value);
             }
-        }
-        for a in &self.alerts {
-            registry.push_alert(a.clone());
         }
         // BTreeMap iteration order makes both views deterministic.
         let rank_spans: Vec<(Option<u32>, SpanReport)> = self
@@ -595,7 +566,7 @@ impl LiveAggregator {
 
     /// Evaluates the alert rules at stream time `now_ns`. Newly raised
     /// alerts are appended to the alert log, marked active, and
-    /// returned so the caller can re-emit them through a sink. A rule
+    /// returned. A rule
     /// already active on the same subject is not raised again until
     /// the condition clears (heartbeat staleness clears on the next
     /// beat; the others stay latched for the run).
@@ -793,274 +764,6 @@ impl LiveAggregator {
     }
 }
 
-// ---------------------------------------------------------------------
-// LiveMonitor — shared, lockable aggregator
-// ---------------------------------------------------------------------
-
-/// Mutex-wrapped [`LiveAggregator`] shared between the in-process emit
-/// path, the HTTP scrape thread, and the `watch` dashboard loop.
-#[derive(Debug)]
-pub struct LiveMonitor {
-    state: Mutex<LiveAggregator>,
-}
-
-impl LiveMonitor {
-    /// Wraps an aggregator.
-    pub fn new(agg: LiveAggregator) -> Self {
-        Self {
-            state: Mutex::new(agg),
-        }
-    }
-
-    /// Locks the aggregator for direct access (the watcher's fold /
-    /// render loop).
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, LiveAggregator> {
-        self.state.lock().unwrap()
-    }
-
-    /// In-process ingestion: folds the record and evaluates the
-    /// watchdog at the record's stream time, returning newly raised
-    /// alerts for the caller to re-emit. Alert records are skipped —
-    /// they were appended to this aggregator when raised, so folding
-    /// the re-emitted copy would double-count (and recursing through
-    /// the emit path must terminate).
-    pub fn ingest(&self, r: &Record) -> Vec<AlertRecord> {
-        if matches!(r.event, Event::Alert(_)) {
-            return Vec::new();
-        }
-        let mut g = self.state.lock().unwrap();
-        g.fold(r);
-        g.evaluate(r.t_ns)
-    }
-
-    /// Renders the Prometheus text exposition at the stream-clock
-    /// estimate of now.
-    pub fn prometheus(&self) -> String {
-        let g = self.state.lock().unwrap();
-        render_prometheus(&g, g.now_ns())
-    }
-
-    /// `/healthz` verdict.
-    pub fn healthy(&self) -> bool {
-        self.state.lock().unwrap().healthy()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Prometheus text rendering + validation
-// ---------------------------------------------------------------------
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn rank_label(rank: Option<u32>) -> String {
-    match rank {
-        Some(r) => r.to_string(),
-        None => "driver".to_string(),
-    }
-}
-
-/// Renders the aggregator state in the Prometheus text exposition
-/// format (version 0.0.4), with heartbeat ages computed against
-/// `now_ns` on the stream clock.
-pub fn render_prometheus(agg: &LiveAggregator, now_ns: u64) -> String {
-    let mut out = String::new();
-    let stats = [
-        (MONITOR_COUNTERS[0], agg.records() as f64),
-        (MONITOR_COUNTERS[1], agg.parse_errors() as f64),
-        (MONITOR_COUNTERS[2], agg.heartbeat_count() as f64),
-        (MONITOR_COUNTERS[3], agg.alerts().len() as f64),
-    ];
-    out.push_str("# HELP mmds_monitor Live-monitor stream statistics.\n");
-    out.push_str("# TYPE mmds_monitor gauge\n");
-    for (name, v) in stats {
-        let _ = writeln!(out, "mmds_monitor{{stat=\"{}\"}} {v}", escape_label(name));
-    }
-
-    out.push_str(
-        "# HELP mmds_counter_total Named telemetry counters, cumulative over the stream.\n",
-    );
-    out.push_str("# TYPE mmds_counter_total counter\n");
-    for (name, v) in agg.named() {
-        let _ = writeln!(
-            out,
-            "mmds_counter_total{{name=\"{}\"}} {v}",
-            escape_label(name)
-        );
-    }
-
-    out.push_str(
-        "# HELP mmds_span_seconds_total Accumulated wall seconds per span path and rank.\n",
-    );
-    out.push_str("# TYPE mmds_span_seconds_total counter\n");
-    for ((rank, path), acc) in &agg.span_acc {
-        let _ = writeln!(
-            out,
-            "mmds_span_seconds_total{{path=\"{}\",rank=\"{}\"}} {}",
-            escape_label(path),
-            rank_label(*rank),
-            acc.total_ns as f64 * 1e-9,
-        );
-    }
-
-    out.push_str("# HELP mmds_open_spans Spans currently open on the stream.\n");
-    out.push_str("# TYPE mmds_open_spans gauge\n");
-    let _ = writeln!(out, "mmds_open_spans {}", agg.open_spans().len());
-
-    out.push_str("# HELP mmds_heartbeat_progress Latest heartbeat progress per rank and source.\n");
-    out.push_str("# TYPE mmds_heartbeat_progress gauge\n");
-    for ((rank, source), st) in agg.heartbeats() {
-        let _ = writeln!(
-            out,
-            "mmds_heartbeat_progress{{source=\"{}\",rank=\"{}\"}} {}",
-            escape_label(source),
-            rank_label(*rank),
-            st.progress,
-        );
-    }
-    out.push_str("# HELP mmds_heartbeat_age_seconds Stream time since the last heartbeat.\n");
-    out.push_str("# TYPE mmds_heartbeat_age_seconds gauge\n");
-    for ((rank, source), st) in agg.heartbeats() {
-        let _ = writeln!(
-            out,
-            "mmds_heartbeat_age_seconds{{source=\"{}\",rank=\"{}\"}} {}",
-            escape_label(source),
-            rank_label(*rank),
-            now_ns.saturating_sub(st.last_t_ns) as f64 * 1e-9,
-        );
-    }
-
-    out.push_str("# HELP mmds_series_last Last value of each science series track.\n");
-    out.push_str("# TYPE mmds_series_last gauge\n");
-    for ((name, rank), tail) in agg.series_tails() {
-        if let Some(p) = tail.points.back() {
-            let _ = writeln!(
-                out,
-                "mmds_series_last{{name=\"{}\",rank=\"{}\"}} {}",
-                escape_label(name),
-                rank_label(*rank),
-                p.value,
-            );
-        }
-    }
-
-    out.push_str("# HELP mmds_alerts_active Active (unresolved) alerts per rule.\n");
-    out.push_str("# TYPE mmds_alerts_active gauge\n");
-    let mut per_rule: BTreeMap<&str, u64> = BTreeMap::new();
-    for rule in ALERT_COUNTERS {
-        per_rule.insert(rule, 0);
-    }
-    for (rule, _) in agg.active_alerts() {
-        *per_rule.entry(rule.as_str()).or_insert(0) += 1;
-    }
-    for (rule, n) in per_rule {
-        let _ = writeln!(
-            out,
-            "mmds_alerts_active{{rule=\"{}\"}} {n}",
-            escape_label(rule)
-        );
-    }
-    out.push_str("# HELP mmds_alerts_total Alerts raised since stream start.\n");
-    out.push_str("# TYPE mmds_alerts_total counter\n");
-    let _ = writeln!(out, "mmds_alerts_total {}", agg.alerts().len());
-
-    out.push_str("# HELP mmds_stream_clock_seconds Stream timestamp of the newest record.\n");
-    out.push_str("# TYPE mmds_stream_clock_seconds gauge\n");
-    let _ = writeln!(out, "mmds_stream_clock_seconds {}", now_ns as f64 * 1e-9);
-    out
-}
-
-/// Validates Prometheus text-format exposition: every line must be a
-/// comment (`# HELP` / `# TYPE` with a well-formed metric name) or a
-/// sample `name{labels} value` whose name, labels, and value all
-/// parse. Returns the first violation.
-pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
-    fn valid_name(s: &str) -> bool {
-        let mut chars = s.chars();
-        match chars.next() {
-            Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-            _ => return false,
-        }
-        chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    fn valid_label(s: &str) -> bool {
-        let mut chars = s.chars();
-        match chars.next() {
-            Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-            _ => return false,
-        }
-        chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
-    }
-    for (ln, line) in text.lines().enumerate() {
-        let err = |what: &str| Err(format!("line {}: {what}: {line:?}", ln + 1));
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim_start();
-            let mut parts = rest.splitn(3, ' ');
-            match (parts.next(), parts.next()) {
-                (Some("HELP") | Some("TYPE"), Some(name)) if valid_name(name) => continue,
-                _ => return err("malformed comment (expected `# HELP/TYPE <name> …`)"),
-            }
-        }
-        // Sample: name[{labels}] value
-        let (head, value) = match line.rsplit_once(' ') {
-            Some(x) => x,
-            None => return err("sample has no value"),
-        };
-        if value.parse::<f64>().is_err() && !matches!(value, "+Inf" | "-Inf" | "NaN") {
-            return err("value is not a float");
-        }
-        let (name, labels) = match head.split_once('{') {
-            Some((n, rest)) => match rest.strip_suffix('}') {
-                Some(l) => (n, Some(l)),
-                None => return err("unterminated label set"),
-            },
-            None => (head, None),
-        };
-        if !valid_name(name) {
-            return err("invalid metric name");
-        }
-        if let Some(labels) = labels {
-            // Split on `",` boundaries so escaped quotes/commas inside
-            // values survive.
-            let mut rest = labels;
-            while !rest.is_empty() {
-                let (key, after) = match rest.split_once("=\"") {
-                    Some(x) => x,
-                    None => return err("label without `=\"` separator"),
-                };
-                if !valid_label(key) {
-                    return err("invalid label name");
-                }
-                // Find the closing quote, skipping escaped ones.
-                let mut close = None;
-                let mut prev_backslash = false;
-                for (i, c) in after.char_indices() {
-                    match c {
-                        '\\' if !prev_backslash => prev_backslash = true,
-                        '"' if !prev_backslash => {
-                            close = Some(i);
-                            break;
-                        }
-                        _ => prev_backslash = false,
-                    }
-                }
-                let Some(close) = close else {
-                    return err("unterminated label value");
-                };
-                rest = &after[close + 1..];
-                rest = rest.strip_prefix(',').unwrap_or(rest);
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1230,39 +933,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_alerts_are_absorbed_not_re_raised() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
-        agg.fold(&rec(
-            0,
-            10,
-            None,
-            Event::Counter {
-                name: "md.health.momentum_warn".into(),
-                value: 1.0,
-            },
-        ));
-        // The producing process's watchdog already raised this.
-        agg.fold(&rec(
-            1,
-            20,
-            None,
-            Event::Alert(AlertRecord {
-                rule: ALERT_COUNTERS[1].into(),
-                severity: AlertSeverity::Warn,
-                rank: None,
-                subject: "md.health.momentum_warn".into(),
-                message: "md.health.momentum_warn = 1 exceeds 0".into(),
-                value: 1.0,
-                threshold: 0.0,
-                t_ns: 20,
-            }),
-        ));
-        assert_eq!(agg.alerts().len(), 1);
-        assert!(agg.evaluate(30).is_empty(), "already active downstream");
-        assert_eq!(agg.alerts().len(), 1);
-    }
-
-    #[test]
     fn fold_matches_posthoc_report_shapes() {
         let mut agg = LiveAggregator::retaining(WatchdogConfig::default());
         agg.fold(&rec(
@@ -1344,46 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_rendering_is_valid_text_format() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
-        agg.fold(&rec(0, 1_000, Some(0), beat(0, 1)));
-        agg.fold(&rec(1, 101_000, Some(0), beat(0, 2)));
-        agg.fold(&rec(
-            2,
-            102_000,
-            Some(0),
-            Event::Counter {
-                name: "kmc.ghost_bytes".into(),
-                value: 52.0,
-            },
-        ));
-        agg.fold(&rec(
-            3,
-            103_000,
-            Some(0),
-            Event::SpanClose {
-                path: "kmc.cycle".into(),
-                dur_ns: 1_000,
-            },
-        ));
-        agg.fold(&rec(
-            4,
-            104_000,
-            None,
-            Event::Series(SeriesSample {
-                name: "kmc.exchange.dirty_fraction".into(),
-                t: 1,
-                value: 0.25,
-            }),
-        ));
-        let text = render_prometheus(&agg, 200_000);
-        validate_prometheus_text(&text).unwrap();
-        assert!(text.contains("mmds_counter_total{name=\"kmc.ghost_bytes\"} 52"));
-        assert!(text.contains("mmds_heartbeat_progress{source=\"md.heartbeat\",rank=\"0\"} 2"));
-        assert!(text.contains("mmds_monitor{stat=\"monitor.records\"} 5"));
-    }
-
-    #[test]
     fn parse_errors_raise_one_latched_warn_alert() {
         let mut agg = LiveAggregator::live(WatchdogConfig::default());
         agg.fold(&rec(0, 1_000, Some(0), beat(0, 1)));
@@ -1427,14 +1057,5 @@ mod tests {
         assert_eq!(named[COMM_COUNTERS[0]], 2.0);
         assert_eq!(named[COMM_COUNTERS[1]], 1_664.0);
         assert_eq!(named[COMM_COUNTERS[2]], 4_000.0);
-    }
-
-    #[test]
-    fn prometheus_validator_rejects_malformed_text() {
-        assert!(validate_prometheus_text("1bad_name 3\n").is_err());
-        assert!(validate_prometheus_text("ok_name notafloat\n").is_err());
-        assert!(validate_prometheus_text("name{unterminated=\"x} 1\n").is_err());
-        assert!(validate_prometheus_text("# BOGUS comment\n").is_err());
-        assert!(validate_prometheus_text("name{l=\"a\\\"b\"} 1\n").is_ok());
     }
 }

@@ -103,34 +103,18 @@ fn event_value(r: &Record) -> Option<Value> {
                 ("total", Value::U64(h.total)),
             ]),
         ),
-        Event::Alert(a) => (
-            "i",
-            format!("{} [{}]", a.rule, a.severity.as_str()),
-            map(vec![
-                ("rule", Value::Str(a.rule.clone())),
-                ("severity", Value::Str(a.severity.as_str().to_string())),
-                ("subject", Value::Str(a.subject.clone())),
-                ("message", Value::Str(a.message.clone())),
-            ]),
-        ),
         // Comm records expand to several events (slice + flow) and are
         // routed through `comm_values` by `export`.
         Event::Comm(_) => return None,
     };
-    let mut fields = vec![
+    Some(map(vec![
         ("name", Value::Str(name)),
         ("ph", Value::Str(ph.to_string())),
         ("ts", ts_of(r)),
         ("pid", Value::U64(pid_of(r))),
         ("tid", Value::U64(tid_of(r))),
-    ];
-    if ph == "i" {
-        // Instant events need a scope; "g" (global) draws a full-height
-        // marker in the viewer — right for alerts.
-        fields.push(("s", Value::Str("g".to_string())));
-    }
-    fields.push(("args", args));
-    Some(map(fields))
+        ("args", args),
+    ]))
 }
 
 /// Comm records always know their swmpi rank, so they land on the

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{AlertRecord, KmcCycleSample, MdStepSample};
+use crate::event::{KmcCycleSample, MdStepSample};
 
 /// One retained point of a science series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -143,9 +143,6 @@ pub struct RunReport {
     pub imbalance: Vec<PhaseImbalance>,
     /// Science time-series tracks, sorted by `(name, rank)`.
     pub series: Vec<SeriesTrack>,
-    /// Watchdog alerts raised during the run, in raise order. Empty
-    /// when no live monitor was attached.
-    pub alerts: Vec<AlertRecord>,
 }
 
 impl RunReport {
@@ -281,7 +278,6 @@ pub fn build_run_report(
         ranks,
         imbalance,
         series: counters.series_tracks(),
-        alerts: counters.alerts(),
     }
 }
 
@@ -296,7 +292,6 @@ struct RegistryInner {
     // Keyed by (name, rank) so iteration — and hence the report —
     // is deterministic regardless of deposit interleaving.
     series: BTreeMap<(String, Option<u32>), Vec<SeriesPoint>>,
-    alerts: Vec<AlertRecord>,
 }
 
 /// Thread-safe accumulator behind [`crate::Telemetry::counters`]. All
@@ -359,16 +354,6 @@ impl CounterRegistry {
     /// Retains one KMC cycle sample.
     pub fn push_kmc(&self, s: KmcCycleSample) {
         self.inner.lock().unwrap().kmc.push(s);
-    }
-
-    /// Retains one watchdog alert.
-    pub fn push_alert(&self, a: AlertRecord) {
-        self.inner.lock().unwrap().alerts.push(a);
-    }
-
-    /// Copies out the retained alerts, in raise order.
-    pub fn alerts(&self) -> Vec<AlertRecord> {
-        self.inner.lock().unwrap().alerts.clone()
     }
 
     /// Retains one science-series sample on the `(rank, name)` track.
@@ -514,16 +499,6 @@ mod tests {
                     SeriesPoint { t: 0, value: 0.0 },
                     SeriesPoint { t: 10, value: 4.0 },
                 ],
-            }],
-            alerts: vec![crate::event::AlertRecord {
-                rule: "alert.heartbeat_stale".into(),
-                severity: crate::event::AlertSeverity::Crit,
-                rank: Some(1),
-                subject: "rank 1".into(),
-                message: "no heartbeat for 0.2 s".into(),
-                value: 0.2,
-                threshold: 0.1,
-                t_ns: 42,
             }],
         };
         let json = report.to_json();

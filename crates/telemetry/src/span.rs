@@ -21,11 +21,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::event::{Event, EventSink, Record};
-use crate::monitor::LiveMonitor;
 use crate::report::{CounterRegistry, RunReport};
 use crate::Mode;
 
@@ -53,11 +52,6 @@ pub struct Telemetry {
     epoch: Instant,
     /// Heartbeat cadence: emit every N progress units (0 = off).
     heartbeat_every: AtomicU64,
-    /// In-process live monitor, when one is attached.
-    monitor: Mutex<Option<Arc<LiveMonitor>>>,
-    /// Fast-path flag mirroring `monitor.is_some()`, so `emit` skips
-    /// the monitor lock entirely in the common no-monitor case.
-    has_monitor: AtomicBool,
 }
 
 thread_local! {
@@ -150,8 +144,6 @@ impl Telemetry {
                     .and_then(|v| v.trim().parse().ok())
                     .unwrap_or(0),
             ),
-            monitor: Mutex::new(None),
-            has_monitor: AtomicBool::new(false),
         };
         t.set_mode(mode);
         t
@@ -222,23 +214,6 @@ impl Telemetry {
         self.heartbeat_every.store(every, Ordering::Relaxed);
     }
 
-    /// Attaches an in-process live monitor: every emitted record is
-    /// also folded into it, and alerts it raises are re-emitted as
-    /// [`Event::Alert`] records and pushed into the counter registry
-    /// (so they land in the end-of-run [`RunReport`]). Implies
-    /// enabling telemetry — the monitor needs the event flow.
-    pub fn attach_monitor(&self, monitor: Arc<LiveMonitor>) {
-        *self.monitor.lock().unwrap() = Some(monitor);
-        self.has_monitor.store(true, Ordering::Relaxed);
-        self.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Detaches the live monitor, returning it.
-    pub fn detach_monitor(&self) -> Option<Arc<LiveMonitor>> {
-        self.has_monitor.store(false, Ordering::Relaxed);
-        self.monitor.lock().unwrap().take()
-    }
-
     /// The counter registry of this domain.
     pub fn counters(&self) -> &CounterRegistry {
         &self.counters
@@ -291,47 +266,26 @@ impl Telemetry {
         });
     }
 
-    /// Streams one event to the sink, if a sink is installed, and to
-    /// the attached live monitor, if any. Events get a process-ordered
-    /// sequence number under the sink lock, so concurrent emitters
-    /// produce a consistent total order. Monitor ingestion happens
-    /// *after* the sink lock is released; alerts the watchdog raises
-    /// re-enter `emit` (as [`Event::Alert`]) and terminate there —
-    /// the monitor ignores alert records on ingest.
+    /// Streams one event to the sink, if a sink is installed. Events
+    /// get a process-ordered sequence number under the sink lock, so
+    /// concurrent emitters produce a consistent total order.
     pub fn emit(&self, event: Event) {
         // Resolve thread identity before taking the sink lock.
         let rank = current_rank();
         let tid = Some(thread_tid());
-        let monitor = if self.has_monitor.load(Ordering::Relaxed) {
-            self.monitor.lock().unwrap().clone()
-        } else {
-            None
+        let mut sink = self.sink.lock().unwrap();
+        let Some(sink) = sink.as_mut() else {
+            return;
         };
-        let record = {
-            let mut sink = self.sink.lock().unwrap();
-            if sink.is_none() && monitor.is_none() {
-                return;
-            }
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let t_ns = self.epoch.elapsed().as_nanos() as u64;
-            let record = Record {
-                seq,
-                t_ns,
-                rank,
-                tid,
-                event,
-            };
-            if let Some(sink) = sink.as_mut() {
-                sink.record(&record);
-            }
-            record
-        };
-        if let Some(monitor) = monitor {
-            for alert in monitor.ingest(&record) {
-                self.counters.push_alert(alert.clone());
-                self.emit(Event::Alert(alert));
-            }
-        }
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
+        sink.record(&Record {
+            seq,
+            t_ns,
+            rank,
+            tid,
+            event,
+        });
     }
 
     /// Snapshot of all span statistics aggregated over ranks, sorted by

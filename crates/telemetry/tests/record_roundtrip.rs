@@ -52,16 +52,6 @@ fn one_of_each() -> Vec<Record> {
             progress: 250,
             total: 1000,
         }),
-        Event::Alert(AlertRecord {
-            rule: "alert.heartbeat_stale".into(),
-            severity: AlertSeverity::Crit,
-            rank: Some(3),
-            subject: "rank 3".into(),
-            message: "no heartbeat for 0.250 s (threshold 0.200 s)".into(),
-            value: 0.25,
-            threshold: 0.2,
-            t_ns: 1_000_000,
-        }),
         Event::Comm(CommRecord {
             op: "send".into(),
             rank: 2,
@@ -86,7 +76,6 @@ fn one_of_each() -> Vec<Record> {
             | Event::Counter { .. }
             | Event::Series(_)
             | Event::Heartbeat(_)
-            | Event::Alert(_)
             | Event::Comm(_) => {}
         }
     }
@@ -114,27 +103,25 @@ fn every_event_kind_round_trips_through_jsonl() {
     }
 }
 
+/// Both severities survive the one-line JSON form `mmds-inspect watch
+/// --alerts-out` writes.
 #[test]
 fn severity_variants_round_trip() {
     for severity in [AlertSeverity::Warn, AlertSeverity::Crit] {
-        let r = Record {
-            seq: 0,
+        let a = AlertRecord {
+            rule: "alert.health_threshold".into(),
+            severity,
+            rank: Some(3),
+            subject: "md.health.energy_drift_warn".into(),
+            message: "x".into(),
+            value: 1.0,
+            threshold: 0.0,
             t_ns: 1,
-            rank: None,
-            tid: Some(0),
-            event: Event::Alert(AlertRecord {
-                rule: "alert.health_threshold".into(),
-                severity,
-                rank: None,
-                subject: "md.health.energy_drift_warn".into(),
-                message: "x".into(),
-                value: 1.0,
-                threshold: 0.0,
-                t_ns: 1,
-            }),
         };
-        let back = Record::from_jsonl(&r.to_jsonl()).unwrap();
-        assert_eq!(back, r);
+        let line = serde_json::to_string(&a).unwrap();
+        assert!(!line.contains('\n'), "one alert per line: {line}");
+        let back: AlertRecord = serde_json::from_str(&line).unwrap();
+        assert_eq!(back, a);
     }
 }
 

@@ -1,25 +1,22 @@
 //! Acceptance test for the live run monitor: heartbeats, the tailing
-//! aggregator, the watchdog, and the Prometheus-style endpoint.
+//! aggregator, and the watchdog.
 //!
 //! One sequential test (the telemetry registry is process-global)
-//! asserting the four monitor guarantees:
+//! asserting the three monitor guarantees:
 //!
-//! (a) heartbeats and an attached live monitor never perturb the
-//!     dynamics — cascade trajectories are bitwise identical with
-//!     monitoring on or off;
+//! (a) heartbeats and an event sink never perturb the dynamics —
+//!     cascade trajectories are bitwise identical with them on or off,
+//!     and the aggregator folding the captured stream sees one beat
+//!     per step;
 //! (b) an incremental tail-fold of the JSONL stream (fed in chunks
 //!     that deliberately split records mid-line) reconstructs the same
 //!     run view the in-process registry reports: span totals, named
 //!     counters, and the rank set;
 //! (c) a rank that stops beating while a peer stays fresh raises the
 //!     staleness alert within two heartbeat intervals, and the alert
-//!     clears on the next beat;
-//! (d) the `/metrics` endpoint serves valid Prometheus text exposition
-//!     (and `/healthz` answers) while a real simulation is feeding the
-//!     monitor.
+//!     clears on the next beat.
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::io::Write as _;
 
 use mmds::kmc::comm::LoopbackK;
 use mmds::kmc::lattice::required_ghost;
@@ -28,8 +25,8 @@ use mmds::lattice::{BccGeometry, LocalGrid};
 use mmds::md::cascade::{launch_pka, PKA_DIRECTION};
 use mmds::md::{MdConfig, MdSimulation};
 use mmds_telemetry::{
-    validate_prometheus_text, AlertSeverity, Event, HeartbeatSample, LiveAggregator, MemorySink,
-    Mode, Record, TailReader, WatchdogConfig,
+    AlertSeverity, Event, HeartbeatSample, LiveAggregator, MemorySink, Mode, Record, TailReader,
+    WatchdogConfig,
 };
 
 const STEPS: usize = 20;
@@ -62,7 +59,7 @@ fn kmc_sim(cells: usize, vacancies: usize) -> KmcSimulation {
     sim
 }
 
-/// (a) Heartbeats + attached monitor on vs off: bitwise-identical
+/// (a) Heartbeats + event sink on vs off: bitwise-identical
 /// trajectories.
 fn assert_monitor_does_not_perturb_dynamics() {
     let tel = mmds_telemetry::global();
@@ -73,17 +70,18 @@ fn assert_monitor_does_not_perturb_dynamics() {
 
     tel.reset();
     mmds_telemetry::set_heartbeat_every(1);
-    let handle = mmds_telemetry::start_live_monitor(WatchdogConfig::default(), None)
-        .expect("in-process monitor needs no socket");
+    let sink = MemorySink::new();
+    tel.install_sink(Box::new(sink.clone()));
     let mut on = cascade_sim();
     on.run_local(STEPS);
-    {
-        let g = handle.monitor().lock();
-        assert_eq!(g.heartbeat_count(), STEPS as u64, "one beat per step");
-        assert!(g.records() > STEPS as u64, "spans/samples folded too");
-    }
-    drop(handle);
+    tel.take_sink();
     mmds_telemetry::set_heartbeat_every(0);
+    let mut agg = LiveAggregator::retaining(WatchdogConfig::default());
+    for r in &sink.records() {
+        agg.fold(r);
+    }
+    assert_eq!(agg.heartbeat_count(), STEPS as u64, "one beat per step");
+    assert!(agg.records() > STEPS as u64, "spans/samples folded too");
 
     for &s in &off.interior {
         assert_eq!(off.lnl.pos[s], on.lnl.pos[s], "positions at site {s}");
@@ -243,52 +241,6 @@ fn assert_stall_detected_within_two_intervals() {
     assert!(agg.healthy(), "recovered rank clears the staleness alert");
 }
 
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("metrics endpoint accepts connections");
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    out
-}
-
-/// (d) The HTTP endpoint serves valid Prometheus text while a real
-/// simulation feeds the monitor.
-fn assert_metrics_endpoint_serves_valid_text() {
-    let tel = mmds_telemetry::global();
-    tel.reset();
-    mmds_telemetry::set_heartbeat_every(1);
-    let handle = mmds_telemetry::start_live_monitor(WatchdogConfig::default(), Some("127.0.0.1:0"))
-        .expect("ephemeral port binds");
-    let addr = handle.addr().expect("server requested");
-
-    let mut sim = kmc_sim(8, 3);
-    sim.run_cycles(ExchangeStrategy::Traditional, &mut LoopbackK, 4);
-
-    let response = http_get(addr, "/metrics");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("well-formed HTTP response");
-    assert!(head.starts_with("HTTP/1.1 200"), "status line: {head}");
-    validate_prometheus_text(body).expect("valid Prometheus text exposition");
-    assert!(
-        body.contains("mmds_heartbeat_progress{source=\"kmc.heartbeat\""),
-        "kmc beats visible in:\n{body}"
-    );
-    assert!(body.contains("mmds_span_seconds_total"));
-
-    let healthz = http_get(addr, "/healthz");
-    assert!(healthz.starts_with("HTTP/1.1 200"), "healthz: {healthz}");
-    assert!(healthz.ends_with("ok\n"));
-
-    handle.stop();
-    mmds_telemetry::set_heartbeat_every(0);
-    tel.reset();
-}
-
 #[test]
 fn live_monitor_acceptance() {
     // One sequential test: the phases share the process-global
@@ -297,5 +249,4 @@ fn live_monitor_acceptance() {
     assert_monitor_does_not_perturb_dynamics();
     assert_tail_fold_agrees_with_registry();
     assert_stall_detected_within_two_intervals();
-    assert_metrics_endpoint_serves_valid_text();
 }
