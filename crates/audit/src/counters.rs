@@ -11,7 +11,7 @@
 //!    `crates/kmc`, `crates/coupled`, `crates/telemetry`,
 //!    `crates/bench` — via
 //!    `mmds_telemetry::add_counter(…)`, `emit_series(…)`,
-//!    `add_named(…)`, `emit_heartbeat(…)` or `emit_phase_heartbeat(…)`,
+//!    `emit_heartbeat(…)` or `emit_phase_heartbeat(…)`,
 //!    or spelled in a `const …_SERIES` / `const …_COUNTERS` name array
 //!    — must appear in the manifest;
 //! 2. every manifest entry must still be charged somewhere (no stale
@@ -56,10 +56,9 @@ const CHARGED_DIRS: [&str; 5] = [
 ];
 
 /// Call tokens that charge a name as their first argument.
-const CALL_TOKENS: [&str; 5] = [
+const CALL_TOKENS: [&str; 4] = [
     "add_counter(",
     "emit_series(",
-    "add_named(",
     "emit_heartbeat(",
     "emit_phase_heartbeat(",
 ];

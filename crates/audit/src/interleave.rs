@@ -1,7 +1,7 @@
 //! Mini exhaustive-interleaving model checker (loom-style, offline).
 //!
 //! The workspace's concurrency surfaces are small and mutex-protected
-//! — the swmpi one-sided window hub, the telemetry span registry, the
+//! — the swmpi one-sided window hub, the telemetry span fold, the
 //! JSONL sink sequence counter — so their correctness arguments reduce
 //! to: *for every interleaving of the participating ranks' operations,
 //! the protocol invariants hold*. With operations at method

@@ -59,7 +59,7 @@
 //! loom-style scheduler that enumerates *every* interleaving of a set
 //! of modelled threads; `tests/model_checks.rs` (behind the
 //! `model-checks` feature) uses it to check the swmpi window
-//! fence/put protocol, the telemetry span-registry `(rank, path)`
+//! fence/put protocol, the telemetry span-fold `(rank, path)`
 //! keying, and the JSONL sink sequence counter under all schedules.
 
 #![forbid(unsafe_code)]

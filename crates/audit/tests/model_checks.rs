@@ -304,8 +304,8 @@ fn hub_abort_never_exposes_a_half_published_result() {
     assert_eq!(n as u128, schedule_count(&counts));
 }
 
-/// Span-registry keying: two modelled ranks interleave spans with the
-/// *same* path. Under every schedule the registry must keep the ranks'
+/// Span-fold keying: two modelled ranks interleave spans with the
+/// *same* path. Under every schedule the fold must keep the ranks'
 /// statistics separate — keyed `(rank, path)` — with exact per-rank
 /// counts, and the aggregate view must still total both.
 #[test]
@@ -318,16 +318,16 @@ fn span_registry_keys_by_rank_and_path_under_all_schedules() {
             let _span = tele.span("model_step");
         },
         |tele, schedule| {
-            let per_rank = tele.rank_span_reports();
-            assert_eq!(per_rank.len(), 2, "one entry per rank: {schedule:?}");
-            for (rank, report) in &per_rank {
-                assert!(matches!(rank, Some(0) | Some(1)));
-                assert_eq!(report.path, "model_step");
-                assert_eq!(report.count, 3, "rank {rank:?} under {schedule:?}");
+            let report = tele.run_report();
+            assert_eq!(report.ranks.len(), 2, "one entry per rank: {schedule:?}");
+            for (rank, r) in report.ranks.iter().enumerate() {
+                assert_eq!(r.rank, rank as u32);
+                assert_eq!(r.spans.len(), 1);
+                assert_eq!(r.spans[0].path, "model_step");
+                assert_eq!(r.spans[0].count, 3, "rank {rank} under {schedule:?}");
             }
-            let merged = tele.span_reports();
-            assert_eq!(merged.len(), 1);
-            assert_eq!(merged[0].count, 6, "aggregate totals both ranks");
+            assert_eq!(report.spans.len(), 1);
+            assert_eq!(report.spans[0].count, 6, "aggregate totals both ranks");
         },
     );
     assert_eq!(n as u128, schedule_count(&[3, 3]));

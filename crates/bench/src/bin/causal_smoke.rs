@@ -7,7 +7,7 @@
 //! `MMDS_TELEMETRY=jsonl:… MMDS_COMM_TRACE=1` and feeds the trace to
 //! `mmds-inspect causal --strict` to gate match closure.
 
-use mmds_bench::{header, inspect, reconcile};
+use mmds_bench::{header, reconcile};
 use mmds_coupled::parallel::{run_coupled_parallel, ParallelCoupledParams};
 use mmds_kmc::{ExchangeStrategy, KmcConfig};
 use mmds_md::offload::OffloadConfig;
@@ -97,7 +97,7 @@ fn main() {
         return;
     }
     let text = std::fs::read_to_string(&trace_path).expect("read back the trace stream");
-    let mut records = inspect::load_records(&text);
+    let (mut records, _) = mmds_telemetry::parse_jsonl(&text);
     records.sort_by_key(|r| r.seq);
     let graph = mmds_bench::causal::build_graph(&records);
     let plans = reconcile::declared_plans(params.strategy);

@@ -66,8 +66,7 @@
 
 use mmds_bench::archive::{self, Archive};
 use mmds_bench::inspect::{
-    diff_bench, diff_reports, load_bench, load_records, load_report, report_from_records, summary,
-    timeline,
+    diff_bench, diff_reports, load_bench, load_report, report_from_records, summary, timeline,
 };
 use mmds_bench::watch::{run_watch, WatchOptions};
 
@@ -100,11 +99,22 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses a JSONL trace and says how many lines it had to skip (a torn
+/// tail of a live file, or corruption).
+fn load_trace(path: &str) -> Vec<mmds_telemetry::Record> {
+    let (records, skipped) = mmds_telemetry::parse_jsonl(&read(path));
+    println!(
+        "trace: {} records, {skipped} unparseable line(s) skipped",
+        records.len()
+    );
+    records
+}
+
 fn load_any(path: &str) -> mmds_telemetry::RunReport {
-    let text = read(path);
     if path.ends_with(".jsonl") {
-        report_from_records(&load_records(&text))
+        report_from_records(&load_trace(path))
     } else {
+        let text = read(path);
         match load_report(&text) {
             Ok(r) => r,
             Err(e) => {
@@ -133,7 +143,7 @@ fn cmd_causal(path: &str, json_out: Option<&str>, strict: bool, model: Option<&s
         }
         None => None,
     };
-    let records = load_records(&read(path));
+    let records = load_trace(path);
     let rep = mmds_bench::causal::analyze(&records, model.as_ref());
     print!("{}", mmds_bench::causal::causal_view(&rep));
     if let Some(out) = json_out {

@@ -92,7 +92,7 @@ fn run_config(
     let t0 = Instant::now();
     let events = sim.run_cycles(strategy, &mut t, cycles);
     let wall = t0.elapsed().as_secs_f64();
-    let named = tel.counters().snapshot().named;
+    let named = tel.run_report().counters.named;
     let get = |n: &str| named.get(n).copied().unwrap_or(0.0);
     let ghost_bytes = get("kmc.ghost_bytes");
     let baseline_bytes = get("kmc.exchange.baseline_bytes");

@@ -123,7 +123,7 @@ fn run_config(
         let w = t0.elapsed().as_secs_f64();
         if w < wall {
             wall = w;
-            let reports = tel.span_reports();
+            let reports = tel.run_report().spans;
             phases = PhaseSeconds {
                 density: phase_total(&reports, "md.density"),
                 embed: phase_total(&reports, "md.embed"),

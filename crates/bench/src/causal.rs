@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 use mmds_swmpi::{CommOp, MachineModel};
-use mmds_telemetry::{Event, Record};
+use mmds_telemetry::{Event, Record, RunFold};
 use serde::{Deserialize, Serialize};
 
 /// One comm operation lifted out of the record stream: its wall
@@ -108,60 +108,39 @@ impl CausalGraph {
 }
 
 /// Builds the event graph: lifts `Event::Comm` records (attributing
-/// each to the innermost span open on its thread), joins producers
-/// with consumers by `(src, seq)`, and groups collective halves by hub
-/// generation.
+/// each to the innermost span open on its thread, as the
+/// [`RunFold`] sees it), joins producers with consumers by
+/// `(src, seq)`, and groups collective halves by hub generation.
 pub fn build_graph(records: &[Record]) -> CausalGraph {
     let mut g = CausalGraph::default();
-    let mut stacks: HashMap<u32, Vec<String>> = HashMap::new();
+    let mut fold = RunFold::default();
     for r in records {
-        let tid = r.tid.unwrap_or(0);
-        match &r.event {
-            Event::SpanOpen { path } => stacks.entry(tid).or_default().push(path.clone()),
-            Event::SpanClose { path, dur_ns } => {
-                if let Some(stack) = stacks.get_mut(&tid) {
-                    if let Some(i) = stack.iter().rposition(|p| p == path) {
-                        stack.remove(i);
-                    }
-                }
-                if !path.contains('/') {
-                    let open = r.t_ns.saturating_sub(*dur_ns);
-                    let wider = g
-                        .root_span_ns
-                        .map(|(o, c)| dur_ns > &(c - o))
-                        .unwrap_or(true);
-                    if wider {
-                        g.root_span_ns = Some((open, r.t_ns));
-                    }
-                }
-            }
-            Event::Comm(c) => {
-                let phase = stacks
-                    .get(&tid)
-                    .and_then(|s| s.last())
-                    .cloned()
-                    .unwrap_or_default();
-                let Some(op) = CommOp::parse(&c.op) else {
-                    continue;
-                };
-                g.events.push(TraceEvent {
-                    op,
-                    rank: c.rank,
-                    peer: c.peer,
-                    bytes: c.bytes,
-                    match_src: c.match_src,
-                    match_seq: c.match_seq,
-                    lamport: c.lamport,
-                    vt_enter: c.vt_enter,
-                    vt_exit: c.vt_exit,
-                    t_enter_ns: r.t_ns.saturating_sub(c.dur_ns),
-                    t_exit_ns: r.t_ns,
-                    phase,
-                });
-            }
-            _ => {}
-        }
+        fold.fold(r);
+        let Event::Comm(c) = &r.event else {
+            continue;
+        };
+        let Some(op) = CommOp::parse(&c.op) else {
+            continue;
+        };
+        g.events.push(TraceEvent {
+            op,
+            rank: c.rank,
+            peer: c.peer,
+            bytes: c.bytes,
+            match_src: c.match_src,
+            match_seq: c.match_seq,
+            lamport: c.lamport,
+            vt_enter: c.vt_enter,
+            vt_exit: c.vt_exit,
+            t_enter_ns: r.t_ns.saturating_sub(c.dur_ns),
+            t_exit_ns: r.t_ns,
+            phase: fold
+                .innermost_open(r.tid.unwrap_or(0))
+                .unwrap_or_default()
+                .to_string(),
+        });
     }
+    g.root_span_ns = fold.root_window();
 
     let mut producers: HashMap<(u32, u64), usize> = HashMap::new();
     for (i, e) in g.events.iter().enumerate() {

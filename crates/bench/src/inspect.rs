@@ -8,7 +8,7 @@
 
 use std::fmt::Write as _;
 
-use mmds_telemetry::{PhaseImbalance, Record, RunReport, SpanReport};
+use mmds_telemetry::{PhaseImbalance, Record, RunFold, RunReport, SpanReport};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of the bench regression gate.
@@ -43,25 +43,17 @@ pub fn load_report(text: &str) -> Result<RunReport, String> {
     serde_json::from_str(text).map_err(|e| format!("not a RunReport: {e}"))
 }
 
-/// Parses a JSONL trace (tolerating a torn final line).
-pub fn load_records(text: &str) -> Vec<Record> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| Record::from_jsonl(l).ok())
-        .collect()
-}
-
-/// Reconstructs a [`RunReport`] from a JSONL record stream by folding
-/// it through a lossless [`mmds_telemetry::LiveAggregator`] — the same
-/// implementation the live `watch` view uses, so a post-hoc summary
-/// and a `watch --once` over the same stream agree by construction.
-/// Comm stats are not in the stream, so `ranks[*].comm` stays empty.
+/// Reconstructs a [`RunReport`] from a record stream by folding it
+/// through [`RunFold`] — the fold the producing process itself
+/// reports from, and the one `watch` and `causal` use, so they all
+/// agree by construction. Comm stats are not in the stream, so
+/// `ranks[*].comm` stays empty.
 pub fn report_from_records(records: &[Record]) -> RunReport {
-    let mut agg = mmds_telemetry::LiveAggregator::retaining(Default::default());
+    let mut fold = RunFold::default();
     for r in records {
-        agg.fold(r);
+        fold.fold(r);
     }
-    agg.report()
+    fold.report()
 }
 
 /// Renders the per-phase load-imbalance table (worst ratio first).
@@ -675,19 +667,48 @@ mod tests {
         assert_eq!(s.chars().filter(|&c| c == '█').count(), 1);
     }
 
+    fn report_of(events: Vec<Event>) -> RunReport {
+        let records: Vec<Record> = events
+            .into_iter()
+            .enumerate()
+            .map(|(seq, event)| Record {
+                seq: seq as u64,
+                t_ns: seq as u64,
+                rank: None,
+                tid: Some(0),
+                event,
+            })
+            .collect();
+        report_from_records(&records)
+    }
+
+    fn counter(name: &str, value: f64) -> Event {
+        Event::Counter {
+            name: name.into(),
+            value,
+        }
+    }
+
     #[test]
     fn timeline_renders_series_budget_and_savings() {
-        let registry = mmds_telemetry::CounterRegistry::default();
-        for (t, v) in [(10u64, 2.0), (20, 5.0), (30, 4.0)] {
-            registry.push_series(None, "census.frenkel_pairs", t, v);
-        }
-        registry.add_named("kmc.ghost_bytes", 26.0);
-        registry.add_named("kmc.exchange.baseline_bytes", 1000.0);
-        registry.add_named("kmc.exchange.dirty_sites", 3.0);
-        registry.add_named("kmc.exchange.candidate_sites", 100.0);
-        registry.add_named("coupled.handoff.placed", 7.0);
-        let report = mmds_telemetry::report::build_run_report(vec![], vec![], &registry);
-        let text = timeline(&report);
+        let mut events: Vec<Event> = [(10u64, 2.0), (20, 5.0), (30, 4.0)]
+            .into_iter()
+            .map(|(t, value)| {
+                Event::Series(mmds_telemetry::SeriesSample {
+                    name: "census.frenkel_pairs".into(),
+                    t,
+                    value,
+                })
+            })
+            .collect();
+        events.extend([
+            counter("kmc.ghost_bytes", 26.0),
+            counter("kmc.exchange.baseline_bytes", 1000.0),
+            counter("kmc.exchange.dirty_sites", 3.0),
+            counter("kmc.exchange.candidate_sites", 100.0),
+            counter("coupled.handoff.placed", 7.0),
+        ]);
+        let text = timeline(&report_of(events));
         assert!(text.contains("census.frenkel_pairs"));
         assert!(text.contains("last=4.0000"), "{text}");
         assert!(text.contains("handoff placed into KMC"));
@@ -697,23 +718,26 @@ mod tests {
 
     #[test]
     fn summary_reports_kmc_evals_per_event() {
-        let registry = mmds_telemetry::CounterRegistry::default();
         assert_eq!(
             kmc_solver_cost_view(&RunReport::default()),
             "",
             "no KMC events, no line"
         );
-        for (cycle, events) in [(1, 3), (2, 1)] {
-            registry.push_kmc(mmds_telemetry::KmcCycleSample {
-                cycle,
-                events,
-                ..Default::default()
-            });
-        }
-        registry.add_named("kmc.rate.site_evals", 9000.0);
-        registry.add_named("kmc.rate.rate_evals", 26.0);
-        let report = mmds_telemetry::report::build_run_report(vec![], vec![], &registry);
-        let text = summary(&report);
+        let mut events: Vec<Event> = [(1, 3), (2, 1)]
+            .into_iter()
+            .map(|(cycle, events)| {
+                Event::Kmc(mmds_telemetry::KmcCycleSample {
+                    cycle,
+                    events,
+                    ..Default::default()
+                })
+            })
+            .collect();
+        events.extend([
+            counter("kmc.rate.site_evals", 9000.0),
+            counter("kmc.rate.rate_evals", 26.0),
+        ]);
+        let text = summary(&report_of(events));
         assert!(
             text.contains("2250.0 site evals/event, 6.50 rate evals/event over 4 events"),
             "{text}"

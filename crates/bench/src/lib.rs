@@ -176,7 +176,8 @@ pub mod kmc_sweep {
         }
     }
 
-    /// Runs one KMC configuration at `ranks` and aggregates.
+    /// Weak-scaling variant: `per_rank_cells`³ per rank on the
+    /// [`CartGrid`] of `ranks`.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         world: &World,
@@ -187,34 +188,16 @@ pub mod kmc_sweep {
         strategy: ExchangeStrategy,
         charge_compute: bool,
     ) -> SweepPoint {
-        let dims = CartGrid::for_ranks(ranks).dims;
-        let global = [
-            dims[0] * per_rank_cells,
-            dims[1] * per_rank_cells,
-            dims[2] * per_rank_cells,
-        ];
-        let params = ParallelKmcParams {
-            kmc: KmcConfig {
-                table_knots: 1500,
-                events_per_cycle: 1.0,
-                ..Default::default()
-            },
-            global_cells: global,
-            vacancy_concentration: concentration,
+        let global_cells = CartGrid::for_ranks(ranks).dims.map(|d| d * per_rank_cells);
+        run_fixed_box(
+            world,
+            ranks,
+            global_cells,
+            concentration,
             cycles,
             strategy,
             charge_compute,
-        };
-        let out = run_parallel_kmc(world, ranks, &params);
-        let stats: Vec<CommStats> = out.iter().map(|o| o.stats).collect();
-        SweepPoint {
-            ranks,
-            sites: 2 * global[0] * global[1] * global[2],
-            events: out.iter().map(|o| o.result.events).sum(),
-            bytes: total_bytes_sent(&out),
-            comm_time: CommStats::max_comm_time(&stats),
-            compute_time: CommStats::max_compute_time(&stats),
-        }
+        )
     }
 }
 

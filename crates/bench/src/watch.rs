@@ -2,9 +2,10 @@
 //!
 //! Tails a growing JSONL trace with a
 //! [`mmds_telemetry::TailReader`], folds it into a
-//! [`mmds_telemetry::LiveAggregator`], evaluates the watchdog each
-//! poll, and renders a refreshing terminal dashboard: phase progress,
-//! per-rank heartbeat ages, the alert feed, and sparkline tails of the
+//! [`mmds_telemetry::RunFold`] (the fold the producing process reports
+//! from), evaluates the [`mmds_telemetry::Watchdog`] after each record,
+//! and renders a refreshing terminal dashboard: phase progress,
+//! per-rank heartbeat ages, the alert feed, and sparklines of the
 //! science series. `--once` reads to end-of-file (including a
 //! complete-but-unterminated final line), prints a single frame, and
 //! exits — the scripted/CI mode.
@@ -12,7 +13,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use mmds_telemetry::{AlertSeverity, LiveAggregator, TailReader, WatchdogConfig};
+use mmds_telemetry::{AlertSeverity, RunFold, TailReader, Watchdog};
 
 /// Options of one `watch` invocation.
 #[derive(Debug, Clone, Default)]
@@ -39,20 +40,22 @@ fn fmt_rank(rank: Option<u32>) -> String {
     }
 }
 
-/// Renders one dashboard frame from the aggregator at stream time
-/// `now_ns`.
-pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String {
+/// Renders one dashboard frame from the fold and its watchdog at
+/// stream time `now_ns`.
+pub fn render_dashboard(fold: &RunFold, dog: &Watchdog, now_ns: u64, path: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "mmds-inspect watch — {path}\n\
-         records {}  heartbeats {}  parse errors {}  alerts {}  stream clock {:.3} s  [{}]",
-        agg.records(),
-        agg.heartbeat_count(),
-        agg.parse_errors(),
-        agg.alerts().len(),
+         records {}  heartbeats {}  parse errors {}  series points dropped {}  alerts {}  \
+         stream clock {:.3} s  [{}]",
+        fold.records(),
+        fold.heartbeat_count(),
+        fold.parse_errors(),
+        fold.series_dropped(),
+        dog.alerts().len(),
         now_ns as f64 * 1e-9,
-        if agg.healthy() {
+        if dog.healthy() {
             "healthy"
         } else {
             "UNHEALTHY"
@@ -60,10 +63,10 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
     );
 
     out.push_str("\n-- rank heartbeats --\n");
-    if agg.heartbeats().is_empty() {
+    if fold.heartbeats().is_empty() {
         out.push_str("  none yet (set MMDS_HEARTBEAT=<n> on the producer)\n");
     } else {
-        for ((rank, source), st) in agg.heartbeats() {
+        for ((rank, source), st) in fold.heartbeats() {
             let age_s = now_ns.saturating_sub(st.last_t_ns) as f64 * 1e-9;
             let progress = if st.total > 0 {
                 format!("{}/{}", st.progress, st.total)
@@ -77,12 +80,12 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
                 source,
                 progress,
                 age_s,
-                if agg.is_stale(*rank) { "STALE" } else { "OK" },
+                if dog.is_stale(*rank) { "STALE" } else { "OK" },
             );
         }
     }
 
-    let open = agg.open_spans();
+    let open = fold.open_spans();
     out.push_str("\n-- open spans --\n");
     if open.is_empty() {
         out.push_str("  none\n");
@@ -99,7 +102,7 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
     }
 
     out.push_str("\n-- span totals (heaviest first) --\n");
-    let mut totals = agg.span_totals();
+    let mut totals = fold.span_totals();
     totals.sort_by(|a, b| b.total_s.total_cmp(&a.total_s));
     if totals.is_empty() {
         out.push_str("  none\n");
@@ -112,12 +115,13 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
         }
     }
 
-    out.push_str("\n-- series tails --\n");
-    if agg.series_tails().is_empty() {
+    out.push_str("\n-- series --\n");
+    let series = fold.series();
+    if series.is_empty() {
         out.push_str("  none\n");
     } else {
-        for ((name, rank), tail) in agg.series_tails().iter().take(MAX_SERIES_ROWS) {
-            let values: Vec<f64> = tail.points.iter().map(|p| p.value).collect();
+        for ((name, rank), points) in series.iter().take(MAX_SERIES_ROWS) {
+            let values: Vec<f64> = points.iter().map(|p| p.value).collect();
             let label = match rank {
                 Some(r) => format!("{name}@{r}"),
                 None => name.clone(),
@@ -126,30 +130,26 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
                 out,
                 "  {label:<34} {:<48}  n={:<5} last={:.4}",
                 crate::inspect::sparkline(&values, 48),
-                tail.n,
+                values.len(),
                 values.last().copied().unwrap_or(0.0),
             );
         }
-        if agg.series_tails().len() > MAX_SERIES_ROWS {
-            let _ = writeln!(
-                out,
-                "  … {} more tracks",
-                agg.series_tails().len() - MAX_SERIES_ROWS
-            );
+        if series.len() > MAX_SERIES_ROWS {
+            let _ = writeln!(out, "  … {} more tracks", series.len() - MAX_SERIES_ROWS);
         }
     }
 
     out.push_str("\n-- alert feed --\n");
-    if agg.alerts().is_empty() {
+    if dog.alerts().is_empty() {
         out.push_str("  none\n");
     } else {
-        let alerts = agg.alerts();
+        let alerts = dog.alerts();
         let skip = alerts.len().saturating_sub(MAX_ALERT_ROWS);
         if skip > 0 {
             let _ = writeln!(out, "  … {skip} earlier alerts");
         }
         for a in &alerts[skip..] {
-            let active = agg
+            let active = dog
                 .active_alerts()
                 .contains(&(a.rule.clone(), a.subject.clone()));
             let _ = writeln!(
@@ -167,9 +167,9 @@ pub fn render_dashboard(agg: &LiveAggregator, now_ns: u64, path: &str) -> String
     out
 }
 
-fn write_alerts_jsonl(path: &str, agg: &LiveAggregator) {
+fn write_alerts_jsonl(path: &str, dog: &Watchdog) {
     let mut text = String::new();
-    for a in agg.alerts() {
+    for a in dog.alerts() {
         match serde_json::to_string(a) {
             Ok(line) => {
                 text.push_str(&line);
@@ -187,11 +187,8 @@ fn write_alerts_jsonl(path: &str, agg: &LiveAggregator) {
 /// 0 when the stream ended (or `--once` finished) healthy, 1 when any
 /// `Crit` alert was raised at any point.
 pub fn run_watch(path: &str, opts: &WatchOptions) -> i32 {
-    let mut agg = if opts.once {
-        LiveAggregator::retaining(WatchdogConfig::default())
-    } else {
-        LiveAggregator::live(WatchdogConfig::default())
-    };
+    let mut fold = RunFold::default();
+    let mut dog = Watchdog::default();
     let mut tail = TailReader::new(path);
     let mut had_crit = false;
     loop {
@@ -202,32 +199,27 @@ pub fn run_watch(path: &str, opts: &WatchOptions) -> i32 {
                 return 2;
             }
         };
-        for r in &records {
-            agg.fold(r);
-            agg.evaluate(r.t_ns);
+        // End-of-stream: a final record without a trailing newline
+        // still counts.
+        let last = opts.once.then(|| tail.finish()).flatten();
+        for r in records.iter().chain(&last) {
+            fold.fold(r);
+            dog.evaluate(&fold, r.t_ns);
         }
-        if opts.once {
-            // End-of-stream: a final record without a trailing newline
-            // still counts.
-            if let Some(r) = tail.finish() {
-                agg.fold(&r);
-                agg.evaluate(r.t_ns);
-            }
-        } else {
+        if !opts.once {
             // Between records, age heartbeats on the stream-clock
             // estimate of now so a stall is noticed without new input.
-            let now = agg.now_ns();
-            agg.evaluate(now);
+            dog.evaluate(&fold, fold.now_ns());
         }
-        agg.note_parse_errors(tail.parse_errors());
-        had_crit |= agg
+        fold.note_parse_errors(tail.parse_errors());
+        had_crit |= dog
             .alerts()
             .iter()
             .any(|a| a.severity == AlertSeverity::Crit);
 
-        let frame = render_dashboard(&agg, agg.now_ns(), path);
+        let frame = render_dashboard(&fold, &dog, fold.now_ns(), path);
         if let Some(out) = &opts.alerts_out {
-            write_alerts_jsonl(out, &agg);
+            write_alerts_jsonl(out, &dog);
         }
         if opts.once {
             print!("{frame}");
@@ -249,8 +241,8 @@ mod tests {
 
     #[test]
     fn dashboard_renders_all_sections() {
-        let mut agg = LiveAggregator::retaining(WatchdogConfig::default());
-        agg.fold(&Record {
+        let mut fold = RunFold::default();
+        fold.fold(&Record {
             seq: 0,
             t_ns: 1_000,
             rank: Some(0),
@@ -261,7 +253,7 @@ mod tests {
                 total: 0,
             }),
         });
-        agg.fold(&Record {
+        fold.fold(&Record {
             seq: 1,
             t_ns: 2_000,
             rank: Some(0),
@@ -270,14 +262,14 @@ mod tests {
                 path: "kmc.phase".into(),
             },
         });
-        let text = render_dashboard(&agg, 10_000, "trace.jsonl");
+        let text = render_dashboard(&fold, &Watchdog::default(), 10_000, "trace.jsonl");
         for needle in [
             "rank heartbeats",
             "kmc.heartbeat",
             "open spans",
             "kmc.phase",
             "span totals",
-            "series tails",
+            "series",
             "alert feed",
             "healthy",
         ] {

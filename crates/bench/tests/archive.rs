@@ -12,7 +12,19 @@ use mmds_bench::archive::{mdstep_config, record_from_bench_doc, Archive, Archive
 use mmds_bench::inspect::{BenchConfigRow, Gate};
 use mmds_md::domain::Loopback;
 use mmds_md::{MdConfig, MdSimulation};
-use mmds_telemetry::{ConfigKey, SpanReport};
+use mmds_telemetry::report::CounterSnapshot;
+use mmds_telemetry::{ConfigKey, RunReport, SeriesPoint, SeriesTrack, SpanReport};
+
+fn track(name: &str, rank: Option<u32>, points: &[(u64, f64)]) -> SeriesTrack {
+    SeriesTrack {
+        name: name.to_string(),
+        rank,
+        points: points
+            .iter()
+            .map(|&(t, value)| SeriesPoint { t, value })
+            .collect(),
+    }
+}
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -100,19 +112,20 @@ fn concurrent_writers_produce_a_parseable_index_with_both_records() {
 fn archived_record_round_trips_every_field() {
     // Populate every field with a non-default value so a field dropped
     // by (de)serialization cannot hide behind a default.
-    let registry = mmds_telemetry::CounterRegistry::default();
-    registry.push_series(Some(3), "census.vacancies", 10, 42.0);
-    registry.add_named("kmc.ghost_bytes", 26.0);
-    let report = mmds_telemetry::report::build_run_report(
-        vec![SpanReport {
+    let report = RunReport {
+        spans: vec![SpanReport {
             path: "run/md".to_string(),
             count: 2,
             total_s: 1.5,
             self_s: 1.25,
         }],
-        vec![],
-        &registry,
-    );
+        counters: CounterSnapshot {
+            named: BTreeMap::from([("kmc.ghost_bytes".to_string(), 26.0)]),
+            ..Default::default()
+        },
+        series: vec![track("census.vacancies", Some(3), &[(10, 42.0)])],
+        ..Default::default()
+    };
     let mut rec = ArchiveRecord::new(
         ConfigKey::new("roundtrip")
             .with_int("cells", 8)
@@ -280,11 +293,13 @@ fn torn_index_tail_is_tolerated() {
 
 #[test]
 fn series_last_summarizes_rank_tagged_tracks() {
-    let registry = mmds_telemetry::CounterRegistry::default();
-    registry.push_series(None, "census.frenkel_pairs", 1, 5.0);
-    registry.push_series(None, "census.frenkel_pairs", 2, 9.0);
-    registry.push_series(Some(2), "census.vacancies", 1, 3.0);
-    let report = mmds_telemetry::report::build_run_report(vec![], vec![], &registry);
+    let report = RunReport {
+        series: vec![
+            track("census.frenkel_pairs", None, &[(1, 5.0), (2, 9.0)]),
+            track("census.vacancies", Some(2), &[(1, 3.0)]),
+        ],
+        ..Default::default()
+    };
     let rec = ArchiveRecord::new(ConfigKey::new("s"))
         .unwrap()
         .with_report(report);

@@ -148,7 +148,7 @@ impl CoupledSimulation {
         }
         let seeded = kmc.lat.n_vacancies() - placed;
         if mmds_telemetry::enabled() {
-            // Defect-transfer accounting through the counter registry
+            // Defect-transfer accounting through named counters
             // (the handoff used to be invisible to telemetry).
             mmds_telemetry::add_counter("coupled.handoff.md_vacancies", vac_cells.len() as f64);
             mmds_telemetry::add_counter("coupled.handoff.placed", placed as f64);

@@ -143,7 +143,6 @@ impl KmcSimulation {
                 vacancies: vac_after,
                 vacancy_delta: vac_after as i64 - vac_before as i64,
             };
-            mmds_telemetry::global().counters().push_kmc(sample);
             mmds_telemetry::emit(mmds_telemetry::Event::Kmc(sample));
             mmds_telemetry::add_counter("kmc.ghost_bytes", ghost_bytes as f64);
             // Solver work of this cycle, so a trace alone says how many

@@ -267,7 +267,6 @@ impl MdSimulation {
                 if p > p_bound {
                     mmds_telemetry::add_counter("md.health.momentum_warn", 1.0);
                 }
-                mmds_telemetry::global().counters().push_md(sample);
                 mmds_telemetry::emit(mmds_telemetry::Event::Md(sample));
                 // In-situ defect census at the configured cadence: a
                 // read-only double-buffered pass that streams the

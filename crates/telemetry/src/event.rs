@@ -52,7 +52,7 @@ pub struct KmcCycleSample {
 /// One sample of a named science time-series (defect census output,
 /// comm-savings accounting, handoff deltas). Samples for a given
 /// `(rank, name)` track must be pushed with non-decreasing `t` — the
-/// registry enforces monotonicity so downstream consumers (sparklines,
+/// run fold enforces monotonicity so downstream consumers (sparklines,
 /// budget tables) never need to sort.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeriesSample {

@@ -4,20 +4,27 @@
 //! communication-volume accounting; this crate is the substrate that
 //! produces those numbers from *one* instrumentation layer:
 //!
-//! * **Phase spans** ([`span!`]) — RAII-guarded, nestable timers that
-//!   accumulate wall time and call counts into a thread-safe registry.
-//!   When telemetry is off the guard is a no-op (one relaxed atomic
-//!   load), so instrumentation stays compiled in for release builds.
+//! * **Phase spans** ([`span!`]) — RAII-guarded, nestable timers whose
+//!   open/close are events like any other. When telemetry is off the
+//!   guard is a no-op (one relaxed atomic load), so instrumentation
+//!   stays compiled in for release builds.
 //! * **Structured events** ([`event::Event`]) — span open/close,
-//!   per-step MD samples, per-cycle KMC samples, arbitrary counters —
-//!   streamed to a pluggable JSONL sink (file, in-memory, null).
-//! * **Counter registry** ([`report::CounterRegistry`]) — absorbs the
-//!   per-rank [`mmds_swmpi::CommStats`] and per-CPE
-//!   [`mmds_sunway::CpeCounters`] so a run ends with one merged
-//!   [`report::RunReport`] serializable to JSON.
+//!   per-step MD samples, per-cycle KMC samples, named counters,
+//!   science series, heartbeats, traced comm operations.
+//!   [`Telemetry::emit`] is the one write path: it folds each record
+//!   into the instance's [`RunFold`] and streams it to a pluggable JSONL
+//!   sink (file, in-memory, null), under one lock.
+//! * **One fold** ([`RunFold`]) — span totals and self times, counters,
+//!   series, samples, heartbeats. The in-process report and every trace
+//!   reader (`mmds-inspect summary`/`timeline`/`watch`/`causal`) use it,
+//!   so they agree by construction.
+//! * **Deposits** ([`report::CounterRegistry`]) — the two inputs that
+//!   are not events: per-rank [`mmds_swmpi::CommStats`] (with flow
+//!   matrices) and per-CPE [`mmds_sunway::CpeCounters`]. A run ends
+//!   with one [`report::RunReport`] serializable to JSON.
 //! * **Rank dimension** — worker threads tag themselves with their
-//!   simulated rank ([`rank_scope`]); spans, streamed events, and comm
-//!   deposits keep the tag, so the report carries a per-rank breakdown
+//!   simulated rank ([`rank_scope`]); every record and comm deposit
+//!   keeps the tag, so the report carries a per-rank breakdown
 //!   ([`report::RankReport`]) and per-phase load-imbalance table
 //!   ([`report::PhaseImbalance`]).
 //! * **Perfetto export** ([`perfetto::export`]) — the JSONL stream
@@ -29,8 +36,8 @@
 //! | value          | effect                                          |
 //! |----------------|-------------------------------------------------|
 //! | `off` / unset  | spans disabled, no events                       |
-//! | `summary`      | spans on; end-of-run self-time tree             |
-//! | `jsonl:<path>` | spans on; events streamed to `<path>` as JSONL  |
+//! | `summary`      | events folded; end-of-run self-time tree        |
+//! | `jsonl:<path>` | as `summary`, plus every record to `<path>`     |
 //!
 //! ```
 //! mmds_telemetry::set_mode(mmds_telemetry::Mode::Summary);
@@ -60,7 +67,7 @@ pub use event::{
     AlertRecord, AlertSeverity, CommRecord, Event, EventSink, FileSink, HeartbeatSample,
     KmcCycleSample, MdStepSample, MemorySink, Record, SeriesSample,
 };
-pub use monitor::{LiveAggregator, TailReader, WatchdogConfig, ALERT_COUNTERS, COMM_COUNTERS};
+pub use monitor::{parse_jsonl, RunFold, TailReader, Watchdog, ALERT_COUNTERS, COMM_COUNTERS};
 pub use report::{
     CounterRegistry, PhaseImbalance, RankComm, RankReport, RunReport, SeriesPoint, SeriesTrack,
     SpanReport,
@@ -74,7 +81,8 @@ pub use span::{
 pub enum Mode {
     /// Spans compile to no-ops; nothing is recorded.
     Off,
-    /// Spans and counters accumulate; callers may render a summary.
+    /// Events are folded into the run report; callers may render a
+    /// summary.
     Summary,
     /// Like `Summary`, plus every event is streamed as JSONL to a file.
     Jsonl(String),
@@ -193,7 +201,7 @@ macro_rules! span {
     };
 }
 
-/// Records an event on the global instance's sink (if any).
+/// Records an event on the global instance (see [`Telemetry::emit`]).
 pub fn emit(event: Event) {
     global().emit(event);
 }
@@ -251,45 +259,41 @@ pub fn emit_phase_heartbeat(source: &str, progress: u64, total: u64) {
     }));
 }
 
-/// Adds a named counter on the global instance. The increment is
-/// accumulated in the counter registry *and* streamed as an
-/// [`Event::Counter`] record, so tailing consumers (`mmds-inspect
-/// watch`/`summary` over a JSONL trace) see the same named totals the
-/// in-process report does — the watchdog's health-threshold rule
-/// depends on this.
+/// Adds `value` to a named counter on the global instance: one
+/// [`Event::Counter`] record, so the in-process report and a tailing
+/// consumer (`mmds-inspect watch`/`summary` over a JSONL trace) see the
+/// same named totals — the watchdog's health-threshold rule depends on
+/// this. Builds nothing while telemetry is off.
 pub fn add_counter(name: &str, value: f64) {
     let tel = global();
-    tel.counters().add_named(name, value);
-    tel.emit(Event::Counter {
-        name: name.to_string(),
-        value,
-    });
+    if tel.enabled() {
+        tel.emit(Event::Counter {
+            name: name.to_string(),
+            value,
+        });
+    }
 }
 
-/// Records one science-series sample on the global instance: the point
-/// is retained on the `(current rank, name)` track of the counter
-/// registry *and* streamed to the JSONL sink (if one is installed).
-/// `t` is the domain time index (MD step, KMC cycle) and must be
-/// non-decreasing per track.
+/// Records one science-series sample on the global instance: one
+/// [`Event::Series`] record on the `(current rank, name)` track. `t` is
+/// the domain time index (MD step, KMC cycle) and must be
+/// non-decreasing per track ([`Telemetry::emit`] panics otherwise).
+/// Builds nothing while telemetry is off.
 pub fn emit_series(name: &str, t: u64, value: f64) {
     let tel = global();
-    tel.counters().push_series(current_rank(), name, t, value);
-    tel.emit(Event::Series(SeriesSample {
-        name: name.to_string(),
-        t,
-        value,
-    }));
-}
-
-/// Absorbs per-rank communication stats into the global registry.
-pub fn absorb_comm_stats(stats: &mmds_swmpi::CommStats) {
-    global().counters().absorb_comm(stats);
+    if tel.enabled() {
+        tel.emit(Event::Series(SeriesSample {
+            name: name.to_string(),
+            t,
+            value,
+        }));
+    }
 }
 
 /// Absorbs one identified rank's communication stats — and, when
-/// captured, its pairwise flow matrix — into the global registry.
-/// Prefer this over [`absorb_comm_stats`]: the per-rank detail feeds
-/// the [`report::RankReport`] breakdown and comm-matrix validation.
+/// captured, its pairwise flow matrix — into the global registry. The
+/// per-rank detail feeds the [`report::RankReport`] breakdown and
+/// comm-matrix validation.
 pub fn absorb_comm_rank(
     rank: u32,
     stats: &mmds_swmpi::CommStats,

@@ -1,35 +1,30 @@
-//! Live run monitoring: the tailing JSONL reader, the rolling
-//! aggregator, and the declarative watchdog.
+//! The run fold, the JSONL readers, and the watchdog.
 //!
-//! Everything else in this crate is post-hoc — a run finishes, the
-//! stream becomes a [`RunReport`]. The paper's regime (hour-long
-//! coupled MD/KMC campaigns over 10⁴–10⁶ cores) needs the autopsy
-//! *while the patient is alive*: a stalled rank, runaway energy drift,
-//! or an on-demand exchange regressing to full-ghost traffic should
-//! surface mid-run. Three pieces deliver that:
+//! Every number a [`RunReport`] carries is computed in one place:
+//! [`RunFold`] folds [`Record`]s one at a time into the run model —
+//! span totals and self times (from a per-thread open-span stack),
+//! named counters, science series, MD/KMC samples, heartbeat state and
+//! the root-span window. The fold has two feeders and no other
+//! implementation:
 //!
-//! * [`TailReader`] — incremental reader over a growing JSONL file.
-//!   Each poll consumes only the newly appended bytes, tolerates a
-//!   torn (mid-write) trailing line by buffering it until the newline
-//!   arrives, and restarts cleanly when the file is truncated.
-//! * [`LiveAggregator`] — folds [`Record`]s one at a time into a
-//!   rolling run view: span totals and open-span stacks, counters,
-//!   bounded series tails, per-rank heartbeat ages, sample tallies.
-//!   Its [`LiveAggregator::report`] builds a [`RunReport`] through the
-//!   same [`crate::report::build_run_report`] path the post-hoc tools
-//!   use, so a live view and `mmds-inspect summary` agree by
-//!   construction.
-//! * [`WatchdogConfig`] + [`LiveAggregator::evaluate`] — declarative
-//!   alert rules (heartbeat staleness, health-counter thresholds,
-//!   phase imbalance, comm-savings regression, stream parse errors)
-//!   producing structured
-//!   [`AlertRecord`]s, deduplicated per `(rule, subject)` while the
-//!   condition persists.
+//! * **in process**, [`crate::Telemetry::emit`] folds every record it
+//!   builds, under the same lock that forwards it to the sink, so
+//!   [`crate::Telemetry::run_report`] is the fold's report plus the two
+//!   inputs that are not events (per-rank comm stats, CPE counters);
+//! * **from a trace**, `mmds-inspect summary|timeline|watch|causal`
+//!   read the JSONL through [`parse_jsonl`] or a [`TailReader`] and fold
+//!   it through the same type.
 //!
-//! `mmds-inspect watch` is the one consumer: it owns a
-//! [`LiveAggregator`] and feeds it from a [`TailReader`].
+//! An in-process report and a re-fold of its JSONL are therefore equal
+//! by construction (the JSONL encoding round-trips every `f64`).
+//!
+//! [`Watchdog`] evaluates the alert rules (heartbeat staleness,
+//! health-counter thresholds, phase imbalance, comm-savings regression,
+//! stream parse errors) against a `&RunFold`, producing structured
+//! [`AlertRecord`]s deduplicated per `(rule, subject)` while the
+//! condition persists. `mmds-inspect watch` is its one consumer.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Seek as _};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -37,7 +32,9 @@ use std::time::Instant;
 use crate::event::{
     AlertRecord, AlertSeverity, Event, HeartbeatSample, KmcCycleSample, MdStepSample, Record,
 };
-use crate::report::{CounterRegistry, RunReport, SpanReport};
+use crate::report::{
+    CounterRegistry, CounterSnapshot, RunReport, SampleLog, SeriesPoint, SeriesTrack, SpanReport,
+};
 
 /// Alert rule names the watchdog can raise, in evaluation order. The
 /// audit manifest pass keys on this array, so a rule rename must also
@@ -50,18 +47,29 @@ pub const ALERT_COUNTERS: [&str; 5] = [
     "alert.parse_errors",
 ];
 
-/// Named counters the aggregator derives from traced [`Event::Comm`]
-/// records (causal comm tracing), so a live watch shows comm-op volume
-/// without replaying the trace. Manifest contract as above.
+/// Named counters the fold derives from traced [`Event::Comm`] records
+/// (causal comm tracing), so a report shows comm-op volume without
+/// replaying the trace. Manifest contract as above.
 pub const COMM_COUNTERS: [&str; 3] = ["comm.events", "comm.bytes", "comm.block_ns"];
 
-/// Points kept per series tail when the aggregator is in bounded
-/// (live) mode.
-pub const SERIES_TAIL_CAP: usize = 256;
+// ---------------------------------------------------------------------
+// JSONL readers
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// TailReader
-// ---------------------------------------------------------------------
+/// Parses a JSONL trace: every non-blank line that is a [`Record`].
+/// Returns the records and the number of lines skipped because they
+/// did not parse (a torn tail of a live file, or corruption).
+pub fn parse_jsonl(text: &str) -> (Vec<Record>, u64) {
+    let mut records = Vec::new();
+    let mut skipped = 0;
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        match Record::from_jsonl(line) {
+            Ok(r) => records.push(r),
+            Err(_) => skipped += 1,
+        }
+    }
+    (records, skipped)
+}
 
 /// Incremental reader over a growing JSONL trace.
 ///
@@ -114,19 +122,13 @@ impl TailReader {
         self.offset += buf.len() as u64;
         self.partial.extend_from_slice(&buf);
 
-        let mut out = Vec::new();
-        while let Some(pos) = self.partial.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.partial.drain(..=pos).collect();
-            match std::str::from_utf8(&line[..line.len() - 1]) {
-                Ok(text) if text.trim().is_empty() => {}
-                Ok(text) => match Record::from_jsonl(text) {
-                    Ok(r) => out.push(r),
-                    Err(_) => self.parse_errors += 1,
-                },
-                Err(_) => self.parse_errors += 1,
-            }
-        }
-        Ok(out)
+        let Some(end) = self.partial.iter().rposition(|&b| b == b'\n') else {
+            return Ok(Vec::new());
+        };
+        let complete: Vec<u8> = self.partial.drain(..=end).collect();
+        let (records, skipped) = parse_jsonl(&String::from_utf8_lossy(&complete));
+        self.parse_errors += skipped;
+        Ok(records)
     }
 
     /// Tries to parse the buffered partial tail as one complete record
@@ -144,66 +146,17 @@ impl TailReader {
     pub fn parse_errors(&self) -> u64 {
         self.parse_errors
     }
-
-    /// Bytes currently buffered as an incomplete trailing line.
-    pub fn partial_len(&self) -> usize {
-        self.partial.len()
-    }
 }
 
 // ---------------------------------------------------------------------
-// Watchdog configuration
-// ---------------------------------------------------------------------
-
-/// Declarative alert rules the aggregator evaluates after each fold.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// A rank is stale when its heartbeat age reaches `stale_factor ×`
-    /// its observed inter-beat interval (and some other rank is still
-    /// fresh — a globally quiet stream is a finished run, not a hang).
-    pub stale_factor: f64,
-    /// Floor on the interval estimate (ns), so a burst of
-    /// back-to-back beats can't produce a zero threshold.
-    pub stale_floor_ns: u64,
-    /// `(counter name, max allowed value)` — exceeding the bound
-    /// raises `alert.health_threshold`.
-    pub health_rules: Vec<(String, f64)>,
-    /// Max tolerated per-phase `max/avg` ratio over tagged ranks; 0
-    /// disables the rule.
-    pub imbalance_max_ratio: f64,
-    /// Ignore phases whose slowest rank spent less than this (s) —
-    /// sub-millisecond phases imbalance wildly without meaning it.
-    pub imbalance_min_s: f64,
-    /// Max tolerated on-demand/full-ghost byte ratio before
-    /// `alert.comm_regression`; 0 disables the rule.
-    pub comm_ratio_max: f64,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        Self {
-            stale_factor: 2.0,
-            stale_floor_ns: 1_000,
-            health_rules: vec![
-                ("md.health.energy_drift_warn".to_string(), 0.0),
-                ("md.health.momentum_warn".to_string(), 0.0),
-                ("kmc.health.conservation_warn".to_string(), 0.0),
-            ],
-            imbalance_max_ratio: 4.0,
-            imbalance_min_s: 0.05,
-            comm_ratio_max: 0.5,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// LiveAggregator
+// RunFold
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, Default)]
 struct SpanAcc {
     count: u64,
     total_ns: u64,
+    child_ns: u64,
 }
 
 /// One currently open span, as seen from the stream.
@@ -215,18 +168,8 @@ pub struct OpenSpan {
     pub rank: Option<u32>,
     /// Stream time the span opened.
     pub opened_t_ns: u64,
-}
-
-/// Rolling tail of one `(name, rank)` series track.
-#[derive(Debug, Clone, Default)]
-pub struct SeriesTail {
-    /// Retained points (all of them in retaining mode, the last
-    /// [`SERIES_TAIL_CAP`] in live mode).
-    pub points: VecDeque<crate::report::SeriesPoint>,
-    /// Points ever seen (≥ `points.len()`).
-    pub n: u64,
-    /// Domain time of the newest point.
-    pub last_t: u64,
+    /// Wall time of the child spans closed so far.
+    child_ns: u64,
 }
 
 /// Latest heartbeat state of one `(rank, source)` pair.
@@ -244,160 +187,102 @@ pub struct HeartbeatState {
     pub interval_ns: u64,
 }
 
-/// Folds a record stream into a rolling run view without waiting for
-/// run end. See the module docs for the design;
-/// [`LiveAggregator::retaining`] is the lossless mode the post-hoc
-/// `report_from_records` path uses, [`LiveAggregator::live`] bounds
-/// memory for long-running watches.
-#[derive(Debug)]
-pub struct LiveAggregator {
-    cfg: WatchdogConfig,
-    retain_all: bool,
+/// The one in-memory run model: folds a record stream into everything
+/// a [`RunReport`] carries, plus the live state (`open_spans`,
+/// `heartbeats`) a watcher renders. See the module docs.
+#[derive(Debug, Default)]
+pub struct RunFold {
     records: u64,
     parse_errors: u64,
+    series_dropped: u64,
     latest_t_ns: u64,
     last_fold_wall: Option<Instant>,
-    span_acc: BTreeMap<(Option<u32>, String), SpanAcc>,
+    spans: BTreeMap<(Option<u32>, String), SpanAcc>,
     open: BTreeMap<u32, Vec<OpenSpan>>,
+    root_window: Option<(u64, u64)>,
     named: BTreeMap<String, f64>,
-    series: BTreeMap<(String, Option<u32>), SeriesTail>,
-    md_count: u64,
-    md_retained: Vec<MdStepSample>,
-    kmc_count: u64,
-    kmc_retained: Vec<KmcCycleSample>,
+    // Keyed by (name, rank) so iteration — and hence the report — is
+    // deterministic regardless of emit interleaving.
+    series: BTreeMap<(String, Option<u32>), Vec<SeriesPoint>>,
+    md: Vec<MdStepSample>,
+    kmc: Vec<KmcCycleSample>,
     heartbeats: BTreeMap<(Option<u32>, String), HeartbeatState>,
     heartbeat_count: u64,
-    alerts: Vec<AlertRecord>,
-    active: BTreeSet<(String, String)>,
 }
 
-fn rank_subject(rank: Option<u32>) -> String {
-    match rank {
-        Some(r) => format!("rank {r}"),
-        None => "driver".to_string(),
-    }
-}
-
-impl LiveAggregator {
-    fn new(cfg: WatchdogConfig, retain_all: bool) -> Self {
-        Self {
-            cfg,
-            retain_all,
-            records: 0,
-            parse_errors: 0,
-            latest_t_ns: 0,
-            last_fold_wall: None,
-            span_acc: BTreeMap::new(),
-            open: BTreeMap::new(),
-            named: BTreeMap::new(),
-            series: BTreeMap::new(),
-            md_count: 0,
-            md_retained: Vec::new(),
-            kmc_count: 0,
-            kmc_retained: Vec::new(),
-            heartbeats: BTreeMap::new(),
-            heartbeat_count: 0,
-            alerts: Vec::new(),
-            active: BTreeSet::new(),
-        }
-    }
-
-    /// Bounded mode: series tails capped at [`SERIES_TAIL_CAP`], only
-    /// the newest MD/KMC sample retained. Memory stays O(span paths +
-    /// tracks) no matter how long the run is.
-    pub fn live(cfg: WatchdogConfig) -> Self {
-        Self::new(cfg, false)
-    }
-
-    /// Lossless mode: everything is retained, and
-    /// [`LiveAggregator::report`] reproduces exactly what the post-hoc
-    /// JSONL loader builds.
-    pub fn retaining(cfg: WatchdogConfig) -> Self {
-        Self::new(cfg, true)
-    }
-
-    /// Folds one record into the rolling view.
-    pub fn fold(&mut self, r: &Record) {
+impl RunFold {
+    /// Folds one record. Returns `false` only for a series point whose
+    /// `t` goes backwards on its `(name, rank)` track: the point is
+    /// dropped and counted ([`RunFold::series_dropped`]), and the
+    /// caller decides whether that is fatal — a trace reader moves on,
+    /// the in-process emitter panics (an instrumentation bug).
+    pub fn fold(&mut self, r: &Record) -> bool {
         self.records += 1;
-        if r.t_ns >= self.latest_t_ns {
-            self.latest_t_ns = r.t_ns;
-        }
+        self.latest_t_ns = self.latest_t_ns.max(r.t_ns);
         self.last_fold_wall = Some(Instant::now());
+        let tid = r.tid.unwrap_or(0);
         match &r.event {
-            Event::SpanOpen { path } => {
-                self.open
-                    .entry(r.tid.unwrap_or(0))
-                    .or_default()
-                    .push(OpenSpan {
-                        path: path.clone(),
-                        rank: r.rank,
-                        opened_t_ns: r.t_ns,
-                    });
-            }
-            Event::SpanClose { path, dur_ns } => {
-                if let Some(stack) = self.open.get_mut(&r.tid.unwrap_or(0)) {
-                    if let Some(i) = stack.iter().rposition(|o| &o.path == path) {
-                        stack.remove(i);
-                    }
-                }
-                let e = self.span_acc.entry((r.rank, path.clone())).or_default();
-                e.count += 1;
-                e.total_ns += dur_ns;
-            }
-            Event::Md(s) => {
-                self.md_count += 1;
-                if self.retain_all {
-                    self.md_retained.push(*s);
-                } else {
-                    self.md_retained.clear();
-                    self.md_retained.push(*s);
-                }
-            }
-            Event::Kmc(s) => {
-                self.kmc_count += 1;
-                if self.retain_all {
-                    self.kmc_retained.push(*s);
-                } else {
-                    self.kmc_retained.clear();
-                    self.kmc_retained.push(*s);
-                }
-            }
-            Event::Counter { name, value } => {
-                *self.named.entry(name.clone()).or_insert(0.0) += value;
-            }
+            Event::SpanOpen { path } => self.open.entry(tid).or_default().push(OpenSpan {
+                path: path.clone(),
+                rank: r.rank,
+                opened_t_ns: r.t_ns,
+                child_ns: 0,
+            }),
+            Event::SpanClose { path, dur_ns } => self.close_span(tid, r, path, *dur_ns),
+            Event::Md(s) => self.md.push(*s),
+            Event::Kmc(s) => self.kmc.push(*s),
+            Event::Counter { name, value } => self.bump(name, *value),
             Event::Series(s) => {
-                let tail = self.series.entry((s.name.clone(), r.rank)).or_default();
-                // A malformed stream must not wedge the watcher, so
-                // (unlike the in-process registry, which panics) a
-                // decreasing domain time is dropped, not fatal.
-                if tail.n > 0 && s.t < tail.last_t {
-                    return;
+                let points = self.series.entry((s.name.clone(), r.rank)).or_default();
+                if points.last().is_some_and(|p| s.t < p.t) {
+                    self.series_dropped += 1;
+                    return false;
                 }
-                tail.n += 1;
-                tail.last_t = s.t;
-                tail.points.push_back(crate::report::SeriesPoint {
+                points.push(SeriesPoint {
                     t: s.t,
                     value: s.value,
                 });
-                if !self.retain_all && tail.points.len() > SERIES_TAIL_CAP {
-                    tail.points.pop_front();
-                }
             }
             Event::Comm(c) => {
-                *self
-                    .named
-                    .entry(COMM_COUNTERS[0].to_string())
-                    .or_insert(0.0) += 1.0;
-                *self
-                    .named
-                    .entry(COMM_COUNTERS[1].to_string())
-                    .or_insert(0.0) += c.bytes as f64;
-                *self
-                    .named
-                    .entry(COMM_COUNTERS[2].to_string())
-                    .or_insert(0.0) += c.dur_ns as f64;
+                self.bump(COMM_COUNTERS[0], 1.0);
+                self.bump(COMM_COUNTERS[1], c.bytes as f64);
+                self.bump(COMM_COUNTERS[2], c.dur_ns as f64);
             }
             Event::Heartbeat(h) => self.fold_heartbeat(r.rank, h, r.t_ns),
+        }
+        true
+    }
+
+    /// Accumulates one close: its wall time into the `(rank, path)`
+    /// totals, the child time its open frame collected into its self
+    /// time, and its own wall time into the enclosing frame's child
+    /// time. A close with no open frame (a trace cut mid-span) counts
+    /// with no child time.
+    fn close_span(&mut self, tid: u32, r: &Record, path: &str, dur_ns: u64) {
+        let mut child_ns = 0;
+        if let Some(stack) = self.open.get_mut(&tid) {
+            if let Some(i) = stack.iter().rposition(|o| o.path == path) {
+                child_ns = stack.remove(i).child_ns;
+                if let Some(parent) = i.checked_sub(1).map(|p| &mut stack[p]) {
+                    parent.child_ns += dur_ns;
+                }
+            }
+        }
+        let acc = self.spans.entry((r.rank, path.to_string())).or_default();
+        acc.count += 1;
+        acc.total_ns += dur_ns;
+        acc.child_ns += child_ns;
+        if !path.contains('/') && self.root_window.is_none_or(|(o, c)| dur_ns > c - o) {
+            self.root_window = Some((r.t_ns.saturating_sub(dur_ns), r.t_ns));
+        }
+    }
+
+    fn bump(&mut self, name: &str, value: f64) {
+        match self.named.get_mut(name) {
+            Some(v) => *v += value,
+            None => {
+                self.named.insert(name.to_string(), value);
+            }
         }
     }
 
@@ -411,15 +296,22 @@ impl LiveAggregator {
         st.last_t_ns = t_ns;
         st.progress = h.progress;
         st.total = h.total;
-        // A beating rank is, by definition, not stale any more.
-        self.active
-            .remove(&(ALERT_COUNTERS[0].to_string(), rank_subject(rank)));
     }
 
-    /// Applies the parse-error count of the feeding [`TailReader`]
-    /// (the aggregator itself only ever sees parsed records).
+    /// Applies the parse-error count of the feeding reader (the fold
+    /// itself only ever sees parsed records).
     pub fn note_parse_errors(&mut self, n: u64) {
         self.parse_errors = n;
+    }
+
+    /// Forgets every statistic, keeping only the open-span stacks: a
+    /// span open across the reset still closes into the fresh totals
+    /// with the child time it had collected.
+    pub fn reset(&mut self) {
+        *self = RunFold {
+            open: std::mem::take(&mut self.open),
+            ..RunFold::default()
+        };
     }
 
     // -- accessors ----------------------------------------------------
@@ -434,14 +326,14 @@ impl LiveAggregator {
         self.parse_errors
     }
 
+    /// Out-of-order series points dropped so far.
+    pub fn series_dropped(&self) -> u64 {
+        self.series_dropped
+    }
+
     /// Heartbeats folded so far.
     pub fn heartbeat_count(&self) -> u64 {
         self.heartbeat_count
-    }
-
-    /// Stream time (ns) of the newest folded record.
-    pub fn latest_t_ns(&self) -> u64 {
-        self.latest_t_ns
     }
 
     /// Best estimate of "now" on the stream clock: the newest record's
@@ -460,13 +352,23 @@ impl LiveAggregator {
         self.open.values().flatten().collect()
     }
 
+    /// Path of the innermost span open on thread `tid`, if any.
+    pub fn innermost_open(&self, tid: u32) -> Option<&str> {
+        self.open.get(&tid)?.last().map(|o| o.path.as_str())
+    }
+
+    /// The widest root span `[open, close]` on the stream clock.
+    pub fn root_window(&self) -> Option<(u64, u64)> {
+        self.root_window
+    }
+
     /// Named counters accumulated from the stream.
     pub fn named(&self) -> &BTreeMap<String, f64> {
         &self.named
     }
 
-    /// Series tails keyed by `(name, rank)`.
-    pub fn series_tails(&self) -> &BTreeMap<(String, Option<u32>), SeriesTail> {
+    /// Series points keyed by `(name, rank)`, in fold order.
+    pub fn series(&self) -> &BTreeMap<(String, Option<u32>), Vec<SeriesPoint>> {
         &self.series
     }
 
@@ -475,7 +377,113 @@ impl LiveAggregator {
         &self.heartbeats
     }
 
-    /// Every alert so far, in raise/arrival order.
+    /// Per-path span statistics summed over ranks, sorted by path.
+    pub fn span_totals(&self) -> Vec<SpanReport> {
+        let mut merged: BTreeMap<&str, SpanAcc> = BTreeMap::new();
+        for ((_, path), acc) in &self.spans {
+            let e = merged.entry(path.as_str()).or_default();
+            e.count += acc.count;
+            e.total_ns += acc.total_ns;
+            e.child_ns += acc.child_ns;
+        }
+        merged
+            .into_iter()
+            .map(|(path, acc)| span_report(path, &acc))
+            .collect()
+    }
+
+    /// The run report of everything folded so far, with no comm/CPE
+    /// deposits (a trace does not carry them).
+    pub fn report(&self) -> RunReport {
+        self.report_with(&CounterRegistry::default())
+    }
+
+    /// The run report of everything folded so far plus the per-rank
+    /// comm stats and CPE counters deposited in `deposits`.
+    pub(crate) fn report_with(&self, deposits: &CounterRegistry) -> RunReport {
+        let rank_spans: Vec<(Option<u32>, SpanReport)> = self
+            .spans
+            .iter()
+            .map(|((rank, path), acc)| (*rank, span_report(path, acc)))
+            .collect();
+        RunReport {
+            spans: self.span_totals(),
+            counters: CounterSnapshot {
+                named: self.named.clone(),
+                ..Default::default()
+            },
+            samples: SampleLog {
+                md: self.md.clone(),
+                kmc: self.kmc.clone(),
+            },
+            series: self
+                .series
+                .iter()
+                .map(|((name, rank), points)| SeriesTrack {
+                    name: name.clone(),
+                    rank: *rank,
+                    points: points.clone(),
+                })
+                .collect(),
+            ..Default::default()
+        }
+        .with_ranks(&rank_spans, deposits)
+    }
+}
+
+fn span_report(path: &str, acc: &SpanAcc) -> SpanReport {
+    SpanReport {
+        path: path.to_string(),
+        count: acc.count,
+        total_s: acc.total_ns as f64 * 1e-9,
+        self_s: acc.total_ns.saturating_sub(acc.child_ns) as f64 * 1e-9,
+    }
+}
+
+// ---------------------------------------------------------------------
+// Watchdog
+// ---------------------------------------------------------------------
+
+/// A rank is stale when its heartbeat age reaches this multiple of its
+/// observed inter-beat interval (and some other rank is still fresh —
+/// a globally quiet stream is a finished run, not a hang).
+const STALE_FACTOR: f64 = 2.0;
+/// Floor on the interval estimate (ns), so a burst of back-to-back
+/// beats can't produce a zero threshold.
+const STALE_FLOOR_NS: u64 = 1_000;
+/// `(counter, max allowed value)`: exceeding the bound raises
+/// `alert.health_threshold`.
+const HEALTH_RULES: [(&str, f64); 3] = [
+    ("md.health.energy_drift_warn", 0.0),
+    ("md.health.momentum_warn", 0.0),
+    ("kmc.health.conservation_warn", 0.0),
+];
+/// Max tolerated per-phase `max/avg` ratio over tagged ranks.
+const IMBALANCE_MAX_RATIO: f64 = 4.0;
+/// Phases whose slowest rank spent less than this (s) are ignored —
+/// sub-millisecond phases imbalance wildly without meaning it.
+const IMBALANCE_MIN_S: f64 = 0.05;
+/// Max tolerated on-demand/full-ghost byte ratio before
+/// `alert.comm_regression`.
+const COMM_RATIO_MAX: f64 = 0.5;
+
+fn rank_subject(rank: Option<u32>) -> String {
+    match rank {
+        Some(r) => format!("rank {r}"),
+        None => "driver".to_string(),
+    }
+}
+
+/// The alert log over a [`RunFold`]: which rules fired, and which
+/// `(rule, subject)` conditions are still active.
+#[derive(Debug, Default)]
+pub struct Watchdog {
+    alerts: Vec<AlertRecord>,
+    active: BTreeSet<(String, String)>,
+}
+
+impl Watchdog {
+    /// Every alert so far, in raise order.
     pub fn alerts(&self) -> &[AlertRecord] {
         &self.alerts
     }
@@ -499,152 +507,72 @@ impl LiveAggregator {
             .contains(&(ALERT_COUNTERS[0].to_string(), rank_subject(rank)))
     }
 
-    /// Per-path span totals summed over ranks, sorted by path.
-    pub fn span_totals(&self) -> Vec<SpanReport> {
-        let mut merged: BTreeMap<&str, SpanAcc> = BTreeMap::new();
-        for ((_, path), acc) in &self.span_acc {
-            let e = merged.entry(path.as_str()).or_default();
-            e.count += acc.count;
-            e.total_ns += acc.total_ns;
-        }
-        merged
-            .into_iter()
-            .map(|(path, acc)| SpanReport {
-                path: path.to_string(),
-                count: acc.count,
-                total_s: acc.total_ns as f64 * 1e-9,
-                self_s: acc.total_ns as f64 * 1e-9,
-            })
-            .collect()
-    }
-
-    /// Builds the same [`RunReport`] the post-hoc tools build from the
-    /// stream: span totals re-accumulated per (rank, path), samples
-    /// and counters from their events. Comm stats are not in the
-    /// stream, so `ranks[*].comm` stays empty. Without open/close
-    /// pairing, self time equals total time.
-    ///
-    /// In bounded mode the report carries only the retained tails
-    /// (newest MD/KMC sample, capped series) — counts are preserved by
-    /// the aggregator's accessors, not the report.
-    pub fn report(&self) -> RunReport {
-        let registry = CounterRegistry::default();
-        for (name, v) in &self.named {
-            registry.add_named(name, *v);
-        }
-        for s in &self.md_retained {
-            registry.push_md(*s);
-        }
-        for s in &self.kmc_retained {
-            registry.push_kmc(*s);
-        }
-        for ((name, rank), tail) in &self.series {
-            for p in &tail.points {
-                registry.push_series(*rank, name, p.t, p.value);
-            }
-        }
-        // BTreeMap iteration order makes both views deterministic.
-        let rank_spans: Vec<(Option<u32>, SpanReport)> = self
-            .span_acc
-            .iter()
-            .map(|((rank, path), acc)| {
-                (
-                    *rank,
-                    SpanReport {
-                        path: path.clone(),
-                        count: acc.count,
-                        total_s: acc.total_ns as f64 * 1e-9,
-                        self_s: acc.total_ns as f64 * 1e-9,
-                    },
-                )
-            })
-            .collect();
-        crate::report::build_run_report(self.span_totals(), rank_spans, &registry)
-    }
-
-    // -- watchdog -----------------------------------------------------
-
-    /// Evaluates the alert rules at stream time `now_ns`. Newly raised
-    /// alerts are appended to the alert log, marked active, and
-    /// returned. A rule
-    /// already active on the same subject is not raised again until
-    /// the condition clears (heartbeat staleness clears on the next
-    /// beat; the others stay latched for the run).
-    pub fn evaluate(&mut self, now_ns: u64) -> Vec<AlertRecord> {
+    /// Evaluates the alert rules over `fold` at stream time `now_ns`.
+    /// Newly raised alerts are appended to the log, marked active, and
+    /// returned. A rule already active on the same subject is not
+    /// raised again until the condition clears (heartbeat staleness
+    /// clears once the rank is fresh again; the others stay latched for
+    /// the run).
+    pub fn evaluate(&mut self, fold: &RunFold, now_ns: u64) -> Vec<AlertRecord> {
         let mut raised = Vec::new();
 
         // Per-rank heartbeat staleness (relative: only meaningful
-        // while at least one other rank is demonstrably alive).
-        let ranks: Vec<(Option<u32>, u64, u64)> = {
-            // Per rank: newest beat over its sources + that source's
-            // interval estimate.
-            let mut per_rank: BTreeMap<Option<u32>, (u64, u64)> = BTreeMap::new();
-            for ((rank, _), st) in &self.heartbeats {
-                if st.interval_ns == 0 {
-                    continue;
-                }
-                let e = per_rank.entry(*rank).or_insert((0, 0));
-                if st.last_t_ns >= e.0 {
-                    *e = (st.last_t_ns, st.interval_ns);
-                }
+        // while at least one other rank is demonstrably alive). Per
+        // rank: newest beat over its sources + that source's interval.
+        let mut per_rank: BTreeMap<Option<u32>, (u64, u64)> = BTreeMap::new();
+        for ((rank, _), st) in fold.heartbeats() {
+            if st.interval_ns == 0 {
+                continue;
             }
-            per_rank
-                .into_iter()
-                .map(|(r, (last, int))| (r, last, int))
-                .collect()
-        };
-        if ranks.len() >= 2 {
-            let (stale_factor, stale_floor_ns) = (self.cfg.stale_factor, self.cfg.stale_floor_ns);
-            let threshold =
-                |interval_ns: u64| stale_factor * interval_ns.max(stale_floor_ns) as f64;
-            let age = |last: u64| now_ns.saturating_sub(last) as f64;
-            for &(rank, last, interval) in &ranks {
-                let thr = threshold(interval);
-                if age(last) < thr {
-                    continue;
-                }
-                let other_fresh = ranks
-                    .iter()
-                    .any(|&(r, l, i)| r != rank && age(l) < threshold(i));
-                if !other_fresh {
-                    continue;
-                }
-                self.raise(
-                    &mut raised,
-                    AlertRecord {
-                        rule: ALERT_COUNTERS[0].to_string(),
-                        severity: AlertSeverity::Crit,
-                        rank,
-                        subject: rank_subject(rank),
-                        message: format!(
-                            "no heartbeat for {:.3} s (threshold {:.3} s)",
-                            age(last) * 1e-9,
-                            thr * 1e-9,
-                        ),
-                        value: age(last) * 1e-9,
-                        threshold: thr * 1e-9,
-                        t_ns: now_ns,
-                    },
-                );
+            let e = per_rank.entry(*rank).or_insert((0, 0));
+            if st.last_t_ns >= e.0 {
+                *e = (st.last_t_ns, st.interval_ns);
             }
+        }
+        let threshold = |interval_ns: u64| STALE_FACTOR * interval_ns.max(STALE_FLOOR_NS) as f64;
+        let age = |last: u64| now_ns.saturating_sub(last) as f64;
+        let fresh = |(last, interval): (u64, u64)| age(last) < threshold(interval);
+        for (&rank, &beat) in &per_rank {
+            if fresh(beat) {
+                self.active
+                    .remove(&(ALERT_COUNTERS[0].to_string(), rank_subject(rank)));
+                continue;
+            }
+            if !per_rank.iter().any(|(&r, &b)| r != rank && fresh(b)) {
+                continue;
+            }
+            let (age_s, thr_s) = (age(beat.0) * 1e-9, threshold(beat.1) * 1e-9);
+            self.raise(
+                &mut raised,
+                AlertRecord {
+                    rule: ALERT_COUNTERS[0].to_string(),
+                    severity: AlertSeverity::Crit,
+                    rank,
+                    subject: rank_subject(rank),
+                    message: format!("no heartbeat for {age_s:.3} s (threshold {thr_s:.3} s)"),
+                    value: age_s,
+                    threshold: thr_s,
+                    t_ns: now_ns,
+                },
+            );
         }
 
         // Health-counter thresholds.
-        for (name, max) in &self.cfg.health_rules.clone() {
-            let Some(&v) = self.named.get(name) else {
+        for (name, max) in HEALTH_RULES {
+            let Some(&v) = fold.named().get(name) else {
                 continue;
             };
-            if v > *max {
+            if v > max {
                 self.raise(
                     &mut raised,
                     AlertRecord {
                         rule: ALERT_COUNTERS[1].to_string(),
                         severity: AlertSeverity::Warn,
                         rank: None,
-                        subject: name.clone(),
+                        subject: name.to_string(),
                         message: format!("{name} = {v} exceeds {max}"),
                         value: v,
-                        threshold: *max,
+                        threshold: max,
                         t_ns: now_ns,
                     },
                 );
@@ -652,86 +580,75 @@ impl LiveAggregator {
         }
 
         // Per-phase imbalance over tagged ranks.
-        if self.cfg.imbalance_max_ratio > 0.0 {
-            let mut rank_ids: Vec<u32> = self.span_acc.keys().filter_map(|(r, _)| *r).collect();
-            rank_ids.sort_unstable();
-            rank_ids.dedup();
-            if rank_ids.len() >= 2 {
-                let mut per_path: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // (max, sum)
-                for ((rank, path), acc) in &self.span_acc {
-                    if rank.is_none() {
-                        continue;
-                    }
+        let mut rank_ids: Vec<u32> = fold.spans.keys().filter_map(|(r, _)| *r).collect();
+        rank_ids.sort_unstable();
+        rank_ids.dedup();
+        if rank_ids.len() >= 2 {
+            let mut per_path: BTreeMap<&str, (u64, u64)> = BTreeMap::new(); // (max, sum)
+            for ((rank, path), acc) in &fold.spans {
+                if rank.is_some() {
                     let e = per_path.entry(path.as_str()).or_insert((0, 0));
                     e.0 = e.0.max(acc.total_ns);
                     e.1 += acc.total_ns;
                 }
-                let to_raise: Vec<(String, f64, f64)> = per_path
-                    .into_iter()
-                    .filter_map(|(path, (max_ns, sum_ns))| {
-                        let max_s = max_ns as f64 * 1e-9;
-                        let avg_s = sum_ns as f64 * 1e-9 / rank_ids.len() as f64;
-                        let ratio = if avg_s > 0.0 { max_s / avg_s } else { 1.0 };
-                        (max_s >= self.cfg.imbalance_min_s && ratio > self.cfg.imbalance_max_ratio)
-                            .then(|| (path.to_string(), ratio, max_s))
-                    })
-                    .collect();
-                for (path, ratio, max_s) in to_raise {
-                    self.raise(
-                        &mut raised,
-                        AlertRecord {
-                            rule: ALERT_COUNTERS[2].to_string(),
-                            severity: AlertSeverity::Warn,
-                            rank: None,
-                            subject: path.clone(),
-                            message: format!(
-                                "phase `{path}` max/avg = {ratio:.2} over {} ranks \
-                                 (max {max_s:.3} s)",
-                                rank_ids.len(),
-                            ),
-                            value: ratio,
-                            threshold: self.cfg.imbalance_max_ratio,
-                            t_ns: now_ns,
-                        },
-                    );
-                }
             }
-        }
-
-        // Comm-savings regression: on-demand traffic creeping back
-        // toward the full-ghost baseline.
-        if self.cfg.comm_ratio_max > 0.0 {
-            let bytes = self.named.get("kmc.ghost_bytes").copied().unwrap_or(0.0);
-            let baseline = self
-                .named
-                .get("kmc.exchange.baseline_bytes")
-                .copied()
-                .unwrap_or(0.0);
-            if baseline > 0.0 && bytes / baseline > self.cfg.comm_ratio_max {
-                let ratio = bytes / baseline;
+            for (path, (max_ns, sum_ns)) in per_path {
+                let max_s = max_ns as f64 * 1e-9;
+                let avg_s = sum_ns as f64 * 1e-9 / rank_ids.len() as f64;
+                let ratio = if avg_s > 0.0 { max_s / avg_s } else { 1.0 };
+                if max_s < IMBALANCE_MIN_S || ratio <= IMBALANCE_MAX_RATIO {
+                    continue;
+                }
                 self.raise(
                     &mut raised,
                     AlertRecord {
-                        rule: ALERT_COUNTERS[3].to_string(),
+                        rule: ALERT_COUNTERS[2].to_string(),
                         severity: AlertSeverity::Warn,
                         rank: None,
-                        subject: "kmc.exchange".to_string(),
+                        subject: path.to_string(),
                         message: format!(
-                            "ghost traffic at {:.1}% of the full-ghost baseline",
-                            100.0 * ratio,
+                            "phase `{path}` max/avg = {ratio:.2} over {} ranks (max {max_s:.3} s)",
+                            rank_ids.len(),
                         ),
                         value: ratio,
-                        threshold: self.cfg.comm_ratio_max,
+                        threshold: IMBALANCE_MAX_RATIO,
                         t_ns: now_ns,
                     },
                 );
             }
         }
 
+        // Comm-savings regression: on-demand traffic creeping back
+        // toward the full-ghost baseline.
+        let named = |n: &str| fold.named().get(n).copied().unwrap_or(0.0);
+        let (bytes, baseline) = (
+            named("kmc.ghost_bytes"),
+            named("kmc.exchange.baseline_bytes"),
+        );
+        if baseline > 0.0 && bytes / baseline > COMM_RATIO_MAX {
+            let ratio = bytes / baseline;
+            self.raise(
+                &mut raised,
+                AlertRecord {
+                    rule: ALERT_COUNTERS[3].to_string(),
+                    severity: AlertSeverity::Warn,
+                    rank: None,
+                    subject: "kmc.exchange".to_string(),
+                    message: format!(
+                        "ghost traffic at {:.1}% of the full-ghost baseline",
+                        100.0 * ratio,
+                    ),
+                    value: ratio,
+                    threshold: COMM_RATIO_MAX,
+                    t_ns: now_ns,
+                },
+            );
+        }
+
         // Stream integrity: complete-but-unparseable lines reported by
         // the feeding reader. Latched once per stream (the count only
         // grows); a corrupt producer should be visible, not silent.
-        if self.parse_errors > 0 {
+        if fold.parse_errors() > 0 {
             self.raise(
                 &mut raised,
                 AlertRecord {
@@ -741,9 +658,9 @@ impl LiveAggregator {
                     subject: "stream".to_string(),
                     message: format!(
                         "{} unparseable JSONL line(s) skipped by the tail reader",
-                        self.parse_errors,
+                        fold.parse_errors(),
                     ),
-                    value: self.parse_errors as f64,
+                    value: fold.parse_errors() as f64,
                     threshold: 0.0,
                     t_ns: now_ns,
                 },
@@ -754,13 +671,10 @@ impl LiveAggregator {
     }
 
     fn raise(&mut self, raised: &mut Vec<AlertRecord>, a: AlertRecord) {
-        let key = (a.rule.clone(), a.subject.clone());
-        if self.active.contains(&key) {
-            return;
+        if self.active.insert((a.rule.clone(), a.subject.clone())) {
+            self.alerts.push(a.clone());
+            raised.push(a);
         }
-        self.active.insert(key);
-        self.alerts.push(a.clone());
-        raised.push(a);
     }
 }
 
@@ -787,6 +701,14 @@ mod tests {
         })
     }
 
+    fn series(t: u64, value: f64) -> Event {
+        Event::Series(SeriesSample {
+            name: "kmc.exchange.bytes".into(),
+            t,
+            value,
+        })
+    }
+
     #[test]
     fn tail_reader_follows_growth_and_tolerates_partial_lines() {
         use std::io::Write as _;
@@ -807,7 +729,6 @@ mod tests {
         let got = tail.poll().unwrap();
         assert_eq!(got.len(), 1, "partial trailing line must be withheld");
         assert_eq!(got[0].seq, 0);
-        assert!(tail.partial_len() > 0);
 
         // Completing the line releases it; a garbage line is counted
         // and skipped, not fatal.
@@ -822,7 +743,6 @@ mod tests {
         let got = tail.poll().unwrap();
         assert_eq!(got.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(tail.parse_errors(), 1);
-        assert_eq!(tail.partial_len(), 0);
 
         // finish() recovers a complete-but-unterminated final record.
         write!(f, "{}", mk(3).to_jsonl()).unwrap();
@@ -841,101 +761,103 @@ mod tests {
     }
 
     #[test]
+    fn parse_jsonl_counts_skipped_lines() {
+        let good = rec(0, 1, None, Event::SpanOpen { path: "x".into() }).to_jsonl();
+        let text = format!("{good}\n\n  \n{{\"seq\": 1\nnot json\n{good}\n{{\"seq\"");
+        let (records, skipped) = parse_jsonl(&text);
+        assert_eq!(records.len(), 2);
+        assert_eq!(skipped, 3, "blank lines are not skipped records");
+    }
+
+    #[test]
     fn stalled_rank_raises_staleness_within_two_intervals() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
+        let mut fold = RunFold::default();
+        let mut dog = Watchdog::default();
         // Two ranks beating every 100 µs of stream time.
         const I: u64 = 100_000;
         let mut seq = 0;
         for k in 1..=3u64 {
             for rank in [0u32, 1] {
-                agg.fold(&rec(seq, k * I, Some(rank), beat(rank, k)));
+                fold.fold(&rec(seq, k * I, Some(rank), beat(rank, k)));
                 seq += 1;
             }
-            assert!(agg.evaluate(k * I).is_empty(), "both ranks fresh at k={k}");
+            assert!(
+                dog.evaluate(&fold, k * I).is_empty(),
+                "both ranks fresh at k={k}"
+            );
         }
         // Rank 1 stalls; rank 0 keeps beating.
         for k in 4..=5u64 {
-            agg.fold(&rec(seq, k * I, Some(0), beat(0, k)));
+            fold.fold(&rec(seq, k * I, Some(0), beat(0, k)));
             seq += 1;
         }
         // At exactly two intervals past rank 1's last beat, the rule
         // fires (the acceptance bound: "within two heartbeat
         // intervals").
-        let raised = agg.evaluate(5 * I);
+        let raised = dog.evaluate(&fold, 5 * I);
         assert_eq!(raised.len(), 1, "{raised:?}");
         assert_eq!(raised[0].rule, ALERT_COUNTERS[0]);
         assert_eq!(raised[0].rank, Some(1));
         assert_eq!(raised[0].severity, AlertSeverity::Crit);
-        assert!(agg.is_stale(Some(1)));
-        assert!(!agg.healthy());
+        assert!(dog.is_stale(Some(1)));
+        assert!(!dog.healthy());
         // Still stale: no duplicate while the condition persists.
-        assert!(agg.evaluate(6 * I).is_empty());
+        assert!(dog.evaluate(&fold, 6 * I).is_empty());
         // The rank coming back clears the condition.
-        agg.fold(&rec(seq, 6 * I, Some(1), beat(1, 4)));
-        assert!(!agg.is_stale(Some(1)));
-        assert!(agg.healthy());
+        fold.fold(&rec(seq, 6 * I, Some(1), beat(1, 4)));
+        dog.evaluate(&fold, 6 * I);
+        assert!(!dog.is_stale(Some(1)));
+        assert!(dog.healthy());
     }
 
     #[test]
     fn quiet_stream_is_finished_not_stale() {
         // Both ranks stop (end of run): nobody is "fresh", so nothing
         // is stale — a globally idle stream must not alert.
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
+        let mut fold = RunFold::default();
         const I: u64 = 100_000;
         let mut seq = 0;
         for k in 1..=3u64 {
             for rank in [0u32, 1] {
-                agg.fold(&rec(seq, k * I, Some(rank), beat(rank, k)));
+                fold.fold(&rec(seq, k * I, Some(rank), beat(rank, k)));
                 seq += 1;
             }
         }
-        assert!(agg.evaluate(30 * I).is_empty());
+        assert!(Watchdog::default().evaluate(&fold, 30 * I).is_empty());
     }
 
     #[test]
     fn health_and_comm_rules_latch_once() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
-        agg.fold(&rec(
-            0,
-            10,
-            None,
-            Event::Counter {
-                name: "md.health.energy_drift_warn".into(),
-                value: 2.0,
-            },
-        ));
-        agg.fold(&rec(
-            1,
-            20,
-            None,
-            Event::Counter {
-                name: "kmc.ghost_bytes".into(),
-                value: 900.0,
-            },
-        ));
-        agg.fold(&rec(
-            2,
-            30,
-            None,
-            Event::Counter {
-                name: "kmc.exchange.baseline_bytes".into(),
-                value: 1000.0,
-            },
-        ));
-        let raised = agg.evaluate(40);
+        let mut fold = RunFold::default();
+        let mut dog = Watchdog::default();
+        for (seq, (name, value)) in [
+            ("md.health.energy_drift_warn", 2.0),
+            ("kmc.ghost_bytes", 900.0),
+            ("kmc.exchange.baseline_bytes", 1000.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let event = Event::Counter {
+                name: name.into(),
+                value,
+            };
+            fold.fold(&rec(seq as u64, 10 * (seq as u64 + 1), None, event));
+        }
+        let raised = dog.evaluate(&fold, 40);
         let rules: Vec<&str> = raised.iter().map(|a| a.rule.as_str()).collect();
         assert!(rules.contains(&ALERT_COUNTERS[1]), "{rules:?}");
         assert!(rules.contains(&ALERT_COUNTERS[3]), "{rules:?}");
         // Latched: the same conditions don't re-raise.
-        assert!(agg.evaluate(50).is_empty());
-        // Warn-severity alerts leave /healthz green.
-        assert!(agg.healthy());
+        assert!(dog.evaluate(&fold, 50).is_empty());
+        // Warn-severity alerts leave the run healthy.
+        assert!(dog.healthy());
     }
 
     #[test]
     fn fold_matches_posthoc_report_shapes() {
-        let mut agg = LiveAggregator::retaining(WatchdogConfig::default());
-        agg.fold(&rec(
+        let mut fold = RunFold::default();
+        fold.fold(&rec(
             0,
             5,
             Some(0),
@@ -943,7 +865,7 @@ mod tests {
                 path: "kmc.cycle".into(),
             },
         ));
-        agg.fold(&rec(
+        fold.fold(&rec(
             1,
             10,
             Some(0),
@@ -952,7 +874,7 @@ mod tests {
                 dur_ns: 2_000_000_000,
             },
         ));
-        agg.fold(&rec(
+        fold.fold(&rec(
             2,
             20,
             Some(1),
@@ -961,80 +883,100 @@ mod tests {
                 dur_ns: 1_000_000_000,
             },
         ));
-        agg.fold(&rec(
-            3,
-            30,
-            None,
-            Event::Series(SeriesSample {
-                name: "kmc.exchange.bytes".into(),
-                t: 1,
-                value: 26.0,
-            }),
-        ));
-        // Out-of-order series sample is dropped, not fatal.
-        agg.fold(&rec(
-            4,
-            40,
-            None,
-            Event::Series(SeriesSample {
-                name: "kmc.exchange.bytes".into(),
-                t: 0,
-                value: 1.0,
-            }),
-        ));
-        let report = agg.report();
+        assert!(fold.fold(&rec(3, 30, None, series(1, 26.0))));
+        let report = fold.report();
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.spans.len(), 1);
         assert_eq!(report.spans[0].count, 2);
         assert!((report.spans[0].total_s - 3.0).abs() < 1e-12);
         assert_eq!(report.series.len(), 1);
         assert_eq!(report.series[0].points.len(), 1);
-        assert!(agg.open_spans().is_empty());
+        assert!(fold.open_spans().is_empty());
     }
 
     #[test]
-    fn bounded_mode_caps_series_tails() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
-        for t in 0..(SERIES_TAIL_CAP as u64 + 50) {
-            agg.fold(&rec(
-                t,
-                t,
-                None,
-                Event::Series(SeriesSample {
-                    name: "census.vacancies".into(),
-                    t,
-                    value: t as f64,
-                }),
-            ));
+    fn out_of_order_series_point_is_counted_and_dropped() {
+        let mut fold = RunFold::default();
+        assert!(fold.fold(&rec(0, 10, None, series(5, 1.0))));
+        assert!(
+            fold.fold(&rec(1, 20, None, series(5, 2.0))),
+            "equal t is fine"
+        );
+        assert!(!fold.fold(&rec(2, 30, None, series(4, 3.0))));
+        assert!(fold.fold(&rec(3, 40, Some(1), series(4, 3.0))), "own track");
+        assert_eq!(fold.series_dropped(), 1);
+        assert_eq!(fold.records(), 4);
+        let report = fold.report();
+        let values: Vec<f64> = report.series[0].points.iter().map(|p| p.value).collect();
+        assert_eq!(values, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn fold_derives_self_time_from_the_open_stack() {
+        let mut fold = RunFold::default();
+        let open = |p: &str| Event::SpanOpen { path: p.into() };
+        let close = |p: &str, dur_ns| Event::SpanClose {
+            path: p.into(),
+            dur_ns,
+        };
+        for (seq, event) in [
+            open("run"),
+            open("run/a"),
+            close("run/a", 300),
+            open("run/b"),
+            open("run/b/c"),
+            close("run/b/c", 50),
+            close("run/b", 200),
+            close("run", 1_000),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            fold.fold(&rec(seq as u64, 2_000 + seq as u64, Some(0), event));
         }
-        let tail = &agg.series_tails()[&("census.vacancies".to_string(), None)];
-        assert_eq!(tail.points.len(), SERIES_TAIL_CAP);
-        assert_eq!(tail.n, SERIES_TAIL_CAP as u64 + 50);
-        assert_eq!(tail.points.back().unwrap().t, SERIES_TAIL_CAP as u64 + 49);
+        let self_ns: Vec<(String, u64)> = fold
+            .span_totals()
+            .iter()
+            .map(|s| (s.path.clone(), (s.self_s * 1e9).round() as u64))
+            .collect();
+        assert_eq!(
+            self_ns,
+            vec![
+                ("run".to_string(), 500),
+                ("run/a".to_string(), 300),
+                ("run/b".to_string(), 150),
+                ("run/b/c".to_string(), 50),
+            ]
+        );
+        assert_eq!(fold.root_window(), Some((1_007, 2_007)));
+        // The rank view carries the same self times.
+        let report = fold.report();
+        assert_eq!(report.ranks[0].spans, report.spans);
     }
 
     #[test]
     fn parse_errors_raise_one_latched_warn_alert() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
-        agg.fold(&rec(0, 1_000, Some(0), beat(0, 1)));
-        assert!(agg.evaluate(2_000).is_empty());
-        agg.note_parse_errors(3);
-        let raised = agg.evaluate(3_000);
+        let mut fold = RunFold::default();
+        let mut dog = Watchdog::default();
+        fold.fold(&rec(0, 1_000, Some(0), beat(0, 1)));
+        assert!(dog.evaluate(&fold, 2_000).is_empty());
+        fold.note_parse_errors(3);
+        let raised = dog.evaluate(&fold, 3_000);
         assert_eq!(raised.len(), 1);
         assert_eq!(raised[0].rule, ALERT_COUNTERS[4]);
         assert_eq!(raised[0].severity, AlertSeverity::Warn);
         assert_eq!(raised[0].value, 3.0);
         assert!(raised[0].message.contains("unparseable"));
         // Latched: a growing count does not re-raise.
-        agg.note_parse_errors(5);
-        assert!(agg.evaluate(4_000).is_empty());
+        fold.note_parse_errors(5);
+        assert!(dog.evaluate(&fold, 4_000).is_empty());
     }
 
     #[test]
     fn comm_records_fold_into_comm_counters() {
-        let mut agg = LiveAggregator::live(WatchdogConfig::default());
+        let mut fold = RunFold::default();
         for (rank, bytes, dur) in [(0u32, 640u64, 1_500u64), (1, 1_024, 2_500)] {
-            agg.fold(&rec(
+            fold.fold(&rec(
                 rank as u64,
                 1_000 + rank as u64,
                 Some(rank),
@@ -1053,7 +995,7 @@ mod tests {
                 }),
             ));
         }
-        let named = agg.named();
+        let named = fold.named();
         assert_eq!(named[COMM_COUNTERS[0]], 2.0);
         assert_eq!(named[COMM_COUNTERS[1]], 1_664.0);
         assert_eq!(named[COMM_COUNTERS[2]], 4_000.0);

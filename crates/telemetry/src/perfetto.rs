@@ -243,15 +243,11 @@ pub fn export(records: &[Record]) -> String {
     serde_json::to_string(&doc).expect("trace document serializes")
 }
 
-/// Parses a JSONL trace file's lines and exports them; lines that fail
-/// to parse are skipped (a live file's tail may be mid-write).
+/// Parses a JSONL trace file ([`crate::parse_jsonl`]) and exports it;
+/// lines that fail to parse are skipped (a live file's tail may be
+/// mid-write).
 pub fn export_jsonl(text: &str) -> String {
-    let records: Vec<Record> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| Record::from_jsonl(l).ok())
-        .collect();
-    export(&records)
+    export(&crate::parse_jsonl(text).0)
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! The run-wide counter registry and the final serializable report.
+//! The final serializable report and the registry of its two non-event
+//! inputs.
 //!
-//! The registry is the single aggregation point that used to be spread
-//! over ad-hoc `CommStats::sum` calls in every figure binary: ranks
-//! deposit their [`mmds_swmpi::CommStats`], CPE clusters their
-//! [`mmds_sunway::CpeCounters`], phases their named counters, and the
-//! run ends with one [`RunReport`].
+//! A [`RunReport`] is the [`crate::RunFold`]'s view of the event stream
+//! (spans, named counters, samples, series) completed by what ranks and
+//! CPE clusters deposit in the [`CounterRegistry`] when their work ends:
+//! [`mmds_swmpi::CommStats`] with their pairwise flow matrices, and
+//! [`mmds_sunway::CpeCounters`].
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -23,7 +24,7 @@ pub struct SeriesPoint {
 }
 
 /// One `(rank, name)` science time-series track, points in push order
-/// (which the registry guarantees is non-decreasing in `t`).
+/// (which the run fold guarantees is non-decreasing in `t`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SeriesTrack {
     /// Series name (dotted, e.g. `census.frenkel_pairs`).
@@ -56,7 +57,7 @@ pub struct SpanReport {
 
 /// Aggregated counters at one point in time.
 ///
-/// `comm` is *derived* at snapshot time from the retained per-rank
+/// `comm` is *derived* at report time from the retained per-rank
 /// entries (see [`CounterRegistry::comm_entries`]), so consumers of the
 /// sum are unchanged while the per-rank detail is no longer lost.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -76,9 +77,8 @@ pub struct CounterSnapshot {
 /// One absorbed rank's communication record, kept un-merged.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RankComm {
-    /// Rank id when the depositor identified itself; `None` for legacy
-    /// [`CounterRegistry::absorb_comm`] calls.
-    pub rank: Option<u32>,
+    /// Depositing rank.
+    pub rank: u32,
     /// The rank's exact byte/message counters and virtual times.
     pub stats: mmds_swmpi::CommStats,
     /// Pairwise src→dst flows, when the depositor captured them.
@@ -182,102 +182,103 @@ impl RunReport {
     }
 }
 
-/// Builds the final report from the two span views plus the registry.
-/// Used by [`crate::Telemetry::run_report`]; public so tests can drive
-/// it directly.
-pub fn build_run_report(
-    spans: Vec<SpanReport>,
-    rank_spans: Vec<(Option<u32>, SpanReport)>,
-    counters: &CounterRegistry,
-) -> RunReport {
-    let comm_entries = counters.comm_entries();
+impl RunReport {
+    /// Completes a fold's report with the inputs that are not events:
+    /// fills `ranks` from the per-rank span table and `deposits`' comm
+    /// entries, the per-phase `imbalance` over those ranks, and the
+    /// comm/CPE sums of `counters`.
+    pub(crate) fn with_ranks(
+        mut self,
+        rank_spans: &[(Option<u32>, SpanReport)],
+        deposits: &CounterRegistry,
+    ) -> RunReport {
+        let g = deposits.inner.lock().unwrap();
+        let comm_entries = &g.comm_entries;
 
-    // Gather the set of tagged ranks seen by either subsystem.
-    let mut rank_ids: Vec<u32> = rank_spans
-        .iter()
-        .filter_map(|(r, _)| *r)
-        .chain(comm_entries.iter().filter_map(|e| e.rank))
-        .collect();
-    rank_ids.sort_unstable();
-    rank_ids.dedup();
+        // Gather the set of tagged ranks seen by either input.
+        let mut rank_ids: Vec<u32> = rank_spans
+            .iter()
+            .filter_map(|(r, _)| *r)
+            .chain(comm_entries.iter().map(|e| e.rank))
+            .collect();
+        rank_ids.sort_unstable();
+        rank_ids.dedup();
 
-    let ranks: Vec<RankReport> = rank_ids
-        .iter()
-        .map(|&rank| {
-            let spans: Vec<SpanReport> = rank_spans
-                .iter()
-                .filter(|(r, _)| *r == Some(rank))
-                .map(|(_, s)| s.clone())
-                .collect();
-            // A rank id can deposit several times when one process runs
-            // several worlds (weak-scaling sweeps); merge, don't pick.
-            let mut comm: Option<mmds_swmpi::CommStats> = None;
-            let mut matrix: Option<mmds_swmpi::CommMatrix> = None;
-            for e in comm_entries.iter().filter(|e| e.rank == Some(rank)) {
-                comm = Some(match comm {
-                    Some(c) => c.merge(&e.stats),
-                    None => e.stats,
-                });
-                if let Some(m) = &e.matrix {
-                    match &mut matrix {
-                        Some(acc) => acc.merge(m),
-                        None => matrix = Some(m.clone()),
+        self.ranks = rank_ids
+            .iter()
+            .map(|&rank| {
+                let spans: Vec<SpanReport> = rank_spans
+                    .iter()
+                    .filter(|(r, _)| *r == Some(rank))
+                    .map(|(_, s)| s.clone())
+                    .collect();
+                // A rank id can deposit several times when one process
+                // runs several worlds (weak-scaling sweeps); merge,
+                // don't pick.
+                let mut comm: Option<mmds_swmpi::CommStats> = None;
+                let mut matrix: Option<mmds_swmpi::CommMatrix> = None;
+                for e in comm_entries.iter().filter(|e| e.rank == rank) {
+                    comm = Some(match comm {
+                        Some(c) => c.merge(&e.stats),
+                        None => e.stats,
+                    });
+                    if let Some(m) = &e.matrix {
+                        match &mut matrix {
+                            Some(acc) => acc.merge(m),
+                            None => matrix = Some(m.clone()),
+                        }
                     }
                 }
-            }
-            RankReport {
-                rank,
-                spans,
-                comm,
-                matrix,
-            }
-        })
-        .collect();
-
-    // Per-phase imbalance over the tagged ranks.
-    let n = rank_ids.len() as u64;
-    let mut imbalance: Vec<PhaseImbalance> = Vec::new();
-    if n > 0 {
-        let mut paths: Vec<&str> = rank_spans
-            .iter()
-            .filter(|(r, _)| r.is_some())
-            .map(|(_, s)| s.path.as_str())
+                RankReport {
+                    rank,
+                    spans,
+                    comm,
+                    matrix,
+                }
+            })
             .collect();
-        paths.sort_unstable();
-        paths.dedup();
-        for path in paths {
-            let mut per_rank = vec![0.0f64; rank_ids.len()];
-            for (r, s) in &rank_spans {
-                if s.path == path {
-                    if let Some(r) = r {
+
+        // Per-phase imbalance over the tagged ranks.
+        let n = rank_ids.len() as u64;
+        if n > 0 {
+            let mut paths: Vec<&str> = rank_spans
+                .iter()
+                .filter(|(r, _)| r.is_some())
+                .map(|(_, s)| s.path.as_str())
+                .collect();
+            paths.sort_unstable();
+            paths.dedup();
+            for path in paths {
+                let mut per_rank = vec![0.0f64; rank_ids.len()];
+                for (r, s) in rank_spans {
+                    if let (true, Some(r)) = (s.path == path, r) {
                         if let Ok(i) = rank_ids.binary_search(r) {
                             per_rank[i] += s.total_s;
                         }
                     }
                 }
+                let max_s = per_rank.iter().copied().fold(0.0, f64::max);
+                let min_s = per_rank.iter().copied().fold(f64::INFINITY, f64::min);
+                let avg_s = per_rank.iter().sum::<f64>() / n as f64;
+                self.imbalance.push(PhaseImbalance {
+                    path: path.to_string(),
+                    ranks: n,
+                    max_s,
+                    avg_s,
+                    min_s,
+                    ratio: if avg_s > 0.0 { max_s / avg_s } else { 1.0 },
+                });
             }
-            let max_s = per_rank.iter().copied().fold(0.0, f64::max);
-            let min_s = per_rank.iter().copied().fold(f64::INFINITY, f64::min);
-            let avg_s = per_rank.iter().sum::<f64>() / n as f64;
-            imbalance.push(PhaseImbalance {
-                path: path.to_string(),
-                ranks: n,
-                max_s,
-                avg_s,
-                min_s,
-                ratio: if avg_s > 0.0 { max_s / avg_s } else { 1.0 },
-            });
+            self.imbalance.sort_by(|a, b| b.max_s.total_cmp(&a.max_s));
         }
-        imbalance.sort_by(|a, b| b.max_s.total_cmp(&a.max_s));
-    }
 
-    RunReport {
-        spans,
-        counters: counters.snapshot(),
-        samples: counters.samples(),
-        ranks,
-        imbalance,
-        series: counters.series_tracks(),
+        self.counters.comm = comm_entries
+            .iter()
+            .fold(mmds_swmpi::CommStats::default(), |a, e| a.merge(&e.stats));
+        self.counters.comm_ranks = comm_entries.len() as u64;
+        self.counters.cpe = g.cpe;
+        self.counters.cpe_sets = g.cpe_sets;
+        self
     }
 }
 
@@ -286,32 +287,20 @@ struct RegistryInner {
     comm_entries: Vec<RankComm>,
     cpe: mmds_sunway::CpeCounters,
     cpe_sets: u64,
-    named: BTreeMap<String, f64>,
-    md: Vec<MdStepSample>,
-    kmc: Vec<KmcCycleSample>,
-    // Keyed by (name, rank) so iteration — and hence the report —
-    // is deterministic regardless of deposit interleaving.
-    series: BTreeMap<(String, Option<u32>), Vec<SeriesPoint>>,
 }
 
-/// Thread-safe accumulator behind [`crate::Telemetry::counters`]. All
-/// methods take `&self`; a mutex guards the interior.
+/// The two run inputs that are not events, deposited once per rank or
+/// CPE cluster at the end of its work: per-rank communication stats
+/// (with their pairwise flow matrices) and CPE counters. Everything
+/// else a [`RunReport`] carries comes from the event fold
+/// ([`crate::RunFold`]). All methods take `&self`; a mutex guards the
+/// interior.
 #[derive(Debug, Default)]
 pub struct CounterRegistry {
     inner: Mutex<RegistryInner>,
 }
 
 impl CounterRegistry {
-    /// Retains one rank's communication stats (anonymously — prefer
-    /// [`CounterRegistry::absorb_comm_rank`], which keeps the rank id).
-    pub fn absorb_comm(&self, stats: &mmds_swmpi::CommStats) {
-        self.inner.lock().unwrap().comm_entries.push(RankComm {
-            rank: None,
-            stats: *stats,
-            matrix: None,
-        });
-    }
-
     /// Retains one identified rank's communication stats and, when
     /// available, its pairwise flow matrix.
     pub fn absorb_comm_rank(
@@ -321,7 +310,7 @@ impl CounterRegistry {
         matrix: Option<&mmds_swmpi::CommMatrix>,
     ) {
         self.inner.lock().unwrap().comm_entries.push(RankComm {
-            rank: Some(rank),
+            rank,
             stats: *stats,
             matrix: matrix.cloned(),
         });
@@ -340,79 +329,6 @@ impl CounterRegistry {
         g.cpe_sets += 1;
     }
 
-    /// Adds `value` to the named counter, creating it at zero.
-    pub fn add_named(&self, name: &str, value: f64) {
-        let mut g = self.inner.lock().unwrap();
-        *g.named.entry(name.to_string()).or_insert(0.0) += value;
-    }
-
-    /// Retains one MD step sample.
-    pub fn push_md(&self, s: MdStepSample) {
-        self.inner.lock().unwrap().md.push(s);
-    }
-
-    /// Retains one KMC cycle sample.
-    pub fn push_kmc(&self, s: KmcCycleSample) {
-        self.inner.lock().unwrap().kmc.push(s);
-    }
-
-    /// Retains one science-series sample on the `(rank, name)` track.
-    ///
-    /// Panics when `t` decreases within a track: series are defined to
-    /// be monotonic per rank, and a violation means the instrumentation
-    /// call site is charging the wrong domain index.
-    pub fn push_series(&self, rank: Option<u32>, name: &str, t: u64, value: f64) {
-        let mut g = self.inner.lock().unwrap();
-        let track = g.series.entry((name.to_string(), rank)).or_default();
-        if let Some(last) = track.last() {
-            assert!(
-                t >= last.t,
-                "series `{name}` (rank {rank:?}) is not monotonic: t {t} after {}",
-                last.t
-            );
-        }
-        track.push(SeriesPoint { t, value });
-    }
-
-    /// Copies out the retained series as tracks, sorted by
-    /// `(name, rank)`.
-    pub fn series_tracks(&self) -> Vec<SeriesTrack> {
-        let g = self.inner.lock().unwrap();
-        g.series
-            .iter()
-            .map(|((name, rank), points)| SeriesTrack {
-                name: name.clone(),
-                rank: *rank,
-                points: points.clone(),
-            })
-            .collect()
-    }
-
-    /// Copies out the current aggregates. The communication sum is
-    /// derived from the retained per-rank entries on each call.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        let g = self.inner.lock().unwrap();
-        CounterSnapshot {
-            comm: g
-                .comm_entries
-                .iter()
-                .fold(mmds_swmpi::CommStats::default(), |a, e| a.merge(&e.stats)),
-            comm_ranks: g.comm_entries.len() as u64,
-            cpe: g.cpe,
-            cpe_sets: g.cpe_sets,
-            named: g.named.clone(),
-        }
-    }
-
-    /// Copies out the retained samples.
-    pub fn samples(&self) -> SampleLog {
-        let g = self.inner.lock().unwrap();
-        SampleLog {
-            md: g.md.clone(),
-            kmc: g.kmc.clone(),
-        }
-    }
-
     /// Clears everything.
     pub fn reset(&self) {
         *self.inner.lock().unwrap() = RegistryInner::default();
@@ -422,29 +338,64 @@ impl CounterRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, Record, SeriesSample};
+    use crate::RunFold;
+
+    fn fold(events: Vec<(Option<u32>, Event)>) -> RunFold {
+        let mut fold = RunFold::default();
+        for (seq, (rank, event)) in events.into_iter().enumerate() {
+            fold.fold(&Record {
+                seq: seq as u64,
+                t_ns: 10 * seq as u64,
+                rank,
+                tid: Some(0),
+                event,
+            });
+        }
+        fold
+    }
+
+    fn series(name: &str, t: u64, value: f64) -> Event {
+        Event::Series(SeriesSample {
+            name: name.into(),
+            t,
+            value,
+        })
+    }
 
     #[test]
     fn registry_merges_comm_and_cpe() {
         let reg = CounterRegistry::default();
-        reg.absorb_comm(&mmds_swmpi::CommStats {
-            msgs_sent: 3,
-            bytes_sent: 300,
-            ..Default::default()
-        });
-        reg.absorb_comm(&mmds_swmpi::CommStats {
-            msgs_sent: 1,
-            bytes_recv: 50,
-            ..Default::default()
-        });
+        reg.absorb_comm_rank(
+            0,
+            &mmds_swmpi::CommStats {
+                msgs_sent: 3,
+                bytes_sent: 300,
+                ..Default::default()
+            },
+            None,
+        );
+        reg.absorb_comm_rank(
+            1,
+            &mmds_swmpi::CommStats {
+                msgs_sent: 1,
+                bytes_recv: 50,
+                ..Default::default()
+            },
+            None,
+        );
         reg.absorb_cpe(&mmds_sunway::CpeCounters {
             flops: 10,
             bytes_in: 64,
             ..Default::default()
         });
-        reg.add_named("kmc.dirty_ghost_bytes", 128.0);
-        reg.add_named("kmc.dirty_ghost_bytes", 64.0);
+        let counter = |value| Event::Counter {
+            name: "kmc.dirty_ghost_bytes".into(),
+            value,
+        };
+        let fold = fold(vec![(None, counter(128.0)), (Some(1), counter(64.0))]);
 
-        let snap = reg.snapshot();
+        let snap = fold.report_with(&reg).counters;
         assert_eq!(snap.comm.msgs_sent, 4);
         assert_eq!(snap.comm.bytes_sent, 300);
         assert_eq!(snap.comm.bytes_recv, 50);
@@ -528,10 +479,10 @@ mod tests {
         );
         let entries = reg.comm_entries();
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].rank, Some(0));
+        assert_eq!(entries[0].rank, 0);
         assert_eq!(entries[1].stats.bytes_sent, 300);
         // The derived sum is what legacy consumers saw before.
-        let snap = reg.snapshot();
+        let snap = RunFold::default().report_with(&reg).counters;
         assert_eq!(snap.comm.bytes_sent, 400);
         assert_eq!(snap.comm_ranks, 2);
     }
@@ -567,7 +518,7 @@ mod tests {
         rec_c.record_recv(0, 100);
         reg.absorb_comm_rank(1, &Default::default(), Some(&rec_c.snapshot(1)));
 
-        let report = build_run_report(vec![], vec![], &reg);
+        let report = RunFold::default().report_with(&reg);
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.ranks[0].comm.unwrap().bytes_sent, 150);
         let m = report.ranks[0].matrix.as_ref().unwrap();
@@ -580,15 +531,17 @@ mod tests {
 
     #[test]
     fn series_tracks_are_deterministic_and_monotonic() {
-        let reg = CounterRegistry::default();
-        // Interleaved deposits across ranks and names.
-        reg.push_series(Some(1), "census.vacancies", 0, 5.0);
-        reg.push_series(Some(0), "census.vacancies", 0, 3.0);
-        reg.push_series(None, "kmc.ondemand.dirty_fraction", 1, 0.25);
-        reg.push_series(Some(0), "census.vacancies", 10, 4.0);
-        reg.push_series(Some(1), "census.vacancies", 10, 6.0);
-
-        let tracks = reg.series_tracks();
+        // Interleaved points across ranks and names; equal t on one
+        // track is allowed (same-step resample).
+        let fold = fold(vec![
+            (Some(1), series("census.vacancies", 0, 5.0)),
+            (Some(0), series("census.vacancies", 0, 3.0)),
+            (None, series("kmc.ondemand.dirty_fraction", 1, 0.25)),
+            (Some(0), series("census.vacancies", 10, 4.0)),
+            (Some(1), series("census.vacancies", 10, 6.0)),
+            (Some(0), series("census.vacancies", 10, 4.0)),
+        ]);
+        let tracks = fold.report().series;
         // Sorted by (name, rank); rank None sorts before Some.
         let keys: Vec<(&str, Option<u32>)> =
             tracks.iter().map(|t| (t.name.as_str(), t.rank)).collect();
@@ -600,21 +553,16 @@ mod tests {
                 ("kmc.ondemand.dirty_fraction", None),
             ]
         );
-        assert_eq!(tracks[0].points.len(), 2);
+        assert_eq!(tracks[0].points.len(), 3);
         assert_eq!(tracks[0].last_value(), Some(4.0));
-        // Equal t on one track is allowed (same-step resample)…
-        reg.push_series(Some(0), "census.vacancies", 10, 4.0);
-        // …and the report includes the tracks.
-        let report = build_run_report(vec![], vec![], &reg);
-        assert_eq!(report.series.len(), 3);
     }
 
     #[test]
     #[should_panic(expected = "not monotonic")]
     fn series_rejects_decreasing_t() {
-        let reg = CounterRegistry::default();
-        reg.push_series(None, "census.vacancies", 5, 1.0);
-        reg.push_series(None, "census.vacancies", 4, 1.0);
+        let tel = crate::Telemetry::with_mode(crate::Mode::Summary);
+        tel.emit(series("census.vacancies", 5, 1.0));
+        tel.emit(series("census.vacancies", 4, 1.0));
     }
 
     #[test]
@@ -622,19 +570,17 @@ mod tests {
         let reg = CounterRegistry::default();
         reg.absorb_comm_rank(0, &Default::default(), None);
         reg.absorb_comm_rank(1, &Default::default(), None);
-        let mk = |path: &str, total_s: f64| SpanReport {
+        let close = |path: &str, s: u64| Event::SpanClose {
             path: path.into(),
-            count: 1,
-            total_s,
-            self_s: total_s,
+            dur_ns: s * 250_000_000,
         };
-        let rank_spans = vec![
-            (Some(0), mk("md.phase", 3.0)),
-            (Some(1), mk("md.phase", 1.0)),
-            (Some(0), mk("kmc.phase", 0.5)),
-            (None, mk("driver.io", 9.0)), // untagged: excluded
-        ];
-        let report = build_run_report(vec![], rank_spans, &reg);
+        let fold = fold(vec![
+            (Some(0), close("md.phase", 12)),
+            (Some(1), close("md.phase", 4)),
+            (Some(0), close("kmc.phase", 2)),
+            (None, close("driver.io", 36)), // untagged: excluded
+        ]);
+        let report = fold.report_with(&reg);
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.ranks[0].rank, 0);
         assert_eq!(report.ranks[0].spans.len(), 2);

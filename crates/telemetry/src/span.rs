@@ -1,61 +1,63 @@
-//! Hierarchical phase spans and the thread-safe accumulation registry.
+//! Hierarchical phase spans and the telemetry instance that folds and
+//! streams every event.
 //!
 //! A span is opened with [`Telemetry::span`] (or the [`crate::span!`]
 //! macro) and closed by dropping the returned guard. Nesting is
 //! tracked per thread: a span opened while another is live becomes its
-//! child, and the registry keys stats by the full call path
-//! (`"coupled.run/md.phase/md.force"`). Each path accumulates
+//! child, and its event carries the full call path
+//! (`"coupled.run/md.phase/md.force"`). Open and close are ordinary
+//! events: [`Telemetry::emit`] folds them into the instance's
+//! [`RunFold`], which accumulates per `(rank, path)`
 //!
 //! * `count` — times the span closed,
 //! * `total` — wall time between open and close,
-//! * `child` — wall time spent in child spans (so `total - child` is
-//!   *self* time, the quantity the flamegraph-style renderer shows).
+//! * `self` — total minus the wall time of its child spans, from the
+//!   fold's per-thread open-span stack (the quantity the
+//!   flamegraph-style renderer shows).
 //!
-//! Cost model: when the owning [`Telemetry`] is disabled, opening a
-//! span is one relaxed atomic load and the guard is inert. When
-//! enabled, open is an `Instant::now` plus one thread-local push;
-//! close adds a mutex-guarded hash-map update. That is cheap enough to
-//! stay on in release builds for the per-phase (not per-atom)
+//! Cost model: when the owning [`Telemetry`] is off, opening a span
+//! and emitting an event are one relaxed atomic load each, and the
+//! guard is inert. When on, every event takes one mutex, under which it
+//! is folded and forwarded to the sink (if any). That is cheap enough
+//! to stay on in release builds for the per-phase (not per-atom)
 //! granularity used across this workspace.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::event::{Event, EventSink, Record};
+use crate::monitor::RunFold;
 use crate::report::{CounterRegistry, RunReport};
 use crate::Mode;
 
-/// Accumulated statistics of one span path.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SpanStat {
-    pub count: u64,
-    pub total_ns: u64,
-    pub child_ns: u64,
-}
-
-/// One telemetry domain: span registry + counter registry + sink.
+/// One telemetry domain: the event fold, its sink, and the comm/CPE
+/// deposits.
 ///
 /// The process-wide instance lives behind [`crate::global`]; tests
 /// construct private instances for isolation.
 pub struct Telemetry {
     enabled: AtomicBool,
-    /// Keyed by (emitting rank, full span path). `None` is the driver
-    /// (untagged) dimension, so pre-rank callers keep working.
-    spans: Mutex<HashMap<(Option<u32>, String), SpanStat>>,
+    inner: Mutex<Inner>,
     counters: CounterRegistry,
-    sink: Mutex<Option<Box<dyn EventSink>>>,
-    jsonl_path: Mutex<Option<String>>,
-    seq: AtomicU64,
     epoch: Instant,
     /// Heartbeat cadence: emit every N progress units (0 = off).
     heartbeat_every: AtomicU64,
 }
 
+/// What one lock guards: each record is sequenced, folded and
+/// forwarded under it, so the fold and the sink see one total order.
+#[derive(Default)]
+struct Inner {
+    fold: RunFold,
+    sink: Option<Box<dyn EventSink>>,
+    jsonl_path: Option<String>,
+    seq: u64,
+}
+
 thread_local! {
-    /// Per-thread stack of open spans: (full path, start, child time).
+    /// Per-thread stack of open spans: (full path, start).
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     /// Simulated rank this thread reports as (see [`rank_scope`]).
     static RANK: Cell<Option<u32>> = const { Cell::new(None) };
@@ -118,7 +120,6 @@ impl Drop for RankScope {
 struct Frame {
     path: String,
     start: Instant,
-    child_ns: u64,
 }
 
 impl Default for Telemetry {
@@ -132,11 +133,8 @@ impl Telemetry {
     pub fn with_mode(mode: Mode) -> Self {
         let t = Self {
             enabled: AtomicBool::new(false),
-            spans: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Inner::default()),
             counters: CounterRegistry::default(),
-            sink: Mutex::new(None),
-            jsonl_path: Mutex::new(None),
-            seq: AtomicU64::new(0),
             epoch: Instant::now(),
             heartbeat_every: AtomicU64::new(
                 std::env::var("MMDS_HEARTBEAT")
@@ -154,8 +152,9 @@ impl Telemetry {
         match mode {
             Mode::Off => {
                 self.enabled.store(false, Ordering::Relaxed);
-                *self.sink.lock().unwrap() = None;
-                *self.jsonl_path.lock().unwrap() = None;
+                let mut inner = self.inner.lock().unwrap();
+                inner.sink = None;
+                inner.jsonl_path = None;
             }
             Mode::Summary => {
                 self.enabled.store(true, Ordering::Relaxed);
@@ -163,8 +162,9 @@ impl Telemetry {
             Mode::Jsonl(path) => {
                 match crate::event::FileSink::create(&path) {
                     Ok(s) => {
-                        *self.sink.lock().unwrap() = Some(Box::new(s));
-                        *self.jsonl_path.lock().unwrap() = Some(path.clone());
+                        let mut inner = self.inner.lock().unwrap();
+                        inner.sink = Some(Box::new(s));
+                        inner.jsonl_path = Some(path);
                     }
                     Err(e) => eprintln!("[telemetry] cannot open {path}: {e}; events disabled"),
                 }
@@ -176,25 +176,26 @@ impl Telemetry {
     /// Replaces the event sink (tests use [`crate::MemorySink`]).
     pub fn install_sink(&self, sink: Box<dyn EventSink>) {
         self.enabled.store(true, Ordering::Relaxed);
-        *self.sink.lock().unwrap() = Some(sink);
+        self.inner.lock().unwrap().sink = Some(sink);
     }
 
     /// Removes the sink, returning it.
     pub fn take_sink(&self) -> Option<Box<dyn EventSink>> {
-        *self.jsonl_path.lock().unwrap() = None;
-        self.sink.lock().unwrap().take()
+        let mut inner = self.inner.lock().unwrap();
+        inner.jsonl_path = None;
+        inner.sink.take()
     }
 
     /// Path of the JSONL stream when the sink is a [`Mode::Jsonl`]
     /// file sink; `None` otherwise.
     pub fn jsonl_path(&self) -> Option<String> {
-        self.jsonl_path.lock().unwrap().clone()
+        self.inner.lock().unwrap().jsonl_path.clone()
     }
 
     /// Flushes the installed sink (no-op without one). Call before
     /// reading the JSONL file back while the process is still alive.
     pub fn flush_sink(&self) {
-        if let Some(sink) = self.sink.lock().unwrap().as_mut() {
+        if let Some(sink) = self.inner.lock().unwrap().sink.as_mut() {
             sink.flush();
         }
     }
@@ -214,8 +215,8 @@ impl Telemetry {
         self.heartbeat_every.store(every, Ordering::Relaxed);
     }
 
-    /// The counter registry of this domain.
-    pub fn counters(&self) -> &CounterRegistry {
+    /// The comm/CPE deposits of this domain.
+    pub(crate) fn counters(&self) -> &CounterRegistry {
         &self.counters
     }
 
@@ -233,7 +234,6 @@ impl Telemetry {
             s.push(Frame {
                 path: path.clone(),
                 start: Instant::now(),
-                child_ns: 0,
             });
             path
         });
@@ -245,116 +245,69 @@ impl Telemetry {
         let Some(frame) = STACK.with(|s| s.borrow_mut().pop()) else {
             return;
         };
-        let elapsed = frame.start.elapsed().as_nanos() as u64;
-        STACK.with(|s| {
-            if let Some(parent) = s.borrow_mut().last_mut() {
-                parent.child_ns += elapsed;
-            }
-        });
-        {
-            let mut spans = self.spans.lock().unwrap();
-            let e = spans
-                .entry((current_rank(), frame.path.clone()))
-                .or_default();
-            e.count += 1;
-            e.total_ns += elapsed;
-            e.child_ns += frame.child_ns;
-        }
         self.emit(Event::SpanClose {
+            dur_ns: frame.start.elapsed().as_nanos() as u64,
             path: frame.path,
-            dur_ns: elapsed,
         });
     }
 
-    /// Streams one event to the sink, if a sink is installed. Events
-    /// get a process-ordered sequence number under the sink lock, so
-    /// concurrent emitters produce a consistent total order.
+    /// Records one event: stamps it with a process-ordered sequence
+    /// number, folds it into this instance's [`RunFold`] and forwards
+    /// it to the sink (if one is installed), all under one lock, so
+    /// concurrent emitters produce one consistent total order. Returns
+    /// at once, building nothing, while telemetry is off.
+    ///
+    /// Panics on a series point whose `t` goes backwards on its
+    /// `(rank, name)` track: series are monotonic by contract, and a
+    /// violation means the call site charges the wrong domain index.
     pub fn emit(&self, event: Event) {
-        // Resolve thread identity before taking the sink lock.
+        if !self.enabled() {
+            return;
+        }
+        // Resolve thread identity before taking the lock.
         let rank = current_rank();
         let tid = Some(thread_tid());
-        let mut sink = self.sink.lock().unwrap();
-        let Some(sink) = sink.as_mut() else {
-            return;
-        };
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let t_ns = self.epoch.elapsed().as_nanos() as u64;
-        sink.record(&Record {
-            seq,
-            t_ns,
+        let mut inner = self.inner.lock().unwrap();
+        let record = Record {
+            seq: inner.seq,
+            t_ns: self.epoch.elapsed().as_nanos() as u64,
             rank,
             tid,
             event,
-        });
-    }
-
-    /// Snapshot of all span statistics aggregated over ranks, sorted by
-    /// path. This is the pre-rank-dimension view existing consumers
-    /// (the tree renderer, figure binaries) expect.
-    pub fn span_reports(&self) -> Vec<crate::report::SpanReport> {
-        let spans = self.spans.lock().unwrap();
-        let mut merged: HashMap<&str, SpanStat> = HashMap::new();
-        for ((_, path), s) in spans.iter() {
-            let e = merged.entry(path.as_str()).or_default();
-            e.count += s.count;
-            e.total_ns += s.total_ns;
-            e.child_ns += s.child_ns;
+        };
+        if !inner.fold.fold(&record) {
+            drop(inner);
+            if let Event::Series(s) = &record.event {
+                panic!(
+                    "series `{}` (rank {rank:?}) is not monotonic: t {} after a later point",
+                    s.name, s.t
+                );
+            }
+            return;
         }
-        let mut out: Vec<_> = merged
-            .into_iter()
-            .map(|(path, s)| crate::report::SpanReport {
-                path: path.to_string(),
-                count: s.count,
-                total_s: s.total_ns as f64 * 1e-9,
-                self_s: s.total_ns.saturating_sub(s.child_ns) as f64 * 1e-9,
-            })
-            .collect();
-        out.sort_by(|a, b| a.path.cmp(&b.path));
-        out
+        inner.seq += 1;
+        if let Some(sink) = inner.sink.as_mut() {
+            sink.record(&record);
+        }
     }
 
-    /// Span statistics split by emitting rank, sorted by (rank, path);
-    /// the `None` (driver) dimension comes first.
-    pub fn rank_span_reports(&self) -> Vec<(Option<u32>, crate::report::SpanReport)> {
-        let spans = self.spans.lock().unwrap();
-        let mut out: Vec<_> = spans
-            .iter()
-            .map(|((rank, path), s)| {
-                (
-                    *rank,
-                    crate::report::SpanReport {
-                        path: path.clone(),
-                        count: s.count,
-                        total_s: s.total_ns as f64 * 1e-9,
-                        self_s: s.total_ns.saturating_sub(s.child_ns) as f64 * 1e-9,
-                    },
-                )
-            })
-            .collect();
-        out.sort_by(|a, b| (a.0, &a.1.path).cmp(&(b.0, &b.1.path)));
-        out
-    }
-
-    /// Merges spans, counters, retained samples, and the per-rank
-    /// breakdown into the final run-wide report.
+    /// The run-wide report: the fold's spans, counters, samples and
+    /// series, completed by the per-rank comm and CPE deposits.
     pub fn run_report(&self) -> RunReport {
-        crate::report::build_run_report(
-            self.span_reports(),
-            self.rank_span_reports(),
-            &self.counters,
-        )
+        self.inner.lock().unwrap().fold.report_with(&self.counters)
     }
 
     /// Renders the flamegraph-style self-time tree of this instance.
     pub fn render_tree(&self) -> String {
-        crate::render::render_tree(&self.span_reports())
+        crate::render::render_tree(&self.inner.lock().unwrap().fold.span_totals())
     }
 
-    /// Clears spans, counters, and samples (not the sink).
+    /// Clears spans, counters, samples and deposits (not the sink).
     pub fn reset(&self) {
-        self.spans.lock().unwrap().clear();
+        let mut inner = self.inner.lock().unwrap();
+        inner.fold.reset();
+        inner.seq = 0;
         self.counters.reset();
-        self.seq.store(0, Ordering::Relaxed);
     }
 }
 
@@ -384,8 +337,12 @@ mod tests {
         let t = Telemetry::with_mode(Mode::Off);
         {
             let _g = t.span("root");
+            t.emit(Event::Counter {
+                name: "x.y".into(),
+                value: 1.0,
+            });
         }
-        assert!(t.span_reports().is_empty());
+        assert_eq!(t.run_report(), RunReport::default());
     }
 
     #[test]
@@ -400,7 +357,7 @@ mod tests {
             }
             sleep_ms(5);
         }
-        let reports = t.span_reports();
+        let reports = t.run_report().spans;
         let root = reports.iter().find(|r| r.path == "root").unwrap();
         let child = reports.iter().find(|r| r.path == "root/child").unwrap();
         assert_eq!(root.count, 1);
@@ -420,7 +377,7 @@ mod tests {
                 let _c = t.span("step");
             }
         }
-        let reports = t.span_reports();
+        let reports = t.run_report().spans;
         let step = reports.iter().find(|r| r.path == "r2/step").unwrap();
         assert_eq!(step.count, 3);
     }
@@ -439,9 +396,35 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let reports = t.span_reports();
+        let reports = t.run_report().spans;
         assert_eq!(reports.iter().map(|r| r.count).sum::<u64>(), 4);
         // Threads have independent stacks: both names are roots.
         assert!(reports.iter().all(|r| !r.path.contains('/')));
+    }
+
+    #[test]
+    fn out_of_order_series_point_panics_before_reaching_the_sink() {
+        let t = Telemetry::with_mode(Mode::Summary);
+        let sink = crate::MemorySink::new();
+        t.install_sink(Box::new(sink.clone()));
+        let point = |t_idx| {
+            Event::Series(crate::SeriesSample {
+                name: "census.vacancies".into(),
+                t: t_idx,
+                value: 1.0,
+            })
+        };
+        t.emit(point(5));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| t.emit(point(4))))
+            .expect_err("a decreasing t is an instrumentation bug");
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("not monotonic"), "{msg}");
+        // The bad point reached neither the sink nor the report, and the
+        // instance still works (the lock was released before panicking).
+        t.emit(point(6));
+        let seqs: Vec<u64> = sink.records().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1], "gapless");
+        let points = &t.run_report().series[0].points;
+        assert_eq!(points.iter().map(|p| p.t).collect::<Vec<_>>(), vec![5, 6]);
     }
 }

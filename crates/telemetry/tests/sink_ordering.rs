@@ -76,7 +76,7 @@ fn nested_span_accounting_from_parallel_sections() {
             })
             .collect::<Vec<_>>();
     }
-    let reports = tel.span_reports();
+    let reports = tel.run_report().spans;
     let outer = reports.iter().find(|r| r.path == "outer").unwrap();
     let inner = reports.iter().find(|r| r.path == "outer/inner").unwrap();
     assert_eq!(outer.count, 6);

@@ -143,7 +143,8 @@ fn assert_comm_savings_accounting() {
         6,
     );
 
-    let named = tel.counters().snapshot().named;
+    let report = tel.run_report();
+    let named = &report.counters.named;
     let get = |n: &str| {
         named
             .get(n)
@@ -166,7 +167,6 @@ fn assert_comm_savings_accounting() {
     );
     // The per-cycle series carries the same accounting the cumulative
     // counters do.
-    let report = tel.run_report();
     let series_sum = |name: &str| -> f64 {
         report
             .series
