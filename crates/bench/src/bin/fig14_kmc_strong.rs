@@ -6,103 +6,36 @@
 //!
 //! Here: a measured strong-scaling sweep (fixed global site count over
 //! simulated ranks) plus the projected paper-scale series with the
-//! cache-boost model that reproduces the super-linear bump.
+//! cache-boost model that reproduces the super-linear bump. The
+//! experiment itself is [`mmds_bench::fig14`].
 
-use mmds_bench::kmc_sweep::run_fixed_box;
-use mmds_bench::{emit_report, fmt_pct, fmt_s, header, paper, scaled_cells};
-use mmds_kmc::{ExchangeStrategy, OnDemandMode};
-use mmds_perfmodel::{project_strong, CommShape, Machine, ProjectedPoint};
-use mmds_swmpi::topology::CartGrid;
-use mmds_swmpi::World;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct MeasuredPoint {
-    ranks: usize,
-    sites: usize,
-    compute_s: f64,
-    comm_s: f64,
-    total_s: f64,
-    speedup: f64,
-    efficiency: f64,
-}
-
-#[derive(Serialize)]
-struct Fig14Result {
-    measured: Vec<MeasuredPoint>,
-    projected: Vec<ProjectedPoint>,
-    paper_speedup: f64,
-    paper_efficiency: f64,
-}
+use mmds_bench::{emit_report, fig14, fmt_pct, fmt_s, header, paper, scale};
 
 fn main() {
     header("Figure 14: KMC strong scaling (with the L2 super-linear bump)");
-    let cells = scaled_cells(24, 12);
-    let cycles = 6;
-    let concentration = 1.0e-3;
-    let world = World::default_world();
-    let strategy = ExchangeStrategy::OnDemand(OnDemandMode::TwoSided);
-
+    let result = fig14::run(scale());
+    let cells = result.cells;
     println!(
-        "measured (global {cells}^3 cells = {} sites, {cycles} cycles):",
-        2 * cells.pow(3)
+        "measured (global {cells}^3 cells = {} sites, {} cycles):",
+        2 * cells.pow(3),
+        result.cycles
     );
     println!(
         "{:>6} {:>10} {:>10} {:>10} {:>9} {:>10}",
         "ranks", "compute", "comm", "total", "speedup", "efficiency"
     );
-    let mut measured = Vec::new();
-    let mut t0 = 0.0;
-    for &r in &[1usize, 2, 4, 8, 16, 32, 64] {
-        // Keep subdomains legal: every axis ≥ 2× the KMC ghost width.
-        let dims = CartGrid::for_ranks(r).dims;
-        if dims
-            .iter()
-            .any(|&d| cells / d < 6 || !cells.is_multiple_of(d))
-        {
-            continue;
-        }
-        let point = run_fixed_box(&world, r, [cells; 3], concentration, cycles, strategy, true);
-        let total = point.comm_time + point.compute_time;
-        if r == 1 {
-            t0 = total;
-        }
-        let speedup = t0 / total;
-        let eff = speedup / r as f64;
+    for p in &result.measured {
         println!(
             "{:>6} {:>10} {:>10} {:>10} {:>9.2} {:>10}",
-            r,
-            fmt_s(point.compute_time),
-            fmt_s(point.comm_time),
-            fmt_s(total),
-            speedup,
-            fmt_pct(eff)
+            p.ranks,
+            fmt_s(p.compute_s),
+            fmt_s(p.comm_s),
+            fmt_s(p.total_s),
+            p.speedup,
+            fmt_pct(p.efficiency)
         );
-        measured.push(MeasuredPoint {
-            ranks: r,
-            sites: point.sites,
-            compute_s: point.compute_time,
-            comm_s: point.comm_time,
-            total_s: total,
-            speedup,
-            efficiency: eff,
-        });
     }
 
-    // Paper-scale projection with the cache model.
-    let machine = Machine::taihulight();
-    let ws_total = 3.2e10; // ~1 B/site working set
-    let per_site_cycle = measured[0].compute_s / (measured[0].sites as f64 * cycles as f64);
-    let total_compute = per_site_cycle * 3.2e10 * cycles as f64;
-    let cores: Vec<u64> = vec![1_500, 3_000, 6_000, 12_000, 24_000, 48_000];
-    let projected = project_strong(
-        &cores,
-        1,
-        total_compute,
-        CommShape::Log2,
-        paper::FIG14_EFFICIENCY,
-        Some((machine, ws_total)),
-    );
     println!("\nprojected at paper scale (3.2e10 sites; endpoint fitted to paper):");
     println!(
         "{:>9} {:>10} {:>10} {:>9} {:>10}",
@@ -110,7 +43,7 @@ fn main() {
     );
     let mut prev_eff = f64::NAN;
     let mut bump = false;
-    for p in &projected {
+    for p in &result.projected {
         let marker = if p.efficiency > prev_eff && !prev_eff.is_nan() {
             bump = true;
             "  <- super-linear"
@@ -127,7 +60,7 @@ fn main() {
         );
         prev_eff = p.efficiency;
     }
-    let last = projected.last().expect("nonempty");
+    let last = result.projected.last().expect("nonempty");
     println!(
         "\nendpoint: {:.1}x speedup, {} efficiency   [paper: {:.1}x, {}]",
         last.speedup,
@@ -137,13 +70,5 @@ fn main() {
     );
     println!("super-linear segment present: {bump}   [paper: yes, from 3,000 to 12,000 cores]");
 
-    emit_report(
-        "fig14.json",
-        &Fig14Result {
-            measured,
-            projected,
-            paper_speedup: paper::FIG14_SPEEDUP,
-            paper_efficiency: paper::FIG14_EFFICIENCY,
-        },
-    );
+    emit_report("fig14.json", &result);
 }

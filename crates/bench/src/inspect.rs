@@ -181,10 +181,13 @@ pub fn kmc_solver_cost_view(report: &RunReport) -> String {
     if events == 0 {
         return String::new();
     }
+    let per_event = |name: &str| evals(name) / events as f64;
     format!(
-        "  kmc solver: {:.1} site evals/event, {:.2} rate evals/event over {events} events\n",
-        evals("kmc.rate.site_evals") / events as f64,
-        evals("kmc.rate.rate_evals") / events as f64,
+        "  kmc solver: {:.1} site evals/event modelled, {:.1} computed by the host, \
+         {:.2} rate evals/event over {events} events\n",
+        per_event("kmc.rate.site_evals"),
+        per_event("kmc.rate.host_site_evals"),
+        per_event("kmc.rate.rate_evals"),
     )
 }
 
@@ -735,11 +738,15 @@ mod tests {
             .collect();
         events.extend([
             counter("kmc.rate.site_evals", 9000.0),
+            counter("kmc.rate.host_site_evals", 5000.0),
             counter("kmc.rate.rate_evals", 26.0),
         ]);
         let text = summary(&report_of(events));
         assert!(
-            text.contains("2250.0 site evals/event, 6.50 rate evals/event over 4 events"),
+            text.contains(
+                "2250.0 site evals/event modelled, 1250.0 computed by the host, \
+                 6.50 rate evals/event over 4 events"
+            ),
             "{text}"
         );
     }

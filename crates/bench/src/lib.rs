@@ -15,6 +15,7 @@
 pub mod archive;
 pub mod causal;
 pub mod fig09;
+pub mod fig14;
 pub mod inspect;
 pub mod reconcile;
 pub mod watch;
@@ -35,7 +36,12 @@ pub fn scale() -> f64 {
 /// Scales a linear dimension, keeping it even (sector/divisibility
 /// requirements) and at least `min`.
 pub fn scaled_cells(base: usize, min: usize) -> usize {
-    let v = (base as f64 * scale()).round() as usize;
+    cells_at(scale(), base, min)
+}
+
+/// [`scaled_cells`] at an explicit `scale`.
+pub fn cells_at(scale: f64, base: usize, min: usize) -> usize {
+    let v = (base as f64 * scale).round() as usize;
     (v.max(min) + 1) & !1
 }
 

@@ -250,13 +250,19 @@ mod tests {
     }
 
     /// Everything a run's future depends on, as bits.
-    fn bits(s: &KmcSimulation) -> (Vec<u8>, u64, [u64; 4], [u64; 4]) {
+    fn bits(s: &KmcSimulation) -> (Vec<u8>, u64, [u64; 5], [u64; 4]) {
         let ck = s.checkpoint();
         let st = ck.stats;
         (
             ck.states,
             ck.time.to_bits(),
-            [st.events, st.cycles, st.rate.rate_evals, st.rate.site_evals],
+            [
+                st.events,
+                st.cycles,
+                st.rate.rate_evals,
+                st.rate.site_evals,
+                st.rate.host_site_evals,
+            ],
             ck.rng,
         )
     }

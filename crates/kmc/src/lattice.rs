@@ -8,19 +8,21 @@
 //! row is one contiguous slice of [`KmcLattice::state`] — the fact the
 //! full-ghost slab exchange (`crate::exchange`, DESIGN §6.21) packs by.
 //!
-//! Besides the states the lattice carries two things derived from them
-//! or from its geometry: the owned-vacancy index, which
+//! Besides the states the lattice carries things derived from them or
+//! from its geometry: the owned-vacancy index, which
 //! [`KmcLattice::set_state`] keeps equal to
-//! `{owned s : state[s] == Vacancy}` (every state write outside
-//! `model::delta_e`'s swap-and-restore goes through it), and the
-//! exchange's scratch — the recycled slab wire buffer and the cell reach
-//! of one hop.
+//! `{owned s : state[s] == Vacancy}` (every state write outside a rate
+//! evaluation's swap-and-restore goes through it), the rate patch shapes
+//! with the solver's recycled energy memo, and the exchange's scratch —
+//! the recycled slab wire buffer and the cell reach of one hop.
 
 use std::collections::BTreeSet;
 
 use mmds_lattice::neighbor_offsets::NeighborOffsets;
 use mmds_lattice::LocalGrid;
 use serde::{Deserialize, Serialize};
+
+use crate::solver::RateMemo;
 
 /// What occupies a lattice site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,6 +94,77 @@ pub struct KmcLattice {
     /// `KmcTransport::shift` returned last, kept to be the next send
     /// buffer, so the slab exchange allocates nothing in steady state.
     pub(crate) wire: Vec<u8>,
+    /// Rate patch shapes per vacancy basis.
+    pub(crate) patches: [PatchShapes; 2],
+    /// The solver's per-vacancy energy memo, recycled like `wire`.
+    pub(crate) memo: RateMemo,
+}
+
+/// One site of a rate patch, as seen from the vacancy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PatchSite {
+    /// Flat-index delta from the vacancy.
+    pub(crate) delta: isize,
+    /// Index in the union of the vacancy basis's patches: the site's
+    /// memo slot.
+    pub(crate) slot: usize,
+    /// Neither end of the swap and does not read the partner, so after
+    /// the swap the site sees only the species that moved onto the
+    /// vacancy: one energy serves every partner of that species.
+    pub(crate) shared_after: bool,
+}
+
+/// The rate patches of a vacancy on one basis.
+#[derive(Debug, Clone)]
+pub(crate) struct PatchShapes {
+    /// Per `nn1` direction, the patch `{v, n} ∪ N(v) ∪ N(n)` in
+    /// ascending delta — the ascending site-id order of the sums.
+    pub(crate) dirs: Vec<Vec<PatchSite>>,
+    /// Distinct sites over all directions.
+    pub(crate) union_len: usize,
+}
+
+impl PatchShapes {
+    fn build(b: usize, deltas: &[Vec<isize>; 2], nn1: &[isize]) -> Self {
+        // Does the site at `from` read the site at `to` (both deltas)?
+        let reads = |from: isize, to: isize| {
+            let basis = ((b as isize + from) & 1) as usize;
+            deltas[basis].contains(&(to - from))
+        };
+        let patches: Vec<Vec<isize>> = nn1
+            .iter()
+            .map(|&dn| {
+                let mut p = vec![0, dn];
+                p.extend(&deltas[b]);
+                p.extend(deltas[1 - b].iter().map(|&d| dn + d));
+                p.sort_unstable();
+                p.dedup();
+                p
+            })
+            .collect();
+        let mut union = patches.concat();
+        union.sort_unstable();
+        union.dedup();
+        let dirs = patches
+            .iter()
+            .zip(nn1)
+            .map(|(p, &dn)| {
+                p.iter()
+                    .map(|&delta| PatchSite {
+                        delta,
+                        slot: union
+                            .binary_search(&delta)
+                            .expect("a patch site is in the union"),
+                        shared_after: delta != 0 && delta != dn && !reads(delta, dn),
+                    })
+                    .collect()
+            })
+            .collect();
+        Self {
+            dirs,
+            union_len: union.len(),
+        }
+    }
 }
 
 impl KmcLattice {
@@ -120,6 +193,7 @@ impl KmcLattice {
             })
             .max()
             .unwrap_or(1) as usize;
+        let patches = [0, 1].map(|b| PatchShapes::build(b, &deltas, &nn1_deltas[b]));
         let n = grid.n_sites();
         Self {
             grid,
@@ -130,6 +204,8 @@ impl KmcLattice {
             vacancies: BTreeSet::new(),
             event_reach,
             wire: Vec::new(),
+            patches,
+            memo: RateMemo::default(),
         }
     }
 

@@ -51,15 +51,55 @@ pub struct EnergyModel {
 }
 
 /// Statistics of rate evaluations (feeds the compute-time model).
-/// Counts evaluations actually performed: the solver's event catalogue
-/// re-evaluates only the rates a hop can change, so these grow with the
-/// work done, not with `events × active vacancies`.
+/// `rate_evals` and `site_evals` count modelled MPE kernel evaluations:
+/// each rate the solver's event catalogue (re-)evaluates is charged its
+/// whole patch twice, before and after the swap, so they grow with the
+/// rates evaluated, not with `events × active vacancies`, and not with
+/// what the host memoises. `host_site_evals` is what the host computed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RateStats {
-    /// Rate evaluations performed.
+    /// Modelled rate evaluations.
     pub rate_evals: u64,
-    /// Patch-energy site evaluations performed.
+    /// Modelled patch-site energy evaluations (`2·|patch|` per rate).
     pub site_evals: u64,
+    /// Site energies the host actually computed.
+    pub host_site_evals: u64,
+}
+
+/// Direct-mapped slots of an [`EmbedMemo`], per species.
+const EMBED_SLOTS: usize = 64;
+
+/// Embedding energies by species and exact density bits. `F_s` is a
+/// pure function of `ρ`, so a hit returns the bits a table lookup
+/// would; in a dilute lattice a few densities (full shell, one site
+/// vacant) recur across a whole patch. Recycled, never reallocated.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EmbedMemo {
+    /// `(ρ bits, F(ρ))`: Fe's slots, then Cu's.
+    slots: Vec<Option<(u64, f64)>>,
+}
+
+impl EmbedMemo {
+    /// Forgets every entry (a memo serves one model at a time).
+    pub(crate) fn reset(&mut self) {
+        self.slots.clear();
+        self.slots.resize(2 * EMBED_SLOTS, None);
+    }
+
+    /// `F_species(rho)` of an atom.
+    fn embed(&mut self, model: &EnergyModel, species: SiteState, rho: f64) -> f64 {
+        let bits = rho.to_bits();
+        let hash = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - EMBED_SLOTS.trailing_zeros());
+        let slot = &mut self.slots[species as usize * EMBED_SLOTS + hash as usize];
+        match *slot {
+            Some((b, e)) if b == bits => e,
+            _ => {
+                let e = model.embed_energy(species, rho);
+                *slot = Some((bits, e));
+                e
+            }
+        }
+    }
 }
 
 impl EnergyModel {
@@ -114,8 +154,21 @@ impl EnergyModel {
 
     /// Energy of one site given current occupancies:
     /// `F_s(ρ_s) + ½ Σ_j φ_{s,s_j}(r_sj)` (zero for a vacancy).
-    pub fn site_energy(&self, lat: &KmcLattice, s: usize, stats: &mut RateStats) -> f64 {
-        stats.site_evals += 1;
+    pub fn site_energy(&self, lat: &KmcLattice, s: usize) -> f64 {
+        self.site_energy_with(lat, s, |me, rho| self.embed_energy(me, rho))
+    }
+
+    /// [`Self::site_energy`] with its embedding term looked up in `memo`.
+    pub(crate) fn site_energy_memo(&self, lat: &KmcLattice, s: usize, memo: &mut EmbedMemo) -> f64 {
+        self.site_energy_with(lat, s, |me, rho| memo.embed(self, me, rho))
+    }
+
+    fn site_energy_with(
+        &self,
+        lat: &KmcLattice,
+        s: usize,
+        embed: impl FnOnce(SiteState, f64) -> f64,
+    ) -> f64 {
         let me = lat.state[s];
         if me == SiteState::Vacancy {
             return 0.0;
@@ -132,17 +185,32 @@ impl EnergyModel {
                 pair += self.phi[pi][b][idx];
             }
         }
-        self.embed_energy(me, rho) + 0.5 * pair
+        embed(me, rho) + 0.5 * pair
     }
 
+    /// Transition rate `k = ν exp(−E_m/k_B T)` of a hop whose final
+    /// state lies `de` above the initial one, with the Kang–Weinberg
+    /// barrier `E_m = max(floor, E_m⁰ + ΔE/2)`.
+    pub(crate) fn rate_of(&self, de: f64) -> f64 {
+        let barrier = (self.e_mig0 + 0.5 * de).max(self.e_floor);
+        self.nu * (-barrier / self.kbt).exp()
+    }
+}
+
+/// The per-rate path the solver's shaped patches replaced: the bitwise
+/// oracle for them.
+#[cfg(test)]
+impl EnergyModel {
     /// Energy of the patch affected by swapping `v` (vacancy) and `n`
     /// (atom): the two sites plus every neighbour of either.
     fn patch_energy(&self, lat: &KmcLattice, patch: &[usize], stats: &mut RateStats) -> f64 {
-        patch.iter().map(|&s| self.site_energy(lat, s, stats)).sum()
+        stats.site_evals += patch.len() as u64;
+        stats.host_site_evals += patch.len() as u64;
+        patch.iter().map(|&s| self.site_energy(lat, s)).sum()
     }
 
     /// Builds the affected patch for an exchange.
-    pub fn patch(&self, lat: &KmcLattice, v: usize, n: usize) -> Vec<usize> {
+    pub(crate) fn patch(&self, lat: &KmcLattice, v: usize, n: usize) -> Vec<usize> {
         let mut p: Vec<usize> = Vec::with_capacity(32);
         p.push(v);
         p.push(n);
@@ -155,7 +223,13 @@ impl EnergyModel {
 
     /// ΔE of exchanging the vacancy at `v` with the atom at `n`
     /// (positive = final state higher).
-    pub fn delta_e(&self, lat: &mut KmcLattice, v: usize, n: usize, stats: &mut RateStats) -> f64 {
+    pub(crate) fn delta_e(
+        &self,
+        lat: &mut KmcLattice,
+        v: usize,
+        n: usize,
+        stats: &mut RateStats,
+    ) -> f64 {
         debug_assert_eq!(lat.state[v], SiteState::Vacancy);
         debug_assert!(lat.state[n].is_atom());
         let patch = self.patch(lat, v, n);
@@ -169,13 +243,18 @@ impl EnergyModel {
         after - before
     }
 
-    /// Transition rate `k = ν exp(−E_m/k_B T)` with the Kang–Weinberg
-    /// barrier `E_m = max(floor, E_m⁰ + ΔE/2)`.
-    pub fn rate(&self, lat: &mut KmcLattice, v: usize, n: usize, stats: &mut RateStats) -> f64 {
+    /// Transition rate of exchanging the vacancy at `v` with the atom at
+    /// `n`.
+    pub(crate) fn rate(
+        &self,
+        lat: &mut KmcLattice,
+        v: usize,
+        n: usize,
+        stats: &mut RateStats,
+    ) -> f64 {
         stats.rate_evals += 1;
         let de = self.delta_e(lat, v, n, stats);
-        let barrier = (self.e_mig0 + 0.5 * de).max(self.e_floor);
-        self.nu * (-barrier / self.kbt).exp()
+        self.rate_of(de)
     }
 }
 
@@ -193,6 +272,66 @@ mod tests {
         };
         let model = EnergyModel::new(&cfg, &lat);
         (lat, model, RateStats::default())
+    }
+
+    #[test]
+    fn patch_shapes_equal_the_oracle_patches() {
+        for rate_cutoff in [3.0, 5.0] {
+            let cfg = KmcConfig {
+                table_knots: 600,
+                rate_cutoff,
+                ..Default::default()
+            };
+            let ghost = crate::lattice::required_ghost(cfg.a0, rate_cutoff);
+            let lat = KmcLattice::all_fe(
+                LocalGrid::whole(BccGeometry::fe_cube(4), ghost),
+                rate_cutoff,
+            );
+            let m = EnergyModel::new(&cfg, &lat);
+            let mut shapes = 0;
+            for v in lat.grid.interior_ids() {
+                let shape = &lat.patches[v & 1];
+                let mut slot_site = vec![None; shape.union_len];
+                for (dir, n) in lat.nn1(v).enumerate() {
+                    let sites: Vec<usize> = shape.dirs[dir]
+                        .iter()
+                        .map(|p| (v as isize + p.delta) as usize)
+                        .collect();
+                    assert_eq!(
+                        sites,
+                        m.patch(&lat, v, n),
+                        "cutoff {rate_cutoff}, v {v}, n {n}"
+                    );
+                    for (p, &s) in shape.dirs[dir].iter().zip(&sites) {
+                        // A slot names one site across all directions.
+                        assert_eq!(*slot_site[p.slot].get_or_insert(s), s, "slot {}", p.slot);
+                        let reads_partner = lat.neighbors(s).any(|x| x == n);
+                        assert_eq!(p.shared_after, s != v && s != n && !reads_partner);
+                    }
+                    shapes += 1;
+                }
+                // Slots are dense: every one names a site.
+                assert!(slot_site.iter().all(Option::is_some));
+            }
+            assert_eq!(shapes, 8 * lat.n_owned());
+        }
+    }
+
+    #[test]
+    fn embed_memo_returns_the_table_bits() {
+        // One density for both species, with Cu given its own embedding
+        // function (the shipped model gives Cu iron's, so the rate
+        // oracles cannot tell the species slots apart).
+        let (_, mut m, _) = setup();
+        m.embed[1] = CompactTable::build(|rho| 0.5 * rho - 1.0, 0.0, RHO_MAX, 100);
+        let mut memo = EmbedMemo::default();
+        memo.reset();
+        for rho in [0.0, 1.5, 1.5 + f64::EPSILON, 7.25] {
+            for species in [SiteState::Fe, SiteState::Cu, SiteState::Fe, SiteState::Cu] {
+                let want = m.embed_energy(species, rho);
+                assert_eq!(memo.embed(&m, species, rho).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -329,17 +468,17 @@ mod tests {
     fn cu_pair_binding_drives_demixing() {
         // Positive heat of mixing: two adjacent Cu atoms are lower in
         // energy than two separated ones — the precipitation driver.
-        let (mut lat, m, mut st) = deep_setup();
+        let (mut lat, m, _) = deep_setup();
         let owned: Vec<usize> = lat.grid.interior_ids().collect();
         let a = lat.grid.site_id(5, 5, 5, 0);
         let b_near = lat.grid.site_id(5, 5, 5, 1); // 1NN
         let b_far = lat.grid.site_id(8, 8, 8, 1);
         lat.set_state(a, SiteState::Cu);
         lat.set_state(b_near, SiteState::Cu);
-        let e_pair: f64 = owned.iter().map(|&s| m.site_energy(&lat, s, &mut st)).sum();
+        let e_pair: f64 = owned.iter().map(|&s| m.site_energy(&lat, s)).sum();
         lat.set_state(b_near, SiteState::Fe);
         lat.set_state(b_far, SiteState::Cu);
-        let e_sep: f64 = owned.iter().map(|&s| m.site_energy(&lat, s, &mut st)).sum();
+        let e_sep: f64 = owned.iter().map(|&s| m.site_energy(&lat, s)).sum();
         assert!(
             e_pair < e_sep,
             "Cu-Cu binding must be attractive: pair {e_pair} vs separated {e_sep}"

@@ -21,8 +21,7 @@
 //!   entry for `n` is inserted at its sorted position if `n` is still
 //!   in the sector (a vacancy that hops onto a ghost or into another
 //!   sector becomes inactive), and every entry whose rates can read
-//!   `v` or `n` is re-evaluated through the unchanged
-//!   [`EnergyModel::rate`].
+//!   `v` or `n` is re-evaluated.
 //! * **Invalidation bound.** `rate(w, p)` sums site energies over the
 //!   patch `{w, p} ∪ N(w) ∪ N(p)`; `p` is one neighbour reach from `w`,
 //!   the patch sites a second, and each site energy scans a third. In
@@ -46,11 +45,24 @@
 //! between sector entries, so nothing cached survives them. The
 //! recompute-everything loop is kept under `#[cfg(test)]` as the
 //! bitwise oracle.
+//!
+//! # One vacancy's rates
+//!
+//! `evaluate` computes a vacancy's rates on the lattice's precomputed
+//! patch shapes (DESIGN §6.19). Every site energy is computed at most
+//! once per call: "before" energies are memoised by patch-union slot,
+//! an "after" energy that depends only on which species moved onto the
+//! vacancy is memoised by (slot, species), and embedding energies by
+//! exact density bits. Both sums still run over each patch in ascending
+//! site id, so every rate has the bits of the `#[cfg(test)]` oracle
+//! `EnergyModel::rate`, and `RateStats::{rate_evals, site_evals}` are
+//! charged exactly what the oracle charges; `host_site_evals` counts
+//! the energies computed.
 
 use rand::Rng;
 
-use crate::lattice::{KmcLattice, SiteState};
-use crate::model::{EnergyModel, RateStats};
+use crate::lattice::{KmcLattice, PatchSite, SiteState};
+use crate::model::{EmbedMemo, EnergyModel, RateStats};
 
 /// What one sector sweep produced.
 #[derive(Debug, Clone, Default)]
@@ -114,6 +126,31 @@ fn cell_of(lat: &KmcLattice, s: usize) -> [usize; 3] {
     [i, j, k]
 }
 
+/// Site energies memoised over one vacancy's rate evaluations, by
+/// [`PatchSite::slot`]. Valid only while the occupancies stay as they
+/// were when it was [`reset`](Self::reset).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RateMemo {
+    /// Pre-swap energies.
+    before: Vec<Option<f64>>,
+    /// Post-swap energies of `shared_after` sites, per species that
+    /// moved onto the vacancy (Fe, Cu).
+    after: Vec<[Option<f64>; 2]>,
+    /// Embedding energies of the sites computed.
+    embed: EmbedMemo,
+}
+
+impl RateMemo {
+    /// Forgets every energy and sizes the memo for `slots` sites.
+    fn reset(&mut self, slots: usize) {
+        self.before.clear();
+        self.before.resize(slots, None);
+        self.after.clear();
+        self.after.resize(slots, [None; 2]);
+        self.embed.reset();
+    }
+}
+
 /// Evaluates the events of the vacancy at `v` into `events`.
 fn evaluate(
     lat: &mut KmcLattice,
@@ -124,12 +161,64 @@ fn evaluate(
 ) {
     events.clear();
     let b = v & 1;
-    for idx in 0..lat.nn1_deltas[b].len() {
-        let n = (v as isize + lat.nn1_deltas[b][idx]) as usize;
+    let mut memo = std::mem::take(&mut lat.memo);
+    memo.reset(lat.patches[b].union_len);
+    for dir in 0..lat.nn1_deltas[b].len() {
+        let n = (v as isize + lat.nn1_deltas[b][dir]) as usize;
         if lat.state[n].is_atom() {
-            events.push((n, model.rate(lat, v, n, stats)));
+            events.push((n, shaped_rate(lat, model, v, n, dir, &mut memo, stats)));
         }
     }
+    lat.memo = memo;
+}
+
+/// The rate of swapping the vacancy at `v` with the atom at `n`, its
+/// `dir`-th `nn1` partner, through `memo` (reset for `v`'s evaluation).
+fn shaped_rate(
+    lat: &mut KmcLattice,
+    model: &EnergyModel,
+    v: usize,
+    n: usize,
+    dir: usize,
+    memo: &mut RateMemo,
+    stats: &mut RateStats,
+) -> f64 {
+    let b = v & 1;
+    let patch_len = lat.patches[b].dirs[dir].len() as u64;
+    stats.rate_evals += 1;
+    stats.site_evals += 2 * patch_len;
+    let RateMemo {
+        before: memo_before,
+        after: memo_after,
+        embed,
+    } = memo;
+    let mut host = 0;
+    let mut energy = |lat: &KmcLattice, p: &PatchSite| {
+        host += 1;
+        model.site_energy_memo(lat, (v as isize + p.delta) as usize, embed)
+    };
+    let before: f64 = lat.patches[b].dirs[dir]
+        .iter()
+        .map(|p| *memo_before[p.slot].get_or_insert_with(|| energy(lat, p)))
+        .sum();
+    let atom = lat.state[n];
+    lat.state[n] = SiteState::Vacancy;
+    lat.state[v] = atom;
+    let species = atom as usize;
+    let after: f64 = lat.patches[b].dirs[dir]
+        .iter()
+        .map(|p| {
+            if p.shared_after {
+                *memo_after[p.slot][species].get_or_insert_with(|| energy(lat, p))
+            } else {
+                energy(lat, p)
+            }
+        })
+        .sum();
+    lat.state[v] = SiteState::Vacancy;
+    lat.state[n] = atom;
+    stats.host_site_evals += host;
+    model.rate_of(after - before)
 }
 
 impl Catalogue {
@@ -471,6 +560,66 @@ mod tests {
         let lat = KmcLattice::all_fe(grid, rate_cutoff);
         let model = EnergyModel::new(&cfg, &lat);
         (lat, model, cfg)
+    }
+
+    #[test]
+    fn shaped_rates_equal_the_oracle() {
+        use crate::comm::LoopbackK;
+        use crate::exchange::full_exchange;
+
+        // Vacancies with a vacancy partner, with Fe and at least two Cu
+        // partners (both after-memo species keys, one of them reused),
+        // and with a partner in the ghost shell.
+        let mut met = [0usize; 3];
+        for (case, (rate_cutoff, cu, vac)) in
+            [(3.0, 0.0, 0.05), (3.0, 0.3, 0.05), (5.0, 0.25, 0.03)]
+                .into_iter()
+                .enumerate()
+        {
+            let (mut lat, model, _) = oracle_box(8, rate_cutoff);
+            let owned = lat.n_owned() as f64;
+            lat.seed_vacancies((vac * owned).round() as usize, 500 + case as u64);
+            lat.seed_solutes_global((cu * owned).round() as usize, 600 + case as u64);
+            let (g, hi) = (lat.grid.ghost, lat.grid.ghost + lat.grid.len[0] - 1);
+            lat.set_vacancies(&[
+                lat.grid.site_id(g, g, g, 0),
+                lat.grid.site_id(hi, hi, hi, 1),
+                lat.grid.site_id(g, hi, g, 1),
+            ]);
+            full_exchange(&mut lat, &mut LoopbackK);
+
+            let vacancies: Vec<usize> = lat.vacancies().collect();
+            let mut events = Vec::new();
+            for v in vacancies {
+                let mut stats = RateStats::default();
+                evaluate(&mut lat, &model, v, &mut events, &mut stats);
+                let got: Vec<(usize, u64)> =
+                    events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
+                let partners: Vec<usize> = lat.nn1(v).collect();
+                let mut want_stats = RateStats::default();
+                let mut want = Vec::new();
+                for &n in &partners {
+                    if lat.state[n].is_atom() {
+                        let k = model.rate(&mut lat, v, n, &mut want_stats);
+                        want.push((n, k.to_bits()));
+                    }
+                }
+                assert_eq!(got, want, "cutoff {rate_cutoff}, vacancy {v}");
+                assert_eq!(
+                    (stats.rate_evals, stats.site_evals),
+                    (want_stats.rate_evals, want_stats.site_evals),
+                    "modelled counts"
+                );
+                assert!(stats.host_site_evals < stats.site_evals || stats.rate_evals == 0);
+
+                let count =
+                    |st: SiteState| partners.iter().filter(|&&n| lat.state[n] == st).count();
+                met[0] += (count(SiteState::Vacancy) > 0) as usize;
+                met[1] += (count(SiteState::Cu) >= 2 && count(SiteState::Fe) > 0) as usize;
+                met[2] += partners.iter().any(|&n| !lat.is_owned(n)) as usize;
+            }
+        }
+        assert!(met.iter().all(|&m| m > 0), "uncovered situation: {met:?}");
     }
 
     /// Which of the situations the issue names a run actually met.

@@ -13,11 +13,12 @@ use crate::solver::{run_sector, sectors};
 
 /// Modelled MPE seconds per patch-site energy evaluation (the dominant
 /// KMC compute kernel: a 14-neighbour occupancy scan plus one embedding
-/// table interpolation). A cycle is charged for the evaluations the
-/// solver *performed* (`RateStats::site_evals`): every rate of a sector
-/// on entry, then per hop only the rates the hop can change — so the
-/// rank's virtual KMC compute time follows the event catalogue, not a
-/// recompute of the whole sector per event.
+/// table interpolation). A cycle is charged for its modelled MPE kernel
+/// evaluations (`RateStats::site_evals`, `2·|patch|` per rate): every
+/// rate of a sector on entry, then per hop only the rates the hop can
+/// change — so the rank's virtual KMC compute time follows the event
+/// catalogue, not a recompute of the whole sector per event, and not the
+/// host's memoisation (`RateStats::host_site_evals`).
 pub const SITE_EVAL_SECONDS: f64 = 6.0e-8;
 
 /// Cumulative run statistics.
@@ -148,7 +149,9 @@ impl KmcSimulation {
             // Solver work of this cycle, so a trace alone says how many
             // evaluations an event cost.
             let rate_evals = self.stats.rate.rate_evals - rate_before.rate_evals;
+            let host_site_evals = self.stats.rate.host_site_evals - rate_before.host_site_evals;
             mmds_telemetry::add_counter("kmc.rate.site_evals", site_evals as f64);
+            mmds_telemetry::add_counter("kmc.rate.host_site_evals", host_site_evals as f64);
             mmds_telemetry::add_counter("kmc.rate.rate_evals", rate_evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.
@@ -278,6 +281,55 @@ mod tests {
         assert_eq!(trad.0, od2.0, "event counts differ");
         assert_eq!(trad.1, od2.1, "owned states differ (two-sided)");
         assert_eq!(trad.1, od1.1, "owned states differ (one-sided)");
+    }
+
+    #[test]
+    fn kmc_accounting_is_pinned() {
+        // Events, modelled evaluations, the clock's bits and an FNV-1a
+        // hash of the final vacancy list of a seeded Fe–Cu box, taken at
+        // the parent of the shaped-patch rate path. The modelled counts
+        // are virtual time (`SITE_EVAL_SECONDS` per site evaluation), so
+        // a host-only change to the rate path must leave every constant
+        // as it is.
+        const PINNED: (u64, u64, u64, u64, u64) = (
+            441,
+            8_466,
+            372_504,
+            0x3ea3_57fc_d709_0d86,
+            0x8e1c_ebbc_f2e7_44fa,
+        );
+        let cfg = KmcConfig {
+            table_knots: 800,
+            ..Default::default()
+        };
+        let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
+        let mut s = KmcSimulation::new(cfg, LocalGrid::whole(BccGeometry::fe_cube(12), ghost));
+        let n_vac = (5.0e-3 * s.lat.n_owned() as f64).round() as usize;
+        s.lat.seed_vacancies_global(n_vac, 41);
+        s.lat.seed_solutes_global(s.lat.n_owned() / 50, 42);
+        s.initialize(&mut LoopbackK);
+        s.run_cycles(
+            ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
+            &mut LoopbackK,
+            20,
+        );
+        let vacancies: Vec<usize> = s.lat.vacancies().collect();
+        let hash = mmds_telemetry::canon::fnv1a64(format!("{vacancies:?}").as_bytes());
+        let got = (
+            s.stats.events,
+            s.stats.rate.rate_evals,
+            s.stats.rate.site_evals,
+            s.time.to_bits(),
+            hash,
+        );
+        assert_eq!(got, PINNED, "{got:#x?}");
+        // Host work is not virtual time: the per-vacancy memo computes
+        // each energy once per evaluation, well under the modelled count.
+        let rate = s.stats.rate;
+        assert!(
+            rate.host_site_evals as f64 <= 0.6 * rate.site_evals as f64,
+            "{rate:?}"
+        );
     }
 
     #[test]

@@ -61,13 +61,19 @@ fn kmc_sim() -> KmcSimulation {
 
 /// Everything a KMC run's future depends on, as bits: states, clock,
 /// statistics and the position of the random stream (the next draw).
-fn kmc_bits(sim: &KmcSimulation) -> (Vec<u8>, u64, [u64; 4], [u64; 4]) {
+fn kmc_bits(sim: &KmcSimulation) -> (Vec<u8>, u64, [u64; 5], [u64; 4]) {
     let ck = sim.checkpoint();
     let st = ck.stats;
     (
         ck.states,
         ck.time.to_bits(),
-        [st.events, st.cycles, st.rate.rate_evals, st.rate.site_evals],
+        [
+            st.events,
+            st.cycles,
+            st.rate.rate_evals,
+            st.rate.site_evals,
+            st.rate.host_site_evals,
+        ],
         ck.rng,
     )
 }
