@@ -1,44 +1,47 @@
-//! The cross-run performance observatory: a content-addressed run
-//! archive plus the statistics behind `mmds-inspect history`,
-//! `regress`, and `flamediff`.
+//! The cross-run performance observatory: a content-addressed archive
+//! of the repository benchmark's per-layer results, plus the
+//! statistics behind `mmds-inspect history`, `regress`, and
+//! `flamediff`.
 //!
-//! Every benchmark/traced run persists as an [`ArchiveRecord`] under
-//! `results/archive/` (override with `MMDS_ARCHIVE_DIR`; disable with
-//! `MMDS_ARCHIVE=0`):
+//! `mmds-inspect archive-add <workload> <result.json>` imports the last
+//! stdout line of `bash benchmark/run.sh --workload <workload> --trace 1`
+//! as an [`ArchiveRecord`] under `results/archive/` (override with
+//! `--archive`):
 //!
 //! * records live at `<config_hash>/<content_hash>.json` — the config
-//!   hash is the canonical [`ConfigKey`] digest (scenario + build/run
-//!   facets), the file name is the FNV-1a digest of the record's own
-//!   bytes, so the store is content-addressed and a re-written record
-//!   can never half-overwrite an existing one;
+//!   hash is the canonical [`ConfigKey`] digest of the workload name,
+//!   the file name is the FNV-1a digest of the record's own bytes, so
+//!   the store is content-addressed and a re-written record can never
+//!   half-overwrite an existing one;
 //! * every record file is written atomically (unique temp file +
 //!   rename), and the append-only `index.jsonl` takes one `O_APPEND`
-//!   single-syscall line per run, so concurrent bench binaries never
-//!   corrupt each other's entries;
-//! * archiving is *observation only*: it happens after the timed run,
-//!   touches no simulation state, and the bench physics is bitwise
-//!   identical with archiving on or off (pinned by
-//!   `tests/archive.rs`).
+//!   single-syscall line per run, so concurrent writers never corrupt
+//!   each other's entries.
 //!
-//! On top of the store, [`history`]/[`history_doc`] render per-phase
-//! wall-time trends across runs, [`regress`] gates a fresh run with
-//! tolerances derived from the archived dispersion of each phase
-//! (replacing the fixed 15% bench tolerance), and [`flamediff`] diffs
-//! the span trees of two archived [`RunReport`] snapshots.
+//! Which way each metric improves comes from the `per_layer` table of
+//! the repository's `BENCHMARK.json`, embedded at build time. On top of
+//! the store, [`history_doc`]/[`history_view`] render per-metric trends
+//! across runs, [`regress`] gates the newest run with tolerances
+//! derived from the archived dispersion of each metric, and
+//! [`flamediff`] diffs the span trees of two [`RunReport`]s.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use mmds_telemetry::canon::fnv1a64;
 use mmds_telemetry::{ConfigKey, RunReport};
 use serde::{Deserialize, Serialize};
 
-use crate::inspect::{sparkline, BenchConfigRow, Gate};
+use crate::inspect::sparkline;
 
 /// Record schema version, bumped on breaking field changes.
-pub const SCHEMA: u32 = 1;
+pub const SCHEMA: u32 = 2;
+
+/// The archive `mmds-inspect` reads and writes without `--archive`.
+pub const DEFAULT_DIR: &str = "results/archive";
 
 /// Default number of archived runs a trend/tolerance looks back over.
 pub const DEFAULT_WINDOW: usize = 20;
@@ -49,13 +52,94 @@ pub const DEFAULT_WINDOW: usize = 20;
 pub const DEFAULT_FLOOR: f64 = 0.10;
 
 // ---------------------------------------------------------------------
+// The benchmark's declaration
+// ---------------------------------------------------------------------
+
+/// The repository benchmark's declaration, read (never written).
+const BENCHMARK_JSON: &str = include_str!("../../../BENCHMARK.json");
+
+/// Which way a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Better {
+    /// Smaller values are better (times, bytes, counts of work).
+    Lower,
+    /// Larger values are better (throughputs, coverage).
+    Higher,
+}
+
+impl Better {
+    /// The `BENCHMARK.json` spelling.
+    fn as_str(self) -> &'static str {
+        match self {
+            Better::Lower => "lower",
+            Better::Higher => "higher",
+        }
+    }
+}
+
+#[derive(Deserialize)]
+struct SpecName {
+    name: String,
+}
+
+#[derive(Deserialize)]
+struct SpecMetric {
+    name: String,
+    better: String,
+}
+
+#[derive(Deserialize)]
+struct SpecDoc {
+    workloads: Vec<SpecName>,
+    end_to_end: Vec<SpecName>,
+    per_layer: Vec<SpecMetric>,
+}
+
+/// The slice of `BENCHMARK.json` the archive reads.
+#[derive(Debug, Clone, Default)]
+struct Spec {
+    /// Workload names, in declaration order.
+    workloads: Vec<String>,
+    /// End-to-end metric names (the `--trace 0` result).
+    end_to_end: Vec<String>,
+    /// Per-layer metric name → direction (the `--trace 1` result).
+    per_layer: BTreeMap<String, Better>,
+}
+
+impl Spec {
+    /// Parses a `BENCHMARK.json` document.
+    fn parse(text: &str) -> Result<Spec, String> {
+        let doc: SpecDoc =
+            serde_json::from_str(text).map_err(|e| format!("not a BENCHMARK.json: {e}"))?;
+        let mut per_layer = BTreeMap::new();
+        for m in doc.per_layer {
+            let better = match m.better.as_str() {
+                "lower" => Better::Lower,
+                "higher" => Better::Higher,
+                other => return Err(format!("metric `{}`: better is `{other}`", m.name)),
+            };
+            per_layer.insert(m.name, better);
+        }
+        Ok(Spec {
+            workloads: doc.workloads.into_iter().map(|w| w.name).collect(),
+            end_to_end: doc.end_to_end.into_iter().map(|m| m.name).collect(),
+            per_layer,
+        })
+    }
+}
+
+/// The embedded `BENCHMARK.json`, parsed once.
+fn spec() -> &'static Spec {
+    static SPEC: OnceLock<Spec> = OnceLock::new();
+    SPEC.get_or_init(|| Spec::parse(BENCHMARK_JSON).expect("the embedded BENCHMARK.json parses"))
+}
+
+// ---------------------------------------------------------------------
 // Record + index types
 // ---------------------------------------------------------------------
 
-/// One archived run: the canonical config, provenance, per-phase wall
-/// times (min over repeats — the bench binaries' noise discipline),
-/// throughput rows, comm totals, series last-values, and (when
-/// telemetry was on) the full [`RunReport`] snapshot for `flamediff`.
+/// One archived run: the workload's canonical key, provenance, and the
+/// per-layer metrics of its `--trace 1` result.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ArchiveRecord {
     /// Record schema version ([`SCHEMA`]).
@@ -64,24 +148,12 @@ pub struct ArchiveRecord {
     pub config_hash: String,
     /// The full canonical key the hash was derived from.
     pub config: ConfigKey,
-    /// Git revision the run was built from (`unknown` outside a repo).
+    /// Git revision the record was written at (`unknown` outside a repo).
     pub git_rev: String,
     /// Unix seconds when the record was written.
     pub t_unix: u64,
-    /// Per-phase wall seconds, keyed `config/leaf` (e.g.
-    /// `production/pair`); each value is the min over
-    /// the run's repeats.
-    pub phases: BTreeMap<String, f64>,
-    /// Per-configuration throughput rows (the bench gate's metric).
-    pub configs: Vec<BenchConfigRow>,
-    /// Total bytes sent across all ranks, when comm stats were taken.
-    pub comm_bytes: u64,
-    /// Total messages sent across all ranks.
-    pub comm_msgs: u64,
-    /// Last value of every science series track (`name` or `name@rank`).
-    pub series_last: BTreeMap<String, f64>,
-    /// Full telemetry snapshot, when the run had telemetry enabled.
-    pub report: Option<RunReport>,
+    /// Per-layer metric values, keyed by their `BENCHMARK.json` name.
+    pub metrics: BTreeMap<String, f64>,
 }
 
 impl ArchiveRecord {
@@ -96,37 +168,73 @@ impl ArchiveRecord {
             config,
             git_rev: git_rev(),
             t_unix: now_unix(),
-            ..Default::default()
+            metrics: BTreeMap::new(),
         })
     }
+}
 
-    /// Attaches a telemetry snapshot: stores the report, folds its comm
-    /// totals, and summarizes every series track's last value.
-    pub fn with_report(mut self, report: RunReport) -> Self {
-        self.comm_bytes = report.counters.comm.bytes_sent;
-        self.comm_msgs = report.counters.comm.msgs_sent;
-        for track in &report.series {
-            let key = match track.rank {
-                Some(r) => format!("{}@{r}", track.name),
-                None => track.name.clone(),
-            };
-            if let Some(v) = track.last_value() {
-                self.series_last.insert(key, v);
-            }
+#[derive(Deserialize)]
+struct ResultMetric {
+    value: f64,
+}
+
+#[derive(Deserialize)]
+struct ResultLine {
+    correct: bool,
+    attempted: u64,
+    failed: u64,
+    metrics: BTreeMap<String, ResultMetric>,
+}
+
+/// Imports one benchmark result: the last non-empty line of `text` must
+/// be the object `bash benchmark/run.sh --workload <workload> --trace 1`
+/// prints last. A result that is not a passing per-layer measurement of
+/// a declared workload is rejected with a one-line reason.
+pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, String> {
+    let spec = spec();
+    if !spec.workloads.iter().any(|w| w == workload) {
+        return Err(format!(
+            "unknown workload `{workload}` ({})",
+            spec.workloads.join("|")
+        ));
+    }
+    let line = text
+        .lines()
+        .rev()
+        .find(|l| !l.trim().is_empty())
+        .unwrap_or("");
+    let result: ResultLine =
+        serde_json::from_str(line).map_err(|e| format!("not a benchmark result line: {e}"))?;
+    if !result.correct {
+        return Err("the run is not a measurement (\"correct\": false)".to_string());
+    }
+    if result.failed > 0 {
+        return Err(format!(
+            "{} of {} checks failed",
+            result.failed, result.attempted
+        ));
+    }
+    if let Some(name) = result.metrics.keys().find(|n| spec.end_to_end.contains(n)) {
+        return Err(format!(
+            "end-to-end result (metric `{name}`); archive the `--trace 1` line"
+        ));
+    }
+    if result.metrics.is_empty() {
+        return Err("the result has no metrics".to_string());
+    }
+    let mut rec = ArchiveRecord::new(ConfigKey::new(workload))?;
+    for (name, m) in result.metrics {
+        if !spec.per_layer.contains_key(&name) {
+            return Err(format!(
+                "metric `{name}` is not a per-layer metric of BENCHMARK.json"
+            ));
         }
-        self.report = Some(report);
-        self
+        if !m.value.is_finite() {
+            return Err(format!("metric `{name}` is not a finite number"));
+        }
+        rec.metrics.insert(name, m.value);
     }
-
-    /// Sum of the `*/wall` phase entries — the record's headline wall
-    /// seconds for the index.
-    pub fn total_wall_s(&self) -> f64 {
-        self.phases
-            .iter()
-            .filter(|(k, _)| k.ends_with("/wall") || *k == "wall")
-            .map(|(_, v)| v)
-            .sum()
-    }
+    Ok(rec)
 }
 
 /// One line of the append-only `index.jsonl`.
@@ -136,39 +244,17 @@ pub struct IndexEntry {
     pub config_hash: String,
     /// Record file, relative to the archive dir.
     pub record: String,
-    /// Scenario name (denormalized for `--scenario` lookups).
+    /// Workload name (denormalized for selector lookups).
     pub scenario: String,
-    /// Git revision of the run.
+    /// Git revision of the record.
     pub git_rev: String,
     /// Unix seconds when the record was written.
     pub t_unix: u64,
-    /// Headline wall seconds (sum of `*/wall` phases).
-    pub wall_s: f64,
 }
 
 // ---------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------
-
-/// True unless `MMDS_ARCHIVE` opts out (`0`/`off`/`false`/`no`).
-pub fn archiving_enabled() -> bool {
-    match std::env::var("MMDS_ARCHIVE") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v == "0" || v == "off" || v == "false" || v == "no")
-        }
-        Err(_) => true,
-    }
-}
-
-/// The archive directory: `MMDS_ARCHIVE_DIR`, else
-/// `<results>/archive` (which itself honours `MMDS_RESULTS`).
-pub fn default_dir() -> PathBuf {
-    match std::env::var("MMDS_ARCHIVE_DIR") {
-        Ok(d) => PathBuf::from(d),
-        Err(_) => crate::results_dir().join("archive"),
-    }
-}
 
 /// Best-effort provenance: `MMDS_GIT_REV` / `GITHUB_SHA`, else
 /// `git rev-parse --short=12 HEAD`, else `unknown`.
@@ -214,11 +300,6 @@ impl Archive {
         Ok(Archive { dir })
     }
 
-    /// Opens the default archive ([`default_dir`]).
-    pub fn open_default() -> std::io::Result<Archive> {
-        Archive::open(default_dir())
-    }
-
     /// The archive directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -230,8 +311,7 @@ impl Archive {
     }
 
     /// Persists one record content-addressed and appends its index
-    /// line. Returns the record's path. Charges the `archive.*`
-    /// observability counters.
+    /// line. Returns the record's path.
     ///
     /// Atomicity: the record body goes to a unique temp file first and
     /// is `rename`d into place (a reader never sees a half-written
@@ -261,7 +341,6 @@ impl Archive {
             scenario: record.config.scenario.clone(),
             git_rev: record.git_rev.clone(),
             t_unix: record.t_unix,
-            wall_s: record.total_wall_s(),
         };
         let line = format!(
             "{}\n",
@@ -272,9 +351,6 @@ impl Archive {
             .append(true)
             .open(self.index_path())?;
         index.write_all(line.as_bytes())?;
-        mmds_telemetry::add_counter("archive.runs_written", 1.0);
-        mmds_telemetry::add_counter("archive.bytes", (body.len() + line.len()) as f64);
-        mmds_telemetry::add_counter("archive.index_entries", 1.0);
         Ok(path)
     }
 
@@ -296,12 +372,26 @@ impl Archive {
         let path = self.dir.join(&entry.record);
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        serde_json::from_str(&text).map_err(|e| format!("{}: not a record: {e}", path.display()))
+        let rec: ArchiveRecord = serde_json::from_str(&text)
+            .map_err(|e| format!("{}: not a record: {e}", path.display()))?;
+        if rec.schema != SCHEMA {
+            return Err(format!(
+                "{}: record schema {} (this build reads {SCHEMA})",
+                path.display(),
+                rec.schema
+            ));
+        }
+        Ok(rec)
     }
 
-    /// All runs for `config_hash`, oldest first, capped to the last
-    /// `window` entries.
-    pub fn runs_for(&self, config_hash: &str, window: usize) -> Vec<(IndexEntry, ArchiveRecord)> {
+    /// All runs for `config_hash`, oldest first, from the last `window`
+    /// index entries, and the number of those entries whose record
+    /// could not be loaded (missing, torn or foreign files).
+    pub fn runs_for(
+        &self,
+        config_hash: &str,
+        window: usize,
+    ) -> (Vec<(IndexEntry, ArchiveRecord)>, usize) {
         let mut entries: Vec<IndexEntry> = self
             .read_index()
             .into_iter()
@@ -310,15 +400,20 @@ impl Archive {
         if entries.len() > window {
             entries.drain(..entries.len() - window);
         }
-        entries
-            .into_iter()
-            .filter_map(|e| self.load(&e).ok().map(|r| (e, r)))
-            .collect()
+        let mut runs = Vec::with_capacity(entries.len());
+        let mut skipped = 0;
+        for e in entries {
+            match self.load(&e) {
+                Ok(r) => runs.push((e, r)),
+                Err(_) => skipped += 1,
+            }
+        }
+        (runs, skipped)
     }
 
     /// Resolves a `--config <hash>` / `--scenario <name>` selector to a
     /// config hash: a 16-hex-digit string is taken verbatim, anything
-    /// else is treated as a scenario name and resolved to its most
+    /// else is treated as a workload name and resolved to its most
     /// recently indexed hash.
     pub fn resolve_selector(&self, selector: &str) -> Result<String, String> {
         if selector.len() == 16 && selector.chars().all(|c| c.is_ascii_hexdigit()) {
@@ -329,174 +424,7 @@ impl Archive {
             .rev()
             .find(|e| e.scenario == selector)
             .map(|e| e.config_hash.clone())
-            .ok_or_else(|| format!("no archived run for scenario `{selector}`"))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Record builders (shared by the bench binaries and `archive-seed`,
-// so a seeded baseline hashes identically to a live run)
-// ---------------------------------------------------------------------
-
-/// Canonical key of an `mdstep` run.
-pub fn mdstep_config(cells: i64, steps: i64, threads: i64, table_form: &str) -> ConfigKey {
-    ConfigKey::new("mdstep")
-        .with_int("cells", cells)
-        .with_int("steps", steps)
-        .with_int("threads", threads)
-        .with_str("table_form", table_form)
-}
-
-/// Canonical key of a `kmcstep` run.
-pub fn kmcstep_config(cells: i64, cycles: i64) -> ConfigKey {
-    ConfigKey::new("kmcstep")
-        .with_int("cells", cells)
-        .with_int("cycles", cycles)
-}
-
-/// Canonical key of a `causal_smoke` run.
-pub fn causal_config(
-    ranks: i64,
-    cells: i64,
-    md_steps: i64,
-    kmc_cycles: i64,
-    strategy: &str,
-) -> ConfigKey {
-    ConfigKey::new("causal_smoke")
-        .with_int("ranks", ranks)
-        .with_int("cells", cells)
-        .with_int("md_steps", md_steps)
-        .with_int("kmc_cycles", kmc_cycles)
-        .with_str("strategy", strategy)
-}
-
-fn doc_u64(v: &serde_json::Value, key: &str) -> Result<i64, String> {
-    match v.get(key) {
-        Some(serde_json::Value::U64(n)) => Ok(*n as i64),
-        Some(serde_json::Value::I64(n)) => Ok(*n),
-        Some(serde_json::Value::F64(x)) => Ok(*x as i64),
-        _ => Err(format!("bench doc has no integer field `{key}`")),
-    }
-}
-
-fn doc_f64(v: &serde_json::Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(serde_json::Value::F64(x)) => Ok(*x),
-        Some(serde_json::Value::U64(n)) => Ok(*n as f64),
-        Some(serde_json::Value::I64(n)) => Ok(*n as f64),
-        _ => Err(format!("bench doc has no number field `{key}`")),
-    }
-}
-
-fn doc_str<'v>(v: &'v serde_json::Value, key: &str) -> Result<&'v str, String> {
-    match v.get(key) {
-        Some(serde_json::Value::Str(s)) => Ok(s),
-        _ => Err(format!("bench doc has no string field `{key}`")),
-    }
-}
-
-fn doc_configs(v: &serde_json::Value) -> Result<&[serde_json::Value], String> {
-    match v.get("configs") {
-        Some(serde_json::Value::Seq(xs)) if !xs.is_empty() => Ok(xs),
-        _ => Err("bench doc has no `configs` table".to_string()),
-    }
-}
-
-/// Converts a `BENCH_mdstep.json` document into an archive record —
-/// the seed path that starts CI history non-empty. The facets come
-/// from the document itself, so the hash matches a live `mdstep` run
-/// at the same size/threads/table form.
-pub fn record_from_mdstep_doc(v: &serde_json::Value) -> Result<ArchiveRecord, String> {
-    let config = mdstep_config(
-        doc_u64(v, "box_cells")?,
-        doc_u64(v, "steps")?,
-        doc_u64(v, "host_threads")?,
-        doc_str(v, "table_form")?,
-    );
-    let mut rec = ArchiveRecord::new(config)?;
-    for c in doc_configs(v)? {
-        let name = doc_str(c, "name")?;
-        rec.phases
-            .insert(format!("{name}/wall"), doc_f64(c, "wall_s")?);
-        if let Some(ph) = c.get("phase_s") {
-            for leaf in ["density", "embed", "pair", "ghost"] {
-                if let Ok(x) = doc_f64(ph, leaf) {
-                    rec.phases.insert(format!("{name}/{leaf}"), x);
-                }
-            }
-        }
-        rec.configs.push(BenchConfigRow {
-            name: name.to_string(),
-            atoms_steps_per_sec: doc_f64(c, "atoms_steps_per_sec")?,
-            wall_s: doc_f64(c, "wall_s")?,
-        });
-    }
-    Ok(rec)
-}
-
-/// Converts a `BENCH_kmcstep.json` document into an archive record.
-pub fn record_from_kmcstep_doc(v: &serde_json::Value) -> Result<ArchiveRecord, String> {
-    let config = kmcstep_config(doc_u64(v, "box_cells")?, doc_u64(v, "cycles")?);
-    let mut rec = ArchiveRecord::new(config)?;
-    for c in doc_configs(v)? {
-        let name = doc_str(c, "name")?;
-        rec.phases
-            .insert(format!("{name}/wall"), doc_f64(c, "wall_s")?);
-        rec.configs.push(BenchConfigRow {
-            name: name.to_string(),
-            atoms_steps_per_sec: doc_f64(c, "atoms_steps_per_sec")?,
-            wall_s: doc_f64(c, "wall_s")?,
-        });
-    }
-    Ok(rec)
-}
-
-/// Parses a bench JSON document by scenario name.
-pub fn record_from_bench_doc(scenario: &str, text: &str) -> Result<ArchiveRecord, String> {
-    let v = serde_json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    match scenario {
-        "mdstep" => record_from_mdstep_doc(&v),
-        "kmcstep" => record_from_kmcstep_doc(&v),
-        other => Err(format!(
-            "unknown scenario `{other}` (mdstep|kmcstep) — live runs archive themselves"
-        )),
-    }
-}
-
-/// Best-effort archive write for a finished run — the bench binaries'
-/// exit hook. Observation-only by construction: runs after all timed
-/// work, honours the `MMDS_ARCHIVE` opt-out, and any failure prints a
-/// warning instead of failing the bench.
-pub fn auto_archive(record: ArchiveRecord) {
-    if !archiving_enabled() {
-        return;
-    }
-    let written = Archive::open_default()
-        .map_err(|e| e.to_string())
-        .and_then(|a| a.write(&record).map_err(|e| e.to_string()));
-    match written {
-        Ok(path) => println!("[archive] {} -> {}", record.config_hash, path.display()),
-        Err(e) => eprintln!("[archive] skipped: {e}"),
-    }
-}
-
-/// Auto-archives a bench binary's just-emitted JSON artefact: parses it
-/// through the same importer `archive-seed` uses (so a live run and a
-/// seeded baseline of the same config hash identically) and attaches
-/// the live telemetry snapshot when one exists.
-pub fn auto_archive_bench(scenario: &str, doc_text: &str) {
-    if !archiving_enabled() {
-        return;
-    }
-    match record_from_bench_doc(scenario, doc_text) {
-        Ok(mut rec) => {
-            let tel = mmds_telemetry::global();
-            if tel.enabled() {
-                rec = rec.with_report(tel.run_report());
-            }
-            auto_archive(rec);
-        }
-        Err(e) => eprintln!("[archive] skipped: {e}"),
+            .ok_or_else(|| format!("no archived run for workload `{selector}`"))
     }
 }
 
@@ -507,8 +435,11 @@ pub fn auto_archive_bench(scenario: &str, doc_text: &str) {
 /// One metric's trajectory across archived runs.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrendDoc {
-    /// Phase path or throughput config name.
+    /// Metric name.
     pub name: String,
+    /// `lower` or `higher` (is better), from `BENCHMARK.json`;
+    /// `unknown` for a metric it no longer declares.
+    pub better: String,
     /// Chronological values (oldest first).
     pub values: Vec<f64>,
     /// Minimum over the window.
@@ -519,42 +450,51 @@ pub struct TrendDoc {
     pub last: f64,
 }
 
-impl TrendDoc {
-    fn from_values(name: &str, values: Vec<f64>) -> TrendDoc {
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let last = values.last().copied().unwrap_or(0.0);
-        TrendDoc {
-            name: name.to_string(),
-            values,
-            min,
-            max,
-            last,
-        }
-    }
-}
-
 /// The machine-readable `history --json` document.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct HistoryDoc {
     /// The config hash the history is keyed on.
     pub config_hash: String,
-    /// Scenario name of the runs.
+    /// Workload name of the runs.
     pub scenario: String,
     /// Number of archived runs in the window.
     pub runs: usize,
     /// Git rev of each run, oldest first.
     pub revs: Vec<String>,
-    /// Per-phase wall-second trends.
-    pub phases: Vec<TrendDoc>,
-    /// Per-configuration throughput trends (`atoms_steps_per_sec`).
-    pub throughput: Vec<TrendDoc>,
+    /// Per-metric trends, by name; metrics 0 in every run are left out.
+    pub metrics: Vec<TrendDoc>,
 }
 
-fn phase_values(runs: &[(IndexEntry, ArchiveRecord)], phase: &str) -> Vec<f64> {
+fn metric_values(runs: &[(IndexEntry, ArchiveRecord)], name: &str) -> Vec<f64> {
     runs.iter()
-        .filter_map(|(_, r)| r.phases.get(phase).copied())
+        .filter_map(|(_, r)| r.metrics.get(name).copied())
         .collect()
+}
+
+/// The metrics some run of the window reports as non-zero, by name. A
+/// metric that is 0 in every run is a layer the workload does not reach.
+fn live_metrics(runs: &[(IndexEntry, ArchiveRecord)]) -> Vec<&str> {
+    let mut names: Vec<&str> = runs
+        .iter()
+        .flat_map(|(_, r)| r.metrics.iter())
+        .filter(|(_, v)| **v != 0.0)
+        .map(|(k, _)| k.as_str())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+/// Renders a metric value: whole counts and byte totals in full, fixed
+/// point in the middle range, scientific for tiny ratios and times.
+fn num(v: f64) -> String {
+    if v.fract() == 0.0 && (1e3..1e16).contains(&v.abs()) {
+        format!("{v:.0}")
+    } else if v == 0.0 || (1e-2..1e5).contains(&v.abs()) {
+        format!("{v:.4}")
+    } else {
+        format!("{v:.3e}")
+    }
 }
 
 /// Builds the cross-run trend document for one config hash.
@@ -562,35 +502,22 @@ pub fn history_doc(runs: &[(IndexEntry, ArchiveRecord)]) -> HistoryDoc {
     let Some((first, _)) = runs.first() else {
         return HistoryDoc::default();
     };
-    let mut phase_names: Vec<&str> = runs
-        .iter()
-        .flat_map(|(_, r)| r.phases.keys().map(String::as_str))
-        .collect();
-    phase_names.sort_unstable();
-    phase_names.dedup();
-    let phases = phase_names
-        .iter()
-        .map(|p| TrendDoc::from_values(p, phase_values(runs, p)))
-        .collect();
-    let mut config_names: Vec<&str> = runs
-        .iter()
-        .flat_map(|(_, r)| r.configs.iter().map(|c| c.name.as_str()))
-        .collect();
-    config_names.sort_unstable();
-    config_names.dedup();
-    let throughput = config_names
-        .iter()
-        .map(|n| {
-            let values: Vec<f64> = runs
-                .iter()
-                .filter_map(|(_, r)| {
-                    r.configs
-                        .iter()
-                        .find(|c| c.name == *n)
-                        .map(|c| c.atoms_steps_per_sec)
-                })
-                .collect();
-            TrendDoc::from_values(n, values)
+    let metrics = live_metrics(runs)
+        .into_iter()
+        .map(|name| {
+            let values = metric_values(runs, name);
+            TrendDoc {
+                name: name.to_string(),
+                better: spec()
+                    .per_layer
+                    .get(name)
+                    .map_or("unknown", |b| b.as_str())
+                    .to_string(),
+                min: values.iter().cloned().fold(f64::INFINITY, f64::min),
+                max: values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+                last: values.last().copied().unwrap_or(0.0),
+                values,
+            }
         })
         .collect();
     HistoryDoc {
@@ -598,13 +525,12 @@ pub fn history_doc(runs: &[(IndexEntry, ArchiveRecord)]) -> HistoryDoc {
         scenario: first.scenario.clone(),
         runs: runs.len(),
         revs: runs.iter().map(|(e, _)| e.git_rev.clone()).collect(),
-        phases,
-        throughput,
+        metrics,
     }
 }
 
-/// Renders the `history` trend view: per-phase sparklines with
-/// min/max/last, then the throughput trends.
+/// Renders the `history` trend view: one sparkline per metric with
+/// min/max/last and the direction that is better.
 pub fn history_view(doc: &HistoryDoc) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -616,36 +542,22 @@ pub fn history_view(doc: &HistoryDoc) -> String {
         doc.revs.first().map(String::as_str).unwrap_or("-"),
         doc.revs.last().map(String::as_str).unwrap_or("-"),
     );
-    out.push_str("\n-- per-phase wall seconds (oldest → newest) --\n");
-    if doc.phases.is_empty() {
-        out.push_str("  no phase walls archived\n");
+    out.push_str("\n-- per-layer metrics (oldest → newest) --\n");
+    if doc.metrics.is_empty() {
+        out.push_str("  no non-zero metrics archived\n");
     }
-    for t in &doc.phases {
+    for t in &doc.metrics {
         let _ = writeln!(
             out,
-            "  {:<38} {:<24} n={:<3} min={:<10.4} max={:<10.4} last={:.4}",
+            "  {:<38} {:<24} n={:<3} min={:<10} max={:<10} last={:<10} {} is better",
             t.name,
             sparkline(&t.values, 24),
             t.values.len(),
-            t.min,
-            t.max,
-            t.last,
+            num(t.min),
+            num(t.max),
+            num(t.last),
+            t.better,
         );
-    }
-    if !doc.throughput.is_empty() {
-        out.push_str("\n-- throughput (atom·steps/s, higher is better) --\n");
-        for t in &doc.throughput {
-            let _ = writeln!(
-                out,
-                "  {:<38} {:<24} n={:<3} min={:<12.0} max={:<12.0} last={:.0}",
-                t.name,
-                sparkline(&t.values, 24),
-                t.values.len(),
-                t.min,
-                t.max,
-                t.last,
-            );
-        }
     }
     out
 }
@@ -653,6 +565,34 @@ pub fn history_view(doc: &HistoryDoc) -> String {
 // ---------------------------------------------------------------------
 // regress
 // ---------------------------------------------------------------------
+
+/// Outcome of the regression gate, variants in rising gravity (so the
+/// verdict over many metrics is their `max`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Gate {
+    /// No metric regressed.
+    Pass,
+    /// Some metric is worse than every archived run, within tolerance.
+    Warn,
+    /// At least one metric regressed beyond tolerance.
+    Fail,
+    /// A metric present in the baseline is missing from the candidate
+    /// (or is not declared any more) — a structural break, distinct
+    /// from a performance regression so CI can tell them apart.
+    Missing,
+}
+
+impl Gate {
+    /// Process exit code the CLI maps this outcome to: 0 pass/warn,
+    /// 1 performance regression, 2 structural break (missing side).
+    pub fn exit_code(self) -> i32 {
+        match self {
+            Gate::Fail => 1,
+            Gate::Missing => 2,
+            _ => 0,
+        }
+    }
+}
 
 /// Relative dispersion of a history window: `(max - min) / min`.
 /// Returns 0 for degenerate windows.
@@ -666,7 +606,7 @@ pub fn rel_spread(values: &[f64]) -> f64 {
 }
 
 /// The archive-derived tolerance for one metric: the observed relative
-/// dispersion of its history, floored at `floor`. If the phase ever
+/// dispersion of its history, floored at `floor`. If the metric ever
 /// wandered by x% across archived runs, a fresh excursion of x% is
 /// noise, not regression.
 pub fn derived_tolerance(history: &[f64], floor: f64) -> f64 {
@@ -707,16 +647,46 @@ pub fn change_point(values: &[f64], floor: f64) -> Option<usize> {
     None
 }
 
+/// One metric's verdict against its history: the best archived value,
+/// the tolerance, and the gate. The tolerance is the history's spread
+/// relative to its best, floored at `floor`; a lower-is-better metric
+/// fails above `best·(1 + tol)`, a higher-is-better one below
+/// `best·(1 − tol)`, and either warns when worse than every archived
+/// value.
+fn judge(better: Better, history: &[f64], fresh: f64, floor: f64) -> (f64, f64, Gate) {
+    let min = history.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let (best, worst, sign) = match better {
+        Better::Lower => (min, max, 1.0),
+        Better::Higher => (max, min, -1.0),
+    };
+    let tol = if best > 0.0 {
+        ((max - min) / best).max(floor)
+    } else {
+        floor
+    };
+    let worse_than = |x: f64| sign * (fresh - x) > 0.0;
+    let gate = if best > 0.0 && worse_than(best * (1.0 + sign * tol)) {
+        Gate::Fail
+    } else if worse_than(worst) {
+        Gate::Warn
+    } else {
+        Gate::Pass
+    };
+    (best, tol, gate)
+}
+
 /// The `regress` verdict over one archive window: the latest archived
 /// run (the candidate) gated against all prior runs of the same config
-/// hash with per-phase dispersion-derived tolerances.
+/// hash, metric by metric, with dispersion-derived tolerances.
 pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, String) {
     let mut out = String::new();
     if runs.len() < 2 {
         let _ = writeln!(
             out,
             "regress: need at least 2 archived runs (history + candidate), found {} — \
-             seed the archive (`mmds-inspect archive-seed`) or run the bench twice",
+             add the committed BENCH_<workload>.json and a fresh result \
+             (`mmds-inspect archive-add`)",
             runs.len()
         );
         return (Gate::Missing, out);
@@ -734,163 +704,71 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
     );
 
     let mut gate = Gate::Pass;
-    let raise = |g: Gate, gate: &mut Gate| {
-        // Missing (structural) outranks Fail outranks Warn.
-        let rank = |g: &Gate| match g {
-            Gate::Missing => 3,
-            Gate::Fail => 2,
-            Gate::Warn => 1,
-            Gate::Pass => 0,
-        };
-        if rank(&g) > rank(gate) {
-            *gate = g;
-        }
-    };
     let mut reasons: Vec<String> = Vec::new();
-
-    // Phase walls: lower is better. The reference is the *best*
-    // archived wall (min over runs — same min-of-repeats discipline
-    // the bench binaries use within a run).
     let mut rows = Vec::new();
-    let (_, latest_hist) = hist.last().expect("split leaves history");
-    for (phase, &fresh) in &cand_rec.phases {
-        let h = phase_values(hist, phase);
-        if h.is_empty() {
-            rows.push(vec![
-                phase.clone(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                format!("{fresh:.4}"),
-                "-".into(),
-                "new".into(),
-            ]);
+    for name in live_metrics(runs) {
+        let Some(&fresh) = cand_rec.metrics.get(name) else {
             continue;
-        }
-        let base = h.iter().cloned().fold(f64::INFINITY, f64::min);
-        let tol = derived_tolerance(&h, floor);
-        let worst = h.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let rel = fresh / base - 1.0;
-        let verdict = if base > 0.0 && fresh > base * (1.0 + tol) {
-            raise(Gate::Fail, &mut gate);
-            "FAIL"
-        } else if fresh > worst {
-            raise(Gate::Warn, &mut gate);
-            "warn"
-        } else {
-            "ok"
         };
-        rows.push(vec![
-            phase.clone(),
+        let h = metric_values(hist, name);
+        let Some(&better) = spec().per_layer.get(name) else {
+            gate = gate.max(Gate::Missing);
+            reasons.push(format!("metric `{name}` is not declared in BENCHMARK.json"));
+            continue;
+        };
+        let mut row = vec![
+            name.to_string(),
+            better.as_str().to_string(),
             h.len().to_string(),
-            format!("{base:.4}"),
-            format!("{:.0}%", 100.0 * tol),
-            format!("{fresh:.4}"),
-            format!("{rel:+.1}%", rel = 100.0 * rel),
-            verdict.to_string(),
-        ]);
-    }
-    // A phase the history still tracked but the candidate no longer
-    // reports is a structural break, not a pass.
-    for phase in latest_hist.phases.keys() {
-        if !cand_rec.phases.contains_key(phase) {
-            raise(Gate::Missing, &mut gate);
-            reasons.push(format!(
-                "phase `{phase}` present in the archived baseline is missing from the candidate"
-            ));
-            rows.push(vec![
-                phase.clone(),
-                phase_values(hist, phase).len().to_string(),
-                "-".into(),
-                "-".into(),
-                "MISSING".into(),
-                "-".into(),
-                "MISSING".into(),
+        ];
+        if h.is_empty() {
+            row.extend(["-".into(), "-".into(), num(fresh), "-".into(), "new".into()]);
+        } else {
+            let (best, tol, g) = judge(better, &h, fresh, floor);
+            gate = gate.max(g);
+            let delta = if best != 0.0 {
+                format!("{:+.1}%", 100.0 * (fresh / best - 1.0))
+            } else {
+                "-".to_string()
+            };
+            let verdict = match g {
+                Gate::Fail => "FAIL",
+                Gate::Warn => "warn",
+                _ => "ok",
+            };
+            row.extend([
+                num(best),
+                format!("{:.0}%", 100.0 * tol),
+                num(fresh),
+                delta,
+                verdict.to_string(),
             ]);
         }
+        rows.push(row);
     }
-    out.push_str("\n-- phase walls (s, min-of-repeats; lower is better) --\n");
+    // A metric the latest history run still reported but the candidate
+    // no longer does is a structural break, not a pass.
+    let (_, latest_hist) = hist.last().expect("split leaves history");
+    for name in latest_hist.metrics.keys() {
+        if !cand_rec.metrics.contains_key(name) {
+            gate = gate.max(Gate::Missing);
+            reasons.push(format!(
+                "metric `{name}` present in the archived baseline is missing from the candidate"
+            ));
+        }
+    }
+    out.push_str("\n-- per-layer metrics (best = best archived value) --\n");
     out.push_str(&mmds_analysis::io::render_table(
-        &["phase", "n", "best", "tol", "fresh", "delta", "gate"],
+        &[
+            "metric", "better", "n", "best", "tol", "fresh", "delta", "gate",
+        ],
         &rows,
     ));
 
-    // Throughput rows: higher is better; reference is the best
-    // archived throughput.
-    let mut tp_rows = Vec::new();
-    for c in &cand_rec.configs {
-        let h: Vec<f64> = hist
-            .iter()
-            .filter_map(|(_, r)| {
-                r.configs
-                    .iter()
-                    .find(|b| b.name == c.name)
-                    .map(|b| b.atoms_steps_per_sec)
-            })
-            .collect();
-        if h.is_empty() {
-            tp_rows.push(vec![
-                c.name.clone(),
-                "0".into(),
-                "-".into(),
-                "-".into(),
-                format!("{:.0}", c.atoms_steps_per_sec),
-                "-".into(),
-                "new".into(),
-            ]);
-            continue;
-        }
-        let base = h.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let worst = h.iter().cloned().fold(f64::INFINITY, f64::min);
-        // Dispersion of a higher-is-better metric, relative to its best.
-        let spread = if base > 0.0 {
-            (base - worst) / base
-        } else {
-            0.0
-        };
-        let tol = spread.max(floor);
-        let rel = c.atoms_steps_per_sec / base - 1.0;
-        let verdict = if base > 0.0 && c.atoms_steps_per_sec < base * (1.0 - tol) {
-            raise(Gate::Fail, &mut gate);
-            "FAIL"
-        } else if c.atoms_steps_per_sec < worst {
-            raise(Gate::Warn, &mut gate);
-            "warn"
-        } else {
-            "ok"
-        };
-        tp_rows.push(vec![
-            c.name.clone(),
-            h.len().to_string(),
-            format!("{base:.0}"),
-            format!("{:.0}%", 100.0 * tol),
-            format!("{:.0}", c.atoms_steps_per_sec),
-            format!("{rel:+.1}%", rel = 100.0 * rel),
-            verdict.to_string(),
-        ]);
-    }
-    for b in &latest_hist.configs {
-        if !cand_rec.configs.iter().any(|c| c.name == b.name) {
-            raise(Gate::Missing, &mut gate);
-            reasons.push(format!(
-                "config `{}` present in the archived baseline is missing from the candidate",
-                b.name
-            ));
-        }
-    }
-    if !tp_rows.is_empty() {
-        out.push_str("\n-- throughput (atom·steps/s; higher is better) --\n");
-        out.push_str(&mmds_analysis::io::render_table(
-            &["config", "n", "best", "tol", "fresh", "delta", "gate"],
-            &tp_rows,
-        ));
-    }
-
     // Change points over the whole window (candidate included): which
-    // run first moved each phase out of its prior band.
+    // run first moved each metric out of its prior band.
     let mut shifts = Vec::new();
-    let doc = history_doc(runs);
-    for t in &doc.phases {
+    for t in history_doc(runs).metrics {
         if let Some(k) = change_point(&t.values, floor) {
             let (e, _) = &runs[k.min(runs.len() - 1)];
             shifts.push(format!(
@@ -903,7 +781,7 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
     }
     out.push_str("\n-- change points (first run leaving the prior tolerance band) --\n");
     if shifts.is_empty() {
-        out.push_str("  none — every phase stayed inside its archived dispersion\n");
+        out.push_str("  none — every metric stayed inside its archived dispersion\n");
     } else {
         for s in &shifts {
             out.push_str(s);
@@ -982,46 +860,19 @@ pub fn flamediff(a: &RunReport, b: &RunReport) -> String {
     )
 }
 
-/// Loads a `flamediff` operand: an archived record (using its embedded
-/// report) or a bare `<stem>.telemetry.json` [`RunReport`].
-pub fn load_report_operand(text: &str, what: &str) -> Result<RunReport, String> {
-    if let Ok(rec) = serde_json::from_str::<ArchiveRecord>(text) {
-        if rec.schema != 0 {
-            return rec.report.ok_or_else(|| {
-                format!(
-                    "{what}: archived record has no telemetry snapshot (run with MMDS_TELEMETRY)"
-                )
-            });
-        }
-    }
-    crate::inspect::load_report(text)
-        .map_err(|e| format!("{what}: neither an archive record nor a RunReport ({e})"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(phases: &[(&str, f64)], tp: &[(&str, f64)]) -> ArchiveRecord {
-        let mut r = ArchiveRecord {
+    fn rec(metrics: &[(&str, f64)]) -> ArchiveRecord {
+        ArchiveRecord {
             schema: SCHEMA,
             config_hash: "deadbeefdeadbeef".into(),
-            config: ConfigKey::new("t"),
+            config: ConfigKey::new("md_bulk"),
             git_rev: "r0".into(),
             t_unix: 1,
-            ..Default::default()
-        };
-        for (k, v) in phases {
-            r.phases.insert(k.to_string(), *v);
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         }
-        for (n, v) in tp {
-            r.configs.push(BenchConfigRow {
-                name: n.to_string(),
-                atoms_steps_per_sec: *v,
-                wall_s: 1.0,
-            });
-        }
-        r
     }
 
     fn window(records: Vec<ArchiveRecord>) -> Vec<(IndexEntry, ArchiveRecord)> {
@@ -1033,15 +884,26 @@ mod tests {
                     IndexEntry {
                         config_hash: r.config_hash.clone(),
                         record: format!("deadbeefdeadbeef/{i}.json"),
-                        scenario: "t".into(),
+                        scenario: "md_bulk".into(),
                         git_rev: format!("rev{i}"),
                         t_unix: i as u64,
-                        wall_s: r.total_wall_s(),
                     },
                     r,
                 )
             })
             .collect()
+    }
+
+    /// A `--trace 1`-shaped result line over `metrics`.
+    fn result_line(correct: bool, failed: u64, metrics: &[(&str, f64)]) -> String {
+        let body: Vec<String> = metrics
+            .iter()
+            .map(|(n, v)| format!("\"{n}\": {{\"value\": {v}, \"unit\": \"s\"}}"))
+            .collect();
+        format!(
+            "{{\"correct\": {correct}, \"attempted\": 5, \"failed\": {failed}, \"metrics\": {{{}}}}}",
+            body.join(", ")
+        )
     }
 
     #[test]
@@ -1055,9 +917,67 @@ mod tests {
     }
 
     #[test]
+    fn embedded_spec_declares_every_workload_and_direction() {
+        let s = spec();
+        assert_eq!(
+            s.workloads,
+            ["md_bulk", "coupled_2r", "kmc_dense", "kmc_fullghost"]
+        );
+        assert_eq!(s.end_to_end, ["wall_s", "setup_s", "peak_rss_mb"]);
+        assert_eq!(s.per_layer.get("md.force_s"), Some(&Better::Lower));
+        assert_eq!(s.per_layer.get("kmc.events_per_s"), Some(&Better::Higher));
+        assert!(Spec::parse(
+            r#"{"workloads": [], "end_to_end": [], "per_layer": [{"name": "x", "better": "up"}]}"#
+        )
+        .unwrap_err()
+        .contains("`x`"));
+    }
+
+    #[test]
+    fn importer_rejects_what_is_not_a_passing_per_layer_result() {
+        let ok = result_line(true, 0, &[("md.force_s", 0.5), ("kmc.events", 0.0)]);
+        let r = record_from_result("md_bulk", &format!("metric lines\n{ok}\n")).unwrap();
+        assert_eq!(r.config_hash, ConfigKey::new("md_bulk").hash().unwrap());
+        assert_eq!(r.metrics.get("md.force_s"), Some(&0.5));
+        for (workload, text, reason) in [
+            (
+                "md_bulk",
+                result_line(true, 0, &[("wall_s", 3.8)]),
+                "end-to-end",
+            ),
+            (
+                "md_bulk",
+                result_line(false, 5, &[("md.force_s", 0.5)]),
+                "not a measurement",
+            ),
+            (
+                "md_bulk",
+                result_line(true, 1, &[("md.force_s", 0.5)]),
+                "1 of 5 checks failed",
+            ),
+            (
+                "md_bulk",
+                result_line(true, 0, &[("md.warp_s", 0.5)]),
+                "`md.warp_s` is not",
+            ),
+            ("md_bulk", result_line(true, 0, &[]), "no metrics"),
+            ("md_huge", ok.clone(), "unknown workload"),
+            (
+                "md_bulk",
+                "checks: 5 attempted".to_string(),
+                "not a benchmark result",
+            ),
+        ] {
+            let e = record_from_result(workload, &text).unwrap_err();
+            assert!(e.contains(reason), "{e}");
+            assert_eq!(e.lines().count(), 1, "one-line reason: {e}");
+        }
+    }
+
+    #[test]
     fn regress_passes_inside_band_and_fails_outside() {
-        let hist = |w| rec(&[("p/wall", w)], &[("p", 1000.0 / w)]);
-        // History walls 1.0..1.1 (spread 10%); fresh 2.0 is far out.
+        let hist = |w| rec(&[("md.force_s", w)]);
+        // History 1.0..1.1 (spread 10%); fresh 2.0 is far out.
         let runs = window(vec![hist(1.0), hist(1.1), hist(1.05), hist(2.0)]);
         let (gate, text) = regress(&runs, 0.10);
         assert_eq!(gate, Gate::Fail);
@@ -1074,43 +994,60 @@ mod tests {
     }
 
     #[test]
+    fn regress_fails_a_higher_is_better_metric_that_falls() {
+        let hist = |r| rec(&[("kmc.events_per_s", r)]);
+        // Best 1000, spread 10%: a fall to 700 is outside, 1100 is fine.
+        let runs = window(vec![hist(1000.0), hist(900.0), hist(700.0)]);
+        let (gate, text) = regress(&runs, 0.10);
+        assert_eq!(gate, Gate::Fail, "{text}");
+        assert!(text.contains("higher"), "{text}");
+        let runs = window(vec![hist(1000.0), hist(900.0), hist(1100.0)]);
+        assert_eq!(regress(&runs, 0.10).0, Gate::Pass);
+        // Below every archived run but within tolerance: warn.
+        let runs = window(vec![hist(1000.0), hist(900.0), hist(880.0)]);
+        assert_eq!(regress(&runs, 0.30).0, Gate::Warn);
+    }
+
+    #[test]
+    fn metrics_zero_in_every_run_are_skipped() {
+        let r = || rec(&[("md.force_s", 1.0), ("kmc.sector_s", 0.0)]);
+        let runs = window(vec![r(), r()]);
+        let doc = history_doc(&runs);
+        let names: Vec<_> = doc.metrics.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["md.force_s"]);
+        let (gate, text) = regress(&runs, 0.1);
+        assert_eq!(gate, Gate::Pass, "{text}");
+        assert!(!text.contains("kmc.sector_s"), "{text}");
+        // Once one run reaches the layer it is gated like any other.
+        let runs = window(vec![
+            r(),
+            rec(&[("md.force_s", 1.0), ("kmc.sector_s", 2.0)]),
+        ]);
+        assert!(regress(&runs, 0.1).1.contains("kmc.sector_s"));
+    }
+
+    #[test]
     fn regress_flags_missing_phase_with_exit_2() {
-        let a = rec(&[("p/wall", 1.0), ("q/wall", 2.0)], &[]);
-        let b = rec(&[("p/wall", 1.0), ("q/wall", 2.0)], &[]);
-        let c = rec(&[("p/wall", 1.0)], &[]); // q vanished
+        let a = rec(&[("md.force_s", 1.0), ("md.embed_s", 2.0)]);
+        let b = rec(&[("md.force_s", 1.0), ("md.embed_s", 2.0)]);
+        let c = rec(&[("md.force_s", 1.0)]); // md.embed_s vanished
         let (gate, text) = regress(&window(vec![a, b, c]), 0.1);
         assert_eq!(gate, Gate::Missing);
         assert_eq!(gate.exit_code(), 2);
         assert!(
-            text.contains("missing: phase `q/wall`"),
+            text.contains("missing: metric `md.embed_s`"),
             "one-line reason expected: {text}"
         );
     }
 
     #[test]
     fn regress_gates_missing_on_the_latest_history_run_only() {
-        // A restored CI archive may still hold runs from before a bench
-        // dropped rows; once a run with the new shape is archived (the
-        // re-seeded baseline), the rows only older runs had are history,
-        // not a structural break.
-        let old = rec(
-            &[
-                ("reference/wall", 2.0),
-                ("gone/wall", 1.5),
-                ("production/wall", 1.0),
-            ],
-            &[
-                ("reference", 500.0),
-                ("gone", 700.0),
-                ("production", 1000.0),
-            ],
-        );
-        let new = || {
-            rec(
-                &[("reference/wall", 2.0), ("production/wall", 1.0)],
-                &[("reference", 500.0), ("production", 1000.0)],
-            )
-        };
+        // A restored CI archive may still hold runs from before the
+        // benchmark dropped a metric; once a run with the new shape is
+        // archived (the committed baseline), the metrics only older
+        // runs had are history, not a structural break.
+        let old = rec(&[("md.force_s", 1.0), ("md.gone_s", 1.5)]);
+        let new = || rec(&[("md.force_s", 1.0)]);
         let (gate, text) = regress(&window(vec![old.clone(), new(), new()]), 0.1);
         assert_eq!(gate, Gate::Pass, "{text}");
         // Straight after the old-shape run it still is one.
@@ -1120,7 +1057,7 @@ mod tests {
 
     #[test]
     fn regress_needs_history() {
-        let (gate, text) = regress(&window(vec![rec(&[("p/wall", 1.0)], &[])]), 0.1);
+        let (gate, text) = regress(&window(vec![rec(&[("md.force_s", 1.0)])]), 0.1);
         assert_eq!(gate, Gate::Missing);
         assert!(text.contains("need at least 2"), "{text}");
     }
@@ -1139,19 +1076,23 @@ mod tests {
     #[test]
     fn history_doc_min_max_last() {
         let runs = window(vec![
-            rec(&[("p/wall", 1.0)], &[("p", 100.0)]),
-            rec(&[("p/wall", 1.5)], &[("p", 70.0)]),
-            rec(&[("p/wall", 1.2)], &[("p", 90.0)]),
+            rec(&[("md.force_s", 1.0), ("md.atom_steps_per_s", 100.0)]),
+            rec(&[("md.force_s", 1.5), ("md.atom_steps_per_s", 70.0)]),
+            rec(&[("md.force_s", 1.2), ("md.atom_steps_per_s", 90.0)]),
         ]);
         let doc = history_doc(&runs);
         assert_eq!(doc.runs, 3);
-        let p = &doc.phases[0];
-        assert_eq!((p.min, p.max, p.last), (1.0, 1.5, 1.2));
-        let t = &doc.throughput[0];
-        assert_eq!((t.min, t.max, t.last), (70.0, 100.0, 90.0));
+        let [rate, force] = &doc.metrics[..] else {
+            panic!("{doc:?}")
+        };
+        assert_eq!((force.min, force.max, force.last), (1.0, 1.5, 1.2));
+        assert_eq!(force.better, "lower");
+        assert_eq!((rate.min, rate.max, rate.last), (70.0, 100.0, 90.0));
+        assert_eq!(rate.better, "higher");
         let view = history_view(&doc);
-        assert!(view.contains("p/wall"), "{view}");
-        assert!(view.contains("last=1.2"), "{view}");
+        assert!(view.contains("md.force_s"), "{view}");
+        assert!(view.contains("last=1.2000"), "{view}");
+        assert!(view.contains("higher is better"), "{view}");
     }
 
     #[test]
@@ -1179,26 +1120,15 @@ mod tests {
 
     #[test]
     fn bench_doc_seeding_matches_live_config_hash() {
-        let text = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_mdstep.json"
-        ))
-        .expect("committed baseline");
-        let rec = record_from_bench_doc("mdstep", &text).unwrap();
-        // Exactly what a live run at the committed size would key on.
-        let live = mdstep_config(8, 20, 1, "Compacted");
-        assert_eq!(rec.config_hash, live.hash().unwrap());
-        assert_eq!(rec.configs.len(), 2);
-        assert!(rec.phases.contains_key("production/pair"));
-        assert!(rec.total_wall_s() > 0.0);
-
-        let ktext = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_kmcstep.json"
-        ))
-        .expect("committed kmc baseline");
-        let krec = record_from_bench_doc("kmcstep", &ktext).unwrap();
-        assert_eq!(krec.config_hash, kmcstep_config(12, 12).hash().unwrap());
-        assert_eq!(krec.configs.len(), 3);
+        // Every committed BENCH_<workload>.json imports, keyed exactly
+        // as a fresh result of the same workload.
+        for w in &spec().workloads {
+            let path = format!("{}/../../BENCH_{w}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let rec = record_from_result(w, &text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(rec.config_hash, ConfigKey::new(w).hash().unwrap());
+            assert_eq!(rec.metrics.len(), spec().per_layer.len(), "{path}");
+            assert!(rec.metrics.values().any(|v| *v > 0.0), "{path}");
+        }
     }
 }

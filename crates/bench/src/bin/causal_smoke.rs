@@ -4,8 +4,10 @@
 //! unique across the whole trace) of the parallel coupled pipeline at
 //! a small fixed size and exits. Telemetry and tracing come from the
 //! environment, which is the whole point: CI runs this under
-//! `MMDS_TELEMETRY=jsonl:… MMDS_COMM_TRACE=1` and feeds the trace to
-//! `mmds-inspect causal --strict` to gate match closure.
+//! `MMDS_TELEMETRY=jsonl:… MMDS_COMM_TRACE=1 MMDS_HEARTBEAT=1` and
+//! feeds the trace to `mmds-inspect causal --strict` to gate match
+//! closure and to `mmds-inspect watch --once` to run the heartbeat
+//! loop.
 
 use mmds_bench::{header, reconcile};
 use mmds_coupled::parallel::{run_coupled_parallel, ParallelCoupledParams};
@@ -57,34 +59,6 @@ fn main() {
         }
     );
     mmds_telemetry::global().flush_sink();
-
-    // Archive the traced run (observation-only, after all timed work):
-    // top-level span totals become the record's phase walls, the full
-    // report rides along for `mmds-inspect flamediff`.
-    let config = mmds_bench::archive::causal_config(
-        ranks as i64,
-        params.global_cells[0] as i64,
-        params.md_steps as i64,
-        params.kmc_cycles as i64,
-        "Traditional",
-    );
-    match mmds_bench::archive::ArchiveRecord::new(config) {
-        Ok(mut rec) => {
-            let tel = mmds_telemetry::global();
-            if tel.enabled() {
-                rec = rec.with_report(tel.run_report());
-                if let Some(report) = &rec.report {
-                    for s in &report.spans {
-                        if !s.path.contains('/') {
-                            rec.phases.insert(format!("{}/wall", s.path), s.total_s);
-                        }
-                    }
-                }
-            }
-            mmds_bench::archive::auto_archive(rec);
-        }
-        Err(e) => eprintln!("[archive] skipped: {e}"),
-    }
 
     // Reconcile the trace against the declared communication
     // skeletons: every traced op, payload and match id must be

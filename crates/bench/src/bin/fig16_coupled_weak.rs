@@ -53,9 +53,9 @@ fn main() {
     let mut t0 = 0.0;
     for &r in &[1usize, 2, 4, 8, 16] {
         // Each round's KMC cycle numbering restarts at 1, so the
-        // (monotonic) series tracks must restart with it — same
-        // per-round reset the kmcstep bench uses. The telemetry
-        // artefact therefore covers the last (largest) round.
+        // (monotonic) series tracks must restart with it. The
+        // telemetry artefact therefore covers the last (largest)
+        // round.
         mmds_telemetry::global().reset();
         let dims = CartGrid::for_ranks(r).dims;
         let global = [

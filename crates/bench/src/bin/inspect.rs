@@ -8,13 +8,12 @@
 //! mmds-inspect causal   <trace.jsonl> [--json <out>] [--strict]
 //!                       [--model <taihulight|free>]
 //! mmds-inspect trace    <trace.jsonl> [-o out.perfetto.json]
-//! mmds-inspect diff     <baseline.json> <fresh.json> [--tolerance <rel>]
-//! mmds-inspect history  <config-hash | scenario> [--archive <dir>]
+//! mmds-inspect history  <config-hash | workload> [--archive <dir>]
 //!                       [--window <n>] [--json]
-//! mmds-inspect regress  <config-hash | scenario> [--archive <dir>]
+//! mmds-inspect regress  <config-hash | workload> [--archive <dir>]
 //!                       [--window <n>] [--floor <rel>]
-//! mmds-inspect flamediff <a.json> <b.json>
-//! mmds-inspect archive-seed <scenario> <bench.json> [--archive <dir>]
+//! mmds-inspect flamediff <a> <b>      (each a *.telemetry.json or a .jsonl)
+//! mmds-inspect archive-add <workload> <result.json> [--archive <dir>]
 //! ```
 //!
 //! * `summary` prints the per-phase imbalance table, comm-matrix
@@ -40,34 +39,31 @@
 //!   Exit code 1 when any `crit` alert was raised.
 //! * `trace` converts a JSONL event stream to Chrome `trace_event`
 //!   JSON for <https://ui.perfetto.dev>.
-//! * `diff` compares two artefacts. For bench artefacts
-//!   (`BENCH_mdstep.json`) it is the *fixed-tolerance* fallback gate
-//!   and requires an explicit `--tolerance` (the old 15% default is
-//!   retired — archive-derived gating lives in `regress`): exit 1 when
-//!   any configuration's `atoms_steps_per_sec` drops by more than the
-//!   tolerance, exit 2 when a baseline configuration is missing from
-//!   the candidate. For telemetry reports it prints a span-by-span
-//!   comparison.
-//! * `history` renders the cross-run trend (per-phase sparklines with
-//!   min/max/last, plus throughput trends) over the last N archived
-//!   runs of one config hash; `--json` emits the machine-readable
-//!   `HistoryDoc`. The selector is a 16-hex config hash or a scenario
-//!   name (resolved to its most recently archived hash).
+//! * `history` renders the cross-run trend of every per-layer metric
+//!   (sparkline with min/max/last and the direction that is better)
+//!   over the last N archived runs of one config hash; `--json` emits
+//!   the machine-readable `HistoryDoc`. The selector is a 16-hex config
+//!   hash or a workload name (resolved to its most recently archived
+//!   hash).
 //! * `regress` is the noise-aware CI gate: the newest archived run is
 //!   the candidate, every prior run of the same config hash is the
-//!   history, and each phase's tolerance is its archived dispersion
-//!   floored at `--floor`. Exit 0/1/2 as pass-or-warn / regression /
-//!   structural break, plus a change-point report naming the first run
-//!   where a phase shifted.
-//! * `flamediff` diffs the span trees of two archived records (or bare
-//!   telemetry reports) path by path.
-//! * `archive-seed` converts a committed `BENCH_*.json` baseline into
-//!   an archive record so history starts non-empty.
+//!   history, and each metric's tolerance is its archived dispersion
+//!   floored at `--floor`, lower or higher being better as
+//!   `BENCHMARK.json` declares. Exit 0/1/2 as pass-or-warn / regression
+//!   / structural break, plus a change-point report naming the first
+//!   run where a metric shifted. Metrics 0 in every run (layers the
+//!   workload does not reach) are skipped.
+//! * `flamediff` diffs the span trees of two runs path by path; each
+//!   operand is a telemetry report or a JSONL trace, as for `summary`.
+//! * `archive-add` imports the last line of `bash benchmark/run.sh
+//!   --workload <workload> --trace 1` (a fresh run, or a committed
+//!   `BENCH_<workload>.json`) into the archive, keyed by the workload.
+//!   A result that is not a passing per-layer measurement exits 2.
+//!
+//! The archive defaults to `results/archive`.
 
 use mmds_bench::archive::{self, Archive};
-use mmds_bench::inspect::{
-    diff_bench, diff_reports, load_bench, load_report, report_from_records, summary, timeline,
-};
+use mmds_bench::inspect::{load_report, report_from_records, summary, timeline};
 use mmds_bench::watch::{run_watch, WatchOptions};
 
 fn read(path: &str) -> String {
@@ -88,13 +84,12 @@ fn usage() -> ! {
          mmds-inspect causal <trace.jsonl> [--json <out>] [--strict] \
          [--model <taihulight|free>]\n  \
          mmds-inspect trace <trace.jsonl> [-o out.json]\n  \
-         mmds-inspect diff <baseline.json> <fresh.json> [--tolerance <rel>]\n  \
-         mmds-inspect history <config-hash | scenario> [--archive <dir>] [--window <n>] \
+         mmds-inspect history <config-hash | workload> [--archive <dir>] [--window <n>] \
          [--json]\n  \
-         mmds-inspect regress <config-hash | scenario> [--archive <dir>] [--window <n>] \
+         mmds-inspect regress <config-hash | workload> [--archive <dir>] [--window <n>] \
          [--floor <rel>]\n  \
-         mmds-inspect flamediff <a.json> <b.json>\n  \
-         mmds-inspect archive-seed <scenario> <bench.json> [--archive <dir>]"
+         mmds-inspect flamediff <a.telemetry.json | a.jsonl> <b.telemetry.json | b.jsonl>\n  \
+         mmds-inspect archive-add <workload> <result.json> [--archive <dir>]"
     );
     std::process::exit(2);
 }
@@ -180,48 +175,8 @@ fn cmd_trace(path: &str, out: Option<&str>) {
     }
 }
 
-fn cmd_diff(base_path: &str, fresh_path: &str, tolerance: Option<f64>) -> i32 {
-    let base_text = read(base_path);
-    let fresh_text = read(fresh_path);
-    // Bench artefacts have a `configs` table; telemetry reports don't.
-    match (load_bench(&base_text), load_bench(&fresh_text)) {
-        (Ok(base), Ok(fresh)) => {
-            // The fixed 15% default is retired: gating bench artefacts
-            // needs either an explicit tolerance or (better) the
-            // archive-derived `regress` gate.
-            let Some(tolerance) = tolerance else {
-                eprintln!(
-                    "mmds-inspect: bench diff needs an explicit --tolerance <rel>; \
-                     prefer `mmds-inspect regress` for archive-derived tolerances"
-                );
-                return 2;
-            };
-            let (gate, text) = diff_bench(&base, &fresh, tolerance);
-            print!("{text}");
-            gate.exit_code()
-        }
-        _ => match (load_report(&base_text), load_report(&fresh_text)) {
-            (Ok(a), Ok(b)) => {
-                print!("{}", diff_reports(&a, &b));
-                0
-            }
-            _ => {
-                eprintln!(
-                    "mmds-inspect: {base_path} / {fresh_path} are neither bench artefacts \
-                     nor telemetry reports"
-                );
-                2
-            }
-        },
-    }
-}
-
 fn open_archive(dir: Option<&str>) -> Archive {
-    let result = match dir {
-        Some(d) => Archive::open(d),
-        None => Archive::open_default(),
-    };
-    match result {
+    match Archive::open(dir.unwrap_or(archive::DEFAULT_DIR)) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("mmds-inspect: cannot open archive: {e}");
@@ -242,7 +197,11 @@ fn archive_window(
             std::process::exit(2);
         }
     };
-    archive.runs_for(&hash, window)
+    let (runs, skipped) = archive.runs_for(&hash, window);
+    if skipped > 0 {
+        eprintln!("mmds-inspect: {skipped} unreadable record(s) skipped");
+    }
+    runs
 }
 
 fn cmd_history(selector: &str, dir: Option<&str>, window: usize, json: bool) -> i32 {
@@ -276,39 +235,33 @@ fn cmd_regress(selector: &str, dir: Option<&str>, window: usize, floor: f64) -> 
 }
 
 fn cmd_flamediff(a_path: &str, b_path: &str) -> i32 {
-    let load = |path: &str| match archive::load_report_operand(&read(path), path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mmds-inspect: {e}");
-            std::process::exit(2);
-        }
-    };
-    let (a, b) = (load(a_path), load(b_path));
-    print!("{}", archive::flamediff(&a, &b));
+    print!(
+        "{}",
+        archive::flamediff(&load_any(a_path), &load_any(b_path))
+    );
     0
 }
 
-fn cmd_archive_seed(scenario: &str, bench_path: &str, dir: Option<&str>) -> i32 {
+fn cmd_archive_add(workload: &str, result_path: &str, dir: Option<&str>) -> i32 {
     let archive = open_archive(dir);
-    let record = match archive::record_from_bench_doc(scenario, &read(bench_path)) {
+    let record = match archive::record_from_result(workload, &read(result_path)) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("mmds-inspect: {bench_path}: {e}");
+            eprintln!("mmds-inspect: {result_path}: {e}");
             return 2;
         }
     };
     match archive.write(&record) {
         Ok(path) => {
             println!(
-                "seeded {} run {} -> {}",
-                scenario,
+                "archived {workload} run {} -> {}",
                 record.config_hash,
                 path.display()
             );
             0
         }
         Err(e) => {
-            eprintln!("mmds-inspect: cannot archive {bench_path}: {e}");
+            eprintln!("mmds-inspect: cannot archive {result_path}: {e}");
             2
         }
     }
@@ -399,20 +352,6 @@ fn main() {
             cmd_trace(path, out);
             0
         }
-        Some("diff") => {
-            let (Some(base), Some(fresh)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
-            let tolerance = match args.get(3).map(String::as_str) {
-                Some("--tolerance") => match args.get(4).and_then(|s| s.parse().ok()) {
-                    Some(t) => Some(t),
-                    None => usage(),
-                },
-                Some(_) => usage(),
-                None => None,
-            };
-            cmd_diff(base, fresh, tolerance)
-        }
         Some(cmd @ ("history" | "regress")) => {
             let Some(selector) = args.get(1) else { usage() };
             let mut dir = None;
@@ -462,8 +401,8 @@ fn main() {
             };
             cmd_flamediff(a, b)
         }
-        Some("archive-seed") => {
-            let (Some(scenario), Some(bench)) = (args.get(1), args.get(2)) else {
+        Some("archive-add") => {
+            let (Some(workload), Some(result)) = (args.get(1), args.get(2)) else {
                 usage()
             };
             let dir = match args.get(3).map(String::as_str) {
@@ -474,7 +413,7 @@ fn main() {
                 Some(_) => usage(),
                 None => None,
             };
-            cmd_archive_seed(scenario, bench, dir)
+            cmd_archive_add(workload, result, dir)
         }
         _ => usage(),
     };

@@ -3,40 +3,11 @@
 //! Loads a [`RunReport`] (`<stem>.telemetry.json`) or a raw JSONL
 //! trace, and renders the rank-resolved views the paper's evaluation
 //! leans on: per-phase load-imbalance, the pairwise communication
-//! matrix, and the local hot-path breakdown. Also implements the bench
-//! regression gate that CI runs over `BENCH_mdstep.json`.
+//! matrix, and the local hot-path breakdown.
 
 use std::fmt::Write as _;
 
 use mmds_telemetry::{PhaseImbalance, Record, RunFold, RunReport, SpanReport};
-use serde::{Deserialize, Serialize};
-
-/// Outcome of the bench regression gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gate {
-    /// No configuration regressed.
-    Pass,
-    /// Some configuration regressed, within tolerance.
-    Warn,
-    /// At least one configuration regressed beyond tolerance.
-    Fail,
-    /// A phase or configuration present in the baseline is missing
-    /// from the candidate — a structural break, distinct from a
-    /// performance regression so CI can tell them apart.
-    Missing,
-}
-
-impl Gate {
-    /// Process exit code the CLI maps this outcome to: 0 pass/warn,
-    /// 1 performance regression, 2 structural break (missing side).
-    pub fn exit_code(self) -> i32 {
-        match self {
-            Gate::Fail => 1,
-            Gate::Missing => 2,
-            _ => 0,
-        }
-    }
-}
 
 /// Loads a [`RunReport`] from pretty or compact JSON.
 pub fn load_report(text: &str) -> Result<RunReport, String> {
@@ -389,249 +360,10 @@ pub fn timeline(report: &RunReport) -> String {
     out
 }
 
-/// One configuration row of `BENCH_mdstep.json`, as the gate reads it.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BenchConfigRow {
-    /// Configuration name (e.g. `production`).
-    pub name: String,
-    /// Throughput, atom·steps per second — the gated metric.
-    pub atoms_steps_per_sec: f64,
-    /// Wall seconds (context in the diff rendering).
-    pub wall_s: f64,
-}
-
-/// The slice of `BENCH_mdstep.json` the regression gate consumes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct BenchDoc {
-    /// Per-configuration results.
-    pub configs: Vec<BenchConfigRow>,
-}
-
-/// Parses a bench artefact; errors if it has no `configs` table.
-pub fn load_bench(text: &str) -> Result<BenchDoc, String> {
-    let doc: BenchDoc =
-        serde_json::from_str(text).map_err(|e| format!("not a bench artefact: {e}"))?;
-    if doc.configs.is_empty() {
-        return Err("bench artefact has no configs".to_string());
-    }
-    Ok(doc)
-}
-
-/// Compares a fresh bench artefact against the committed baseline.
-/// A configuration regressing by more than `tolerance` (relative
-/// `atoms_steps_per_sec` loss) fails the gate (exit 1); a baseline
-/// configuration missing from the fresh run is a structural break and
-/// gates [`Gate::Missing`] (exit 2) with a one-line reason, so a
-/// silently-dropped benchmark can never pass as "no regression".
-/// Note: fixed-tolerance `diff` is the fallback path — the archive-
-/// driven `regress` gate derives tolerances from history instead.
-pub fn diff_bench(baseline: &BenchDoc, fresh: &BenchDoc, tolerance: f64) -> (Gate, String) {
-    let mut gate = Gate::Pass;
-    let mut missing: Vec<String> = Vec::new();
-    let mut rows = Vec::new();
-    for b in &baseline.configs {
-        let pad = |name: &str, note: &str| {
-            vec![
-                name.to_string(),
-                note.to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]
-        };
-        let Some(f) = fresh.configs.iter().find(|c| c.name == b.name) else {
-            missing.push(b.name.clone());
-            rows.push(pad(&b.name, "MISSING in fresh run"));
-            continue;
-        };
-        if b.atoms_steps_per_sec <= 0.0 || b.atoms_steps_per_sec.is_nan() {
-            rows.push(pad(&b.name, "baseline throughput is 0"));
-            continue;
-        }
-        let rel = f.atoms_steps_per_sec / b.atoms_steps_per_sec - 1.0;
-        let verdict = if rel < -tolerance {
-            gate = Gate::Fail;
-            "FAIL"
-        } else if rel < 0.0 {
-            if gate == Gate::Pass {
-                gate = Gate::Warn;
-            }
-            "warn"
-        } else {
-            "ok"
-        };
-        rows.push(vec![
-            b.name.clone(),
-            format!("{:.0}", b.atoms_steps_per_sec),
-            format!("{:.0}", f.atoms_steps_per_sec),
-            format!("{:+.1}%", 100.0 * rel),
-            verdict.to_string(),
-        ]);
-    }
-    for f in &fresh.configs {
-        if !baseline.configs.iter().any(|c| c.name == f.name) {
-            rows.push(vec![
-                f.name.clone(),
-                "new (no baseline)".to_string(),
-                format!("{:.0}", f.atoms_steps_per_sec),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-        }
-    }
-    let mut out = mmds_analysis::io::render_table(
-        &["config", "base a·s/s", "fresh a·s/s", "delta", "gate"],
-        &rows,
-    );
-    if !missing.is_empty() {
-        gate = Gate::Missing;
-        let _ = writeln!(
-            out,
-            "missing: baseline config(s) [{}] absent from the candidate — structural break, exit 2",
-            missing.join(", ")
-        );
-    }
-    let _ = writeln!(
-        out,
-        "gate: {:?} (tolerance {:.0}%)",
-        gate,
-        100.0 * tolerance
-    );
-    (gate, out)
-}
-
-/// Side-by-side diff of two telemetry [`RunReport`]s: per-path span
-/// totals and the headline counters.
-pub fn diff_reports(a: &RunReport, b: &RunReport) -> String {
-    let mut paths: Vec<&str> = a
-        .spans
-        .iter()
-        .chain(b.spans.iter())
-        .map(|s| s.path.as_str())
-        .collect();
-    paths.sort_unstable();
-    paths.dedup();
-    let total = |r: &RunReport, p: &str| {
-        r.spans
-            .iter()
-            .find(|s| s.path == p)
-            .map(|s| s.total_s)
-            .unwrap_or(0.0)
-    };
-    let mut rows = Vec::new();
-    for p in paths {
-        let ta = total(a, p);
-        let tb = total(b, p);
-        let delta = if ta > 0.0 {
-            format!("{:+.1}%", 100.0 * (tb / ta - 1.0))
-        } else {
-            "-".to_string()
-        };
-        rows.push(vec![
-            p.to_string(),
-            format!("{ta:.4}"),
-            format!("{tb:.4}"),
-            delta,
-        ]);
-    }
-    let mut out =
-        mmds_analysis::io::render_table(&["span path", "A total_s", "B total_s", "delta"], &rows);
-    let _ = writeln!(
-        out,
-        "comm bytes moved: A {} / B {}   ranks: A {} / B {}",
-        a.counters.comm.bytes_moved(),
-        b.counters.comm.bytes_moved(),
-        a.counters.comm_ranks,
-        b.counters.comm_ranks,
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmds_telemetry::Event;
-
-    fn bench(pairs: &[(&str, f64)]) -> BenchDoc {
-        BenchDoc {
-            configs: pairs
-                .iter()
-                .map(|(n, v)| BenchConfigRow {
-                    name: n.to_string(),
-                    atoms_steps_per_sec: *v,
-                    wall_s: 1.0,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn gate_passes_when_fresh_is_not_slower() {
-        let (gate, _) = diff_bench(
-            &bench(&[("serial", 1000.0)]),
-            &bench(&[("serial", 1100.0)]),
-            0.15,
-        );
-        assert_eq!(gate, Gate::Pass);
-        assert_eq!(gate.exit_code(), 0);
-    }
-
-    #[test]
-    fn gate_warns_inside_tolerance() {
-        let (gate, text) = diff_bench(
-            &bench(&[("serial", 1000.0)]),
-            &bench(&[("serial", 950.0)]),
-            0.15,
-        );
-        assert_eq!(gate, Gate::Warn);
-        assert_eq!(gate.exit_code(), 0);
-        assert!(text.contains("warn"));
-    }
-
-    #[test]
-    fn gate_fails_on_injected_2x_slowdown() {
-        // The acceptance scenario: a 2× slowdown halves throughput,
-        // far beyond any sane tolerance.
-        let (gate, text) = diff_bench(
-            &bench(&[("serial", 1000.0), ("parallel+fused", 4000.0)]),
-            &bench(&[("serial", 1000.0), ("parallel+fused", 2000.0)]),
-            0.15,
-        );
-        assert_eq!(gate, Gate::Fail);
-        assert_eq!(gate.exit_code(), 1);
-        assert!(text.contains("FAIL"));
-        // Also fails at the looser CI tolerance.
-        let (gate_ci, _) = diff_bench(
-            &bench(&[("parallel+fused", 4000.0)]),
-            &bench(&[("parallel+fused", 2000.0)]),
-            0.45,
-        );
-        assert_eq!(gate_ci, Gate::Fail);
-    }
-
-    #[test]
-    fn missing_config_gates_with_exit_2() {
-        let (gate, text) = diff_bench(
-            &bench(&[("serial", 1000.0), ("gone", 5.0)]),
-            &bench(&[("serial", 1000.0), ("new", 7.0)]),
-            0.15,
-        );
-        assert_eq!(gate, Gate::Missing);
-        assert_eq!(gate.exit_code(), 2);
-        assert!(text.contains("MISSING"));
-        assert!(
-            text.contains("missing: baseline config(s) [gone]"),
-            "one-line reason expected: {text}"
-        );
-        assert!(text.contains("new (no baseline)"));
-        // Missing outranks a simultaneous performance failure.
-        let (gate, _) = diff_bench(
-            &bench(&[("serial", 1000.0), ("gone", 5.0)]),
-            &bench(&[("serial", 100.0)]),
-            0.15,
-        );
-        assert_eq!(gate, Gate::Missing);
-    }
 
     #[test]
     fn local_hot_path_follows_heaviest_child() {

@@ -1,30 +1,15 @@
 //! Integration tests for the content-addressed run archive: write
 //! atomicity under concurrent writers, full-record round-trips, the
 //! 3-run history acceptance scenario, archive-derived regression
-//! gating end to end, and the observation-only guarantee (bench
-//! physics is bitwise identical with archiving on or off).
+//! gating end to end, unreadable records, and `mmds-inspect
+//! archive-add` over committed and rejected benchmark results.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mmds_bench::archive::{mdstep_config, record_from_bench_doc, Archive, ArchiveRecord, SCHEMA};
-use mmds_bench::inspect::{BenchConfigRow, Gate};
-use mmds_md::domain::Loopback;
-use mmds_md::{MdConfig, MdSimulation};
-use mmds_telemetry::report::CounterSnapshot;
-use mmds_telemetry::{ConfigKey, RunReport, SeriesPoint, SeriesTrack, SpanReport};
-
-fn track(name: &str, rank: Option<u32>, points: &[(u64, f64)]) -> SeriesTrack {
-    SeriesTrack {
-        name: name.to_string(),
-        rank,
-        points: points
-            .iter()
-            .map(|&(t, value)| SeriesPoint { t, value })
-            .collect(),
-    }
-}
+use mmds_bench::archive::{self, record_from_result, Archive, ArchiveRecord, Gate, SCHEMA};
+use mmds_telemetry::ConfigKey;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -50,17 +35,21 @@ impl Drop for TempArchive {
     }
 }
 
-fn record_with(phase_wall: f64, throughput: f64, rev: &str) -> ArchiveRecord {
-    let mut rec = ArchiveRecord::new(mdstep_config(8, 20, 1, "Compacted")).unwrap();
+fn committed(workload: &str) -> String {
+    let path = format!("{}/../../BENCH_{workload}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// An `md_bulk` record: a force time, a throughput (higher is better)
+/// and a layer the workload does not reach.
+fn record_with(force_s: f64, rate: f64, rev: &str) -> ArchiveRecord {
+    let mut rec = ArchiveRecord::new(ConfigKey::new("md_bulk")).unwrap();
     rec.git_rev = rev.to_string();
-    rec.phases.insert("serial/wall".to_string(), phase_wall);
-    rec.phases
-        .insert("serial/pair".to_string(), 0.6 * phase_wall);
-    rec.configs.push(BenchConfigRow {
-        name: "serial".to_string(),
-        atoms_steps_per_sec: throughput,
-        wall_s: phase_wall,
-    });
+    rec.metrics.insert("md.force_s".to_string(), force_s);
+    rec.metrics
+        .insert("md.density_s".to_string(), 0.6 * force_s);
+    rec.metrics.insert("md.atom_steps_per_s".to_string(), rate);
+    rec.metrics.insert("kmc.sector_s".to_string(), 0.0);
     rec
 }
 
@@ -112,20 +101,6 @@ fn concurrent_writers_produce_a_parseable_index_with_both_records() {
 fn archived_record_round_trips_every_field() {
     // Populate every field with a non-default value so a field dropped
     // by (de)serialization cannot hide behind a default.
-    let report = RunReport {
-        spans: vec![SpanReport {
-            path: "run/md".to_string(),
-            count: 2,
-            total_s: 1.5,
-            self_s: 1.25,
-        }],
-        counters: CounterSnapshot {
-            named: BTreeMap::from([("kmc.ghost_bytes".to_string(), 26.0)]),
-            ..Default::default()
-        },
-        series: vec![track("census.vacancies", Some(3), &[(10, 42.0)])],
-        ..Default::default()
-    };
     let mut rec = ArchiveRecord::new(
         ConfigKey::new("roundtrip")
             .with_int("cells", 8)
@@ -133,21 +108,15 @@ fn archived_record_round_trips_every_field() {
             .with_float("conc", 0.003)
             .with_str("table_form", "Compacted"),
     )
-    .unwrap()
-    .with_report(report);
+    .unwrap();
     rec.git_rev = "abc123def456".to_string();
     rec.t_unix = 1_754_000_000;
-    rec.phases.insert("run/wall".to_string(), 2.5);
-    rec.configs.push(BenchConfigRow {
-        name: "serial".to_string(),
-        atoms_steps_per_sec: 12345.0,
-        wall_s: 2.5,
-    });
-    rec.comm_bytes = 7777;
-    rec.comm_msgs = 88;
+    rec.metrics.insert("md.force_s".to_string(), 2.5);
+    rec.metrics
+        .insert("kmc.ghost_bytes".to_string(), 3_017_932_800.0);
+    rec.metrics
+        .insert("md.nve_drift_offload".to_string(), 2.3e-7);
     assert_eq!(rec.schema, SCHEMA);
-    assert!(rec.report.is_some());
-    assert_eq!(rec.series_last.get("census.vacancies@3"), Some(&42.0));
 
     // In-memory JSON round-trip.
     let json = serde_json::to_string_pretty(&rec).unwrap();
@@ -162,7 +131,7 @@ fn archived_record_round_trips_every_field() {
     assert_eq!(index.len(), 1);
     assert_eq!(index[0].scenario, "roundtrip");
     assert_eq!(index[0].git_rev, "abc123def456");
-    assert_eq!(index[0].wall_s, 2.5);
+    assert_eq!(index[0].t_unix, 1_754_000_000);
     let loaded = archive.load(&index[0]).unwrap();
     assert_eq!(loaded, rec);
 }
@@ -170,36 +139,47 @@ fn archived_record_round_trips_every_field() {
 #[test]
 fn three_run_history_has_correct_min_max_last() {
     // The acceptance scenario: a locally accumulated 3-run archive
-    // renders a per-phase trend with correct min/max/last.
+    // renders a per-metric trend with correct min/max/last.
     let tmp = TempArchive::new();
     let archive = Archive::open(&tmp.0).unwrap();
     archive.write(&record_with(1.0, 1000.0, "r1")).unwrap();
     archive.write(&record_with(1.5, 700.0, "r2")).unwrap();
     archive.write(&record_with(1.2, 900.0, "r3")).unwrap();
 
-    let hash = archive.resolve_selector("mdstep").unwrap();
-    assert_eq!(hash, mdstep_config(8, 20, 1, "Compacted").hash().unwrap());
-    let runs = archive.runs_for(&hash, 20);
-    assert_eq!(runs.len(), 3);
-    let doc = mmds_bench::archive::history_doc(&runs);
+    let hash = archive.resolve_selector("md_bulk").unwrap();
+    assert_eq!(hash, ConfigKey::new("md_bulk").hash().unwrap());
+    let (runs, skipped) = archive.runs_for(&hash, 20);
+    assert_eq!((runs.len(), skipped), (3, 0));
+    let doc = archive::history_doc(&runs);
     assert_eq!(doc.runs, 3);
-    assert_eq!(doc.scenario, "mdstep");
+    assert_eq!(doc.scenario, "md_bulk");
     assert_eq!(doc.revs, vec!["r1", "r2", "r3"]);
-    let wall = doc.phases.iter().find(|t| t.name == "serial/wall").unwrap();
-    assert_eq!(wall.values, vec![1.0, 1.5, 1.2]);
-    assert_eq!((wall.min, wall.max, wall.last), (1.0, 1.5, 1.2));
-    let pair = doc.phases.iter().find(|t| t.name == "serial/pair").unwrap();
-    assert_eq!((pair.min, pair.last), (0.6, 0.72));
-    let tp = doc.throughput.iter().find(|t| t.name == "serial").unwrap();
-    assert_eq!((tp.min, tp.max, tp.last), (700.0, 1000.0, 900.0));
+    let force = doc.metrics.iter().find(|t| t.name == "md.force_s").unwrap();
+    assert_eq!(force.values, vec![1.0, 1.5, 1.2]);
+    assert_eq!((force.min, force.max, force.last), (1.0, 1.5, 1.2));
+    let density = doc
+        .metrics
+        .iter()
+        .find(|t| t.name == "md.density_s")
+        .unwrap();
+    assert_eq!((density.min, density.last), (0.6, 0.72));
+    let rate = doc
+        .metrics
+        .iter()
+        .find(|t| t.name == "md.atom_steps_per_s")
+        .unwrap();
+    assert_eq!((rate.min, rate.max, rate.last), (700.0, 1000.0, 900.0));
+    assert_eq!(rate.better, "higher");
+    // A layer md_bulk never reaches has no trend.
+    assert!(doc.metrics.iter().all(|t| t.name != "kmc.sector_s"));
 
-    let view = mmds_bench::archive::history_view(&doc);
-    assert!(view.contains("serial/wall"), "{view}");
+    let view = archive::history_view(&doc);
+    assert!(view.contains("md.force_s"), "{view}");
     assert!(view.contains("min=1.0000"), "{view}");
     assert!(view.contains("max=1.5000"), "{view}");
     assert!(view.contains("last=1.2000"), "{view}");
     // The window honours its cap.
-    assert_eq!(archive.runs_for(&hash, 2).len(), 2);
+    assert_eq!(archive.runs_for(&hash, 2).0.len(), 2);
 }
 
 #[test]
@@ -211,12 +191,12 @@ fn regress_gates_from_an_on_disk_archive() {
     archive.write(&record_with(1.04, 960.0, "r3")).unwrap();
     // Candidate inside the archived dispersion: pass.
     archive.write(&record_with(1.06, 950.0, "r4")).unwrap();
-    let hash = archive.resolve_selector("mdstep").unwrap();
-    let (gate, _) = mmds_bench::archive::regress(&archive.runs_for(&hash, 20), 0.10);
+    let hash = archive.resolve_selector("md_bulk").unwrap();
+    let (gate, _) = archive::regress(&archive.runs_for(&hash, 20).0, 0.10);
     assert_eq!(gate, Gate::Pass);
     // A 2× slowdown lands far outside any derived tolerance: fail.
     archive.write(&record_with(2.0, 500.0, "r5")).unwrap();
-    let (gate, text) = mmds_bench::archive::regress(&archive.runs_for(&hash, 20), 0.10);
+    let (gate, text) = archive::regress(&archive.runs_for(&hash, 20).0, 0.10);
     assert_eq!(gate, Gate::Fail);
     assert_eq!(gate.exit_code(), 1);
     assert!(text.contains("FAIL"), "{text}");
@@ -225,56 +205,34 @@ fn regress_gates_from_an_on_disk_archive() {
 }
 
 #[test]
-fn seeded_baseline_and_identical_config_share_a_hash() {
-    // Seeding the committed BENCH_mdstep.json and building the same
-    // config by hand key identically; any facet change re-keys.
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_mdstep.json"
-    ))
-    .unwrap();
-    let seeded = record_from_bench_doc("mdstep", &text).unwrap();
-    let live = mdstep_config(8, 20, 1, "Compacted");
-    assert_eq!(seeded.config_hash, live.hash().unwrap());
-    for changed in [
-        mdstep_config(8, 20, 4, "Compacted"),
-        mdstep_config(8, 20, 1, "Traditional"),
-        mdstep_config(10, 20, 1, "Compacted"),
-        mdstep_config(8, 40, 1, "Compacted"),
-    ] {
-        assert_ne!(changed.hash().unwrap(), seeded.config_hash, "{changed:?}");
-    }
-}
-
-/// Bitwise fingerprint of a short MD run: every per-step energy term.
-fn md_fingerprint() -> Vec<u64> {
-    let cfg = MdConfig {
-        temperature: 600.0,
-        ..Default::default()
-    };
-    let mut sim = MdSimulation::single_box(cfg, 3);
-    sim.init_velocities();
-    let mut bits = Vec::new();
-    for _ in 0..3 {
-        let s = sim.step(&mut Loopback);
-        bits.extend([s.pair.to_bits(), s.embed.to_bits(), s.kinetic.to_bits()]);
-    }
-    bits
+fn unreadable_records_are_counted_not_dropped_silently() {
+    let tmp = TempArchive::new();
+    let archive = Archive::open(&tmp.0).unwrap();
+    let torn = archive.write(&record_with(1.0, 1000.0, "r1")).unwrap();
+    archive.write(&record_with(1.1, 990.0, "r2")).unwrap();
+    archive.write(&record_with(1.2, 980.0, "r3")).unwrap();
+    let body = std::fs::read_to_string(&torn).unwrap();
+    std::fs::write(&torn, &body[..body.len() / 2]).unwrap();
+    let hash = archive.resolve_selector("md_bulk").unwrap();
+    let (runs, skipped) = archive.runs_for(&hash, 20);
+    assert_eq!((runs.len(), skipped), (2, 1));
+    assert_eq!(runs[0].1.git_rev, "r2");
 }
 
 #[test]
-fn archiving_is_observation_only_physics_is_bitwise_identical() {
-    let before = md_fingerprint();
-    // Interleave archive writes with a second run: the archive touches
-    // nothing the simulation reads, so the trajectory cannot move.
-    let tmp = TempArchive::new();
-    let archive = Archive::open(&tmp.0).unwrap();
-    archive.write(&record_with(1.0, 1000.0, "mid")).unwrap();
-    let during = md_fingerprint();
-    archive.write(&record_with(1.1, 990.0, "post")).unwrap();
-    let after = md_fingerprint();
-    assert_eq!(before, during);
-    assert_eq!(before, after);
+fn seeded_baseline_and_identical_config_share_a_hash() {
+    // The committed BENCH_md_bulk.json and a fresh md_bulk result key
+    // identically, whatever their numbers; every other workload
+    // re-keys.
+    let seeded = record_from_result("md_bulk", &committed("md_bulk")).unwrap();
+    let fresh_line = committed("md_bulk").replace("\"value\": 0,", "\"value\": 1,");
+    let fresh = record_from_result("md_bulk", &fresh_line).unwrap();
+    assert_ne!(seeded.metrics, fresh.metrics);
+    assert_eq!(seeded.config_hash, fresh.config_hash);
+    for other in ["coupled_2r", "kmc_dense", "kmc_fullghost"] {
+        let rec = record_from_result(other, &committed(other)).unwrap();
+        assert_ne!(rec.config_hash, seeded.config_hash, "{other}");
+    }
 }
 
 #[test]
@@ -291,20 +249,82 @@ fn torn_index_tail_is_tolerated() {
     assert_eq!(index[0].git_rev, "r1");
 }
 
+/// Runs `mmds-inspect` with `args`; returns exit code, stdout, stderr.
+fn inspect(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mmds-inspect"))
+        .args(args)
+        .output()
+        .expect("run mmds-inspect");
+    (
+        out.status.code().unwrap_or(-1),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 #[test]
-fn series_last_summarizes_rank_tagged_tracks() {
-    let report = RunReport {
-        series: vec![
-            track("census.frenkel_pairs", None, &[(1, 5.0), (2, 9.0)]),
-            track("census.vacancies", Some(2), &[(1, 3.0)]),
-        ],
-        ..Default::default()
-    };
-    let rec = ArchiveRecord::new(ConfigKey::new("s"))
-        .unwrap()
-        .with_report(report);
-    let mut expect = BTreeMap::new();
-    expect.insert("census.frenkel_pairs".to_string(), 9.0);
-    expect.insert("census.vacancies@2".to_string(), 3.0);
-    assert_eq!(rec.series_last, expect);
+fn archive_add_takes_committed_baselines_and_rejects_other_results() {
+    let tmp = TempArchive::new();
+    let dir = tmp.0.join("archive");
+    let dir = dir.to_str().unwrap();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    for w in ["md_bulk", "coupled_2r", "kmc_dense", "kmc_fullghost"] {
+        let path = format!("{root}/BENCH_{w}.json");
+        let (code, stdout, stderr) = inspect(&["archive-add", w, &path, "--archive", dir]);
+        assert_eq!(code, 0, "{w}: {stderr}");
+        assert!(
+            stdout.contains(&ConfigKey::new(w).hash().unwrap()),
+            "{stdout}"
+        );
+    }
+    // The same baseline again makes a two-run history that passes.
+    let md = format!("{root}/BENCH_md_bulk.json");
+    assert_eq!(
+        inspect(&["archive-add", "md_bulk", &md, "--archive", dir]).0,
+        0
+    );
+    let (code, stdout, _) = inspect(&["regress", "md_bulk", "--archive", dir]);
+    assert_eq!(code, 0, "{stdout}");
+    assert!(stdout.contains("gate: Pass"), "{stdout}");
+
+    let line = committed("kmc_dense");
+    for (name, text, reason) in [
+        (
+            "trace0",
+            "{\"correct\": true, \"attempted\": 4, \"failed\": 0, \"metrics\": \
+             {\"wall_s\": {\"value\": 0.3, \"unit\": \"s\"}}}"
+                .to_string(),
+            "end-to-end",
+        ),
+        (
+            "incorrect",
+            line.replace("\"correct\": true", "\"correct\": false"),
+            "not a measurement",
+        ),
+        (
+            "failed",
+            line.replace("\"failed\": 0", "\"failed\": 1"),
+            "checks failed",
+        ),
+        (
+            "unknown",
+            line.replace("\"kmc.sector_s\"", "\"kmc.warp_s\""),
+            "`kmc.warp_s` is not a per-layer metric",
+        ),
+    ] {
+        let path = tmp.0.join(format!("{name}.result.json"));
+        std::fs::write(&path, &text).unwrap();
+        let path = path.to_str().unwrap();
+        let (code, _, stderr) = inspect(&["archive-add", "kmc_dense", path, "--archive", dir]);
+        assert_eq!(code, 2, "{name}: {stderr}");
+        assert_eq!(
+            stderr.lines().count(),
+            1,
+            "{name}: one-line reason: {stderr}"
+        );
+        assert!(stderr.contains(reason), "{name}: {stderr}");
+    }
+    // Nothing rejected reached the index.
+    let index = Archive::open(dir).unwrap().read_index();
+    assert_eq!(index.len(), 5);
 }
