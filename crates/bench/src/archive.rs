@@ -4,8 +4,9 @@
 //! `flamediff`.
 //!
 //! `mmds-inspect archive-add <workload> <result.json>` imports the last
-//! stdout line of `bash benchmark/run.sh --workload <workload> --trace 1`
-//! as an [`ArchiveRecord`] under `results/archive/` (override with
+//! stdout lines of one or more replays of `bash benchmark/run.sh
+//! --workload <workload> --trace 1`, one line each, as an
+//! [`ArchiveRecord`] under `results/archive/` (override with
 //! `--archive`):
 //!
 //! * records live at `<config_hash>/<content_hash>.json` — the config
@@ -22,7 +23,8 @@
 //! the repository's `BENCHMARK.json`, embedded at build time. On top of
 //! the store, [`history_doc`]/[`history_view`] render per-metric trends
 //! across runs, [`regress`] gates the newest run with tolerances
-//! derived from the archived dispersion of each metric, and
+//! derived from the archived replay-to-replay dispersion of each
+//! metric, and
 //! [`flamediff`] diffs the span trees of two [`RunReport`]s.
 
 use std::collections::BTreeMap;
@@ -68,12 +70,20 @@ enum Better {
 }
 
 impl Better {
-    /// The `BENCHMARK.json` spelling.
+    /// The `BENCHMARK.json` spelling. (The workspace's serde stand-in
+    /// has no `rename_all`, so the spelling is mapped here, both ways.)
     fn as_str(self) -> &'static str {
         match self {
             Better::Lower => "lower",
             Better::Higher => "higher",
         }
+    }
+
+    /// The inverse of [`Better::as_str`].
+    fn parse(s: &str) -> Option<Better> {
+        [Better::Lower, Better::Higher]
+            .into_iter()
+            .find(|b| b.as_str() == s)
     }
 }
 
@@ -91,7 +101,6 @@ struct SpecMetric {
 #[derive(Deserialize)]
 struct SpecDoc {
     workloads: Vec<SpecName>,
-    end_to_end: Vec<SpecName>,
     per_layer: Vec<SpecMetric>,
 }
 
@@ -100,8 +109,6 @@ struct SpecDoc {
 struct Spec {
     /// Workload names, in declaration order.
     workloads: Vec<String>,
-    /// End-to-end metric names (the `--trace 0` result).
-    end_to_end: Vec<String>,
     /// Per-layer metric name → direction (the `--trace 1` result).
     per_layer: BTreeMap<String, Better>,
 }
@@ -113,16 +120,12 @@ impl Spec {
             serde_json::from_str(text).map_err(|e| format!("not a BENCHMARK.json: {e}"))?;
         let mut per_layer = BTreeMap::new();
         for m in doc.per_layer {
-            let better = match m.better.as_str() {
-                "lower" => Better::Lower,
-                "higher" => Better::Higher,
-                other => return Err(format!("metric `{}`: better is `{other}`", m.name)),
-            };
+            let better = Better::parse(&m.better)
+                .ok_or_else(|| format!("metric `{}`: better is `{}`", m.name, m.better))?;
             per_layer.insert(m.name, better);
         }
         Ok(Spec {
             workloads: doc.workloads.into_iter().map(|w| w.name).collect(),
-            end_to_end: doc.end_to_end.into_iter().map(|m| m.name).collect(),
             per_layer,
         })
     }
@@ -139,7 +142,7 @@ fn spec() -> &'static Spec {
 // ---------------------------------------------------------------------
 
 /// One archived run: the workload's canonical key, provenance, and the
-/// per-layer metrics of its `--trace 1` result.
+/// per-layer metrics of its `--trace 1` replays.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ArchiveRecord {
     /// Record schema version ([`SCHEMA`]).
@@ -152,8 +155,15 @@ pub struct ArchiveRecord {
     pub git_rev: String,
     /// Unix seconds when the record was written.
     pub t_unix: u64,
-    /// Per-layer metric values, keyed by their `BENCHMARK.json` name.
+    /// How many benchmark results (replays) the record folds.
+    pub replays: u32,
+    /// Per-layer metric values, keyed by their `BENCHMARK.json` name:
+    /// each the best over the record's replays.
     pub metrics: BTreeMap<String, f64>,
+    /// Each metric's worst value over the replays. With `metrics` it
+    /// bounds the replay-to-replay spread, which [`regress`] counts as
+    /// noise.
+    pub worst: BTreeMap<String, f64>,
 }
 
 impl ArchiveRecord {
@@ -168,8 +178,37 @@ impl ArchiveRecord {
             config,
             git_rev: git_rev(),
             t_unix: now_unix(),
+            replays: 1,
             metrics: BTreeMap::new(),
+            worst: BTreeMap::new(),
         })
+    }
+
+    /// Folds another replay of the same workload into this record: each
+    /// metric keeps the better value in `metrics` and the worse one in
+    /// `worst`, lower or higher as `BENCHMARK.json` declares. One replay
+    /// of a layer that takes milliseconds is mostly scheduler noise; the
+    /// best of several is a steadier figure, and their spread says how
+    /// noisy the layer is. A result with another metric set is not a
+    /// replay of the same benchmark and is refused.
+    fn fold_replay(&mut self, other: &ArchiveRecord) -> Result<(), String> {
+        if !self.metrics.keys().eq(other.metrics.keys()) {
+            return Err("another metric set, not a replay of the same benchmark".to_string());
+        }
+        for (name, best) in &mut self.metrics {
+            let worst = self.worst.entry(name.clone()).or_insert(*best);
+            let b = other.metrics[name];
+            let w = other.worst.get(name).copied().unwrap_or(b);
+            if spec().per_layer.get(name) == Some(&Better::Higher) {
+                *best = best.max(b);
+                *worst = worst.min(w);
+            } else {
+                *best = best.min(b);
+                *worst = worst.max(w);
+            }
+        }
+        self.replays += other.replays;
+        Ok(())
     }
 }
 
@@ -186,10 +225,12 @@ struct ResultLine {
     metrics: BTreeMap<String, ResultMetric>,
 }
 
-/// Imports one benchmark result: the last non-empty line of `text` must
-/// be the object `bash benchmark/run.sh --workload <workload> --trace 1`
-/// prints last. A result that is not a passing per-layer measurement of
-/// a declared workload is rejected with a one-line reason.
+/// Imports the benchmark results in `text`: every line that opens a JSON
+/// object is the object `bash benchmark/run.sh --workload <workload>
+/// --trace 1` prints last, one per replay; other lines (the run's
+/// progress output) are skipped. The replays fold into one record. A
+/// result that is not a passing per-layer measurement of a declared
+/// workload is rejected with a one-line reason.
 pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, String> {
     let spec = spec();
     if !spec.workloads.iter().any(|w| w == workload) {
@@ -198,11 +239,30 @@ pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, S
             spec.workloads.join("|")
         ));
     }
-    let line = text
+    let lines: Vec<&str> = text
         .lines()
-        .rev()
-        .find(|l| !l.trim().is_empty())
-        .unwrap_or("");
+        .filter(|l| l.trim_start().starts_with('{'))
+        .collect();
+    if lines.is_empty() {
+        return Err("not a benchmark result: no line holds a JSON object".to_string());
+    }
+    let mut rec: Option<ArchiveRecord> = None;
+    for (i, line) in lines.iter().enumerate() {
+        let replay = replay_from_line(workload, line).map_err(|e| match lines.len() {
+            1 => e,
+            n => format!("result {} of {n}: {e}", i + 1),
+        })?;
+        match &mut rec {
+            Some(r) => r.fold_replay(&replay)?,
+            None => rec = Some(replay),
+        }
+    }
+    Ok(rec.expect("at least one result line"))
+}
+
+/// One result line as a one-replay record.
+fn replay_from_line(workload: &str, line: &str) -> Result<ArchiveRecord, String> {
+    let spec = spec();
     let result: ResultLine =
         serde_json::from_str(line).map_err(|e| format!("not a benchmark result line: {e}"))?;
     if !result.correct {
@@ -214,11 +274,6 @@ pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, S
             result.failed, result.attempted
         ));
     }
-    if let Some(name) = result.metrics.keys().find(|n| spec.end_to_end.contains(n)) {
-        return Err(format!(
-            "end-to-end result (metric `{name}`); archive the `--trace 1` line"
-        ));
-    }
     if result.metrics.is_empty() {
         return Err("the result has no metrics".to_string());
     }
@@ -226,13 +281,15 @@ pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, S
     for (name, m) in result.metrics {
         if !spec.per_layer.contains_key(&name) {
             return Err(format!(
-                "metric `{name}` is not a per-layer metric of BENCHMARK.json"
+                "metric `{name}` is not a per-layer metric of BENCHMARK.json \
+                 (archive the `--trace 1` result)"
             ));
         }
         if !m.value.is_finite() {
             return Err(format!("metric `{name}` is not a finite number"));
         }
-        rec.metrics.insert(name, m.value);
+        rec.metrics.insert(name.clone(), m.value);
+        rec.worst.insert(name, m.value);
     }
     Ok(rec)
 }
@@ -647,28 +704,66 @@ pub fn change_point(values: &[f64], floor: f64) -> Option<usize> {
     None
 }
 
-/// One metric's verdict against its history: the best archived value,
-/// the tolerance, and the gate. The tolerance is the history's spread
-/// relative to its best, floored at `floor`; a lower-is-better metric
-/// fails above `best·(1 + tol)`, a higher-is-better one below
-/// `best·(1 − tol)`, and either warns when worse than every archived
-/// value.
-fn judge(better: Better, history: &[f64], fresh: f64, floor: f64) -> (f64, f64, Gate) {
+/// Name suffix of the metrics the benchmark reports as `a / b − 1`.
+const OVERHEAD_FRAC: &str = "overhead_frac";
+
+/// What the gate adds to a reported value of metric `name` before it
+/// judges it. The benchmark reports an overhead as `traced / untraced − 1`
+/// (`*overhead_frac`): a signed fraction near 0, whose relative change
+/// means nothing and whose best can be negative. The gate judges the
+/// ratio `1 + x` instead, which is always positive. Every other declared
+/// metric is a non-negative time, count, size or ratio and is judged as
+/// reported.
+fn gauge_offset(name: &str) -> f64 {
+    if name.ends_with(OVERHEAD_FRAC) {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// One metric's verdict against its history, every value shifted by
+/// [`gauge_offset`]: `history` holds each archived run's best replay,
+/// `worst` each run's worst. Returns the best archived value, the
+/// tolerance, and the gate. The tolerance is the spread of every
+/// archived replay relative to the best, floored at `floor`: a layer
+/// whose replays wander by x% may wander by x% again. The gate fails
+/// when `fresh` is worse than `best ± tol·|best|` and warns when it is
+/// worse than every archived run. A best of 0 leaves no band, so any
+/// worse value fails: a count such as `md.plan_ref_mismatch_sites`
+/// that leaves 0 is a regression of any size.
+fn judge(
+    better: Better,
+    history: &[f64],
+    worst: &[f64],
+    fresh: f64,
+    floor: f64,
+) -> (f64, f64, Gate) {
+    let lo = history
+        .iter()
+        .chain(worst)
+        .cloned()
+        .fold(f64::INFINITY, f64::min);
+    let hi = history
+        .iter()
+        .chain(worst)
+        .cloned()
+        .fold(f64::NEG_INFINITY, f64::max);
     let min = history.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = history.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let (best, worst, sign) = match better {
+    let (best, worst_run, sign) = match better {
         Better::Lower => (min, max, 1.0),
         Better::Higher => (max, min, -1.0),
     };
-    let tol = if best > 0.0 {
-        ((max - min) / best).max(floor)
+    let tol = if best != 0.0 {
+        ((hi - lo) / best.abs()).max(floor)
     } else {
         floor
     };
     let worse_than = |x: f64| sign * (fresh - x) > 0.0;
-    let gate = if best > 0.0 && worse_than(best * (1.0 + sign * tol)) {
+    let gate = if worse_than(best + sign * tol * best.abs()) {
         Gate::Fail
-    } else if worse_than(worst) {
+    } else if worse_than(worst_run) {
         Gate::Warn
     } else {
         Gate::Pass
@@ -710,12 +805,12 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
         let Some(&fresh) = cand_rec.metrics.get(name) else {
             continue;
         };
-        let h = metric_values(hist, name);
         let Some(&better) = spec().per_layer.get(name) else {
             gate = gate.max(Gate::Missing);
             reasons.push(format!("metric `{name}` is not declared in BENCHMARK.json"));
             continue;
         };
+        let h = metric_values(hist, name);
         let mut row = vec![
             name.to_string(),
             better.as_str().to_string(),
@@ -724,12 +819,19 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
         if h.is_empty() {
             row.extend(["-".into(), "-".into(), num(fresh), "-".into(), "new".into()]);
         } else {
-            let (best, tol, g) = judge(better, &h, fresh, floor);
+            let off = gauge_offset(name);
+            let gauged: Vec<f64> = h.iter().map(|v| v + off).collect();
+            let worst: Vec<f64> = hist
+                .iter()
+                .filter_map(|(_, r)| r.worst.get(name).or(r.metrics.get(name)))
+                .map(|v| v + off)
+                .collect();
+            let (best, tol, g) = judge(better, &gauged, &worst, fresh + off, floor);
             gate = gate.max(g);
             let delta = if best != 0.0 {
-                format!("{:+.1}%", 100.0 * (fresh / best - 1.0))
+                format!("{:+.1}%", 100.0 * (fresh + off - best) / best.abs())
             } else {
-                "-".to_string()
+                "from 0".to_string()
             };
             let verdict = match g {
                 Gate::Fail => "FAIL",
@@ -737,7 +839,7 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
                 _ => "ok",
             };
             row.extend([
-                num(best),
+                num(best - off),
                 format!("{:.0}%", 100.0 * tol),
                 num(fresh),
                 delta,
@@ -764,18 +866,23 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
         ],
         &rows,
     ));
+    if rows.iter().any(|r| r[0].ends_with(OVERHEAD_FRAC)) {
+        out.push_str("  (an *overhead_frac x is judged as the ratio 1 + x; delta is its change)\n");
+    }
 
     // Change points over the whole window (candidate included): which
     // run first moved each metric out of its prior band.
     let mut shifts = Vec::new();
     for t in history_doc(runs).metrics {
-        if let Some(k) = change_point(&t.values, floor) {
+        let off = gauge_offset(&t.name);
+        let g: Vec<f64> = t.values.iter().map(|v| v + off).collect();
+        if let Some(k) = change_point(&g, floor) {
             let (e, _) = &runs[k.min(runs.len() - 1)];
             shifts.push(format!(
                 "  {}: first shifted at run #{k} (rev {}, {:+.1}% vs prior median)",
                 t.name,
                 e.git_rev,
-                100.0 * (t.values[k] / median(&t.values[..k]) - 1.0),
+                100.0 * (g[k] / median(&g[..k]) - 1.0),
             ));
         }
     }
@@ -871,7 +978,9 @@ mod tests {
             config: ConfigKey::new("md_bulk"),
             git_rev: "r0".into(),
             t_unix: 1,
+            replays: 1,
             metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            worst: BTreeMap::new(),
         }
     }
 
@@ -923,14 +1032,14 @@ mod tests {
             s.workloads,
             ["md_bulk", "coupled_2r", "kmc_dense", "kmc_fullghost"]
         );
-        assert_eq!(s.end_to_end, ["wall_s", "setup_s", "peak_rss_mb"]);
         assert_eq!(s.per_layer.get("md.force_s"), Some(&Better::Lower));
         assert_eq!(s.per_layer.get("kmc.events_per_s"), Some(&Better::Higher));
-        assert!(Spec::parse(
-            r#"{"workloads": [], "end_to_end": [], "per_layer": [{"name": "x", "better": "up"}]}"#
-        )
-        .unwrap_err()
-        .contains("`x`"));
+        assert!(!s.per_layer.contains_key("wall_s"));
+        assert!(
+            Spec::parse(r#"{"workloads": [], "per_layer": [{"name": "x", "better": "up"}]}"#)
+                .unwrap_err()
+                .contains("`up`")
+        );
     }
 
     #[test]
@@ -943,7 +1052,7 @@ mod tests {
             (
                 "md_bulk",
                 result_line(true, 0, &[("wall_s", 3.8)]),
-                "end-to-end",
+                "`wall_s` is not a per-layer metric of BENCHMARK.json (archive the `--trace 1`",
             ),
             (
                 "md_bulk",
@@ -965,6 +1074,11 @@ mod tests {
             (
                 "md_bulk",
                 "checks: 5 attempted".to_string(),
+                "not a benchmark result",
+            ),
+            (
+                "md_bulk",
+                "{\"correct\": tru".to_string(),
                 "not a benchmark result",
             ),
         ] {
@@ -1006,6 +1120,86 @@ mod tests {
         // Below every archived run but within tolerance: warn.
         let runs = window(vec![hist(1000.0), hist(900.0), hist(880.0)]);
         assert_eq!(regress(&runs, 0.30).0, Gate::Warn);
+    }
+
+    #[test]
+    fn overhead_fractions_are_judged_as_ratios() {
+        // A negative overhead in the history (the traced replay happened
+        // to be the faster one) must not disarm the gate: 10× slower
+        // traced than untraced fails.
+        let hist = |x| rec(&[("trace.overhead_frac", x)]);
+        let (gate, text) = regress(&window(vec![hist(-0.2005), hist(9.0)]), 0.45);
+        assert_eq!(gate, Gate::Fail, "{text}");
+        // Ratio 0.7995 → 10: the delta is the ratio's change.
+        assert!(text.contains("+1150.8%"), "{text}");
+        assert!(text.contains("judged as the ratio 1 + x"), "{text}");
+        // -20 % → +3 % overhead is a 29 % larger ratio: inside 45 %.
+        let (gate, text) = regress(&window(vec![hist(-0.2), hist(0.03)]), 0.45);
+        assert_eq!(gate, Gate::Warn, "{text}");
+        let (gate, _) = regress(&window(vec![hist(0.03), hist(-0.2)]), 0.45);
+        assert_eq!(gate, Gate::Pass);
+    }
+
+    #[test]
+    fn a_lower_is_better_metric_leaving_zero_fails() {
+        // Best 0 leaves no relative band: the gate fails closed.
+        let r = |x| rec(&[("md.force_s", 1.0), ("md.plan_ref_mismatch_sites", x)]);
+        let (gate, text) = regress(&window(vec![r(0.0), r(3.0)]), 0.45);
+        assert_eq!(gate, Gate::Fail, "{text}");
+        assert!(text.contains("from 0"), "{text}");
+    }
+
+    #[test]
+    fn replays_fold_to_each_metric_best_and_worst() {
+        let text = [
+            result_line(
+                true,
+                0,
+                &[("md.force_s", 1.0), ("md.atom_steps_per_s", 90.0)],
+            ),
+            "progress output between replays".to_string(),
+            result_line(
+                true,
+                0,
+                &[("md.force_s", 0.8), ("md.atom_steps_per_s", 70.0)],
+            ),
+            result_line(
+                true,
+                0,
+                &[("md.force_s", 0.9), ("md.atom_steps_per_s", 80.0)],
+            ),
+        ]
+        .join("\n");
+        let r = record_from_result("md_bulk", &text).unwrap();
+        assert_eq!(r.replays, 3);
+        assert_eq!(r.metrics["md.force_s"], 0.8);
+        assert_eq!(r.worst["md.force_s"], 1.0);
+        assert_eq!(r.metrics["md.atom_steps_per_s"], 90.0);
+        assert_eq!(r.worst["md.atom_steps_per_s"], 70.0);
+        // One bad replay rejects the file, and says which one.
+        let bad = format!("{text}\n{}", result_line(true, 2, &[("md.force_s", 0.7)]));
+        let e = record_from_result("md_bulk", &bad).unwrap_err();
+        assert!(e.starts_with("result 4 of 4: 2 of 5 checks failed"), "{e}");
+        let other = format!("{text}\n{}", result_line(true, 0, &[("md.force_s", 0.7)]));
+        let e = record_from_result("md_bulk", &other).unwrap_err();
+        assert!(e.contains("metric set"), "{e}");
+    }
+
+    #[test]
+    fn replay_spread_widens_the_tolerance() {
+        let mut noisy = rec(&[("swmpi.pingpong_us", 1.0)]);
+        noisy.worst.insert("swmpi.pingpong_us".into(), 3.0);
+        // Replays spanned 1..3 µs: a best of 2.5 µs is inside that noise.
+        let fresh = rec(&[("swmpi.pingpong_us", 2.5)]);
+        let (gate, text) = regress(&window(vec![noisy.clone(), fresh]), 0.45);
+        assert_eq!(gate, Gate::Warn, "{text}");
+        assert!(text.contains("200%"), "{text}");
+        // Outside the spread it fails; without replays, the floor holds.
+        let fresh = rec(&[("swmpi.pingpong_us", 3.5)]);
+        assert_eq!(regress(&window(vec![noisy, fresh]), 0.45).0, Gate::Fail);
+        let quiet = rec(&[("swmpi.pingpong_us", 1.0)]);
+        let fresh = rec(&[("swmpi.pingpong_us", 2.5)]);
+        assert_eq!(regress(&window(vec![quiet, fresh]), 0.45).0, Gate::Fail);
     }
 
     #[test]

@@ -55,10 +55,12 @@
 //!   workload does not reach) are skipped.
 //! * `flamediff` diffs the span trees of two runs path by path; each
 //!   operand is a telemetry report or a JSONL trace, as for `summary`.
-//! * `archive-add` imports the last line of `bash benchmark/run.sh
-//!   --workload <workload> --trace 1` (a fresh run, or a committed
-//!   `BENCH_<workload>.json`) into the archive, keyed by the workload.
-//!   A result that is not a passing per-layer measurement exits 2.
+//! * `archive-add` imports the result lines of `bash benchmark/run.sh
+//!   --workload <workload> --trace 1` (fresh replays, one line each, or
+//!   a committed `BENCH_<workload>.json`) into the archive as one
+//!   record keyed by the workload, holding each metric's best and worst
+//!   replay. A result that is not a passing per-layer measurement
+//!   exits 2.
 //!
 //! The archive defaults to `results/archive`.
 
@@ -254,8 +256,9 @@ fn cmd_archive_add(workload: &str, result_path: &str, dir: Option<&str>) -> i32 
     match archive.write(&record) {
         Ok(path) => {
             println!(
-                "archived {workload} run {} -> {}",
+                "archived {workload} run {} ({} replay(s)) -> {}",
                 record.config_hash,
+                record.replays,
                 path.display()
             );
             0

@@ -111,6 +111,7 @@ fn archived_record_round_trips_every_field() {
     .unwrap();
     rec.git_rev = "abc123def456".to_string();
     rec.t_unix = 1_754_000_000;
+    rec.replays = 3;
     rec.metrics.insert("md.force_s".to_string(), 2.5);
     rec.metrics
         .insert("kmc.ghost_bytes".to_string(), 3_017_932_800.0);
@@ -286,15 +287,36 @@ fn archive_add_takes_committed_baselines_and_rejects_other_results() {
     let (code, stdout, _) = inspect(&["regress", "md_bulk", "--archive", dir]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("gate: Pass"), "{stdout}");
+    // A file of several result lines is one record of that many replays.
+    let line = committed("md_bulk");
+    let replays = record_from_result("md_bulk", &line).unwrap().replays;
+    let twice = tmp.0.join("twice.result.json");
+    std::fs::write(&twice, format!("{}\n{line}", line.trim_end())).unwrap();
+    let twice = twice.to_str().unwrap();
+    let (code, stdout, stderr) = inspect(&["archive-add", "md_bulk", twice, "--archive", dir]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains(&format!("({} replay(s))", 2 * replays)),
+        "{stdout}"
+    );
 
     let line = committed("kmc_dense");
+    let first = line.lines().next().unwrap();
     for (name, text, reason) in [
         (
             "trace0",
             "{\"correct\": true, \"attempted\": 4, \"failed\": 0, \"metrics\": \
              {\"wall_s\": {\"value\": 0.3, \"unit\": \"s\"}}}"
                 .to_string(),
-            "end-to-end",
+            "archive the `--trace 1` result",
+        ),
+        (
+            "one_bad_replay",
+            format!(
+                "{first}\n{}",
+                first.replace("\"failed\": 0", "\"failed\": 2")
+            ),
+            "result 2 of 2: 2 of",
         ),
         (
             "incorrect",
@@ -326,5 +348,5 @@ fn archive_add_takes_committed_baselines_and_rejects_other_results() {
     }
     // Nothing rejected reached the index.
     let index = Archive::open(dir).unwrap().read_index();
-    assert_eq!(index.len(), 5);
+    assert_eq!(index.len(), 6);
 }
