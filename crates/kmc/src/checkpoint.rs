@@ -57,6 +57,16 @@ pub enum RestoreError {
         /// Ghost width in cells.
         ghost: usize,
     },
+    /// The owned block does not lie inside the global lattice: an axis
+    /// of the global lattice is empty, or `start + len` passes its end.
+    Placement {
+        /// Global cells per axis.
+        global: [usize; 3],
+        /// First owned global cell per axis.
+        start: [usize; 3],
+        /// Owned cells per axis.
+        len: [usize; 3],
+    },
     /// A state byte encodes no [`SiteState`].
     InvalidState {
         /// Stored site index.
@@ -92,6 +102,11 @@ impl fmt::Display for RestoreError {
                 f,
                 "checkpoint grid of {len:?} owned cells cannot hold a ghost shell of {ghost}: \
                  a sector (half the owned length) must cover it, and it must be at least 1"
+            ),
+            RestoreError::Placement { global, start, len } => write!(
+                f,
+                "checkpoint grid's owned block of {len:?} cells at {start:?} does not fit a \
+                 global lattice of {global:?} cells"
             ),
             RestoreError::InvalidState { site, value } => {
                 write!(f, "checkpoint site {site} holds invalid state byte {value}")
@@ -182,9 +197,22 @@ impl KmcSimulation {
                 states: ck.states.len(),
             });
         }
-        let LocalGrid { len, ghost, .. } = ck.grid;
+        let LocalGrid {
+            global,
+            start,
+            len,
+            ghost,
+        } = ck.grid;
         if ghost == 0 || len.iter().any(|&l| l / 2 < ghost) {
             return Err(RestoreError::Grid { len, ghost });
+        }
+        let global = [global.nx, global.ny, global.nz];
+        if (0..3).any(|ax| {
+            start[ax]
+                .checked_add(len[ax])
+                .is_none_or(|end| end > global[ax])
+        }) {
+            return Err(RestoreError::Placement { global, start, len });
         }
         check_config(&ck.cfg, &ck.grid)?;
         let states = ck
@@ -340,6 +368,34 @@ mod tests {
         assert!(matches!(
             KmcSimulation::restore(ck),
             Err(RestoreError::Grid { .. })
+        ));
+        // An empty global axis (`global_cell` would take a remainder by
+        // zero), an owned block past the global end (its global ids
+        // would wrap onto other cells), and a start that overflows.
+        let mut ck = good.clone();
+        ck.grid.global.ny = 0;
+        assert!(matches!(
+            KmcSimulation::restore(ck),
+            Err(RestoreError::Placement {
+                global: [_, 0, _],
+                ..
+            })
+        ));
+        let mut ck = good.clone();
+        ck.grid.start[2] = 1;
+        assert_eq!(
+            KmcSimulation::restore(ck).err(),
+            Some(RestoreError::Placement {
+                global: [8; 3],
+                start: [0, 0, 1],
+                len: [8; 3]
+            })
+        );
+        let mut ck = good.clone();
+        ck.grid.start[0] = usize::MAX;
+        assert!(matches!(
+            KmcSimulation::restore(ck),
+            Err(RestoreError::Placement { .. })
         ));
         let mut ck = good.clone();
         ck.states[17] = 3;

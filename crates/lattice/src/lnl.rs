@@ -56,7 +56,12 @@ pub struct LatticeNeighborList {
     /// Neighbour offset tables.
     pub offsets: NeighborOffsets,
     deltas: [Vec<isize>; 2],
+    /// Per basis, the entries of `deltas` that point to a higher site
+    /// index, in offset order.
+    forward: [Vec<isize>; 2],
     nn1_deltas: [Vec<isize>; 2],
+    /// Per-site ownership: true for interior sites, false for ghosts.
+    owned: Vec<bool>,
     /// Per-site atom id; negative values mark vacancies (paper Fig. 3).
     pub id: Vec<i64>,
     /// Per-site atom position (Å, unwrapped local frame).
@@ -74,6 +79,7 @@ pub struct LatticeNeighborList {
     pool: Vec<RunawayAtom>,
     free: Vec<u32>,
     n_runaways: usize,
+    ghost_epoch: u64,
 }
 
 impl LatticeNeighborList {
@@ -98,11 +104,20 @@ impl LatticeNeighborList {
             grid.flat_deltas(&offsets.first_shell(0), 0),
             grid.flat_deltas(&offsets.first_shell(1), 1),
         ];
+        let forward = deltas
+            .clone()
+            .map(|ds| ds.into_iter().filter(|&d| d > 0).collect());
+        let mut owned = vec![false; n];
+        for s in grid.interior_ids() {
+            owned[s] = true;
+        }
         Self {
             grid,
             offsets,
             deltas,
+            forward,
             nn1_deltas,
+            owned,
             id,
             pos,
             vel: vec![[0.0; 3]; n],
@@ -113,6 +128,7 @@ impl LatticeNeighborList {
             pool: Vec::new(),
             free: Vec::new(),
             n_runaways: 0,
+            ghost_epoch: 0,
         }
     }
 
@@ -143,6 +159,21 @@ impl LatticeNeighborList {
     #[inline]
     pub fn neighbor_deltas(&self, s: usize) -> &[isize] {
         &self.deltas[s & 1]
+    }
+
+    /// The [`Self::neighbor_deltas`] of `s` that point to a higher site
+    /// index, in offset order. The offset set is symmetric, so each
+    /// unordered pair of neighbouring sites is a forward delta of its
+    /// lower end only.
+    #[inline]
+    pub fn forward_deltas(&self, s: usize) -> &[isize] {
+        &self.forward[s & 1]
+    }
+
+    /// True if site `s` is owned (interior), false for a ghost site.
+    #[inline]
+    pub fn is_owned(&self, s: usize) -> bool {
+        self.owned[s]
     }
 
     /// Flat-index deltas to the 8 first-nearest neighbours of `s`.
@@ -231,7 +262,9 @@ impl LatticeNeighborList {
             }
         };
         self.head[home] = idx as i32;
-        if !ghost {
+        if ghost {
+            self.ghost_epoch += 1;
+        } else {
             self.n_runaways += 1;
         }
         idx
@@ -259,7 +292,9 @@ impl LatticeNeighborList {
         }
         self.pool[idx as usize].alive = false;
         self.free.push(idx);
-        if !rec.ghost {
+        if rec.ghost {
+            self.ghost_epoch += 1;
+        } else {
             self.n_runaways -= 1;
         }
         rec
@@ -300,6 +335,13 @@ impl LatticeNeighborList {
         &mut self.pool[idx as usize]
     }
 
+    /// Counts every ghost run-away record added or removed: pool
+    /// indices of ghost records are stable while it holds still (a
+    /// position ghost exchange rebuilds them; an F' exchange does not).
+    pub fn ghost_epoch(&self) -> u64 {
+        self.ghost_epoch
+    }
+
     /// Live run-away count.
     pub fn n_runaways(&self) -> usize {
         self.n_runaways
@@ -307,9 +349,19 @@ impl LatticeNeighborList {
 
     /// Indices of all live, non-ghost run-aways.
     pub fn live_runaways(&self) -> Vec<u32> {
+        self.live_runaway_ids().collect()
+    }
+
+    /// [`Self::live_runaways`] without collecting them.
+    pub fn live_runaway_ids(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.pool.len() as u32)
             .filter(|&i| self.pool[i as usize].alive && !self.pool[i as usize].ghost)
-            .collect()
+    }
+
+    /// The live, non-ghost run-away records, in [`Self::live_runaways`]
+    /// order.
+    pub fn live_runaways_mut(&mut self) -> impl Iterator<Item = &mut RunawayAtom> {
+        self.pool.iter_mut().filter(|r| r.alive && !r.ghost)
     }
 
     /// Nearest *storage* site to a position, if it falls inside the
@@ -350,8 +402,10 @@ impl LatticeNeighborList {
             .count()
     }
 
-    /// Bytes of memory used by the structure (the quantity behind the
-    /// paper's capacity claim; see [`crate::memory`]).
+    /// Bytes of atom storage: the per-site arrays and the run-away pool
+    /// (the quantity behind the paper's capacity claim; see
+    /// [`crate::memory`]). The index tables derived from the grid — the
+    /// flat deltas and the ownership mask — are not counted.
     pub fn memory_bytes(&self) -> usize {
         let per_site = 8  // id
             + 24 // pos
@@ -417,6 +471,24 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 58);
+    }
+
+    #[test]
+    fn forward_deltas_hold_each_pair_once() {
+        let l = lnl();
+        let interior: Vec<usize> = l.grid.interior_ids().collect();
+        for &s in &interior {
+            let nbrs: Vec<usize> = l.neighbor_ids(s).collect();
+            for &t in &nbrs {
+                // Exactly one end of each pair holds it as a forward
+                // delta: the lower-indexed one.
+                let d = t as isize - s as isize;
+                assert_eq!(l.forward_deltas(s).contains(&d), t > s);
+                assert_eq!(l.forward_deltas(t).contains(&-d), s > t);
+            }
+        }
+        assert_eq!(l.owned.iter().filter(|&&o| o).count(), interior.len());
+        assert!(interior.iter().all(|&s| l.is_owned(s)));
     }
 
     #[test]

@@ -12,10 +12,18 @@
 //! static neighbour offsets **and** the run-away atoms linked to those
 //! lattice points (paper §2.1.1); a run-away central uses the offset
 //! list of its anchor site, exactly as the paper specifies.
+//!
+//! The passes run over a half list: a pair of two owned regular atoms
+//! is evaluated once, by its lower-indexed end over the forward half of
+//! the static offsets, and scattered to both ends (Newton's third law).
+//! A pair with a ghost or a run-away at either end is evaluated by each
+//! owned end, so no force flows back to a ghost.
 
 use mmds_eam::{EamPotential, TableForm};
 use mmds_lattice::lnl::LatticeNeighborList;
+use mmds_lattice::LocalGrid;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Sites per parallel work unit. Chunking is fixed (not derived from
 /// the worker count), so the sweep decomposition — and therefore every
@@ -36,12 +44,12 @@ pub const BATCH_GATHER_CAP: usize = 4 * mmds_eam::BATCH_LANES;
 /// ([`PassConfig::seed_serial`]).
 ///
 /// The production path sweeps fixed [`PAR_CHUNK_SITES`]-site chunks
-/// over the thread pool, stages each chunk's partners into the
+/// over the thread pool, stages each chunk's half-list pairs into the
 /// persistent [`GatherPlan`] and evaluates them through the fused
 /// lane-batched table kernels. Results are bitwise deterministic across
-/// thread counts: chunk boundaries are fixed, per-site work reads
-/// shared state only, and write-back and energy reduction happen in
-/// site order on the calling thread.
+/// thread counts: chunk boundaries are fixed, per-pair work reads
+/// shared state only, and every sum runs in one global order on the
+/// calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PassConfig(Path);
 
@@ -53,9 +61,10 @@ enum Path {
 }
 
 impl PassConfig {
-    /// The pre-optimisation host path, kept as the bitwise oracle:
-    /// serial sweeps, one `sqrt` and separate `pair` + `density`
-    /// lookups per partner (the private `reference` module).
+    /// The scalar half-list oracle: serial sweeps over the same pairs,
+    /// one `sqrt` and separate `pair` + `density` lookups per pair, and
+    /// every sum in the production path's order (the private
+    /// `reference` module).
     pub fn seed_serial() -> Self {
         Self(Path::Reference)
     }
@@ -66,9 +75,9 @@ impl PassConfig {
     }
 }
 
-/// Per-pass statistics of the batched gather/eval path, summed in site
-/// order on the calling thread and emitted as the `md.batch.*` counter
-/// family.
+/// Per-pass statistics of the batched gather/eval path over the staged
+/// pairs, summed in chunk order on the calling thread and emitted as
+/// the `md.batch.*` counter family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Full [`mmds_eam::BATCH_LANES`]-wide lane groups evaluated.
@@ -191,6 +200,15 @@ pub struct PartnerSq {
     pub ra_index: u32,
 }
 
+/// `central_pos − partner_pos` and its squared length: the one
+/// expression every sweep and the force pass compute a pair's geometry
+/// with, so a recomputed distance has the bits of the swept one.
+#[inline]
+fn separation(cpos: [f64; 3], ppos: [f64; 3]) -> ([f64; 3], f64) {
+    let dx = [cpos[0] - ppos[0], cpos[1] - ppos[1], cpos[2] - ppos[2]];
+    (dx, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2])
+}
+
 /// Visits every interaction partner of `central` within `cutoff`,
 /// before the distance square root ([`PartnerSq`]).
 pub fn for_each_partner_sq(
@@ -225,8 +243,7 @@ fn partner_sweep<const NEED_FP: bool>(
     };
     let cut2 = cutoff * cutoff;
     let mut emit = |ppos: [f64; 3], pfp: f64, site: usize, ra_index: u32| {
-        let dx = [cpos[0] - ppos[0], cpos[1] - ppos[1], cpos[2] - ppos[2]];
-        let r2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2];
+        let (dx, r2) = separation(cpos, ppos);
         if r2 > 1e-12 && r2 <= cut2 {
             f(PartnerSq {
                 dx,
@@ -280,137 +297,375 @@ pub fn for_each_partner(
     });
 }
 
-/// The per-step SoA gather plan: the density pass runs each central's
-/// neighbour sweep through the **fused** batch lookup and stages
-/// everything the force pass will need — partner displacements, r,
-/// φ'(r), f'(r), a partner reference for the deferred F' fetch, and the
-/// per-central ½Σφ — so the force pass does **no neighbour traversal
-/// and no table evaluation at all**.
+/// The far end of an evaluated pair, as the accumulation needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Far {
+    /// An owned regular atom at a higher site index than the central:
+    /// the pair is evaluated only here and scattered to both ends
+    /// (Newton's third law).
+    Newton(u32),
+    /// A regular atom at this storage site that the central evaluates
+    /// for itself alone (Newton-off): a ghost, or any regular partner of
+    /// a run-away central. If that atom is owned, its own sweep
+    /// evaluates the pair too.
+    Site(u32),
+    /// A run-away record by pool index (owned or ghost), Newton-off:
+    /// each owned end evaluates the pair.
+    Runaway(u32),
+}
+
+impl Far {
+    /// The position and F' of the far end.
+    #[inline]
+    fn pos_fp(self, l: &LatticeNeighborList) -> ([f64; 3], f64) {
+        match self {
+            Far::Newton(j) | Far::Site(j) => (l.pos[j as usize], l.fp[j as usize]),
+            Far::Runaway(i) => (l.runaway(i).pos, l.runaway(i).fp),
+        }
+    }
+
+    /// The site of a [`Far::Newton`] end.
+    #[inline]
+    fn newton_site(self) -> usize {
+        match self {
+            Far::Newton(j) => j as usize,
+            Far::Site(_) | Far::Runaway(_) => unreachable!("a Newton-off pair has no far share"),
+        }
+    }
+}
+
+/// The run-away records, owned and ghost, within neighbour reach of
+/// each owned site — its own chain and the chains of its cutoff
+/// neighbours — as pool indices ordered by anchor site, then chain
+/// order: `idx[start[s]..start[s + 1]]`. Rebuilt before every half-list
+/// sweep, so a regular central finds its run-away partners without
+/// testing the chain of each of its ~58 neighbours.
+#[derive(Debug, Clone, Default)]
+struct NearRunaways {
+    start: Vec<u32>,
+    idx: Vec<u32>,
+}
+
+impl NearRunaways {
+    /// Rebuilds the table for the current chains of `l`, reusing its
+    /// buffers.
+    fn build(&mut self, l: &LatticeNeighborList) {
+        let n = l.n_sites();
+        // Every owned site `a + d` whose neighbour set holds anchor `a`
+        // (the offset set is symmetric), and `a` itself. A ghost anchor
+        // at the storage edge may reach past it; those targets, and any
+        // that wrap a row, are ghost sites or out of range.
+        let reach = |a: usize| {
+            std::iter::once(0)
+                .chain(l.neighbor_deltas(a).iter().copied())
+                .map(move |d| a as isize + d)
+                .filter(|&t| (0..n as isize).contains(&t) && l.is_owned(t as usize))
+                .map(|t| t as usize)
+        };
+        let records = || (0..n).flat_map(|a| l.chain(a).map(move |(i, _)| (a, i)));
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for (a, _) in records() {
+            for t in reach(a) {
+                self.start[t + 1] += 1;
+            }
+        }
+        for t in 0..n {
+            self.start[t + 1] += self.start[t];
+        }
+        self.idx.resize(self.start[n] as usize, 0);
+        // Fill with `start[t]` as site t's cursor, then shift the
+        // cursors (each now at its site's end) back one site.
+        for (a, i) in records() {
+            for t in reach(a) {
+                self.idx[self.start[t] as usize] = i;
+                self.start[t] += 1;
+            }
+        }
+        self.start.copy_within(0..n, 1);
+        self.start[0] = 0;
+    }
+
+    /// The run-away records within reach of owned site `s`.
+    fn of(&self, s: usize) -> &[u32] {
+        &self.idx[self.start[s] as usize..self.start[s + 1] as usize]
+    }
+}
+
+/// The ghost sites among each owned site's cutoff neighbours, in offset
+/// order: `sites[start[s]..start[s + 1]]`. A property of the grid alone,
+/// built by the first sweep that sees the grid; only the host passes
+/// need it.
+#[derive(Debug, Clone, Default)]
+struct GhostNeighbors {
+    grid: Option<LocalGrid>,
+    start: Vec<u32>,
+    sites: Vec<u32>,
+}
+
+impl GhostNeighbors {
+    /// Builds the lists for `l`'s grid unless they are built already.
+    fn ensure(&mut self, l: &LatticeNeighborList) {
+        if self.grid == Some(l.grid) {
+            return;
+        }
+        self.grid = Some(l.grid);
+        self.start.clear();
+        self.sites.clear();
+        self.start.push(0);
+        for s in 0..l.n_sites() {
+            if l.is_owned(s) {
+                let ghosts = l.neighbor_ids(s).filter(|&t| !l.is_owned(t));
+                self.sites.extend(ghosts.map(|t| t as u32));
+            }
+            self.start.push(self.sites.len() as u32);
+        }
+    }
+
+    /// The ghost neighbours of owned site `s`.
+    fn of(&self, s: usize) -> &[u32] {
+        &self.sites[self.start[s] as usize..self.start[s + 1] as usize]
+    }
+}
+
+/// What a half-list sweep looks up besides the lattice: the static
+/// ghost-neighbour lists and this step's run-aways within reach.
+#[derive(Debug, Clone, Default)]
+struct SweepIndex {
+    ghosts: GhostNeighbors,
+    near: NearRunaways,
+}
+
+impl SweepIndex {
+    /// Brings both tables up to date with `l`.
+    fn update(&mut self, l: &LatticeNeighborList) {
+        self.ghosts.ensure(l);
+        self.near.build(l);
+    }
+}
+
+/// Offers the pairs `central` evaluates under the half list, before the
+/// square root: `central_pos − partner_pos`, r², the far end, and
+/// whether the pair is within `cutoff`. Candidates outside the cutoff
+/// are offered too (`false`), so that a caller can stage without a
+/// branch on the distance; a caller that does not stage skips them.
+///
+/// A regular central takes its owned regular partners over the forward
+/// deltas only ([`Far::Newton`]): the partner at the other end never
+/// sees the pair. Ghost regular atoms and every run-away stay
+/// Newton-off. The order is the Newton pairs in forward-delta order,
+/// then the ghost neighbours' atoms in offset order
+/// ([`GhostNeighbors`]), then the run-aways in [`NearRunaways`] order.
+/// A run-away central visits its whole
+/// [`for_each_partner_sq`] set, in that order, all Newton-off.
+fn half_sweep(
+    l: &LatticeNeighborList,
+    index: &SweepIndex,
+    central: Central,
+    cutoff: f64,
+    mut f: impl FnMut([f64; 3], f64, Far, bool),
+) {
+    let s = match central {
+        Central::Site(s) => s,
+        Central::Runaway(_) => {
+            return partner_sweep::<false>(l, central, cutoff, |p| {
+                let far = if p.is_runaway {
+                    Far::Runaway(p.ra_index)
+                } else {
+                    Far::Site(p.site as u32)
+                };
+                f(p.dx, p.r2, far, true)
+            })
+        }
+    };
+    debug_assert!(l.id[s] >= 0, "central site {s} is a vacancy");
+    let cpos = l.pos[s];
+    let cut2 = cutoff * cutoff;
+    let mut emit = |ppos: [f64; 3], far: Far| {
+        let (dx, r2) = separation(cpos, ppos);
+        f(dx, r2, far, (r2 > 1e-12) & (r2 <= cut2));
+    };
+    for &d in l.forward_deltas(s) {
+        let nid = (s as isize + d) as usize;
+        if l.id[nid] >= 0 && l.is_owned(nid) {
+            emit(l.pos[nid], Far::Newton(nid as u32));
+        }
+    }
+    for &g in index.ghosts.of(s) {
+        if l.id[g as usize] >= 0 {
+            emit(l.pos[g as usize], Far::Site(g));
+        }
+    }
+    for &i in index.near.of(s) {
+        emit(l.runaway(i).pos, Far::Runaway(i));
+    }
+}
+
+/// The per-step half-list pair plan. The density pass sweeps each
+/// central's [`half_sweep`] pairs and evaluates them through the
+/// **fused** batch lookup; the plan keeps, per pair, φ(r), f(r),
+/// φ'(r)/r, f'(r)/r and the far end. The force pass reads the plan
+/// back, so it does **no neighbour traversal and no table evaluation
+/// at all**: it recomputes only Δ from the two positions, through the
+/// sweep's own expression ([`separation`]), which is cheaper than
+/// storing and re-reading it.
 ///
 /// Validity: between the two passes only the embedding pass and the F'
 /// ghost exchange run ([`crate::MdSimulation::compute_forces`]) —
 /// positions, site occupancy, and run-away chains are structurally
 /// frozen (`domain::unpack_slab` asserts the ghost chains don't drift
-/// between phases), so the partner set, its traversal order, and every
-/// staged value are exactly what a fresh force sweep would produce.
-/// Only the partners' F' values change between the passes, which is why
-/// the plan stores a partner *reference* (`pref`) instead of F' itself.
+/// between phases), so the pair set, its order, and every staged value
+/// are exactly what a fresh sweep would produce. Only the F' values
+/// change between the passes, which is why a pair stores its far end
+/// ([`Far`]) instead of F' itself. A position ghost exchange between
+/// the passes would rebuild the ghost run-away records under new pool
+/// indices; the force pass rejects such a plan as stale
+/// ([`LatticeNeighborList::ghost_epoch`]).
 ///
-/// Bitwise identity: φ, φ', f, f' are pure functions of r, and the
-/// fused lookup replays the op sequence of the separate lookups, so
-/// evaluating them during the density pass produces exactly the bits
-/// the scalar force sweep would compute; the per-central ½Σφ and the
-/// force accumulation replay the scalar accumulation order unchanged.
+/// Determinism: the per-pair work (sweep, square root, table lookup,
+/// division by r) is done in parallel over fixed chunks of
+/// [`PAR_CHUNK_SITES`] items, each worker writing only its own chunk;
+/// every sum — ρ, ½Σφ and the forces, at both ends of a pair — then
+/// runs on the calling thread in one global order: centrals in order
+/// (interior sites, then live run-aways), each central's pairs in
+/// [`half_sweep`] order. The result does not depend on the thread
+/// count, and [`PassConfig::seed_serial`] sums in the same order.
 ///
 /// Layout: the plan is **chunk-resident and persistent**. It owns one
-/// [`DensityChunk`] per fixed [`PAR_CHUNK_SITES`]-item work chunk — the
-/// chunks of the interior sites (vacancies hold an empty range) followed
-/// by the chunks of the live run-aways — and keeps them across steps:
-/// every step clears the chunk arrays without releasing them, so once
-/// the capacities have grown to the box's partner counts a force
-/// evaluation stages, replays and writes back without allocating, the
-/// host-side analogue of the paper's fixed LDM staging buffer. The
-/// density pass hands chunk *i* of the items together with `&mut` chunk
-/// *i* of the plan to a worker; the force pass replays each chunk in
-/// place. Chunk boundaries never depend on the worker count, and every
-/// reduction over chunks runs in chunk order on the calling thread, so
-/// the results do not depend on it either.
-///
-/// Each central's partner range is addressed by a chunk-local `u32`
-/// start. A chunk stages at most [`PAR_CHUNK_SITES`] centrals, so the
-/// start cannot wrap (a rank-wide `u32` offset would, past 2³² staged
-/// partners — about 9·10⁷ atoms per rank); the staging loop
-/// `debug_assert!`s the chunk-local bound.
+/// [`PairChunk`] per work chunk — the chunks of the interior sites
+/// (vacancies hold no pairs) followed by the chunks of the live
+/// run-aways — plus the run-away list it was staged for and the
+/// [`SweepIndex`], and keeps them across steps: every step clears or
+/// rebuilds the arrays without releasing them,
+/// so once the capacities have grown to the box's pair counts a force
+/// evaluation stages, evaluates and accumulates without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct GatherPlan {
-    chunks: Vec<DensityChunk>,
+    chunks: Vec<PairChunk>,
+    /// The live run-aways the plan was staged for, in pool order.
+    runaways: Vec<u32>,
+    /// [`LatticeNeighborList::ghost_epoch`] at staging: the ghost
+    /// run-away records the plan's pool indices point at.
+    ghost_epoch: u64,
+    /// ½Σφ over the owned centrals, summed by the density pass.
+    pair_energy: f64,
+    index: SweepIndex,
 }
 
 impl GatherPlan {
-    /// Sizes the plan for `sites` interior sites and `runaways` live
-    /// run-aways (a no-op unless a chunk count changed) and returns the
-    /// site chunks and the run-away chunks.
-    fn split_for(
-        &mut self,
-        sites: usize,
-        runaways: usize,
-    ) -> (&mut [DensityChunk], &mut [DensityChunk]) {
-        let site_chunks = sites.div_ceil(PAR_CHUNK_SITES);
-        let ra_chunks = runaways.div_ceil(PAR_CHUNK_SITES);
-        self.chunks
-            .resize_with(site_chunks + ra_chunks, DensityChunk::default);
-        self.chunks.split_at_mut(site_chunks)
-    }
-
-    /// The site chunks and the run-away chunks as the density pass left
-    /// them. Panics unless every chunk holds exactly the centrals of
-    /// the matching chunk of `interior`, then of `runaways`.
-    fn split_staged(
-        &mut self,
-        interior: &[usize],
-        runaways: &[u32],
-    ) -> (&mut [DensityChunk], &mut [DensityChunk]) {
+    /// Panics unless the density pass staged this plan for exactly
+    /// `interior`, the current live run-aways of `l` and its current
+    /// ghost run-away records.
+    fn check_staged(&self, l: &LatticeNeighborList, interior: &[usize]) {
         let site_lens = interior.chunks(PAR_CHUNK_SITES).map(<[usize]>::len);
-        let ra_lens = runaways.chunks(PAR_CHUNK_SITES).map(<[u32]>::len);
+        let ra_lens = self.runaways.chunks(PAR_CHUNK_SITES).map(<[u32]>::len);
         assert!(
             self.chunks
                 .iter()
                 .map(|c| c.counts.len())
-                .eq(site_lens.chain(ra_lens)),
+                .eq(site_lens.chain(ra_lens))
+                && l.live_runaway_ids().eq(self.runaways.iter().copied())
+                && l.ghost_epoch() == self.ghost_epoch,
             "gather plan is stale: this step's density pass did not stage it for the current \
              central population"
         );
-        self.chunks
-            .split_at_mut(interior.len().div_ceil(PAR_CHUNK_SITES))
+    }
+
+    /// Runs `f` on every central in the global order — interior sites,
+    /// then the plan's run-aways — with its chunk, its Newton pairs and
+    /// its Newton-off pairs.
+    fn for_each_central(
+        &self,
+        interior: &[usize],
+        mut f: impl FnMut(Central, &PairChunk, Range<usize>, Range<usize>),
+    ) {
+        fn visit(
+            centrals: impl Iterator<Item = Central>,
+            c: &PairChunk,
+            f: &mut impl FnMut(Central, &PairChunk, Range<usize>, Range<usize>),
+        ) {
+            let mut at = 0;
+            for ((central, &n), &newton) in centrals.zip(&c.counts).zip(&c.newton) {
+                let (mid, end) = (at + newton as usize, at + n as usize);
+                f(central, c, at..mid, mid..end);
+                at = end;
+            }
+        }
+        let (sites, ras) = self
+            .chunks
+            .split_at(interior.len().div_ceil(PAR_CHUNK_SITES));
+        for (items, c) in interior.chunks(PAR_CHUNK_SITES).zip(sites) {
+            visit(items.iter().map(|&s| Central::Site(s)), c, &mut f);
+        }
+        for (items, c) in self.runaways.chunks(PAR_CHUNK_SITES).zip(ras) {
+            visit(items.iter().map(|&i| Central::Runaway(i)), c, &mut f);
+        }
     }
 }
 
-/// One work chunk of the [`GatherPlan`]: the chunk's centrals' staged
-/// partner data in SoA layout, their partner ranges, and the per-central
-/// outputs of both passes (ρ and ½Σφ from the density pass, the force
-/// from the replay), which the calling thread writes back in order.
+/// One work chunk of the [`GatherPlan`]: its centrals' pair counts and
+/// the pairs themselves in SoA layout, in central order.
 #[derive(Debug, Clone, Default)]
-struct DensityChunk {
-    rhos: Vec<f64>,
-    /// Per-central ½Σφ, accumulated in partner order.
-    pair_es: Vec<f64>,
-    forces: Vec<[f64; 3]>,
-    /// `starts[k]..starts[k] + counts[k]` is central `k`'s partner range
-    /// in the arrays below.
-    starts: Vec<u32>,
+struct PairChunk {
+    /// Pairs staged per central, in central order.
     counts: Vec<u32>,
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    /// Partner distance r (the density pass's lane square roots).
-    r: Vec<f64>,
-    /// φ'(r) from the fused batch lookup.
-    dphi: Vec<f64>,
-    /// f'(r) from the fused batch lookup.
-    df: Vec<f64>,
-    /// Partner reference for the deferred F' fetch: the storage site as
-    /// a non-negative value for regular atoms, `-(pool_index + 1)` for
-    /// run-away records.
-    pref: Vec<i64>,
+    /// How many of each central's pairs, leading its range, are
+    /// [`Far::Newton`] pairs.
+    newton: Vec<u32>,
+    /// φ(r) and f(r), for ρ and ½Σφ.
+    phi: Vec<f64>,
+    f: Vec<f64>,
+    /// φ'(r)/r and f'(r)/r, for the force.
+    dphi_r: Vec<f64>,
+    df_r: Vec<f64>,
+    far: Vec<Far>,
     stats: BatchStats,
 }
 
-impl DensityChunk {
+/// Bytes a [`PairChunk`] stages per pair: four `f64`s and the far end.
+const PAIR_BYTES: usize = 4 * 8 + std::mem::size_of::<Far>();
+
+impl PairChunk {
     /// Empties every array, keeping its capacity.
     fn clear(&mut self) {
-        self.rhos.clear();
-        self.pair_es.clear();
-        self.forces.clear();
-        self.starts.clear();
         self.counts.clear();
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.r.clear();
-        self.dphi.clear();
-        self.df.clear();
-        self.pref.clear();
+        self.newton.clear();
+        self.phi.clear();
+        self.f.clear();
+        self.dphi_r.clear();
+        self.df_r.clear();
+        self.far.clear();
         self.stats = BatchStats::default();
+    }
+
+    /// Evaluates one window of at most [`BATCH_GATHER_CAP`] staged
+    /// pairs, their r² and far ends: the lane square roots, the fused
+    /// lookup, and the lane divisions by r; appends φ, f, φ'/r, f'/r
+    /// and the far ends.
+    fn evaluate(&mut self, pot: &EamPotential, form: TableForm, r: &mut [f64], far: &[Far]) {
+        for x in r.iter_mut() {
+            *x = x.sqrt();
+        }
+        let n = r.len();
+        let [mut phi, mut dphi, mut f, mut df] = [[0.0; BATCH_GATHER_CAP]; 4];
+        pot.pair_density_batch(
+            form,
+            r,
+            &mut phi[..n],
+            &mut dphi[..n],
+            &mut f[..n],
+            &mut df[..n],
+        );
+        for k in 0..n {
+            dphi[k] /= r[k];
+            df[k] /= r[k];
+        }
+        self.phi.extend_from_slice(&phi[..n]);
+        self.f.extend_from_slice(&f[..n]);
+        self.dphi_r.extend_from_slice(&dphi[..n]);
+        self.df_r.extend_from_slice(&df[..n]);
+        self.far.extend_from_slice(far);
+        self.stats.charge(n, PAIR_BYTES);
     }
 }
 
@@ -419,10 +674,10 @@ impl DensityChunk {
 /// [`chunked_map`], and each call writes only its own plan chunk, so
 /// the outcome is independent of the thread count and of the order in
 /// which the workers run.
-fn for_each_chunk<T, F>(items: &[T], chunks: &mut [DensityChunk], f: F)
+fn for_each_chunk<T, F>(items: &[T], chunks: &mut [PairChunk], f: F)
 where
     T: Sync,
-    F: Fn(&[T], &mut DensityChunk) + Sync,
+    F: Fn(&[T], &mut PairChunk) + Sync,
 {
     let work = items.chunks(PAR_CHUNK_SITES).zip(chunks);
     if items.len() <= PAR_CHUNK_SITES {
@@ -434,100 +689,63 @@ where
     }
 }
 
-/// Runs the plan-building density sweep for one work chunk: partners
-/// are staged straight into the chunk's resident SoA buffers, then each
-/// central's staged range goes through the lane square roots and the
-/// **fused** batch lookup in [`BATCH_GATHER_CAP`] windows. `sqrt` is
-/// correctly rounded, the fused lookup replays the op sequence of the
-/// separate ones per lane, and accumulation stays in partner order, so
-/// every staged φ', f' and the accumulated ρ and ½Σφ match the
-/// [`reference`] sweeps bit for bit. φ' and f' land in the chunk's SoA
-/// arrays for the force pass to replay; φ and f are folded into ½Σφ and
-/// ρ on the spot.
+/// Stages one work chunk: each central's [`half_sweep`] pairs are
+/// collected into a [`BATCH_GATHER_CAP`] window — every candidate is
+/// written and only those within the cutoff advance the window, so the
+/// distance test costs no branch — and every full window is evaluated
+/// as soon as it fills, while it is still in cache. `sqrt` and division
+/// are correctly rounded and the fused lookup replays the op sequence
+/// of the separate `pair` and `density` lookups per lane, so every
+/// staged value matches the scalar oracle's bit for bit.
 fn stage_chunk<T: Copy>(
     l: &LatticeNeighborList,
+    index: &SweepIndex,
     pot: &EamPotential,
     form: TableForm,
-    cutoff: f64,
     items: &[T],
     as_central: impl Fn(T) -> Option<Central>,
-    c: &mut DensityChunk,
+    c: &mut PairChunk,
 ) {
     c.clear();
-    // A BCC central sees ~58 partners within the cutoff: one up-front
-    // reservation on a chunk's first use, a no-op on every later step.
+    // A central has at most ~58 partners within the cutoff: one
+    // up-front reservation on a chunk's first use, a no-op on every
+    // later step.
     let cap = items.len() * 64;
-    c.dx.reserve(cap);
-    c.dy.reserve(cap);
-    c.dz.reserve(cap);
-    c.r.reserve(cap);
-    c.dphi.reserve(cap);
-    c.df.reserve(cap);
-    c.pref.reserve(cap);
-    let mut phi = [0.0; BATCH_GATHER_CAP];
-    let mut fval = [0.0; BATCH_GATHER_CAP];
+    for v in [&mut c.phi, &mut c.f, &mut c.dphi_r, &mut c.df_r] {
+        v.reserve(cap);
+    }
+    c.far.reserve(cap);
+    let cutoff = pot.cutoff();
+    let mut r2s = [0.0; BATCH_GATHER_CAP];
+    let mut fars = [Far::Site(0); BATCH_GATHER_CAP];
+    let mut n = 0;
     for &item in items {
-        let start = c.r.len();
+        let (mut count, mut newton) = (0, 0);
         if let Some(central) = as_central(item) {
-            partner_sweep::<false>(l, central, cutoff, |p| {
-                // `r` temporarily holds r²; the lane loop below replaces
-                // it with the square root.
-                c.r.push(p.r2);
-                c.dx.push(p.dx[0]);
-                c.dy.push(p.dx[1]);
-                c.dz.push(p.dx[2]);
-                c.pref.push(if p.is_runaway {
-                    -(p.ra_index as i64) - 1
-                } else {
-                    p.site as i64
-                });
+            half_sweep(l, index, central, cutoff, |_, r2, far, keep| {
+                r2s[n] = r2;
+                fars[n] = far;
+                n += keep as usize;
+                count += keep as u32;
+                newton += (keep & matches!(far, Far::Newton(_))) as u32;
+                if n == BATCH_GATHER_CAP {
+                    c.evaluate(pot, form, &mut r2s, &fars);
+                    n = 0;
+                }
             });
         }
-        let end = c.r.len();
-        debug_assert!(
-            end <= u32::MAX as usize,
-            "chunk-local partner range exceeds u32"
-        );
-        c.dphi.resize(end, 0.0);
-        c.df.resize(end, 0.0);
-        let mut rho = 0.0;
-        let mut pair_e = 0.0;
-        let mut at = start;
-        while at < end {
-            let len = (end - at).min(BATCH_GATHER_CAP);
-            // The deferred square roots, as one vectorizable lane loop.
-            for r in c.r[at..at + len].iter_mut() {
-                *r = r.sqrt();
-            }
-            pot.pair_density_batch(
-                form,
-                &c.r[at..at + len],
-                &mut phi[..len],
-                &mut c.dphi[at..at + len],
-                &mut fval[..len],
-                &mut c.df[at..at + len],
-            );
-            for k in 0..len {
-                rho += fval[k];
-                pair_e += 0.5 * phi[k];
-            }
-            at += len;
-        }
-        c.rhos.push(rho);
-        c.pair_es.push(pair_e);
-        c.starts.push(start as u32);
-        c.counts.push((end - start) as u32);
-        // The plan stages the three displacement components, r, φ', f'
-        // and the partner reference: 56 B per partner.
-        c.stats.charge(end - start, 56);
+        c.counts.push(count);
+        c.newton.push(newton);
     }
+    c.evaluate(pot, form, &mut r2s[..n], &fars[..n]);
 }
 
 /// Pass 1, building the per-step [`GatherPlan`] as a side effect: each
-/// work chunk's partner sweeps are staged into the plan's resident
-/// chunk, ρ is evaluated from the staged records through the batch
-/// kernels and written back in central order, and the staged records
-/// stay where they are for the force pass to replay. With
+/// work chunk's pairs are staged and evaluated in parallel, then ρ of
+/// every owned atom and live run-away and ½Σφ are summed on the calling
+/// thread in the plan's global order. A pair adds its f(r) to its
+/// central and, for a [`Far::Newton`] pair, to the far end too; it adds
+/// φ(r) to ½Σφ in full for a Newton pair and half otherwise. With
 /// [`PassConfig::seed_serial`] the scalar `reference` sweep runs
 /// instead and the plan is left empty, its capacity kept.
 pub fn density_pass_plan(
@@ -539,113 +757,109 @@ pub fn density_pass_plan(
     plan: &mut GatherPlan,
 ) {
     let _span = mmds_telemetry::span!("md.density");
+    plan.runaways.clear();
     if cfg.0 == Path::Reference {
-        plan.chunks.iter_mut().for_each(DensityChunk::clear);
+        plan.chunks.iter_mut().for_each(PairChunk::clear);
         return reference::density_sweep(l, pot, form, interior);
     }
-    let cutoff = pot.cutoff();
-    let runaways = l.live_runaways();
-    let (site_chunks, ra_chunks) = plan.split_for(interior.len(), runaways.len());
-    let mut stats = BatchStats::default();
+    // A Newton pair's far end is owned, so it must be a central here.
+    debug_assert_eq!(interior.len(), l.grid.n_owned_sites());
+    plan.runaways.extend(l.live_runaway_ids());
+    plan.ghost_epoch = l.ghost_epoch();
+    plan.index.update(l);
+    let site_chunks = interior.len().div_ceil(PAR_CHUNK_SITES);
+    let ra_chunks = plan.runaways.len().div_ceil(PAR_CHUNK_SITES);
+    plan.chunks
+        .resize_with(site_chunks + ra_chunks, PairChunk::default);
+    let (site_chunks, ra_chunks) = plan.chunks.split_at_mut(site_chunks);
+    let (lr, index) = (&*l, &plan.index);
     for_each_chunk(interior, site_chunks, |sites, c| {
-        let as_central = |s| (l.id[s] >= 0).then_some(Central::Site(s));
-        stage_chunk(l, pot, form, cutoff, sites, as_central, c)
+        let as_central = |s| (lr.id[s] >= 0).then_some(Central::Site(s));
+        stage_chunk(lr, index, pot, form, sites, as_central, c)
     });
-    for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&*site_chunks) {
-        for (&rho, &s) in c.rhos.iter().zip(sites) {
-            l.rho[s] = rho;
-        }
-        stats.absorb(c.stats);
+    for_each_chunk(&plan.runaways, ra_chunks, |ras, c| {
+        stage_chunk(lr, index, pot, form, ras, |i| Some(Central::Runaway(i)), c)
+    });
+
+    for &s in interior {
+        l.rho[s] = 0.0;
     }
-    for_each_chunk(&runaways, ra_chunks, |ras, c| {
-        stage_chunk(l, pot, form, cutoff, ras, |i| Some(Central::Runaway(i)), c)
-    });
-    for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
-        for (&rho, &i) in c.rhos.iter().zip(ras) {
-            l.runaway_mut(i).rho = rho;
+    let mut pair_energy = 0.0;
+    plan.for_each_central(interior, |central, c, newton, off| {
+        // Lower Newton partners have already added their share.
+        let mut rho = match central {
+            Central::Site(s) => l.rho[s],
+            Central::Runaway(_) => 0.0,
+        };
+        for k in newton {
+            rho += c.f[k];
+            l.rho[c.far[k].newton_site()] += c.f[k];
+            pair_energy += c.phi[k];
         }
+        for k in off {
+            rho += c.f[k];
+            pair_energy += 0.5 * c.phi[k];
+        }
+        match central {
+            Central::Site(s) => l.rho[s] = rho,
+            Central::Runaway(i) => l.runaway_mut(i).rho = rho,
+        }
+    });
+    plan.pair_energy = pair_energy;
+    let mut stats = BatchStats::default();
+    for c in &plan.chunks {
         stats.absorb(c.stats);
     }
     stats.emit();
 }
 
-/// Embedding pass: F'(ρ) for owned atoms/run-aways, returning Σ F(ρ).
-/// The reduction runs in site order on the calling thread, so the
-/// energy is identical on either path and at any thread count.
+/// Embedding pass: F'(ρ) for owned atoms/run-aways, returning Σ F(ρ)
+/// summed in site order, then run-away order. One serial loop on either
+/// path (`_cfg` picks nothing): a lookup per atom costs less than
+/// handing chunks to workers, and the loop allocates nothing.
 pub fn embedding_pass_with(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
     form: TableForm,
     interior: &[usize],
-    cfg: PassConfig,
+    _cfg: PassConfig,
 ) -> f64 {
     let _span = mmds_telemetry::span!("md.embed");
-    let site_embed = chunked_map(interior, cfg.parallel(), |s| {
-        if l.id[s] < 0 {
-            return (0.0, 0.0);
-        }
-        pot.embed(form, l.rho[s])
-    });
     let mut e = 0.0;
-    for (&s, (f_val, f_der)) in interior.iter().zip(site_embed) {
-        e += f_val;
-        l.fp[s] = f_der;
+    for &s in interior {
+        if l.id[s] >= 0 {
+            let (f_val, f_der) = pot.embed(form, l.rho[s]);
+            e += f_val;
+            l.fp[s] = f_der;
+        } else {
+            l.fp[s] = 0.0;
+        }
     }
-    let runaways = l.live_runaways();
-    let ra_embed = chunked_map(&runaways, cfg.parallel(), |i| {
-        pot.embed(form, l.runaway(i).rho)
-    });
-    for (&i, (f_val, f_der)) in runaways.iter().zip(ra_embed) {
+    for r in l.live_runaways_mut() {
+        let (f_val, f_der) = pot.embed(form, r.rho);
         e += f_val;
-        l.runaway_mut(i).fp = f_der;
+        r.fp = f_der;
     }
     e
 }
 
-/// Force accumulation for one work chunk, replaying each central's
-/// staged partner range in place. Only the partners' F' values are
-/// fetched fresh (8 B per partner); r, the displacements, φ' and f'
-/// come straight from the chunk's SoA arrays, and ½Σφ was already
-/// accumulated by the density pass. The per-partner scale expression
-/// and the accumulation order are exactly those of
-/// [`reference::force_sweep`], so the bits match the scalar sweep. A
-/// vacancy holds an empty range and so gets a zero force.
-fn replay_chunk<T: Copy>(
-    l: &LatticeNeighborList,
-    items: &[T],
-    fp_of: impl Fn(T) -> f64,
-    c: &mut DensityChunk,
-) {
-    c.forces.clear();
-    for ((&item, &start), &count) in items.iter().zip(&c.starts).zip(&c.counts) {
-        let fp_c = fp_of(item);
-        let mut fv = [0.0; 3];
-        for k in start as usize..start as usize + count as usize {
-            let pr = c.pref[k];
-            let fp = if pr >= 0 {
-                l.fp[pr as usize]
-            } else {
-                l.runaway((-pr - 1) as u32).fp
-            };
-            let scale = -(c.dphi[k] + (fp_c + fp) * c.df[k]) / c.r[k];
-            fv[0] += scale * c.dx[k];
-            fv[1] += scale * c.dy[k];
-            fv[2] += scale * c.dz[k];
-        }
-        c.forces.push(fv);
-    }
-}
-
-/// Pass 2, replaying the [`GatherPlan`] built by [`density_pass_plan`]
-/// in the same step: no second neighbour traversal and no table
-/// evaluation — each chunk's staged partner ranges are replayed in
-/// place, with only the partners' F' fetched fresh, and the forces and
-/// the ½Σφ reduction are written back in central order on the calling
-/// thread. Ghost F' values must be current (exchange between the
-/// passes). Panics if any plan chunk's central count does not match the
-/// current interior + run-away population — a stale plan, or one the
-/// density pass never staged. With [`PassConfig::seed_serial`] the
-/// scalar `reference` sweep runs instead and the plan is not read.
+/// Pass 2, reading back the [`GatherPlan`] built by
+/// [`density_pass_plan`] in the same step: no neighbour traversal and
+/// no table evaluation. On the calling thread, in the plan's global
+/// order, each pair's Δ is recomputed from the two positions and its
+/// force on the central
+///
+/// ```text
+/// t = −(φ'(r)/r + (F'_central + F'_far) · f'(r)/r) · Δ
+/// ```
+///
+/// is added to the central and, for a [`Far::Newton`] pair, subtracted
+/// from the far end. Returns the ½Σφ the density pass summed. Ghost F'
+/// values must be current (exchange between the passes). Panics unless
+/// the plan was staged for the current interior and run-away population
+/// — a stale plan, or one the density pass never staged. With
+/// [`PassConfig::seed_serial`] the scalar `reference` sweep runs instead
+/// and the plan is not read.
 pub fn force_pass_plan(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -658,41 +872,171 @@ pub fn force_pass_plan(
     if cfg.0 == Path::Reference {
         return reference::force_sweep(l, pot, form, interior);
     }
-    let runaways = l.live_runaways();
-    let (site_chunks, ra_chunks) = plan.split_staged(interior, &runaways);
-    let mut pair_energy = 0.0;
-    let mut stats = BatchStats::default();
-    for_each_chunk(interior, site_chunks, |sites, c| {
-        replay_chunk(l, sites, |s| l.fp[s], c)
-    });
-    for (sites, c) in interior.chunks(PAR_CHUNK_SITES).zip(&*site_chunks) {
-        for (k, &s) in sites.iter().enumerate() {
-            l.force[s] = c.forces[k];
-            pair_energy += c.pair_es[k];
-            stats.charge(c.counts[k] as usize, 8);
-        }
+    plan.check_staged(l, interior);
+    for &s in interior {
+        l.force[s] = [0.0; 3];
     }
-    for_each_chunk(&runaways, ra_chunks, |ras, c| {
-        replay_chunk(l, ras, |i| l.runaway(i).fp, c)
-    });
-    for (ras, c) in runaways.chunks(PAR_CHUNK_SITES).zip(&*ra_chunks) {
-        for (k, &i) in ras.iter().enumerate() {
-            l.runaway_mut(i).force = c.forces[k];
-            pair_energy += c.pair_es[k];
-            stats.charge(c.counts[k] as usize, 8);
+    let mut gathered = 0;
+    plan.for_each_central(interior, |central, c, newton, off| {
+        gathered += off.end - newton.start;
+        // Lower Newton partners have already added their share.
+        let (mut fv, (cpos, fp_c)) = match central {
+            Central::Site(s) => (l.force[s], (l.pos[s], l.fp[s])),
+            Central::Runaway(i) => ([0.0; 3], (l.runaway(i).pos, l.runaway(i).fp)),
+        };
+        let force_of = |k: usize, (ppos, fp): ([f64; 3], f64)| {
+            let scale = -(c.dphi_r[k] + (fp_c + fp) * c.df_r[k]);
+            separation(cpos, ppos).0.map(|d| scale * d)
+        };
+        for k in newton {
+            let j = c.far[k].newton_site();
+            let t = force_of(k, (l.pos[j], l.fp[j]));
+            for ax in 0..3 {
+                fv[ax] += t[ax];
+                l.force[j][ax] -= t[ax];
+            }
         }
-    }
+        for k in off {
+            let t = force_of(k, c.far[k].pos_fp(l));
+            for ax in 0..3 {
+                fv[ax] += t[ax];
+            }
+        }
+        match central {
+            Central::Site(s) => l.force[s] = fv,
+            Central::Runaway(i) => l.runaway_mut(i).force = fv,
+        }
+    });
+    // The far ends' positions and F': 32 B per pair.
+    let stats = BatchStats {
+        gather_bytes: 32 * gathered as u64,
+        ..BatchStats::default()
+    };
     stats.emit();
-    pair_energy
+    plan.pair_energy
 }
 
 /// The scalar oracle the production passes are pinned against, bit for
-/// bit: one central at a time on the calling thread, one `sqrt` and
-/// separate `pair` + `density` lookups (two table locates) per partner,
-/// accumulation in partner order. Reached only through
+/// bit: one central at a time on the calling thread over the same
+/// [`half_sweep`] pairs, one `sqrt`, separate `pair` + `density` lookups
+/// (two table locates) and two divisions by r per pair, and every sum
+/// in the production passes' global order. Reached only through
 /// [`density_pass_plan`] / [`force_pass_plan`] with
 /// [`PassConfig::seed_serial`].
 mod reference {
+    use super::{half_sweep, Central, Far, SweepIndex};
+    use mmds_eam::{EamPotential, TableForm};
+    use mmds_lattice::lnl::LatticeNeighborList;
+
+    /// The centrals in the global order: owned regular atoms in
+    /// `interior` order, then the live run-aways.
+    fn centrals(l: &LatticeNeighborList, interior: &[usize]) -> Vec<Central> {
+        let sites = interior.iter().filter(|&&s| l.id[s] >= 0);
+        sites
+            .map(|&s| Central::Site(s))
+            .chain(l.live_runaways().into_iter().map(Central::Runaway))
+            .collect()
+    }
+
+    /// Pass 1: ρ of every owned atom and live run-away (a vacancy gets 0).
+    pub(super) fn density_sweep(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+    ) {
+        for &s in interior {
+            l.rho[s] = 0.0;
+        }
+        let mut index = SweepIndex::default();
+        index.update(l);
+        for central in centrals(l, interior) {
+            let mut rho = match central {
+                Central::Site(s) => l.rho[s],
+                Central::Runaway(_) => 0.0,
+            };
+            let mut newton = Vec::new();
+            half_sweep(l, &index, central, pot.cutoff(), |_, r2, far, keep| {
+                if !keep {
+                    return;
+                }
+                let f = pot.density(form, r2.sqrt()).0;
+                rho += f;
+                if let Far::Newton(j) = far {
+                    newton.push((j as usize, f));
+                }
+            });
+            for (j, f) in newton {
+                l.rho[j] += f;
+            }
+            match central {
+                Central::Site(s) => l.rho[s] = rho,
+                Central::Runaway(i) => l.runaway_mut(i).rho = rho,
+            }
+        }
+    }
+
+    /// Pass 2: the force on every owned atom and live run-away (a
+    /// vacancy gets 0), returning ½Σφ.
+    pub(super) fn force_sweep(
+        l: &mut LatticeNeighborList,
+        pot: &EamPotential,
+        form: TableForm,
+        interior: &[usize],
+    ) -> f64 {
+        for &s in interior {
+            l.force[s] = [0.0; 3];
+        }
+        let mut pair_energy = 0.0;
+        let mut index = SweepIndex::default();
+        index.update(l);
+        for central in centrals(l, interior) {
+            let (mut fv, fp_c) = match central {
+                Central::Site(s) => (l.force[s], l.fp[s]),
+                Central::Runaway(i) => ([0.0; 3], l.runaway(i).fp),
+            };
+            let mut newton = Vec::new();
+            half_sweep(l, &index, central, pot.cutoff(), |dx, r2, far, keep| {
+                if !keep {
+                    return;
+                }
+                let r = r2.sqrt();
+                let (phi, dphi) = pot.pair(form, r);
+                let (_, df) = pot.density(form, r);
+                let fp = far.pos_fp(l).1;
+                let scale = -(dphi / r + (fp_c + fp) * (df / r));
+                let t = dx.map(|d| scale * d);
+                for ax in 0..3 {
+                    fv[ax] += t[ax];
+                }
+                if let Far::Newton(j) = far {
+                    pair_energy += phi;
+                    newton.push((j as usize, t));
+                } else {
+                    pair_energy += 0.5 * phi;
+                }
+            });
+            for (j, t) in newton {
+                for ax in 0..3 {
+                    l.force[j][ax] -= t[ax];
+                }
+            }
+            match central {
+                Central::Site(s) => l.force[s] = fv,
+                Central::Runaway(i) => l.runaway_mut(i).force = fv,
+            }
+        }
+        pair_energy
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod full_list {
+    //! The full-list scalar sweep the half list replaced: every central
+    //! evaluates every partner itself and sums in its own partner order.
+    //! It pins the half list's physics to within round-off, and it
+    //! reproduces the host trajectory from before the half list bit for
+    //! bit (the offload tests warm their boxes up with it).
     use super::{for_each_partner, Central};
     use mmds_eam::{EamPotential, TableForm};
     use mmds_lattice::lnl::LatticeNeighborList;
@@ -704,7 +1048,7 @@ mod reference {
     }
 
     /// Pass 1: ρ of every owned atom and live run-away (a vacancy gets 0).
-    pub(super) fn density_sweep(
+    pub(crate) fn density_sweep(
         l: &mut LatticeNeighborList,
         pot: &EamPotential,
         form: TableForm,
@@ -746,7 +1090,7 @@ mod reference {
 
     /// Pass 2: the force on every owned atom and live run-away (a
     /// vacancy gets 0), returning ½Σφ summed in central order.
-    pub(super) fn force_sweep(
+    pub(crate) fn force_sweep(
         l: &mut LatticeNeighborList,
         pot: &EamPotential,
         form: TableForm,
@@ -786,7 +1130,13 @@ mod tests {
         (l, pot, interior)
     }
 
-    use crate::domain::fill_periodic_ghosts;
+    use crate::domain::{exchange_ghosts, fill_periodic_ghosts, GhostPhase, Loopback};
+
+    /// The F' ghost exchange [`crate::MdSimulation::compute_forces`]
+    /// runs between the passes.
+    fn exchange_fp(l: &mut LatticeNeighborList) {
+        exchange_ghosts(l, &mut Loopback, GhostPhase::Fp);
+    }
 
     /// One full force evaluation — the pass sequence of
     /// [`crate::MdSimulation::compute_forces`] — on the path `cfg` names.
@@ -801,7 +1151,7 @@ mod tests {
         fill_periodic_ghosts(l);
         density_pass_plan(l, pot, form, interior, cfg, &mut plan);
         let embed = embedding_pass_with(l, pot, form, interior, cfg);
-        fill_periodic_ghosts(l);
+        exchange_fp(l);
         let pair = force_pass_plan(l, pot, form, interior, cfg, &mut plan);
         EnergySample { pair, embed }
     }
@@ -947,30 +1297,32 @@ mod tests {
         assert_eq!(reference.4, plan.4, "run-away force differs");
     }
 
-    /// Address and capacity of every array of every plan chunk.
+    /// Address and capacity of every array of the plan: each chunk's,
+    /// then the run-away list's.
     fn footprint(plan: &GatherPlan) -> Vec<(usize, usize)> {
         fn of<T>(v: &Vec<T>) -> (usize, usize) {
             (v.as_ptr() as usize, v.capacity())
         }
-        plan.chunks
-            .iter()
-            .flat_map(|c| {
-                [
-                    of(&c.rhos),
-                    of(&c.pair_es),
-                    of(&c.forces),
-                    of(&c.starts),
-                    of(&c.counts),
-                    of(&c.dx),
-                    of(&c.dy),
-                    of(&c.dz),
-                    of(&c.r),
-                    of(&c.dphi),
-                    of(&c.df),
-                    of(&c.pref),
-                ]
-            })
-            .collect()
+        let chunks = plan.chunks.iter().flat_map(|c| {
+            [
+                of(&c.counts),
+                of(&c.newton),
+                of(&c.phi),
+                of(&c.f),
+                of(&c.dphi_r),
+                of(&c.df_r),
+                of(&c.far),
+            ]
+        });
+        let index = &plan.index;
+        let plan_wide = [
+            of(&plan.runaways),
+            of(&index.ghosts.start),
+            of(&index.ghosts.sites),
+            of(&index.near.start),
+            of(&index.near.idx),
+        ];
+        chunks.chain(plan_wide).collect()
     }
 
     /// A 300 K two-chunk box (6³ cells, 432 sites) with one live
@@ -1003,9 +1355,143 @@ mod tests {
         fill_periodic_ghosts(l);
         density_pass_plan(l, pot, TableForm::Compacted, interior, cfg, plan);
         embedding_pass_with(l, pot, TableForm::Compacted, interior, cfg);
-        fill_periodic_ghosts(l);
+        exchange_fp(l);
         force_pass_plan(l, pot, TableForm::Compacted, interior, cfg, plan);
         kick(l, interior, 0.5 * dt, mass);
+    }
+
+    /// Every directed (central, partner) link of the full list, as
+    /// `(central, partner site, partner run-away index)` keys.
+    fn directed_links(
+        l: &LatticeNeighborList,
+        interior: &[usize],
+        cutoff: f64,
+        half: bool,
+    ) -> Vec<(Central, usize, u32)> {
+        let mut centrals: Vec<Central> = interior
+            .iter()
+            .filter(|&&s| l.id[s] >= 0)
+            .map(|&s| Central::Site(s))
+            .collect();
+        centrals.extend(l.live_runaways().into_iter().map(Central::Runaway));
+        let mut links = Vec::new();
+        let mut index = SweepIndex::default();
+        index.update(l);
+        for &c in &centrals {
+            if half {
+                half_sweep(l, &index, c, cutoff, |_, _, far, keep| match far {
+                    _ if !keep => {}
+                    Far::Newton(j) => {
+                        let Central::Site(s) = c else {
+                            panic!("a run-away central took a Newton pair")
+                        };
+                        links.push((c, j as usize, u32::MAX));
+                        links.push((Central::Site(j as usize), s, u32::MAX));
+                    }
+                    Far::Site(j) => links.push((c, j as usize, u32::MAX)),
+                    Far::Runaway(i) => links.push((c, l.runaway(i).home as usize, i)),
+                });
+            } else {
+                for_each_partner_sq(l, c, cutoff, |p| {
+                    links.push((c, p.site, p.ra_index));
+                });
+            }
+        }
+        let key = |c: &Central| match *c {
+            Central::Site(s) => (0, s),
+            Central::Runaway(i) => (1, i as usize),
+        };
+        links.sort_by_key(|(c, site, ra)| (key(c), *site, *ra));
+        links
+    }
+
+    #[test]
+    fn half_sweep_covers_every_directed_link_once() {
+        let (mut l, pot, interior) = thermal_box_with_runaway();
+        let mut plan = GatherPlan::default();
+        for _ in 0..3 {
+            plan_step(&mut l, &pot, &interior, &mut plan);
+        }
+        let full = directed_links(&l, &interior, pot.cutoff(), false);
+        let half = directed_links(&l, &interior, pot.cutoff(), true);
+        assert_eq!(half, full);
+        // The half list sweeps well under the full list's pairs: only
+        // pairs with a ghost or a run-away end are swept twice.
+        let (mut swept, mut index) = (0, SweepIndex::default());
+        index.update(&l);
+        for &s in interior.iter().filter(|&&s| l.id[s] >= 0) {
+            half_sweep(
+                &l,
+                &index,
+                Central::Site(s),
+                pot.cutoff(),
+                |_, _, _, keep| swept += keep as usize,
+            );
+        }
+        assert!(swept < full.len() * 3 / 4, "{swept} of {}", full.len());
+    }
+
+    #[test]
+    fn half_list_agrees_with_the_full_list_within_round_off() {
+        // A thermal two-chunk box with a vacancy and a run-away: pairs
+        // cross the chunk boundary and the periodic ghost shell, and
+        // the run-away's pairs stay Newton-off.
+        let (mut l, pot, interior) = thermal_box_with_runaway();
+        let mut plan = GatherPlan::default();
+        for _ in 0..5 {
+            plan_step(&mut l, &pot, &interior, &mut plan);
+        }
+        let form = TableForm::Compacted;
+        let half = eval(&mut l, &pot, &interior);
+        let (rho, force) = (l.rho.clone(), l.force.clone());
+        let ra: Vec<_> = l
+            .live_runaways()
+            .into_iter()
+            .map(|i| (l.runaway(i).rho, l.runaway(i).force))
+            .collect();
+        assert!(!ra.is_empty());
+
+        fill_periodic_ghosts(&mut l);
+        full_list::density_sweep(&mut l, &pot, form, &interior);
+        let embed = embedding_pass_with(&mut l, &pot, form, &interior, PassConfig::default());
+        exchange_fp(&mut l);
+        let pair = full_list::force_sweep(&mut l, &pot, form, &interior);
+
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(f64::MIN_POSITIVE);
+        assert!(rel(half.pair, pair) < 1e-12, "pair {} vs {pair}", half.pair);
+        assert!(
+            rel(half.embed, embed) < 1e-12,
+            "embed {} vs {embed}",
+            half.embed
+        );
+        let mut rhos: Vec<(f64, f64)> = interior.iter().map(|&s| (rho[s], l.rho[s])).collect();
+        let mut forces: Vec<([f64; 3], [f64; 3])> =
+            interior.iter().map(|&s| (force[s], l.force[s])).collect();
+        for (i, (rho_h, force_h)) in l.live_runaways().into_iter().zip(ra) {
+            rhos.push((rho_h, l.runaway(i).rho));
+            forces.push((force_h, l.runaway(i).force));
+        }
+        for (a, b) in rhos {
+            assert!(a == b || rel(a, b) < 1e-12, "rho {a} vs {b}");
+        }
+        let f_max = forces
+            .iter()
+            .flat_map(|(_, b)| b.map(f64::abs))
+            .fold(0.0, f64::max);
+        assert!(f_max > 0.1, "a thermal box has real forces: {f_max}");
+        for (a, b) in forces {
+            for ax in 0..3 {
+                assert!(
+                    (a[ax] - b[ax]).abs() <= 1e-12 * f_max,
+                    "force {a:?} vs {b:?}"
+                );
+            }
+        }
+        // A re-pin, not a copy: the half list sums in another order.
+        assert_ne!(
+            force, l.force,
+            "the half list reproduced the full list's bits"
+        );
     }
 
     #[test]
@@ -1027,7 +1513,8 @@ mod tests {
         }
         assert_eq!(warm, footprint(&plan), "a chunk array moved or grew");
 
-        // The reference path empties the plan and keeps the chunks.
+        // The reference path empties the plan and keeps the chunks and
+        // the run-away list.
         let cfg = PassConfig::seed_serial();
         density_pass_plan(
             &mut l,
@@ -1038,6 +1525,7 @@ mod tests {
             &mut plan,
         );
         assert!(plan.chunks.iter().all(|c| c.counts.is_empty()));
+        assert!(plan.runaways.is_empty());
         assert_eq!(
             warm,
             footprint(&plan),
@@ -1083,6 +1571,21 @@ mod tests {
             cfg,
             &mut plan,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "gather plan is stale")]
+    fn plan_across_a_position_exchange_is_rejected() {
+        // A position ghost exchange rebuilds the ghost run-away records
+        // under new pool indices, which the plan's far ends point at.
+        let (mut l, pot, interior) = thermal_box_with_runaway();
+        let (cfg, mut plan) = (PassConfig::default(), GatherPlan::default());
+        let form = TableForm::Compacted;
+        fill_periodic_ghosts(&mut l);
+        density_pass_plan(&mut l, &pot, form, &interior, cfg, &mut plan);
+        embedding_pass_with(&mut l, &pot, form, &interior, cfg);
+        fill_periodic_ghosts(&mut l);
+        force_pass_plan(&mut l, &pot, form, &interior, cfg, &mut plan);
     }
 
     #[test]

@@ -1189,10 +1189,41 @@ mod tests {
         );
     }
 
-    /// A thermal box of `cells`³ (600 K, two host steps) with run-aways
-    /// anchored at the sites that open and close the slabs and blocks
-    /// of an `n_cpes`-slab, `block_sites`-block decomposition — so halo
-    /// gathers of run-away partners, vacant centrals and the MPE
+    /// `MdSimulation::compute_forces` over the full-list oracle that the
+    /// host passes replaced: the boxes below are warmed up on the host
+    /// trajectory the offload accounting was pinned on, whatever order
+    /// the host passes sum in.
+    fn full_list_forces(s: &mut MdSimulation) {
+        use crate::force::{embedding_pass_with, full_list};
+        let (form, interior) = (s.table_form, s.interior.clone());
+        exchange_ghosts(&mut s.lnl, &mut Loopback, GhostPhase::Positions);
+        full_list::density_sweep(&mut s.lnl, &s.pot, form, &interior);
+        embedding_pass_with(&mut s.lnl, &s.pot, form, &interior, Default::default());
+        exchange_ghosts(&mut s.lnl, &mut Loopback, GhostPhase::Fp);
+        full_list::force_sweep(&mut s.lnl, &s.pot, form, &interior);
+    }
+
+    /// `MdSimulation::step` with the forces of [`full_list_forces`]
+    /// (current on entry).
+    fn full_list_step(s: &mut MdSimulation) {
+        use crate::integrate::{drift, kick};
+        let (dt, mass, interior) = (s.cfg.dt, s.mass, s.interior.clone());
+        kick(&mut s.lnl, &interior, 0.5 * dt, mass);
+        drift(&mut s.lnl, &interior, dt);
+        crate::runaway::apply_transitions(&mut s.lnl, &s.cfg, &interior);
+        crate::domain::migrate_runaways(&mut s.lnl, &mut Loopback);
+        full_list_forces(s);
+        kick(&mut s.lnl, &interior, 0.5 * dt, mass);
+        if let Some(tau) = s.cfg.thermostat_tau {
+            let t = s.cfg.temperature;
+            crate::thermostat::berendsen(&mut s.lnl, &interior, mass, t, dt, tau);
+        }
+    }
+
+    /// A thermal box of `cells`³ (600 K, two [`full_list_step`]s) with
+    /// run-aways anchored at the sites that open and close the slabs and
+    /// blocks of an `n_cpes`-slab, `block_sites`-block decomposition —
+    /// so halo gathers of run-away partners, vacant centrals and the MPE
     /// run-away passes all meet the edges of the reuse window.
     fn thermal_box_with_runaways(cells: usize, n_cpes: usize, block_sites: usize) -> MdSimulation {
         let cfg = MdConfig {
@@ -1202,8 +1233,9 @@ mod tests {
         };
         let mut s = MdSimulation::single_box(cfg, cells);
         s.init_velocities();
+        full_list_forces(&mut s);
         for _ in 0..2 {
-            s.step(&mut Loopback);
+            full_list_step(&mut s);
         }
         let slab = s.interior.len().div_ceil(n_cpes);
         for k in [

@@ -1,13 +1,14 @@
 //! The production EAM passes must be bitwise deterministic: identical
 //! ρ/force/energy at any worker-thread count, and identical to the
-//! scalar reference (`PassConfig::seed_serial()`: the seed's serial
-//! separate-lookup sweeps).
+//! scalar reference (`PassConfig::seed_serial()`: serial half-list
+//! sweeps with separate lookups, summing in the production order).
 //!
 //! The production path relies on fixed-size chunking (independent of
-//! the thread count) plus ordered write-back on the calling thread, the
-//! fused `pair_density` lookup replays the exact operation order of the
-//! two separate lookups, and the SoA lane kernels replay the scalar op
-//! sequence per lane with partner-ordered accumulation — so every
+//! the thread count) for the per-pair work, and runs every sum — the
+//! half list's scatter to both ends of a pair included — in one global
+//! order on the calling thread; the fused `pair_density` lookup replays
+//! the exact operation order of the two separate lookups, and the SoA
+//! lane kernels replay the scalar op sequence per lane — so every
 //! comparison below is `assert_eq`, not a tolerance.
 //!
 //! The second test crosses a 256-site chunk boundary off the 0 K
@@ -160,6 +161,52 @@ fn nve_energy_is_conserved_across_a_chunk_boundary() {
     }
     let drift = (last - e0).abs() / e0.abs();
     assert!(drift < 2e-4, "relative NVE drift {drift:e} over 40 steps");
+}
+
+/// 7³ cells = 686 owned sites = three chunks (256 + 256 + 174) at
+/// 600 K, with a run-away promoted off the site on each side of both
+/// chunk edges: the forward (Newton) pairs of every chunk's last sites
+/// land in the next chunk, and the run-aways' Newton-off pairs straddle
+/// the edges.
+fn three_chunk_box_with_edge_runaways(pass_config: PassConfig) -> MdSimulation {
+    let cfg = MdConfig {
+        temperature: 600.0,
+        table_knots: 2000,
+        ..Default::default()
+    };
+    let mut sim = MdSimulation::single_box(cfg, 7);
+    assert_eq!(sim.interior.len().div_ceil(256), 3, "three site chunks");
+    sim.pass_config = pass_config;
+    sim.init_velocities();
+    for k in [255, 256, 511, 512] {
+        let s = sim.interior[k];
+        let (pos, vel) = (sim.lnl.pos[s], sim.lnl.vel[s]);
+        let id = sim.lnl.make_vacancy(s);
+        sim.lnl
+            .add_runaway(s, id, [pos[0] + 1.3, pos[1] + 0.4, pos[2]], vel);
+    }
+    sim
+}
+
+#[test]
+fn half_list_scatter_is_bitwise_deterministic_on_a_thread_ladder() {
+    let run = |pass_config: PassConfig| {
+        let mut sim = three_chunk_box_with_edge_runaways(pass_config);
+        let mut last = None;
+        for _ in 0..4 {
+            last = Some(sim.step(&mut Loopback));
+        }
+        let ra = runaway_bits(&sim);
+        assert!(!ra.is_empty(), "the edge run-aways must still be live");
+        (Snapshot::of(&sim, &last.expect("four steps ran")), ra)
+    };
+    let seed = run(PassConfig::seed_serial());
+    for threads in ["1", "2", "3", "8"] {
+        let (got, got_ra) = with_threads(threads, || run(PassConfig::default()));
+        let what = format!("{threads} threads vs seed serial path");
+        assert_bitwise(&got, &seed.0, &what);
+        assert_eq!(got_ra, seed.1, "{what}: run-aways");
+    }
 }
 
 /// ρ, force and position bits of one run-away.
