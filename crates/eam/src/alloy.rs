@@ -243,7 +243,7 @@ mod tests {
         let a = AlloyEam::fe_cu(0.05, 300);
         let t1 = a.table(AlloyTableId::Pair(Species::Fe, Species::Cu));
         let t2 = a.table(AlloyTableId::Pair(Species::Cu, Species::Fe));
-        assert_eq!(t1.values, t2.values);
+        assert_eq!(t1.values(), t2.values());
     }
 
     #[test]

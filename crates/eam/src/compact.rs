@@ -11,12 +11,20 @@
 //! ```
 //!
 //! which is the classic 5-point central difference for the first
-//! derivative at a knot. We reconstruct knot derivatives with that
-//! stencil and evaluate the segment with a cubic Hermite polynomial —
+//! derivative at a knot. Knot derivatives come from that stencil and
+//! each segment is evaluated as a cubic Hermite polynomial — on the CPE
 //! trading ~3× more flops per access for a table that *fits in the 64 KB
 //! local store*, the trade the paper shows wins decisively (Fig. 9).
-
-use serde::{Deserialize, Serialize};
+//!
+//! The modelled CPE rebuilds the two knot slopes of a segment on every
+//! access, and the cost model charges that ([`RECON_EXTRA_FLOPS`]). The
+//! host that simulates it need not: the slopes depend on the table
+//! alone, so [`CompactTable::build`] runs the stencils once per knot and
+//! keeps the results beside the values. Every lookup reads them from
+//! that memo, with the bits the stencil would have produced. The memo is
+//! host state, outside the model: [`CompactTable::memory_bytes`], the
+//! local-store reservation and the resident-table DMA price the values
+//! only (DESIGN §6.17).
 
 use crate::BATCH_LANES;
 
@@ -25,7 +33,9 @@ use crate::BATCH_LANES;
 /// compared with [`crate::spline::TraditionalTable`] direct evaluation.
 /// Used by the CPE cost accounting. A *fused* two-table lookup
 /// ([`CompactTable::eval2`]) pays this once per table but the segment
-/// locate ([`crate::LOCATE_FLOPS`]) only once.
+/// locate ([`crate::LOCATE_FLOPS`]) only once. The host reads the
+/// slopes from its memo, but the modelled CPE does not have one, so the
+/// charge stands.
 pub const RECON_EXTRA_FLOPS: u64 = 28;
 
 /// Cubic Hermite basis values at local coordinate `t ∈ [0,1]`:
@@ -51,7 +61,7 @@ fn hermite_basis(t: f64) -> [f64; 8] {
 /// Segment index and local coordinate for `x` on a knot grid of
 /// `n` values starting at `x0` with spacing `dx` (clamped to range).
 // flops: LOCATE_FLOPS = 4 (sub, div, floor/min, clamp — shared with the
-// traditional locate; a fused eval2_slice pays it once for both tables)
+// traditional locate; a fused eval2 pays it once for both tables)
 #[inline]
 fn locate_on(n: usize, x0: f64, dx: f64, x: f64) -> (usize, f64) {
     let u = ((x - x0) / dx).max(0.0);
@@ -59,28 +69,6 @@ fn locate_on(n: usize, x0: f64, dx: f64, x: f64) -> (usize, f64) {
     let i = (u as usize).min(max_seg);
     let t = (u - i as f64).clamp(0.0, 1.0);
     (i, t)
-}
-
-/// Segment indices and local coordinates for one full lane group.
-/// Replays [`locate_on`] per lane, so each lane's result is bitwise
-/// identical to the scalar locate.
-// flops: LOCATE_FLOPS = 4 (per lane — the same sub, div, floor/min,
-// clamp sequence as the scalar locate, just over a lane group)
-#[inline]
-fn locate_lanes(
-    n: usize,
-    x0: f64,
-    dx: f64,
-    xs: &[f64; BATCH_LANES],
-) -> ([usize; BATCH_LANES], [f64; BATCH_LANES]) {
-    let mut seg = [0usize; BATCH_LANES];
-    let mut t = [0.0; BATCH_LANES];
-    for k in 0..BATCH_LANES {
-        let (i, tk) = locate_on(n, x0, dx, xs[k]);
-        seg[k] = i;
-        t[k] = tk;
-    }
-    (seg, t)
 }
 
 /// SoA Hermite basis for one lane group: `out[c][k]` is component `c`
@@ -118,25 +106,72 @@ fn hermite_value_basis_lanes(t: &[f64; BATCH_LANES]) -> [[f64; BATCH_LANES]; 4] 
     out
 }
 
-/// A compacted table: sample values only.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One lane group of a batch argument.
+fn lane(x: &[f64]) -> &[f64; BATCH_LANES] {
+    x.try_into().expect("lane window")
+}
+
+/// One lane group of a batch output.
+fn lane_mut(x: &mut [f64]) -> &mut [f64; BATCH_LANES] {
+    x.try_into().expect("lane window")
+}
+
+/// Knot derivative via the paper's 5-point formula (one-sided stencils
+/// of the same order near the boundaries). Run once per knot, by
+/// [`CompactTable::build`].
+fn knot_deriv(values: &[f64], i: usize, dx: f64) -> f64 {
+    let n = values.len();
+    if i >= 2 && i + 2 < n {
+        // (S[i-2] − S[i+2] + 8·(S[i+1] − S[i-1])) / 12  — Fig. 5.
+        (values[i - 2] - values[i + 2] + 8.0 * (values[i + 1] - values[i - 1])) / (12.0 * dx)
+    } else if i == 0 {
+        (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
+    } else if i == 1 {
+        (values[2] - values[0]) / (2.0 * dx)
+    } else if i + 2 == n {
+        (values[n - 1] - values[n - 3]) / (2.0 * dx)
+    } else {
+        (3.0 * values[n - 1] - 4.0 * values[n - 2] + values[n - 3]) / (2.0 * dx)
+    }
+}
+
+/// A compacted table: sample values on a uniform knot grid, and the
+/// host's memo of the knot slopes the modelled CPE reconstructs from
+/// them. The fields are private so that the memo always belongs to the
+/// values and the grid it was built from.
+#[derive(Debug, Clone)]
 pub struct CompactTable {
     /// First knot abscissa.
-    pub x0: f64,
+    x0: f64,
     /// Knot spacing.
-    pub dx: f64,
+    dx: f64,
     /// The `n` sample values `S[i] = f(x0 + i·dx)`.
-    pub values: Vec<f64>,
+    values: Vec<f64>,
+    /// `slopes[i]` = the 5-point knot derivative at knot `i`, times
+    /// `dx`: host state that no cost or capacity figure counts.
+    slopes: Vec<f64>,
 }
 
 impl CompactTable {
-    /// Samples `f` at `n` equally spaced knots over `[x0, x1]`.
+    /// Samples `f` at `n` equally spaced knots over `[x0, x1]` and
+    /// memoises the knot slopes.
     pub fn build(f: impl Fn(f64) -> f64, x0: f64, x1: f64, n: usize) -> Self {
         assert!(n >= 6, "5-point stencil needs at least 6 knots");
         assert!(x1 > x0);
         let dx = (x1 - x0) / (n - 1) as f64;
-        let values = (0..n).map(|i| f(x0 + i as f64 * dx)).collect();
-        Self { x0, dx, values }
+        let values: Vec<f64> = (0..n).map(|i| f(x0 + i as f64 * dx)).collect();
+        let slopes = (0..n).map(|i| knot_deriv(&values, i, dx) * dx).collect();
+        Self {
+            x0,
+            dx,
+            values,
+            slopes,
+        }
+    }
+
+    /// The sample values — what a CPE holds resident.
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// Number of knots.
@@ -150,28 +185,10 @@ impl CompactTable {
     }
 
     /// Size in bytes — `n × 8`; 39.1 KiB for the paper's n = 5000,
-    /// small enough to sit resident in a CPE local store.
+    /// small enough to sit resident in a CPE local store. The values
+    /// only: the slope memo is host state.
     pub fn memory_bytes(&self) -> usize {
         self.values.len() * 8
-    }
-
-    /// Knot derivative via the paper's 5-point formula (one-sided stencils
-    /// of the same order near the boundaries).
-    #[inline]
-    fn knot_deriv(values: &[f64], i: usize, dx: f64) -> f64 {
-        let n = values.len();
-        if i >= 2 && i + 2 < n {
-            // (S[i-2] − S[i+2] + 8·(S[i+1] − S[i-1])) / 12  — Fig. 5.
-            (values[i - 2] - values[i + 2] + 8.0 * (values[i + 1] - values[i - 1])) / (12.0 * dx)
-        } else if i == 0 {
-            (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-        } else if i == 1 {
-            (values[2] - values[0]) / (2.0 * dx)
-        } else if i + 2 == n {
-            (values[n - 1] - values[n - 3]) / (2.0 * dx)
-        } else {
-            (3.0 * values[n - 1] - 4.0 * values[n - 2] + values[n - 3]) / (2.0 * dx)
-        }
     }
 
     /// Segment index and local coordinate for `x` (clamped to range).
@@ -180,66 +197,64 @@ impl CompactTable {
         locate_on(self.values.len(), self.x0, self.dx, x)
     }
 
-    /// Value and derivative of the segment `(i, t)` of `values`, given
-    /// a precomputed Hermite basis (reconstruction happens here: two
-    /// 5-point knot-derivative stencils per table).
+    /// Value and derivative of the segment `(i, t)`, given a
+    /// precomputed Hermite basis. The two knot slopes come from the
+    /// memo; the modelled CPE reconstructs them here.
     // flops: SEG_EVAL_FLOPS = 8 (Hermite value 4·mul+3·add ≈ value +
     // derivative combination, same per-segment charge as the
     // traditional form)
     // flops: RECON_EXTRA_FLOPS = 28 (two 5-point knot-derivative
     // stencils at ~10 ops each + basis/derivative scaling — the
-    // compacted table's on-the-fly reconstruction premium)
+    // compacted table's on-the-fly reconstruction premium on the CPE)
     #[inline]
-    fn eval_segment(values: &[f64], i: usize, t_basis: &[f64; 8], dx: f64) -> (f64, f64) {
-        let y0 = values[i];
-        let y1 = values[i + 1];
-        let d0 = Self::knot_deriv(values, i, dx) * dx;
-        let d1 = Self::knot_deriv(values, i + 1, dx) * dx;
+    fn eval_segment(
+        values: &[f64],
+        slopes: &[f64],
+        i: usize,
+        t_basis: &[f64; 8],
+        dx: f64,
+    ) -> (f64, f64) {
+        let (y0, y1, d0, d1) = (values[i], values[i + 1], slopes[i], slopes[i + 1]);
         let [h00, h10, h01, h11, dh00, dh10, dh01, dh11] = *t_basis;
         let value = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1;
         let deriv = (dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1) / dx;
         (value, deriv)
     }
 
-    /// Value and derivative at `x`, reconstructed on the fly. This is
-    /// the method CPE kernels call against a **slice** so the table can
-    /// live either in local store or main memory.
+    /// Value and derivative at `x` from a table's values and slope memo
+    /// as **slices** — the scalar kernel every owned lookup runs.
     #[inline]
-    pub fn eval_slice(values: &[f64], x0: f64, dx: f64, x: f64) -> (f64, f64) {
+    fn eval_slice(values: &[f64], slopes: &[f64], x0: f64, dx: f64, x: f64) -> (f64, f64) {
         let (i, t) = locate_on(values.len(), x0, dx, x);
-        let basis = hermite_basis(t);
-        Self::eval_segment(values, i, &basis, dx)
-    }
-
-    /// Fused two-table lookup against **slices**: ONE segment locate and
-    /// one Hermite basis serve both `a` and `b`, which must be sampled
-    /// on the same knot grid (`x0`, `dx`, length). Returns
-    /// `(a(x), a'(x), b(x), b'(x))`, bit-identical to two separate
-    /// [`CompactTable::eval_slice`] calls.
-    #[inline]
-    pub fn eval2_slice(a: &[f64], b: &[f64], x0: f64, dx: f64, x: f64) -> (f64, f64, f64, f64) {
-        debug_assert_eq!(a.len(), b.len(), "fused tables must share the knot grid");
-        let (i, t) = locate_on(a.len(), x0, dx, x);
-        let basis = hermite_basis(t);
-        let (va, da) = Self::eval_segment(a, i, &basis, dx);
-        let (vb, db) = Self::eval_segment(b, i, &basis, dx);
-        (va, da, vb, db)
+        Self::eval_segment(values, slopes, i, &hermite_basis(t), dx)
     }
 
     /// Fused owned-table lookup: `(self(x), self'(x), other(x),
-    /// other'(x))` from a single locate. `other` must share this
-    /// table's knot grid (the r-indexed pair and density tables do).
+    /// other'(x))` from ONE locate and one Hermite basis, bit-identical
+    /// to two separate [`CompactTable::eval_both`] calls. `other` must
+    /// share this table's knot grid (the r-indexed pair and density
+    /// tables do).
     #[inline]
     pub fn eval2(&self, other: &CompactTable, x: f64) -> (f64, f64, f64, f64) {
+        self.assert_same_grid(other);
+        let (i, t) = self.locate(x);
+        let basis = hermite_basis(t);
+        let (va, da) = Self::eval_segment(&self.values, &self.slopes, i, &basis, self.dx);
+        let (vb, db) = Self::eval_segment(&other.values, &other.slopes, i, &basis, self.dx);
+        (va, da, vb, db)
+    }
+
+    /// A fused lookup's precondition: `other` shares this knot grid.
+    fn assert_same_grid(&self, other: &CompactTable) {
         debug_assert_eq!(self.x0, other.x0, "fused tables must share x0");
         debug_assert_eq!(self.dx, other.dx, "fused tables must share dx");
-        Self::eval2_slice(&self.values, &other.values, self.x0, self.dx, x)
+        debug_assert_eq!(self.n(), other.n(), "fused tables must share the knot grid");
     }
 
     /// Value and derivative at `x` from this owned table.
     #[inline]
     pub fn eval_both(&self, x: f64) -> (f64, f64) {
-        Self::eval_slice(&self.values, self.x0, self.dx, x)
+        Self::eval_slice(&self.values, &self.slopes, self.x0, self.dx, x)
     }
 
     /// Value at `x`.
@@ -254,132 +269,27 @@ impl CompactTable {
         self.eval_both(x).1
     }
 
-    /// Evaluates one table's located segments across a full lane group:
-    /// knot values and reconstructed derivatives are gathered into lane
-    /// arrays (the only non-contiguous reads), then combined with the
-    /// shared SoA basis in branch-free lane loops the autovectorizer
-    /// can tile. Each lane replays exactly the scalar
-    /// [`CompactTable::eval_segment`] expression, so every lane is
-    /// bitwise identical to a scalar eval.
-    // flops: SEG_EVAL_FLOPS = 8 (per lane — the same Hermite value +
-    // derivative combination as the scalar segment eval)
-    // flops: RECON_EXTRA_FLOPS = 28 (per lane — two 5-point
-    // knot-derivative stencils + basis/derivative scaling, unchanged
-    // from the scalar reconstruction)
+    /// Segment indices and local coordinates for one full lane group.
+    /// Replays [`locate_on`] per lane, so each lane's result is bitwise
+    /// identical to the scalar locate.
     #[inline]
-    fn eval_segment_lanes(
-        values: &[f64],
-        seg: &[usize; BATCH_LANES],
-        h: &[[f64; BATCH_LANES]; 8],
-        dx: f64,
-        val: &mut [f64; BATCH_LANES],
-        der: &mut [f64; BATCH_LANES],
-    ) {
-        let (y0, y1, d0, d1) = Self::gather_segment_lanes(values, seg, dx);
+    fn locate_lanes(&self, xs: &[f64; BATCH_LANES]) -> ([usize; BATCH_LANES], [f64; BATCH_LANES]) {
+        let mut seg = [0usize; BATCH_LANES];
+        let mut t = [0.0; BATCH_LANES];
         for k in 0..BATCH_LANES {
-            val[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
+            (seg[k], t[k]) = self.locate(xs[k]);
         }
-        for k in 0..BATCH_LANES {
-            der[k] = (h[4][k] * y0[k] + h[5][k] * d0[k] + h[6][k] * y1[k] + h[7][k] * d1[k]) / dx;
-        }
+        (seg, t)
     }
 
-    /// Value-only lane-group segment eval — the density pass discards
-    /// the derivative, so the batched ρ kernel skips the derivative
-    /// combine entirely. The value lanes are still bitwise identical to
-    /// [`CompactTable::eval_segment`]'s value output.
-    #[inline]
-    fn eval_segment_values_lanes(
-        values: &[f64],
-        seg: &[usize; BATCH_LANES],
-        h: &[[f64; BATCH_LANES]; 4],
-        dx: f64,
-        val: &mut [f64; BATCH_LANES],
-    ) {
-        let (y0, y1, d0, d1) = Self::gather_segment_lanes(values, seg, dx);
-        for k in 0..BATCH_LANES {
-            val[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
-        }
-    }
-
-    /// Fused two-table lane-group segment eval: both tables share the
-    /// lane segment indices (same knot grid), so the interior-stencil
-    /// check and the per-lane index arithmetic run **once** for both
-    /// gathers. Each table's lanes replay exactly the expressions of
-    /// [`CompactTable::eval_segment_lanes`], so the outputs are bitwise
-    /// identical to two separate single-table lane evals.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn eval2_segment_lanes(
-        a: &[f64],
-        b: &[f64],
-        seg: &[usize; BATCH_LANES],
-        h: &[[f64; BATCH_LANES]; 8],
-        dx: f64,
-        va: &mut [f64; BATCH_LANES],
-        da: &mut [f64; BATCH_LANES],
-        vb: &mut [f64; BATCH_LANES],
-        db: &mut [f64; BATCH_LANES],
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "fused tables must share the knot grid");
-        let n = a.len();
-        let mut ya0 = [0.0; BATCH_LANES];
-        let mut ya1 = [0.0; BATCH_LANES];
-        let mut da0 = [0.0; BATCH_LANES];
-        let mut da1 = [0.0; BATCH_LANES];
-        let mut yb0 = [0.0; BATCH_LANES];
-        let mut yb1 = [0.0; BATCH_LANES];
-        let mut db0 = [0.0; BATCH_LANES];
-        let mut db1 = [0.0; BATCH_LANES];
-        if seg.iter().all(|&i| i >= 2 && i + 3 < n) {
-            for k in 0..BATCH_LANES {
-                let i = seg[k];
-                ya0[k] = a[i];
-                ya1[k] = a[i + 1];
-                da0[k] = (a[i - 2] - a[i + 2] + 8.0 * (a[i + 1] - a[i - 1])) / (12.0 * dx) * dx;
-                da1[k] = (a[i - 1] - a[i + 3] + 8.0 * (a[i + 2] - a[i])) / (12.0 * dx) * dx;
-                yb0[k] = b[i];
-                yb1[k] = b[i + 1];
-                db0[k] = (b[i - 2] - b[i + 2] + 8.0 * (b[i + 1] - b[i - 1])) / (12.0 * dx) * dx;
-                db1[k] = (b[i - 1] - b[i + 3] + 8.0 * (b[i + 2] - b[i])) / (12.0 * dx) * dx;
-            }
-        } else {
-            for k in 0..BATCH_LANES {
-                let i = seg[k];
-                ya0[k] = a[i];
-                ya1[k] = a[i + 1];
-                da0[k] = Self::knot_deriv(a, i, dx) * dx;
-                da1[k] = Self::knot_deriv(a, i + 1, dx) * dx;
-                yb0[k] = b[i];
-                yb1[k] = b[i + 1];
-                db0[k] = Self::knot_deriv(b, i, dx) * dx;
-                db1[k] = Self::knot_deriv(b, i + 1, dx) * dx;
-            }
-        }
-        for k in 0..BATCH_LANES {
-            va[k] = h[0][k] * ya0[k] + h[1][k] * da0[k] + h[2][k] * ya1[k] + h[3][k] * da1[k];
-        }
-        for k in 0..BATCH_LANES {
-            da[k] =
-                (h[4][k] * ya0[k] + h[5][k] * da0[k] + h[6][k] * ya1[k] + h[7][k] * da1[k]) / dx;
-        }
-        for k in 0..BATCH_LANES {
-            vb[k] = h[0][k] * yb0[k] + h[1][k] * db0[k] + h[2][k] * yb1[k] + h[3][k] * db1[k];
-        }
-        for k in 0..BATCH_LANES {
-            db[k] =
-                (h[4][k] * yb0[k] + h[5][k] * db0[k] + h[6][k] * yb1[k] + h[7][k] * db1[k]) / dx;
-        }
-    }
-
-    /// The gather stage shared by the lane-group evals: knot values and
-    /// scaled knot derivatives of each lane's segment, in lane arrays.
+    /// The gather stage of the lane-group evals: the knot values and
+    /// memoised slopes of each lane's segment, in lane arrays (the only
+    /// non-contiguous reads).
     #[inline]
     #[allow(clippy::type_complexity)]
     fn gather_segment_lanes(
-        values: &[f64],
+        &self,
         seg: &[usize; BATCH_LANES],
-        dx: f64,
     ) -> (
         [f64; BATCH_LANES],
         [f64; BATCH_LANES],
@@ -390,151 +300,71 @@ impl CompactTable {
         let mut y1 = [0.0; BATCH_LANES];
         let mut d0 = [0.0; BATCH_LANES];
         let mut d1 = [0.0; BATCH_LANES];
-        // Fast path: every lane's two stencils are interior (the
-        // overwhelmingly common case for MD distances well inside the
-        // tabulated range), so the whole gather runs branch-free with
-        // the Fig. 5 stencil inlined — the identical expression
-        // `knot_deriv` evaluates for interior knots, so the bits match.
-        let n = values.len();
-        if seg.iter().all(|&i| i >= 2 && i + 3 < n) {
-            for k in 0..BATCH_LANES {
-                let i = seg[k];
-                y0[k] = values[i];
-                y1[k] = values[i + 1];
-                d0[k] = (values[i - 2] - values[i + 2] + 8.0 * (values[i + 1] - values[i - 1]))
-                    / (12.0 * dx)
-                    * dx;
-                d1[k] = (values[i - 1] - values[i + 3] + 8.0 * (values[i + 2] - values[i]))
-                    / (12.0 * dx)
-                    * dx;
-            }
-        } else {
-            for k in 0..BATCH_LANES {
-                let i = seg[k];
-                y0[k] = values[i];
-                y1[k] = values[i + 1];
-                d0[k] = Self::knot_deriv(values, i, dx) * dx;
-                d1[k] = Self::knot_deriv(values, i + 1, dx) * dx;
-            }
+        for k in 0..BATCH_LANES {
+            let i = seg[k];
+            y0[k] = self.values[i];
+            y1[k] = self.values[i + 1];
+            d0[k] = self.slopes[i];
+            d1[k] = self.slopes[i + 1];
         }
         (y0, y1, d0, d1)
     }
 
-    /// Batched value + derivative against a **slice**: full
-    /// [`BATCH_LANES`] groups go through the lane kernel, the ragged
-    /// tail through the scalar [`CompactTable::eval_slice`]. Bitwise
-    /// identical to per-element evaluation at every length.
-    pub fn eval_batch_slice(
-        values: &[f64],
-        x0: f64,
-        dx: f64,
-        xs: &[f64],
-        val: &mut [f64],
-        der: &mut [f64],
+    /// Evaluates this table's located segments across a full lane
+    /// group: the gathered values and slopes are combined with the
+    /// shared SoA basis in branch-free lane loops the autovectorizer can
+    /// tile. Each lane replays exactly the scalar
+    /// [`CompactTable::eval_segment`] expression, so every lane is
+    /// bitwise identical to a scalar eval.
+    // flops: SEG_EVAL_FLOPS = 8 (per lane — the same Hermite value +
+    // derivative combination as the scalar segment eval)
+    #[inline]
+    fn eval_segment_lanes(
+        &self,
+        seg: &[usize; BATCH_LANES],
+        h: &[[f64; BATCH_LANES]; 8],
+        val: &mut [f64; BATCH_LANES],
+        der: &mut [f64; BATCH_LANES],
     ) {
+        let (y0, y1, d0, d1) = self.gather_segment_lanes(seg);
+        for k in 0..BATCH_LANES {
+            val[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
+        }
+        for k in 0..BATCH_LANES {
+            der[k] =
+                (h[4][k] * y0[k] + h[5][k] * d0[k] + h[6][k] * y1[k] + h[7][k] * d1[k]) / self.dx;
+        }
+    }
+
+    /// Batched value + derivative: full [`BATCH_LANES`] groups go
+    /// through the lane kernel, the ragged tail through the scalar
+    /// [`CompactTable::eval_both`]. Bitwise identical to per-element
+    /// evaluation at every length.
+    pub fn eval_batch(&self, xs: &[f64], val: &mut [f64], der: &mut [f64]) {
         assert_eq!(xs.len(), val.len());
         assert_eq!(xs.len(), der.len());
         let full = xs.len() - xs.len() % BATCH_LANES;
-        let mut k = 0;
-        while k < full {
-            let xw: &[f64; BATCH_LANES] = xs[k..k + BATCH_LANES].try_into().expect("lane window");
-            let (seg, t) = locate_lanes(values.len(), x0, dx, xw);
+        for k in (0..full).step_by(BATCH_LANES) {
+            let w = k..k + BATCH_LANES;
+            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
             let h = hermite_basis_lanes(&t);
-            let vw: &mut [f64; BATCH_LANES] = (&mut val[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            let dw: &mut [f64; BATCH_LANES] = (&mut der[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            Self::eval_segment_lanes(values, &seg, &h, dx, vw, dw);
-            k += BATCH_LANES;
+            self.eval_segment_lanes(
+                &seg,
+                &h,
+                lane_mut(&mut val[w.clone()]),
+                lane_mut(&mut der[w]),
+            );
         }
         for j in full..xs.len() {
-            let (v, d) = Self::eval_slice(values, x0, dx, xs[j]);
-            val[j] = v;
-            der[j] = d;
+            (val[j], der[j]) = self.eval_both(xs[j]);
         }
     }
 
-    /// Batched fused two-table lookup against **slices**: per lane
-    /// group, ONE locate pass and one SoA Hermite basis serve both
-    /// tables (which must share the knot grid), exactly like the scalar
-    /// [`CompactTable::eval2_slice`]; the ragged tail reuses that
-    /// scalar path. All four output streams are bitwise identical to
-    /// per-element `eval2_slice` calls.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval2_batch_slice(
-        a: &[f64],
-        b: &[f64],
-        x0: f64,
-        dx: f64,
-        xs: &[f64],
-        va: &mut [f64],
-        da: &mut [f64],
-        vb: &mut [f64],
-        db: &mut [f64],
-    ) {
-        debug_assert_eq!(a.len(), b.len(), "fused tables must share the knot grid");
-        assert_eq!(xs.len(), va.len());
-        assert_eq!(xs.len(), da.len());
-        assert_eq!(xs.len(), vb.len());
-        assert_eq!(xs.len(), db.len());
-        let full = xs.len() - xs.len() % BATCH_LANES;
-        let mut k = 0;
-        while k < full {
-            let xw: &[f64; BATCH_LANES] = xs[k..k + BATCH_LANES].try_into().expect("lane window");
-            let (seg, t) = locate_lanes(a.len(), x0, dx, xw);
-            let h = hermite_basis_lanes(&t);
-            let vaw: &mut [f64; BATCH_LANES] = (&mut va[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            let daw: &mut [f64; BATCH_LANES] = (&mut da[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            let vbw: &mut [f64; BATCH_LANES] = (&mut vb[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            let dbw: &mut [f64; BATCH_LANES] = (&mut db[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            Self::eval2_segment_lanes(a, b, &seg, &h, dx, vaw, daw, vbw, dbw);
-            k += BATCH_LANES;
-        }
-        for j in full..xs.len() {
-            let (pva, pda, pvb, pdb) = Self::eval2_slice(a, b, x0, dx, xs[j]);
-            va[j] = pva;
-            da[j] = pda;
-            vb[j] = pvb;
-            db[j] = pdb;
-        }
-    }
-
-    /// Batched value-only lookup against a **slice** — the density-pass
-    /// kernel (ρ accumulation never reads f'(r)). Values are bitwise
-    /// identical to the value half of per-element
-    /// [`CompactTable::eval_slice`] calls.
-    pub fn eval_values_batch_slice(values: &[f64], x0: f64, dx: f64, xs: &[f64], val: &mut [f64]) {
-        assert_eq!(xs.len(), val.len());
-        let full = xs.len() - xs.len() % BATCH_LANES;
-        let mut k = 0;
-        while k < full {
-            let xw: &[f64; BATCH_LANES] = xs[k..k + BATCH_LANES].try_into().expect("lane window");
-            let (seg, t) = locate_lanes(values.len(), x0, dx, xw);
-            let h = hermite_value_basis_lanes(&t);
-            let vw: &mut [f64; BATCH_LANES] = (&mut val[k..k + BATCH_LANES])
-                .try_into()
-                .expect("lane window");
-            Self::eval_segment_values_lanes(values, &seg, &h, dx, vw);
-            k += BATCH_LANES;
-        }
-        for j in full..xs.len() {
-            val[j] = Self::eval_slice(values, x0, dx, xs[j]).0;
-        }
-    }
-
-    /// Batched fused owned-table lookup — the batch counterpart of
-    /// [`CompactTable::eval2`]. `other` must share this table's knot
-    /// grid.
+    /// Batched fused two-table lookup — the batch counterpart of
+    /// [`CompactTable::eval2`]: per lane group, ONE locate pass and one
+    /// SoA Hermite basis serve both tables (which must share the knot
+    /// grid); the ragged tail reuses the scalar `eval2`. All four output
+    /// streams are bitwise identical to per-element `eval2` calls.
     #[allow(clippy::too_many_arguments)]
     pub fn eval2_batch(
         &self,
@@ -545,19 +375,48 @@ impl CompactTable {
         vb: &mut [f64],
         db: &mut [f64],
     ) {
-        debug_assert_eq!(self.x0, other.x0, "fused tables must share x0");
-        debug_assert_eq!(self.dx, other.dx, "fused tables must share dx");
-        Self::eval2_batch_slice(
-            &self.values,
-            &other.values,
-            self.x0,
-            self.dx,
-            xs,
-            va,
-            da,
-            vb,
-            db,
-        );
+        self.assert_same_grid(other);
+        for out in [&*va, &*da, &*vb, &*db] {
+            assert_eq!(xs.len(), out.len());
+        }
+        let full = xs.len() - xs.len() % BATCH_LANES;
+        for k in (0..full).step_by(BATCH_LANES) {
+            let w = k..k + BATCH_LANES;
+            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
+            let h = hermite_basis_lanes(&t);
+            self.eval_segment_lanes(
+                &seg,
+                &h,
+                lane_mut(&mut va[w.clone()]),
+                lane_mut(&mut da[w.clone()]),
+            );
+            other.eval_segment_lanes(&seg, &h, lane_mut(&mut vb[w.clone()]), lane_mut(&mut db[w]));
+        }
+        for j in full..xs.len() {
+            (va[j], da[j], vb[j], db[j]) = self.eval2(other, xs[j]);
+        }
+    }
+
+    /// Batched value-only lookup — the density-pass kernel (ρ
+    /// accumulation never reads f'(r)), which skips the derivative
+    /// combine. Values are bitwise identical to per-element
+    /// [`CompactTable::eval`] calls.
+    pub fn eval_values_batch(&self, xs: &[f64], val: &mut [f64]) {
+        assert_eq!(xs.len(), val.len());
+        let full = xs.len() - xs.len() % BATCH_LANES;
+        for start in (0..full).step_by(BATCH_LANES) {
+            let w = start..start + BATCH_LANES;
+            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
+            let h = hermite_value_basis_lanes(&t);
+            let (y0, y1, d0, d1) = self.gather_segment_lanes(&seg);
+            let out = lane_mut(&mut val[w]);
+            for k in 0..BATCH_LANES {
+                out[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
+            }
+        }
+        for j in full..xs.len() {
+            val[j] = self.eval(xs[j]);
+        }
     }
 }
 
@@ -577,6 +436,23 @@ mod tests {
         let trad = TraditionalTable::build(|x| x, 0.0, 1.0, PAPER_TABLE_N);
         assert!(trad.memory_bytes() > ldm);
         assert_eq!(trad.memory_bytes(), 7 * t.memory_bytes());
+    }
+
+    #[test]
+    fn slope_memo_is_the_stencil_at_every_knot() {
+        // Interior knots take the Fig. 5 stencil, knots 0, 1, n−2 and
+        // n−1 the one-sided ones; the memo must hold each one's bits.
+        let f = |x: f64| (1.3 * x).sin() * (-0.4 * x).exp() + 0.1 * x;
+        for n in [6, 7, 64, PAPER_TABLE_N] {
+            let t = CompactTable::build(f, 0.5, 5.0, n);
+            assert_eq!(t.slopes.len(), n);
+            for i in 0..n {
+                let stencil = knot_deriv(&t.values, i, t.dx) * t.dx;
+                assert_eq!(t.slopes[i].to_bits(), stencil.to_bits(), "n {n} knot {i}");
+            }
+            // The memo is host state: the table still prices its values.
+            assert_eq!(t.memory_bytes(), 8 * n);
+        }
     }
 
     #[test]
@@ -659,10 +535,10 @@ mod tests {
             let mut db = vec![0.0; len];
             a.eval2_batch(&b, &xs, &mut va, &mut da, &mut vb, &mut db);
             let mut vals = vec![0.0; len];
-            CompactTable::eval_values_batch_slice(&a.values, a.x0, a.dx, &xs, &mut vals);
+            a.eval_values_batch(&xs, &mut vals);
             let mut v1 = vec![0.0; len];
             let mut d1 = vec![0.0; len];
-            CompactTable::eval_batch_slice(&a.values, a.x0, a.dx, &xs, &mut v1, &mut d1);
+            a.eval_batch(&xs, &mut v1, &mut d1);
             for (j, &x) in xs.iter().enumerate() {
                 let (sva, sda, svb, sdb) = a.eval2(&b, x);
                 assert_eq!(va[j], sva, "len {len} lane {j}");
@@ -680,7 +556,7 @@ mod tests {
     fn eval_slice_matches_owned() {
         let t = CompactTable::build(|x| x * x, 0.0, 3.0, 128);
         let (v1, d1) = t.eval_both(1.718);
-        let (v2, d2) = CompactTable::eval_slice(&t.values, t.x0, t.dx, 1.718);
+        let (v2, d2) = CompactTable::eval_slice(&t.values, &t.slopes, t.x0, t.dx, 1.718);
         assert_eq!(v1, v2);
         assert_eq!(d1, d2);
     }

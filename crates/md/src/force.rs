@@ -204,7 +204,7 @@ pub struct PartnerSq {
 /// expression every sweep and the force pass compute a pair's geometry
 /// with, so a recomputed distance has the bits of the swept one.
 #[inline]
-fn separation(cpos: [f64; 3], ppos: [f64; 3]) -> ([f64; 3], f64) {
+pub(crate) fn separation(cpos: [f64; 3], ppos: [f64; 3]) -> ([f64; 3], f64) {
     let dx = [cpos[0] - ppos[0], cpos[1] - ppos[1], cpos[2] - ppos[2]];
     (dx, dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2])
 }

@@ -15,37 +15,44 @@
 //! sweeps (pair sweep, then density-gradient sweep), because two 39 KiB
 //! tables plus block buffers cannot coexist in the 64 KB local store.
 //! That is a constraint of the modelled machine, not of the host, so
-//! the host runs them as **one** launch: each CPE carries one
-//! [`CpeCtx`] per modelled sweep, walks each central's partners once,
-//! evaluates pair and density through one fused lookup
-//! ([`CompactTable::eval2_slice`] / `eval2_batch_slice`) into separate
-//! accumulators, and charges each context exactly the sequence its own
-//! sweep would be charged. Every bit and every virtual number equals
-//! the two launches' (DESIGN §6.22; the two-launch oracle is kept under
+//! the host runs them as **one** launch. The two sweeps keep tables of
+//! one length resident and see the same partners over the same blocks,
+//! so they receive identical charges: each CPE charges one [`CpeCtx`],
+//! and the launch reports it as both sweeps. The host walks each
+//! central's partners once and evaluates pair and density through one
+//! fused lookup ([`CompactTable::eval2_batch`]) into separate
+//! accumulators. Every bit and every virtual number equals the two
+//! launches' (DESIGN §6.22; the two-launch oracle is kept under
 //! `#[cfg(test)]`). The traditional force sweep evaluates pair and
 //! density in one fused lookup in the model too — the tables share a
 //! knot grid, so one segment locate serves both rows
 //! ([`EamPotential::pair_density`] on the host,
 //! `charge_table_access(LOCATE, SEG_EVAL, 2)` here).
 //!
+//! Every configuration stages a central's partners into one
+//! structure-of-arrays window ([`BATCH_GATHER_CAP`] lanes, in
+//! [`for_each_partner`] order) and evaluates it through the lane
+//! kernels; the configuration decides only what is charged.
+//!
 //! The three optimisation axes of Fig. 9:
 //! * [`mmds_eam::TableForm`]: `Traditional` gathers one 56 B coefficient
 //!   row per table access; `Compacted` holds the 39 KiB value table
 //!   resident (its bytes reserved in the capacity-enforced store, the
 //!   host reading the table in place) and reconstructs coefficients on
-//!   the fly.
+//!   the fly — in the model; the host reads the knot slopes from the
+//!   table's memo (DESIGN §6.17).
 //! * `data_reuse`: the previous block's edge atoms stay in the local
 //!   store, so backward halo references are free.
 //! * `double_buffer`: block staging DMA overlaps compute (Fig. 6).
 
 use mmds_eam::compact::{CompactTable, RECON_EXTRA_FLOPS};
 use mmds_eam::spline::{TraditionalTable, PAPER_TABLE_N};
-use mmds_eam::{EamPotential, TableForm, LOCATE_FLOPS, SEG_EVAL_FLOPS};
+use mmds_eam::{EamPotential, TableForm, BATCH_LANES, LOCATE_FLOPS, SEG_EVAL_FLOPS};
 use mmds_lattice::lnl::LatticeNeighborList;
-use mmds_sunway::{ClusterReport, CpeCluster, CpeCtx, LdmPlan, LsReservation, LsView, SwModel};
+use mmds_sunway::{ClusterReport, CpeCluster, CpeCtx, LdmPlan, SwModel};
 use serde::{Deserialize, Serialize};
 
-use crate::force::{for_each_partner, Central, Partner, BATCH_GATHER_CAP};
+use crate::force::{for_each_partner, separation, Central, BATCH_GATHER_CAP};
 
 /// Flops charged for computing one pair separation (r², √).
 const R_FLOPS: u64 = 18;
@@ -181,7 +188,7 @@ impl OffloadConfig {
     /// plans are declared symbolically from the plan constants (`knots`,
     /// `block_sites`, the buffering flags); the `mmds-audit` budget
     /// prover checks them against [`SwModel::sw26010`]`.ldm_bytes`. The
-    /// kernels below reserve the same bytes per sweep context in the
+    /// kernels below reserve the same bytes per launch in the
     /// capacity-enforced store, so [`ClusterReport::ldm_high_water`] can
     /// never exceed the declared plan.
     pub fn ldm_plans(&self, label: &str, knots: usize) -> Vec<LdmPlan> {
@@ -222,22 +229,22 @@ impl OffloadConfig {
     }
 }
 
-/// What one CPE launch computes. A launch gives every CPE one context
-/// per *modelled* sweep and charges each context exactly what its sweep
-/// would be charged launched on its own; the host walks each central's
-/// partners once, whatever the number of contexts.
+/// What one CPE launch computes. A launch charges one context per CPE
+/// exactly what the modelled sweep is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Sweep {
-    /// ρ accumulation, density table resident in compacted mode. One
-    /// context.
+    /// ρ accumulation, density table resident in compacted mode.
     Density,
     /// Traditional force: pair and density rows gathered per partner,
-    /// ONE locate serving both segment evaluations (host parity). One
-    /// context.
+    /// ONE locate serving both segment evaluations (host parity).
     ForceBoth,
-    /// Compacted force: the paper's pair sweep (context 0, pair table
-    /// resident) and density-gradient sweep (context 1, density table
-    /// resident), walked once through one fused lookup per partner.
+    /// Compacted force: the paper's pair sweep (pair table resident)
+    /// and density-gradient sweep (density table resident). Both keep a
+    /// table of one length resident and see the same partners over the
+    /// same blocks, so they are charged identically: one context is
+    /// charged and reported as both. The host evaluates both tables
+    /// through one fused lookup per partner, into separate pair and
+    /// gradient terms.
     ForceCompacted,
     /// The pair sweep launched on its own (the two-sweep oracle).
     #[cfg(test)]
@@ -257,12 +264,14 @@ impl Sweep {
         }
     }
 
-    /// The compacted table context `k` keeps resident.
-    fn resident(self, pot: &EamPotential, k: usize) -> &CompactTable {
-        match (self, k) {
-            (Sweep::ForceCompacted, 0) => &pot.comp_pair,
+    /// The compacted table the charged context keeps resident. The
+    /// fused force charges its pair table for both sweeps; the density
+    /// table has the same length ([`force_sweeps`] asserts it).
+    fn resident(self, pot: &EamPotential) -> &CompactTable {
+        match self {
+            Sweep::ForceCompacted => &pot.comp_pair,
             #[cfg(test)]
-            (Sweep::ForcePair, _) => &pot.comp_pair,
+            Sweep::ForcePair => &pot.comp_pair,
             _ => &pot.comp_density,
         }
     }
@@ -279,73 +288,110 @@ fn reach_flat(l: &LatticeNeighborList) -> usize {
         .unwrap_or(0)
 }
 
-/// Where one slab's results go: ρ per site, or one force term per
-/// context per site plus the slab's ½Σφ.
-enum SlabOut<'a, const K: usize> {
+/// Where one slab's results go: ρ per site, or per site a force term
+/// and a density-gradient term (the latter written by the compacted
+/// force only), plus the slab's ½Σφ.
+enum SlabOut<'a> {
     Rho(&'a mut [f64]),
     Force {
-        force: &'a mut [[[f64; 3]; K]],
+        force: &'a mut [[[f64; 3]; 2]],
         pair: &'a mut f64,
     },
 }
 
-struct SlabItem<'a, const K: usize> {
+struct SlabItem<'a> {
     sites: &'a [usize],
-    out: SlabOut<'a, K>,
+    out: SlabOut<'a>,
 }
 
-/// One central's running sums, accumulated in partner order: ρ, or one
-/// force term per context (pair, density gradient) and ½Σφ.
-struct CentralSums<const K: usize> {
+/// One central's running sums, accumulated in partner order: ρ, the
+/// force term and the density-gradient term, and ½Σφ.
+#[derive(Default)]
+struct CentralSums {
     rho: f64,
-    force: [[f64; 3]; K],
+    force: [[f64; 3]; 2],
     pair: f64,
 }
 
-impl<const K: usize> CentralSums<K> {
-    fn new() -> Self {
-        Self {
-            rho: 0.0,
-            force: [[0.0; 3]; K],
-            pair: 0.0,
-        }
-    }
+/// One regular central's partners, staged in [`for_each_partner`] order
+/// as structure-of-arrays lanes of at most [`BATCH_GATHER_CAP`] — the
+/// CPE twin of the host passes' staging window, and in the batched
+/// configurations the lane buffers the LDM plan reserves.
+struct LaneWindow {
+    /// `central_pos − partner_pos`, one lane array per axis.
+    d: [[f64; BATCH_GATHER_CAP]; 3],
+    /// r² as staged; r when the window flushes.
+    r: [f64; BATCH_GATHER_CAP],
+    /// The partner's F′.
+    fp: [f64; BATCH_GATHER_CAP],
+    /// The storage site the partner lives at, and whether it is a
+    /// run-away record (the halo fetch's key).
+    site: [usize; BATCH_GATHER_CAP],
+    runaway: [bool; BATCH_GATHER_CAP],
+    /// Accepted partners.
+    n: usize,
 }
 
-/// SoA staging buffers for one central's partners in a batched sweep —
-/// the CPE twin of the host gather plan's per-partner record (r, Δ
-/// components, partner F'), capped at [`BATCH_GATHER_CAP`] and flushed
-/// through the lane kernels when full. Staged once per partner, read by
-/// every context's lookup.
-struct BatchStage {
-    rs: [f64; BATCH_GATHER_CAP],
-    dxs: [f64; BATCH_GATHER_CAP],
-    dys: [f64; BATCH_GATHER_CAP],
-    dzs: [f64; BATCH_GATHER_CAP],
-    fps: [f64; BATCH_GATHER_CAP],
-}
-
-impl BatchStage {
+impl LaneWindow {
     fn new() -> Self {
         Self {
-            rs: [0.0; BATCH_GATHER_CAP],
-            dxs: [0.0; BATCH_GATHER_CAP],
-            dys: [0.0; BATCH_GATHER_CAP],
-            dzs: [0.0; BATCH_GATHER_CAP],
-            fps: [0.0; BATCH_GATHER_CAP],
+            d: [[0.0; BATCH_GATHER_CAP]; 3],
+            r: [0.0; BATCH_GATHER_CAP],
+            fp: [0.0; BATCH_GATHER_CAP],
+            site: [0; BATCH_GATHER_CAP],
+            runaway: [false; BATCH_GATHER_CAP],
+            n: 0,
         }
     }
 
-    fn put(&mut self, k: usize, p: &Partner) {
-        self.rs[k] = p.r;
-        self.dxs[k] = p.dx[0];
-        self.dys[k] = p.dx[1];
-        self.dzs[k] = p.dx[2];
-        self.fps[k] = p.fp;
+    /// Stages the partners of the regular atom at site `s` — its own
+    /// chain, then each flat delta's atom and chain, the walk of
+    /// [`for_each_partner`] — and hands every full window, and the last
+    /// partial one, to `flush` with r in place of r². Every candidate is
+    /// written; the window advances only past an occupied one inside
+    /// the cutoff, so the distance test costs no branch.
+    fn walk(
+        &mut self,
+        l: &LatticeNeighborList,
+        s: usize,
+        cut2: f64,
+        mut flush: impl FnMut(&LaneWindow),
+    ) {
+        debug_assert!(l.id[s] >= 0, "central site {s} is a vacancy");
+        let cpos = l.pos[s];
+        let mut put = |w: &mut Self, ppos: [f64; 3], fp: f64, site: usize, runaway: bool, live| {
+            let (k, (d, r2)) = (w.n, separation(cpos, ppos));
+            for ax in 0..3 {
+                w.d[ax][k] = d[ax];
+            }
+            (w.r[k], w.fp[k], w.site[k], w.runaway[k]) = (r2, fp, site, runaway);
+            w.n += usize::from(live & (r2 > 1e-12) & (r2 <= cut2));
+            if w.n == BATCH_GATHER_CAP {
+                w.emit(&mut flush);
+            }
+        };
+        for (_, rec) in l.chain(s) {
+            put(self, rec.pos, rec.fp, s, true, true);
+        }
+        for &delta in l.neighbor_deltas(s) {
+            let nid = (s as isize + delta) as usize;
+            put(self, l.pos[nid], l.fp[nid], nid, false, l.id[nid] >= 0);
+            for (_, rec) in l.chain(nid) {
+                put(self, rec.pos, rec.fp, nid, true, true);
+            }
+        }
+        if self.n > 0 {
+            self.emit(&mut flush);
+        }
     }
 
-    fn dx(&self, k: usize) -> [f64; 3] {
-        [self.dxs[k], self.dys[k], self.dzs[k]]
+    /// Takes the square roots in lanes, flushes, and empties the window.
+    fn emit(&mut self, flush: &mut impl FnMut(&LaneWindow)) {
+        for r in &mut self.r[..self.n] {
+            *r = r.sqrt();
+        }
+        flush(self);
+        self.n = 0;
     }
 }
 
@@ -354,8 +400,7 @@ impl BatchStage {
 /// of the block, each in two planes (the site's regular atom, and the
 /// run-aways anchored there, which travel as one fetch). A bitmap
 /// indexed relative to the block's window: no hashing on a path that
-/// runs for roughly every second partner of every central. One set
-/// serves every context of a launch: their sweeps fetch the same halo.
+/// runs for roughly every second partner of every central.
 #[derive(Default)]
 struct HaloSeen {
     bits: Vec<u64>,
@@ -382,214 +427,140 @@ impl HaloSeen {
     }
 }
 
-/// The resident tables of a compacted launch, one per context, sharing
-/// one knot grid (`x0`, `dx`).
-struct Tables<'t, const K: usize> {
-    values: [&'t [f64]; K],
-    x0: f64,
-    dx: f64,
-}
-
-/// One partner, scalar path: each context's table lookup charged as its
-/// sweep would charge it, the result folded into `sums`.
-fn partner_lookup<const K: usize>(
-    ctxs: &mut [CpeCtx; K],
-    sweep: Sweep,
-    pot: &EamPotential,
-    tables: Option<&Tables<'_, K>>,
-    fp_c: f64,
-    p: &Partner,
-    sums: &mut CentralSums<K>,
-) {
-    let Some(t) = tables else {
+/// One scalar table access as the modelled sweep charges it, after the
+/// partner's `R_FLOPS` and halo fetch.
+fn charge_scalar_access(ctx: &mut CpeCtx, form: TableForm, sweep: Sweep) {
+    match (form, sweep) {
+        (TableForm::Compacted, _) => {
+            ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1)
+        }
         // Traditional rows: every access gathers its coefficient rows.
-        let ctx = &mut ctxs[0];
-        if sweep == Sweep::Density {
+        (TableForm::Traditional, Sweep::Density) => {
             ctx.charge_dma_gather(TraditionalTable::ROW_BYTES);
             ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 1);
-            sums.rho += pot.trad_density.eval(p.r);
-        } else {
-            // Fused lookup: the pair and density rows are still two
-            // gathers, but ONE locate serves both segment evaluations.
+        }
+        // Fused lookup: the pair and density rows are still two
+        // gathers, but ONE locate serves both segment evaluations.
+        (TableForm::Traditional, _) => {
             ctx.charge_dma_gather(2 * TraditionalTable::ROW_BYTES);
             ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 2);
-            let (phi, dphi, _, df) = pot.trad_pair.eval2(&pot.trad_density, p.r);
-            sums.pair += 0.5 * phi;
-            let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
-            for ax in 0..3 {
-                sums.force[0][ax] += scale * p.dx[ax];
-            }
         }
-        return;
-    };
-    // Resident tables: each context's sweep does one compacted lookup.
-    for ctx in ctxs.iter_mut() {
+    }
+}
+
+/// Charges one batched window's table accesses against the resident
+/// table: one batch token per full lane group and a scalar access per
+/// ragged-tail element (same flop totals as the scalar sweep,
+/// reconciled by the `mmds-audit` flop ledger).
+fn charge_window_batches(ctx: &mut CpeCtx, n: usize) {
+    for _ in 0..n / BATCH_LANES {
+        ctx.charge_table_batch(
+            LOCATE_FLOPS,
+            SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS,
+            1,
+            BATCH_LANES as u64,
+        );
+    }
+    for _ in 0..n % BATCH_LANES {
         ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1);
     }
-    let (x0, dx) = (t.x0, t.dx);
-    match sweep {
-        Sweep::Density => sums.rho += CompactTable::eval_slice(t.values[0], x0, dx, p.r).0,
-        Sweep::ForceCompacted => {
-            let (phi, dphi, _, df) =
-                CompactTable::eval2_slice(t.values[0], t.values[1], x0, dx, p.r);
-            sums.pair += 0.5 * phi;
-            let pair_scale = -dphi / p.r;
-            let grad_scale = -((fp_c + p.fp) * df) / p.r;
-            for ax in 0..3 {
-                sums.force[0][ax] += pair_scale * p.dx[ax];
-                sums.force[1][ax] += grad_scale * p.dx[ax];
-            }
-        }
-        #[cfg(test)]
-        Sweep::ForcePair => {
-            let (phi, dphi) = CompactTable::eval_slice(t.values[0], x0, dx, p.r);
-            sums.pair += 0.5 * phi;
-            let scale = -dphi / p.r;
-            for ax in 0..3 {
-                sums.force[0][ax] += scale * p.dx[ax];
-            }
-        }
-        #[cfg(test)]
-        Sweep::ForceDensity => {
-            let (_, df) = CompactTable::eval_slice(t.values[0], x0, dx, p.r);
-            let scale = -((fp_c + p.fp) * df) / p.r;
-            for ax in 0..3 {
-                sums.force[0][ax] += scale * p.dx[ax];
-            }
-        }
-        Sweep::ForceBoth => unreachable!("traditional sweeps gather their rows"),
-    }
 }
 
-/// Evaluates one staged batch against the resident tables and folds the
-/// results into the central's sums **in partner order** — the batch
-/// kernels replay the scalar expressions per element, so the bits match
-/// the scalar sweep exactly. Each context is charged one batch token per
-/// full lane group and a scalar table access per ragged-tail element
-/// (same flop totals as the scalar sweep, reconciled by the
-/// `mmds-audit` flop ledger).
-fn flush_table_batch<const K: usize>(
-    ctxs: &mut [CpeCtx; K],
+/// Evaluates one window and folds it into the central's sums **in
+/// partner order**. The batch kernels replay the scalar lookups per
+/// lane and the divisions by r run as lane loops ahead of the ordered
+/// accumulation, so every bit equals a partner-at-a-time sweep's.
+fn evaluate(
+    pot: &EamPotential,
+    form: TableForm,
     sweep: Sweep,
-    t: &Tables<'_, K>,
     fp_c: f64,
-    stage: &BatchStage,
-    n: usize,
-    sums: &mut CentralSums<K>,
+    w: &LaneWindow,
+    sums: &mut CentralSums,
 ) {
-    let full = n - n % mmds_eam::BATCH_LANES;
-    for ctx in ctxs.iter_mut() {
-        for _ in 0..full / mmds_eam::BATCH_LANES {
-            ctx.charge_table_batch(
-                LOCATE_FLOPS,
-                SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS,
-                1,
-                mmds_eam::BATCH_LANES as u64,
-            );
+    let n = w.n;
+    let rs = &w.r[..n];
+    let [mut phi, mut dphi, mut f, mut df] = [[0.0; BATCH_GATHER_CAP]; 4];
+    match (sweep, form) {
+        (Sweep::Density, TableForm::Compacted) => {
+            pot.comp_density.eval_values_batch(rs, &mut f[..n])
         }
-        for _ in full..n {
-            ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1);
-        }
-    }
-    let (x0, dx) = (t.x0, t.dx);
-    let rs = &stage.rs[..n];
-    let mut val = [0.0; BATCH_GATHER_CAP];
-    let mut der = [0.0; BATCH_GATHER_CAP];
-    match sweep {
-        Sweep::Density => {
-            CompactTable::eval_values_batch_slice(t.values[0], x0, dx, rs, &mut val[..n]);
-            for f_r in &val[..n] {
-                sums.rho += f_r;
-            }
-        }
-        Sweep::ForceCompacted => {
-            let mut f = [0.0; BATCH_GATHER_CAP];
-            let mut df = [0.0; BATCH_GATHER_CAP];
-            CompactTable::eval2_batch_slice(
-                t.values[0],
-                t.values[1],
-                x0,
-                dx,
-                rs,
-                &mut val[..n],
-                &mut der[..n],
-                &mut f[..n],
-                &mut df[..n],
-            );
-            for k in 0..n {
-                sums.pair += 0.5 * val[k];
-                let pair_scale = -der[k] / rs[k];
-                let grad_scale = -((fp_c + stage.fps[k]) * df[k]) / rs[k];
-                let d = stage.dx(k);
-                for ax in 0..3 {
-                    sums.force[0][ax] += pair_scale * d[ax];
-                    sums.force[1][ax] += grad_scale * d[ax];
-                }
-            }
+        (Sweep::Density, TableForm::Traditional) => {
+            pot.trad_density.eval_batch(rs, &mut f[..n], &mut df[..n])
         }
         #[cfg(test)]
-        Sweep::ForcePair | Sweep::ForceDensity => {
-            CompactTable::eval_batch_slice(t.values[0], x0, dx, rs, &mut val[..n], &mut der[..n]);
-            for k in 0..n {
-                let scale = if sweep == Sweep::ForcePair {
-                    sums.pair += 0.5 * val[k];
-                    -der[k] / rs[k]
-                } else {
-                    -((fp_c + stage.fps[k]) * der[k]) / rs[k]
-                };
-                let d = stage.dx(k);
-                for ax in 0..3 {
-                    sums.force[0][ax] += scale * d[ax];
-                }
+        (Sweep::ForcePair, _) => pot.comp_pair.eval_batch(rs, &mut phi[..n], &mut dphi[..n]),
+        #[cfg(test)]
+        (Sweep::ForceDensity, _) => pot.comp_density.eval_batch(rs, &mut f[..n], &mut df[..n]),
+        _ => pot.pair_density_batch(
+            form,
+            rs,
+            &mut phi[..n],
+            &mut dphi[..n],
+            &mut f[..n],
+            &mut df[..n],
+        ),
+    }
+    if sweep == Sweep::Density {
+        for f_r in &f[..n] {
+            sums.rho += f_r;
+        }
+        return;
+    }
+    // −φ′/r and the gradient scale −(F′ᵢ + F′ⱼ)·f′/r, as lane divisions:
+    // summed into one term (traditional), kept apart (compacted), or
+    // one of the two alone (the oracle's sweeps).
+    let mut scale = [[0.0; BATCH_GATHER_CAP]; 2];
+    for k in 0..n {
+        let gradient = (fp_c + w.fp[k]) * df[k];
+        (scale[0][k], scale[1][k]) = match sweep {
+            Sweep::ForceBoth => (-(dphi[k] + gradient) / rs[k], 0.0),
+            #[cfg(test)]
+            Sweep::ForceDensity => (-gradient / rs[k], 0.0),
+            _ => (-dphi[k] / rs[k], -gradient / rs[k]),
+        };
+    }
+    for k in 0..n {
+        sums.pair += 0.5 * phi[k];
+        for (term, scale) in sums.force.iter_mut().zip(&scale) {
+            for ax in 0..3 {
+                term[ax] += scale[k] * w.d[ax][k];
             }
         }
-        Sweep::ForceBoth => unreachable!("traditional sweeps are never batched"),
     }
 }
 
-/// Charges + computes one slab of `sweep` on one CPE's `K` contexts,
-/// writing per-site outputs. Block staging, halo fetches and partner
-/// staging happen once; every charge is issued to every context, so
-/// each context sees the exact sequence its own sweep would.
-fn slab_kernel<const K: usize>(
-    ctxs: &mut [CpeCtx; K],
+/// Charges + computes one slab of `sweep` on one CPE, writing per-site
+/// outputs. Per window the charges go out in window order per partner
+/// — `R_FLOPS`, the halo first fetch, then (scalar configurations) the
+/// table access — and the batch tokens after them: each of the
+/// context's three accumulators (compute, gather, stream) sees the
+/// operands of a partner-at-a-time sweep in that sweep's order.
+fn slab_kernel(
+    ctx: &mut CpeCtx,
     l: &LatticeNeighborList,
     pot: &EamPotential,
     cfg: &OffloadConfig,
     sweep: Sweep,
     reach: usize,
-    mut item: SlabItem<'_, K>,
+    mut item: SlabItem<'_>,
 ) {
-    let cutoff = pot.cutoff();
+    let cut2 = pot.cutoff() * pot.cutoff();
     let compacted = cfg.form == TableForm::Compacted;
-    // Each context's resident table: its bytes reserved and its bulk
-    // DMA charged, read in place (capacity enforced, nothing copied).
-    let resident: [Option<LsView<'_, f64>>; K] = std::array::from_fn(|k| {
-        compacted.then(|| {
-            ctxs[k]
-                .load_resident_table(&sweep.resident(pot, k).values)
-                .expect("a compacted table fits in the local store")
-        })
+    // The resident table: its bytes reserved and its bulk DMA charged.
+    // The lookups read the host table in place, slope memo included.
+    let _resident = compacted.then(|| {
+        ctx.load_resident_table(sweep.resident(pot).values())
+            .expect("a compacted table fits in the local store")
     });
     // The 273 KiB traditional table cannot be resident — prove it.
     debug_assert!(
         compacted
-            || ctxs[0]
+            || ctx
                 .local_store()
                 .reserve(pot.trad_pair.memory_bytes())
                 .is_err()
     );
-    let tables = compacted.then(|| {
-        debug_assert_eq!(pot.comp_pair.x0, pot.comp_density.x0, "one knot grid");
-        debug_assert_eq!(pot.comp_pair.dx, pot.comp_density.dx, "one knot grid");
-        Tables {
-            values: resident
-                .each_ref()
-                .map(|t| t.as_deref().unwrap_or_default()),
-            x0: pot.comp_density.x0,
-            dx: pot.comp_density.dx,
-        }
-    });
     // Block I/O buffers (positions in, results out), the double-buffer
     // shadows, the ghost-reuse margin and — with a resident table to
     // evaluate against — the batch lanes. The kernel reads main memory
@@ -604,17 +575,13 @@ fn slab_kernel<const K: usize>(
             0
         }
         + if use_batch { 9 * BATCH_GATHER_CAP } else { 0 };
-    let _buffers: [LsReservation; K] = std::array::from_fn(|k| {
-        ctxs[k]
-            .reserve_f64(words)
-            .expect("block buffers, shadows, reuse margin and lanes fit in the local store")
-    });
+    let _buffers = ctx
+        .reserve_f64(words)
+        .expect("block buffers, shadows, reuse margin and lanes fit in the local store");
 
     let mut halo_seen = HaloSeen::default();
-    let mut stage = BatchStage::new();
-    for ctx in ctxs.iter_mut() {
-        ctx.begin_blocks(cfg.double_buffer);
-    }
+    let mut window = LaneWindow::new();
+    ctx.begin_blocks(cfg.double_buffer);
     let nblocks = item.sites.len().div_ceil(cfg.block_sites).max(1);
     for (bi, block) in item.sites.chunks(cfg.block_sites.max(1)).enumerate() {
         let blk_lo = block[0];
@@ -627,53 +594,37 @@ fn slab_kernel<const K: usize>(
             blk_lo
         };
         // Stage the block in.
-        for ctx in ctxs.iter_mut() {
-            ctx.charge_dma_get(block.len() * STAGE_BYTES_PER_SITE);
-        }
+        ctx.charge_dma_get(block.len() * STAGE_BYTES_PER_SITE);
         let base = bi * cfg.block_sites;
         for (oi, &s) in block.iter().enumerate() {
             if l.id[s] < 0 {
                 // A vacancy: its output stays the zero it starts as.
                 continue;
             }
-            for ctx in ctxs.iter_mut() {
-                ctx.charge_flops(ATOM_FLOPS);
-            }
+            ctx.charge_flops(ATOM_FLOPS);
             let fp_c = l.fp[s];
-            let mut sums = CentralSums::new();
-            let mut staged = 0;
-            for_each_partner(l, Central::Site(s), cutoff, |p| {
-                for ctx in ctxs.iter_mut() {
+            let mut sums = CentralSums::default();
+            window.walk(l, s, cut2, |w| {
+                for k in 0..w.n {
                     ctx.charge_flops(R_FLOPS);
-                }
-                // Halo position fetch: once per distinct off-window site
-                // per block (it stays in the local store afterwards).
-                if (p.is_runaway || p.site < window_lo || p.site > blk_hi)
-                    && halo_seen.insert(p.site, p.is_runaway)
-                {
-                    for ctx in ctxs.iter_mut() {
+                    // Halo position fetch: once per distinct off-window
+                    // site per block (it stays in the local store
+                    // afterwards).
+                    let (site, runaway) = (w.site[k], w.runaway[k]);
+                    if (runaway || site < window_lo || site > blk_hi)
+                        && halo_seen.insert(site, runaway)
+                    {
                         ctx.charge_dma_gather(STAGE_BYTES_PER_SITE);
                     }
-                }
-                match &tables {
-                    // Batched: stage, flush through the batch kernels at
-                    // the cap and at the end — identical partner order,
-                    // identical bits.
-                    Some(t) if use_batch => {
-                        stage.put(staged, &p);
-                        staged += 1;
-                        if staged == BATCH_GATHER_CAP {
-                            flush_table_batch(ctxs, sweep, t, fp_c, &stage, staged, &mut sums);
-                            staged = 0;
-                        }
+                    if !use_batch {
+                        charge_scalar_access(ctx, cfg.form, sweep);
                     }
-                    t => partner_lookup(ctxs, sweep, pot, t.as_ref(), fp_c, &p, &mut sums),
                 }
+                if use_batch {
+                    charge_window_batches(ctx, w.n);
+                }
+                evaluate(pot, cfg.form, sweep, fp_c, w, &mut sums);
             });
-            if staged > 0 {
-                let t = tables.as_ref().expect("only resident-table lookups stage");
-                flush_table_batch(ctxs, sweep, t, fp_c, &stage, staged, &mut sums);
-            }
             let o = base + oi;
             match &mut item.out {
                 SlabOut::Rho(rho) => rho[o] = sums.rho,
@@ -684,18 +635,12 @@ fn slab_kernel<const K: usize>(
             }
         }
         // Stage the block's results out.
-        for ctx in ctxs.iter_mut() {
-            ctx.charge_dma_put(block.len() * 8 * sweep.out_words());
-        }
+        ctx.charge_dma_put(block.len() * 8 * sweep.out_words());
         if bi + 1 < nblocks {
-            for ctx in ctxs.iter_mut() {
-                ctx.next_block();
-            }
+            ctx.next_block();
         }
     }
-    for ctx in ctxs.iter_mut() {
-        ctx.finish_blocks();
-    }
+    ctx.finish_blocks();
 }
 
 /// Sites per slab: the interior split evenly over the cluster's CPEs.
@@ -704,17 +649,17 @@ fn slab_len(interior: &[usize], cluster: &CpeCluster) -> usize {
 }
 
 /// One CPE launch of `sweep` over the slabs in `items`.
-fn launch<const K: usize>(
+fn launch(
     l: &LatticeNeighborList,
     pot: &EamPotential,
     cluster: &CpeCluster,
     cfg: &OffloadConfig,
     sweep: Sweep,
-    items: Vec<SlabItem<'_, K>>,
-) -> [ClusterReport; K] {
+    items: Vec<SlabItem<'_>>,
+) -> ClusterReport {
     let reach = reach_flat(l);
-    cluster.run(items, |ctxs, item| {
-        slab_kernel(ctxs, l, pot, cfg, sweep, reach, item)
+    cluster.run(items, |ctx, item| {
+        slab_kernel(ctx, l, pot, cfg, sweep, reach, item)
     })
 }
 
@@ -736,27 +681,27 @@ fn density_sweep(
             out: SlabOut::Rho(rho),
         })
         .collect();
-    let [report] = launch(l, pot, cluster, cfg, Sweep::Density, items);
+    let report = launch(l, pot, cluster, cfg, Sweep::Density, items);
     for (&s, rho) in interior.iter().zip(rho) {
         l.rho[s] = rho;
     }
     report
 }
 
-/// A force launch of `K` contexts, one force term each. The MPE sets
-/// each site's force to context 0's term, then adds each later
-/// context's — the order the separate sweeps' scatters ran in.
-/// Returns the contexts' reports and ½Σφ.
-fn force_sweep<const K: usize>(
+/// A force launch. The MPE sets each site's force to its force term,
+/// then, for the compacted force, adds the density-gradient term — the
+/// order the two modelled sweeps' scatters ran in. Returns the report
+/// and ½Σφ.
+fn force_sweep(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
     cluster: &CpeCluster,
     cfg: &OffloadConfig,
     interior: &[usize],
     sweep: Sweep,
-) -> ([ClusterReport; K], f64) {
+) -> (ClusterReport, f64) {
     let slab = slab_len(interior, cluster);
-    let mut force = vec![[[0.0f64; 3]; K]; interior.len()];
+    let mut force = vec![[[0.0f64; 3]; 2]; interior.len()];
     let mut pair = vec![0.0f64; interior.len().div_ceil(slab).max(1)];
     let items = interior
         .chunks(slab)
@@ -767,20 +712,20 @@ fn force_sweep<const K: usize>(
             out: SlabOut::Force { force, pair },
         })
         .collect();
-    let reports = launch(l, pot, cluster, cfg, sweep, items);
-    for (&s, terms) in interior.iter().zip(force) {
-        l.force[s] = terms[0];
-        for term in &terms[1..] {
+    let report = launch(l, pot, cluster, cfg, sweep, items);
+    for (&s, [term, gradient]) in interior.iter().zip(force) {
+        l.force[s] = term;
+        if sweep == Sweep::ForceCompacted {
             for ax in 0..3 {
-                l.force[s][ax] += term[ax];
+                l.force[s][ax] += gradient[ax];
             }
         }
     }
-    (reports, pair.iter().sum())
+    (report, pair.iter().sum())
 }
 
 /// The CPE force computation: one launch. The compacted form's two
-/// modelled sweeps are its two contexts, reported merged.
+/// modelled sweeps are charged as one context and reported merged.
 fn force_sweeps(
     l: &mut LatticeNeighborList,
     pot: &EamPotential,
@@ -789,14 +734,17 @@ fn force_sweeps(
     interior: &[usize],
 ) -> (ClusterReport, f64) {
     match cfg.form {
-        TableForm::Traditional => {
-            let ([report], pair) = force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceBoth);
-            (report, pair)
-        }
+        TableForm::Traditional => force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceBoth),
         TableForm::Compacted => {
-            let ([pair_sweep, gradient_sweep], pair) =
-                force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceCompacted);
-            (merge_reports(pair_sweep, gradient_sweep), pair)
+            assert!(
+                pot.comp_pair.n() == pot.comp_density.n(),
+                "one charged context stands for both compacted force sweeps only if their \
+                 resident tables have one length (pair {} knots, density {})",
+                pot.comp_pair.n(),
+                pot.comp_density.n()
+            );
+            let (sweep, pair) = force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceCompacted);
+            (merge_reports(sweep, sweep), pair)
         }
     }
 }
@@ -874,16 +822,19 @@ fn compute_forces_with(
     // Run-away densities on the MPE.
     let runaways = l.live_runaways();
     let cutoff = pot.cutoff();
-    let mut ra_rho = Vec::with_capacity(runaways.len());
-    for &i in &runaways {
-        let mut rho = 0.0;
-        for_each_partner(l, Central::Runaway(i), cutoff, |p| {
-            rho += pot.density(cfg.form, p.r).0;
-        });
-        ra_rho.push(rho);
-    }
-    for (&i, rho) in runaways.iter().zip(ra_rho) {
-        l.runaway_mut(i).rho = rho;
+    {
+        let _span = mmds_telemetry::span!("md.offload.runaways");
+        let mut ra_rho = Vec::with_capacity(runaways.len());
+        for &i in &runaways {
+            let mut rho = 0.0;
+            for_each_partner(l, Central::Runaway(i), cutoff, |p| {
+                rho += pot.density(cfg.form, p.r).0;
+            });
+            ra_rho.push(rho);
+        }
+        for (&i, rho) in runaways.iter().zip(ra_rho) {
+            l.runaway_mut(i).rho = rho;
+        }
     }
     let embed_energy =
         crate::force::embedding_pass_with(l, pot, cfg.form, interior, Default::default());
@@ -893,22 +844,25 @@ fn compute_forces_with(
         force_step(l, pot, cluster, cfg, interior)
     };
     // Run-away forces on the MPE.
-    let mut ra_force = Vec::with_capacity(runaways.len());
-    for &i in &runaways {
-        let fp_c = l.runaway(i).fp;
-        let mut fv = [0.0; 3];
-        for_each_partner(l, Central::Runaway(i), cutoff, |p| {
-            let (phi, dphi, _, df) = pot.pair_density(cfg.form, p.r);
-            pair_energy += 0.5 * phi;
-            let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
-            for ax in 0..3 {
-                fv[ax] += scale * p.dx[ax];
-            }
-        });
-        ra_force.push(fv);
-    }
-    for (&i, fv) in runaways.iter().zip(ra_force) {
-        l.runaway_mut(i).force = fv;
+    {
+        let _span = mmds_telemetry::span!("md.offload.runaways");
+        let mut ra_force = Vec::with_capacity(runaways.len());
+        for &i in &runaways {
+            let fp_c = l.runaway(i).fp;
+            let mut fv = [0.0; 3];
+            for_each_partner(l, Central::Runaway(i), cutoff, |p| {
+                let (phi, dphi, _, df) = pot.pair_density(cfg.form, p.r);
+                pair_energy += 0.5 * phi;
+                let scale = -(dphi + (fp_c + p.fp) * df) / p.r;
+                for ax in 0..3 {
+                    fv[ax] += scale * p.dx[ax];
+                }
+            });
+            ra_force.push(fv);
+        }
+        for (&i, fv) in runaways.iter().zip(ra_force) {
+            l.runaway_mut(i).force = fv;
+        }
     }
     OffloadOutcome {
         density: density_rep,
@@ -997,10 +951,9 @@ mod tests {
         if cfg.form == TableForm::Traditional {
             return force_sweeps(l, pot, cluster, cfg, interior);
         }
-        let ([pair_sweep], pair) = force_sweep(l, pot, cluster, cfg, interior, Sweep::ForcePair);
+        let (pair_sweep, pair) = force_sweep(l, pot, cluster, cfg, interior, Sweep::ForcePair);
         let pair_terms: Vec<[f64; 3]> = interior.iter().map(|&s| l.force[s]).collect();
-        let ([gradient_sweep], _) =
-            force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceDensity);
+        let (gradient_sweep, _) = force_sweep(l, pot, cluster, cfg, interior, Sweep::ForceDensity);
         for (&s, pair_term) in interior.iter().zip(pair_terms) {
             let gradient_term = l.force[s];
             l.force[s] = pair_term;
@@ -1415,6 +1368,114 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore)]
     fn fused_force_sweep_matches_two_sweeps_at_production_shape() {
         assert_fused_matches_two_sweeps(SwModel::sw26010(), None, 32);
+    }
+
+    /// One staged partner, as bits: site, run-away flag, r, Δ and F′.
+    type StagedBits = (usize, bool, u64, [u64; 3], u64);
+
+    #[test]
+    fn lane_window_is_the_partner_walk() {
+        // Each configuration's box, with run-aways on its slab and block
+        // edges, plus two chained on one central's own site, one on a
+        // neighbour and a vacant neighbour: every central's accepted
+        // window sequence is `for_each_partner`'s, bit for bit.
+        let (model, _, cells) = small_shape();
+        for (name, ocfg) in all_configs() {
+            let mut s = thermal_box_with_runaways(cells, model.n_cpes, ocfg.block_sites);
+            let c = s.interior[s.interior.len() / 2];
+            let deltas = s.lnl.neighbor_deltas(c).to_vec();
+            let [near, vacant] =
+                [deltas[0], deltas[deltas.len() / 2]].map(|d| (c as isize + d) as usize);
+            s.lnl.make_vacancy(vacant);
+            let pc = s.lnl.pos[c];
+            for (k, (home, off)) in [(c, 0.9), (c, -1.1), (near, 0.7)].into_iter().enumerate() {
+                let i = s.lnl.add_runaway(
+                    home,
+                    1_000_000 + k as i64,
+                    [pc[0] + off, pc[1], pc[2]],
+                    [0.0; 3],
+                );
+                s.lnl.runaway_mut(i).fp = -0.25 * (k + 1) as f64;
+            }
+            let l = &s.lnl;
+            let cut = s.pot.cutoff();
+            let mut window = LaneWindow::new();
+            let mut full_windows = 0;
+            for &site in s.interior.iter().filter(|&&site| l.id[site] >= 0) {
+                let mut walk: Vec<StagedBits> = Vec::new();
+                for_each_partner(l, Central::Site(site), cut, |p| {
+                    walk.push((
+                        p.site,
+                        p.is_runaway,
+                        p.r.to_bits(),
+                        p.dx.map(f64::to_bits),
+                        p.fp.to_bits(),
+                    ));
+                });
+                let mut staged: Vec<StagedBits> = Vec::new();
+                window.walk(l, site, cut * cut, |w| {
+                    full_windows += usize::from(w.n == BATCH_GATHER_CAP);
+                    for k in 0..w.n {
+                        let d = [w.d[0][k], w.d[1][k], w.d[2][k]];
+                        staged.push((
+                            w.site[k],
+                            w.runaway[k],
+                            w.r[k].to_bits(),
+                            d.map(f64::to_bits),
+                            w.fp[k].to_bits(),
+                        ));
+                    }
+                });
+                assert_eq!(staged, walk, "{name}: central {site}");
+                if site == c {
+                    assert_eq!(walk.iter().filter(|p| p.1 && p.0 == c).count(), 2, "{name}");
+                    assert!(walk.iter().any(|p| p.1 && p.0 == near), "{name}");
+                    assert!(walk.iter().all(|p| p.1 || p.0 != vacant), "{name}");
+                }
+            }
+            assert!(full_windows > 0, "{name}: windows fill and flush mid-walk");
+        }
+    }
+
+    #[test]
+    fn one_context_stands_for_both_compacted_force_sweeps() {
+        // The pair and density-gradient sweeps are charged alike, so the
+        // one charged context's report, merged with itself, is the
+        // two-sweep oracle's merge.
+        let (model, block_sites, cells) = small_shape();
+        let cluster = CpeCluster::new(model);
+        for (name, ocfg) in all_configs() {
+            if ocfg.form != TableForm::Compacted {
+                continue;
+            }
+            let ocfg = OffloadConfig {
+                block_sites,
+                ..ocfg
+            };
+            let mut s = thermal_box_with_runaways(cells, model.n_cpes, block_sites);
+            let (pot, interior, l) = (s.pot.clone(), s.interior.clone(), &mut s.lnl);
+            let (fused, _) = force_sweeps(l, &pot, &cluster, &ocfg, &interior);
+            let (pair, _) = force_sweep(l, &pot, &cluster, &ocfg, &interior, Sweep::ForcePair);
+            let (gradient, _) =
+                force_sweep(l, &pot, &cluster, &ocfg, &interior, Sweep::ForceDensity);
+            assert!(pair.counters.flops > 0, "{name}: the sweeps ran");
+            assert_eq!(ReportBits::of(&pair), ReportBits::of(&gradient), "{name}");
+            assert_eq!(
+                ReportBits::of(&fused),
+                ReportBits::of(&merge_reports(pair, gradient)),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one charged context stands for both compacted force sweeps")]
+    fn unequal_compacted_force_tables_are_refused() {
+        let mut s = sim();
+        let (a, knots) = (s.pot.analytic, s.pot.comp_pair.n() - 1);
+        let r_min = mmds_eam::potential::R_MIN;
+        s.pot.comp_density = CompactTable::build(|r| a.density(r), r_min, a.r_cut, knots);
+        offload_forces(&mut s, &OffloadConfig::optimized());
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! A [`CpeCtx`] is one CPE's view of a kernel launch: its local store
 //! and the counters and virtual time every charge lands in. One launch
-//! of [`CpeCluster::run`] gives each CPE `K` contexts, each accounted —
-//! time, counters, local-store high water — as a sweep of its own. The
-//! host walks the data once and charges each context exactly what its
-//! modelled sweep would have been charged: that is how `md::offload`
-//! runs the paper's two one-table-resident force sweeps as one walk.
+//! of [`CpeCluster::run`] gives each CPE one context and reports their
+//! aggregate.
 
 use rayon::prelude::*;
 
@@ -210,8 +207,7 @@ impl CpeCtx {
     }
 }
 
-/// Aggregate outcome of one cluster kernel launch — of one of its `K`
-/// context slots, when a launch carries several.
+/// Aggregate outcome of one cluster kernel launch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClusterReport {
     /// Kernel wall time as the MPE sees it: max over CPE virtual times.
@@ -250,47 +246,43 @@ impl CpeCluster {
     /// Runs `kernel` over `items`: item `i` executes on CPE `i % 64`,
     /// items assigned to the same CPE run in order (so a CPE can keep
     /// resident buffers across its items — the mechanism behind
-    /// ghost-data reuse). Each CPE carries `K` contexts and hands all of
-    /// them to every item; report `k` aggregates context `k` of every
-    /// CPE as if it had been a launch of its own.
-    pub fn run<const K: usize, I, F>(&self, items: Vec<I>, kernel: F) -> [ClusterReport; K]
+    /// ghost-data reuse). Each CPE hands its one context to every item.
+    pub fn run<I, F>(&self, items: Vec<I>, kernel: F) -> ClusterReport
     where
         I: Send,
-        F: Fn(&mut [CpeCtx; K], I) + Sync,
+        F: Fn(&mut CpeCtx, I) + Sync,
     {
         let n = self.model.n_cpes;
         let mut buckets: Vec<Vec<I>> = (0..n).map(|_| Vec::new()).collect();
         for (i, item) in items.into_iter().enumerate() {
             buckets[i % n].push(item);
         }
-        // Per CPE, one single-CPE report per context.
-        let per_cpe: Vec<[ClusterReport; K]> = buckets
+        // Per CPE, a single-CPE report.
+        let per_cpe: Vec<ClusterReport> = buckets
             .into_par_iter()
             .enumerate()
             .map(|(id, batch)| {
-                let mut ctxs: [CpeCtx; K] = std::array::from_fn(|_| CpeCtx::new(id, self.model));
+                let mut ctx = CpeCtx::new(id, self.model);
                 let active_cpes = usize::from(!batch.is_empty());
                 for item in batch {
-                    kernel(&mut ctxs, item);
+                    kernel(&mut ctx, item);
                 }
-                ctxs.map(|ctx| ClusterReport {
+                ClusterReport {
                     time: ctx.time(),
                     counters: ctx.counters(),
                     active_cpes,
                     ldm_high_water: ctx.ls.high_water(),
-                })
+                }
             })
             .collect();
-        let mut reports = [ClusterReport::default(); K];
-        for cpe in per_cpe {
-            for (report, c) in reports.iter_mut().zip(cpe) {
-                report.time = report.time.max(c.time);
-                report.counters = report.counters.merge(&c.counters);
-                report.active_cpes += c.active_cpes;
-                report.ldm_high_water = report.ldm_high_water.max(c.ldm_high_water);
-            }
+        let mut report = ClusterReport::default();
+        for c in per_cpe {
+            report.time = report.time.max(c.time);
+            report.counters = report.counters.merge(&c.counters);
+            report.active_cpes += c.active_cpes;
+            report.ldm_high_water = report.ldm_high_water.max(c.ldm_high_water);
         }
-        reports
+        report
     }
 }
 
@@ -303,7 +295,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let cluster = CpeCluster::new(SwModel::free());
         let sum = AtomicU64::new(0);
-        let [report] = cluster.run((0..1000u64).collect(), |_, item| {
+        let report = cluster.run((0..1000u64).collect(), |_, item| {
             sum.fetch_add(item, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 499_500);
@@ -313,7 +305,7 @@ mod tests {
     #[test]
     fn fewer_items_than_cpes() {
         let cluster = CpeCluster::new(SwModel::free());
-        let [report] = cluster.run(vec![1, 2, 3], |[ctx], _| ctx.charge_flops(10));
+        let report = cluster.run(vec![1, 2, 3], |ctx, _| ctx.charge_flops(10));
         assert_eq!(report.active_cpes, 3);
         assert_eq!(report.counters.flops, 30);
     }
@@ -322,7 +314,7 @@ mod tests {
     fn time_is_max_over_cpes() {
         let cluster = CpeCluster::new(SwModel::sw26010());
         // CPE 0 gets items 0 and 64 → twice the work of the rest.
-        let [report] = cluster.run((0..65).collect::<Vec<u32>>(), |[ctx], _| {
+        let report = cluster.run((0..65).collect::<Vec<u32>>(), |ctx, _| {
             ctx.charge_flops(1_000_000);
         });
         let per_item = SwModel::sw26010().flops_time(1_000_000);
@@ -347,32 +339,6 @@ mod tests {
         drop(resident);
         assert_eq!(ctx.local_store().used(), 0);
         assert_eq!(ctx.local_store().high_water(), 40_000);
-    }
-
-    #[test]
-    fn each_context_reports_as_its_own_launch() {
-        // Two contexts per CPE, charged differently on every item: each
-        // report must equal a one-context launch charged the same way.
-        let cluster = CpeCluster::new(SwModel::sw26010());
-        let charge = |ctx: &mut CpeCtx, item: u64, k: u64| {
-            let _held = ctx.reserve_f64(100 * (k as usize + 1)).unwrap();
-            ctx.charge_dma_get(8 * (item as usize + 1));
-            ctx.charge_flops(1_000 * (item + 1) * (k + 1));
-        };
-        let both = cluster.run((0..100).collect(), |[a, b], item| {
-            charge(a, item, 0);
-            charge(b, item, 1);
-        });
-        for (k, report) in both.iter().enumerate() {
-            let [alone] = cluster.run((0..100).collect(), |[ctx], item| {
-                charge(ctx, item, k as u64)
-            });
-            assert_eq!(report.time.to_bits(), alone.time.to_bits(), "context {k}");
-            assert_eq!(report.counters, alone.counters, "context {k}");
-            assert_eq!(report.ldm_high_water, alone.ldm_high_water, "context {k}");
-            assert_eq!(report.active_cpes, alone.active_cpes, "context {k}");
-        }
-        assert_eq!(both[1].ldm_high_water, 2 * both[0].ldm_high_water);
     }
 
     #[test]
@@ -424,7 +390,7 @@ mod tests {
     #[test]
     fn cluster_report_counts_all_cpes_counters() {
         let cluster = CpeCluster::new(SwModel::sw26010());
-        let [report] = cluster.run((0..128u32).collect(), |[ctx], _| {
+        let report = cluster.run((0..128u32).collect(), |ctx, _| {
             ctx.charge_dma_get(100);
             ctx.charge_dma_put(50);
         });

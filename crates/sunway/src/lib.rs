@@ -20,9 +20,7 @@
 //!   modelled kernel would issue in virtual time through [`SwModel`].
 //! * [`CpeCluster`] executes kernels on 64 logical CPEs in parallel
 //!   (via rayon) and reports the cluster kernel time as the *maximum*
-//!   per-CPE virtual time — the quantity an MPE would observe. A launch
-//!   may carry several contexts per CPE, each reported as a launch of
-//!   its own (two modelled sweeps, one host walk).
+//!   per-CPE virtual time — the quantity an MPE would observe.
 //! * [`pipeline::pipeline_time`] models the double-buffer overlap of
 //!   Fig. 6.
 //!

@@ -43,14 +43,14 @@ fn main() {
     let alloy = AlloyEam::fe_cu(0.01, 5000);
     let plan = LdmPlacement::plan(&alloy, budget);
     let cluster = CpeCluster::new(SwModel::sw26010());
-    let [report] = cluster.run(vec![()], |[ctx], ()| {
+    let report = cluster.run(vec![()], |ctx, ()| {
         // Reserve the block buffers a real kernel needs.
         let _buffers = ctx.reserve_f64(24 * 1024 / 8).expect("block buffers fit");
         let mut resident = Vec::new();
         for id in &plan.resident {
             let t = alloy.table(*id);
             resident.push(
-                ctx.load_resident_table(&t.values)
+                ctx.load_resident_table(t.values())
                     .expect("planned table must fit"),
             );
         }
