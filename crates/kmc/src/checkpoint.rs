@@ -316,7 +316,18 @@ mod tests {
             first.run_cycles(strategy, &mut LoopbackK, 15);
             let mut resumed = KmcSimulation::restore(first.checkpoint()).unwrap();
             resumed.run_cycles(strategy, &mut LoopbackK, 15);
-            assert_eq!(bits(&resumed), bits(&straight), "{strategy:?}");
+            let (mut got, mut want) = (bits(&resumed), bits(&straight));
+            // Host work: a resumed run starts with a cold rate cache, so it
+            // may compute more than the uninterrupted run, never more than
+            // the modelled count. Everything else is bit for bit.
+            let (host, straight_host) = (got.2[4], want.2[4]);
+            assert!(
+                straight_host <= host && host <= got.2[3],
+                "{strategy:?}: {:?}",
+                got.2
+            );
+            (got.2[4], want.2[4]) = (0, 0);
+            assert_eq!(got, want, "{strategy:?}");
             assert!(resumed.lat.vacancies().eq(straight.lat.vacancies()));
         }
     }

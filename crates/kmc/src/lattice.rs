@@ -13,8 +13,9 @@
 //! [`KmcLattice::set_state`] keeps equal to
 //! `{owned s : state[s] == Vacancy}` (every state write outside a rate
 //! evaluation's swap-and-restore goes through it), the rate patch shapes
-//! with the solver's recycled energy memo, and the exchange's scratch —
-//! the recycled slab wire buffer and the cell reach of one hop.
+//! and footprints with the solver's recycled energy memo and its rate
+//! cache, and the exchange's scratch — the recycled slab wire buffer and
+//! the cell reach of one hop.
 
 use std::collections::BTreeSet;
 
@@ -22,7 +23,7 @@ use mmds_lattice::neighbor_offsets::NeighborOffsets;
 use mmds_lattice::LocalGrid;
 use serde::{Deserialize, Serialize};
 
-use crate::solver::RateMemo;
+use crate::solver::{RateCache, RateMemo};
 
 /// What occupies a lattice site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,6 +99,9 @@ pub struct KmcLattice {
     pub(crate) patches: [PatchShapes; 2],
     /// The solver's per-vacancy energy memo, recycled like `wire`.
     pub(crate) memo: RateMemo,
+    /// The solver's per-vacancy rates, valid while their footprint's
+    /// states are.
+    pub(crate) rate_cache: RateCache,
 }
 
 /// One site of a rate patch, as seen from the vacancy.
@@ -122,6 +126,10 @@ pub(crate) struct PatchShapes {
     pub(crate) dirs: Vec<Vec<PatchSite>>,
     /// Distinct sites over all directions.
     pub(crate) union_len: usize,
+    /// Every site a rate of the vacancy reads, in ascending delta: the
+    /// union of the patches and their cutoff neighbours (169 sites at
+    /// 3 Å, of the 686 in the Chebyshev cube the catalogue invalidates).
+    pub(crate) footprint: Vec<isize>,
 }
 
 impl PatchShapes {
@@ -145,6 +153,15 @@ impl PatchShapes {
         let mut union = patches.concat();
         union.sort_unstable();
         union.dedup();
+        let mut footprint: Vec<isize> = union
+            .iter()
+            .flat_map(|&p| {
+                let basis = ((b as isize + p) & 1) as usize;
+                std::iter::once(p).chain(deltas[basis].iter().map(move |&d| p + d))
+            })
+            .collect();
+        footprint.sort_unstable();
+        footprint.dedup();
         let dirs = patches
             .iter()
             .zip(nn1)
@@ -163,6 +180,7 @@ impl PatchShapes {
         Self {
             dirs,
             union_len: union.len(),
+            footprint,
         }
     }
 }
@@ -206,6 +224,7 @@ impl KmcLattice {
             wire: Vec::new(),
             patches,
             memo: RateMemo::default(),
+            rate_cache: RateCache::default(),
         }
     }
 

@@ -42,13 +42,39 @@
 //!   magnitude dearer than the scan, so it is deliberately not done.
 //!
 //! The catalogue lives for one `run_sector` call: ghosts are rewritten
-//! between sector entries, so nothing cached survives them. The
-//! recompute-everything loop is kept under `#[cfg(test)]` as the
-//! bitwise oracle.
+//! between sector entries. The recompute-everything loop is kept under
+//! `#[cfg(test)]` as the bitwise oracle.
+//!
+//! # The rate cache
+//!
+//! What outlives the sector is each vacancy's last evaluation, kept in
+//! the lattice's `RateCache`: its events, the `rate_evals` and
+//! `site_evals` it charged, and the states of its *footprint* — every
+//! site a rate of that vacancy reads, the union of the basis's 8
+//! patches and their cutoff neighbours (`PatchShapes::footprint`), 169
+//! sites at 3 Å. `evaluate` first compares that snapshot with the
+//! current states; if they are equal it returns the cached events and
+//! charges the stored counts, so the catalogue's invalidation rule,
+//! `RateStats::{rate_evals, site_evals}`, virtual time, every RNG draw
+//! and every trajectory bit stay what they were, and only
+//! `host_site_evals` falls. Validating by snapshot instead of hooking
+//! writes means ghost rewrites, full-ghost slabs and checkpoint
+//! restores need to tell the cache nothing.
+//!
+//! * **One model.** `run_sector` binds the cache to its model for the
+//!   call and releases it on return; outside a bound call the cache
+//!   answers nothing. Binding compares every number the rates read
+//!   from the model, bit for bit, with the entries' model, and drops
+//!   every entry if one differs.
+//! * **Pruning.** Each cycle's first sector drops the entries of sites
+//!   that are no longer vacancies, so the cache holds about one entry
+//!   per vacancy plus the sites vacancies left during one cycle.
+//! * **Order.** Entries sit in a `BTreeMap` by site id; nothing
+//!   iterates a hash container.
 //!
 //! # One vacancy's rates
 //!
-//! `evaluate` computes a vacancy's rates on the lattice's precomputed
+//! `compute_rates` computes a vacancy's rates on the lattice's precomputed
 //! patch shapes (DESIGN §6.19). Every site energy is computed at most
 //! once per call: "before" energies are memoised by patch-union slot,
 //! an "after" energy that depends only on which species moved onto the
@@ -58,6 +84,8 @@
 //! `EnergyModel::rate`, and `RateStats::{rate_evals, site_evals}` are
 //! charged exactly what the oracle charges; `host_site_evals` counts
 //! the energies computed.
+
+use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -151,8 +179,191 @@ impl RateMemo {
     }
 }
 
-/// Evaluates the events of the vacancy at `v` into `events`.
+/// One vacancy's last evaluation.
+#[derive(Debug, Clone, Default)]
+struct CachedRates {
+    /// `(partner, rate)` per atom 1NN partner, in `nn1` order.
+    events: Vec<(usize, f64)>,
+    /// The modelled rate evaluations it charged.
+    rate_evals: u64,
+    /// The modelled site evaluations it charged.
+    site_evals: u64,
+    /// The states of the vacancy basis's footprint, in footprint order.
+    snapshot: Vec<SiteState>,
+}
+
+/// Per-vacancy rates that outlive the sector (see the module doc).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RateCache {
+    /// Entries by vacancy site id.
+    entries: BTreeMap<usize, CachedRates>,
+    /// The model every entry was computed with.
+    model: ModelBits,
+    /// Address of the model of the `run_sector` call in progress.
+    bound: Option<usize>,
+    /// Tests: bind never, so every evaluation computes.
+    #[cfg(test)]
+    pub(crate) bypass: bool,
+}
+
+impl RateCache {
+    /// Serves `model` until [`release`](Self::release); forgets every
+    /// entry if `model`'s numbers differ from the entries' model's.
+    pub(crate) fn bind(&mut self, model: &EnergyModel) {
+        #[cfg(test)]
+        if self.bypass {
+            return;
+        }
+        if !self.model.matches(model) {
+            self.entries.clear();
+            self.model = ModelBits::of(model);
+        }
+        self.bound = Some(model as *const EnergyModel as usize);
+    }
+
+    /// Ends a binding: the model may change once the borrow ends.
+    pub(crate) fn release(&mut self) {
+        self.bound = None;
+    }
+
+    fn serves(&self, model: &EnergyModel) -> bool {
+        self.bound == Some(model as *const EnergyModel as usize)
+    }
+
+    /// Drops the entries of sites that are no longer vacancies.
+    fn prune(&mut self, state: &[SiteState]) {
+        self.entries.retain(|&v, _| state[v] == SiteState::Vacancy);
+    }
+
+    /// The entry of `v` if every footprint site still has its state.
+    fn lookup(
+        &self,
+        model: &EnergyModel,
+        v: usize,
+        footprint: &[isize],
+        state: &[SiteState],
+    ) -> Option<&CachedRates> {
+        if !self.serves(model) {
+            return None;
+        }
+        let hit = self.entries.get(&v)?;
+        let unchanged = footprint
+            .iter()
+            .zip(&hit.snapshot)
+            .all(|(&d, &was)| state[(v as isize + d) as usize] == was);
+        unchanged.then_some(hit)
+    }
+
+    /// Records the evaluation of `v` that charged `charged`.
+    fn store(
+        &mut self,
+        model: &EnergyModel,
+        v: usize,
+        footprint: &[isize],
+        state: &[SiteState],
+        events: &[(usize, f64)],
+        charged: RateStats,
+    ) {
+        if !self.serves(model) {
+            return;
+        }
+        let e = self.entries.entry(v).or_default();
+        e.events.clear();
+        e.events.extend_from_slice(events);
+        e.rate_evals = charged.rate_evals;
+        e.site_evals = charged.site_evals;
+        e.snapshot.clear();
+        e.snapshot
+            .extend(footprint.iter().map(|&d| state[(v as isize + d) as usize]));
+    }
+}
+
+/// Visits every number of `model` a rate reads, each part after its
+/// length: the Boltzmann and barrier scalars, the shell samples, and each
+/// embedding table's end, knot count and knot values (its slopes follow
+/// from those).
+fn for_each_model_part(model: &EnergyModel, mut visit: impl FnMut(&[f64])) {
+    let mut part = |p: &[f64]| {
+        visit(&[p.len() as f64]);
+        visit(p);
+    };
+    part(&[model.kbt, model.nu, model.e_mig0, model.e_floor]);
+    for samples in model.phi.iter().chain(&model.f).flatten() {
+        part(samples);
+    }
+    for table in &model.embed {
+        part(&[table.x_max(), table.n() as f64]);
+        part(table.values());
+    }
+}
+
+/// The bits of every number of a model a rate reads.
+#[derive(Debug, Clone, Default)]
+struct ModelBits(Vec<u64>);
+
+impl ModelBits {
+    fn of(model: &EnergyModel) -> Self {
+        let mut bits = Vec::new();
+        for_each_model_part(model, |p| bits.extend(p.iter().map(|x| x.to_bits())));
+        Self(bits)
+    }
+
+    /// Whether `model` has exactly these numbers.
+    fn matches(&self, model: &EnergyModel) -> bool {
+        let mut rest = &self.0[..];
+        let mut same = true;
+        for_each_model_part(model, |p| {
+            if !same || rest.len() < p.len() {
+                same = false;
+                return;
+            }
+            let (head, tail) = rest.split_at(p.len());
+            // Branch-free, so the comparison vectorises.
+            same = head
+                .iter()
+                .zip(p)
+                .fold(0, |diff, (&a, b)| diff | (a ^ b.to_bits()))
+                == 0;
+            rest = tail;
+        });
+        same && rest.is_empty()
+    }
+}
+
+/// The events of the vacancy at `v`, into `events`: from the cache if
+/// nothing `v`'s rates read has changed since it last computed them,
+/// else computed and cached. Charges `stats` the modelled counts either
+/// way.
 fn evaluate(
+    lat: &mut KmcLattice,
+    model: &EnergyModel,
+    v: usize,
+    events: &mut Vec<(usize, f64)>,
+    stats: &mut RateStats,
+) {
+    let footprint = &lat.patches[v & 1].footprint;
+    if let Some(hit) = lat.rate_cache.lookup(model, v, footprint, &lat.state) {
+        events.clear();
+        events.extend_from_slice(&hit.events);
+        stats.rate_evals += hit.rate_evals;
+        stats.site_evals += hit.site_evals;
+        return;
+    }
+    let before = *stats;
+    compute_rates(lat, model, v, events, stats);
+    let charged = RateStats {
+        rate_evals: stats.rate_evals - before.rate_evals,
+        site_evals: stats.site_evals - before.site_evals,
+        host_site_evals: 0,
+    };
+    let footprint = &lat.patches[v & 1].footprint;
+    lat.rate_cache
+        .store(model, v, footprint, &lat.state, events, charged);
+}
+
+/// Computes the events of the vacancy at `v` into `events`: the
+/// uncached evaluator, which only [`evaluate`]'s miss path calls.
+fn compute_rates(
     lat: &mut KmcLattice,
     model: &EnergyModel,
     v: usize,
@@ -221,23 +432,30 @@ fn shaped_rate(
     model.rate_of(after - before)
 }
 
+/// The vacancy evaluators: [`evaluate`], or the oracles' [`compute_rates`].
+type Evaluator = fn(&mut KmcLattice, &EnergyModel, usize, &mut Vec<(usize, f64)>, &mut RateStats);
+
+/// Active vacancies: owned, inside the sector, in ascending site id.
+fn active_vacancies(lat: &KmcLattice, sec: [usize; 3]) -> Vec<usize> {
+    lat.vacancies()
+        .filter(|&v| in_sector(lat, v, sec))
+        .collect()
+}
+
 impl Catalogue {
-    /// Every rate of the sector, evaluated once on entry.
+    /// The rates of the `active` vacancies, evaluated once on entry.
     fn build(
         lat: &mut KmcLattice,
         model: &EnergyModel,
-        sec: [usize; 3],
+        active: Vec<usize>,
         stats: &mut RateStats,
+        eval: Evaluator,
     ) -> Self {
-        let active: Vec<usize> = lat
-            .vacancies()
-            .filter(|&v| in_sector(lat, v, sec))
-            .collect();
         let entries = active
             .into_iter()
             .map(|v| {
                 let mut events = Vec::with_capacity(lat.nn1_deltas[v & 1].len());
-                evaluate(lat, model, v, &mut events, stats);
+                eval(lat, model, v, &mut events, stats);
                 Entry {
                     v,
                     cell: cell_of(lat, v),
@@ -319,26 +537,13 @@ impl Catalogue {
     }
 }
 
-#[cfg(test)]
-impl Catalogue {
-    /// Every unit test that hops doubles as an invalidation test: the
-    /// patched catalogue must equal one built from scratch, bit for bit
-    /// (a stale rate can leave the chosen events unchanged for a while).
-    fn assert_equals_rebuild(&self, lat: &mut KmcLattice, model: &EnergyModel, sec: [usize; 3]) {
-        let fresh = Self::build(lat, model, sec, &mut RateStats::default());
-        let bits = |c: &Self| -> Vec<(usize, Vec<(usize, u64)>)> {
-            let events = |e: &Entry| e.events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
-            c.entries.iter().map(|e| (e.v, events(e))).collect()
-        };
-        assert_eq!(bits(self), bits(&fresh), "patched catalogue is stale");
-    }
-}
-
 /// Runs BKL dynamics in one sector for a time quantum `dt` (in KMC
 /// seconds). Vacancies may hop onto ghost sites (the sublattice method
 /// guarantees the owner is not concurrently active there). `stats`
 /// counts the evaluations performed: every rate once on entry, then per
-/// hop only those the hop can have changed (see the module doc).
+/// hop only those the hop can have changed (see the module doc). The
+/// rates come through the lattice's rate cache, bound to `model` for the
+/// call; the cycle's first sector (`sectors()[0]`) prunes it.
 pub fn run_sector(
     lat: &mut KmcLattice,
     model: &EnergyModel,
@@ -349,7 +554,16 @@ pub fn run_sector(
 ) -> SectorOutcome {
     let _span = mmds_telemetry::span!("kmc.sector");
     let mut out = SectorOutcome::default();
-    let mut cat = Catalogue::build(lat, model, sec, stats);
+    if sec == sectors()[0] {
+        lat.rate_cache.prune(&lat.state);
+    }
+    let active = active_vacancies(lat, sec);
+    if !active.is_empty() {
+        lat.rate_cache.bind(model);
+    }
+    let mut cat = Catalogue::build(lat, model, active, stats, evaluate);
+    #[cfg(test)]
+    cat.assert_equals_rebuild(lat, model, sec);
     let mut t_local = 0.0;
     while !cat.entries.is_empty() {
         let total = cat.total();
@@ -375,7 +589,25 @@ pub fn run_sector(
         #[cfg(test)]
         cat.assert_equals_rebuild(lat, model, sec);
     }
+    lat.rate_cache.release();
     out
+}
+
+#[cfg(test)]
+impl Catalogue {
+    /// Every unit test that runs a sector doubles as an invalidation
+    /// test: the catalogue, on entry and after every hop, must equal one
+    /// built from scratch without the rate cache, bit for bit (a stale
+    /// rate can leave the chosen events unchanged for a while).
+    fn assert_equals_rebuild(&self, lat: &mut KmcLattice, model: &EnergyModel, sec: [usize; 3]) {
+        let active = active_vacancies(lat, sec);
+        let fresh = Self::build(lat, model, active, &mut RateStats::default(), compute_rates);
+        let bits = |c: &Self| -> Vec<(usize, Vec<(usize, u64)>)> {
+            let events = |e: &Entry| e.events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
+            c.entries.iter().map(|e| (e.v, events(e))).collect()
+        };
+        assert_eq!(bits(self), bits(&fresh), "patched catalogue is stale");
+    }
 }
 
 #[cfg(test)]
@@ -776,5 +1008,99 @@ mod tests {
             assert_paths_agree(&mut lat, &model, sec, dt, &mut rng, &mut cov);
         }
         assert!(cov.events >= 8, "{cov:?}");
+    }
+
+    #[test]
+    fn footprint_covers_every_read() {
+        // Rates at the centre of a 10-cell box read no ghost, so every
+        // site of the catalogue's Chebyshev cube is an owned site.
+        let (mut lat, model, cfg) = oracle_box(10, 3.0);
+        let rates = |lat: &mut KmcLattice, model: &EnergyModel, v: usize| {
+            let (mut events, mut stats) = (Vec::new(), RateStats::default());
+            compute_rates(lat, model, v, &mut events, &mut stats);
+            events
+                .iter()
+                .map(|&(n, k)| (n, k.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        // Evaluates through the cache; returns the bits and whether the
+        // host computed anything (a miss).
+        let cached = |lat: &mut KmcLattice, model: &EnergyModel, v: usize| {
+            let (mut events, mut stats) = (Vec::new(), RateStats::default());
+            evaluate(lat, model, v, &mut events, &mut stats);
+            let bits: Vec<_> = events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
+            (bits, stats.host_site_evals > 0)
+        };
+        let reach = 3 * lat.offsets.max_cell_reach();
+        let c = lat.grid.ghost + 5;
+        for b in 0..2 {
+            let v = lat.grid.site_id(c, c, c, b);
+            lat.set_state(v, SiteState::Vacancy);
+            // One Cu partner and one vacancy partner, so the rates depend
+            // on the species of what they read.
+            let partners: Vec<usize> = lat.nn1(v).collect();
+            lat.set_state(partners[2], SiteState::Cu);
+            lat.set_state(partners[5], SiteState::Vacancy);
+            let footprint: Vec<usize> = lat.patches[b]
+                .footprint
+                .iter()
+                .map(|&d| (v as isize + d) as usize)
+                .collect();
+            let cell = cell_of(&lat, v);
+            let cube: Vec<usize> = (0..lat.n_sites())
+                .filter(|&s| {
+                    let x = cell_of(&lat, s);
+                    (0..3).all(|ax| x[ax].abs_diff(cell[ax]) <= reach)
+                })
+                .collect();
+            assert_eq!((footprint.len(), cube.len()), (169, 686), "basis {b}");
+            assert!(footprint.iter().all(|s| cube.binary_search(s).is_ok()));
+
+            let want = rates(&mut lat, &model, v);
+            for &s in cube.iter().filter(|s| footprint.binary_search(s).is_err()) {
+                let was = lat.state[s];
+                for flipped in [SiteState::Cu, SiteState::Vacancy] {
+                    lat.set_state(s, flipped);
+                    assert_eq!(rates(&mut lat, &model, v), want, "basis {b}, site {s}");
+                    lat.set_state(s, was);
+                }
+            }
+
+            lat.rate_cache.bind(&model);
+            assert!(cached(&mut lat, &model, v).1, "a cold cache computes");
+            assert_eq!(cached(&mut lat, &model, v), (want.clone(), false));
+            for &s in footprint.iter().filter(|&&s| s != v) {
+                let was = lat.state[s];
+                for flipped in [SiteState::Fe, SiteState::Cu, SiteState::Vacancy] {
+                    if flipped == was {
+                        continue;
+                    }
+                    lat.set_state(s, flipped);
+                    let now = rates(&mut lat, &model, v);
+                    assert_eq!(cached(&mut lat, &model, v), (now, true), "site {s}");
+                    lat.set_state(s, was);
+                    assert_eq!(cached(&mut lat, &model, v), (want.clone(), true));
+                }
+            }
+            assert_eq!(cached(&mut lat, &model, v), (want.clone(), false));
+            lat.rate_cache.release();
+            assert!(cached(&mut lat, &model, v).1, "a released cache computes");
+
+            // Another model on the same lattice never reads these rates.
+            let other_cfg = KmcConfig {
+                table_knots: 600,
+                ..cfg
+            };
+            let other = EnergyModel::new(&other_cfg, &lat);
+            let other_want = rates(&mut lat, &other, v);
+            assert_ne!(other_want, want, "the models must differ for this to bite");
+            lat.rate_cache.bind(&other);
+            assert_eq!(cached(&mut lat, &other, v), (other_want.clone(), true));
+            assert_eq!(cached(&mut lat, &other, v), (other_want, false));
+            lat.rate_cache.release();
+            lat.rate_cache.bind(&model);
+            assert_eq!(cached(&mut lat, &model, v), (want, true));
+            lat.rate_cache.release();
+        }
     }
 }

@@ -98,9 +98,19 @@ fn kmc_checkpoint_preserves_counts_and_continues() {
         let mut resumed = KmcSimulation::load_checkpoint(&path).unwrap();
         assert_eq!(kmc_bits(&resumed), kmc_bits(&first), "{strategy:?}: load");
         resumed.run_cycles(strategy, &mut LoopbackK, 15);
+        let (mut got, mut want) = (kmc_bits(&resumed), kmc_bits(&straight));
+        // Host work: the loaded run starts with a cold rate cache, so it
+        // may compute more than the uninterrupted run, never more than
+        // the modelled count. Everything else is bit for bit.
+        let (host, straight_host) = (got.2[4], want.2[4]);
+        assert!(
+            straight_host <= host && host <= got.2[3],
+            "{strategy:?}: host site evaluations {:?}",
+            got.2
+        );
+        (got.2[4], want.2[4]) = (0, 0);
         assert_eq!(
-            kmc_bits(&resumed),
-            kmc_bits(&straight),
+            got, want,
             "{strategy:?}: 15 + save + load + 15 is not the 30-cycle run"
         );
 
