@@ -1,23 +1,15 @@
-//! The cross-run performance observatory: a content-addressed archive
-//! of the repository benchmark's per-layer results, plus the
-//! statistics behind `mmds-inspect history`, `regress`, and
-//! `flamediff`.
+//! The cross-run performance observatory: an append-only archive of
+//! the repository benchmark's per-layer results, plus the statistics
+//! behind `mmds-inspect history`, `regress`, and `flamediff`.
 //!
 //! `mmds-inspect archive-add <workload> <result.json>` imports the last
 //! stdout lines of one or more replays of `bash benchmark/run.sh
-//! --workload <workload> --trace 1`, one line each, as an
+//! --workload <workload> --trace 1`, one line each, as one
 //! [`ArchiveRecord`] under `results/archive/` (override with
-//! `--archive`):
-//!
-//! * records live at `<config_hash>/<content_hash>.json` — the config
-//!   hash is the canonical [`ConfigKey`] digest of the workload name,
-//!   the file name is the FNV-1a digest of the record's own bytes, so
-//!   the store is content-addressed and a re-written record can never
-//!   half-overwrite an existing one;
-//! * every record file is written atomically (unique temp file +
-//!   rename), and the append-only `index.jsonl` takes one `O_APPEND`
-//!   single-syscall line per run, so concurrent writers never corrupt
-//!   each other's entries.
+//! `--archive`). Each workload has one file, `<workload>.jsonl`, and a
+//! record is one line of it, appended with a single `O_APPEND` write,
+//! so concurrent writers interleave whole records and a torn write is
+//! never read as one.
 //!
 //! Which way each metric improves comes from the `per_layer` table of
 //! the repository's `BENCHMARK.json`, embedded at build time. On top of
@@ -30,17 +22,16 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use mmds_telemetry::canon::fnv1a64;
-use mmds_telemetry::{ConfigKey, RunReport};
+use mmds_telemetry::RunReport;
 use serde::{Deserialize, Serialize};
 
 use crate::inspect::sparkline;
 
 /// Record schema version, bumped on breaking field changes.
-pub const SCHEMA: u32 = 2;
+pub const SCHEMA: u32 = 3;
 
 /// The archive `mmds-inspect` reads and writes without `--archive`.
 pub const DEFAULT_DIR: &str = "results/archive";
@@ -138,19 +129,17 @@ fn spec() -> &'static Spec {
 }
 
 // ---------------------------------------------------------------------
-// Record + index types
+// The record
 // ---------------------------------------------------------------------
 
-/// One archived run: the workload's canonical key, provenance, and the
-/// per-layer metrics of its `--trace 1` replays.
+/// One archived run: the workload, provenance, and the per-layer
+/// metrics of its `--trace 1` replays.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ArchiveRecord {
     /// Record schema version ([`SCHEMA`]).
     pub schema: u32,
-    /// Canonical config digest — the history key.
-    pub config_hash: String,
-    /// The full canonical key the hash was derived from.
-    pub config: ConfigKey,
+    /// The `BENCHMARK.json` workload the replays ran — the history key.
+    pub workload: String,
     /// Git revision the record was written at (`unknown` outside a repo).
     pub git_rev: String,
     /// Unix seconds when the record was written.
@@ -167,21 +156,18 @@ pub struct ArchiveRecord {
 }
 
 impl ArchiveRecord {
-    /// Starts a record for `config`, stamping schema, hash, git rev and
-    /// wall-clock time. Errors (rather than archiving under an aliased
-    /// key) when the config cannot be canonically hashed.
-    pub fn new(config: ConfigKey) -> Result<Self, String> {
-        let config_hash = config.hash().map_err(|e| e.to_string())?;
-        Ok(ArchiveRecord {
+    /// Starts a record for `workload`, stamping schema, git rev and
+    /// wall-clock time.
+    pub fn new(workload: &str) -> Self {
+        ArchiveRecord {
             schema: SCHEMA,
-            config_hash,
-            config,
+            workload: workload.to_string(),
             git_rev: git_rev(),
             t_unix: now_unix(),
             replays: 1,
             metrics: BTreeMap::new(),
             worst: BTreeMap::new(),
-        })
+        }
     }
 
     /// Folds another replay of the same workload into this record: each
@@ -191,23 +177,22 @@ impl ArchiveRecord {
     /// best of several is a steadier figure, and their spread says how
     /// noisy the layer is. A result with another metric set is not a
     /// replay of the same benchmark and is refused.
-    fn fold_replay(&mut self, other: &ArchiveRecord) -> Result<(), String> {
-        if !self.metrics.keys().eq(other.metrics.keys()) {
+    fn fold_replay(&mut self, replay: &BTreeMap<String, f64>) -> Result<(), String> {
+        if !self.metrics.keys().eq(replay.keys()) {
             return Err("another metric set, not a replay of the same benchmark".to_string());
         }
         for (name, best) in &mut self.metrics {
             let worst = self.worst.entry(name.clone()).or_insert(*best);
-            let b = other.metrics[name];
-            let w = other.worst.get(name).copied().unwrap_or(b);
+            let v = replay[name];
             if spec().per_layer.get(name) == Some(&Better::Higher) {
-                *best = best.max(b);
-                *worst = worst.min(w);
+                *best = best.max(v);
+                *worst = worst.min(v);
             } else {
-                *best = best.min(b);
-                *worst = worst.max(w);
+                *best = best.min(v);
+                *worst = worst.max(v);
             }
         }
-        self.replays += other.replays;
+        self.replays += 1;
         Ok(())
     }
 }
@@ -228,9 +213,9 @@ struct ResultLine {
 /// Imports the benchmark results in `text`: every line that opens a JSON
 /// object is the object `bash benchmark/run.sh --workload <workload>
 /// --trace 1` prints last, one per replay; other lines (the run's
-/// progress output) are skipped. The replays fold into one record. A
-/// result that is not a passing per-layer measurement of a declared
-/// workload is rejected with a one-line reason.
+/// progress output) are skipped. The replays fold into one record,
+/// stamped once. A result that is not a passing per-layer measurement
+/// of a declared workload is rejected with a one-line reason.
 pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, String> {
     let spec = spec();
     if !spec.workloads.iter().any(|w| w == workload) {
@@ -246,23 +231,31 @@ pub fn record_from_result(workload: &str, text: &str) -> Result<ArchiveRecord, S
     if lines.is_empty() {
         return Err("not a benchmark result: no line holds a JSON object".to_string());
     }
-    let mut rec: Option<ArchiveRecord> = None;
-    for (i, line) in lines.iter().enumerate() {
-        let replay = replay_from_line(workload, line).map_err(|e| match lines.len() {
-            1 => e,
-            n => format!("result {} of {n}: {e}", i + 1),
-        })?;
-        match &mut rec {
-            Some(r) => r.fold_replay(&replay)?,
-            None => rec = Some(replay),
-        }
+    let replays = lines
+        .iter()
+        .enumerate()
+        .map(|(i, line)| {
+            replay_from_line(line).map_err(|e| match lines.len() {
+                1 => e,
+                n => format!("result {} of {n}: {e}", i + 1),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut replays = replays.into_iter();
+    let first = replays.next().expect("at least one result line");
+    let mut rec = ArchiveRecord {
+        worst: first.clone(),
+        metrics: first,
+        ..ArchiveRecord::new(workload)
+    };
+    for replay in replays {
+        rec.fold_replay(&replay)?;
     }
-    Ok(rec.expect("at least one result line"))
+    Ok(rec)
 }
 
-/// One result line as a one-replay record.
-fn replay_from_line(workload: &str, line: &str) -> Result<ArchiveRecord, String> {
-    let spec = spec();
+/// One result line's metrics.
+fn replay_from_line(line: &str) -> Result<BTreeMap<String, f64>, String> {
     let result: ResultLine =
         serde_json::from_str(line).map_err(|e| format!("not a benchmark result line: {e}"))?;
     if !result.correct {
@@ -277,9 +270,9 @@ fn replay_from_line(workload: &str, line: &str) -> Result<ArchiveRecord, String>
     if result.metrics.is_empty() {
         return Err("the result has no metrics".to_string());
     }
-    let mut rec = ArchiveRecord::new(ConfigKey::new(workload))?;
+    let mut metrics = BTreeMap::new();
     for (name, m) in result.metrics {
-        if !spec.per_layer.contains_key(&name) {
+        if !spec().per_layer.contains_key(&name) {
             return Err(format!(
                 "metric `{name}` is not a per-layer metric of BENCHMARK.json \
                  (archive the `--trace 1` result)"
@@ -288,40 +281,22 @@ fn replay_from_line(workload: &str, line: &str) -> Result<ArchiveRecord, String>
         if !m.value.is_finite() {
             return Err(format!("metric `{name}` is not a finite number"));
         }
-        rec.metrics.insert(name.clone(), m.value);
-        rec.worst.insert(name, m.value);
+        metrics.insert(name, m.value);
     }
-    Ok(rec)
-}
-
-/// One line of the append-only `index.jsonl`.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct IndexEntry {
-    /// The record's config hash (history key).
-    pub config_hash: String,
-    /// Record file, relative to the archive dir.
-    pub record: String,
-    /// Workload name (denormalized for selector lookups).
-    pub scenario: String,
-    /// Git revision of the record.
-    pub git_rev: String,
-    /// Unix seconds when the record was written.
-    pub t_unix: u64,
+    Ok(metrics)
 }
 
 // ---------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------
 
-/// Best-effort provenance: `MMDS_GIT_REV` / `GITHUB_SHA`, else
+/// Best-effort provenance: `GITHUB_SHA`, else
 /// `git rev-parse --short=12 HEAD`, else `unknown`.
-pub fn git_rev() -> String {
-    for var in ["MMDS_GIT_REV", "GITHUB_SHA"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_string();
-            if !v.is_empty() {
-                return v;
-            }
+fn git_rev() -> String {
+    if let Ok(v) = std::env::var("GITHUB_SHA") {
+        let v = v.trim();
+        if !v.is_empty() {
+            return v.to_string();
         }
     }
     std::process::Command::new("git")
@@ -336,7 +311,7 @@ pub fn git_rev() -> String {
 }
 
 /// Unix seconds now (0 if the clock is before the epoch).
-pub fn now_unix() -> u64 {
+fn now_unix() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -357,131 +332,48 @@ impl Archive {
         Ok(Archive { dir })
     }
 
-    /// The archive directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The append-only file of `workload`'s records, one per line.
+    pub fn path(&self, workload: &str) -> PathBuf {
+        self.dir.join(format!("{workload}.jsonl"))
     }
 
-    /// Path of the append-only index.
-    pub fn index_path(&self) -> PathBuf {
-        self.dir.join("index.jsonl")
-    }
-
-    /// Persists one record content-addressed and appends its index
-    /// line. Returns the record's path.
-    ///
-    /// Atomicity: the record body goes to a unique temp file first and
-    /// is `rename`d into place (a reader never sees a half-written
-    /// record); the index line is a single `write` on an `O_APPEND`
-    /// handle (two concurrent writers interleave whole lines, not
-    /// bytes — pinned by the concurrency test).
+    /// Appends `record` to its workload's file as one line, in a single
+    /// `write` on an `O_APPEND` handle: two concurrent writers
+    /// interleave whole records, not bytes (pinned by the concurrency
+    /// test). Returns the file's path.
     pub fn write(&self, record: &ArchiveRecord) -> std::io::Result<PathBuf> {
-        let body = serde_json::to_string_pretty(record)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let content_hash = format!("{:016x}", fnv1a64(body.as_bytes()));
-        let rel = format!("{}/{content_hash}.json", record.config_hash);
-        let path = self.dir.join(&rel);
-        std::fs::create_dir_all(path.parent().expect("record path has a parent"))?;
-        if !path.exists() {
-            let tmp = self.dir.join(format!(
-                "{}/.tmp.{content_hash}.{}.{}",
-                record.config_hash,
-                std::process::id(),
-                mmds_telemetry::thread_tid(),
-            ));
-            std::fs::write(&tmp, &body)?;
-            std::fs::rename(&tmp, &path)?;
-        }
-        let entry = IndexEntry {
-            config_hash: record.config_hash.clone(),
-            record: rel,
-            scenario: record.config.scenario.clone(),
-            git_rev: record.git_rev.clone(),
-            t_unix: record.t_unix,
-        };
-        let line = format!(
-            "{}\n",
-            serde_json::to_string(&entry).map_err(|e| std::io::Error::other(e.to_string()))?
-        );
-        let mut index = std::fs::OpenOptions::new()
+        let mut line =
+            serde_json::to_string(record).map_err(|e| std::io::Error::other(e.to_string()))?;
+        line.push('\n');
+        let path = self.path(&record.workload);
+        std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.index_path())?;
-        index.write_all(line.as_bytes())?;
+            .open(&path)?
+            .write_all(line.as_bytes())?;
         Ok(path)
     }
 
-    /// Reads the index in append order, tolerating a torn final line
-    /// (a concurrent writer mid-append) and a missing file (empty
-    /// archive).
-    pub fn read_index(&self) -> Vec<IndexEntry> {
-        let Ok(text) = std::fs::read_to_string(self.index_path()) else {
-            return Vec::new();
-        };
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .filter_map(|l| serde_json::from_str(l).ok())
-            .collect()
-    }
-
-    /// Loads the record behind an index entry.
-    pub fn load(&self, entry: &IndexEntry) -> Result<ArchiveRecord, String> {
-        let path = self.dir.join(&entry.record);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let rec: ArchiveRecord = serde_json::from_str(&text)
-            .map_err(|e| format!("{}: not a record: {e}", path.display()))?;
-        if rec.schema != SCHEMA {
-            return Err(format!(
-                "{}: record schema {} (this build reads {SCHEMA})",
-                path.display(),
-                rec.schema
-            ));
-        }
-        Ok(rec)
-    }
-
-    /// All runs for `config_hash`, oldest first, from the last `window`
-    /// index entries, and the number of those entries whose record
-    /// could not be loaded (missing, torn or foreign files).
+    /// `workload`'s records from the last `window` lines of its file,
+    /// oldest first, and the number of those lines that are not a
+    /// record of this schema (a torn write, another schema). Fails when
+    /// the workload has no file.
     pub fn runs_for(
         &self,
-        config_hash: &str,
+        workload: &str,
         window: usize,
-    ) -> (Vec<(IndexEntry, ArchiveRecord)>, usize) {
-        let mut entries: Vec<IndexEntry> = self
-            .read_index()
-            .into_iter()
-            .filter(|e| e.config_hash == config_hash)
-            .collect();
-        if entries.len() > window {
-            entries.drain(..entries.len() - window);
-        }
-        let mut runs = Vec::with_capacity(entries.len());
+    ) -> std::io::Result<(Vec<ArchiveRecord>, usize)> {
+        let text = std::fs::read_to_string(self.path(workload))?;
+        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        let mut runs = Vec::with_capacity(lines.len().min(window));
         let mut skipped = 0;
-        for e in entries {
-            match self.load(&e) {
-                Ok(r) => runs.push((e, r)),
-                Err(_) => skipped += 1,
+        for line in &lines[lines.len().saturating_sub(window)..] {
+            match serde_json::from_str::<ArchiveRecord>(line) {
+                Ok(r) if r.schema == SCHEMA => runs.push(r),
+                _ => skipped += 1,
             }
         }
-        (runs, skipped)
-    }
-
-    /// Resolves a `--config <hash>` / `--scenario <name>` selector to a
-    /// config hash: a 16-hex-digit string is taken verbatim, anything
-    /// else is treated as a workload name and resolved to its most
-    /// recently indexed hash.
-    pub fn resolve_selector(&self, selector: &str) -> Result<String, String> {
-        if selector.len() == 16 && selector.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Ok(selector.to_string());
-        }
-        self.read_index()
-            .iter()
-            .rev()
-            .find(|e| e.scenario == selector)
-            .map(|e| e.config_hash.clone())
-            .ok_or_else(|| format!("no archived run for workload `{selector}`"))
+        Ok((runs, skipped))
     }
 }
 
@@ -510,10 +402,8 @@ pub struct TrendDoc {
 /// The machine-readable `history --json` document.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct HistoryDoc {
-    /// The config hash the history is keyed on.
-    pub config_hash: String,
-    /// Workload name of the runs.
-    pub scenario: String,
+    /// The workload the history is keyed on.
+    pub workload: String,
     /// Number of archived runs in the window.
     pub runs: usize,
     /// Git rev of each run, oldest first.
@@ -522,18 +412,18 @@ pub struct HistoryDoc {
     pub metrics: Vec<TrendDoc>,
 }
 
-fn metric_values(runs: &[(IndexEntry, ArchiveRecord)], name: &str) -> Vec<f64> {
+fn metric_values(runs: &[ArchiveRecord], name: &str) -> Vec<f64> {
     runs.iter()
-        .filter_map(|(_, r)| r.metrics.get(name).copied())
+        .filter_map(|r| r.metrics.get(name).copied())
         .collect()
 }
 
 /// The metrics some run of the window reports as non-zero, by name. A
 /// metric that is 0 in every run is a layer the workload does not reach.
-fn live_metrics(runs: &[(IndexEntry, ArchiveRecord)]) -> Vec<&str> {
+fn live_metrics(runs: &[ArchiveRecord]) -> Vec<&str> {
     let mut names: Vec<&str> = runs
         .iter()
-        .flat_map(|(_, r)| r.metrics.iter())
+        .flat_map(|r| r.metrics.iter())
         .filter(|(_, v)| **v != 0.0)
         .map(|(k, _)| k.as_str())
         .collect();
@@ -554,9 +444,9 @@ fn num(v: f64) -> String {
     }
 }
 
-/// Builds the cross-run trend document for one config hash.
-pub fn history_doc(runs: &[(IndexEntry, ArchiveRecord)]) -> HistoryDoc {
-    let Some((first, _)) = runs.first() else {
+/// Builds the cross-run trend document for one workload's runs.
+pub fn history_doc(runs: &[ArchiveRecord]) -> HistoryDoc {
+    let Some(first) = runs.first() else {
         return HistoryDoc::default();
     };
     let metrics = live_metrics(runs)
@@ -578,10 +468,9 @@ pub fn history_doc(runs: &[(IndexEntry, ArchiveRecord)]) -> HistoryDoc {
         })
         .collect();
     HistoryDoc {
-        config_hash: first.config_hash.clone(),
-        scenario: first.scenario.clone(),
+        workload: first.workload.clone(),
         runs: runs.len(),
-        revs: runs.iter().map(|(e, _)| e.git_rev.clone()).collect(),
+        revs: runs.iter().map(|r| r.git_rev.clone()).collect(),
         metrics,
     }
 }
@@ -592,9 +481,8 @@ pub fn history_view(doc: &HistoryDoc) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "config {} ({}) — {} archived run(s), revs {} → {}",
-        doc.config_hash,
-        doc.scenario,
+        "{} — {} archived run(s), revs {} → {}",
+        doc.workload,
         doc.runs,
         doc.revs.first().map(String::as_str).unwrap_or("-"),
         doc.revs.last().map(String::as_str).unwrap_or("-"),
@@ -772,9 +660,9 @@ fn judge(
 }
 
 /// The `regress` verdict over one archive window: the latest archived
-/// run (the candidate) gated against all prior runs of the same config
-/// hash, metric by metric, with dispersion-derived tolerances.
-pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, String) {
+/// run (the candidate) gated against all prior runs of the same
+/// workload, metric by metric, with dispersion-derived tolerances.
+pub fn regress(runs: &[ArchiveRecord], floor: f64) -> (Gate, String) {
     let mut out = String::new();
     if runs.len() < 2 {
         let _ = writeln!(
@@ -787,13 +675,12 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
         return (Gate::Missing, out);
     }
     let (hist, cand) = runs.split_at(runs.len() - 1);
-    let (cand_entry, cand_rec) = &cand[0];
+    let cand_rec = &cand[0];
     let _ = writeln!(
         out,
-        "candidate: {} run {} (rev {}) vs {} archived run(s), floor {:.0}%",
-        cand_entry.scenario,
-        cand_entry.record,
-        cand_entry.git_rev,
+        "candidate: {} run at rev {} vs {} archived run(s), floor {:.0}%",
+        cand_rec.workload,
+        cand_rec.git_rev,
         hist.len(),
         100.0 * floor,
     );
@@ -823,7 +710,7 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
             let gauged: Vec<f64> = h.iter().map(|v| v + off).collect();
             let worst: Vec<f64> = hist
                 .iter()
-                .filter_map(|(_, r)| r.worst.get(name).or(r.metrics.get(name)))
+                .filter_map(|r| r.worst.get(name).or(r.metrics.get(name)))
                 .map(|v| v + off)
                 .collect();
             let (best, tol, g) = judge(better, &gauged, &worst, fresh + off, floor);
@@ -850,7 +737,7 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
     }
     // A metric the latest history run still reported but the candidate
     // no longer does is a structural break, not a pass.
-    let (_, latest_hist) = hist.last().expect("split leaves history");
+    let latest_hist = hist.last().expect("split leaves history");
     for name in latest_hist.metrics.keys() {
         if !cand_rec.metrics.contains_key(name) {
             gate = gate.max(Gate::Missing);
@@ -877,7 +764,7 @@ pub fn regress(runs: &[(IndexEntry, ArchiveRecord)], floor: f64) -> (Gate, Strin
         let off = gauge_offset(&t.name);
         let g: Vec<f64> = t.values.iter().map(|v| v + off).collect();
         if let Some(k) = change_point(&g, floor) {
-            let (e, _) = &runs[k.min(runs.len() - 1)];
+            let e = &runs[k.min(runs.len() - 1)];
             shifts.push(format!(
                 "  {}: first shifted at run #{k} (rev {}, {:+.1}% vs prior median)",
                 t.name,
@@ -974,8 +861,7 @@ mod tests {
     fn rec(metrics: &[(&str, f64)]) -> ArchiveRecord {
         ArchiveRecord {
             schema: SCHEMA,
-            config_hash: "deadbeefdeadbeef".into(),
-            config: ConfigKey::new("md_bulk"),
+            workload: "md_bulk".into(),
             git_rev: "r0".into(),
             t_unix: 1,
             replays: 1,
@@ -984,21 +870,14 @@ mod tests {
         }
     }
 
-    fn window(records: Vec<ArchiveRecord>) -> Vec<(IndexEntry, ArchiveRecord)> {
+    fn window(records: Vec<ArchiveRecord>) -> Vec<ArchiveRecord> {
         records
             .into_iter()
             .enumerate()
-            .map(|(i, r)| {
-                (
-                    IndexEntry {
-                        config_hash: r.config_hash.clone(),
-                        record: format!("deadbeefdeadbeef/{i}.json"),
-                        scenario: "md_bulk".into(),
-                        git_rev: format!("rev{i}"),
-                        t_unix: i as u64,
-                    },
-                    r,
-                )
+            .map(|(i, r)| ArchiveRecord {
+                git_rev: format!("rev{i}"),
+                t_unix: i as u64,
+                ..r
             })
             .collect()
     }
@@ -1046,7 +925,7 @@ mod tests {
     fn importer_rejects_what_is_not_a_passing_per_layer_result() {
         let ok = result_line(true, 0, &[("md.force_s", 0.5), ("kmc.events", 0.0)]);
         let r = record_from_result("md_bulk", &format!("metric lines\n{ok}\n")).unwrap();
-        assert_eq!(r.config_hash, ConfigKey::new("md_bulk").hash().unwrap());
+        assert_eq!(r.workload, "md_bulk");
         assert_eq!(r.metrics.get("md.force_s"), Some(&0.5));
         for (workload, text, reason) in [
             (
@@ -1085,6 +964,25 @@ mod tests {
             let e = record_from_result(workload, &text).unwrap_err();
             assert!(e.contains(reason), "{e}");
             assert_eq!(e.lines().count(), 1, "one-line reason: {e}");
+        }
+    }
+
+    #[test]
+    fn bench_doc_seeding_matches_live_config_hash() {
+        // Every committed BENCH_<workload>.json imports, keyed exactly
+        // as a fresh result of the same workload (by its workload name,
+        // which picks its archive file), with every per-layer metric.
+        for w in &spec().workloads {
+            let path = format!("{}/../../BENCH_{w}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("committed baseline");
+            let rec = record_from_result(w, &text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(&rec.workload, w);
+            assert_eq!(rec.metrics.len(), spec().per_layer.len(), "{path}");
+            assert!(
+                spec().per_layer.keys().all(|m| rec.metrics.contains_key(m)),
+                "{path}"
+            );
+            assert!(rec.metrics.values().any(|v| *v > 0.0), "{path}");
         }
     }
 
@@ -1310,19 +1208,5 @@ mod tests {
         assert!(text.contains("only in A"), "{text}");
         assert!(text.contains("only in B"), "{text}");
         assert!(text.contains("+35.7%"), "{text}"); // md 7 -> 9.5
-    }
-
-    #[test]
-    fn bench_doc_seeding_matches_live_config_hash() {
-        // Every committed BENCH_<workload>.json imports, keyed exactly
-        // as a fresh result of the same workload.
-        for w in &spec().workloads {
-            let path = format!("{}/../../BENCH_{w}.json", env!("CARGO_MANIFEST_DIR"));
-            let text = std::fs::read_to_string(&path).expect("committed baseline");
-            let rec = record_from_result(w, &text).unwrap_or_else(|e| panic!("{path}: {e}"));
-            assert_eq!(rec.config_hash, ConfigKey::new(w).hash().unwrap());
-            assert_eq!(rec.metrics.len(), spec().per_layer.len(), "{path}");
-            assert!(rec.metrics.values().any(|v| *v > 0.0), "{path}");
-        }
     }
 }

@@ -8,10 +8,10 @@
 //! mmds-inspect causal   <trace.jsonl> [--json <out>] [--strict]
 //!                       [--model <taihulight|free>]
 //! mmds-inspect trace    <trace.jsonl> [-o out.perfetto.json]
-//! mmds-inspect history  <config-hash | workload> [--archive <dir>]
-//!                       [--window <n>] [--json]
-//! mmds-inspect regress  <config-hash | workload> [--archive <dir>]
-//!                       [--window <n>] [--floor <rel>]
+//! mmds-inspect history  <workload> [--archive <dir>] [--window <n>]
+//!                       [--json]
+//! mmds-inspect regress  <workload> [--archive <dir>] [--window <n>]
+//!                       [--floor <rel>]
 //! mmds-inspect flamediff <a> <b>      (each a *.telemetry.json or a .jsonl)
 //! mmds-inspect archive-add <workload> <result.json> [--archive <dir>]
 //! ```
@@ -41,12 +41,10 @@
 //!   JSON for <https://ui.perfetto.dev>.
 //! * `history` renders the cross-run trend of every per-layer metric
 //!   (sparkline with min/max/last and the direction that is better)
-//!   over the last N archived runs of one config hash; `--json` emits
-//!   the machine-readable `HistoryDoc`. The selector is a 16-hex config
-//!   hash or a workload name (resolved to its most recently archived
-//!   hash).
+//!   over the last N archived runs of one workload; `--json` emits the
+//!   machine-readable `HistoryDoc`.
 //! * `regress` is the noise-aware CI gate: the newest archived run is
-//!   the candidate, every prior run of the same config hash is the
+//!   the candidate, every prior run of the same workload is the
 //!   history, and each metric's tolerance is its archived dispersion
 //!   floored at `--floor`, lower or higher being better as
 //!   `BENCHMARK.json` declares. Exit 0/1/2 as pass-or-warn / regression
@@ -57,12 +55,14 @@
 //!   operand is a telemetry report or a JSONL trace, as for `summary`.
 //! * `archive-add` imports the result lines of `bash benchmark/run.sh
 //!   --workload <workload> --trace 1` (fresh replays, one line each, or
-//!   a committed `BENCH_<workload>.json`) into the archive as one
-//!   record keyed by the workload, holding each metric's best and worst
-//!   replay. A result that is not a passing per-layer measurement
-//!   exits 2.
+//!   a committed `BENCH_<workload>.json`) as one record, appended to
+//!   the workload's file `<workload>.jsonl`, holding each metric's best
+//!   and worst replay. A result that is not a passing per-layer
+//!   measurement exits 2.
 //!
-//! The archive defaults to `results/archive`.
+//! The archive defaults to `results/archive`. `history` and `regress`
+//! read the last `--window` lines of the workload's file; a workload
+//! with no file exits 2.
 
 use mmds_bench::archive::{self, Archive};
 use mmds_bench::inspect::{load_report, report_from_records, summary, timeline};
@@ -86,10 +86,8 @@ fn usage() -> ! {
          mmds-inspect causal <trace.jsonl> [--json <out>] [--strict] \
          [--model <taihulight|free>]\n  \
          mmds-inspect trace <trace.jsonl> [-o out.json]\n  \
-         mmds-inspect history <config-hash | workload> [--archive <dir>] [--window <n>] \
-         [--json]\n  \
-         mmds-inspect regress <config-hash | workload> [--archive <dir>] [--window <n>] \
-         [--floor <rel>]\n  \
+         mmds-inspect history <workload> [--archive <dir>] [--window <n>] [--json]\n  \
+         mmds-inspect regress <workload> [--archive <dir>] [--window <n>] [--floor <rel>]\n  \
          mmds-inspect flamediff <a.telemetry.json | a.jsonl> <b.telemetry.json | b.jsonl>\n  \
          mmds-inspect archive-add <workload> <result.json> [--archive <dir>]"
     );
@@ -187,33 +185,30 @@ fn open_archive(dir: Option<&str>) -> Archive {
     }
 }
 
-fn archive_window(
-    archive: &Archive,
-    selector: &str,
-    window: usize,
-) -> Vec<(archive::IndexEntry, archive::ArchiveRecord)> {
-    let hash = match archive.resolve_selector(selector) {
-        Ok(h) => h,
+/// The last `window` records of `workload`; exits 2 with one line when
+/// the workload has no file in the archive.
+fn archive_window(dir: Option<&str>, workload: &str, window: usize) -> Vec<archive::ArchiveRecord> {
+    let archive = open_archive(dir);
+    let (runs, skipped) = match archive.runs_for(workload, window) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("mmds-inspect: {e}");
+            eprintln!(
+                "mmds-inspect: no archived runs for `{workload}` (cannot read {}: {e})",
+                archive.path(workload).display()
+            );
             std::process::exit(2);
         }
     };
-    let (runs, skipped) = archive.runs_for(&hash, window);
     if skipped > 0 {
         eprintln!("mmds-inspect: {skipped} unreadable record(s) skipped");
     }
     runs
 }
 
-fn cmd_history(selector: &str, dir: Option<&str>, window: usize, json: bool) -> i32 {
-    let archive = open_archive(dir);
-    let runs = archive_window(&archive, selector, window);
+fn cmd_history(workload: &str, dir: Option<&str>, window: usize, json: bool) -> i32 {
+    let runs = archive_window(dir, workload, window);
     if runs.is_empty() {
-        eprintln!(
-            "mmds-inspect: no archived runs for `{selector}` in {}",
-            archive.dir().display()
-        );
+        eprintln!("mmds-inspect: no readable archived run for `{workload}`");
         return 2;
     }
     let doc = archive::history_doc(&runs);
@@ -228,9 +223,8 @@ fn cmd_history(selector: &str, dir: Option<&str>, window: usize, json: bool) -> 
     0
 }
 
-fn cmd_regress(selector: &str, dir: Option<&str>, window: usize, floor: f64) -> i32 {
-    let archive = open_archive(dir);
-    let runs = archive_window(&archive, selector, window);
+fn cmd_regress(workload: &str, dir: Option<&str>, window: usize, floor: f64) -> i32 {
+    let runs = archive_window(dir, workload, window);
     let (gate, text) = archive::regress(&runs, floor);
     print!("{text}");
     gate.exit_code()
@@ -256,8 +250,8 @@ fn cmd_archive_add(workload: &str, result_path: &str, dir: Option<&str>) -> i32 
     match archive.write(&record) {
         Ok(path) => {
             println!(
-                "archived {workload} run {} ({} replay(s)) -> {}",
-                record.config_hash,
+                "archived {workload} run at rev {} ({} replay(s)) -> {}",
+                record.git_rev,
                 record.replays,
                 path.display()
             );
@@ -356,7 +350,7 @@ fn main() {
             0
         }
         Some(cmd @ ("history" | "regress")) => {
-            let Some(selector) = args.get(1) else { usage() };
+            let Some(workload) = args.get(1) else { usage() };
             let mut dir = None;
             let mut window = archive::DEFAULT_WINDOW;
             let mut floor = archive::DEFAULT_FLOOR;
@@ -393,9 +387,9 @@ fn main() {
                 i += 1;
             }
             if cmd == "history" {
-                cmd_history(selector, dir, window, json)
+                cmd_history(workload, dir, window, json)
             } else {
-                cmd_regress(selector, dir, window, floor)
+                cmd_regress(workload, dir, window, floor)
             }
         }
         Some("flamediff") => {

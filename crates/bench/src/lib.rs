@@ -239,8 +239,6 @@ pub mod paper {
     pub const FIG16_EFFICIENCY: f64 = 0.757;
     /// §3: physical time represented by the big run.
     pub const HEADLINE_DAYS: f64 = 19.2;
-    /// §3: runtime of the big coupled run (hours).
-    pub const HEADLINE_HOURS: f64 = 8.6;
 }
 
 #[cfg(test)]

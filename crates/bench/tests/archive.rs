@@ -1,15 +1,15 @@
-//! Integration tests for the content-addressed run archive: write
-//! atomicity under concurrent writers, full-record round-trips, the
-//! 3-run history acceptance scenario, archive-derived regression
-//! gating end to end, unreadable records, and `mmds-inspect
-//! archive-add` over committed and rejected benchmark results.
+//! Integration tests for the append-only run archive: one-line appends
+//! under concurrent writers, full-record round-trips, the 3-run history
+//! acceptance scenario, archive-derived regression gating end to end,
+//! torn and other-schema lines, and `mmds-inspect archive-add`,
+//! `history` and `regress` over committed and rejected benchmark
+//! results.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmds_bench::archive::{self, record_from_result, Archive, ArchiveRecord, Gate, SCHEMA};
-use mmds_telemetry::ConfigKey;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -43,7 +43,7 @@ fn committed(workload: &str) -> String {
 /// An `md_bulk` record: a force time, a throughput (higher is better)
 /// and a layer the workload does not reach.
 fn record_with(force_s: f64, rate: f64, rev: &str) -> ArchiveRecord {
-    let mut rec = ArchiveRecord::new(ConfigKey::new("md_bulk")).unwrap();
+    let mut rec = ArchiveRecord::new("md_bulk");
     rec.git_rev = rev.to_string();
     rec.metrics.insert("md.force_s".to_string(), force_s);
     rec.metrics
@@ -53,13 +53,23 @@ fn record_with(force_s: f64, rate: f64, rev: &str) -> ArchiveRecord {
     rec
 }
 
+/// The raw lines of `workload`'s archive file.
+fn lines_of(archive: &Archive, workload: &str) -> Vec<String> {
+    std::fs::read_to_string(archive.path(workload))
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
 #[test]
 fn concurrent_writers_produce_a_parseable_index_with_both_records() {
     let tmp = TempArchive::new();
     let a = Archive::open(&tmp.0).unwrap();
     let b = a.clone();
-    // Two threads, each appending many records to the same index — the
-    // O_APPEND single-write discipline must interleave whole lines.
+    // Two threads, each appending many records to the same workload
+    // file — the O_APPEND single-write discipline must interleave whole
+    // lines.
     let ta = std::thread::spawn(move || {
         for i in 0..20 {
             a.write(&record_with(1.0 + i as f64, 1000.0, "rev-a"))
@@ -76,39 +86,31 @@ fn concurrent_writers_produce_a_parseable_index_with_both_records() {
     tb.join().unwrap();
 
     let archive = Archive::open(&tmp.0).unwrap();
-    let index = archive.read_index();
-    assert_eq!(index.len(), 40, "every append must survive as one line");
-    // Every raw line parses — no torn or interleaved entries.
-    let raw = std::fs::read_to_string(archive.index_path()).unwrap();
-    assert_eq!(raw.lines().count(), 40);
-    for (e, line) in index.iter().zip(raw.lines()) {
-        assert!(!line.trim().is_empty());
-        let rec = archive.load(e).expect("record behind every index line");
-        assert_eq!(rec.config_hash, e.config_hash);
-    }
-    assert!(index.iter().any(|e| e.git_rev == "rev-a"));
-    assert!(index.iter().any(|e| e.git_rev == "rev-b"));
-    // No temp files left behind by the atomic rename path.
-    let leftovers: Vec<_> = std::fs::read_dir(tmp.0.join(&index[0].config_hash))
-        .unwrap()
-        .filter_map(|d| d.ok())
-        .filter(|d| d.file_name().to_string_lossy().starts_with(".tmp."))
+    // Every raw line is one whole record — no torn or interleaved lines.
+    let raw = lines_of(&archive, "md_bulk");
+    assert_eq!(raw.len(), 40, "every append must survive as one line");
+    let records: Vec<ArchiveRecord> = raw
+        .iter()
+        .map(|l| serde_json::from_str(l).expect("a whole record per line"))
         .collect();
-    assert!(leftovers.is_empty(), "{leftovers:?}");
+    assert!(records.iter().all(|r| r.workload == "md_bulk"));
+    assert_eq!(records.iter().filter(|r| r.git_rev == "rev-a").count(), 20);
+    assert_eq!(records.iter().filter(|r| r.git_rev == "rev-b").count(), 20);
+    let (runs, skipped) = archive.runs_for("md_bulk", 100).unwrap();
+    assert_eq!((runs, skipped), (records, 0));
+    // The workload's file is the whole store.
+    let files: Vec<_> = std::fs::read_dir(&tmp.0)
+        .unwrap()
+        .map(|d| d.unwrap().file_name())
+        .collect();
+    assert_eq!(files, ["md_bulk.jsonl"]);
 }
 
 #[test]
 fn archived_record_round_trips_every_field() {
     // Populate every field with a non-default value so a field dropped
     // by (de)serialization cannot hide behind a default.
-    let mut rec = ArchiveRecord::new(
-        ConfigKey::new("roundtrip")
-            .with_int("cells", 8)
-            .with_bool("batched", true)
-            .with_float("conc", 0.003)
-            .with_str("table_form", "Compacted"),
-    )
-    .unwrap();
+    let mut rec = ArchiveRecord::new("roundtrip");
     rec.git_rev = "abc123def456".to_string();
     rec.t_unix = 1_754_000_000;
     rec.replays = 3;
@@ -117,6 +119,7 @@ fn archived_record_round_trips_every_field() {
         .insert("kmc.ghost_bytes".to_string(), 3_017_932_800.0);
     rec.metrics
         .insert("md.nve_drift_offload".to_string(), 2.3e-7);
+    rec.worst.insert("md.force_s".to_string(), 2.75);
     assert_eq!(rec.schema, SCHEMA);
 
     // In-memory JSON round-trip.
@@ -124,17 +127,13 @@ fn archived_record_round_trips_every_field() {
     let back: ArchiveRecord = serde_json::from_str(&json).unwrap();
     assert_eq!(back, rec);
 
-    // Disk round-trip through the store, via the index.
+    // Disk round-trip through the workload's file.
     let tmp = TempArchive::new();
     let archive = Archive::open(&tmp.0).unwrap();
-    archive.write(&rec).unwrap();
-    let index = archive.read_index();
-    assert_eq!(index.len(), 1);
-    assert_eq!(index[0].scenario, "roundtrip");
-    assert_eq!(index[0].git_rev, "abc123def456");
-    assert_eq!(index[0].t_unix, 1_754_000_000);
-    let loaded = archive.load(&index[0]).unwrap();
-    assert_eq!(loaded, rec);
+    let path = archive.write(&rec).unwrap();
+    assert_eq!(path, tmp.0.join("roundtrip.jsonl"));
+    let (runs, skipped) = archive.runs_for("roundtrip", 20).unwrap();
+    assert_eq!((runs, skipped), (vec![rec], 0));
 }
 
 #[test]
@@ -147,13 +146,11 @@ fn three_run_history_has_correct_min_max_last() {
     archive.write(&record_with(1.5, 700.0, "r2")).unwrap();
     archive.write(&record_with(1.2, 900.0, "r3")).unwrap();
 
-    let hash = archive.resolve_selector("md_bulk").unwrap();
-    assert_eq!(hash, ConfigKey::new("md_bulk").hash().unwrap());
-    let (runs, skipped) = archive.runs_for(&hash, 20);
+    let (runs, skipped) = archive.runs_for("md_bulk", 20).unwrap();
     assert_eq!((runs.len(), skipped), (3, 0));
     let doc = archive::history_doc(&runs);
     assert_eq!(doc.runs, 3);
-    assert_eq!(doc.scenario, "md_bulk");
+    assert_eq!(doc.workload, "md_bulk");
     assert_eq!(doc.revs, vec!["r1", "r2", "r3"]);
     let force = doc.metrics.iter().find(|t| t.name == "md.force_s").unwrap();
     assert_eq!(force.values, vec![1.0, 1.5, 1.2]);
@@ -179,8 +176,10 @@ fn three_run_history_has_correct_min_max_last() {
     assert!(view.contains("min=1.0000"), "{view}");
     assert!(view.contains("max=1.5000"), "{view}");
     assert!(view.contains("last=1.2000"), "{view}");
-    // The window honours its cap.
-    assert_eq!(archive.runs_for(&hash, 2).0.len(), 2);
+    // The window honours its cap and keeps the newest lines.
+    let (last2, _) = archive.runs_for("md_bulk", 2).unwrap();
+    let revs: Vec<_> = last2.iter().map(|r| r.git_rev.as_str()).collect();
+    assert_eq!(revs, ["r2", "r3"]);
 }
 
 #[test]
@@ -192,12 +191,11 @@ fn regress_gates_from_an_on_disk_archive() {
     archive.write(&record_with(1.04, 960.0, "r3")).unwrap();
     // Candidate inside the archived dispersion: pass.
     archive.write(&record_with(1.06, 950.0, "r4")).unwrap();
-    let hash = archive.resolve_selector("md_bulk").unwrap();
-    let (gate, _) = archive::regress(&archive.runs_for(&hash, 20).0, 0.10);
+    let (gate, _) = archive::regress(&archive.runs_for("md_bulk", 20).unwrap().0, 0.10);
     assert_eq!(gate, Gate::Pass);
     // A 2× slowdown lands far outside any derived tolerance: fail.
     archive.write(&record_with(2.0, 500.0, "r5")).unwrap();
-    let (gate, text) = archive::regress(&archive.runs_for(&hash, 20).0, 0.10);
+    let (gate, text) = archive::regress(&archive.runs_for("md_bulk", 20).unwrap().0, 0.10);
     assert_eq!(gate, Gate::Fail);
     assert_eq!(gate.exit_code(), 1);
     assert!(text.contains("FAIL"), "{text}");
@@ -207,47 +205,68 @@ fn regress_gates_from_an_on_disk_archive() {
 
 #[test]
 fn unreadable_records_are_counted_not_dropped_silently() {
+    // A line of another schema (here, a schema-2 record keyed by config
+    // hash) is counted as skipped, not read as a run.
     let tmp = TempArchive::new();
     let archive = Archive::open(&tmp.0).unwrap();
-    let torn = archive.write(&record_with(1.0, 1000.0, "r1")).unwrap();
-    archive.write(&record_with(1.1, 990.0, "r2")).unwrap();
-    archive.write(&record_with(1.2, 980.0, "r3")).unwrap();
-    let body = std::fs::read_to_string(&torn).unwrap();
-    std::fs::write(&torn, &body[..body.len() / 2]).unwrap();
-    let hash = archive.resolve_selector("md_bulk").unwrap();
-    let (runs, skipped) = archive.runs_for(&hash, 20);
+    archive.write(&record_with(1.0, 1000.0, "r1")).unwrap();
+    let mut old = ArchiveRecord {
+        schema: 2,
+        ..record_with(1.1, 990.0, "r2")
+    };
+    archive.write(&old).unwrap();
+    old.schema = SCHEMA;
+    old.git_rev = "r3".to_string();
+    archive.write(&old).unwrap();
+    let (runs, skipped) = archive.runs_for("md_bulk", 20).unwrap();
     assert_eq!((runs.len(), skipped), (2, 1));
-    assert_eq!(runs[0].1.git_rev, "r2");
+    assert_eq!(runs[1].git_rev, "r3");
+    // The skipped line still takes its place in the window.
+    assert_eq!(archive.runs_for("md_bulk", 2).unwrap().0.len(), 1);
 }
 
 #[test]
 fn seeded_baseline_and_identical_config_share_a_hash() {
-    // The committed BENCH_md_bulk.json and a fresh md_bulk result key
-    // identically, whatever their numbers; every other workload
-    // re-keys.
-    let seeded = record_from_result("md_bulk", &committed("md_bulk")).unwrap();
-    let fresh_line = committed("md_bulk").replace("\"value\": 0,", "\"value\": 1,");
-    let fresh = record_from_result("md_bulk", &fresh_line).unwrap();
-    assert_ne!(seeded.metrics, fresh.metrics);
-    assert_eq!(seeded.config_hash, fresh.config_hash);
-    for other in ["coupled_2r", "kmc_dense", "kmc_fullghost"] {
-        let rec = record_from_result(other, &committed(other)).unwrap();
-        assert_ne!(rec.config_hash, seeded.config_hash, "{other}");
+    // The committed BENCH_<workload>.json (five replays) and a fresh
+    // result of the same workload (here one replay, other numbers) key
+    // identically: both land in the same `<workload>.jsonl`, in append
+    // order. Every other workload keys to a file of its own.
+    let tmp = TempArchive::new();
+    let archive = Archive::open(&tmp.0).unwrap();
+    let mut files = Vec::new();
+    for w in ["md_bulk", "coupled_2r", "kmc_dense", "kmc_fullghost"] {
+        let seeded = record_from_result(w, &committed(w)).unwrap();
+        let baseline = committed(w);
+        let fresh = record_from_result(w, baseline.lines().next().unwrap()).unwrap();
+        assert_eq!((seeded.replays, fresh.replays), (5, 1), "{w}");
+        let seeded_path = archive.write(&seeded).unwrap();
+        assert_eq!(archive.write(&fresh).unwrap(), seeded_path);
+        assert_eq!(seeded_path, tmp.0.join(format!("{w}.jsonl")));
+        let (runs, skipped) = archive.runs_for(w, 20).unwrap();
+        assert_eq!((runs, skipped), (vec![seeded, fresh], 0), "{w}");
+        assert!(!files.contains(&seeded_path), "{w}");
+        files.push(seeded_path);
     }
 }
 
 #[test]
 fn torn_index_tail_is_tolerated() {
+    // A writer caught mid-append leaves a torn final line: it is
+    // skipped and counted, and the whole records before it still read.
     let tmp = TempArchive::new();
     let archive = Archive::open(&tmp.0).unwrap();
     archive.write(&record_with(1.0, 1000.0, "r1")).unwrap();
-    // Simulate a writer caught mid-append.
-    let mut raw = std::fs::read_to_string(archive.index_path()).unwrap();
-    raw.push_str("{\"config_hash\":\"deadbe");
-    std::fs::write(archive.index_path(), &raw).unwrap();
-    let index = archive.read_index();
-    assert_eq!(index.len(), 1, "torn tail line must be skipped");
-    assert_eq!(index[0].git_rev, "r1");
+    let line = lines_of(&archive, "md_bulk").remove(0);
+    let mut raw = std::fs::read_to_string(archive.path("md_bulk")).unwrap();
+    raw.push_str(&line[..line.len() / 2]);
+    std::fs::write(archive.path("md_bulk"), &raw).unwrap();
+    let (runs, skipped) = archive.runs_for("md_bulk", 20).unwrap();
+    assert_eq!(
+        (runs.len(), skipped),
+        (1, 1),
+        "torn tail line must be skipped"
+    );
+    assert_eq!(runs[0].git_rev, "r1");
 }
 
 /// Runs `mmds-inspect` with `args`; returns exit code, stdout, stderr.
@@ -273,10 +292,7 @@ fn archive_add_takes_committed_baselines_and_rejects_other_results() {
         let path = format!("{root}/BENCH_{w}.json");
         let (code, stdout, stderr) = inspect(&["archive-add", w, &path, "--archive", dir]);
         assert_eq!(code, 0, "{w}: {stderr}");
-        assert!(
-            stdout.contains(&ConfigKey::new(w).hash().unwrap()),
-            "{stdout}"
-        );
+        assert!(stdout.contains(&format!("{w}.jsonl")), "{stdout}");
     }
     // The same baseline again makes a two-run history that passes.
     let md = format!("{root}/BENCH_md_bulk.json");
@@ -346,7 +362,29 @@ fn archive_add_takes_committed_baselines_and_rejects_other_results() {
         );
         assert!(stderr.contains(reason), "{name}: {stderr}");
     }
-    // Nothing rejected reached the index.
-    let index = Archive::open(dir).unwrap().read_index();
-    assert_eq!(index.len(), 6);
+    // Nothing rejected reached the archive.
+    let archive = Archive::open(dir).unwrap();
+    assert_eq!(lines_of(&archive, "md_bulk").len(), 3);
+    assert_eq!(lines_of(&archive, "kmc_dense").len(), 1);
+}
+
+#[test]
+fn history_and_regress_without_an_archived_file_exit_2() {
+    let tmp = TempArchive::new();
+    let dir = tmp.0.to_str().unwrap();
+    let md = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_md_bulk.json");
+    assert_eq!(
+        inspect(&["archive-add", "md_bulk", md, "--archive", dir]).0,
+        0
+    );
+    for cmd in ["history", "regress"] {
+        let (code, stdout, stderr) = inspect(&[cmd, "kmc_dense", "--archive", dir]);
+        assert_eq!(code, 2, "{cmd}: {stdout}{stderr}");
+        assert_eq!(stdout, "", "{cmd}");
+        assert_eq!(stderr.lines().count(), 1, "{cmd}: one line: {stderr}");
+        assert!(
+            stderr.contains("no archived runs for `kmc_dense`"),
+            "{cmd}: {stderr}"
+        );
+    }
 }

@@ -251,11 +251,6 @@ impl Comm {
         self.shared.mailboxes[self.rank].probe(&self.waiter, src, tag)
     }
 
-    /// Non-blocking probe for any source on `tag`.
-    pub fn try_probe_any(&self, tag: Tag) -> Option<MsgInfo> {
-        self.shared.mailboxes[self.rank].try_probe(Source::Any, tag)
-    }
-
     /// Paired exchange: sends to `dst` and receives from `src` on the
     /// same tag (`MPI_Sendrecv`) — the halo-exchange workhorse.
     pub fn sendrecv(&self, dst: Rank, src: Rank, tag: Tag, payload: Vec<u8>) -> Vec<u8> {

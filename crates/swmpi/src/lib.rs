@@ -11,9 +11,9 @@
 //! * **Ranks are OS threads** spawned by [`World::run`]; each receives a
 //!   [`Comm`] handle.
 //! * **Two-sided primitives** with MPI semantics: [`Comm::send`],
-//!   [`Comm::recv`], tag matching, [`Comm::probe`] /
-//!   [`Comm::try_probe_any`] (needed by the paper's on-demand KMC
-//!   communication, §2.2.1).
+//!   [`Comm::recv`], tag matching, and the blocking [`Comm::probe`]
+//!   (the paper's on-demand KMC communication, §2.2.1, probes each
+//!   neighbour's runtime-sized message with it before receiving).
 //! * **Collectives**: barrier, allreduce, allgather — all of which also
 //!   synchronise the per-rank *virtual clocks*.
 //! * **One-sided windows** ([`onesided::WindowHub`]): put + fence, the

@@ -123,12 +123,6 @@ impl Mailbox {
         waiter.wait(&self.queue, |q| q.info(source, tag))
     }
 
-    /// Non-blocking probe (`MPI_Iprobe`): returns metadata if a matching
-    /// message is already queued.
-    pub fn try_probe(&self, source: Source, tag: Tag) -> Option<MsgInfo> {
-        self.queue.lock().info(source, tag)
-    }
-
     /// Number of currently queued messages (diagnostics / leak tests).
     pub fn pending(&self) -> usize {
         self.queue.lock().msgs.len()
@@ -206,15 +200,6 @@ mod tests {
         assert_eq!(mb.pending(), 1);
         let m = mb.recv(&w, Source::Of(info.src), info.tag);
         assert_eq!(m.payload.len(), 42);
-    }
-
-    #[test]
-    fn try_probe_none_when_empty() {
-        let mb = Mailbox::new();
-        assert!(mb.try_probe(Source::Any, 0).is_none());
-        mb.deliver(env(0, 1, vec![]));
-        assert!(mb.try_probe(Source::Any, 0).is_none());
-        assert!(mb.try_probe(Source::Any, 1).is_some());
     }
 
     #[test]

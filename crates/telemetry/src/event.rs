@@ -324,35 +324,9 @@ impl MemorySink {
         Self::default()
     }
 
-    /// Snapshot of everything captured so far. Clones the whole
-    /// buffer — polling consumers should use [`MemorySink::drain`] or
-    /// [`MemorySink::records_since`] instead.
+    /// Snapshot of everything captured so far.
     pub fn records(&self) -> Vec<Record> {
         self.records.lock().unwrap().clone()
-    }
-
-    /// Records captured so far, without cloning anything.
-    pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
-    }
-
-    /// True when nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns everything captured so far. Repeated polls
-    /// each pay only for the new records, not the whole history.
-    pub fn drain(&self) -> Vec<Record> {
-        std::mem::take(&mut *self.records.lock().unwrap())
-    }
-
-    /// Clones only the records at index `cursor` and later. Callers
-    /// keep the buffer intact (unlike [`MemorySink::drain`]) and
-    /// advance their cursor by the returned length.
-    pub fn records_since(&self, cursor: usize) -> Vec<Record> {
-        let g = self.records.lock().unwrap();
-        g.get(cursor..).map(<[Record]>::to_vec).unwrap_or_default()
     }
 }
 

@@ -62,7 +62,6 @@ pub mod span;
 
 use std::sync::{Arc, OnceLock};
 
-pub use canon::{CanonError, ConfigKey, FacetValue};
 pub use event::{
     AlertRecord, AlertSeverity, CommRecord, Event, EventSink, FileSink, HeartbeatSample,
     KmcCycleSample, MdStepSample, MemorySink, Record, SeriesSample,
@@ -72,9 +71,7 @@ pub use report::{
     CounterRegistry, PhaseImbalance, RankComm, RankReport, RunReport, SeriesPoint, SeriesTrack,
     SpanReport,
 };
-pub use span::{
-    current_rank, rank_scope, set_thread_rank, thread_tid, RankScope, SpanGuard, Telemetry,
-};
+pub use span::{current_rank, rank_scope, set_thread_rank, RankScope, SpanGuard, Telemetry};
 
 /// What the telemetry layer does with what it observes.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -70,7 +70,7 @@ static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
 /// Small stable id of the calling OS thread, assigned densely from 0
 /// on first use. Trace consumers use it as the Perfetto `tid`.
-pub fn thread_tid() -> u32 {
+pub(crate) fn thread_tid() -> u32 {
     TID.with(|t| match t.get() {
         Some(id) => id,
         None => {
