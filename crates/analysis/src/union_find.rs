@@ -66,12 +66,6 @@ impl UnionFind {
         self.components
     }
 
-    /// Size of `x`'s set.
-    pub fn component_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Sizes of all components, descending.
     pub fn component_sizes(&mut self) -> Vec<usize> {
         let n = self.len();
@@ -96,7 +90,6 @@ mod tests {
         assert_eq!(uf.components(), 5);
         for i in 0..5 {
             assert_eq!(uf.find(i), i);
-            assert_eq!(uf.component_size(i), 1);
         }
     }
 
@@ -108,7 +101,6 @@ mod tests {
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 3), "already connected");
         assert_eq!(uf.components(), 3);
-        assert_eq!(uf.component_size(3), 4);
         assert_eq!(uf.component_sizes(), vec![4, 1, 1]);
     }
 
@@ -120,6 +112,5 @@ mod tests {
         }
         assert_eq!(uf.components(), 1);
         assert_eq!(uf.find(0), uf.find(99));
-        assert_eq!(uf.component_size(50), 100);
     }
 }

@@ -539,6 +539,6 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert!(knobs.starts_with("environment knobs (5):"), "{knobs}");
+        assert!(knobs.starts_with("environment knobs (3):"), "{knobs}");
     }
 }

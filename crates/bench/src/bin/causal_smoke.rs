@@ -2,12 +2,12 @@
 //!
 //! Runs a single world (single `World::run`, so comm match ids are
 //! unique across the whole trace) of the parallel coupled pipeline at
-//! a small fixed size and exits. Telemetry and tracing come from the
-//! environment, which is the whole point: CI runs this under
-//! `MMDS_TELEMETRY=jsonl:… MMDS_COMM_TRACE=1 MMDS_HEARTBEAT=1` and
-//! feeds the trace to `mmds-inspect causal --strict` to gate match
-//! closure and to `mmds-inspect watch --once` to run the heartbeat
-//! loop.
+//! a small fixed size and exits. Telemetry comes from the environment,
+//! which is the whole point: under `MMDS_TELEMETRY=jsonl:…` alone the
+//! trace carries comm records, heartbeats and every rank's comm
+//! deposit. CI feeds it to `mmds-inspect causal --strict` to gate match
+//! closure, to `mmds-inspect watch --once` to run the heartbeat loop,
+//! and to `mmds-inspect summary` for the comm matrix.
 
 use mmds_bench::{header, reconcile};
 use mmds_coupled::parallel::{run_coupled_parallel, ParallelCoupledParams};

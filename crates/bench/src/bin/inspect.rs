@@ -19,7 +19,7 @@
 //! * `summary` prints the per-phase imbalance table, comm-matrix
 //!   heatline (with pairwise symmetry verdict), local hot-path
 //!   breakdown, and physics-health counters.
-//! * `causal` analyzes a comm-traced run (`MMDS_COMM_TRACE=1`):
+//! * `causal` analyzes a comm-traced run (`MMDS_TELEMETRY=jsonl:…`):
 //!   cross-rank wait states (late sender / late receiver / collective
 //!   skew with per-phase blame) and the true cross-rank critical path
 //!   joined over matched message ids. `--json` writes the full

@@ -2,7 +2,7 @@
 //! wait-state metrics over a traced run.
 //!
 //! Input is the telemetry JSONL stream of a run executed with comm
-//! tracing on (`MMDS_COMM_TRACE=1` or
+//! tracing on (`MMDS_TELEMETRY=jsonl:…` turns it on, as does
 //! [`mmds_telemetry::enable_comm_tracing`]): every swmpi primitive
 //! emits one [`mmds_telemetry::CommRecord`] carrying its wall-clock
 //! blocking interval, virtual enter/exit clocks, Lamport clock, and a
@@ -641,7 +641,7 @@ pub fn causal_view(rep: &CausalReport) -> String {
 
     out.push_str("\n-- wait states per rank (ms) --\n");
     if w.per_rank.is_empty() {
-        out.push_str("no comm events in the trace (was MMDS_COMM_TRACE=1 set?)\n");
+        out.push_str("no comm events in the trace (was it written with MMDS_TELEMETRY=jsonl:…?)\n");
     } else {
         let rows: Vec<Vec<String>> = w
             .per_rank

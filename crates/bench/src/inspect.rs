@@ -17,8 +17,7 @@ pub fn load_report(text: &str) -> Result<RunReport, String> {
 /// Reconstructs a [`RunReport`] from a record stream by folding it
 /// through [`RunFold`] — the fold the producing process itself
 /// reports from, and the one `watch` and `causal` use, so they all
-/// agree by construction. Comm stats are not in the stream, so
-/// `ranks[*].comm` stays empty.
+/// agree by construction.
 pub fn report_from_records(records: &[Record]) -> RunReport {
     let mut fold = RunFold::default();
     for r in records {
@@ -53,7 +52,7 @@ pub fn imbalance_table(imbalance: &[PhaseImbalance]) -> String {
 /// the pairwise send/recv symmetry verdict.
 pub fn comm_matrix_view(report: &RunReport) -> String {
     let Some(w) = report.world_matrix() else {
-        return "no comm matrices deposited\n".to_string();
+        return "no comm matrices recorded\n".to_string();
     };
     let mut out = String::new();
     let _ = writeln!(out, "src→dst bytes ({} ranks):", w.n_ranks());
@@ -131,7 +130,7 @@ pub fn local_hot_path_view(spans: &[SpanReport]) -> String {
 /// Health counters (`*.health.*`) with non-zero values, one per line.
 pub fn health_view(report: &RunReport) -> String {
     let mut out = String::new();
-    for (name, v) in &report.counters.named {
+    for (name, v) in &report.counters {
         if name.contains(".health.") && *v > 0.0 {
             let _ = writeln!(out, "  {name} = {v}");
         }
@@ -146,7 +145,7 @@ pub fn health_view(report: &RunReport) -> String {
 /// `kmc.rate.*` counters and the KMC cycle samples; empty when the run
 /// recorded no KMC events.
 pub fn kmc_solver_cost_view(report: &RunReport) -> String {
-    let named = &report.counters.named;
+    let named = &report.counters;
     let evals = |name: &str| named.get(name).copied().unwrap_or(0.0);
     let events: u64 = report.samples.kmc.iter().map(|s| s.events).sum();
     if events == 0 {
@@ -261,7 +260,7 @@ pub fn timeline(report: &RunReport) -> String {
             .find(|t| t.name == name)
             .and_then(|t| t.last_value())
     };
-    let named = &report.counters.named;
+    let named = &report.counters;
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut push = |what: &str, v: Option<f64>| {
         if let Some(v) = v {
@@ -363,7 +362,7 @@ pub fn timeline(report: &RunReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmds_telemetry::Event;
+    use mmds_telemetry::{Event, RankComm};
 
     #[test]
     fn local_hot_path_follows_heaviest_child() {
@@ -501,7 +500,7 @@ mod tests {
             tid: Some(0),
             event,
         };
-        let records = vec![
+        let mut records = vec![
             rec(
                 0,
                 Some(0),
@@ -527,8 +526,34 @@ mod tests {
                 },
             ),
         ];
+        // One comm deposit per rank: rank 0 sends 64 B to rank 1.
+        let mut flows = [
+            mmds_swmpi::matrix::MatrixRecorder::default(),
+            mmds_swmpi::matrix::MatrixRecorder::default(),
+        ];
+        flows[0].record_send(1, 64);
+        flows[1].record_recv(0, 64);
+        let deposits: Vec<RankComm> = (0..2u32)
+            .map(|rank| RankComm {
+                rank,
+                stats: mmds_swmpi::CommStats {
+                    bytes_sent: 64 * u64::from(rank == 0),
+                    bytes_recv: 64 * u64::from(rank == 1),
+                    ..Default::default()
+                },
+                matrix: Some(flows[rank as usize].snapshot(rank as usize)),
+            })
+            .collect();
+        for (seq, d) in (3..).zip(&deposits) {
+            records.push(rec(seq, None, Event::RankComm(d.clone())));
+        }
         let report = report_from_records(&records);
         assert_eq!(report.ranks.len(), 2);
+        for (r, d) in report.ranks.iter().zip(&deposits) {
+            assert_eq!(r.comm, Some(d.stats));
+            assert_eq!(r.matrix, d.matrix);
+        }
+        assert!(summary(&report).contains("pairwise symmetry: OK (64 B total)"));
         let md = report
             .imbalance
             .iter()

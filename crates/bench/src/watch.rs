@@ -64,7 +64,7 @@ pub fn render_dashboard(fold: &RunFold, dog: &Watchdog, now_ns: u64, path: &str)
 
     out.push_str("\n-- rank heartbeats --\n");
     if fold.heartbeats().is_empty() {
-        out.push_str("  none yet (set MMDS_HEARTBEAT=<n> on the producer)\n");
+        out.push_str("  none yet (run the producer with MMDS_TELEMETRY=jsonl:<path>)\n");
     } else {
         for ((rank, source), st) in fold.heartbeats() {
             let age_s = now_ns.saturating_sub(st.last_t_ns) as f64 * 1e-9;

@@ -1,6 +1,7 @@
 //! End-to-end acceptance check: `mmds-inspect` style summary over a
 //! live 8-rank coupled run must surface the per-phase imbalance table
-//! and the per-pair comm matrix with its symmetry verdict.
+//! and the per-pair comm matrix with its symmetry verdict — and the
+//! run's records alone must render the same summary and timeline.
 
 use mmds_bench::inspect;
 use mmds_coupled::parallel::{run_coupled_parallel, ParallelCoupledParams};
@@ -8,11 +9,13 @@ use mmds_kmc::{ExchangeStrategy, KmcConfig};
 use mmds_md::offload::OffloadConfig;
 use mmds_md::MdConfig;
 use mmds_swmpi::{MachineModel, World, WorldConfig};
-use mmds_telemetry::Mode;
+use mmds_telemetry::{MemorySink, Mode};
 
 #[test]
 fn inspect_summary_covers_eight_rank_coupled_run() {
     mmds_telemetry::set_mode(Mode::Summary);
+    let sink = MemorySink::new();
+    mmds_telemetry::global().install_sink(Box::new(sink.clone()));
     let world = World::new(WorldConfig {
         model: MachineModel::free(),
         ..Default::default()
@@ -41,7 +44,15 @@ fn inspect_summary_covers_eight_rank_coupled_run() {
     assert_eq!(out.len(), 8);
 
     let report = mmds_telemetry::global().run_report();
+    mmds_telemetry::global().take_sink();
     let text = inspect::summary(&report);
+
+    // The trace is the whole report: its re-fold renders byte for byte
+    // what the producing process renders, comm matrix included.
+    let refolded = inspect::report_from_records(&sink.records());
+    assert_eq!(inspect::summary(&refolded), text);
+    assert_eq!(inspect::timeline(&refolded), inspect::timeline(&report));
+    assert!(text.contains("src→dst bytes"), "{text}");
 
     // Imbalance table: md.phase and kmc.phase rows over 8 ranks with a
     // max/avg ratio column.

@@ -72,36 +72,6 @@ impl BccGeometry {
         self.a0
     }
 
-    /// The nearest lattice site to an arbitrary point (periodic in the
-    /// box). Returns `(i, j, k, b)`.
-    pub fn nearest_site(&self, p: [f64; 3]) -> (usize, usize, usize, usize) {
-        let mut best = (0, 0, 0, 0);
-        let mut best_d2 = f64::INFINITY;
-        for b in 0..2usize {
-            let h = 0.5 * b as f64;
-            // Candidate cell indices from rounding each axis.
-            let mut c = [0i64; 3];
-            for (ax, cc) in c.iter_mut().enumerate() {
-                *cc = (p[ax] / self.a0 - h).round() as i64;
-            }
-            let dims = [self.nx as i64, self.ny as i64, self.nz as i64];
-            let mut q = [0usize; 3];
-            let mut d2 = 0.0;
-            for ax in 0..3 {
-                let w = c[ax].rem_euclid(dims[ax]) as usize;
-                q[ax] = w;
-                let ideal = (c[ax] as f64 + h) * self.a0;
-                let d = p[ax] - ideal;
-                d2 += d * d;
-            }
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = (q[0], q[1], q[2], b);
-            }
-        }
-        best
-    }
-
     /// Minimum-image displacement `a − b` under periodic boundaries.
     pub fn min_image(&self, a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
         let l = self.box_lengths();
@@ -137,26 +107,6 @@ mod tests {
         let b = g.site_position(1, 1, 1, 1);
         let d = ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
         assert!((d - g.nn1()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nearest_site_recovers_lattice_points() {
-        let g = BccGeometry::fe_cube(5);
-        for (i, j, k, b) in [(0, 0, 0, 0), (2, 3, 1, 1), (4, 4, 4, 0), (1, 0, 3, 1)] {
-            let p = g.site_position(i, j, k, b);
-            assert_eq!(g.nearest_site(p), (i, j, k, b));
-            // Slightly displaced point still maps home.
-            let p2 = [p[0] + 0.3, p[1] - 0.25, p[2] + 0.2];
-            assert_eq!(g.nearest_site(p2), (i, j, k, b));
-        }
-    }
-
-    #[test]
-    fn nearest_site_wraps_periodically() {
-        let g = BccGeometry::fe_cube(4);
-        // A point just past the box maps to cell 0.
-        let l = g.box_lengths()[0];
-        assert_eq!(g.nearest_site([l + 0.1, 0.0, 0.0]), (0, 0, 0, 0));
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct VerletList {
     pub neighbors: Vec<u32>,
     /// Per-atom start offsets into `neighbors` (length n+1).
     pub starts: Vec<u32>,
-    /// Positions snapshot at build time (for skin-based rebuild checks).
+    /// Positions snapshot at build time: what a skin-based rebuild
+    /// check compares against, counted by [`VerletList::memory_bytes`].
     pub build_pos: Vec<[f64; 3]>,
 }
 
@@ -110,16 +111,6 @@ impl VerletList {
         &self.neighbors[a..b]
     }
 
-    /// True if some atom moved more than `skin/2` since the build — the
-    /// standard rebuild trigger.
-    pub fn needs_rebuild(&self, pos: &[[f64; 3]], skin: f64) -> bool {
-        let lim2 = (0.5 * skin) * (0.5 * skin);
-        pos.iter().zip(&self.build_pos).any(|(p, q)| {
-            let d2 = (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2);
-            d2 > lim2
-        })
-    }
-
     /// Memory consumed by the structure (the paper's "costly" part).
     pub fn memory_bytes(&self) -> usize {
         self.neighbors.len() * 4 + self.starts.len() * 4 + self.build_pos.len() * 24
@@ -192,15 +183,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rebuild_trigger() {
-        let mut pos = pseudo_positions(50, 6.0, 3);
-        let list = VerletList::build(&pos, 2.0, 1.0);
-        assert!(!list.needs_rebuild(&pos, 1.0));
-        pos[10][0] += 0.6; // > skin/2
-        assert!(list.needs_rebuild(&pos, 1.0));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The JSONL event stream must keep gapless, increasing sequence
 //! numbers when the parallel pass configuration has rayon worker
-//! threads and the swmpi rank threads all emitting concurrently, and
-//! every record must carry its emitting thread's rank tag.
+//! threads and the swmpi rank threads all emitting concurrently, every
+//! record must carry its emitting thread's rank tag, and the records
+//! must re-fold to the whole in-process report.
 
 use mmds_md::offload::OffloadConfig;
 use mmds_md::parallel::{run_parallel_md, ParallelMdParams};
 use mmds_md::MdConfig;
 use mmds_swmpi::{MachineModel, World, WorldConfig};
-use mmds_telemetry::{Event, MemorySink, Mode};
+use mmds_telemetry::{Event, MemorySink, Mode, RunFold};
 
 #[test]
 fn parallel_md_stream_is_gapless_and_rank_tagged() {
@@ -60,6 +61,14 @@ fn parallel_md_stream_is_gapless_and_rank_tagged() {
 
     // The per-rank comm deposits made it into the report, un-folded.
     let report = tel.run_report();
+    // The captured records alone rebuild that whole report, comm
+    // deposits and CPE counters included.
+    let mut fold = RunFold::default();
+    for r in &records {
+        assert!(fold.fold(r));
+    }
+    assert_eq!(fold.report(), report);
+    assert!(report.counters.contains_key("cpe.flops"));
     assert_eq!(report.ranks.len(), 4);
     for (i, r) in report.ranks.iter().enumerate() {
         assert_eq!(r.rank, i as u32);

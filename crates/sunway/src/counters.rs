@@ -26,11 +26,6 @@ pub struct CpeCounters {
 }
 
 impl CpeCounters {
-    /// Total DMA transactions.
-    pub fn dma_ops(&self) -> u64 {
-        self.dma_gets + self.dma_puts
-    }
-
     /// Total DMA bytes in either direction.
     pub fn dma_bytes(&self) -> u64 {
         self.bytes_in + self.bytes_out
@@ -76,7 +71,7 @@ mod tests {
             ..Default::default()
         };
         let m = a.merge(&b);
-        assert_eq!(m.dma_ops(), 3);
+        assert_eq!((m.dma_gets, m.dma_puts), (2, 1));
         assert_eq!(m.dma_bytes(), 150);
         assert_eq!(m.flops, 10);
     }

@@ -57,11 +57,6 @@ pub fn pipeline_time(blocks: &[BlockCost], double_buffer: bool) -> f64 {
     t
 }
 
-/// What double buffering saves for these blocks.
-pub fn double_buffer_gain(blocks: &[BlockCost]) -> f64 {
-    pipeline_time(blocks, false) - pipeline_time(blocks, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +89,6 @@ mod tests {
         let b = blocks(10, 1.0, 0.0, 5.0);
         // 1 (prologue) + 10 * max(5, 1) = 51 vs 60 sequential.
         assert_eq!(pipeline_time(&b, true), 51.0);
-        assert_eq!(double_buffer_gain(&b), 9.0);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl RegisterMesh {
         bytes.div_ceil(32) as u64
     }
 
-    /// Whether two CPEs of an 8×8 mesh share a row or column.
-    pub fn same_row_or_col(a: usize, b: usize) -> bool {
-        a / 8 == b / 8 || a % 8 == b % 8
-    }
-
     /// Time for a *two-sided* register fetch of `bytes` from a neighbour
     /// CPE: request row + reply rows + the partner's service overhead.
     pub fn two_sided_fetch(&self, bytes: usize, needs_turn: bool) -> f64 {
@@ -105,13 +100,6 @@ mod tests {
         assert_eq!(RegisterMesh::rows(32), 1);
         assert_eq!(RegisterMesh::rows(33), 2);
         assert_eq!(RegisterMesh::rows(56), 2);
-    }
-
-    #[test]
-    fn mesh_topology() {
-        assert!(RegisterMesh::same_row_or_col(0, 7)); // same row
-        assert!(RegisterMesh::same_row_or_col(0, 56)); // same column
-        assert!(!RegisterMesh::same_row_or_col(0, 9)); // diagonal
     }
 
     #[test]

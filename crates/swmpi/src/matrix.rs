@@ -79,19 +79,6 @@ impl CommMatrix {
         self.sent.iter().map(|f| f.bytes).sum::<u64>()
             + self.puts_out.iter().map(|f| f.bytes).sum::<u64>()
     }
-
-    /// Distinct peers this rank pushed data to.
-    pub fn out_degree(&self) -> usize {
-        let mut peers: Vec<Rank> = self
-            .sent
-            .iter()
-            .chain(&self.puts_out)
-            .map(|f| f.peer)
-            .collect();
-        peers.sort_unstable();
-        peers.dedup();
-        peers.len()
-    }
 }
 
 /// Mutable accumulator behind a [`crate::Comm`]; keyed maps keep the
@@ -335,7 +322,6 @@ mod tests {
             ]
         );
         assert_eq!(m.bytes_out(), 22);
-        assert_eq!(m.out_degree(), 2);
         rec.reset();
         assert_eq!(
             rec.snapshot(0),

@@ -78,11 +78,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// Total virtual time (compute + communication).
-    pub fn total_time(&self) -> f64 {
-        self.comm_time + self.compute_time
-    }
-
     /// Total bytes moved by this rank (two-sided sends + one-sided puts).
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_sent + self.bytes_put
@@ -145,7 +140,7 @@ mod tests {
         let m = a.merge(&b);
         assert_eq!(m.msgs_sent, 3);
         assert_eq!(m.bytes_sent, 30);
-        assert_eq!(m.total_time(), 1.5);
+        assert_eq!((m.comm_time, m.compute_time), (0.5, 1.0));
     }
 
     #[test]

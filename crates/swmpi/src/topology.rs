@@ -91,34 +91,6 @@ impl CartGrid {
         self.rank_of(n)
     }
 
-    /// The 6 face neighbours in fixed order: -x, +x, -y, +y, -z, +z.
-    pub fn face_neighbors(&self, rank: Rank) -> [Rank; 6] {
-        [
-            self.neighbor(rank, [-1, 0, 0]),
-            self.neighbor(rank, [1, 0, 0]),
-            self.neighbor(rank, [0, -1, 0]),
-            self.neighbor(rank, [0, 1, 0]),
-            self.neighbor(rank, [0, 0, -1]),
-            self.neighbor(rank, [0, 0, 1]),
-        ]
-    }
-
-    /// All 26 surrounding offsets (excluding `[0,0,0]`), in a fixed
-    /// deterministic order.
-    pub fn halo_offsets() -> Vec<[i64; 3]> {
-        let mut out = Vec::with_capacity(26);
-        for dz in -1..=1 {
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    if (dx, dy, dz) != (0, 0, 0) {
-                        out.push([dx, dy, dz]);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Splits a global extent of `cells` along axis `axis` into this
     /// grid's `dims[axis]` contiguous chunks; returns `(start, len)` for
     /// chunk `idx`. Remainder cells go to the lowest-index chunks.
@@ -177,12 +149,9 @@ mod tests {
         let g = CartGrid::new([3, 1, 1]);
         assert_eq!(g.neighbor(0, [-1, 0, 0]), 2);
         assert_eq!(g.neighbor(2, [1, 0, 0]), 0);
-        let f = g.face_neighbors(1);
-        assert_eq!(f[0], 0);
-        assert_eq!(f[1], 2);
         // y/z wrap to self in a 1-deep axis.
-        assert_eq!(f[2], 1);
-        assert_eq!(f[5], 1);
+        assert_eq!(g.neighbor(1, [0, 1, 0]), 1);
+        assert_eq!(g.neighbor(1, [0, 0, -1]), 1);
     }
 
     #[test]
@@ -212,15 +181,5 @@ mod tests {
             total += len[0] * len[1] * len[2];
         }
         assert_eq!(total, 10 * 9 * 7);
-    }
-
-    #[test]
-    fn halo_offsets_has_26_unique() {
-        let offs = CartGrid::halo_offsets();
-        assert_eq!(offs.len(), 26);
-        let mut s = offs.clone();
-        s.sort();
-        s.dedup();
-        assert_eq!(s.len(), 26);
     }
 }

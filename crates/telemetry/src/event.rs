@@ -180,6 +180,21 @@ impl From<&mmds_swmpi::CommEvent> for CommRecord {
     }
 }
 
+/// One rank's communication totals, deposited once when its work in a
+/// world ends ([`crate::absorb_comm_rank`]). The run fold keeps them per
+/// rank and merges repeated deposits of one rank id in record order, as
+/// a process that runs several worlds (a weak-scaling sweep) makes them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct RankComm {
+    /// Depositing rank (from the swmpi world, independent of the
+    /// telemetry rank tag).
+    pub rank: u32,
+    /// The rank's exact byte/message counters and virtual times.
+    pub stats: mmds_swmpi::CommStats,
+    /// Pairwise src→dst flows, when the depositor captured them.
+    pub matrix: Option<mmds_swmpi::CommMatrix>,
+}
+
 /// Everything the telemetry layer can observe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
@@ -212,6 +227,8 @@ pub enum Event {
     Heartbeat(HeartbeatSample),
     /// One traced communication operation (causal comm tracing).
     Comm(CommRecord),
+    /// One rank's end-of-world communication totals and flow matrix.
+    RankComm(RankComm),
 }
 
 /// An event with its total-order stamp.

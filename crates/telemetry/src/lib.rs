@@ -10,21 +10,24 @@
 //!   stays compiled in for release builds.
 //! * **Structured events** ([`event::Event`]) — span open/close,
 //!   per-step MD samples, per-cycle KMC samples, named counters,
-//!   science series, heartbeats, traced comm operations.
+//!   science series, heartbeats, traced comm operations, per-rank comm
+//!   deposits.
 //!   [`Telemetry::emit`] is the one write path: it folds each record
 //!   into the instance's [`RunFold`] and streams it to a pluggable JSONL
 //!   sink (file, in-memory, null), under one lock.
 //! * **One fold** ([`RunFold`]) — span totals and self times, counters,
-//!   series, samples, heartbeats. The in-process report and every trace
-//!   reader (`mmds-inspect summary`/`timeline`/`watch`/`causal`) use it,
-//!   so they agree by construction.
-//! * **Deposits** ([`report::CounterRegistry`]) — the two inputs that
-//!   are not events: per-rank [`mmds_swmpi::CommStats`] (with flow
-//!   matrices) and per-CPE [`mmds_sunway::CpeCounters`]. A run ends
-//!   with one [`report::RunReport`] serializable to JSON.
+//!   series, samples, heartbeats, per-rank comm deposits. The
+//!   in-process report and every trace reader (`mmds-inspect
+//!   summary`/`timeline`/`watch`/`causal`) use it, so they agree by
+//!   construction. A run ends with one [`report::RunReport`]
+//!   serializable to JSON.
+//! * **Deposits** — a rank's [`mmds_swmpi::CommStats`] and flow matrix
+//!   ([`absorb_comm_rank`]) become one [`Event::RankComm`] record, and
+//!   [`mmds_sunway::CpeCounters`] ([`absorb_cpe_counters`]) become the
+//!   [`CPE_COUNTERS`] named counters, so a trace carries them too.
 //! * **Rank dimension** — worker threads tag themselves with their
-//!   simulated rank ([`rank_scope`]); every record and comm deposit
-//!   keeps the tag, so the report carries a per-rank breakdown
+//!   simulated rank ([`rank_scope`]); every record keeps the tag, so
+//!   the report carries a per-rank breakdown
 //!   ([`report::RankReport`]) and per-phase load-imbalance table
 //!   ([`report::PhaseImbalance`]).
 //! * **Perfetto export** ([`perfetto::export`]) — the JSONL stream
@@ -38,6 +41,10 @@
 //! | `off` / unset  | spans disabled, no events                       |
 //! | `summary`      | events folded; end-of-run self-time tree        |
 //! | `jsonl:<path>` | as `summary`, plus every record to `<path>`     |
+//!
+//! Entering `jsonl:` on the global instance also turns on causal comm
+//! tracing and heartbeats at every progress unit, so a trace file is
+//! complete on its own.
 //!
 //! ```
 //! mmds_telemetry::set_mode(mmds_telemetry::Mode::Summary);
@@ -64,13 +71,10 @@ use std::sync::{Arc, OnceLock};
 
 pub use event::{
     AlertRecord, AlertSeverity, CommRecord, Event, EventSink, FileSink, HeartbeatSample,
-    KmcCycleSample, MdStepSample, MemorySink, Record, SeriesSample,
+    KmcCycleSample, MdStepSample, MemorySink, RankComm, Record, SeriesSample,
 };
 pub use monitor::{parse_jsonl, RunFold, TailReader, Watchdog, ALERT_COUNTERS, COMM_COUNTERS};
-pub use report::{
-    CounterRegistry, PhaseImbalance, RankComm, RankReport, RunReport, SeriesPoint, SeriesTrack,
-    SpanReport,
-};
+pub use report::{PhaseImbalance, RankReport, RunReport, SeriesPoint, SeriesTrack, SpanReport};
 pub use span::{current_rank, rank_scope, set_thread_rank, RankScope, SpanGuard, Telemetry};
 
 /// What the telemetry layer does with what it observes.
@@ -111,25 +115,26 @@ static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
 /// The process-wide telemetry instance.
 ///
-/// Initialized lazily from `MMDS_TELEMETRY` on first touch (and, when
-/// `MMDS_COMM_TRACE` asks for it, wires the causal comm tracer); the
-/// mode can be changed later with [`set_mode`].
+/// Initialized lazily from `MMDS_TELEMETRY` on first touch; the mode
+/// can be changed later with [`set_mode`]. Either way, entering
+/// `jsonl:` installs the causal comm tracer and sets the heartbeat
+/// cadence to every progress unit.
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(|| {
-        if comm_trace_env_on() {
-            enable_comm_tracing();
-        }
-        Telemetry::with_mode(Mode::from_env())
+        let tel = Telemetry::default();
+        enter(&tel, Mode::from_env());
+        tel
     })
 }
 
-fn comm_trace_env_on() -> bool {
-    std::env::var("MMDS_COMM_TRACE")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on")
-        })
-        .unwrap_or(false)
+/// Switches `tel` (the global instance) to `mode`, with what `jsonl:`
+/// implies for the whole process.
+fn enter(tel: &Telemetry, mode: Mode) {
+    if matches!(mode, Mode::Jsonl(_)) {
+        enable_comm_tracing();
+        tel.set_heartbeat_every(1);
+    }
+    tel.set_mode(mode);
 }
 
 /// Forwards every swmpi communication event into the telemetry stream
@@ -149,8 +154,8 @@ impl mmds_swmpi::CommTracer for CommForwarder {
 
 /// Turns on causal comm tracing: installs a tracer into
 /// [`mmds_swmpi::trace`] that forwards every primitive's enter/exit
-/// record into the telemetry stream. Also happens automatically when
-/// `MMDS_COMM_TRACE=1` is set at first telemetry touch. Tracing is
+/// record into the telemetry stream. Also happens whenever the global
+/// instance enters `jsonl:` mode. Tracing is
 /// pure observation — the swmpi Lamport/seq bookkeeping runs
 /// identically with the tracer absent, so trajectories are bitwise
 /// unchanged.
@@ -169,9 +174,11 @@ pub fn comm_tracing_enabled() -> bool {
 }
 
 /// Reconfigures the global instance (mainly for tests and binaries
-/// that decide the mode programmatically).
+/// that decide the mode programmatically). Entering `jsonl:` also
+/// installs the comm tracer and sets the heartbeat cadence to 1;
+/// leaving it changes neither.
 pub fn set_mode(mode: Mode) {
-    global().set_mode(mode);
+    enter(global(), mode);
 }
 
 /// True when spans are being recorded.
@@ -212,13 +219,13 @@ pub fn flush() {
 }
 
 /// Sets the heartbeat cadence of the global instance (progress units
-/// between beats; 0 disables). Overrides `MMDS_HEARTBEAT`.
+/// between beats; 0 disables). Entering `jsonl:` sets it to 1.
 pub fn set_heartbeat_every(every: u64) {
     global().set_heartbeat_every(every);
 }
 
 /// Emits a [`Event::Heartbeat`] from a step/cycle loop when the
-/// cadence says so: every `MMDS_HEARTBEAT` progress units, plus at
+/// cadence says so: every [`set_heartbeat_every`] progress units, plus at
 /// `progress == total` when a target is known. `progress` counts from
 /// 1 (beats land on completed units); `total = 0` means open-ended.
 /// A pure observation — never touches dynamics state — so trajectories
@@ -287,26 +294,117 @@ pub fn emit_series(name: &str, t: u64, value: f64) {
     }
 }
 
-/// Absorbs one identified rank's communication stats — and, when
-/// captured, its pairwise flow matrix — into the global registry. The
-/// per-rank detail feeds the [`report::RankReport`] breakdown and
-/// comm-matrix validation.
+/// Records one identified rank's communication stats — and, when
+/// captured, its pairwise flow matrix — as one [`Event::RankComm`] on
+/// the global instance. The per-rank detail feeds the
+/// [`report::RankReport`] breakdown and comm-matrix validation. Builds
+/// nothing while telemetry is off.
 pub fn absorb_comm_rank(
     rank: u32,
     stats: &mmds_swmpi::CommStats,
     matrix: Option<&mmds_swmpi::CommMatrix>,
 ) {
-    global().counters().absorb_comm_rank(rank, stats, matrix);
+    let tel = global();
+    if tel.enabled() {
+        tel.emit(Event::RankComm(RankComm {
+            rank,
+            stats: *stats,
+            matrix: matrix.cloned(),
+        }));
+    }
 }
 
-/// Absorbs per-CPE counters into the global registry.
-pub fn absorb_cpe_counters(counters: &mmds_sunway::CpeCounters) {
-    global().counters().absorb_cpe(counters);
+/// Named counters [`absorb_cpe_counters`] charges, one per
+/// [`mmds_sunway::CpeCounters`] field in declaration order; the two
+/// times are virtual seconds.
+pub const CPE_COUNTERS: [&str; 8] = [
+    "cpe.dma_gets",
+    "cpe.dma_puts",
+    "cpe.bytes_in",
+    "cpe.bytes_out",
+    "cpe.flops",
+    "cpe.table_batches",
+    "cpe.dma_time_s",
+    "cpe.compute_time_s",
+];
+
+/// Charges one CPE counter set to the [`CPE_COUNTERS`] named counters
+/// of the global instance.
+pub fn absorb_cpe_counters(c: &mmds_sunway::CpeCounters) {
+    let values = [
+        c.dma_gets as f64,
+        c.dma_puts as f64,
+        c.bytes_in as f64,
+        c.bytes_out as f64,
+        c.flops as f64,
+        c.table_batches as f64,
+        c.dma_time,
+        c.compute_time,
+    ];
+    for (name, value) in CPE_COUNTERS.into_iter().zip(values) {
+        add_counter(name, value);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tests below share the process-wide instance and tracer.
+    static GLOBAL_TESTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn cpe_counters_fold_as_named_counters() {
+        let _serial = GLOBAL_TESTS.lock().unwrap();
+        set_mode(Mode::Summary);
+        global().reset();
+        let set = mmds_sunway::CpeCounters {
+            dma_gets: 2,
+            flops: 10,
+            bytes_in: 64,
+            compute_time: 0.25,
+            ..Default::default()
+        };
+        absorb_cpe_counters(&set);
+        absorb_cpe_counters(&set);
+        let counters = global().run_report().counters;
+        assert_eq!(counters.len(), CPE_COUNTERS.len());
+        assert_eq!(counters["cpe.dma_gets"], 4.0);
+        assert_eq!(counters["cpe.flops"], 20.0);
+        assert_eq!(counters["cpe.bytes_in"], 128.0);
+        assert_eq!(counters["cpe.dma_puts"], 0.0);
+        assert_eq!(counters["cpe.compute_time_s"], 0.5);
+        set_mode(Mode::Off);
+        global().reset();
+    }
+
+    #[test]
+    fn jsonl_mode_alone_turns_on_comm_tracing_and_heartbeats() {
+        let _serial = GLOBAL_TESTS.lock().unwrap();
+        let dir = std::env::temp_dir().join("mmds_telemetry_jsonl_mode");
+        let path = dir.join("trace.jsonl").to_str().unwrap().to_string();
+        disable_comm_tracing();
+        set_heartbeat_every(0);
+
+        // A private instance never touches the process-wide tracer.
+        let private = Telemetry::with_mode(Mode::Jsonl(path.clone()));
+        assert!(!comm_tracing_enabled());
+        assert_eq!(private.heartbeat_every(), 0);
+        drop(private);
+
+        set_mode(Mode::Summary);
+        assert!(!comm_tracing_enabled());
+        assert_eq!(global().heartbeat_every(), 0);
+        set_mode(Mode::Jsonl(path));
+        assert!(comm_tracing_enabled());
+        assert_eq!(global().heartbeat_every(), 1);
+
+        set_mode(Mode::Off);
+        disable_comm_tracing();
+        set_heartbeat_every(0);
+        global().reset();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn mode_parsing() {

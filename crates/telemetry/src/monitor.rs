@@ -3,14 +3,13 @@
 //! Every number a [`RunReport`] carries is computed in one place:
 //! [`RunFold`] folds [`Record`]s one at a time into the run model —
 //! span totals and self times (from a per-thread open-span stack),
-//! named counters, science series, MD/KMC samples, heartbeat state and
-//! the root-span window. The fold has two feeders and no other
-//! implementation:
+//! named counters, science series, MD/KMC samples, per-rank comm
+//! deposits, heartbeat state and the root-span window. The fold has two
+//! feeders and no other implementation:
 //!
 //! * **in process**, [`crate::Telemetry::emit`] folds every record it
-//!   builds, under the same lock that forwards it to the sink, so
-//!   [`crate::Telemetry::run_report`] is the fold's report plus the two
-//!   inputs that are not events (per-rank comm stats, CPE counters);
+//!   builds, under the same lock that forwards it to the sink, and
+//!   [`crate::Telemetry::run_report`] is the fold's report;
 //! * **from a trace**, `mmds-inspect summary|timeline|watch|causal`
 //!   read the JSONL through [`parse_jsonl`] or a [`TailReader`] and fold
 //!   it through the same type.
@@ -30,11 +29,10 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::event::{
-    AlertRecord, AlertSeverity, Event, HeartbeatSample, KmcCycleSample, MdStepSample, Record,
+    AlertRecord, AlertSeverity, Event, HeartbeatSample, KmcCycleSample, MdStepSample, RankComm,
+    Record,
 };
-use crate::report::{
-    CounterRegistry, CounterSnapshot, RunReport, SampleLog, SeriesPoint, SeriesTrack, SpanReport,
-};
+use crate::report::{RunReport, SampleLog, SeriesPoint, SeriesTrack, SpanReport};
 
 /// Alert rule names the watchdog can raise, in evaluation order. The
 /// audit manifest pass keys on this array, so a rule rename must also
@@ -208,6 +206,7 @@ pub struct RunFold {
     kmc: Vec<KmcCycleSample>,
     heartbeats: BTreeMap<(Option<u32>, String), HeartbeatState>,
     heartbeat_count: u64,
+    rank_comm: BTreeMap<u32, RankComm>,
 }
 
 impl RunFold {
@@ -249,8 +248,24 @@ impl RunFold {
                 self.bump(COMM_COUNTERS[2], c.dur_ns as f64);
             }
             Event::Heartbeat(h) => self.fold_heartbeat(r.rank, h, r.t_ns),
+            Event::RankComm(c) => self.deposit_comm(c),
         }
         true
+    }
+
+    /// Keeps one rank's comm deposit; a later deposit of the same rank
+    /// id (another world of the same process) is summed into it.
+    fn deposit_comm(&mut self, c: &RankComm) {
+        let Some(acc) = self.rank_comm.get_mut(&c.rank) else {
+            self.rank_comm.insert(c.rank, c.clone());
+            return;
+        };
+        acc.stats = acc.stats.merge(&c.stats);
+        match (&mut acc.matrix, &c.matrix) {
+            (Some(m), Some(add)) => m.merge(add),
+            (m @ None, Some(add)) => *m = Some(add.clone()),
+            (_, None) => {}
+        }
     }
 
     /// Accumulates one close: its wall time into the `(rank, path)`
@@ -392,15 +407,8 @@ impl RunFold {
             .collect()
     }
 
-    /// The run report of everything folded so far, with no comm/CPE
-    /// deposits (a trace does not carry them).
+    /// The run report of everything folded so far.
     pub fn report(&self) -> RunReport {
-        self.report_with(&CounterRegistry::default())
-    }
-
-    /// The run report of everything folded so far plus the per-rank
-    /// comm stats and CPE counters deposited in `deposits`.
-    pub(crate) fn report_with(&self, deposits: &CounterRegistry) -> RunReport {
         let rank_spans: Vec<(Option<u32>, SpanReport)> = self
             .spans
             .iter()
@@ -408,10 +416,7 @@ impl RunFold {
             .collect();
         RunReport {
             spans: self.span_totals(),
-            counters: CounterSnapshot {
-                named: self.named.clone(),
-                ..Default::default()
-            },
+            counters: self.named.clone(),
             samples: SampleLog {
                 md: self.md.clone(),
                 kmc: self.kmc.clone(),
@@ -427,7 +432,7 @@ impl RunFold {
                 .collect(),
             ..Default::default()
         }
-        .with_ranks(&rank_spans, deposits)
+        .with_ranks(&rank_spans, &self.rank_comm)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   reconstructed by the viewer from per-thread ordering);
 //! * MD/KMC samples and named counters become `C` counter events, so
 //!   energy drift, defect counts, and ghost-byte traffic plot as time
-//!   series under the track.
+//!   series under the track;
+//! * per-rank comm deposits (`RankComm`) emit nothing.
 //!
 //! Timestamps are microseconds from the telemetry epoch, as the format
 //! requires.
@@ -104,8 +105,9 @@ fn event_value(r: &Record) -> Option<Value> {
             ]),
         ),
         // Comm records expand to several events (slice + flow) and are
-        // routed through `comm_values` by `export`.
-        Event::Comm(_) => return None,
+        // routed through `comm_values` by `export`; a rank's comm
+        // deposit is an end-of-world total with no place on a timeline.
+        Event::Comm(_) | Event::RankComm(_) => return None,
     };
     Some(map(vec![
         ("name", Value::Str(name)),
@@ -196,13 +198,17 @@ fn metadata(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Value {
 /// Renders the records as a Chrome `trace_event` JSON document
 /// (`{"traceEvents": [...]}`), loadable at <https://ui.perfetto.dev>.
 pub fn export(records: &[Record]) -> String {
+    let records: Vec<&Record> = records
+        .iter()
+        .filter(|r| !matches!(r.event, Event::RankComm(_)))
+        .collect();
     let mut events: Vec<Value> = Vec::new();
 
     // Metadata first: one process per observed pid, one thread label
     // per observed (pid, tid), in first-appearance order.
     let mut pids: Vec<u64> = Vec::new();
     let mut threads: Vec<(u64, u64)> = Vec::new();
-    for r in records {
+    for &r in &records {
         let pid = pid_for(r);
         if !pids.contains(&pid) {
             pids.push(pid);
@@ -229,7 +235,7 @@ pub fn export(records: &[Record]) -> String {
         ));
     }
 
-    for r in records {
+    for &r in &records {
         match &r.event {
             Event::Comm(c) => events.extend(comm_values(r, c)),
             _ => events.extend(event_value(r)),

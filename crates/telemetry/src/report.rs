@@ -1,18 +1,14 @@
-//! The final serializable report and the registry of its two non-event
-//! inputs.
+//! The final serializable report.
 //!
-//! A [`RunReport`] is the [`crate::RunFold`]'s view of the event stream
-//! (spans, named counters, samples, series) completed by what ranks and
-//! CPE clusters deposit in the [`CounterRegistry`] when their work ends:
-//! [`mmds_swmpi::CommStats`] with their pairwise flow matrices, and
-//! [`mmds_sunway::CpeCounters`].
+//! A [`RunReport`] is the [`crate::RunFold`]'s view of the event stream:
+//! spans, named counters, samples, series, and the per-rank comm
+//! deposits ([`RankComm`] records) with their pairwise flow matrices.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::event::{KmcCycleSample, MdStepSample};
+use crate::event::{KmcCycleSample, MdStepSample, RankComm};
 
 /// One retained point of a science series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -55,36 +51,6 @@ pub struct SpanReport {
     pub self_s: f64,
 }
 
-/// Aggregated counters at one point in time.
-///
-/// `comm` is *derived* at report time from the retained per-rank
-/// entries (see [`CounterRegistry::comm_entries`]), so consumers of the
-/// sum are unchanged while the per-rank detail is no longer lost.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Element-wise sum of every absorbed per-rank [`mmds_swmpi::CommStats`].
-    pub comm: mmds_swmpi::CommStats,
-    /// Ranks absorbed into `comm`.
-    pub comm_ranks: u64,
-    /// Element-wise sum of every absorbed per-CPE [`mmds_sunway::CpeCounters`].
-    pub cpe: mmds_sunway::CpeCounters,
-    /// CPE counter sets absorbed into `cpe`.
-    pub cpe_sets: u64,
-    /// Free-form named counters (`name -> accumulated value`).
-    pub named: BTreeMap<String, f64>,
-}
-
-/// One absorbed rank's communication record, kept un-merged.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RankComm {
-    /// Depositing rank.
-    pub rank: u32,
-    /// The rank's exact byte/message counters and virtual times.
-    pub stats: mmds_swmpi::CommStats,
-    /// Pairwise src→dst flows, when the depositor captured them.
-    pub matrix: Option<mmds_swmpi::CommMatrix>,
-}
-
 /// Retained MD/KMC samples, in deposit order.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SampleLog {
@@ -125,14 +91,14 @@ pub struct PhaseImbalance {
     pub ratio: f64,
 }
 
-/// Everything a run produced: span timings, merged counters, samples,
+/// Everything a run produced: span timings, named counters, samples,
 /// and the per-rank breakdown.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Span statistics aggregated over ranks, sorted by path.
     pub spans: Vec<SpanReport>,
-    /// Merged counters.
-    pub counters: CounterSnapshot,
+    /// Named counters (`name -> accumulated value`).
+    pub counters: BTreeMap<String, f64>,
     /// Retained samples.
     pub samples: SampleLog,
     /// Per-rank breakdowns, sorted by rank id. Empty when nothing was
@@ -146,11 +112,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Pretty JSON rendering of the whole report.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
-    }
-
     /// Sum of wall time over top-level (root) spans — the quantity that
     /// should track total run wall time when instrumentation covers the
     /// whole run.
@@ -183,23 +144,19 @@ impl RunReport {
 }
 
 impl RunReport {
-    /// Completes a fold's report with the inputs that are not events:
-    /// fills `ranks` from the per-rank span table and `deposits`' comm
-    /// entries, the per-phase `imbalance` over those ranks, and the
-    /// comm/CPE sums of `counters`.
+    /// Completes a fold's report with its per-rank view: fills `ranks`
+    /// from the per-rank span table and the folded comm deposits, and
+    /// the per-phase `imbalance` over those ranks.
     pub(crate) fn with_ranks(
         mut self,
         rank_spans: &[(Option<u32>, SpanReport)],
-        deposits: &CounterRegistry,
+        comm: &BTreeMap<u32, RankComm>,
     ) -> RunReport {
-        let g = deposits.inner.lock().unwrap();
-        let comm_entries = &g.comm_entries;
-
         // Gather the set of tagged ranks seen by either input.
         let mut rank_ids: Vec<u32> = rank_spans
             .iter()
             .filter_map(|(r, _)| *r)
-            .chain(comm_entries.iter().map(|e| e.rank))
+            .chain(comm.keys().copied())
             .collect();
         rank_ids.sort_unstable();
         rank_ids.dedup();
@@ -212,28 +169,12 @@ impl RunReport {
                     .filter(|(r, _)| *r == Some(rank))
                     .map(|(_, s)| s.clone())
                     .collect();
-                // A rank id can deposit several times when one process
-                // runs several worlds (weak-scaling sweeps); merge,
-                // don't pick.
-                let mut comm: Option<mmds_swmpi::CommStats> = None;
-                let mut matrix: Option<mmds_swmpi::CommMatrix> = None;
-                for e in comm_entries.iter().filter(|e| e.rank == rank) {
-                    comm = Some(match comm {
-                        Some(c) => c.merge(&e.stats),
-                        None => e.stats,
-                    });
-                    if let Some(m) = &e.matrix {
-                        match &mut matrix {
-                            Some(acc) => acc.merge(m),
-                            None => matrix = Some(m.clone()),
-                        }
-                    }
-                }
+                let deposit = comm.get(&rank);
                 RankReport {
                     rank,
                     spans,
-                    comm,
-                    matrix,
+                    comm: deposit.map(|d| d.stats),
+                    matrix: deposit.and_then(|d| d.matrix.clone()),
                 }
             })
             .collect();
@@ -271,67 +212,7 @@ impl RunReport {
             }
             self.imbalance.sort_by(|a, b| b.max_s.total_cmp(&a.max_s));
         }
-
-        self.counters.comm = comm_entries
-            .iter()
-            .fold(mmds_swmpi::CommStats::default(), |a, e| a.merge(&e.stats));
-        self.counters.comm_ranks = comm_entries.len() as u64;
-        self.counters.cpe = g.cpe;
-        self.counters.cpe_sets = g.cpe_sets;
         self
-    }
-}
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    comm_entries: Vec<RankComm>,
-    cpe: mmds_sunway::CpeCounters,
-    cpe_sets: u64,
-}
-
-/// The two run inputs that are not events, deposited once per rank or
-/// CPE cluster at the end of its work: per-rank communication stats
-/// (with their pairwise flow matrices) and CPE counters. Everything
-/// else a [`RunReport`] carries comes from the event fold
-/// ([`crate::RunFold`]). All methods take `&self`; a mutex guards the
-/// interior.
-#[derive(Debug, Default)]
-pub struct CounterRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-impl CounterRegistry {
-    /// Retains one identified rank's communication stats and, when
-    /// available, its pairwise flow matrix.
-    pub fn absorb_comm_rank(
-        &self,
-        rank: u32,
-        stats: &mmds_swmpi::CommStats,
-        matrix: Option<&mmds_swmpi::CommMatrix>,
-    ) {
-        self.inner.lock().unwrap().comm_entries.push(RankComm {
-            rank,
-            stats: *stats,
-            matrix: matrix.cloned(),
-        });
-    }
-
-    /// Copies out the retained per-rank communication entries, in
-    /// deposit order.
-    pub fn comm_entries(&self) -> Vec<RankComm> {
-        self.inner.lock().unwrap().comm_entries.clone()
-    }
-
-    /// Folds one CPE counter set into the aggregate.
-    pub fn absorb_cpe(&self, counters: &mmds_sunway::CpeCounters) {
-        let mut g = self.inner.lock().unwrap();
-        g.cpe = g.cpe.merge(counters);
-        g.cpe_sets += 1;
-    }
-
-    /// Clears everything.
-    pub fn reset(&self) {
-        *self.inner.lock().unwrap() = RegistryInner::default();
     }
 }
 
@@ -363,46 +244,15 @@ mod tests {
         })
     }
 
-    #[test]
-    fn registry_merges_comm_and_cpe() {
-        let reg = CounterRegistry::default();
-        reg.absorb_comm_rank(
-            0,
-            &mmds_swmpi::CommStats {
-                msgs_sent: 3,
-                bytes_sent: 300,
+    fn comm(rank: u32, bytes_sent: u64, matrix: Option<mmds_swmpi::CommMatrix>) -> Event {
+        Event::RankComm(RankComm {
+            rank,
+            stats: mmds_swmpi::CommStats {
+                bytes_sent,
                 ..Default::default()
             },
-            None,
-        );
-        reg.absorb_comm_rank(
-            1,
-            &mmds_swmpi::CommStats {
-                msgs_sent: 1,
-                bytes_recv: 50,
-                ..Default::default()
-            },
-            None,
-        );
-        reg.absorb_cpe(&mmds_sunway::CpeCounters {
-            flops: 10,
-            bytes_in: 64,
-            ..Default::default()
-        });
-        let counter = |value| Event::Counter {
-            name: "kmc.dirty_ghost_bytes".into(),
-            value,
-        };
-        let fold = fold(vec![(None, counter(128.0)), (Some(1), counter(64.0))]);
-
-        let snap = fold.report_with(&reg).counters;
-        assert_eq!(snap.comm.msgs_sent, 4);
-        assert_eq!(snap.comm.bytes_sent, 300);
-        assert_eq!(snap.comm.bytes_recv, 50);
-        assert_eq!(snap.comm_ranks, 2);
-        assert_eq!(snap.cpe.flops, 10);
-        assert_eq!(snap.cpe_sets, 1);
-        assert_eq!(snap.named["kmc.dirty_ghost_bytes"], 192.0);
+            matrix,
+        })
     }
 
     #[test]
@@ -414,10 +264,7 @@ mod tests {
                 total_s: 1.5,
                 self_s: 0.25,
             }],
-            counters: CounterSnapshot {
-                comm_ranks: 8,
-                ..Default::default()
-            },
+            counters: BTreeMap::from([("kmc.ghost_bytes".to_string(), 192.0)]),
             samples: SampleLog {
                 md: vec![MdStepSample {
                     step: 1,
@@ -452,7 +299,7 @@ mod tests {
                 ],
             }],
         };
-        let json = report.to_json();
+        let json = serde_json::to_string_pretty(&report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
         assert_eq!(report.root_total_s(), 1.5);
@@ -460,69 +307,44 @@ mod tests {
 
     #[test]
     fn per_rank_comm_entries_are_retained_not_folded() {
-        let reg = CounterRegistry::default();
-        reg.absorb_comm_rank(
-            0,
-            &mmds_swmpi::CommStats {
-                bytes_sent: 100,
-                ..Default::default()
-            },
-            None,
-        );
-        reg.absorb_comm_rank(
-            1,
-            &mmds_swmpi::CommStats {
-                bytes_sent: 300,
-                ..Default::default()
-            },
-            None,
-        );
-        let entries = reg.comm_entries();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].rank, 0);
-        assert_eq!(entries[1].stats.bytes_sent, 300);
-        // The derived sum is what legacy consumers saw before.
-        let snap = RunFold::default().report_with(&reg).counters;
-        assert_eq!(snap.comm.bytes_sent, 400);
-        assert_eq!(snap.comm_ranks, 2);
+        let report = fold(vec![
+            (None, comm(0, 100, None)),
+            (Some(1), comm(1, 300, None)),
+        ])
+        .report();
+        let sent: Vec<(u32, u64)> = report
+            .ranks
+            .iter()
+            .map(|r| (r.rank, r.comm.unwrap().bytes_sent))
+            .collect();
+        assert_eq!(sent, vec![(0, 100), (1, 300)]);
+        assert!(report.ranks.iter().all(|r| r.matrix.is_none()));
     }
 
     #[test]
     fn repeated_rank_deposits_merge_in_rank_report() {
         // One process, two worlds: rank 0 deposits twice (as a
-        // weak-scaling sweep does). The report must merge, not pick
-        // the first deposit.
-        let reg = CounterRegistry::default();
+        // weak-scaling sweep does). The report must merge the two
+        // records in record order, not pick the first.
         let mut rec_a = mmds_swmpi::matrix::MatrixRecorder::default();
         rec_a.record_send(0, 50);
         rec_a.record_recv(0, 50);
-        reg.absorb_comm_rank(
-            0,
-            &mmds_swmpi::CommStats {
-                bytes_sent: 50,
-                ..Default::default()
-            },
-            Some(&rec_a.snapshot(0)),
-        );
         let mut rec_b = mmds_swmpi::matrix::MatrixRecorder::default();
         rec_b.record_send(1, 100);
-        reg.absorb_comm_rank(
-            0,
-            &mmds_swmpi::CommStats {
-                bytes_sent: 100,
-                ..Default::default()
-            },
-            Some(&rec_b.snapshot(0)),
-        );
         let mut rec_c = mmds_swmpi::matrix::MatrixRecorder::default();
         rec_c.record_recv(0, 100);
-        reg.absorb_comm_rank(1, &Default::default(), Some(&rec_c.snapshot(1)));
-
-        let report = RunFold::default().report_with(&reg);
+        let report = fold(vec![
+            (Some(0), comm(0, 50, Some(rec_a.snapshot(0)))),
+            (Some(0), comm(0, 100, Some(rec_b.snapshot(0)))),
+            (Some(1), comm(1, 0, Some(rec_c.snapshot(1)))),
+        ])
+        .report();
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.ranks[0].comm.unwrap().bytes_sent, 150);
-        let m = report.ranks[0].matrix.as_ref().unwrap();
-        assert_eq!(m.bytes_out(), 150);
+        let mut merged = rec_a.snapshot(0);
+        merged.merge(&rec_b.snapshot(0));
+        assert_eq!(report.ranks[0].matrix, Some(merged));
+        assert_eq!(report.ranks[0].matrix.as_ref().unwrap().bytes_out(), 150);
         // The merged world view stays pairwise symmetric.
         let w = report.world_matrix().unwrap();
         w.validate_symmetry().expect("merged deposits symmetric");
@@ -567,9 +389,6 @@ mod tests {
 
     #[test]
     fn build_run_report_computes_imbalance() {
-        let reg = CounterRegistry::default();
-        reg.absorb_comm_rank(0, &Default::default(), None);
-        reg.absorb_comm_rank(1, &Default::default(), None);
         let close = |path: &str, s: u64| Event::SpanClose {
             path: path.into(),
             dur_ns: s * 250_000_000,
@@ -579,8 +398,10 @@ mod tests {
             (Some(1), close("md.phase", 4)),
             (Some(0), close("kmc.phase", 2)),
             (None, close("driver.io", 36)), // untagged: excluded
+            (None, comm(0, 0, None)),
+            (None, comm(1, 0, None)),
         ]);
-        let report = fold.report_with(&reg);
+        let report = fold.report();
         assert_eq!(report.ranks.len(), 2);
         assert_eq!(report.ranks[0].rank, 0);
         assert_eq!(report.ranks[0].spans.len(), 2);

@@ -29,18 +29,16 @@ use std::time::Instant;
 
 use crate::event::{Event, EventSink, Record};
 use crate::monitor::RunFold;
-use crate::report::{CounterRegistry, RunReport};
+use crate::report::RunReport;
 use crate::Mode;
 
-/// One telemetry domain: the event fold, its sink, and the comm/CPE
-/// deposits.
+/// One telemetry domain: the event fold and its sink.
 ///
 /// The process-wide instance lives behind [`crate::global`]; tests
 /// construct private instances for isolation.
 pub struct Telemetry {
     enabled: AtomicBool,
     inner: Mutex<Inner>,
-    counters: CounterRegistry,
     epoch: Instant,
     /// Heartbeat cadence: emit every N progress units (0 = off).
     heartbeat_every: AtomicU64,
@@ -134,20 +132,17 @@ impl Telemetry {
         let t = Self {
             enabled: AtomicBool::new(false),
             inner: Mutex::new(Inner::default()),
-            counters: CounterRegistry::default(),
             epoch: Instant::now(),
-            heartbeat_every: AtomicU64::new(
-                std::env::var("MMDS_HEARTBEAT")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(0),
-            ),
+            heartbeat_every: AtomicU64::new(0),
         };
         t.set_mode(mode);
         t
     }
 
     /// Switches mode, installing or dropping the file sink as needed.
+    /// Touches nothing outside this instance: the process-wide comm
+    /// tracer and heartbeat cadence that `jsonl:` implies belong to
+    /// [`crate::set_mode`] on the global instance.
     pub fn set_mode(&self, mode: Mode) {
         match mode {
             Mode::Off => {
@@ -210,14 +205,9 @@ impl Telemetry {
         self.heartbeat_every.load(Ordering::Relaxed)
     }
 
-    /// Sets the heartbeat cadence (overrides `MMDS_HEARTBEAT`).
+    /// Sets the heartbeat cadence (0 turns heartbeats off).
     pub fn set_heartbeat_every(&self, every: u64) {
         self.heartbeat_every.store(every, Ordering::Relaxed);
-    }
-
-    /// The comm/CPE deposits of this domain.
-    pub(crate) fn counters(&self) -> &CounterRegistry {
-        &self.counters
     }
 
     /// Opens a span. The guard closes it on drop.
@@ -291,10 +281,9 @@ impl Telemetry {
         }
     }
 
-    /// The run-wide report: the fold's spans, counters, samples and
-    /// series, completed by the per-rank comm and CPE deposits.
+    /// The run-wide report: the report of this instance's fold.
     pub fn run_report(&self) -> RunReport {
-        self.inner.lock().unwrap().fold.report_with(&self.counters)
+        self.inner.lock().unwrap().fold.report()
     }
 
     /// Renders the flamegraph-style self-time tree of this instance.
@@ -302,12 +291,11 @@ impl Telemetry {
         crate::render::render_tree(&self.inner.lock().unwrap().fold.span_totals())
     }
 
-    /// Clears spans, counters, samples and deposits (not the sink).
+    /// Clears everything folded so far (not the sink).
     pub fn reset(&self) {
         let mut inner = self.inner.lock().unwrap();
         inner.fold.reset();
         inner.seq = 0;
-        self.counters.reset();
     }
 }
 

@@ -3,7 +3,7 @@
 //! with `UPDATE_GOLDEN=1 cargo test -p mmds-telemetry --test
 //! perfetto_golden` after an intentional format change.
 
-use mmds_telemetry::{Event, KmcCycleSample, MdStepSample, Record};
+use mmds_telemetry::{Event, KmcCycleSample, MdStepSample, RankComm, Record};
 
 fn fixed_records() -> Vec<Record> {
     let rec = |seq: u64, t_ns: u64, rank: Option<u32>, tid: u32, event: Event| Record {
@@ -129,6 +129,32 @@ fn perfetto_export_matches_golden() {
         want.trim(),
         "exporter output diverged from golden; run with UPDATE_GOLDEN=1 if intentional"
     );
+}
+
+/// A rank's comm deposit is an end-of-world total: it adds no event,
+/// and not even a process or thread label for a rank seen nowhere else.
+#[test]
+fn rank_comm_records_export_nothing() {
+    let deposit = |seq, rank: Option<u32>, tid| Record {
+        seq,
+        t_ns: 9_500,
+        rank,
+        tid: Some(tid),
+        event: Event::RankComm(RankComm {
+            rank: rank.unwrap_or(0),
+            stats: mmds_swmpi::CommStats {
+                bytes_sent: 640,
+                ..Default::default()
+            },
+            matrix: Some(Default::default()),
+        }),
+    };
+    let export = mmds_telemetry::perfetto::export;
+    assert_eq!(export(&[deposit(0, Some(5), 9)]), export(&[]));
+    let mut records = fixed_records();
+    records.insert(3, deposit(3, Some(5), 9));
+    records.push(deposit(10, None, 4));
+    assert_eq!(export(&records), export(&fixed_records()));
 }
 
 #[test]

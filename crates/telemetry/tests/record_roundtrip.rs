@@ -3,10 +3,43 @@
 //! line must fail to parse (so the tailer withholds it) rather than
 //! silently decode to a wrong record.
 
+use mmds_swmpi::matrix::MatrixRecorder;
+use mmds_swmpi::{CommStats, ExchangeSavings};
 use mmds_telemetry::{
     AlertRecord, AlertSeverity, CommRecord, Event, HeartbeatSample, KmcCycleSample, MdStepSample,
-    Record, SeriesSample,
+    RankComm, Record, SeriesSample,
 };
+
+/// A rank deposit with awkward floats (no short decimal form, a
+/// subnormal, a negative zero) and a matrix with every flow kind.
+fn rank_comm() -> RankComm {
+    let mut m = MatrixRecorder::default();
+    m.record_send(1, 640);
+    m.record_recv(3, 320);
+    m.record_put(2, 96);
+    m.record_put_in(2, 48);
+    RankComm {
+        rank: 2,
+        stats: CommStats {
+            msgs_sent: 3,
+            bytes_sent: 1920,
+            msgs_recv: 1,
+            bytes_recv: 320,
+            puts: 1,
+            bytes_put: 96,
+            collectives: 7,
+            comm_time: 0.1 + 0.2,
+            compute_time: f64::MIN_POSITIVE / 3.0,
+            savings: ExchangeSavings {
+                bytes_on_demand: 96,
+                bytes_full_ghost: 4096,
+                dirty_sites: 2,
+                candidate_sites: 85,
+            },
+        },
+        matrix: Some(m.snapshot(2)),
+    }
+}
 
 /// One representative record per `Event` variant. The match below is
 /// exhaustive on purpose: adding a variant without extending this list
@@ -65,6 +98,7 @@ fn one_of_each() -> Vec<Record> {
             vt_exit: 1.5e-3,
             dur_ns: 7_250,
         }),
+        Event::RankComm(rank_comm()),
     ];
     for e in &events {
         // Exhaustiveness guard: new variants must be added above.
@@ -76,7 +110,8 @@ fn one_of_each() -> Vec<Record> {
             | Event::Counter { .. }
             | Event::Series(_)
             | Event::Heartbeat(_)
-            | Event::Comm(_) => {}
+            | Event::Comm(_)
+            | Event::RankComm(_) => {}
         }
     }
     events
@@ -100,6 +135,34 @@ fn every_event_kind_round_trips_through_jsonl() {
         let back = Record::from_jsonl(&line)
             .unwrap_or_else(|e| panic!("failed to parse back {line}: {e:?}"));
         assert_eq!(back, r);
+    }
+}
+
+/// A rank's comm deposit comes back bit for bit, times included, and
+/// so does a deposit without a matrix.
+#[test]
+fn rank_comm_round_trips_bit_for_bit() {
+    let mut bare = rank_comm();
+    bare.matrix = None;
+    bare.stats.comm_time = -0.0;
+    for c in [rank_comm(), bare] {
+        let r = Record {
+            seq: 0,
+            t_ns: 1,
+            rank: None,
+            tid: Some(0),
+            event: Event::RankComm(c.clone()),
+        };
+        let Event::RankComm(back) = Record::from_jsonl(&r.to_jsonl()).unwrap().event else {
+            panic!("not a RankComm record");
+        };
+        assert_eq!(back, c);
+        for (a, b) in [
+            (back.stats.comm_time, c.stats.comm_time),
+            (back.stats.compute_time, c.stats.compute_time),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a:e} vs {b:e}");
+        }
     }
 }
 

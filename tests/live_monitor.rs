@@ -11,8 +11,7 @@
 //!     that deliberately split records mid-line) reconstructs the whole
 //!     report the producing process built in memory — spans with self
 //!     times, per-rank spans, imbalance, named counters, samples and
-//!     series — everything but the comm/CPE deposits, which are not
-//!     events;
+//!     series — the whole report, with no field stripped;
 //! (c) a rank that stops beating while a peer stays fresh raises the
 //!     staleness alert within two heartbeat intervals, and the alert
 //!     clears on the next beat.
@@ -26,8 +25,7 @@ use mmds::lattice::{BccGeometry, LocalGrid};
 use mmds::md::cascade::{launch_pka, PKA_DIRECTION};
 use mmds::md::{MdConfig, MdSimulation};
 use mmds_telemetry::{
-    AlertSeverity, Event, HeartbeatSample, MemorySink, Mode, Record, RunFold, RunReport,
-    TailReader, Watchdog,
+    AlertSeverity, Event, HeartbeatSample, MemorySink, Mode, Record, RunFold, TailReader, Watchdog,
 };
 
 const STEPS: usize = 20;
@@ -95,19 +93,6 @@ fn assert_monitor_does_not_perturb_dynamics() {
     }
 }
 
-/// Drops what a trace does not carry: the comm/CPE deposits.
-fn without_deposits(mut r: RunReport) -> RunReport {
-    r.counters.comm = Default::default();
-    r.counters.comm_ranks = 0;
-    r.counters.cpe = Default::default();
-    r.counters.cpe_sets = 0;
-    for rank in &mut r.ranks {
-        rank.comm = None;
-        rank.matrix = None;
-    }
-    r
-}
-
 /// (b) Tail-fold of the recorded stream equals the in-process report of
 /// the same run.
 fn assert_tail_fold_equals_in_process_report() {
@@ -171,12 +156,11 @@ fn assert_tail_fold_equals_in_process_report() {
     assert!(folded.spans.iter().any(|s| s.path.contains('/')));
     assert!(folded.spans.iter().any(|s| s.self_s < s.total_s));
     assert_eq!(folded.ranks.len(), 1);
-    assert!(!folded.counters.named.is_empty());
+    assert!(!folded.counters.is_empty());
     assert!(!folded.samples.kmc.is_empty());
     assert!(!folded.series.is_empty());
     assert_eq!(
-        without_deposits(folded),
-        without_deposits(in_process),
+        folded, in_process,
         "the trace re-fold must equal the in-process report"
     );
 

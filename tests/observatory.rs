@@ -144,7 +144,7 @@ fn assert_comm_savings_accounting() {
     );
 
     let report = tel.run_report();
-    let named = &report.counters.named;
+    let named = &report.counters;
     let get = |n: &str| {
         named
             .get(n)
