@@ -109,6 +109,13 @@ const STATE_WIRE: [[u8; 8]; 3] = [
     2.0f64.to_le_bytes(),
 ];
 
+/// The state whose wire image is exactly `wire`; any other 8 bytes —
+/// 2.5, NaN, −0.0, 1.0 plus one ulp — decode to nothing.
+fn state_from_wire(wire: [u8; 8]) -> Option<SiteState> {
+    let n = STATE_WIRE.iter().position(|w| *w == wire)?;
+    SiteState::try_from_u8(n as u8)
+}
+
 /// The stored cells of one exchange slab: `width` cells deep along
 /// `axis`, hugging the owned/ghost boundary on `side`. Axes whose
 /// staging has already completed (`b < axis`: ascending for the get,
@@ -169,19 +176,7 @@ impl Slab {
     /// The slab's `(k, j)` rows in wire order: the stored index of each
     /// row's first site and the global ids along it.
     fn rows(&self, grid: LocalGrid) -> impl Iterator<Item = (usize, RowIds)> + '_ {
-        let i0 = self.cells[0].start;
-        let (nx, ny) = (grid.global.nx as u64, grid.global.ny as u64);
-        self.cells[2].clone().flat_map(move |k| {
-            self.cells[1].clone().map(move |j| {
-                let g = grid.global_cell(i0, j, k);
-                let ids = RowIds {
-                    row: (g[2] as u64 * ny + g[1] as u64) * nx,
-                    gx: g[0] as u64,
-                    nx,
-                };
-                (grid.site_id(i0, j, k, 0), ids)
-            })
-        })
+        SlabRows::new(self, grid)
     }
 }
 
@@ -193,6 +188,100 @@ impl fmt::Display for Slab {
             "axis {} {:?} {:?} slab (cells {x:?} × {y:?} × {z:?})",
             self.axis, self.side, self.role
         )
+    }
+}
+
+/// The cursor behind [`Slab::rows`]: `global_cell` and `site_id` run for
+/// the slab's first row only. From row to row `j` steps by one — the
+/// stored index by `2·d0`, `gy` by one, wrapping at `ny` — and from
+/// plane to plane `k` steps by one — the stored index by `2·d0·d1`
+/// from the plane's first row, `gz` by one, wrapping at `nz`. No
+/// division runs after the first row.
+#[derive(Debug, Clone)]
+struct SlabRows {
+    /// Stored index of the next row's first site, and of the first row
+    /// of its plane.
+    s: usize,
+    plane_s: usize,
+    /// Stored-index steps between rows and between planes.
+    row_step: usize,
+    plane_step: usize,
+    /// Rows per plane, rows left in the current plane, planes left.
+    rows_per_plane: usize,
+    rows_left: usize,
+    planes_left: usize,
+    /// Global cell of the next row's first cell; `gy` restarts at
+    /// `gy0` with every plane, `gx` is the same for every row.
+    gx: u64,
+    gy: u64,
+    gy0: u64,
+    gz: u64,
+    n: [u64; 3],
+}
+
+impl SlabRows {
+    fn new(slab: &Slab, grid: LocalGrid) -> Self {
+        let [i0, j0, k0] = slab.cells.clone().map(|r| r.start);
+        let d = grid.dims();
+        let g = grid.global_cell(i0, j0, k0).map(|c| c as u64);
+        let s = grid.site_id(i0, j0, k0, 0);
+        Self {
+            s,
+            plane_s: s,
+            row_step: 2 * d[0],
+            plane_step: 2 * d[0] * d[1],
+            rows_per_plane: slab.cells[1].len(),
+            rows_left: slab.cells[1].len(),
+            planes_left: slab.cells[2].len(),
+            gx: g[0],
+            gy: g[1],
+            gy0: g[1],
+            gz: g[2],
+            n: [grid.global.nx, grid.global.ny, grid.global.nz].map(|n| n as u64),
+        }
+    }
+}
+
+/// `c + 1` on a periodic axis of `n` cells.
+#[inline]
+fn step_wrapping(c: u64, n: u64) -> u64 {
+    if c + 1 == n {
+        0
+    } else {
+        c + 1
+    }
+}
+
+impl Iterator for SlabRows {
+    type Item = (usize, RowIds);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.planes_left == 0 {
+            return None;
+        }
+        let [nx, ny, nz] = self.n;
+        let row = (
+            self.s,
+            RowIds {
+                row: (self.gz * ny + self.gy) * nx,
+                gx: self.gx,
+                nx,
+            },
+        );
+        self.rows_left -= 1;
+        if self.rows_left > 0 {
+            self.s += self.row_step;
+            self.gy = step_wrapping(self.gy, ny);
+        } else {
+            self.planes_left -= 1;
+            self.rows_left = self.rows_per_plane;
+            self.plane_s += self.plane_step;
+            self.s = self.plane_s;
+            self.gy = self.gy0;
+            self.gz = step_wrapping(self.gz, nz);
+        }
+        Some(row)
     }
 }
 
@@ -223,10 +312,7 @@ impl Iterator for RowIds {
     #[inline]
     fn next(&mut self) -> Option<u64> {
         let id = self.peek();
-        self.gx += 1;
-        if self.gx == self.nx {
-            self.gx = 0;
-        }
+        self.gx = step_wrapping(self.gx, self.nx);
         Some(id)
     }
 }
@@ -305,12 +391,14 @@ fn pack_states(lat: &KmcLattice, slab: &Slab, buf: &mut Vec<u8>) {
     }
 }
 
-/// Applies a received payload to `slab`. The payload's length and the
-/// id that leads every row are checked in every build (a payload cut
-/// short, or packed from another slab, aborts naming the slab); every
-/// other id is checked in debug builds. Only sites whose state changed
-/// go through `set_state` — all but a handful per slab skip the
-/// ownership test and the vacancy-index update.
+/// Applies a received payload to `slab`. The payload's length, the id
+/// that leads every row and every state that differs from the stored
+/// one are checked in every build (a payload cut short, packed from
+/// another slab or carrying a value that is no state's wire image
+/// aborts naming the slab); every other id is checked in debug builds.
+/// Only sites whose state changed go through `set_state` — all but a
+/// handful per slab skip the ownership test and the vacancy-index
+/// update.
 fn unpack_states(lat: &mut KmcLattice, slab: &Slab, bytes: &[u8]) {
     assert_eq!(
         bytes.len(),
@@ -343,7 +431,15 @@ fn unpack_states(lat: &mut KmcLattice, slab: &Slab, bytes: &[u8]) {
                 );
                 let wire: [u8; 8] = rec[8..].try_into().expect("8 B state");
                 if wire != STATE_WIRE[lat.state[s] as usize] {
-                    lat.set_state(s, SiteState::from_u8(f64::from_le_bytes(wire) as u8));
+                    let st = state_from_wire(wire).unwrap_or_else(|| {
+                        panic!(
+                            "kmc {slab}: stored site {s} received state bits {:#018x} ({}), \
+                             the wire image of no site state",
+                            u64::from_le_bytes(wire),
+                            f64::from_le_bytes(wire),
+                        )
+                    });
+                    lat.set_state(s, st);
                 }
             }
         }
@@ -954,6 +1050,44 @@ mod tests {
         assert_eq!(ids, per_site);
     }
 
+    #[test]
+    fn row_cursor_matches_site_id_and_global_id_on_every_row() {
+        // In the sweep, `gy` wraps twice across a whole box's
+        // full-extent planes and once, mid-slab, across a sub-domain's;
+        // a slab's `k` range never crosses the box edge there. It does
+        // on axes thinner than the ghost shell: a whole box of 2 × 3 × 2
+        // cells under a 3-cell shell, and a sub-domain whose low z ghost
+        // starts one plane below the box edge.
+        let a0 = BccGeometry::fe_cube(1).a0;
+        let thin = BccGeometry::new(a0, 2, 3, 2);
+        let tall = BccGeometry::new(a0, 7, 6, 4);
+        let mut grids = sweep_grids();
+        grids.push((LocalGrid::whole(thin, 3), 3.0));
+        grids.push((LocalGrid::new(tall, [0, 3, 2], [7, 3, 2], 3), 3.0));
+        let mut rows_checked = 0;
+        for (grid, cutoff) in grids {
+            let l = KmcLattice::all_fe(grid, cutoff);
+            for slab in exchange_slabs(&l) {
+                let i0 = slab.cells[0].start;
+                let mut rows = slab.rows(grid);
+                for k in slab.cells[2].clone() {
+                    for j in slab.cells[1].clone() {
+                        let (s0, ids) = rows.next().expect("a row per (k, j)");
+                        assert_eq!(s0, grid.site_id(i0, j, k, 0), "{slab}: row ({k}, {j})");
+                        assert_eq!(
+                            ids.peek(),
+                            per_site::global_id(&l, s0),
+                            "{slab}: row ({k}, {j}) on {grid:?}"
+                        );
+                        rows_checked += 1;
+                    }
+                }
+                assert!(rows.next().is_none(), "{slab}: rows past the last plane");
+            }
+        }
+        assert!(rows_checked > 10_000, "{rows_checked}");
+    }
+
     /// Runs `f`, which must panic, and returns the panic message.
     fn panic_message(f: impl FnOnce()) -> String {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
@@ -1034,11 +1168,33 @@ mod tests {
 
     #[test]
     fn out_of_range_state_value_is_refused() {
-        let (mut l, [slab, _], [mut payload, _]) = same_length_slabs();
-        let rec = payload.len() / 2;
-        payload[rec + 8..rec + 16].copy_from_slice(&3.0f64.to_le_bytes());
-        let msg = panic_message(|| unpack_states(&mut l, &slab, &payload));
-        assert_eq!(msg, "invalid site state 3");
+        let (mut l, [slab, _], [payload, _]) = same_length_slabs();
+        let before = l.clone();
+        // The record halfway through, and the stored site it lands on.
+        let r = payload.len() / 2 / SLAB_SITE_BYTES as usize;
+        let [x, y, _] = slab.cells.clone().map(|c| c.len());
+        let c = r / 2;
+        let s = l.grid.site_id(
+            slab.cells[0].start + c % x,
+            slab.cells[1].start + c / x % y,
+            slab.cells[2].start + c / (x * y),
+            r % 2,
+        );
+        for value in [3.0, 2.5, f64::NAN, -1.0, -0.0, 1.0000000000000002] {
+            let mut bad = payload.clone();
+            let rec = r * SLAB_SITE_BYTES as usize;
+            bad[rec + 8..rec + 16].copy_from_slice(&value.to_le_bytes());
+            let msg = panic_message(|| unpack_states(&mut l, &slab, &bad));
+            let bits = format!("{:#018x}", value.to_bits());
+            assert!(
+                msg.contains("axis 0 Low Ghost slab")
+                    && msg.contains(&format!("stored site {s} received state bits {bits}"))
+                    && msg.contains("the wire image of no site state"),
+                "{value}: {msg}"
+            );
+            // Every earlier record matched the stored state.
+            assert!(l.state == before.state && l.vacancies().eq(before.vacancies()));
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! migrated to their owners.
 
 use mmds_lattice::lnl::LatticeNeighborList;
+use mmds_lattice::LocalGrid;
 use mmds_swmpi::topology::CartGrid;
 use mmds_swmpi::{Comm, Packer, Unpacker};
 
@@ -129,7 +130,7 @@ fn slab_ranges(
 }
 
 fn for_each_slab_site(
-    l: &LatticeNeighborList,
+    grid: LocalGrid,
     ranges: &[std::ops::Range<usize>; 3],
     mut f: impl FnMut(usize, [f64; 3]),
 ) {
@@ -137,8 +138,8 @@ fn for_each_slab_site(
         for j in ranges[1].clone() {
             for i in ranges[0].clone() {
                 for b in 0..2 {
-                    let s = l.grid.site_id(i, j, k, b);
-                    let lp = l.grid.site_position(i, j, k, b);
+                    let s = grid.site_id(i, j, k, b);
+                    let lp = grid.site_position(i, j, k, b);
                     f(s, lp);
                 }
             }
@@ -152,7 +153,7 @@ fn pack_slab(
     phase: GhostPhase,
 ) -> Vec<u8> {
     let mut p = Packer::new();
-    for_each_slab_site(l, ranges, |s, lp| match phase {
+    for_each_slab_site(l.grid, ranges, |s, lp| match phase {
         GhostPhase::Positions => {
             p.put_u64(l.id[s] as u64);
             if l.id[s] >= 0 {
@@ -188,57 +189,52 @@ fn unpack_slab(
     phase: GhostPhase,
     bytes: &[u8],
 ) {
-    // Collect the site visit order first (cannot borrow l mutably inside
-    // the visitor).
-    let mut sites = Vec::new();
-    for_each_slab_site(l, ranges, |s, lp| sites.push((s, lp)));
+    // The grid is a copy, so the visitor may borrow `l` mutably.
     let mut u = Unpacker::new(bytes);
-    for (s, lp) in sites {
-        match phase {
-            GhostPhase::Positions => {
-                let id = u.get_u64() as i64;
-                l.id[s] = id;
-                if id >= 0 {
-                    let d = [u.get_f64(), u.get_f64(), u.get_f64()];
-                    l.pos[s] = [lp[0] + d[0], lp[1] + d[1], lp[2] + d[2]];
-                } else {
-                    l.pos[s] = lp;
-                }
-                // Replace the ghost chain: records were cleared at the
-                // start of the exchange; later axes may overwrite a slab
-                // that was already written — drop what's there first.
-                let existing: Vec<(u32, bool)> = l.chain(s).map(|(i, r)| (i, r.ghost)).collect();
-                for (idx, ghost) in existing {
-                    assert!(
-                        ghost,
-                        "real run-away anchored at ghost site {s} during exchange"
-                    );
-                    l.remove_runaway(idx);
-                }
-                let n = u.get_u32() as usize;
-                let mut recs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rid = u.get_u64() as i64;
-                    let d = [u.get_f64(), u.get_f64(), u.get_f64()];
-                    recs.push((rid, [lp[0] + d[0], lp[1] + d[1], lp[2] + d[2]]));
-                }
-                // Insert reversed so the rebuilt chain iterates in the
-                // sender's order (chains are LIFO).
-                for (rid, pos) in recs.into_iter().rev() {
-                    l.add_ghost_runaway(s, rid, pos, [0.0; 3]);
-                }
+    for_each_slab_site(l.grid, ranges, |s, lp| match phase {
+        GhostPhase::Positions => {
+            let id = u.get_u64() as i64;
+            l.id[s] = id;
+            if id >= 0 {
+                let d = [u.get_f64(), u.get_f64(), u.get_f64()];
+                l.pos[s] = [lp[0] + d[0], lp[1] + d[1], lp[2] + d[2]];
+            } else {
+                l.pos[s] = lp;
             }
-            GhostPhase::Fp => {
-                l.fp[s] = u.get_f64();
-                let n = u.get_u32() as usize;
-                let chain: Vec<u32> = l.chain(s).map(|(i, _)| i).collect();
-                assert_eq!(chain.len(), n, "ghost chain drifted between phases");
-                for (idx, _) in chain.into_iter().zip(0..n) {
-                    l.runaway_mut(idx).fp = u.get_f64();
-                }
+            // Replace the ghost chain: records were cleared at the
+            // start of the exchange; later axes may overwrite a slab
+            // that was already written — drop what's there first.
+            let existing: Vec<(u32, bool)> = l.chain(s).map(|(i, r)| (i, r.ghost)).collect();
+            for (idx, ghost) in existing {
+                assert!(
+                    ghost,
+                    "real run-away anchored at ghost site {s} during exchange"
+                );
+                l.remove_runaway(idx);
+            }
+            let n = u.get_u32() as usize;
+            let mut recs = Vec::with_capacity(n);
+            for _ in 0..n {
+                let rid = u.get_u64() as i64;
+                let d = [u.get_f64(), u.get_f64(), u.get_f64()];
+                recs.push((rid, [lp[0] + d[0], lp[1] + d[1], lp[2] + d[2]]));
+            }
+            // Insert reversed so the rebuilt chain iterates in the
+            // sender's order (chains are LIFO).
+            for (rid, pos) in recs.into_iter().rev() {
+                l.add_ghost_runaway(s, rid, pos, [0.0; 3]);
             }
         }
-    }
+        GhostPhase::Fp => {
+            l.fp[s] = u.get_f64();
+            let n = u.get_u32() as usize;
+            let chain: Vec<u32> = l.chain(s).map(|(i, _)| i).collect();
+            assert_eq!(chain.len(), n, "ghost chain drifted between phases");
+            for (idx, _) in chain.into_iter().zip(0..n) {
+                l.runaway_mut(idx).fp = u.get_f64();
+            }
+        }
+    });
     assert!(u.is_exhausted(), "slab payload size mismatch");
 }
 
@@ -390,7 +386,7 @@ pub fn comm_plans() -> Vec<mmds_swmpi::CommPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmds_lattice::{BccGeometry, LocalGrid};
+    use mmds_lattice::BccGeometry;
 
     fn lnl(n: usize) -> LatticeNeighborList {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(n), 2);
