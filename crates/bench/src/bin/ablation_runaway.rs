@@ -8,145 +8,28 @@
 //! overhead to O(N) since the run-away atoms are linked to the nearest
 //! lattice point."
 //!
-//! This binary measures exactly that: the wall time to find every
-//! run-away/run-away interaction pair, with the paper's anchored chains
-//! versus a flat array that has lost the spatial anchoring.
+//! This binary measures exactly that: the work to find every
+//! run-away/run-away interaction pair — partners visited with the
+//! paper's anchored chains, distance tests with a flat array that has
+//! lost the spatial anchoring. The experiment itself is
+//! [`mmds_bench::ablation_runaway`].
 
-use std::time::Instant;
-
-use mmds_bench::{emit_report, header};
-use mmds_md::force::{for_each_partner, Central};
-use mmds_md::{MdConfig, MdSimulation};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    n_runaways: usize,
-    chains_ms: f64,
-    array_ms: f64,
-    pairs: usize,
-    speedup: f64,
-}
-
-#[derive(Serialize)]
-struct Result {
-    rows: Vec<Row>,
-}
+use mmds_bench::{ablation_runaway, emit_report, header, print_rows};
 
 fn main() {
     header(
         "Ablation: run-away neighbour search — anchored chains (paper) vs flat array (Crystal MD)",
     );
-    let cfg = MdConfig {
-        table_knots: 800,
-        ..Default::default()
-    };
-    let cells = 24; // 27,648 sites
-    println!(
-        "{:>10} {:>14} {:>14} {:>10} {:>9}",
-        "run-aways", "chains (ms)", "array (ms)", "pairs", "speedup"
-    );
-    let mut rows = Vec::new();
-    for &n_run in &[250usize, 500, 1000, 2000, 4000] {
-        let mut sim = MdSimulation::single_box(cfg, cells);
-        let mut rng = StdRng::seed_from_u64(n_run as u64);
-        // Promote n_run random atoms to run-aways displaced off-site.
-        let interior = sim.interior.clone();
-        let mut promoted = 0;
-        while promoted < n_run {
-            let s = interior[rng.random_range(0..interior.len())];
-            if sim.lnl.id[s] < 0 {
-                continue;
-            }
-            let id = sim.lnl.make_vacancy(s);
-            let lp = sim.lnl.pos[s];
-            let pos = [
-                lp[0] + rng.random_range(-1.0..1.0),
-                lp[1] + rng.random_range(-1.0..1.0),
-                lp[2] + rng.random_range(-1.0..1.0),
-            ];
-            let home = sim.lnl.nearest_local_site(pos).unwrap_or(s);
-            sim.lnl.add_runaway(home, id, pos, [0.0; 3]);
-            promoted += 1;
-        }
-
-        // (a) The paper's structure: each run-away checks the chains
-        // anchored at its home's neighbour sites — O(N) overall.
-        let live = sim.lnl.live_runaways();
-        let t0 = Instant::now();
-        let mut pairs_chains = 0usize;
-        for &idx in &live {
-            for_each_partner(&sim.lnl, Central::Runaway(idx), 5.0, |p| {
-                pairs_chains += usize::from(p.is_runaway);
-            });
-        }
-        let chains_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // (b) Crystal MD's array: positions only, anchoring lost — the
-        // only way to find run-away/run-away pairs is all-pairs, O(N²).
-        let positions: Vec<[f64; 3]> = live.iter().map(|&i| sim.lnl.runaway(i).pos).collect();
-        let t0 = Instant::now();
-        let mut pairs_array = 0usize;
-        let cut2 = 25.0;
-        for i in 0..positions.len() {
-            for j in 0..positions.len() {
-                if i != j {
-                    let (a, b) = (positions[i], positions[j]);
-                    let d2 = (a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2);
-                    if d2 <= cut2 && d2 > 1e-12 {
-                        pairs_array += 1;
-                    }
-                }
-            }
-        }
-        let array_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        // Same physics found either way? A run-away scans the offsets of
-        // its *anchor*, so pairs just inside the cutoff whose anchors sit
-        // beyond the offset margin can be truncated — the approximation
-        // the paper explicitly accepts ("it checks the same neighbor
-        // atoms as the nearest lattice point it is linked to"). With the
-        // 0.6 Å margin that loses only the outermost, switching-damped
-        // shell.
-        assert!(
-            pairs_chains as f64 >= 0.9 * pairs_array as f64,
-            "chains found {pairs_chains}, array found {pairs_array}"
-        );
-
-        println!(
-            "{:>10} {:>14.2} {:>14.2} {:>10} {:>8.1}x",
-            n_run,
-            chains_ms,
-            array_ms,
-            pairs_array,
-            array_ms / chains_ms.max(1e-9)
-        );
-        rows.push(Row {
-            n_runaways: n_run,
-            chains_ms,
-            array_ms,
-            pairs: pairs_array,
-            speedup: array_ms / chains_ms.max(1e-9),
-        });
-    }
-
-    // Complexity check: chains scale ~linearly, the array quadratically.
-    let first = &rows[0];
-    let last = rows.last().expect("nonempty");
+    let result = ablation_runaway::run();
+    print_rows(&result.rows);
+    let (first, last) = (&result.rows[0], &result.rows[result.rows.len() - 1]);
     let n_ratio = last.n_runaways as f64 / first.n_runaways as f64;
-    let chains_growth = last.chains_ms / first.chains_ms;
-    let array_growth = last.array_ms / first.array_ms;
     println!(
-        "\n{n_ratio:.0}x more run-aways: chains grew {chains_growth:.1}x (≈O(N)), \
-         array grew {array_growth:.1}x (≈O(N²) would be {:.0}x)",
+        "\n{n_ratio:.0}x more run-aways: chain visits grew {:.1}x (≈O(N)), \
+         array tests grew {:.1}x (≈O(N²) would be {:.0}x)",
+        last.chains_visits as f64 / first.chains_visits as f64,
+        last.array_tests as f64 / first.array_tests as f64,
         n_ratio * n_ratio
     );
-    assert!(
-        array_growth > 2.0 * chains_growth,
-        "the array must scale visibly worse"
-    );
-
-    emit_report("ablation_runaway.json", &Result { rows });
+    emit_report("ablation_runaway.json", &result);
 }

@@ -14,150 +14,25 @@
 //!
 //! This binary replays a realistic per-neighbour access stream (taken
 //! from a thermalised MD box) through all four cost models and prints
-//! the per-access and total virtual times.
+//! the per-access and total virtual times. The experiment itself is
+//! [`mmds_bench::ablation_tables`].
 
-use mmds_bench::{emit_report, fmt_s, header};
-use mmds_eam::spline::TraditionalTable;
-use mmds_md::force::{for_each_partner, Central};
-use mmds_md::{MdConfig, MdSimulation};
-use mmds_sunway::{RegisterMesh, SoftCache, SwModel};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct SchemeResult {
-    scheme: String,
-    total_s: f64,
-    ns_per_access: f64,
-    note: String,
-}
-
-#[derive(Serialize)]
-struct AblationResult {
-    accesses: usize,
-    schemes: Vec<SchemeResult>,
-}
+use mmds_bench::{ablation_tables, emit_report, header, print_rows};
 
 fn main() {
     header("Ablation: table-access schemes on the CPE (paper's choice vs rejected designs)");
-    // Realistic access stream: the pair-distance sequence of one force
-    // pass over a thermalised box.
-    let mut sim = MdSimulation::single_box(
-        MdConfig {
-            table_knots: 5000,
-            temperature: 600.0,
-            ..Default::default()
-        },
-        8,
+    let result = ablation_tables::run();
+    println!(
+        "access stream: {} pair lookups from a thermalised 1024-atom box\n",
+        result.accesses
     );
-    sim.init_velocities();
-    sim.run_local(3);
-    let mut rs: Vec<f64> = Vec::new();
-    for &s in &sim.interior.clone() {
-        if sim.lnl.id[s] >= 0 {
-            for_each_partner(&sim.lnl, Central::Site(s), 5.0, |p| rs.push(p.r));
-        }
-    }
-    let n = rs.len();
-    println!("access stream: {n} pair lookups from a thermalised 1024-atom box\n");
-
-    let model = SwModel::sw26010();
-    let table = TraditionalTable::build(|x| x.sin(), 1.0, 5.0, 5000);
-    let row = |r: f64| table.locate(r).0;
-
-    let mut schemes = Vec::new();
-    let mut push = |name: &str, total: f64, note: &str| {
-        println!(
-            "{name:<42} {:>10}  ({:.1} ns/access)  {note}",
-            fmt_s(total),
-            total / n as f64 * 1e9
-        );
-        schemes.push(SchemeResult {
-            scheme: name.to_string(),
-            total_s: total,
-            ns_per_access: total / n as f64 * 1e9,
-            note: note.to_string(),
-        });
-    };
-
-    // 1. Traditional: one 56 B DMA gather per access.
-    let t_dma = n as f64 * model.dma_time(TraditionalTable::ROW_BYTES);
-    push(
-        "traditional row DMA (Fig. 9 baseline)",
-        t_dma,
-        "56 B gather per access",
-    );
-
-    // 2. Software-emulated cache over the traditional table.
-    let mut cache = SoftCache::new(40 * 1024, 256);
-    for &r in &rs {
-        cache.access_range(
-            row(r) * TraditionalTable::ROW_BYTES,
-            TraditionalTable::ROW_BYTES,
-        );
-    }
-    let rep = cache.report();
-    push(
-        "software-emulated LDM cache (rejected)",
-        rep.time,
-        &format!("hit rate {:.1}%", 100.0 * rep.hit_rate),
-    );
-
-    // 3a/3b. Table distributed over 64 CPE local stores, register fetch.
-    let mesh = RegisterMesh::sw26010();
-    let p_local = 1.0 / 64.0;
-    // Random CPE pairing: ~22% of pairs share a row/col on an 8x8 mesh.
-    let p_direct = 0.22;
-    let per_fetch_2s = p_direct * mesh.two_sided_fetch(TraditionalTable::ROW_BYTES, false)
-        + (1.0 - p_direct) * mesh.two_sided_fetch(TraditionalTable::ROW_BYTES, true);
-    // Each remote fetch also steals service time from a partner CPE —
-    // with all 64 CPEs fetching at once this lands on the critical path.
-    let t_reg2 = n as f64 * (1.0 - p_local) * (per_fetch_2s + mesh.partner_overhead());
-    push(
-        "register comm, two-sided (rejected)",
-        t_reg2,
-        "partner CPEs poll & serve every fetch",
-    );
-    let per_fetch_1s = p_direct * mesh.one_sided_fetch(TraditionalTable::ROW_BYTES, false)
-        + (1.0 - p_direct) * mesh.one_sided_fetch(TraditionalTable::ROW_BYTES, true);
-    let t_reg1 = n as f64 * (1.0 - p_local) * per_fetch_1s;
-    push(
-        "register comm, one-sided (paper's s5 proposal)",
-        t_reg1,
-        "no partner involvement",
-    );
-
-    // 4. Compacted resident (the paper's choice): one bulk DMA, then
-    //    pure reconstruction arithmetic.
-    let recon_flops =
-        mmds_eam::LOCATE_FLOPS + mmds_eam::SEG_EVAL_FLOPS + mmds_eam::compact::RECON_EXTRA_FLOPS;
-    let t_comp = model.dma_time(40_000) + n as f64 * model.flops_time(recon_flops);
-    push(
-        "compacted table, LDM-resident (paper)",
-        t_comp,
-        "one 39 KiB stage-in + on-the-fly coefficients",
-    );
-
-    println!();
-    let best = schemes
+    print_rows(&result.schemes);
+    let best = result
+        .schemes
         .iter()
-        .min_by(|a, b| a.total_s.partial_cmp(&b.total_s).expect("finite"))
+        .min_by(|a, b| a.total_s.total_cmp(&b.total_s))
         .expect("nonempty");
-    println!("winner: {}", best.scheme);
-    // The paper's choice must beat every scheme that EXISTED on the
-    // machine (row DMA, software cache, two-sided register comm)...
-    let compacted = schemes
-        .iter()
-        .find(|s| s.scheme.contains("compacted"))
-        .expect("present");
-    for s in &schemes {
-        if !s.scheme.contains("one-sided") && !s.scheme.contains("compacted") {
-            assert!(
-                compacted.total_s < s.total_s,
-                "the paper's choice must beat {}",
-                s.scheme
-            );
-        }
-    }
+    println!("\nwinner: {}", best.scheme);
     println!(
         "the paper's compacted-resident choice beats every scheme available on the\n\
          SW26010. The only configuration that edges it out is the HYPOTHETICAL\n\
@@ -165,12 +40,5 @@ fn main() {
          conclusion (s5) proposes the hardware should add. The cost model agrees\n\
          with the authors' forward-looking argument."
     );
-
-    emit_report(
-        "ablation_tables.json",
-        &AblationResult {
-            accesses: n,
-            schemes,
-        },
-    );
+    emit_report("ablation_tables.json", &result);
 }

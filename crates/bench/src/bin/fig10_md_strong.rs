@@ -8,128 +8,20 @@
 //! (fixed global box, real domain-decomposed MD, virtual time), and
 //! (b) the paper-scale *projected* series with the measured kernel rate
 //! and one comm constant fitted to the paper's endpoint (DESIGN.md §1).
+//! The experiment itself is [`mmds_bench::fig10`].
 
-use mmds_bench::{emit_report, fmt_pct, fmt_s, header, paper, scaled_cells};
-use mmds_md::offload::OffloadConfig;
-use mmds_md::parallel::{run_parallel_md, ParallelMdParams};
-use mmds_md::MdConfig;
-use mmds_perfmodel::{project_strong, CommShape, ProjectedPoint};
-use mmds_swmpi::{CommStats, World};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct MeasuredPoint {
-    ranks: usize,
-    cores: usize,
-    atoms: usize,
-    compute_s: f64,
-    comm_s: f64,
-    total_s: f64,
-    speedup: f64,
-    efficiency: f64,
-}
-
-#[derive(Serialize)]
-struct Fig10Result {
-    measured: Vec<MeasuredPoint>,
-    projected: Vec<ProjectedPoint>,
-    paper_speedup: f64,
-    paper_efficiency: f64,
-}
+use mmds_bench::{emit_report, fig10, fmt_pct, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 10: MD strong scaling");
-    let cells = scaled_cells(16, 8);
-    let steps = 2;
-    let world = World::default_world();
-    let params = |_: usize| ParallelMdParams {
-        md: MdConfig {
-            table_knots: 2000,
-            temperature: 600.0,
-            ..Default::default()
-        },
-        offload: OffloadConfig::optimized(),
-        global_cells: [cells; 3],
-        steps,
-        warmup_steps: 1,
-        pka_energy: None,
-    };
-
+    let result = fig10::run(scale());
+    println!("measured (fixed global box, {} steps):", fig10::STEPS);
+    print_rows(&result.measured);
     println!(
-        "measured (global box {cells}^3 cells = {} atoms, {steps} steps):",
-        2 * cells * cells * cells
+        "\nprojected at paper scale (3.2e10 atoms over core groups; endpoint fitted to paper):"
     );
-    println!(
-        "{:>6} {:>9} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "ranks", "cores", "compute", "comm", "total", "speedup", "efficiency"
-    );
-    let rank_counts = [1usize, 2, 4, 8, 16];
-    let mut measured = Vec::new();
-    let mut t0 = 0.0;
-    for &r in &rank_counts {
-        let out = run_parallel_md(&world, r, &params(r));
-        let stats: Vec<CommStats> = out.iter().map(|o| o.stats).collect();
-        let total = out.iter().map(|o| o.clock).fold(0.0, f64::max);
-        let compute = CommStats::max_compute_time(&stats);
-        let comm = CommStats::max_comm_time(&stats);
-        if r == 1 {
-            t0 = total;
-        }
-        let speedup = t0 / total;
-        let eff = speedup / r as f64;
-        println!(
-            "{:>6} {:>9} {:>10} {:>10} {:>10} {:>9.2} {:>10}",
-            r,
-            r * 65,
-            fmt_s(compute),
-            fmt_s(comm),
-            fmt_s(total),
-            speedup,
-            fmt_pct(eff)
-        );
-        measured.push(MeasuredPoint {
-            ranks: r,
-            cores: r * 65,
-            atoms: 2 * cells * cells * cells,
-            compute_s: compute,
-            comm_s: comm,
-            total_s: total,
-            speedup,
-            efficiency: eff,
-        });
-    }
-
-    // Paper-scale projection: per-atom-step kernel rate from the 1-rank
-    // measured point, total work = 3.2e10 atoms.
-    let atoms_measured = 2 * cells * cells * cells;
-    let per_atom_step = measured[0].compute_s / (atoms_measured as f64 * steps as f64);
-    let total_compute = per_atom_step * 3.2e10 * steps as f64;
-    let cgs: Vec<u64> = vec![1_500, 3_000, 6_000, 12_000, 24_000, 48_000, 96_000];
-    let projected = project_strong(
-        &cgs,
-        65,
-        total_compute,
-        CommShape::Log2PlusCbrt { w: 0.05 },
-        paper::FIG10_EFFICIENCY,
-        None,
-    );
-    println!("\nprojected at paper scale (3.2e10 atoms; endpoint fitted to paper):");
-    println!(
-        "{:>9} {:>11} {:>10} {:>10} {:>9} {:>10}",
-        "CGs", "cores", "compute", "comm", "speedup", "efficiency"
-    );
-    for p in &projected {
-        println!(
-            "{:>9} {:>11} {:>10} {:>10} {:>9.2} {:>10}",
-            p.ranks,
-            p.cores,
-            fmt_s(p.compute),
-            fmt_s(p.comm),
-            p.speedup,
-            fmt_pct(p.efficiency)
-        );
-    }
-    let last = projected.last().expect("nonempty");
+    print_rows(&result.projected);
+    let last = result.projected.last().expect("nonempty");
     println!(
         "\nendpoint: {:.1}x speedup, {} efficiency   [paper: {:.1}x, {}]",
         last.speedup,
@@ -137,14 +29,5 @@ fn main() {
         paper::FIG10_SPEEDUP,
         fmt_pct(paper::FIG10_EFFICIENCY)
     );
-
-    emit_report(
-        "fig10.json",
-        &Fig10Result {
-            measured,
-            projected,
-            paper_speedup: paper::FIG10_SPEEDUP,
-            paper_efficiency: paper::FIG10_EFFICIENCY,
-        },
-    );
+    emit_report("fig10.json", &result);
 }

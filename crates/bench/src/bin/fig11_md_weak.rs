@@ -7,186 +7,29 @@
 //!
 //! Here: measured weak scaling over simulated ranks (fixed atoms/rank),
 //! the projected paper-scale series, and the memory-capacity arithmetic
-//! from `mmds-lattice::memory`.
+//! from `mmds-lattice::memory`. The experiment itself is
+//! [`mmds_bench::fig11`].
 
-use mmds_bench::{emit_report, fmt_pct, fmt_s, header, paper, scaled_cells};
-use mmds_lattice::memory::MemoryModel;
-use mmds_md::offload::OffloadConfig;
-use mmds_md::parallel::{run_parallel_md, ParallelMdParams};
-use mmds_md::MdConfig;
-use mmds_perfmodel::{project_weak, CommShape, ProjectedPoint};
-use mmds_swmpi::topology::CartGrid;
-use mmds_swmpi::{CommStats, World};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct MeasuredPoint {
-    ranks: usize,
-    cores: usize,
-    atoms_total: usize,
-    compute_s: f64,
-    comm_s: f64,
-    total_s: f64,
-    efficiency: f64,
-}
-
-#[derive(Serialize)]
-struct CapacityRow {
-    structure: String,
-    bytes_per_atom: f64,
-    atoms_on_102400_cgs: f64,
-}
-
-#[derive(Serialize)]
-struct Fig11Result {
-    measured: Vec<MeasuredPoint>,
-    projected: Vec<ProjectedPoint>,
-    capacity: Vec<CapacityRow>,
-    paper_efficiency: f64,
-    paper_lnl_atoms: f64,
-    paper_verlet_atoms: f64,
-}
+use mmds_bench::{emit_report, fig11, fmt_pct, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 11: MD weak scaling + memory capacity");
-    let per_rank_cells = scaled_cells(10, 8);
-    let steps = 2;
-    let world = World::default_world();
-
-    println!(
-        "measured ({per_rank_cells}^3 cells = {} atoms per rank, {steps} steps):",
-        2 * per_rank_cells.pow(3)
-    );
-    println!(
-        "{:>6} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "ranks", "cores", "atoms", "compute", "comm", "total", "efficiency"
-    );
-    let rank_counts = [1usize, 2, 4, 8, 16];
-    let mut measured = Vec::new();
-    let mut t0 = 0.0;
-    for &r in &rank_counts {
-        let dims = CartGrid::for_ranks(r).dims;
-        let global = [
-            dims[0] * per_rank_cells,
-            dims[1] * per_rank_cells,
-            dims[2] * per_rank_cells,
-        ];
-        let params = ParallelMdParams {
-            md: MdConfig {
-                table_knots: 2000,
-                temperature: 600.0,
-                ..Default::default()
-            },
-            offload: OffloadConfig::optimized(),
-            global_cells: global,
-            steps,
-            warmup_steps: 1,
-            pka_energy: None,
-        };
-        let out = run_parallel_md(&world, r, &params);
-        let stats: Vec<CommStats> = out.iter().map(|o| o.stats).collect();
-        let total = out.iter().map(|o| o.clock).fold(0.0, f64::max);
-        let compute = CommStats::max_compute_time(&stats);
-        let comm = CommStats::max_comm_time(&stats);
-        if r == 1 {
-            t0 = total;
-        }
-        let eff = t0 / total;
-        let atoms_total = 2 * global[0] * global[1] * global[2];
-        println!(
-            "{:>6} {:>9} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            r,
-            r * 65,
-            atoms_total,
-            fmt_s(compute),
-            fmt_s(comm),
-            fmt_s(total),
-            fmt_pct(eff)
-        );
-        measured.push(MeasuredPoint {
-            ranks: r,
-            cores: r * 65,
-            atoms_total,
-            compute_s: compute,
-            comm_s: comm,
-            total_s: total,
-            efficiency: eff,
-        });
-    }
-
-    // Paper-scale projection: constant per-rank compute from the 1-rank
-    // measured point, 3.9e7 atoms/CG workload.
-    let per_atom_step = measured[0].compute_s / (measured[0].atoms_total as f64 * steps as f64);
-    let per_rank_compute = per_atom_step * 3.9e7 * steps as f64;
-    let cgs: Vec<u64> = vec![1_600, 3_200, 12_800, 25_600, 51_200, 102_400];
-    let projected = project_weak(
-        &cgs,
-        65,
-        per_rank_compute,
-        CommShape::Log2PlusCbrt { w: 0.08 },
-        paper::FIG11_EFFICIENCY,
-    );
-    println!("\nprojected at paper scale (3.9e7 atoms/CG; endpoint fitted to paper):");
-    println!(
-        "{:>9} {:>11} {:>10} {:>10} {:>10}",
-        "CGs", "cores", "compute", "comm", "efficiency"
-    );
-    for p in &projected {
-        println!(
-            "{:>9} {:>11} {:>10} {:>10} {:>10}",
-            p.ranks,
-            p.cores,
-            fmt_s(p.compute),
-            fmt_s(p.comm),
-            fmt_pct(p.efficiency)
-        );
-    }
+    let result = fig11::run(scale());
+    println!("measured (fixed atoms per rank, {} steps):", fig11::STEPS);
+    print_rows(&result.measured);
+    println!("\nprojected at paper scale (3.9e7 atoms per core group; endpoint fitted to paper):");
+    print_rows(&result.projected);
     println!(
         "endpoint efficiency: {}   [paper: {}]",
-        fmt_pct(projected.last().expect("nonempty").efficiency),
+        fmt_pct(result.projected.last().expect("nonempty").efficiency),
         fmt_pct(paper::FIG11_EFFICIENCY)
     );
-
-    // Capacity arithmetic (§3 headline numbers).
     println!("\nmemory capacity on 102,400 core groups (6.656M cores):");
-    println!(
-        "{:>32} {:>14} {:>16}",
-        "structure", "bytes/atom", "atoms capacity"
-    );
-    let mut capacity = Vec::new();
-    for model in [
-        MemoryModel::lattice_neighbor_list(),
-        MemoryModel::linked_cell(),
-        MemoryModel::verlet_list(),
-    ] {
-        let cap = model.capacity(102_400);
-        println!(
-            "{:>32} {:>14.0} {:>16.2e}",
-            model.name,
-            model.bytes_per_atom(),
-            cap
-        );
-        capacity.push(CapacityRow {
-            structure: model.name.to_string(),
-            bytes_per_atom: model.bytes_per_atom(),
-            atoms_on_102400_cgs: cap,
-        });
-    }
+    print_rows(&result.capacity);
     println!(
         "paper: {:.1e} atoms with the LNL, ~{:.1e} with a traditional neighbour list",
         paper::FIG11_LNL_ATOMS,
         paper::FIG11_VERLET_ATOMS
     );
-
-    emit_report(
-        "fig11.json",
-        &Fig11Result {
-            measured,
-            projected,
-            capacity,
-            paper_efficiency: paper::FIG11_EFFICIENCY,
-            paper_lnl_atoms: paper::FIG11_LNL_ATOMS,
-            paper_verlet_atoms: paper::FIG11_VERLET_ATOMS,
-        },
-    );
+    emit_report("fig11.json", &result);
 }

@@ -9,106 +9,27 @@
 //! The box is scaled down (and the concentration scaled up so tens of
 //! vacancies exist), which *raises* the volume ratio — the dirty-site
 //! traffic is proportional to concentration — so the measured ratio is
-//! an upper bound on the paper's.
+//! an upper bound on the paper's. The experiment itself is
+//! [`mmds_bench::fig12`].
 
-use mmds_bench::kmc_sweep::{run, SweepPoint};
-use mmds_bench::{emit_report, fmt_pct, header, paper, scaled_cells};
-use mmds_kmc::{ExchangeStrategy, OnDemandMode};
-use mmds_swmpi::{MachineModel, World, WorldConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig12Row {
-    ranks: usize,
-    sites: usize,
-    traditional_bytes: u64,
-    on_demand_bytes: u64,
-    ratio: f64,
-}
-
-#[derive(Serialize)]
-struct Fig12Result {
-    concentration: f64,
-    cycles: usize,
-    rows: Vec<Fig12Row>,
-    mean_ratio: f64,
-    paper_ratio: f64,
-}
+use mmds_bench::{emit_report, fig12, fmt_pct, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 12: KMC communication volume (traditional vs on-demand)");
-    let per_rank_cells = scaled_cells(10, 8);
-    let concentration = 2.0e-3;
-    let cycles = 8;
-    let world = World::new(WorldConfig {
-        model: MachineModel::free(),
-        stack_bytes: 2 << 20,
-    });
+    let result = fig12::run(scale());
     println!(
-        "{per_rank_cells}^3 cells/rank, concentration {concentration:.1e} (scaled up so each rank owns several vacancies), {cycles} cycles"
+        "concentration {:.1e} (scaled up so each rank owns several vacancies), {} cycles",
+        result.concentration, result.cycles
     );
-    println!(
-        "{:>6} {:>10} {:>16} {:>16} {:>8}",
-        "ranks", "sites", "traditional (B)", "on-demand (B)", "ratio"
-    );
-    let mut rows = Vec::new();
-    let mut ratios = Vec::new();
-    for ranks in [8usize, 16, 32, 64, 128] {
-        let trad: SweepPoint = run(
-            &world,
-            ranks,
-            per_rank_cells,
-            concentration,
-            cycles,
-            ExchangeStrategy::Traditional,
-            true,
-        );
-        let od = run(
-            &world,
-            ranks,
-            per_rank_cells,
-            concentration,
-            cycles,
-            ExchangeStrategy::OnDemand(OnDemandMode::OneSided),
-            true,
-        );
-        assert_eq!(trad.events, od.events, "strategies must agree exactly");
-        let ratio = od.bytes as f64 / trad.bytes as f64;
-        ratios.push(ratio);
-        println!(
-            "{:>6} {:>10} {:>16} {:>16} {:>8}",
-            ranks,
-            trad.sites,
-            trad.bytes,
-            od.bytes,
-            fmt_pct(ratio)
-        );
-        rows.push(Fig12Row {
-            ranks,
-            sites: trad.sites,
-            traditional_bytes: trad.bytes,
-            on_demand_bytes: od.bytes,
-            ratio,
-        });
-    }
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    print_rows(&result.rows);
     println!(
         "\nmean on-demand/traditional volume: {}   [paper: {} at 35x lower concentration]",
-        fmt_pct(mean),
+        fmt_pct(result.mean_ratio),
         fmt_pct(paper::FIG12_VOLUME_RATIO)
     );
     println!(
         "(the ratio scales with vacancy concentration; at the paper's 4.5e-5 the dirty-site \
          traffic shrinks proportionally)"
     );
-    emit_report(
-        "fig12.json",
-        &Fig12Result {
-            concentration,
-            cycles,
-            rows,
-            mean_ratio: mean,
-            paper_ratio: paper::FIG12_VOLUME_RATIO,
-        },
-    );
+    emit_report("fig12.json", &result);
 }

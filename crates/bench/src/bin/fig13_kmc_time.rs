@@ -7,96 +7,18 @@
 //! virtual communication times include latency, bandwidth and the
 //! zero-size-message overhead of the two-sided variant. Both on-demand
 //! variants are reported (the paper proposes one-sided to eliminate the
-//! zero-size messages).
+//! zero-size messages). The experiment itself is [`mmds_bench::fig13`].
 
-use mmds_bench::kmc_sweep::run;
-use mmds_bench::{emit_report, fmt_s, header, paper, scaled_cells};
-use mmds_kmc::{ExchangeStrategy, OnDemandMode};
-use mmds_swmpi::World;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig13Row {
-    ranks: usize,
-    traditional_s: f64,
-    on_demand_two_sided_s: f64,
-    on_demand_one_sided_s: f64,
-    speedup_two_sided: f64,
-    speedup_one_sided: f64,
-}
-
-#[derive(Serialize)]
-struct Fig13Result {
-    rows: Vec<Fig13Row>,
-    mean_speedup_two_sided: f64,
-    paper_speedup: f64,
-}
+use mmds_bench::{emit_report, fig13, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 13: KMC communication time (traditional vs on-demand)");
-    let per_rank_cells = scaled_cells(40, 8);
-    let concentration = 4.5e-5; // the paper's value — feasible at this box size
-    let cycles = 4;
-    let world = World::default_world();
-    println!(
-        "{:>6} {:>12} {:>14} {:>14} {:>9} {:>9}",
-        "ranks", "traditional", "od-2sided", "od-1sided", "spd-2s", "spd-1s"
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for ranks in [8usize, 16, 32, 64] {
-        let trad = run(
-            &world,
-            ranks,
-            per_rank_cells,
-            concentration,
-            cycles,
-            ExchangeStrategy::Traditional,
-            false,
-        );
-        let od2 = run(
-            &world,
-            ranks,
-            per_rank_cells,
-            concentration,
-            cycles,
-            ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
-            false,
-        );
-        let od1 = run(
-            &world,
-            ranks,
-            per_rank_cells,
-            concentration,
-            cycles,
-            ExchangeStrategy::OnDemand(OnDemandMode::OneSided),
-            false,
-        );
-        let s2 = trad.comm_time / od2.comm_time;
-        let s1 = trad.comm_time / od1.comm_time;
-        speedups.push(s2);
-        println!(
-            "{:>6} {:>12} {:>14} {:>14} {:>8.1}x {:>8.1}x",
-            ranks,
-            fmt_s(trad.comm_time),
-            fmt_s(od2.comm_time),
-            fmt_s(od1.comm_time),
-            s2,
-            s1
-        );
-        rows.push(Fig13Row {
-            ranks,
-            traditional_s: trad.comm_time,
-            on_demand_two_sided_s: od2.comm_time,
-            on_demand_one_sided_s: od1.comm_time,
-            speedup_two_sided: s2,
-            speedup_one_sided: s1,
-        });
-    }
-    let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;
+    let result = fig13::run(scale());
+    print_rows(&result.rows);
     println!(
         "\nmean on-demand (two-sided, the paper's implementation) comm-time speedup: \
-         {mean:.1}x   [paper: {:.0}x]",
+         {:.1}x   [paper: {:.0}x]",
+        result.mean_speedup_two_sided,
         paper::FIG13_TIME_SPEEDUP
     );
     println!(
@@ -104,12 +26,5 @@ fn main() {
          probe-based variant at these rank counts; the paper proposes it to remove the \
          zero-size messages, which dominate at much higher neighbour counts)"
     );
-    emit_report(
-        "fig13.json",
-        &Fig13Result {
-            rows,
-            mean_speedup_two_sided: mean,
-            paper_speedup: paper::FIG13_TIME_SPEEDUP,
-        },
-    );
+    emit_report("fig13.json", &result);
 }

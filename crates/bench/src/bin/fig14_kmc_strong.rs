@@ -9,7 +9,7 @@
 //! cache-boost model that reproduces the super-linear bump. The
 //! experiment itself is [`mmds_bench::fig14`].
 
-use mmds_bench::{emit_report, fig14, fmt_pct, fmt_s, header, paper, scale};
+use mmds_bench::{emit_report, fig14, fmt_pct, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 14: KMC strong scaling (with the L2 super-linear bump)");
@@ -20,46 +20,9 @@ fn main() {
         2 * cells.pow(3),
         result.cycles
     );
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "ranks", "compute", "comm", "total", "speedup", "efficiency"
-    );
-    for p in &result.measured {
-        println!(
-            "{:>6} {:>10} {:>10} {:>10} {:>9.2} {:>10}",
-            p.ranks,
-            fmt_s(p.compute_s),
-            fmt_s(p.comm_s),
-            fmt_s(p.total_s),
-            p.speedup,
-            fmt_pct(p.efficiency)
-        );
-    }
-
+    print_rows(&result.measured);
     println!("\nprojected at paper scale (3.2e10 sites; endpoint fitted to paper):");
-    println!(
-        "{:>9} {:>10} {:>10} {:>9} {:>10}",
-        "cores", "compute", "comm", "speedup", "efficiency"
-    );
-    let mut prev_eff = f64::NAN;
-    let mut bump = false;
-    for p in &result.projected {
-        let marker = if p.efficiency > prev_eff && !prev_eff.is_nan() {
-            bump = true;
-            "  <- super-linear"
-        } else {
-            ""
-        };
-        println!(
-            "{:>9} {:>10} {:>10} {:>9.2} {:>10}{marker}",
-            p.ranks,
-            fmt_s(p.compute),
-            fmt_s(p.comm),
-            p.speedup,
-            fmt_pct(p.efficiency)
-        );
-        prev_eff = p.efficiency;
-    }
+    print_rows(&result.projected);
     let last = result.projected.last().expect("nonempty");
     println!(
         "\nendpoint: {:.1}x speedup, {} efficiency   [paper: {:.1}x, {}]",
@@ -68,7 +31,10 @@ fn main() {
         paper::FIG14_SPEEDUP,
         fmt_pct(paper::FIG14_EFFICIENCY)
     );
+    let bump = result
+        .projected
+        .windows(2)
+        .any(|w| w[1].efficiency > w[0].efficiency);
     println!("super-linear segment present: {bump}   [paper: yes, from 3,000 to 12,000 cores]");
-
     emit_report("fig14.json", &result);
 }

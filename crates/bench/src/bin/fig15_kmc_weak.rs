@@ -6,133 +6,26 @@
 //! used for time synchronization".
 //!
 //! Here: measured weak scaling (fixed sites/rank) plus the projected
-//! paper-scale series with the collective-dominated comm shape.
+//! paper-scale series with the collective-dominated comm shape. The
+//! experiment itself is [`mmds_bench::fig15`].
 
-use mmds_bench::kmc_sweep::run;
-use mmds_bench::{emit_report, fmt_pct, fmt_s, header, paper, scaled_cells};
-use mmds_kmc::{ExchangeStrategy, OnDemandMode};
-use mmds_perfmodel::{project_weak, CommShape, ProjectedPoint};
-use mmds_swmpi::World;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct MeasuredPoint {
-    ranks: usize,
-    sites_total: usize,
-    compute_s: f64,
-    comm_s: f64,
-    total_s: f64,
-    efficiency: f64,
-}
-
-#[derive(Serialize)]
-struct Fig15Result {
-    measured: Vec<MeasuredPoint>,
-    projected: Vec<ProjectedPoint>,
-    paper_first_efficiency: f64,
-    paper_efficiency: f64,
-}
+use mmds_bench::{emit_report, fig15, fmt_bars, fmt_pct, header, paper, print_rows, scale};
 
 fn main() {
     header("Figure 15: KMC weak scaling");
-    let per_rank_cells = scaled_cells(12, 8);
-    let cycles = 6;
-    let concentration = 2.0e-3;
-    let world = World::default_world();
-    let strategy = ExchangeStrategy::OnDemand(OnDemandMode::TwoSided);
-
+    let result = fig15::run(scale());
     println!(
-        "measured ({} sites per rank, {cycles} cycles):",
-        2 * per_rank_cells.pow(3)
+        "measured (fixed sites per rank, {} cycles):",
+        fig15::SWEEP.cycles
     );
-    println!(
-        "{:>6} {:>12} {:>10} {:>10} {:>10} {:>10}",
-        "ranks", "sites", "compute", "comm", "total", "efficiency"
-    );
-    let mut measured = Vec::new();
-    let mut t0 = 0.0;
-    for &r in &[1usize, 2, 4, 8, 16, 32, 64] {
-        let point = run(
-            &world,
-            r,
-            per_rank_cells,
-            concentration,
-            cycles,
-            strategy,
-            true,
-        );
-        let total = point.compute_time + point.comm_time;
-        if r == 1 {
-            t0 = total;
-        }
-        let eff = t0 / total;
-        println!(
-            "{:>6} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            r,
-            point.sites,
-            fmt_s(point.compute_time),
-            fmt_s(point.comm_time),
-            fmt_s(total),
-            fmt_pct(eff)
-        );
-        measured.push(MeasuredPoint {
-            ranks: r,
-            sites_total: point.sites,
-            compute_s: point.compute_time,
-            comm_s: point.comm_time,
-            total_s: total,
-            efficiency: eff,
-        });
-    }
-
-    // Paper-scale projection: 1e7 sites per core.
-    let per_site_cycle = measured[0].compute_s / (measured[0].sites_total as f64 * cycles as f64);
-    let per_rank_compute = per_site_cycle * 1.0e7 * cycles as f64;
-    let cores: Vec<u64> = vec![1_600, 3_200, 6_400, 12_800, 25_600, 51_200, 102_400];
-    let projected = project_weak(
-        &cores,
-        1,
-        per_rank_compute,
-        CommShape::Log2,
-        paper::FIG15_EFFICIENCY,
-    );
+    print_rows(&result.measured);
     println!("\nprojected at paper scale (1e7 sites/core; endpoint fitted to paper):");
-    println!(
-        "{:>9} {:>10} {:>10} {:>10}   paper",
-        "cores", "compute", "comm", "efficiency"
-    );
-    let paper_bars = [
-        Some(0.972),
-        Some(0.881),
-        None,
-        Some(0.861),
-        Some(0.852),
-        Some(0.799),
-        Some(0.74),
-    ];
-    for (p, pb) in projected.iter().zip(paper_bars) {
-        println!(
-            "{:>9} {:>10} {:>10} {:>10}   {}",
-            p.ranks,
-            fmt_s(p.compute),
-            fmt_s(p.comm),
-            fmt_pct(p.efficiency),
-            pb.map_or("-".to_string(), fmt_pct)
-        );
-    }
+    print_rows(&result.projected);
+    println!("paper, by row: {}", fmt_bars(&paper::FIG15_BARS));
     println!(
         "\nendpoint efficiency: {}   [paper: {}]",
-        fmt_pct(projected.last().expect("nonempty").efficiency),
+        fmt_pct(result.projected.last().expect("nonempty").efficiency),
         fmt_pct(paper::FIG15_EFFICIENCY)
     );
-
-    emit_report(
-        "fig15.json",
-        &Fig15Result {
-            measured,
-            projected,
-            paper_first_efficiency: paper::FIG15_FIRST_EFFICIENCY,
-            paper_efficiency: paper::FIG15_EFFICIENCY,
-        },
-    );
+    emit_report("fig15.json", &result);
 }

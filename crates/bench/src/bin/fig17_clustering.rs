@@ -9,117 +9,71 @@
 //! Here: the full coupled pipeline on a scaled-down box; the deliverables
 //! are the quantitative counterparts of the two panels — cluster-size
 //! census and nearest-neighbour dispersion before/after KMC — plus the
-//! vacancy point clouds as CSV and the exact 19.2-day arithmetic.
+//! vacancy point clouds as CSV and the exact 19.2-day arithmetic. The
+//! experiment itself is [`mmds_bench::fig17`].
 
 use mmds_analysis::clusters::size_histogram;
 use mmds_analysis::io::write_points_csv;
-use mmds_bench::{emit_report, fmt_pct, header, paper, results_dir, scaled_cells};
-use mmds_coupled::timescale::{paper_configuration_days, real_time_seconds};
-use mmds_coupled::{CoupledConfig, CoupledSimulation};
-use mmds_eam::units::E_VAC_FORMATION;
-use mmds_kmc::KmcConfig;
-use mmds_md::MdConfig;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Fig17Result {
-    cells: usize,
-    md_vacancies: usize,
-    md_interstitials: usize,
-    kmc_events: u64,
-    after_md_clusters: mmds_analysis::clusters::ClusterReport,
-    after_kmc_clusters: mmds_analysis::clusters::ClusterReport,
-    after_md_dispersion: mmds_analysis::dispersion::DispersionReport,
-    after_kmc_dispersion: mmds_analysis::dispersion::DispersionReport,
-    t_real_days_this_run: f64,
-    t_real_days_paper_configuration: f64,
-    paper_days: f64,
-}
+use mmds_bench::{emit_report, fig17, fmt_pct, header, paper, results_dir, scale};
 
 fn main() {
     header("Figure 17: vacancy clustering through the coupled MD-KMC pipeline");
-    let cells = scaled_cells(14, 10);
-    let cfg = CoupledConfig {
-        md: MdConfig {
-            temperature: 600.0,
-            thermostat_tau: Some(0.03),
-            table_knots: 2000,
-            ..Default::default()
-        },
-        kmc: KmcConfig {
-            table_knots: 2000,
-            events_per_cycle: 2.0,
-            t_threshold: 1.0e-5,
-            ..Default::default()
-        },
-        cells,
-        md_steps: 40,
-        pka_energy: 600.0,
-        max_kmc_cycles: 300,
-        extra_vacancy_concentration: 6.0e-3,
-        strategy: mmds_kmc::ExchangeStrategy::OnDemand(mmds_kmc::OnDemandMode::TwoSided),
-        census_cadence: 10,
-    };
+    let (result, clouds) = fig17::run(scale());
+    let (md, kmc) = (&result.after_md_clusters, &result.after_kmc_clusters);
     println!(
-        "box {cells}^3 cells ({} atoms), PKA {} eV, {} MD steps",
-        2 * cells.pow(3),
-        cfg.pka_energy,
-        cfg.md_steps
+        "box {}^3 cells ({} atoms), PKA {} eV, {} MD steps",
+        result.cells,
+        2 * result.cells.pow(3),
+        fig17::PKA_ENERGY,
+        fig17::MD_STEPS
     );
-    let rep = CoupledSimulation::new(cfg).run();
-
     println!(
         "\nMD phase: {} vacancies, {} interstitials (Frenkel pairs from the cascade)",
-        rep.md_vacancies, rep.md_interstitials
+        result.md_vacancies, result.md_interstitials
     );
-    println!(
-        "KMC phase: {} events over t = {:.3e} KMC seconds",
-        rep.kmc_events, rep.kmc_time
-    );
+    println!("KMC phase: {} events", result.kmc_events);
 
     println!("\n{:>28} {:>12} {:>12}", "", "after MD", "after KMC");
     println!(
         "{:>28} {:>12} {:>12}",
-        "clusters", rep.after_md_clusters.n_clusters, rep.after_kmc_clusters.n_clusters
+        "clusters", md.n_clusters, kmc.n_clusters
     );
     println!(
         "{:>28} {:>12} {:>12}",
-        "largest cluster", rep.after_md_clusters.largest, rep.after_kmc_clusters.largest
+        "largest cluster", md.largest, kmc.largest
     );
     println!(
         "{:>28} {:>12.2} {:>12.2}",
-        "mean cluster size", rep.after_md_clusters.mean_size, rep.after_kmc_clusters.mean_size
+        "mean cluster size", md.mean_size, kmc.mean_size
     );
     println!(
         "{:>28} {:>12} {:>12}",
         "clustered fraction",
-        fmt_pct(rep.after_md_clusters.clustered_fraction),
-        fmt_pct(rep.after_kmc_clusters.clustered_fraction)
+        fmt_pct(md.clustered_fraction),
+        fmt_pct(kmc.clustered_fraction)
     );
     println!(
         "{:>28} {:>12.3} {:>12.3}",
-        "NN-dispersion ratio", rep.after_md_dispersion.ratio, rep.after_kmc_dispersion.ratio
+        "NN-dispersion ratio", result.after_md_dispersion.ratio, result.after_kmc_dispersion.ratio
     );
     println!(
         "\ncluster-size histogram after MD:  {:?}",
-        size_histogram(&rep.after_md_clusters.sizes, 8)
+        size_histogram(&md.sizes, 8)
     );
     println!(
         "cluster-size histogram after KMC: {:?}",
-        size_histogram(&rep.after_kmc_clusters.sizes, 8)
+        size_histogram(&kmc.sizes, 8)
     );
-    let aggregated = rep.after_kmc_clusters.clustered_fraction
-        >= rep.after_md_clusters.clustered_fraction
-        && rep.after_kmc_clusters.largest >= rep.after_md_clusters.largest;
+    let aggregated = kmc.clustered_fraction >= md.clustered_fraction && kmc.largest >= md.largest;
     println!(
         "\nvacancies more aggregative after KMC: {aggregated}   [paper: yes — \"several vacancy clusters are forming\"]"
     );
 
     // Point clouds (the two panels of Fig. 17).
     let dir = results_dir();
-    write_points_csv(&dir.join("fig17_after_md.csv"), &rep.md_vacancy_points)
+    write_points_csv(&dir.join("fig17_after_md.csv"), &clouds.after_md)
         .expect("write after-MD cloud");
-    write_points_csv(&dir.join("fig17_after_kmc.csv"), &rep.kmc_vacancy_points)
+    write_points_csv(&dir.join("fig17_after_kmc.csv"), &clouds.after_kmc)
         .expect("write after-KMC cloud");
     println!(
         "point clouds: {} and {}",
@@ -127,38 +81,18 @@ fn main() {
         dir.join("fig17_after_kmc.csv").display()
     );
 
-    // The §3 time-rescaling arithmetic, both for this run and for the
-    // paper's exact configuration.
-    let this_run_days = rep.t_real_seconds / 86_400.0;
-    let paper_days = paper_configuration_days();
     println!(
-        "\nt_real for this run's concentration: {this_run_days:.3} days \
-         (C_v^MC = {:.2e}, t_threshold = {:.1e})",
-        rep.after_kmc_clusters.n_points as f64 / (2.0 * cells.pow(3) as f64),
-        1.0e-5
+        "\nt_real for this run's concentration: {:.3} days (C_v^MC = {:.2e}, t_threshold = {:.1e})",
+        result.t_real_days_this_run,
+        kmc.n_points as f64 / (2.0 * result.cells.pow(3) as f64),
+        fig17::T_THRESHOLD
     );
     println!(
         "t_real with the paper's exact configuration (t_thr = 2e-4, C_v^MC = 2e-6, 600 K): \
-         {paper_days:.2} days   [paper: {} days]",
+         {:.2} days   [paper: {} days]",
+        result.t_real_days_paper_configuration,
         paper::HEADLINE_DAYS
     );
-    let check = real_time_seconds(2.0e-4, 2.0e-6, E_VAC_FORMATION, 600.0) / 86_400.0;
-    assert!((check - paper_days).abs() < 1e-9);
 
-    emit_report(
-        "fig17.json",
-        &Fig17Result {
-            cells,
-            md_vacancies: rep.md_vacancies,
-            md_interstitials: rep.md_interstitials,
-            kmc_events: rep.kmc_events,
-            after_md_clusters: rep.after_md_clusters,
-            after_kmc_clusters: rep.after_kmc_clusters,
-            after_md_dispersion: rep.after_md_dispersion,
-            after_kmc_dispersion: rep.after_kmc_dispersion,
-            t_real_days_this_run: this_run_days,
-            t_real_days_paper_configuration: paper_days,
-            paper_days: paper::HEADLINE_DAYS,
-        },
-    );
+    emit_report("fig17.json", &result);
 }

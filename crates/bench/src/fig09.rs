@@ -4,7 +4,7 @@
 //! run on a simulated SW26010 CPE cluster for one core group's share of
 //! a strong-scaled atom count, at 1–16 core groups. Every number is
 //! virtual kernel time, so the result is a pure function of `scale`:
-//! the `fig09_md_opts` binary prints it, and `tests/fig09_golden.rs`
+//! the `fig09_md_opts` binary prints it, and `tests/figures_golden.rs`
 //! pins it against `tests/golden/fig09.json`.
 
 use mmds_md::domain::{exchange_ghosts, GhostPhase, Loopback};

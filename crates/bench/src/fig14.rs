@@ -6,7 +6,7 @@
 //! Every number is virtual time — compute is the solver's modelled site
 //! evaluations × `SITE_EVAL_SECONDS`, comm is the machine model's price
 //! of the exchanges — so the result is a pure function of `scale`: the
-//! `fig14_kmc_strong` binary prints it, and `tests/fig14_golden.rs`
+//! `fig14_kmc_strong` binary prints it, and `tests/figures_golden.rs`
 //! pins it against `tests/golden/fig14.json`.
 
 use mmds_kmc::{ExchangeStrategy, OnDemandMode};
@@ -15,18 +15,19 @@ use mmds_swmpi::topology::CartGrid;
 use mmds_swmpi::World;
 use serde::Serialize;
 
-use crate::kmc_sweep::run_fixed_box;
+use crate::kmc_sweep::Sweep;
 use crate::{cells_at, paper};
 
 /// Simulated rank counts; those whose decomposition is illegal for the
 /// box are skipped.
 const RANKS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-/// Synchronisation cycles per point.
-const CYCLES: usize = 6;
-
-/// Vacancy concentration of the box.
-const CONCENTRATION: f64 = 1.0e-3;
+/// 6 cycles per point at a 10⁻³ vacancy concentration.
+const SWEEP: Sweep = Sweep {
+    concentration: 1.0e-3,
+    cycles: 6,
+    charge_compute: true,
+};
 
 /// Sites of the paper's strong-scaled box (and ≈ its working set in B).
 const PAPER_SITES: f64 = 3.2e10;
@@ -86,7 +87,7 @@ pub fn run(scale: f64) -> Fig14Result {
         {
             continue;
         }
-        let point = run_fixed_box(&world, r, [cells; 3], CONCENTRATION, CYCLES, strategy, true);
+        let point = SWEEP.fixed_box(&world, r, [cells; 3], strategy);
         let total = point.comm_time + point.compute_time;
         let t0 = measured.first().map_or(total, |p| p.total_s);
         let speedup = t0 / total;
@@ -102,18 +103,18 @@ pub fn run(scale: f64) -> Fig14Result {
     }
 
     let base = &measured[0];
-    let per_site_cycle = base.compute_s / (base.sites as f64 * CYCLES as f64);
+    let per_site_cycle = base.compute_s / (base.sites as f64 * SWEEP.cycles as f64);
     let projected = project_strong(
         &PAPER_CORES,
         1,
-        per_site_cycle * PAPER_SITES * CYCLES as f64,
+        per_site_cycle * PAPER_SITES * SWEEP.cycles as f64,
         CommShape::Log2,
         paper::FIG14_EFFICIENCY,
         Some((Machine::taihulight(), PAPER_SITES)),
     );
     Fig14Result {
         cells,
-        cycles: CYCLES,
+        cycles: SWEEP.cycles,
         measured,
         projected,
         paper_speedup: paper::FIG14_SPEEDUP,

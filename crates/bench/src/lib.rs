@@ -1,31 +1,49 @@
-//! Shared harness utilities for the figure-reproduction binaries.
+//! The paper's evaluation as data, and the harness its binaries share.
 //!
-//! Every binary:
-//! * runs a *measured* laptop-scale experiment (real code over
-//!   simulated ranks / CPE clusters, deterministic virtual time);
-//! * where the paper's x-axis exceeds what a laptop can host, emits a
+//! Each figure and ablation is one module with one entry point,
+//! `run(scale)` (the ablations' boxes are fixed, so theirs take no
+//! scale), returning the figure's artefact:
+//! * a *measured* laptop-scale experiment (real code over simulated
+//!   ranks / CPE clusters, deterministic virtual time);
+//! * where the paper's x-axis exceeds what a laptop can host, a
 //!   *projected* series at the paper's scale via `mmds-perfmodel`;
-//! * prints the same rows the paper's figure reports, next to the
-//!   paper's reference values;
-//! * writes a JSON artefact under `results/`.
+//! * the paper's reference values from [`paper`].
+//!
+//! No figure reads a host clock or the environment, so each result is
+//! a pure function of its scale: `tests/figures_golden.rs` pins every
+//! one byte for byte and asserts the paper's claims on it. The binaries
+//! under `src/bin/` read `MMDS_SCALE` through [`scale`], call `run`,
+//! print the rows next to the paper's, and write the JSON artefact
+//! under `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation_runaway;
+pub mod ablation_tables;
 pub mod archive;
 pub mod causal;
 pub mod fig09;
+pub mod fig10;
+pub mod fig11;
+pub mod fig12;
+pub mod fig13;
 pub mod fig14;
+pub mod fig15;
+pub mod fig16;
+pub mod fig17;
 pub mod inspect;
 pub mod reconcile;
 pub mod watch;
 
 use std::path::PathBuf;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Scale factor for experiment sizes: `MMDS_SCALE=2 cargo run ...`
-/// doubles the default linear box sizes (8× the atoms).
+/// doubles the default linear box sizes (8× the atoms). Only the
+/// binaries' `main` calls it; the figures take the scale as an
+/// argument.
 pub fn scale() -> f64 {
     std::env::var("MMDS_SCALE")
         .ok()
@@ -33,13 +51,8 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
-/// Scales a linear dimension, keeping it even (sector/divisibility
-/// requirements) and at least `min`.
-pub fn scaled_cells(base: usize, min: usize) -> usize {
-    cells_at(scale(), base, min)
-}
-
-/// [`scaled_cells`] at an explicit `scale`.
+/// Scales a linear dimension `base` by `scale`, keeping it even
+/// (sector/divisibility requirements) and at least `min`.
 pub fn cells_at(scale: f64, base: usize, min: usize) -> usize {
     let v = (base as f64 * scale).round() as usize;
     (v.max(min) + 1) & !1
@@ -104,6 +117,46 @@ pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// Prints a figure's rows as a table: one column per serialised field,
+/// in declaration order, so the headers are the artefact's keys. Times
+/// (`*_s`, and a projection's `compute`/`comm`/`total`) print compactly,
+/// efficiencies and a `ratio` as percentages.
+pub fn print_rows<T: Serialize>(rows: &[T]) {
+    let values: Vec<Value> = rows.iter().map(Serialize::to_value).collect();
+    let Some(Value::Map(first)) = values.first() else {
+        return;
+    };
+    let headers: Vec<&str> = first.iter().map(|(k, _)| k.as_str()).collect();
+    let cells: Vec<Vec<String>> = values
+        .iter()
+        .map(|v| headers.iter().map(|k| cell(k, v.get(k))).collect())
+        .collect();
+    print!("{}", mmds_analysis::io::render_table(&headers, &cells));
+}
+
+fn cell(key: &str, value: Option<&Value>) -> String {
+    let time = key.ends_with("_s") || matches!(key, "compute" | "comm" | "total");
+    match value {
+        Some(Value::F64(x)) if time => fmt_s(*x),
+        Some(Value::F64(x)) if key == "efficiency" || key == "ratio" => fmt_pct(*x),
+        Some(Value::F64(x)) if x.abs() >= 1e5 => format!("{x:.2e}"),
+        Some(Value::F64(x)) => format!("{x:.2}"),
+        Some(Value::I64(n)) => n.to_string(),
+        Some(Value::U64(n)) => n.to_string(),
+        Some(Value::Str(s)) => s.clone(),
+        _ => "-".to_string(),
+    }
+}
+
+/// The paper's bars as one line, `-` where the paper has none.
+pub fn fmt_bars(bars: &[Option<f64>]) -> String {
+    let cells: Vec<String> = bars
+        .iter()
+        .map(|b| b.map_or("-".to_string(), fmt_pct))
+        .collect();
+    cells.join(", ")
+}
+
 /// Formats seconds compactly.
 pub fn fmt_s(s: f64) -> String {
     if s >= 100.0 {
@@ -122,19 +175,15 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Shared KMC sweep used by the Fig. 12/13 binaries.
+/// Shared KMC sweep of Figs. 12–15.
 pub mod kmc_sweep {
     use mmds_kmc::parallel::{run_parallel_kmc, total_bytes_sent, ParallelKmcParams};
     use mmds_kmc::{ExchangeStrategy, KmcConfig};
     use mmds_swmpi::topology::CartGrid;
     use mmds_swmpi::{CommStats, World};
-    use serde::Serialize;
 
     /// One strategy's outcome at one rank count.
-    #[derive(Debug, Clone, Copy, Serialize)]
     pub struct SweepPoint {
-        /// Ranks (the paper's "master cores").
-        pub ranks: usize,
         /// Total sites.
         pub sites: usize,
         /// Total events.
@@ -147,63 +196,60 @@ pub mod kmc_sweep {
         pub compute_time: f64,
     }
 
-    /// Strong-scaling variant: a fixed global box split over `ranks`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_fixed_box(
-        world: &World,
-        ranks: usize,
-        global_cells: [usize; 3],
-        concentration: f64,
-        cycles: usize,
-        strategy: ExchangeStrategy,
-        charge_compute: bool,
-    ) -> SweepPoint {
-        let params = ParallelKmcParams {
-            kmc: KmcConfig {
-                table_knots: 1500,
-                events_per_cycle: 1.0,
-                ..Default::default()
-            },
-            global_cells,
-            vacancy_concentration: concentration,
-            cycles,
-            strategy,
-            charge_compute,
-        };
-        let out = run_parallel_kmc(world, ranks, &params);
-        let stats: Vec<CommStats> = out.iter().map(|o| o.stats).collect();
-        SweepPoint {
-            ranks,
-            sites: 2 * global_cells[0] * global_cells[1] * global_cells[2],
-            events: out.iter().map(|o| o.result.events).sum(),
-            bytes: total_bytes_sent(&out),
-            comm_time: CommStats::max_comm_time(&stats),
-            compute_time: CommStats::max_compute_time(&stats),
-        }
+    /// What every point of one figure's sweep shares.
+    pub struct Sweep {
+        /// Vacancy concentration of every box.
+        pub concentration: f64,
+        /// Synchronisation cycles per point.
+        pub cycles: usize,
+        /// Whether ranks charge modelled compute to their clocks.
+        pub charge_compute: bool,
     }
 
-    /// Weak-scaling variant: `per_rank_cells`³ per rank on the
-    /// [`CartGrid`] of `ranks`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run(
-        world: &World,
-        ranks: usize,
-        per_rank_cells: usize,
-        concentration: f64,
-        cycles: usize,
-        strategy: ExchangeStrategy,
-        charge_compute: bool,
-    ) -> SweepPoint {
-        let global_cells = CartGrid::for_ranks(ranks).dims.map(|d| d * per_rank_cells);
-        run_fixed_box(
-            world,
-            ranks,
-            global_cells,
-            concentration,
-            cycles,
-            strategy,
-            charge_compute,
-        )
+    impl Sweep {
+        /// Strong scaling: a fixed global box split over `ranks`.
+        pub fn fixed_box(
+            &self,
+            world: &World,
+            ranks: usize,
+            global_cells: [usize; 3],
+            strategy: ExchangeStrategy,
+        ) -> SweepPoint {
+            let params = ParallelKmcParams {
+                kmc: KmcConfig {
+                    table_knots: 1500,
+                    events_per_cycle: 1.0,
+                    ..Default::default()
+                },
+                global_cells,
+                vacancy_concentration: self.concentration,
+                cycles: self.cycles,
+                strategy,
+                charge_compute: self.charge_compute,
+            };
+            let out = run_parallel_kmc(world, ranks, &params);
+            let stats: Vec<CommStats> = out.iter().map(|o| o.stats).collect();
+            SweepPoint {
+                sites: 2 * global_cells[0] * global_cells[1] * global_cells[2],
+                events: out.iter().map(|o| o.result.events).sum(),
+                bytes: total_bytes_sent(&out),
+                comm_time: CommStats::max_comm_time(&stats),
+                compute_time: CommStats::max_compute_time(&stats),
+            }
+        }
+
+        /// Weak scaling: `per_rank_cells`³ per rank on the [`CartGrid`]
+        /// of `ranks`.
+        pub fn per_rank(
+            &self,
+            world: &World,
+            ranks: usize,
+            per_rank_cells: usize,
+            strategy: ExchangeStrategy,
+        ) -> SweepPoint {
+            let global_cells = CartGrid::for_ranks(ranks).dims.map(|d| d * per_rank_cells);
+            self.fixed_box(world, ranks, global_cells, strategy)
+        }
     }
 }
 
@@ -235,8 +281,23 @@ pub mod paper {
     pub const FIG15_EFFICIENCY: f64 = 0.74;
     /// Fig. 15: KMC weak-scaling efficiency at 1.6k cores (baseline bar).
     pub const FIG15_FIRST_EFFICIENCY: f64 = 0.972;
+    /// Fig. 15: the efficiency bars at 1.6k, 3.2k, 6.4k, 12.8k, 25.6k,
+    /// 51.2k and 102.4k master cores (the paper has no 6.4k bar).
+    pub const FIG15_BARS: [Option<f64>; 7] = [
+        Some(FIG15_FIRST_EFFICIENCY),
+        Some(0.881),
+        None,
+        Some(0.861),
+        Some(0.852),
+        Some(0.799),
+        Some(FIG15_EFFICIENCY),
+    ];
     /// Fig. 16: coupled weak-scaling efficiency at 6.24M cores.
     pub const FIG16_EFFICIENCY: f64 = 0.757;
+    /// Fig. 16: the efficiency bars at 1.5k, 6k, 24k and 96k core
+    /// groups (the 1.5k-group run is the baseline and has no bar).
+    pub const FIG16_BARS: [Option<f64>; 4] =
+        [None, Some(0.989), Some(0.774), Some(FIG16_EFFICIENCY)];
     /// §3: physical time represented by the big run.
     pub const HEADLINE_DAYS: f64 = 19.2;
 }
@@ -246,9 +307,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaled_cells_is_even_and_bounded() {
-        assert_eq!(scaled_cells(8, 6) % 2, 0);
-        assert!(scaled_cells(1, 6) >= 6);
+    fn cells_at_is_even_and_bounded() {
+        assert_eq!(cells_at(1.0, 16, 8), 16);
+        assert_eq!(cells_at(0.75, 24, 12), 18);
+        assert_eq!(cells_at(0.5, 14, 10), 10);
+        assert_eq!(cells_at(1.0, 7, 6), 8);
+        assert!((1..=40).all(|base| cells_at(0.3, base, 6).is_multiple_of(2)));
+        assert_eq!(cells_at(0.1, 40, 6), 6);
     }
 
     #[test]

@@ -53,14 +53,21 @@ pub fn kmc_rank_grid(
 ) -> LocalGrid {
     let geom = BccGeometry::new(cfg.a0, global_cells[0], global_cells[1], global_cells[2]);
     let (start, len) = grid3.subdomain(global_cells, rank);
+    let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
     for ax in 0..3 {
         assert_eq!(
             global_cells[ax] % grid3.dims[ax],
             0,
             "global cells must divide evenly over ranks (axis {ax})"
         );
+        // An owned-edge slab is `ghost` cells wide: a thinner
+        // sub-domain would ship part of its own ghost shell as owned.
+        assert!(
+            len[ax] >= ghost,
+            "sub-domain thinner than its ghost shell (axis {ax}: len {} < ghost {ghost})",
+            len[ax]
+        );
     }
-    let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
     LocalGrid::new(geom, start, len, ghost)
 }
 
@@ -243,6 +250,19 @@ mod tests {
         assert!(
             m1 < m2,
             "one-sided ({m1} puts) must beat two-sided ({m2} msgs, incl. zero-size)"
+        );
+    }
+
+    /// Four ranks along y over four cells: one-cell sub-domains under a
+    /// three-cell ghost shell.
+    #[test]
+    #[should_panic(expected = "sub-domain thinner than its ghost shell (axis 1: len 1 < ghost")]
+    fn rank_grid_refuses_a_sub_domain_thinner_than_the_ghost_shell() {
+        kmc_rank_grid(
+            &KmcConfig::default(),
+            [12, 4, 12],
+            CartGrid::new([1, 4, 1]),
+            0,
         );
     }
 }

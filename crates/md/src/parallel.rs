@@ -69,14 +69,21 @@ pub fn rank_grid(
 ) -> LocalGrid {
     let geom = BccGeometry::new(md.a0, global_cells[0], global_cells[1], global_cells[2]);
     let (start, len) = grid3.subdomain(global_cells, rank);
+    let ghost = (md.offsets_cutoff() / md.a0).ceil() as usize;
     for ax in 0..3 {
         assert_eq!(
             global_cells[ax] % grid3.dims[ax],
             0,
             "global cells must divide evenly over ranks (axis {ax})"
         );
+        // An owned-edge slab is `ghost` cells wide: a thinner
+        // sub-domain would ship part of its own ghost shell as owned.
+        assert!(
+            len[ax] >= ghost,
+            "sub-domain thinner than its ghost shell (axis {ax}: len {} < ghost {ghost})",
+            len[ax]
+        );
     }
-    let ghost = (md.offsets_cutoff() / md.a0).ceil() as usize;
     LocalGrid::new(geom, start, len, ghost)
 }
 
@@ -213,6 +220,14 @@ mod tests {
             warmup_steps: 0,
             pka_energy: None,
         }
+    }
+
+    /// Four ranks along y over four cells: one-cell sub-domains under a
+    /// two-cell ghost shell.
+    #[test]
+    #[should_panic(expected = "sub-domain thinner than its ghost shell (axis 1: len 1 < ghost")]
+    fn rank_grid_refuses_a_sub_domain_thinner_than_the_ghost_shell() {
+        rank_grid(&MdConfig::default(), [8, 4, 8], CartGrid::new([1, 4, 1]), 0);
     }
 
     #[test]

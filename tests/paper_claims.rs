@@ -1,18 +1,16 @@
-//! Guard tests: the paper's headline claims, pinned at miniature scale.
+//! Guard tests: the paper's claims that need no figure run.
 //!
-//! The figure binaries reproduce the evaluation at full fidelity; these
-//! tests re-run tiny versions of the same experiments so `cargo test`
-//! alone certifies that the qualitative claims still hold after any
-//! change.
+//! Every figure's claims are asserted on its golden-pinned result in
+//! `crates/bench/tests/figures_golden.rs`. What stays here is the §3
+//! closed-form arithmetic, and Fig. 9's compaction share on an 8-CPE,
+//! 64-site-block kernel — a shape no figure runs. Reference numbers
+//! come from `mmds_bench::paper`.
 
-use mmds::kmc::parallel::{run_parallel_kmc, total_bytes_sent, ParallelKmcParams};
-use mmds::kmc::{ExchangeStrategy, KmcConfig, OnDemandMode};
 use mmds::md::domain::{exchange_ghosts, GhostPhase, Loopback};
 use mmds::md::offload::{offload_compute_forces, OffloadConfig};
 use mmds::md::{MdConfig, MdSimulation};
-use mmds::perfmodel::{project_strong, project_weak, CommShape, Machine};
 use mmds::sunway::{CpeCluster, SwModel};
-use mmds::swmpi::{MachineModel, World, WorldConfig};
+use mmds_bench::paper;
 
 /// Fig. 9 / §2.1.2: table compaction removes most of the kernel time
 /// (paper: 54.7% average), reuse and double-buffering never hurt.
@@ -45,7 +43,8 @@ fn claim_compaction_dominates_fig9() {
     let t: Vec<f64> = v.iter().map(|(_, c)| kernel_time(c)).collect();
     assert!(
         1.0 - t[1] / t[0] > 0.40,
-        "compaction must cut ≥40% (paper: 54.7%), got {:.1}%",
+        "compaction must cut ≥40% (paper: {:.1}%), got {:.1}%",
+        100.0 * paper::FIG9_COMPACTION_IMPROVEMENT,
         100.0 * (1.0 - t[1] / t[0])
     );
     assert!(t[2] <= t[1] * 1.001, "reuse must not hurt");
@@ -56,106 +55,20 @@ fn claim_compaction_dominates_fig9() {
     );
 }
 
-/// Fig. 12: on-demand communication volume is a tiny fraction of the
-/// traditional ghost exchange (paper: 2.6% at its concentration).
-#[test]
-fn claim_on_demand_volume_fig12() {
-    let world = World::new(WorldConfig {
-        model: MachineModel::free(),
-        ..Default::default()
-    });
-    let run = |strategy| {
-        let p = ParallelKmcParams {
-            kmc: KmcConfig {
-                table_knots: 600,
-                ..Default::default()
-            },
-            global_cells: [16; 3],
-            vacancy_concentration: 2.0e-3,
-            cycles: 4,
-            strategy,
-            charge_compute: true,
-        };
-        run_parallel_kmc(&world, 8, &p)
-    };
-    let trad = run(ExchangeStrategy::Traditional);
-    let od = run(ExchangeStrategy::OnDemand(OnDemandMode::OneSided));
-    let ev_t: u64 = trad.iter().map(|r| r.result.events).sum();
-    let ev_o: u64 = od.iter().map(|r| r.result.events).sum();
-    assert_eq!(ev_t, ev_o, "identical physics");
-    let ratio = total_bytes_sent(&od) as f64 / total_bytes_sent(&trad) as f64;
-    assert!(
-        ratio < 0.05,
-        "on-demand volume must be a few % of traditional, got {:.2}%",
-        100.0 * ratio
-    );
-}
-
-/// Figs. 10/14/15/16: the projection machinery hits every one of the
-/// paper's scaling endpoints with the documented single-constant fit,
-/// and Fig. 14's super-linear L2 segment appears.
-#[test]
-fn claim_scaling_endpoints_project() {
-    // Fig. 10.
-    let p = project_strong(
-        &[1_500, 3_000, 6_000, 12_000, 24_000, 48_000, 96_000],
-        65,
-        1.0e4,
-        CommShape::Log2PlusCbrt { w: 0.05 },
-        0.413,
-        None,
-    );
-    assert!((p.last().unwrap().speedup - 26.4).abs() < 0.2);
-    // Fig. 11.
-    let p = project_weak(
-        &[1_600, 3_200, 12_800, 25_600, 51_200, 102_400],
-        65,
-        1.0,
-        CommShape::Log2PlusCbrt { w: 0.08 },
-        0.85,
-    );
-    assert_eq!(p.last().unwrap().cores, 6_656_000);
-    // Fig. 14 with the cache bump.
-    let p = project_strong(
-        &[1_500, 3_000, 6_000, 12_000, 24_000, 48_000],
-        1,
-        2.0e4,
-        CommShape::Log2,
-        0.582,
-        Some((Machine::taihulight(), 3.2e10)),
-    );
-    assert!((p.last().unwrap().speedup - 18.5).abs() < 0.5);
-    let eff: Vec<f64> = p.iter().map(|q| q.efficiency).collect();
-    assert!(
-        eff.windows(2).any(|w| w[1] > w[0] + 1e-6),
-        "super-linear segment must appear: {eff:?}"
-    );
-    // Fig. 15.
-    let p = project_weak(
-        &[1_600, 3_200, 6_400, 12_800, 25_600, 51_200, 102_400],
-        1,
-        1.0,
-        CommShape::Log2,
-        0.74,
-    );
-    assert!(
-        (p[1].efficiency - 0.881_f64).abs() < 0.08,
-        "interior near paper's 88.1%"
-    );
-}
-
 /// §3: the 19.2-day rescaling arithmetic.
 #[test]
 fn claim_19_2_days() {
     let days = mmds::coupled::timescale::paper_configuration_days();
-    assert!((days - 19.2).abs() / 19.2 < 0.02, "{days} days");
+    let paper_days = paper::HEADLINE_DAYS;
+    assert!((days - paper_days).abs() / paper_days < 0.02, "{days} days");
 }
 
 /// §3: the memory-capacity headline (4e12 vs 8e11 atoms).
 #[test]
 fn claim_capacity_headline() {
     use mmds::lattice::memory::MemoryModel;
-    assert!(MemoryModel::lattice_neighbor_list().capacity(102_400) > 4.0e12);
+    assert!(MemoryModel::lattice_neighbor_list().capacity(102_400) > paper::FIG11_LNL_ATOMS);
     let v = MemoryModel::verlet_list().capacity(102_400);
-    assert!((6.0e11..1.2e12).contains(&v));
+    let paper_v = paper::FIG11_VERLET_ATOMS;
+    assert!((0.75 * paper_v..1.5 * paper_v).contains(&v));
 }
