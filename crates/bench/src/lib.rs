@@ -43,12 +43,27 @@ use serde::{Serialize, Value};
 /// Scale factor for experiment sizes: `MMDS_SCALE=2 cargo run ...`
 /// doubles the default linear box sizes (8× the atoms). Only the
 /// binaries' `main` calls it; the figures take the scale as an
-/// argument.
+/// argument. A value [`parse_scale`] refuses ends the process with
+/// exit code 2 instead of running the default box.
 pub fn scale() -> f64 {
-    std::env::var("MMDS_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    let raw = std::env::var_os("MMDS_SCALE").map(|v| v.to_string_lossy().into_owned());
+    parse_scale(raw.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The scale `MMDS_SCALE` asks for: 1 when unset, otherwise a positive,
+/// finite decimal number (`0,5`, `0`, `-1`, `NaN` and `inf` are
+/// refused, naming the value).
+pub fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(1.0) };
+    match raw.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!(
+            "MMDS_SCALE={raw:?} is not a positive finite number (write e.g. 0.5)"
+        )),
+    }
 }
 
 /// Scales a linear dimension `base` by `scale`, keeping it even
@@ -305,6 +320,17 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_is_one_unless_set_to_a_positive_number() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.5")), Ok(0.5));
+        assert_eq!(parse_scale(Some("2")), Ok(2.0));
+        for bad in ["0,5", "abc", "0", "-1", "NaN", "inf", ""] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("MMDS_SCALE={bad:?}")), "{err}");
+        }
+    }
 
     #[test]
     fn cells_at_is_even_and_bounded() {

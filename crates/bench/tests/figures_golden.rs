@@ -232,3 +232,18 @@ fn ablation_runaway_matches_golden() {
         &ablation_runaway::run(),
     );
 }
+
+#[test]
+fn a_figure_binary_refuses_a_scale_it_cannot_parse() {
+    // `0,5` used to run the default box; now the binary exits before
+    // running anything, naming the value.
+    for bad in ["0,5", "NaN"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fig13_kmc_time"))
+            .env("MMDS_SCALE", bad)
+            .output()
+            .expect("run fig13_kmc_time");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
+        assert!(stderr.contains(&format!("MMDS_SCALE={bad:?}")), "{stderr}");
+    }
+}

@@ -107,12 +107,7 @@ impl KmcTransport for CommK<'_> {
     }
 
     fn shift(&mut self, axis: usize, toward_high: bool, payload: Vec<u8>) -> Vec<u8> {
-        let mut d = [0i64; 3];
-        d[axis] = if toward_high { 1 } else { -1 };
-        let dst = self.grid.neighbor(self.comm.rank(), d);
-        let mut back = d;
-        back[axis] = -d[axis];
-        let src = self.grid.neighbor(self.comm.rank(), back);
+        let (dst, src) = self.grid.shift_peers(self.comm.rank(), axis, toward_high);
         let tag = self.next_tag();
         self.comm.sendrecv(dst, src, tag, payload)
     }

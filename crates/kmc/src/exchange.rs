@@ -15,28 +15,26 @@
 //!
 //! # How a slab is packed (DESIGN §6.21)
 //!
-//! The traditional wire format — one 16 B record per site, `u64` global
-//! id then `f64` state — is the baseline the paper measures against and
-//! never changes. What it costs the host does: a site's stored index is
-//! `((k·d1 + j)·d0 + i)·2 + basis`, so the `i`/basis run of one `(k, j)`
-//! row of a `Slab` is one contiguous slice of `KmcLattice::state`, and
-//! along it the global id `((gz·ny + gy)·nx + gx)·2 + basis` advances by
-//! stride, `gx` wrapping at the periodic boundary. `pack_states` and
-//! `unpack_states` therefore do the coordinate arithmetic once per row
-//! and copy records in between; the unpack writes only the sites whose
-//! received state differs from the stored one (re-writing the current
-//! state is a no-op, see `KmcLattice::set_state`). The bytes go into the
-//! buffer the previous `KmcTransport::shift` returned
-//! (`KmcLattice::wire`), so the steady state allocates nothing. The
-//! per-site walk this replaces lives on as the byte-for-byte oracle of
-//! this module's tests.
-
-use std::fmt;
-use std::ops::Range;
+//! The slab geometry, the fill-stage order and the row cursor are
+//! `mmds_lattice::slab`, shared with the MD ghost exchange; the codec
+//! here is KMC's own. The traditional wire format — one 16 B record per
+//! site, `u64` global id then `f64` state — is the baseline the paper
+//! measures against and never changes. What it costs the host does: the
+//! `i`/basis run of one `(k, j)` row of a [`Slab`] is one contiguous
+//! slice of `KmcLattice::state`, and along it the global id
+//! `((gz·ny + gy)·nx + gx)·2 + basis` advances by stride, `gx` wrapping
+//! at the periodic boundary. `pack_states` and `unpack_states`
+//! therefore copy records between rows' ends; the unpack writes only
+//! the sites whose received state differs from the stored one
+//! (re-writing the current state is a no-op, see
+//! `KmcLattice::set_state`). The bytes go into the buffer the previous
+//! `KmcTransport::shift` returned (`KmcLattice::wire`), so the steady
+//! state allocates nothing. The per-site walk this replaces lives on as
+//! the byte-for-byte oracle of this module's tests.
 
 use serde::{Deserialize, Serialize};
 
-use mmds_lattice::LocalGrid;
+use mmds_lattice::slab::{Role, Side, Slab, FILL_STAGES};
 use mmds_swmpi::{Packer, Unpacker};
 
 use crate::comm::KmcTransport;
@@ -58,36 +56,6 @@ pub enum ExchangeStrategy {
     Traditional,
     /// Only affected sites, once after each sector.
     OnDemand(OnDemandMode),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Low,
-    High,
-}
-
-impl Side {
-    /// The side a sector's corner touches along an axis.
-    fn of_sector(sec: [usize; 3], axis: usize) -> Self {
-        if sec[axis] == 0 {
-            Side::Low
-        } else {
-            Side::High
-        }
-    }
-
-    fn opposite(self) -> Self {
-        match self {
-            Side::Low => Side::High,
-            Side::High => Side::Low,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    OwnedEdge,
-    Ghost,
 }
 
 /// Bytes of one traditional SPPARKS-style slab record (u64 global id +
@@ -116,205 +84,14 @@ fn state_from_wire(wire: [u8; 8]) -> Option<SiteState> {
     SiteState::try_from_u8(n as u8)
 }
 
-/// The stored cells of one exchange slab: `width` cells deep along
-/// `axis`, hugging the owned/ghost boundary on `side`. Axes whose
-/// staging has already completed (`b < axis`: ascending for the get,
-/// and the put is its time reversal) span the full storage extent, so
-/// corners ride along; the others span the owned cells.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Slab {
-    axis: usize,
-    side: Side,
-    role: Role,
-    cells: [Range<usize>; 3],
+/// Payload bytes of `slab` on the wire.
+fn wire_bytes(slab: &Slab) -> usize {
+    slab.sites() * SLAB_SITE_BYTES as usize
 }
 
-impl Slab {
-    fn new(lat: &KmcLattice, axis: usize, side: Side, role: Role, width: usize) -> Self {
-        let g = lat.grid.ghost;
-        let len = lat.grid.len;
-        let dims = lat.grid.dims();
-        assert!(width <= g);
-        let mut cells: [Range<usize>; 3] = [0..0, 0..0, 0..0];
-        for b in 0..3 {
-            cells[b] = if b == axis {
-                match (role, side) {
-                    (Role::OwnedEdge, Side::Low) => g..g + width,
-                    (Role::OwnedEdge, Side::High) => g + len[b] - width..g + len[b],
-                    (Role::Ghost, Side::Low) => g - width..g,
-                    (Role::Ghost, Side::High) => g + len[b]..g + len[b] + width,
-                }
-            } else if b < axis {
-                0..dims[b]
-            } else {
-                g..g + len[b]
-            };
-        }
-        Self {
-            axis,
-            side,
-            role,
-            cells,
-        }
-    }
-
-    /// Sites in the slab (both basis sites counted).
-    fn sites(&self) -> usize {
-        2 * self.cells.iter().map(Range::len).product::<usize>()
-    }
-
-    /// Payload bytes of the slab on the wire.
-    fn wire_bytes(&self) -> usize {
-        self.sites() * SLAB_SITE_BYTES as usize
-    }
-
-    /// Bytes of one `(k, j)` row on the wire.
-    fn row_bytes(&self) -> usize {
-        self.cells[0].len() * SLAB_CELL_BYTES
-    }
-
-    /// The slab's `(k, j)` rows in wire order: the stored index of each
-    /// row's first site and the global ids along it.
-    fn rows(&self, grid: LocalGrid) -> impl Iterator<Item = (usize, RowIds)> + '_ {
-        SlabRows::new(self, grid)
-    }
-}
-
-impl fmt::Display for Slab {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [x, y, z] = &self.cells;
-        write!(
-            f,
-            "axis {} {:?} {:?} slab (cells {x:?} × {y:?} × {z:?})",
-            self.axis, self.side, self.role
-        )
-    }
-}
-
-/// The cursor behind [`Slab::rows`]: `global_cell` and `site_id` run for
-/// the slab's first row only. From row to row `j` steps by one — the
-/// stored index by `2·d0`, `gy` by one, wrapping at `ny` — and from
-/// plane to plane `k` steps by one — the stored index by `2·d0·d1`
-/// from the plane's first row, `gz` by one, wrapping at `nz`. No
-/// division runs after the first row.
-#[derive(Debug, Clone)]
-struct SlabRows {
-    /// Stored index of the next row's first site, and of the first row
-    /// of its plane.
-    s: usize,
-    plane_s: usize,
-    /// Stored-index steps between rows and between planes.
-    row_step: usize,
-    plane_step: usize,
-    /// Rows per plane, rows left in the current plane, planes left.
-    rows_per_plane: usize,
-    rows_left: usize,
-    planes_left: usize,
-    /// Global cell of the next row's first cell; `gy` restarts at
-    /// `gy0` with every plane, `gx` is the same for every row.
-    gx: u64,
-    gy: u64,
-    gy0: u64,
-    gz: u64,
-    n: [u64; 3],
-}
-
-impl SlabRows {
-    fn new(slab: &Slab, grid: LocalGrid) -> Self {
-        let [i0, j0, k0] = slab.cells.clone().map(|r| r.start);
-        let d = grid.dims();
-        let g = grid.global_cell(i0, j0, k0).map(|c| c as u64);
-        let s = grid.site_id(i0, j0, k0, 0);
-        Self {
-            s,
-            plane_s: s,
-            row_step: 2 * d[0],
-            plane_step: 2 * d[0] * d[1],
-            rows_per_plane: slab.cells[1].len(),
-            rows_left: slab.cells[1].len(),
-            planes_left: slab.cells[2].len(),
-            gx: g[0],
-            gy: g[1],
-            gy0: g[1],
-            gz: g[2],
-            n: [grid.global.nx, grid.global.ny, grid.global.nz].map(|n| n as u64),
-        }
-    }
-}
-
-/// `c + 1` on a periodic axis of `n` cells.
-#[inline]
-fn step_wrapping(c: u64, n: u64) -> u64 {
-    if c + 1 == n {
-        0
-    } else {
-        c + 1
-    }
-}
-
-impl Iterator for SlabRows {
-    type Item = (usize, RowIds);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.planes_left == 0 {
-            return None;
-        }
-        let [nx, ny, nz] = self.n;
-        let row = (
-            self.s,
-            RowIds {
-                row: (self.gz * ny + self.gy) * nx,
-                gx: self.gx,
-                nx,
-            },
-        );
-        self.rows_left -= 1;
-        if self.rows_left > 0 {
-            self.s += self.row_step;
-            self.gy = step_wrapping(self.gy, ny);
-        } else {
-            self.planes_left -= 1;
-            self.rows_left = self.rows_per_plane;
-            self.plane_s += self.plane_step;
-            self.s = self.plane_s;
-            self.gy = self.gy0;
-            self.gz = step_wrapping(self.gz, nz);
-        }
-        Some(row)
-    }
-}
-
-/// Canonical global ids — the SPPARKS-style record key
-/// `((gz·ny + gy)·nx + gx)·2 + basis` — of the basis-0 sites along one
-/// stored row; the basis-1 site of a cell is the next id. Stepping a
-/// cell along `i` adds one to `gx`, which wraps at the periodic
-/// boundary (twice, when a whole-box row starts and ends in ghosts);
-/// `gy`/`gz` are fixed by the row.
-#[derive(Debug, Clone)]
-struct RowIds {
-    row: u64,
-    gx: u64,
-    nx: u64,
-}
-
-impl RowIds {
-    /// The id `next` returns next.
-    #[inline]
-    fn peek(&self) -> u64 {
-        (self.row + self.gx) * 2
-    }
-}
-
-impl Iterator for RowIds {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        let id = self.peek();
-        self.gx = step_wrapping(self.gx, self.nx);
-        Some(id)
-    }
+/// Bytes of one `(k, j)` row of `slab` on the wire.
+fn row_bytes(slab: &Slab) -> usize {
+    slab.cells[0].len() * SLAB_CELL_BYTES
 }
 
 /// Payload bytes [`traditional_get`] sends for any one sector —
@@ -331,9 +108,16 @@ pub fn traditional_put_bytes(lat: &KmcLattice) -> u64 {
 }
 
 fn slab_bytes_per_sector(lat: &KmcLattice, width: usize) -> u64 {
-    (0..3)
-        .map(|axis| Slab::new(lat, axis, Side::Low, Role::OwnedEdge, width).wire_bytes() as u64)
-        .sum()
+    let bytes = |axis| {
+        wire_bytes(&Slab::new(
+            lat.grid,
+            axis,
+            Side::Low,
+            Role::OwnedEdge,
+            width,
+        ))
+    };
+    (0..3).map(bytes).sum::<usize>() as u64
 }
 
 /// Sites the traditional post-sector put ships — the denominator of the
@@ -377,12 +161,12 @@ pub struct SectorExchange {
 /// `buf` is a recycled buffer with arbitrary contents: it is cut or
 /// grown to the slab's size and every byte of it is then overwritten.
 fn pack_states(lat: &KmcLattice, slab: &Slab, buf: &mut Vec<u8>) {
-    buf.resize(slab.wire_bytes(), 0);
+    buf.resize(wire_bytes(slab), 0);
     let row_sites = 2 * slab.cells[0].len();
-    let rows = buf.chunks_exact_mut(slab.row_bytes());
-    for (row, (s0, ids)) in rows.zip(slab.rows(lat.grid)) {
-        let states = lat.state[s0..s0 + row_sites].chunks_exact(2);
-        for ((cell, st), id) in row.chunks_exact_mut(SLAB_CELL_BYTES).zip(states).zip(ids) {
+    let rows = buf.chunks_exact_mut(row_bytes(slab));
+    for (row, r) in rows.zip(slab.rows()) {
+        let states = lat.state[r.s..r.s + row_sites].chunks_exact(2);
+        for ((cell, st), id) in row.chunks_exact_mut(SLAB_CELL_BYTES).zip(states).zip(r.ids) {
             cell[..8].copy_from_slice(&id.to_le_bytes());
             cell[8..16].copy_from_slice(&STATE_WIRE[st[0] as usize]);
             cell[16..24].copy_from_slice(&(id + 1).to_le_bytes());
@@ -402,18 +186,19 @@ fn pack_states(lat: &KmcLattice, slab: &Slab, buf: &mut Vec<u8>) {
 fn unpack_states(lat: &mut KmcLattice, slab: &Slab, bytes: &[u8]) {
     assert_eq!(
         bytes.len(),
-        slab.wire_bytes(),
+        wire_bytes(slab),
         "kmc {slab}: payload is {} B, the slab's {} sites need {} B",
         bytes.len(),
         slab.sites(),
-        slab.wire_bytes(),
+        wire_bytes(slab),
     );
     debug_assert!(
         lat.vacancy_index_is_exact(),
         "owned-vacancy index out of step with the states"
     );
-    let rows = bytes.chunks_exact(slab.row_bytes());
-    for (row, (s0, ids)) in rows.zip(slab.rows(lat.grid)) {
+    let rows = bytes.chunks_exact(row_bytes(slab));
+    for (row, r) in rows.zip(slab.rows()) {
+        let (s0, ids) = (r.s, r.ids);
         let leading = u64::from_le_bytes(row[..8].try_into().expect("8 B id"));
         let expected = ids.peek();
         assert_eq!(
@@ -447,21 +232,16 @@ fn unpack_states(lat: &mut KmcLattice, slab: &Slab, bytes: &[u8]) {
 }
 
 /// One staged slab transfer: packs `send` into the recycled wire
-/// buffer, shifts it along `axis`, applies what arrives to `recv` and
+/// buffer, shifts it toward the neighbour on `send`'s side, applies
+/// what arrives to `recv` and
 /// keeps the arrived buffer for the next send (under `LoopbackK` the
 /// same allocation goes round; under `CommK` buffers circulate between
 /// ranks). Returns payload bytes sent.
-fn shift_slab(
-    lat: &mut KmcLattice,
-    t: &mut impl KmcTransport,
-    toward_high: bool,
-    send: &Slab,
-    recv: &Slab,
-) -> u64 {
+fn shift_slab(lat: &mut KmcLattice, t: &mut impl KmcTransport, send: &Slab, recv: &Slab) -> u64 {
     let mut buf = std::mem::take(&mut lat.wire);
     pack_states(lat, send, &mut buf);
     let sent = buf.len() as u64;
-    let got = t.shift(send.axis, toward_high, buf);
+    let got = t.shift(send.axis, send.toward_high(), buf);
     unpack_states(lat, recv, &got);
     lat.wire = got;
     sent
@@ -475,23 +255,18 @@ fn fill_ghost_slab(
     axis: usize,
     recv_side: Side,
 ) -> u64 {
-    let g = lat.grid.ghost;
-    let send = Slab::new(lat, axis, recv_side.opposite(), Role::OwnedEdge, g);
-    let recv = Slab::new(lat, axis, recv_side, Role::Ghost, g);
-    shift_slab(lat, t, recv_side == Side::Low, &send, &recv)
+    let (send, recv) = Slab::fill_pair(lat.grid, axis, recv_side, lat.grid.ghost);
+    shift_slab(lat, t, &send, &recv)
 }
 
 /// Full 6-direction ghost fill (initialisation; also used by tests).
 /// Returns payload bytes sent.
 pub fn full_exchange(lat: &mut KmcLattice, t: &mut impl KmcTransport) -> u64 {
     let _span = mmds_telemetry::span!("kmc.exchange.full");
-    let mut bytes = 0;
-    for axis in 0..3 {
-        for recv_side in [Side::Low, Side::High] {
-            bytes += fill_ghost_slab(lat, t, axis, recv_side);
-        }
-    }
-    bytes
+    FILL_STAGES
+        .iter()
+        .map(|&(axis, recv_side)| fill_ghost_slab(lat, t, axis, recv_side))
+        .sum()
 }
 
 /// Traditional pre-sector *get* (Fig. 8 b): refresh the ghost slabs on
@@ -523,10 +298,9 @@ pub fn traditional_put(lat: &mut KmcLattice, sec: [usize; 3], t: &mut impl KmcTr
     let w = lat.event_reach;
     for axis in (0..3).rev() {
         let ghost_side = Side::of_sector(sec, axis);
-        let send = Slab::new(lat, axis, ghost_side, Role::Ghost, w);
-        let recv = Slab::new(lat, axis, ghost_side.opposite(), Role::OwnedEdge, w);
-        // My low ghost flows to the −axis owner.
-        bytes += shift_slab(lat, t, ghost_side == Side::High, &send, &recv);
+        let send = Slab::new(lat.grid, axis, ghost_side, Role::Ghost, w);
+        let recv = Slab::new(lat.grid, axis, ghost_side.opposite(), Role::OwnedEdge, w);
+        bytes += shift_slab(lat, t, &send, &recv);
     }
     bytes
 }
@@ -732,13 +506,10 @@ pub fn exchange_plans(strategy: ExchangeStrategy) -> Vec<mmds_swmpi::CommPlan> {
         header: 0,
         record: DIRTY_SITE_BYTES,
     };
-    // full_exchange: axis 0..3, toward_high true then false.
-    let mut full = Vec::new();
-    for axis in 0..3 {
-        for toward_high in [true, false] {
-            full.extend(SkelOp::shift(axis, toward_high, slab));
-        }
-    }
+    let full = FILL_STAGES
+        .iter()
+        .flat_map(|&(axis, recv_side)| SkelOp::shift(axis, recv_side == Side::Low, slab))
+        .collect();
     let mut plans = vec![CommPlan::new(
         "kmc.exchange.full",
         here,
@@ -845,6 +616,7 @@ mod tests {
     use mmds_lattice::{BccGeometry, LocalGrid};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::ops::Range;
 
     /// The per-site slab walk the row walk replaced, kept verbatim as
     /// the byte-for-byte oracle: `site_id` + `global_id` (a `decode` and
@@ -957,7 +729,7 @@ mod tests {
                     (Role::Ghost, lat.event_reach),
                     (Role::OwnedEdge, lat.event_reach),
                 ] {
-                    slabs.push(Slab::new(lat, axis, side, role, width));
+                    slabs.push(Slab::new(lat.grid, axis, side, role, width));
                 }
             }
         }
@@ -1001,7 +773,7 @@ mod tests {
             let mut buf = Vec::new();
             for slab in exchange_slabs(&sender) {
                 let want = per_site::pack_states(&sender, &slab.cells);
-                assert_eq!(want.len(), slab.wire_bytes(), "{slab}");
+                assert_eq!(want.len(), wire_bytes(&slab), "{slab}");
                 buf.fill(0xFF);
                 match slabs_checked % 3 {
                     0 => buf.resize(want.len() + 37, 0xFF),
@@ -1032,62 +804,6 @@ mod tests {
         assert_eq!(slabs_checked, 8 * 24);
     }
 
-    #[test]
-    fn whole_box_rows_wrap_twice() {
-        // A full-extent row of a whole-box grid starts in the low ghost
-        // (global x = nx − g), crosses the box and ends in the high
-        // ghost: the strided id wraps at both boundaries.
-        let l = lat();
-        let slab = Slab::new(&l, 1, Side::Low, Role::Ghost, 2);
-        assert_eq!(slab.cells[0], 0..10);
-        let (s0, ids) = slab.rows(l.grid).next().unwrap();
-        let ids: Vec<u64> = ids.take(10).collect();
-        let gx: Vec<u64> = ids.iter().map(|id| id / 2 - ids[2] / 2).collect();
-        assert_eq!(gx, [4, 5, 0, 1, 2, 3, 4, 5, 0, 1]);
-        let per_site: Vec<u64> = (0..10)
-            .map(|c| per_site::global_id(&l, s0 + 2 * c))
-            .collect();
-        assert_eq!(ids, per_site);
-    }
-
-    #[test]
-    fn row_cursor_matches_site_id_and_global_id_on_every_row() {
-        // In the sweep, `gy` wraps twice across a whole box's
-        // full-extent planes and once, mid-slab, across a sub-domain's;
-        // a slab's `k` range never crosses the box edge there. It does
-        // on axes thinner than the ghost shell: a whole box of 2 × 3 × 2
-        // cells under a 3-cell shell, and a sub-domain whose low z ghost
-        // starts one plane below the box edge.
-        let a0 = BccGeometry::fe_cube(1).a0;
-        let thin = BccGeometry::new(a0, 2, 3, 2);
-        let tall = BccGeometry::new(a0, 7, 6, 4);
-        let mut grids = sweep_grids();
-        grids.push((LocalGrid::whole(thin, 3), 3.0));
-        grids.push((LocalGrid::new(tall, [0, 3, 2], [7, 3, 2], 3), 3.0));
-        let mut rows_checked = 0;
-        for (grid, cutoff) in grids {
-            let l = KmcLattice::all_fe(grid, cutoff);
-            for slab in exchange_slabs(&l) {
-                let i0 = slab.cells[0].start;
-                let mut rows = slab.rows(grid);
-                for k in slab.cells[2].clone() {
-                    for j in slab.cells[1].clone() {
-                        let (s0, ids) = rows.next().expect("a row per (k, j)");
-                        assert_eq!(s0, grid.site_id(i0, j, k, 0), "{slab}: row ({k}, {j})");
-                        assert_eq!(
-                            ids.peek(),
-                            per_site::global_id(&l, s0),
-                            "{slab}: row ({k}, {j}) on {grid:?}"
-                        );
-                        rows_checked += 1;
-                    }
-                }
-                assert!(rows.next().is_none(), "{slab}: rows past the last plane");
-            }
-        }
-        assert!(rows_checked > 10_000, "{rows_checked}");
-    }
-
     /// Runs `f`, which must panic, and returns the panic message.
     fn panic_message(f: impl FnOnce()) -> String {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
@@ -1105,8 +821,8 @@ mod tests {
         let grid = LocalGrid::whole(BccGeometry::new(a0, 6, 12, 8), 3);
         let mut rng = StdRng::seed_from_u64(9);
         let l = random_lattice(grid, 3.0, &mut rng);
-        let slabs = [0, 1].map(|axis| Slab::new(&l, axis, Side::Low, Role::Ghost, 3));
-        assert_eq!(slabs[0].wire_bytes(), slabs[1].wire_bytes());
+        let slabs = [0, 1].map(|axis| Slab::new(l.grid, axis, Side::Low, Role::Ghost, 3));
+        assert_eq!(wire_bytes(&slabs[0]), wire_bytes(&slabs[1]));
         let payloads = [0, 1].map(|n| per_site::pack_states(&l, &slabs[n].cells));
         (l, slabs, payloads)
     }
@@ -1146,7 +862,7 @@ mod tests {
         // The first row already disagrees, so nothing was written.
         assert!(l.state == before.state);
         // Different lengths are caught by the size check.
-        let put = Slab::new(&l, 1, Side::Low, Role::Ghost, 1);
+        let put = Slab::new(l.grid, 1, Side::Low, Role::Ghost, 1);
         let msg = panic_message(|| unpack_states(&mut l, &put, &payload_y));
         assert!(
             msg.contains("axis 1 Low Ghost slab") && msg.contains("payload is"),
@@ -1157,8 +873,8 @@ mod tests {
     #[test]
     fn corrupted_row_leading_id_is_refused() {
         let (mut l, [slab, _], [mut payload, _]) = same_length_slabs();
-        let row = slab.rows(l.grid).count() / 2;
-        payload[row * slab.row_bytes()] ^= 0x04;
+        let row = slab.rows().count() / 2;
+        payload[row * row_bytes(&slab)] ^= 0x04;
         let msg = panic_message(|| unpack_states(&mut l, &slab, &payload));
         assert!(
             msg.contains("axis 0 Low Ghost slab") && msg.contains("leads with global id"),

@@ -16,6 +16,9 @@
 //!   lattice point** — the improvement over Crystal MD's array, giving
 //!   dynamic capacity and `O(N)` run-away/run-away neighbour search.
 //!
+//! Both engines exchange ghosts through [`slab`]: the slab geometry,
+//! the fill-stage order and the row cursor over a [`LocalGrid`].
+//!
 //! [`verlet::VerletList`] and [`linked_cell::LinkedCellList`] implement
 //! the two mainstream baselines the paper compares against, and
 //! [`memory`] provides the per-atom byte budgets behind the paper's
@@ -33,6 +36,7 @@ pub mod linked_cell;
 pub mod lnl;
 pub mod memory;
 pub mod neighbor_offsets;
+pub mod slab;
 pub mod verlet;
 
 pub use bcc::BccGeometry;

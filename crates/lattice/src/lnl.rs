@@ -80,6 +80,12 @@ pub struct LatticeNeighborList {
     free: Vec<u32>,
     n_runaways: usize,
     ghost_epoch: u64,
+    /// The ghost exchange's wire buffer: whatever the last slab shift
+    /// returned, kept to be the next send buffer, so the exchange
+    /// allocates nothing in steady state. Scratch, not state: a
+    /// checkpoint neither writes nor reads it.
+    #[serde(skip)]
+    pub wire: Vec<u8>,
 }
 
 impl LatticeNeighborList {
@@ -129,6 +135,7 @@ impl LatticeNeighborList {
             free: Vec::new(),
             n_runaways: 0,
             ghost_epoch: 0,
+            wire: Vec::new(),
         }
     }
 
@@ -301,12 +308,14 @@ impl LatticeNeighborList {
     }
 
     /// Removes every ghost run-away record (start of a ghost refresh).
+    /// Removals run in pool order, so the free list is the same however
+    /// the records are chained.
     pub fn clear_ghost_runaways(&mut self) {
-        let ghosts: Vec<u32> = (0..self.pool.len() as u32)
-            .filter(|&i| self.pool[i as usize].alive && self.pool[i as usize].ghost)
-            .collect();
-        for idx in ghosts {
-            self.remove_runaway(idx);
+        for idx in 0..self.pool.len() as u32 {
+            let rec = &self.pool[idx as usize];
+            if rec.alive && rec.ghost {
+                self.remove_runaway(idx);
+            }
         }
     }
 
@@ -445,6 +454,18 @@ mod tests {
     fn lnl() -> LatticeNeighborList {
         let grid = LocalGrid::whole(BccGeometry::fe_cube(6), 2);
         LatticeNeighborList::perfect(grid, 5.0)
+    }
+
+    #[test]
+    fn the_wire_buffer_is_not_serialised() {
+        use serde::{Deserialize, Serialize};
+        let mut l = lnl();
+        l.wire = vec![7; 64];
+        let v = l.to_value();
+        assert!(v.get("wire").is_none() && v.get("ghost_epoch").is_some());
+        let back = LatticeNeighborList::from_value(&v).unwrap();
+        assert!(back.wire.is_empty());
+        assert_eq!(back.id, l.id);
     }
 
     #[test]

@@ -91,6 +91,15 @@ impl CartGrid {
         self.rank_of(n)
     }
 
+    /// The peers of one staged shift along `axis`: `rank` sends to its
+    /// neighbour on the high side (`toward_high`) or the low side, and
+    /// receives from the opposite one. Returns `(dst, src)`.
+    pub fn shift_peers(&self, rank: Rank, axis: usize, toward_high: bool) -> (Rank, Rank) {
+        let mut d = [0i64; 3];
+        d[axis] = if toward_high { 1 } else { -1 };
+        (self.neighbor(rank, d), self.neighbor(rank, d.map(|c| -c)))
+    }
+
     /// Splits a global extent of `cells` along axis `axis` into this
     /// grid's `dims[axis]` contiguous chunks; returns `(start, len)` for
     /// chunk `idx`. Remainder cells go to the lowest-index chunks.
@@ -152,6 +161,16 @@ mod tests {
         // y/z wrap to self in a 1-deep axis.
         assert_eq!(g.neighbor(1, [0, 1, 0]), 1);
         assert_eq!(g.neighbor(1, [0, 0, -1]), 1);
+    }
+
+    #[test]
+    fn shift_peers_are_the_two_face_neighbours() {
+        let g = CartGrid::new([2, 3, 1]);
+        // Rank 1 sits at (1, 0, 0): high y is rank 3, low y wraps to 5.
+        assert_eq!(g.shift_peers(1, 1, true), (3, 5));
+        assert_eq!(g.shift_peers(1, 1, false), (5, 3));
+        assert_eq!(g.shift_peers(1, 0, true), (0, 0));
+        assert_eq!(g.shift_peers(1, 2, false), (1, 1));
     }
 
     #[test]

@@ -25,6 +25,13 @@ impl Packer {
         }
     }
 
+    /// Packs into `buf`, a recycled buffer whose contents are dropped
+    /// and whose capacity is kept.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// Number of bytes packed so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -116,6 +123,11 @@ impl<'a> Unpacker<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         s
+    }
+
+    /// Takes the next `n` bytes as they are.
+    pub fn get_bytes(&mut self, n: usize) -> &'a [u8] {
+        self.take(n)
     }
 
     /// Unpacks a `u8`.

@@ -6,7 +6,9 @@
 //! small hand-rolled token walker and the impls are emitted as source
 //! strings. Supported shapes (everything this workspace derives):
 //!
-//! * structs with named fields (non-generic),
+//! * structs with named fields (non-generic); a field marked
+//!   `#[serde(skip)]` is neither written nor read, and deserialises as
+//!   `Default::default()`,
 //! * tuple structs,
 //! * enums with unit, tuple, and struct variants (discriminants
 //!   allowed and ignored).
@@ -20,7 +22,8 @@ enum VariantShape {
 }
 
 enum Shape {
-    NamedStruct(Vec<String>),
+    /// Serialised fields, then `#[serde(skip)]` ones.
+    NamedStruct(Vec<String>, Vec<String>),
     TupleStruct(usize),
     Enum(Vec<(String, VariantShape)>),
 }
@@ -30,11 +33,11 @@ struct Item {
     shape: Shape,
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
+        Shape::NamedStruct(fields, _) => {
             let entries: Vec<String> = fields
                 .iter()
                 .map(|f| format!("(\"{f}\".to_string(), serde::Serialize::to_value(&self.{f}))"))
@@ -103,12 +106,12 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("generated Serialize impl parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let name = &item.name;
     let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
+        Shape::NamedStruct(fields, skipped) => {
             let inits: Vec<String> = fields
                 .iter()
                 .map(|f| {
@@ -116,6 +119,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         "{f}: serde::Deserialize::from_value(serde::derive_support::field(v, \"{f}\")?)?"
                     )
                 })
+                .chain(skipped.iter().map(|f| format!("{f}: Default::default()")))
                 .collect();
             format!("Ok({name} {{ {} }})", inits.join(", "))
         }
@@ -196,12 +200,13 @@ fn parse_item(input: TokenStream) -> Item {
     let shape = match kw.as_str() {
         "struct" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Shape::NamedStruct(parse_named_fields(g.stream()))
+                let (fields, skipped) = parse_named_fields(g.stream());
+                Shape::NamedStruct(fields, skipped)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 Shape::TupleStruct(count_top_level_items(g.stream()))
             }
-            _ => Shape::NamedStruct(Vec::new()), // unit struct
+            _ => Shape::NamedStruct(Vec::new(), Vec::new()), // unit struct
         },
         "enum" => match toks.get(i) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
@@ -258,12 +263,24 @@ fn count_top_level_items(ts: TokenStream) -> usize {
     items + usize::from(saw_tok)
 }
 
-/// Parses `name: Type, ...` named-field lists, returning field names.
-fn parse_named_fields(ts: TokenStream) -> Vec<String> {
+/// Parses `name: Type, ...` named-field lists, returning the names of
+/// the serialised fields and of the `#[serde(skip)]` ones.
+fn parse_named_fields(ts: TokenStream) -> (Vec<String>, Vec<String>) {
     let toks: Vec<TokenTree> = ts.into_iter().collect();
     let mut i = 0;
     let mut fields = Vec::new();
+    let mut skipped = Vec::new();
     while i < toks.len() {
+        let mut skip = false;
+        while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+            (toks.get(i), toks.get(i + 1))
+        {
+            if p.as_char() != '#' {
+                break;
+            }
+            skip |= g.stream().to_string().replace(' ', "") == "serde(skip)";
+            i += 2;
+        }
         skip_attrs_and_vis(&toks, &mut i);
         let name = match toks.get(i) {
             Some(TokenTree::Ident(id)) => id.to_string(),
@@ -276,9 +293,13 @@ fn parse_named_fields(ts: TokenStream) -> Vec<String> {
             other => panic!("serde shim derive: expected `:` after `{name}`, got {other:?}"),
         }
         skip_type(&toks, &mut i);
-        fields.push(name);
+        if skip {
+            skipped.push(name);
+        } else {
+            fields.push(name);
+        }
     }
-    fields
+    (fields, skipped)
 }
 
 /// Parses enum variants, returning `(name, shape)` pairs.
@@ -301,7 +322,7 @@ fn parse_variants(ts: TokenStream) -> Vec<(String, VariantShape)> {
                 VariantShape::Tuple(n)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let fields = parse_named_fields(g.stream());
+                let (fields, _) = parse_named_fields(g.stream());
                 i += 1;
                 VariantShape::Struct(fields)
             }
