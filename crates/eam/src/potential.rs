@@ -1,9 +1,11 @@
-//! A complete single-species EAM potential with all three table forms.
+//! A complete single-species EAM potential in both table forms.
 //!
 //! Both MD and KMC access the potential exclusively through the three
 //! interpolation tables (pair, density, embedding — §2.1.2); the
 //! analytic functions exist only to *generate* the tables and for
 //! accuracy tests.
+
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -23,26 +25,37 @@ pub enum TableForm {
     Compacted,
 }
 
-/// The three tables of one species (or species pair): pair potential
-/// φ(r), electron density f(r), and embedding F(ρ).
+/// The tables of one species (or species pair): pair potential φ(r),
+/// electron density f(r), and embedding F(ρ).
+///
+/// A potential holds what its lookups read: the compacted tables (the
+/// sample values and their slope memo) from construction, and the
+/// traditional tables only once a [`TableForm::Traditional`] lookup
+/// has asked for them. Only the Fig. 9 and ablation variants do; the
+/// production path never builds them.
 #[derive(Debug, Clone)]
 pub struct EamPotential {
     /// Which species this parameterisation describes.
     pub species: Species,
     /// Analytic source functions.
     pub analytic: AnalyticEam,
-    /// Traditional tables: `[pair, density, embedding]`.
-    pub trad_pair: TraditionalTable,
-    /// Traditional electron-density table.
-    pub trad_density: TraditionalTable,
-    /// Traditional embedding table (domain is ρ, not r).
-    pub trad_embed: TraditionalTable,
+    /// Traditional tables, built on first use.
+    traditional: OnceLock<Traditional>,
     /// Compacted pair table.
     pub comp_pair: CompactTable,
     /// Compacted density table.
     pub comp_density: CompactTable,
     /// Compacted embedding table.
     pub comp_embed: CompactTable,
+}
+
+/// The traditional tables of one potential, on the compacted tables'
+/// knot grids.
+#[derive(Debug, Clone)]
+struct Traditional {
+    pair: TraditionalTable,
+    density: TraditionalTable,
+    embed: TraditionalTable,
 }
 
 /// Inner edge of the tabulated r-domain (Å); below this the potential is
@@ -76,13 +89,44 @@ impl EamPotential {
         Self {
             species,
             analytic,
-            trad_pair: TraditionalTable::build(|r| analytic.phi(r), R_MIN, rc, n),
-            trad_density: TraditionalTable::build(|r| analytic.density(r), R_MIN, rc, n),
-            trad_embed: TraditionalTable::build(|rho| analytic.embed(rho), 0.0, RHO_MAX, n),
+            traditional: OnceLock::new(),
             comp_pair: CompactTable::build(|r| analytic.phi(r), R_MIN, rc, n),
             comp_density: CompactTable::build(|r| analytic.density(r), R_MIN, rc, n),
             comp_embed: CompactTable::build(|rho| analytic.embed(rho), 0.0, RHO_MAX, n),
         }
+    }
+
+    /// The traditional tables, built by the first call.
+    fn traditional(&self) -> &Traditional {
+        self.traditional.get_or_init(|| {
+            let (a, n) = (self.analytic, self.knots());
+            Traditional {
+                pair: TraditionalTable::build(|r| a.phi(r), R_MIN, a.r_cut, n),
+                density: TraditionalTable::build(|r| a.density(r), R_MIN, a.r_cut, n),
+                embed: TraditionalTable::build(|rho| a.embed(rho), 0.0, RHO_MAX, n),
+            }
+        })
+    }
+
+    /// Traditional pair table (built on first use).
+    pub fn trad_pair(&self) -> &TraditionalTable {
+        &self.traditional().pair
+    }
+
+    /// Traditional electron-density table (built on first use).
+    pub fn trad_density(&self) -> &TraditionalTable {
+        &self.traditional().density
+    }
+
+    /// Traditional embedding table, whose domain is ρ, not r (built on
+    /// first use).
+    pub fn trad_embed(&self) -> &TraditionalTable {
+        &self.traditional().embed
+    }
+
+    /// Knots per table; every table of the potential has this many.
+    pub fn knots(&self) -> usize {
+        self.comp_pair.n()
     }
 
     /// Cutoff radius (Å).
@@ -94,7 +138,7 @@ impl EamPotential {
     #[inline]
     pub fn pair(&self, form: TableForm, r: f64) -> (f64, f64) {
         match form {
-            TableForm::Traditional => self.trad_pair.eval_both(r),
+            TableForm::Traditional => self.trad_pair().eval_both(r),
             TableForm::Compacted => self.comp_pair.eval_both(r),
         }
     }
@@ -103,7 +147,7 @@ impl EamPotential {
     #[inline]
     pub fn density(&self, form: TableForm, r: f64) -> (f64, f64) {
         match form {
-            TableForm::Traditional => self.trad_density.eval_both(r),
+            TableForm::Traditional => self.trad_density().eval_both(r),
             TableForm::Compacted => self.comp_density.eval_both(r),
         }
     }
@@ -114,7 +158,7 @@ impl EamPotential {
     #[inline]
     pub fn embed(&self, form: TableForm, rho: f64) -> (f64, f64) {
         match form {
-            TableForm::Traditional => self.trad_embed.eval_both(rho),
+            TableForm::Traditional => self.trad_embed().eval_both(rho),
             TableForm::Compacted => self.comp_embed.eval_both(rho),
         }
     }
@@ -129,7 +173,10 @@ impl EamPotential {
     #[inline]
     pub fn pair_density(&self, form: TableForm, r: f64) -> (f64, f64, f64, f64) {
         match form {
-            TableForm::Traditional => self.trad_pair.eval2(&self.trad_density, r),
+            TableForm::Traditional => {
+                let t = self.traditional();
+                t.pair.eval2(&t.density, r)
+            }
             TableForm::Compacted => self.comp_pair.eval2(&self.comp_density, r),
         }
     }
@@ -154,8 +201,8 @@ impl EamPotential {
     ) {
         match form {
             TableForm::Traditional => {
-                self.trad_pair
-                    .eval2_batch(&self.trad_density, rs, phi, dphi, f, df)
+                let t = self.traditional();
+                t.pair.eval2_batch(&t.density, rs, phi, dphi, f, df)
             }
             TableForm::Compacted => {
                 self.comp_pair
@@ -165,14 +212,11 @@ impl EamPotential {
     }
 
     /// Total bytes of the three tables in the given form — what a CPE
-    /// would need to hold them resident.
+    /// would need to hold them resident. Computed from the knot count:
+    /// asking builds no table.
     pub fn table_bytes(&self, form: TableForm) -> usize {
         match form {
-            TableForm::Traditional => {
-                self.trad_pair.memory_bytes()
-                    + self.trad_density.memory_bytes()
-                    + self.trad_embed.memory_bytes()
-            }
+            TableForm::Traditional => 3 * TraditionalTable::bytes_for(self.knots()),
             TableForm::Compacted => {
                 self.comp_pair.memory_bytes()
                     + self.comp_density.memory_bytes()
@@ -237,6 +281,57 @@ mod tests {
         // our MD kernel stages them one at a time or merged; see md::offload).
         assert!(p.table_bytes(TableForm::Traditional) > 3 * ldm);
         assert_eq!(p.table_bytes(TableForm::Compacted), 3 * 40_000);
+    }
+
+    #[test]
+    fn traditional_tables_are_built_on_first_use() {
+        let p = fe_small();
+        let copy = {
+            for i in 0..50 {
+                let r = 1.1 + i as f64 * 0.07;
+                p.pair(TableForm::Compacted, r);
+                p.density(TableForm::Compacted, r);
+                p.pair_density(TableForm::Compacted, r);
+                p.embed(TableForm::Compacted, 4.0 * r);
+            }
+            let rs = [2.3, 2.5, 3.1];
+            let mut out = [[0.0; 3]; 4];
+            let [phi, dphi, f, df] = &mut out;
+            p.pair_density_batch(TableForm::Compacted, &rs, phi, dphi, f, df);
+            p.clone()
+        };
+        assert_eq!(
+            p.table_bytes(TableForm::Traditional),
+            3 * TraditionalTable::bytes_for(1200)
+        );
+        assert!(
+            p.traditional.get().is_none() && copy.traditional.get().is_none(),
+            "a compacted lookup, a clone or a size built the traditional tables"
+        );
+
+        p.pair(TableForm::Traditional, 2.5);
+        assert!(p.traditional.get().is_some() && copy.traditional.get().is_none());
+        let a = p.analytic;
+        let bits = |t: &TraditionalTable| {
+            let c: Vec<u64> = t.coeff.iter().flatten().map(|x| x.to_bits()).collect();
+            (t.x0.to_bits(), t.dx.to_bits(), c)
+        };
+        let built = [
+            TraditionalTable::build(|r| a.phi(r), R_MIN, a.r_cut, 1200),
+            TraditionalTable::build(|r| a.density(r), R_MIN, a.r_cut, 1200),
+            TraditionalTable::build(|rho| a.embed(rho), 0.0, RHO_MAX, 1200),
+        ];
+        let lazy = [p.trad_pair(), p.trad_density(), p.trad_embed()];
+        for (lazy, built) in lazy.into_iter().zip(&built) {
+            assert_eq!(bits(lazy), bits(built));
+        }
+        assert_eq!(
+            p.table_bytes(TableForm::Traditional),
+            built
+                .iter()
+                .map(TraditionalTable::memory_bytes)
+                .sum::<usize>()
+        );
     }
 
     #[test]

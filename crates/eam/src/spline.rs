@@ -78,7 +78,12 @@ impl TraditionalTable {
 
     /// Size in bytes (what a resident copy would occupy in local store).
     pub fn memory_bytes(&self) -> usize {
-        self.coeff.len() * 7 * 8
+        Self::bytes_for(self.n())
+    }
+
+    /// Size in bytes of a table of `n` knots, without building one.
+    pub const fn bytes_for(n: usize) -> usize {
+        n * Self::ROW_BYTES
     }
 
     /// Segment index and local coordinate for `x` (clamped to range).

@@ -356,6 +356,11 @@ impl LatticeNeighborList {
         self.n_runaways
     }
 
+    /// Run-away pool slots, live or free: every pool index is below it.
+    pub fn runaway_slots(&self) -> usize {
+        self.pool.len()
+    }
+
     /// Indices of all live, non-ghost run-aways.
     pub fn live_runaways(&self) -> Vec<u32> {
         self.live_runaway_ids().collect()

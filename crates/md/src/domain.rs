@@ -221,46 +221,43 @@ pub fn exchange_ghosts(l: &mut LatticeNeighborList, t: &mut impl Transport, phas
 }
 
 /// Transfers run-aways anchored outside the owned region to their
-/// owning rank. Returns how many this rank emitted.
+/// owning rank. Returns how many this rank emitted. The payload is
+/// packed into the ghost exchange's recycled buffer
+/// (`LatticeNeighborList::wire`), and the largest gathered buffer
+/// becomes that buffer again: under [`Loopback`] it is the one packed,
+/// so a step with no emigrant allocates nothing here.
 pub fn migrate_runaways(l: &mut LatticeNeighborList, t: &mut impl Transport) -> usize {
-    let mut emigrants = Vec::new();
-    for idx in l.live_runaways() {
-        let rec = *l.runaway(idx);
-        let (i, j, k, b) = l.grid.decode(rec.home as usize);
-        if !l.grid.is_interior(i, j, k) {
-            let g = l.grid.global_cell(i, j, k);
-            let lp = l.grid.site_position(i, j, k, b);
-            emigrants.push((
-                [g[0] as u64, g[1] as u64, g[2] as u64],
-                b as u64,
-                rec.id,
-                [rec.pos[0] - lp[0], rec.pos[1] - lp[1], rec.pos[2] - lp[2]],
-                rec.vel,
-            ));
-            l.remove_runaway(idx);
-        }
-    }
-    let emitted = emigrants.len();
-    let mut p = Packer::new();
+    let grid = l.grid;
+    let outside = |home: u32| {
+        let (i, j, k, _) = grid.decode(home as usize);
+        !grid.is_interior(i, j, k)
+    };
+    let emigrants: Vec<u32> = l
+        .live_runaway_ids()
+        .filter(|&i| outside(l.runaway(i).home))
+        .collect();
+    let mut p = Packer::reusing(std::mem::take(&mut l.wire));
     p.put_u32(emigrants.len() as u32);
-    for (g, b, id, disp, vel) in emigrants {
-        p.put_u64(g[0]);
-        p.put_u64(g[1]);
-        p.put_u64(g[2]);
-        p.put_u64(b);
-        p.put_u64(id as u64);
-        for v in disp {
-            p.put_f64(v);
+    for &idx in &emigrants {
+        let rec = l.remove_runaway(idx);
+        let (i, j, k, b) = grid.decode(rec.home as usize);
+        let g = grid.global_cell(i, j, k);
+        let lp = grid.site_position(i, j, k, b);
+        for v in [g[0], g[1], g[2], b] {
+            p.put_u64(v as u64);
         }
-        for v in vel {
+        p.put_u64(rec.id as u64);
+        for ax in 0..3 {
+            p.put_f64(rec.pos[ax] - lp[ax]);
+        }
+        for v in rec.vel {
             p.put_f64(v);
         }
     }
     let all = t.allgather(p.finish());
-    let start = l.grid.start;
-    let len = l.grid.len;
-    for bytes in all {
-        let mut u = Unpacker::new(&bytes);
+    let (start, len) = (grid.start, grid.len);
+    for bytes in &all {
+        let mut u = Unpacker::new(bytes);
         let n = u.get_u32() as usize;
         for _ in 0..n {
             let g = [
@@ -274,14 +271,14 @@ pub fn migrate_runaways(l: &mut LatticeNeighborList, t: &mut impl Transport) -> 
             let vel = [u.get_f64(), u.get_f64(), u.get_f64()];
             let mine = (0..3).all(|ax| g[ax] >= start[ax] && g[ax] < start[ax] + len[ax]);
             if mine {
-                let gh = l.grid.ghost;
+                let gh = grid.ghost;
                 let (i, j, k) = (
                     g[0] - start[0] + gh,
                     g[1] - start[1] + gh,
                     g[2] - start[2] + gh,
                 );
-                let home = l.grid.site_id(i, j, k, b);
-                let lp = l.grid.site_position(i, j, k, b);
+                let home = grid.site_id(i, j, k, b);
+                let lp = grid.site_position(i, j, k, b);
                 l.add_runaway(
                     home,
                     id,
@@ -291,7 +288,11 @@ pub fn migrate_runaways(l: &mut LatticeNeighborList, t: &mut impl Transport) -> 
             }
         }
     }
-    emitted
+    l.wire = all
+        .into_iter()
+        .max_by_key(Vec::capacity)
+        .unwrap_or_default();
+    emigrants.len()
 }
 
 /// Declared communication skeletons of the MD exchange phases (the
@@ -675,6 +676,46 @@ mod tests {
             assert_eq!((l.wire.as_ptr(), l.wire.capacity()), (ptr, cap), "F' {n}");
         }
         assert_eq!(l.n_runaways(), 8);
+    }
+
+    #[test]
+    fn migration_allocates_no_wire_after_warm_up() {
+        let mut l = lnl(5);
+        let inner = l.grid.site_id(2, 4, 4, 0); // global (0,2,2)
+        let ghost = l.grid.site_id(7, 4, 4, 0); // its image across the high x edge
+        let lp = l.grid.site_position(2, 4, 4, 0);
+        let id = l.make_vacancy(inner);
+        l.add_runaway(inner, id, [lp[0] + 0.2, lp[1], lp[2]], [1.0, 0.0, 0.0]);
+        fill_periodic_ghosts(&mut l);
+        let (ptr, cap) = (l.wire.as_ptr(), l.wire.capacity());
+        assert!(cap > 0);
+        for n in 0..100 {
+            // The run-away crosses the owned edge: it is filed under the
+            // ghost image of its site, and migration brings it home.
+            let idx = l.live_runaways()[0];
+            l.rehome_runaway(idx, ghost);
+            let glp = l.grid.site_position(7, 4, 4, 0);
+            l.runaway_mut(idx).pos = [glp[0] + 0.2, glp[1], glp[2]];
+            assert_eq!(migrate_runaways(&mut l, &mut Loopback), 1, "step {n}");
+            let rec = l.runaway(l.live_runaways()[0]);
+            assert_eq!(rec.home as usize, inner, "step {n}");
+            assert_eq!(
+                (l.wire.as_ptr(), l.wire.capacity()),
+                (ptr, cap),
+                "migration {n}"
+            );
+            // The wire holds the payload: a u32 count and one 88 B record.
+            assert_eq!(l.wire.len(), 4 + 88, "migration {n}");
+            assert_eq!(migrate_runaways(&mut l, &mut Loopback), 0, "step {n}");
+            assert_eq!(l.wire.len(), 4, "an empty migration {n}");
+            exchange_ghosts(&mut l, &mut Loopback, GhostPhase::Positions);
+            assert_eq!(
+                (l.wire.as_ptr(), l.wire.capacity()),
+                (ptr, cap),
+                "positions {n}"
+            );
+        }
+        assert_eq!(l.n_runaways(), 1);
     }
 
     #[test]

@@ -297,40 +297,92 @@ pub fn for_each_partner(
     });
 }
 
-/// The far end of an evaluated pair, as the accumulation needs it.
+/// The far end of an evaluated pair, as the accumulation needs it,
+/// packed into one `u32`: a 2-bit [`End`] tag over a 30-bit index.
+/// [`density_pass_plan`] asserts that every site and run-away pool
+/// index fits before it stages a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Far {
+struct Far(u32);
+
+/// A [`Far`], unpacked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
     /// An owned regular atom at a higher site index than the central:
     /// the pair is evaluated only here and scattered to both ends
     /// (Newton's third law).
-    Newton(u32),
+    Newton(usize),
     /// A regular atom at this storage site that the central evaluates
     /// for itself alone (Newton-off): a ghost, or any regular partner of
     /// a run-away central. If that atom is owned, its own sweep
     /// evaluates the pair too.
-    Site(u32),
+    Site(usize),
     /// A run-away record by pool index (owned or ghost), Newton-off:
     /// each owned end evaluates the pair.
     Runaway(u32),
 }
 
 impl Far {
-    /// The position and F' of the far end.
+    const INDEX_BITS: u32 = 30;
+    /// Sites and run-away pool slots a plan can address.
+    const CAPACITY: usize = 1 << Self::INDEX_BITS;
+    const NEWTON: u32 = 0;
+    const SITE: u32 = 1;
+    const RUNAWAY: u32 = 2;
+
     #[inline]
-    fn pos_fp(self, l: &LatticeNeighborList) -> ([f64; 3], f64) {
-        match self {
-            Far::Newton(j) | Far::Site(j) => (l.pos[j as usize], l.fp[j as usize]),
-            Far::Runaway(i) => (l.runaway(i).pos, l.runaway(i).fp),
+    fn pack(tag: u32, index: usize) -> Self {
+        debug_assert!(index < Self::CAPACITY, "far-end index {index} overflows");
+        Self(tag << Self::INDEX_BITS | index as u32)
+    }
+
+    #[inline]
+    fn newton(site: usize) -> Self {
+        Self::pack(Self::NEWTON, site)
+    }
+
+    #[inline]
+    fn site(site: usize) -> Self {
+        Self::pack(Self::SITE, site)
+    }
+
+    #[inline]
+    fn runaway(index: u32) -> Self {
+        Self::pack(Self::RUNAWAY, index as usize)
+    }
+
+    #[inline]
+    fn index(self) -> usize {
+        (self.0 & (Self::CAPACITY as u32 - 1)) as usize
+    }
+
+    #[inline]
+    fn is_newton(self) -> bool {
+        self.0 >> Self::INDEX_BITS == Self::NEWTON
+    }
+
+    #[inline]
+    fn end(self) -> End {
+        match self.0 >> Self::INDEX_BITS {
+            Self::NEWTON => End::Newton(self.index()),
+            Self::SITE => End::Site(self.index()),
+            _ => End::Runaway(self.index() as u32),
         }
     }
 
-    /// The site of a [`Far::Newton`] end.
+    /// The position and F' of the far end.
+    #[inline]
+    fn pos_fp(self, l: &LatticeNeighborList) -> ([f64; 3], f64) {
+        match self.end() {
+            End::Newton(j) | End::Site(j) => (l.pos[j], l.fp[j]),
+            End::Runaway(i) => (l.runaway(i).pos, l.runaway(i).fp),
+        }
+    }
+
+    /// The site of a Newton end.
     #[inline]
     fn newton_site(self) -> usize {
-        match self {
-            Far::Newton(j) => j as usize,
-            Far::Site(_) | Far::Runaway(_) => unreachable!("a Newton-off pair has no far share"),
-        }
+        debug_assert!(self.is_newton(), "a Newton-off pair has no far share");
+        self.index()
     }
 }
 
@@ -451,7 +503,7 @@ impl SweepIndex {
 /// branch on the distance; a caller that does not stage skips them.
 ///
 /// A regular central takes its owned regular partners over the forward
-/// deltas only ([`Far::Newton`]): the partner at the other end never
+/// deltas only ([`End::Newton`]): the partner at the other end never
 /// sees the pair. Ghost regular atoms and every run-away stay
 /// Newton-off. The order is the Newton pairs in forward-delta order,
 /// then the ghost neighbours' atoms in offset order
@@ -470,9 +522,9 @@ fn half_sweep(
         Central::Runaway(_) => {
             return partner_sweep::<false>(l, central, cutoff, |p| {
                 let far = if p.is_runaway {
-                    Far::Runaway(p.ra_index)
+                    Far::runaway(p.ra_index)
                 } else {
-                    Far::Site(p.site as u32)
+                    Far::site(p.site)
                 };
                 f(p.dx, p.r2, far, true)
             })
@@ -488,27 +540,29 @@ fn half_sweep(
     for &d in l.forward_deltas(s) {
         let nid = (s as isize + d) as usize;
         if l.id[nid] >= 0 && l.is_owned(nid) {
-            emit(l.pos[nid], Far::Newton(nid as u32));
+            emit(l.pos[nid], Far::newton(nid));
         }
     }
     for &g in index.ghosts.of(s) {
         if l.id[g as usize] >= 0 {
-            emit(l.pos[g as usize], Far::Site(g));
+            emit(l.pos[g as usize], Far::site(g as usize));
         }
     }
     for &i in index.near.of(s) {
-        emit(l.runaway(i).pos, Far::Runaway(i));
+        emit(l.runaway(i).pos, Far::runaway(i));
     }
 }
 
 /// The per-step half-list pair plan. The density pass sweeps each
 /// central's [`half_sweep`] pairs and evaluates them through the
-/// **fused** batch lookup; the plan keeps, per pair, φ(r), f(r),
-/// φ'(r)/r, f'(r)/r and the far end. The force pass reads the plan
-/// back, so it does **no neighbour traversal and no table evaluation
-/// at all**: it recomputes only Δ from the two positions, through the
-/// sweep's own expression ([`separation`]), which is cheaper than
-/// storing and re-reading it.
+/// **fused** batch lookup; the plan keeps, per pair, what the force
+/// pass reads: φ'(r)/r, f'(r)/r and the far end. The force pass reads
+/// the plan back, so it does **no neighbour traversal and no table
+/// evaluation at all**: it recomputes only Δ from the two positions,
+/// through the sweep's own expression ([`separation`]), which is
+/// cheaper than storing and re-reading it. φ(r) and f(r) are read once,
+/// by the density sum right after staging, so they live in a
+/// per-worker [`Scratch`] instead.
 ///
 /// Validity: between the two passes only the embedding pass and the F'
 /// ghost exchange run ([`crate::MdSimulation::compute_forces`]) —
@@ -524,24 +578,31 @@ fn half_sweep(
 ///
 /// Determinism: the per-pair work (sweep, square root, table lookup,
 /// division by r) is done in parallel over fixed chunks of
-/// [`PAR_CHUNK_SITES`] items, each worker writing only its own chunk;
-/// every sum — ρ, ½Σφ and the forces, at both ends of a pair — then
-/// runs on the calling thread in one global order: centrals in order
-/// (interior sites, then live run-aways), each central's pairs in
-/// [`half_sweep`] order. The result does not depend on the thread
-/// count, and [`PassConfig::seed_serial`] sums in the same order.
+/// [`PAR_CHUNK_SITES`] items, each worker writing only its own chunk
+/// and scratch; every sum — ρ, ½Σφ and the forces, at both ends of a
+/// pair — then runs on the calling thread in one global order:
+/// centrals in order (interior sites, then live run-aways), each
+/// central's pairs in [`half_sweep`] order. The density pass stages W
+/// chunks at a time (W = the worker count) and sums each group before
+/// it stages the next, which leaves that order as it is. The result
+/// does not depend on the thread count, and [`PassConfig::seed_serial`]
+/// sums in the same order.
 ///
 /// Layout: the plan is **chunk-resident and persistent**. It owns one
 /// [`PairChunk`] per work chunk — the chunks of the interior sites
 /// (vacancies hold no pairs) followed by the chunks of the live
-/// run-aways — plus the run-away list it was staged for and the
-/// [`SweepIndex`], and keeps them across steps: every step clears or
-/// rebuilds the arrays without releasing them,
-/// so once the capacities have grown to the box's pair counts a force
-/// evaluation stages, evaluates and accumulates without allocating.
+/// run-aways — one [`Scratch`] per worker a pass uses, the run-away
+/// list it was staged for and the [`SweepIndex`], and keeps them across
+/// steps: every step clears or rebuilds the arrays without releasing
+/// them, so once the capacities have grown to the box's pair counts a
+/// force evaluation stages, evaluates and accumulates without
+/// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct GatherPlan {
     chunks: Vec<PairChunk>,
+    /// One per worker of the last density pass, at most one per chunk
+    /// of a group.
+    scratch: Vec<Scratch>,
     /// The live run-aways the plan was staged for, in pool order.
     runaways: Vec<u32>,
     /// [`LatticeNeighborList::ghost_epoch`] at staging: the ghost
@@ -579,70 +640,93 @@ impl GatherPlan {
         interior: &[usize],
         mut f: impl FnMut(Central, &PairChunk, Range<usize>, Range<usize>),
     ) {
-        fn visit(
-            centrals: impl Iterator<Item = Central>,
-            c: &PairChunk,
-            f: &mut impl FnMut(Central, &PairChunk, Range<usize>, Range<usize>),
-        ) {
-            let mut at = 0;
-            for ((central, &n), &newton) in centrals.zip(&c.counts).zip(&c.newton) {
-                let (mid, end) = (at + newton as usize, at + n as usize);
-                f(central, c, at..mid, mid..end);
-                at = end;
-            }
-        }
         let (sites, ras) = self
             .chunks
             .split_at(interior.len().div_ceil(PAR_CHUNK_SITES));
         for (items, c) in interior.chunks(PAR_CHUNK_SITES).zip(sites) {
-            visit(items.iter().map(|&s| Central::Site(s)), c, &mut f);
+            c.for_each_central(items, Central::Site, |central, newton, off| {
+                f(central, c, newton, off)
+            });
         }
         for (items, c) in self.runaways.chunks(PAR_CHUNK_SITES).zip(ras) {
-            visit(items.iter().map(|&i| Central::Runaway(i)), c, &mut f);
+            c.for_each_central(items, Central::Runaway, |central, newton, off| {
+                f(central, c, newton, off)
+            });
         }
     }
 }
 
-/// One work chunk of the [`GatherPlan`]: its centrals' pair counts and
-/// the pairs themselves in SoA layout, in central order.
+/// One work chunk of the [`GatherPlan`]: its centrals' pair counts and,
+/// in SoA layout and central order, what the force pass reads of each
+/// pair.
 #[derive(Debug, Clone, Default)]
 struct PairChunk {
     /// Pairs staged per central, in central order.
     counts: Vec<u32>,
     /// How many of each central's pairs, leading its range, are
-    /// [`Far::Newton`] pairs.
+    /// Newton pairs ([`End::Newton`]).
     newton: Vec<u32>,
-    /// φ(r) and f(r), for ρ and ½Σφ.
-    phi: Vec<f64>,
-    f: Vec<f64>,
-    /// φ'(r)/r and f'(r)/r, for the force.
+    /// φ'(r)/r and f'(r)/r.
     dphi_r: Vec<f64>,
     df_r: Vec<f64>,
     far: Vec<Far>,
+}
+
+/// Bytes a [`PairChunk`] keeps per pair: two `f64`s and the far end.
+const PAIR_BYTES: usize = 2 * 8 + std::mem::size_of::<Far>();
+
+/// What the density sum alone reads of one staged chunk: φ(r) and f(r)
+/// per pair, in the chunk's pair order, and the chunk's batch counts.
+/// One per worker, refilled chunk after chunk.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    phi: Vec<f64>,
+    f: Vec<f64>,
     stats: BatchStats,
 }
 
-/// Bytes a [`PairChunk`] stages per pair: four `f64`s and the far end.
-const PAIR_BYTES: usize = 4 * 8 + std::mem::size_of::<Far>();
+/// Bytes a [`Scratch`] holds per pair.
+const SCRATCH_BYTES: usize = 2 * 8;
 
 impl PairChunk {
     /// Empties every array, keeping its capacity.
     fn clear(&mut self) {
         self.counts.clear();
         self.newton.clear();
-        self.phi.clear();
-        self.f.clear();
         self.dphi_r.clear();
         self.df_r.clear();
         self.far.clear();
-        self.stats = BatchStats::default();
+    }
+
+    /// Runs `f` on each of the chunk's centrals, `central(item)` for
+    /// each of `items` in order, with its Newton pairs and its
+    /// Newton-off pairs.
+    fn for_each_central<T: Copy>(
+        &self,
+        items: &[T],
+        central: fn(T) -> Central,
+        mut f: impl FnMut(Central, Range<usize>, Range<usize>),
+    ) {
+        let mut at = 0;
+        for ((&item, &n), &newton) in items.iter().zip(&self.counts).zip(&self.newton) {
+            let (mid, end) = (at + newton as usize, at + n as usize);
+            f(central(item), at..mid, mid..end);
+            at = end;
+        }
     }
 
     /// Evaluates one window of at most [`BATCH_GATHER_CAP`] staged
     /// pairs, their r² and far ends: the lane square roots, the fused
-    /// lookup, and the lane divisions by r; appends φ, f, φ'/r, f'/r
-    /// and the far ends.
-    fn evaluate(&mut self, pot: &EamPotential, form: TableForm, r: &mut [f64], far: &[Far]) {
+    /// lookup, and the lane divisions by r; appends φ'/r, f'/r and the
+    /// far ends to the chunk, and φ and f to `scratch`.
+    fn evaluate(
+        &mut self,
+        scratch: &mut Scratch,
+        pot: &EamPotential,
+        form: TableForm,
+        r: &mut [f64],
+        far: &[Far],
+    ) {
         for x in r.iter_mut() {
             *x = x.sqrt();
         }
@@ -660,92 +744,151 @@ impl PairChunk {
             dphi[k] /= r[k];
             df[k] /= r[k];
         }
-        self.phi.extend_from_slice(&phi[..n]);
-        self.f.extend_from_slice(&f[..n]);
+        scratch.phi.extend_from_slice(&phi[..n]);
+        scratch.f.extend_from_slice(&f[..n]);
         self.dphi_r.extend_from_slice(&dphi[..n]);
         self.df_r.extend_from_slice(&df[..n]);
         self.far.extend_from_slice(far);
-        self.stats.charge(n, PAIR_BYTES);
+        scratch.stats.charge(n, PAIR_BYTES + SCRATCH_BYTES);
     }
 }
 
-/// Runs `f` on every fixed-size chunk of `items` paired with its plan
-/// chunk across the thread pool. The decomposition matches
-/// [`chunked_map`], and each call writes only its own plan chunk, so
-/// the outcome is independent of the thread count and of the order in
-/// which the workers run.
-fn for_each_chunk<T, F>(items: &[T], chunks: &mut [PairChunk], f: F)
-where
-    T: Sync,
-    F: Fn(&[T], &mut PairChunk) + Sync,
-{
-    let work = items.chunks(PAR_CHUNK_SITES).zip(chunks);
-    if items.len() <= PAR_CHUNK_SITES {
-        work.for_each(|(it, c)| f(it, c));
-    } else {
-        work.collect::<Vec<_>>()
-            .into_par_iter()
-            .for_each(|(it, c)| f(it, c));
-    }
-}
-
-/// Stages one work chunk: each central's [`half_sweep`] pairs are
-/// collected into a [`BATCH_GATHER_CAP`] window — every candidate is
-/// written and only those within the cutoff advance the window, so the
-/// distance test costs no branch — and every full window is evaluated
-/// as soon as it fills, while it is still in cache. `sqrt` and division
-/// are correctly rounded and the fused lookup replays the op sequence
-/// of the separate `pair` and `density` lookups per lane, so every
-/// staged value matches the scalar oracle's bit for bit.
-fn stage_chunk<T: Copy>(
-    l: &LatticeNeighborList,
-    index: &SweepIndex,
-    pot: &EamPotential,
+/// What staging reads besides the lattice: the sweep index and the
+/// tables.
+#[derive(Clone, Copy)]
+struct Staging<'a> {
+    index: &'a SweepIndex,
+    pot: &'a EamPotential,
     form: TableForm,
-    items: &[T],
-    as_central: impl Fn(T) -> Option<Central>,
-    c: &mut PairChunk,
-) {
-    c.clear();
-    // A central has at most ~58 partners within the cutoff: one
-    // up-front reservation on a chunk's first use, a no-op on every
-    // later step.
-    let cap = items.len() * 64;
-    for v in [&mut c.phi, &mut c.f, &mut c.dphi_r, &mut c.df_r] {
-        v.reserve(cap);
-    }
-    c.far.reserve(cap);
-    let cutoff = pot.cutoff();
-    let mut r2s = [0.0; BATCH_GATHER_CAP];
-    let mut fars = [Far::Site(0); BATCH_GATHER_CAP];
-    let mut n = 0;
-    for &item in items {
-        let (mut count, mut newton) = (0, 0);
-        if let Some(central) = as_central(item) {
-            half_sweep(l, index, central, cutoff, |_, r2, far, keep| {
-                r2s[n] = r2;
-                fars[n] = far;
-                n += keep as usize;
-                count += keep as u32;
-                newton += (keep & matches!(far, Far::Newton(_))) as u32;
-                if n == BATCH_GATHER_CAP {
-                    c.evaluate(pot, form, &mut r2s, &fars);
-                    n = 0;
-                }
-            });
-        }
-        c.counts.push(count);
-        c.newton.push(newton);
-    }
-    c.evaluate(pot, form, &mut r2s[..n], &fars[..n]);
 }
 
-/// Pass 1, building the per-step [`GatherPlan`] as a side effect: each
-/// work chunk's pairs are staged and evaluated in parallel, then ρ of
-/// every owned atom and live run-away and ½Σφ are summed on the calling
-/// thread in the plan's global order. A pair adds its f(r) to its
-/// central and, for a [`Far::Newton`] pair, to the far end too; it adds
-/// φ(r) to ½Σφ in full for a Newton pair and half otherwise. With
+/// ½Σφ as the density pass sums it, and its batch counts.
+#[derive(Debug, Default)]
+struct DensitySums {
+    pair_energy: f64,
+    stats: BatchStats,
+}
+
+impl Staging<'_> {
+    /// Stages one work chunk into `c` and `scratch`, both emptied
+    /// first: each central's [`half_sweep`] pairs are collected into a
+    /// [`BATCH_GATHER_CAP`] window — every candidate is written and
+    /// only those within the cutoff advance the window, so the distance
+    /// test costs no branch — and every full window is evaluated as
+    /// soon as it fills, while it is still in cache. A vacant site
+    /// holds no pairs. `sqrt` and division are correctly rounded and
+    /// the fused lookup replays the op sequence of the separate `pair`
+    /// and `density` lookups per lane, so every staged value matches
+    /// the scalar oracle's bit for bit.
+    fn stage<T: Copy>(
+        self,
+        l: &LatticeNeighborList,
+        items: &[T],
+        central: fn(T) -> Central,
+        c: &mut PairChunk,
+        scratch: &mut Scratch,
+    ) {
+        c.clear();
+        scratch.phi.clear();
+        scratch.f.clear();
+        scratch.stats = BatchStats::default();
+        // A central has at most ~58 partners within the cutoff: one
+        // up-front reservation on an array's first use, a no-op on
+        // every later step.
+        let cap = items.len() * 64;
+        for v in [&mut c.dphi_r, &mut c.df_r, &mut scratch.phi, &mut scratch.f] {
+            v.reserve(cap);
+        }
+        c.far.reserve(cap);
+        let Self { index, pot, form } = self;
+        let cutoff = pot.cutoff();
+        let mut r2s = [0.0; BATCH_GATHER_CAP];
+        let mut fars = [Far::site(0); BATCH_GATHER_CAP];
+        let mut n = 0;
+        for &item in items {
+            let (mut count, mut newton) = (0, 0);
+            let central = central(item);
+            if !matches!(central, Central::Site(s) if l.id[s] < 0) {
+                half_sweep(l, index, central, cutoff, |_, r2, far, keep| {
+                    r2s[n] = r2;
+                    fars[n] = far;
+                    n += keep as usize;
+                    count += keep as u32;
+                    newton += (keep & far.is_newton()) as u32;
+                    if n == BATCH_GATHER_CAP {
+                        c.evaluate(scratch, pot, form, &mut r2s, &fars);
+                        n = 0;
+                    }
+                });
+            }
+            c.counts.push(count);
+            c.newton.push(newton);
+        }
+        c.evaluate(scratch, pot, form, &mut r2s[..n], &fars[..n]);
+    }
+
+    /// Stages the work chunks of `items` into `chunks`, `scratch.len()`
+    /// of them at a time — one per scratch, across the thread pool —
+    /// and after each group sums them on the calling thread, in central
+    /// order: a pair adds its f(r) to its central's ρ and, for a Newton
+    /// pair, to the far end's too; it adds φ(r) to ½Σφ in full for a
+    /// Newton pair and half otherwise.
+    fn stage_and_sum<T: Copy + Sync>(
+        self,
+        l: &mut LatticeNeighborList,
+        items: &[T],
+        central: fn(T) -> Central,
+        chunks: &mut [PairChunk],
+        scratch: &mut [Scratch],
+        sums: &mut DensitySums,
+    ) {
+        let width = scratch.len();
+        let groups = items.chunks(PAR_CHUNK_SITES * width);
+        for (group, cs) in groups.zip(chunks.chunks_mut(width)) {
+            let (lr, serial) = (&*l, cs.len() == 1);
+            let work = group.chunks(PAR_CHUNK_SITES).zip(cs.iter_mut());
+            let work = work.zip(scratch.iter_mut());
+            let stage = |((items, c), s): ((&[T], &mut PairChunk), &mut Scratch)| {
+                self.stage(lr, items, central, c, s)
+            };
+            if serial {
+                work.for_each(stage);
+            } else {
+                work.collect::<Vec<_>>().into_par_iter().for_each(stage);
+            }
+            let staged = group.chunks(PAR_CHUNK_SITES).zip(&*cs).zip(&*scratch);
+            for ((items, c), s) in staged {
+                c.for_each_central(items, central, |central, newton, off| {
+                    // Lower Newton partners have already added their share.
+                    let mut rho = match central {
+                        Central::Site(s) => l.rho[s],
+                        Central::Runaway(_) => 0.0,
+                    };
+                    for k in newton {
+                        rho += s.f[k];
+                        l.rho[c.far[k].newton_site()] += s.f[k];
+                        sums.pair_energy += s.phi[k];
+                    }
+                    for k in off {
+                        rho += s.f[k];
+                        sums.pair_energy += 0.5 * s.phi[k];
+                    }
+                    match central {
+                        Central::Site(s) => l.rho[s] = rho,
+                        Central::Runaway(i) => l.runaway_mut(i).rho = rho,
+                    }
+                });
+                sums.stats.absorb(s.stats);
+            }
+        }
+    }
+}
+
+/// Pass 1, building the per-step [`GatherPlan`] as a side effect: the
+/// work chunks' pairs are staged and evaluated W at a time in parallel
+/// (W = the worker count), and after each group ρ of its owned atoms
+/// and live run-aways and their ½Σφ are summed on the calling thread
+/// in the plan's global order (`Staging::stage_and_sum`). With
 /// [`PassConfig::seed_serial`] the scalar `reference` sweep runs
 /// instead and the plan is left empty, its capacity kept.
 pub fn density_pass_plan(
@@ -764,6 +907,12 @@ pub fn density_pass_plan(
     }
     // A Newton pair's far end is owned, so it must be a central here.
     debug_assert_eq!(interior.len(), l.grid.n_owned_sites());
+    assert!(
+        l.n_sites() <= Far::CAPACITY && l.runaway_slots() <= Far::CAPACITY,
+        "{} sites or {} run-away slots overflow a far end's index",
+        l.n_sites(),
+        l.runaway_slots()
+    );
     plan.runaways.extend(l.live_runaway_ids());
     plan.ghost_epoch = l.ghost_epoch();
     plan.index.update(l);
@@ -771,46 +920,26 @@ pub fn density_pass_plan(
     let ra_chunks = plan.runaways.len().div_ceil(PAR_CHUNK_SITES);
     plan.chunks
         .resize_with(site_chunks + ra_chunks, PairChunk::default);
-    let (site_chunks, ra_chunks) = plan.chunks.split_at_mut(site_chunks);
-    let (lr, index) = (&*l, &plan.index);
-    for_each_chunk(interior, site_chunks, |sites, c| {
-        let as_central = |s| (lr.id[s] >= 0).then_some(Central::Site(s));
-        stage_chunk(lr, index, pot, form, sites, as_central, c)
-    });
-    for_each_chunk(&plan.runaways, ra_chunks, |ras, c| {
-        stage_chunk(lr, index, pot, form, ras, |i| Some(Central::Runaway(i)), c)
-    });
+    // No more scratches than a group of either kind fills.
+    let width = rayon::current_num_threads().min(site_chunks.max(ra_chunks));
+    plan.scratch.resize_with(width.max(1), Scratch::default);
 
     for &s in interior {
         l.rho[s] = 0.0;
     }
-    let mut pair_energy = 0.0;
-    plan.for_each_central(interior, |central, c, newton, off| {
-        // Lower Newton partners have already added their share.
-        let mut rho = match central {
-            Central::Site(s) => l.rho[s],
-            Central::Runaway(_) => 0.0,
-        };
-        for k in newton {
-            rho += c.f[k];
-            l.rho[c.far[k].newton_site()] += c.f[k];
-            pair_energy += c.phi[k];
-        }
-        for k in off {
-            rho += c.f[k];
-            pair_energy += 0.5 * c.phi[k];
-        }
-        match central {
-            Central::Site(s) => l.rho[s] = rho,
-            Central::Runaway(i) => l.runaway_mut(i).rho = rho,
-        }
-    });
-    plan.pair_energy = pair_energy;
-    let mut stats = BatchStats::default();
-    for c in &plan.chunks {
-        stats.absorb(c.stats);
-    }
-    stats.emit();
+    let mut sums = DensitySums::default();
+    let (sites, ras) = plan.chunks.split_at_mut(site_chunks);
+    let staging = Staging {
+        index: &plan.index,
+        pot,
+        form,
+    };
+    let scratch = &mut plan.scratch[..];
+    staging.stage_and_sum(l, interior, Central::Site, sites, scratch, &mut sums);
+    let runaways = &plan.runaways[..];
+    staging.stage_and_sum(l, runaways, Central::Runaway, ras, scratch, &mut sums);
+    plan.pair_energy = sums.pair_energy;
+    sums.stats.emit();
 }
 
 /// Embedding pass: F'(ρ) for owned atoms/run-aways, returning Σ F(ρ)
@@ -853,7 +982,7 @@ pub fn embedding_pass_with(
 /// t = −(φ'(r)/r + (F'_central + F'_far) · f'(r)/r) · Δ
 /// ```
 ///
-/// is added to the central and, for a [`Far::Newton`] pair, subtracted
+/// is added to the central and, for a Newton pair ([`End::Newton`]), subtracted
 /// from the far end. Returns the ½Σφ the density pass summed. Ghost F'
 /// values must be current (exchange between the passes). Panics unless
 /// the plan was staged for the current interior and run-away population
@@ -924,7 +1053,7 @@ pub fn force_pass_plan(
 /// [`density_pass_plan`] / [`force_pass_plan`] with
 /// [`PassConfig::seed_serial`].
 mod reference {
-    use super::{half_sweep, Central, Far, SweepIndex};
+    use super::{half_sweep, Central, End, SweepIndex};
     use mmds_eam::{EamPotential, TableForm};
     use mmds_lattice::lnl::LatticeNeighborList;
 
@@ -962,8 +1091,8 @@ mod reference {
                 }
                 let f = pot.density(form, r2.sqrt()).0;
                 rho += f;
-                if let Far::Newton(j) = far {
-                    newton.push((j as usize, f));
+                if let End::Newton(j) = far.end() {
+                    newton.push((j, f));
                 }
             });
             for (j, f) in newton {
@@ -1009,9 +1138,9 @@ mod reference {
                 for ax in 0..3 {
                     fv[ax] += t[ax];
                 }
-                if let Far::Newton(j) = far {
+                if let End::Newton(j) = far.end() {
                     pair_energy += phi;
-                    newton.push((j as usize, t));
+                    newton.push((j, t));
                 } else {
                     pair_energy += 0.5 * phi;
                 }
@@ -1298,7 +1427,7 @@ mod tests {
     }
 
     /// Address and capacity of every array of the plan: each chunk's,
-    /// then the run-away list's.
+    /// each scratch's, then the run-away list's and the sweep index's.
     fn footprint(plan: &GatherPlan) -> Vec<(usize, usize)> {
         fn of<T>(v: &Vec<T>) -> (usize, usize) {
             (v.as_ptr() as usize, v.capacity())
@@ -1307,13 +1436,12 @@ mod tests {
             [
                 of(&c.counts),
                 of(&c.newton),
-                of(&c.phi),
-                of(&c.f),
                 of(&c.dphi_r),
                 of(&c.df_r),
                 of(&c.far),
             ]
         });
+        let scratch = plan.scratch.iter().flat_map(|s| [of(&s.phi), of(&s.f)]);
         let index = &plan.index;
         let plan_wide = [
             of(&plan.runaways),
@@ -1322,7 +1450,37 @@ mod tests {
             of(&index.near.start),
             of(&index.near.idx),
         ];
-        chunks.chain(plan_wide).collect()
+        chunks.chain(scratch).chain(plan_wide).collect()
+    }
+
+    #[test]
+    fn a_pair_keeps_only_what_the_force_pass_reads() {
+        assert_eq!(std::mem::size_of::<Far>(), 4);
+        assert_eq!(PAIR_BYTES, 20);
+        // Pair counts, Newton counts, φ'/r, f'/r and the far ends: no
+        // φ or f array, which live in a worker's scratch.
+        assert_eq!(
+            std::mem::size_of::<PairChunk>(),
+            5 * std::mem::size_of::<Vec<u8>>()
+        );
+        let ends = [
+            (Far::newton(0), End::Newton(0)),
+            (Far::site(7), End::Site(7)),
+            (Far::runaway(3), End::Runaway(3)),
+            (
+                Far::newton(Far::CAPACITY - 1),
+                End::Newton(Far::CAPACITY - 1),
+            ),
+            (Far::site(Far::CAPACITY - 1), End::Site(Far::CAPACITY - 1)),
+            (
+                Far::runaway(Far::CAPACITY as u32 - 1),
+                End::Runaway(Far::CAPACITY as u32 - 1),
+            ),
+        ];
+        for (far, end) in ends {
+            assert_eq!(far.end(), end);
+            assert_eq!(far.is_newton(), matches!(end, End::Newton(_)));
+        }
     }
 
     /// A 300 K two-chunk box (6³ cells, 432 sites) with one live
@@ -1379,17 +1537,17 @@ mod tests {
         index.update(l);
         for &c in &centrals {
             if half {
-                half_sweep(l, &index, c, cutoff, |_, _, far, keep| match far {
+                half_sweep(l, &index, c, cutoff, |_, _, far, keep| match far.end() {
                     _ if !keep => {}
-                    Far::Newton(j) => {
+                    End::Newton(j) => {
                         let Central::Site(s) = c else {
                             panic!("a run-away central took a Newton pair")
                         };
-                        links.push((c, j as usize, u32::MAX));
-                        links.push((Central::Site(j as usize), s, u32::MAX));
+                        links.push((c, j, u32::MAX));
+                        links.push((Central::Site(j), s, u32::MAX));
                     }
-                    Far::Site(j) => links.push((c, j as usize, u32::MAX)),
-                    Far::Runaway(i) => links.push((c, l.runaway(i).home as usize, i)),
+                    End::Site(j) => links.push((c, j, u32::MAX)),
+                    End::Runaway(i) => links.push((c, l.runaway(i).home as usize, i)),
                 });
             } else {
                 for_each_partner_sq(l, c, cutoff, |p| {
@@ -1506,6 +1664,9 @@ mod tests {
             3,
             "two site chunks and one run-away chunk"
         );
+        // A group of site chunks fills every scratch there is.
+        let workers = rayon::current_num_threads();
+        assert_eq!(plan.scratch.len(), workers.min(2));
         let warm = footprint(&plan);
         assert!(warm.iter().all(|&(_, cap)| cap > 0));
         for _ in 0..20 {

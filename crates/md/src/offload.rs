@@ -486,7 +486,7 @@ fn evaluate(
             pot.comp_density.eval_values_batch(rs, &mut f[..n])
         }
         (Sweep::Density, TableForm::Traditional) => {
-            pot.trad_density.eval_batch(rs, &mut f[..n], &mut df[..n])
+            pot.trad_density().eval_batch(rs, &mut f[..n], &mut df[..n])
         }
         #[cfg(test)]
         (Sweep::ForcePair, _) => pot.comp_pair.eval_batch(rs, &mut phi[..n], &mut dphi[..n]),
@@ -558,7 +558,7 @@ fn slab_kernel(
         compacted
             || ctx
                 .local_store()
-                .reserve(pot.trad_pair.memory_bytes())
+                .reserve(TraditionalTable::bytes_for(pot.knots()))
                 .is_err()
     );
     // Block I/O buffers (positions in, results out), the double-buffer

@@ -4,7 +4,8 @@
 //! `vec.into_par_iter().enumerate().map(f).collect()` and
 //! `slice.par_iter().map(f).collect()` / `.for_each(f)` — with real
 //! OS-thread parallelism via `std::thread::scope`. Items are split into
-//! contiguous chunks, one per available core, and results are
+//! contiguous chunks, one per available core; the calling thread maps
+//! the first and a spawned thread each of the others, and results are
 //! reassembled in order, so `collect()` is deterministic.
 
 /// Number of worker threads used for a parallel call. Like real rayon,
@@ -21,6 +22,11 @@ fn n_workers(items: usize) -> usize {
                 .unwrap_or(4)
         });
     cores.min(items).max(1)
+}
+
+/// Number of worker threads a parallel call over enough items uses.
+pub fn current_num_threads() -> usize {
+    n_workers(usize::MAX)
 }
 
 /// Runs `f` over `items` with one thread per chunk, preserving order.
@@ -42,16 +48,22 @@ fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: F) -> V
         chunks.push(std::mem::replace(&mut rest, tail));
     }
     chunks.push(rest);
+    // The calling thread maps the first chunk itself while one spawned
+    // thread maps each of the others.
     let f = &f;
-    let mut out: Vec<Vec<R>> = Vec::new();
+    let mut rest = chunks.into_iter();
+    let first = rest.next().expect("n > 0 items make a chunk");
+    let mut out: Vec<R> = Vec::with_capacity(n);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
+        let handles: Vec<_> = rest
             .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<R>>()))
             .collect();
-        out = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        out.extend(first.into_iter().map(f));
+        for h in handles {
+            out.extend(h.join().unwrap());
+        }
     });
-    out.into_iter().flatten().collect()
+    out
 }
 
 /// A materialized parallel iterator: items plus deferred execution.
@@ -179,7 +191,9 @@ mod tests {
         std::env::set_var("RAYON_NUM_THREADS", "3");
         let v: Vec<u64> = (0..997).collect();
         let out: Vec<u64> = v.into_par_iter().map(|x| x * 3 + 1).collect();
+        let workers = crate::current_num_threads();
         std::env::remove_var("RAYON_NUM_THREADS");
+        assert_eq!(workers, 3);
         assert_eq!(out, (0..997).map(|x| x * 3 + 1).collect::<Vec<u64>>());
     }
 
