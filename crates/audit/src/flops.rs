@@ -143,9 +143,10 @@ pub fn run(root: &Path) -> Vec<Finding> {
     findings
 }
 
-/// Rejects `charge_table_access` / `charge_table_batch` call sites
-/// whose flop arguments are raw numeric literals instead of the ledger
-/// constants. The batch form takes one extra trailing argument (the
+/// Rejects `charge_table_access` / `charge_table_batch` call sites, and
+/// those of their priced twins `price_table_access` /
+/// `price_table_batch`, whose flop arguments are raw numeric literals
+/// instead of the ledger constants. The batch form takes one extra trailing argument (the
 /// lane count, which may be any expression — it is a width, not a flop
 /// constant); its locate/seg_eval arguments obey the same rule.
 pub fn check_charge_sites(file: &SourceFile) -> Vec<Finding> {
@@ -155,6 +156,12 @@ pub fn check_charge_sites(file: &SourceFile) -> Vec<Finding> {
         ("charge_table_access(", 3, "(locate, seg_eval, segments)"),
         (
             "charge_table_batch(",
+            4,
+            "(locate, seg_eval, segments, lanes)",
+        ),
+        ("price_table_access(", 3, "(locate, seg_eval, segments)"),
+        (
+            "price_table_batch(",
             4,
             "(locate, seg_eval, segments, lanes)",
         ),
@@ -295,6 +302,29 @@ mod tests {
             scrubbed: workspace::scrub(src),
         };
         assert!(check_charge_sites(&file).is_empty());
+    }
+
+    #[test]
+    fn priced_charges_obey_the_same_constant_rule() {
+        // A charge priced once for a per-partner loop is held to the
+        // ledger like the per-call charge it stands for.
+        let ok = "fn k(ctx: &CpeCtx) {\n    let a = ctx.price_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 2);\n    let b = ctx.price_table_batch(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1, BATCH_LANES as u64);\n}\n";
+        let file = SourceFile {
+            rel: "crates/fake/src/k.rs".into(),
+            raw: ok.into(),
+            scrubbed: workspace::scrub(ok),
+        };
+        assert!(check_charge_sites(&file).is_empty());
+        let bad = "fn k(ctx: &CpeCtx) {\n    let a = ctx.price_table_access(4, SEG_EVAL_FLOPS, 2);\n    let b = ctx.price_table_batch(LOCATE_FLOPS, 36, 1, 8);\n}\n";
+        let file = SourceFile {
+            rel: "crates/fake/src/k.rs".into(),
+            raw: bad.into(),
+            scrubbed: workspace::scrub(bad),
+        };
+        let findings = check_charge_sites(&file);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings[0].message.contains("price_table_access"));
+        assert!(findings[1].message.contains("price_table_batch"));
     }
 
     #[test]

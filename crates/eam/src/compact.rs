@@ -71,11 +71,62 @@ fn locate_on(n: usize, x0: f64, dx: f64, x: f64) -> (usize, f64) {
     (i, t)
 }
 
-/// SoA Hermite basis for one lane group: `out[c][k]` is component `c`
-/// of `hermite_basis(t[k])` — component-major so the combine loops in
-/// [`CompactTable::eval_segment_lanes`] read contiguous lane arrays.
-#[inline]
-fn hermite_basis_lanes(t: &[f64; BATCH_LANES]) -> [[f64; BATCH_LANES]; 8] {
+/// Segment indices and local coordinates for one full lane group: the
+/// locate as three lane loops.
+///
+/// ```text
+/// u   = ((x − x0) / dx).max(0.0)
+/// seg = u.min(max_seg) as i32
+/// t   = (u − seg).clamp(0.0, 1.0)
+/// ```
+///
+/// Every lane equals [`locate_on`] at the same `x`, bit for bit, for
+/// every input. Both compute `u` with the same expression, so take any
+/// `u`: it is never NaN (`max` returns its other operand when one is
+/// NaN, so NaN and −∞ give `u = 0`, and +∞ stays +∞) and never below 0.
+/// * `u < max_seg` (finite): `min` returns `u`, and both conversions
+///   truncate the same non-negative value to `floor(u)`, which is below
+///   `max_seg`, so `locate_on`'s integer `min` keeps it too.
+/// * `u ≥ max_seg`, +∞ included: `min` returns `max_seg` exactly (it is
+///   below 2³¹, [`CompactTable::build`] asserts it), which converts to
+///   `max_seg`; `locate_on` converts `u` to `floor(u) ≥ max_seg`, or
+///   saturates at +∞, and its integer `min` gives `max_seg` too.
+///
+/// Both sides then subtract the same integer, converted back exactly,
+/// from the same `u` and clamp: the same `t` (+∞ gives the last segment
+/// and `t = 1`, NaN segment 0 and `t = 0`). Because `u` is clamped to
+/// `[0, max_seg]` first, the conversion never saturates, and it is one
+/// 32-bit truncation per lane where `locate_on`'s saturating 64-bit
+/// conversion takes two and a fix-up.
+#[inline(always)]
+fn locate_lanes(
+    n: usize,
+    x0: f64,
+    dx: f64,
+    xs: &[f64; BATCH_LANES],
+) -> ([usize; BATCH_LANES], [f64; BATCH_LANES]) {
+    let max_seg = n - 2;
+    let top = max_seg as f64;
+    let mut u = [0.0; BATCH_LANES];
+    for k in 0..BATCH_LANES {
+        u[k] = ((xs[k] - x0) / dx).max(0.0);
+    }
+    let mut seg = [0i32; BATCH_LANES];
+    for k in 0..BATCH_LANES {
+        seg[k] = u[k].min(top) as i32;
+    }
+    let mut t = [0.0; BATCH_LANES];
+    for k in 0..BATCH_LANES {
+        t[k] = (u[k] - f64::from(seg[k])).clamp(0.0, 1.0);
+    }
+    (seg.map(|i| i as usize), t)
+}
+
+/// The Hermite basis of one lane group, component-major: `out[c][k]` is
+/// component `c` of [`hermite_basis`]`(t[k])`. A kernel that reads only
+/// the value half leaves the derivative half to dead-code elimination.
+#[inline(always)]
+fn basis_lanes(t: &[f64; BATCH_LANES]) -> [[f64; BATCH_LANES]; 8] {
     let mut out = [[0.0; BATCH_LANES]; 8];
     for k in 0..BATCH_LANES {
         let b = hermite_basis(t[k]);
@@ -86,33 +137,20 @@ fn hermite_basis_lanes(t: &[f64; BATCH_LANES]) -> [[f64; BATCH_LANES]; 8] {
     out
 }
 
-/// Value-half SoA Hermite basis (`h00, h10, h01, h11` lanes only) —
-/// the value-only density kernel never reads the derivative basis, and
-/// the four value components are computed with exactly the
-/// [`hermite_basis`] expressions, so the value lanes stay bitwise
-/// identical.
-#[inline]
-fn hermite_value_basis_lanes(t: &[f64; BATCH_LANES]) -> [[f64; BATCH_LANES]; 4] {
-    let mut out = [[0.0; BATCH_LANES]; 4];
+/// `Σ_c h[c][k]·g[c][k]` over the four components of one basis half, in
+/// [`CompactTable::eval_segment`]'s operand order (`y0, d0, y1, d1`
+/// against `h00, h10, h01, h11` or their derivatives).
+#[inline(always)]
+fn combine_lanes(h: &[[f64; BATCH_LANES]], g: &[[f64; BATCH_LANES]; 4]) -> [f64; BATCH_LANES] {
+    let mut out = [0.0; BATCH_LANES];
     for k in 0..BATCH_LANES {
-        let t1 = t[k];
-        let t2 = t1 * t1;
-        let t3 = t2 * t1;
-        out[0][k] = 2.0 * t3 - 3.0 * t2 + 1.0;
-        out[1][k] = t3 - 2.0 * t2 + t1;
-        out[2][k] = -2.0 * t3 + 3.0 * t2;
-        out[3][k] = t3 - t2;
+        out[k] = h[0][k] * g[0][k] + h[1][k] * g[1][k] + h[2][k] * g[2][k] + h[3][k] * g[3][k];
     }
     out
 }
 
 /// One lane group of a batch argument.
 fn lane(x: &[f64]) -> &[f64; BATCH_LANES] {
-    x.try_into().expect("lane window")
-}
-
-/// One lane group of a batch output.
-fn lane_mut(x: &mut [f64]) -> &mut [f64; BATCH_LANES] {
     x.try_into().expect("lane window")
 }
 
@@ -157,6 +195,10 @@ impl CompactTable {
     /// memoises the knot slopes.
     pub fn build(f: impl Fn(f64) -> f64, x0: f64, x1: f64, n: usize) -> Self {
         assert!(n >= 6, "5-point stencil needs at least 6 knots");
+        assert!(
+            n - 2 <= i32::MAX as usize,
+            "the lane locate converts segment indices through i32"
+        );
         assert!(x1 > x0);
         let dx = (x1 - x0) / (n - 1) as f64;
         let values: Vec<f64> = (0..n).map(|i| f(x0 + i as f64 * dx)).collect();
@@ -269,91 +311,62 @@ impl CompactTable {
         self.eval_both(x).1
     }
 
-    /// Segment indices and local coordinates for one full lane group.
-    /// Replays [`locate_on`] per lane, so each lane's result is bitwise
-    /// identical to the scalar locate.
-    #[inline]
-    fn locate_lanes(&self, xs: &[f64; BATCH_LANES]) -> ([usize; BATCH_LANES], [f64; BATCH_LANES]) {
-        let mut seg = [0usize; BATCH_LANES];
-        let mut t = [0.0; BATCH_LANES];
-        for k in 0..BATCH_LANES {
-            (seg[k], t[k]) = self.locate(xs[k]);
-        }
-        (seg, t)
-    }
-
-    /// The gather stage of the lane-group evals: the knot values and
-    /// memoised slopes of each lane's segment, in lane arrays (the only
-    /// non-contiguous reads).
-    #[inline]
-    #[allow(clippy::type_complexity)]
-    fn gather_segment_lanes(
-        &self,
-        seg: &[usize; BATCH_LANES],
-    ) -> (
-        [f64; BATCH_LANES],
-        [f64; BATCH_LANES],
-        [f64; BATCH_LANES],
-        [f64; BATCH_LANES],
-    ) {
-        let mut y0 = [0.0; BATCH_LANES];
-        let mut y1 = [0.0; BATCH_LANES];
-        let mut d0 = [0.0; BATCH_LANES];
-        let mut d1 = [0.0; BATCH_LANES];
-        for k in 0..BATCH_LANES {
-            let i = seg[k];
-            y0[k] = self.values[i];
-            y1[k] = self.values[i + 1];
-            d0[k] = self.slopes[i];
-            d1[k] = self.slopes[i + 1];
-        }
-        (y0, y1, d0, d1)
-    }
-
-    /// Evaluates this table's located segments across a full lane
-    /// group: the gathered values and slopes are combined with the
-    /// shared SoA basis in branch-free lane loops the autovectorizer can
-    /// tile. Each lane replays exactly the scalar
-    /// [`CompactTable::eval_segment`] expression, so every lane is
-    /// bitwise identical to a scalar eval.
-    // flops: SEG_EVAL_FLOPS = 8 (per lane — the same Hermite value +
-    // derivative combination as the scalar segment eval)
-    #[inline]
-    fn eval_segment_lanes(
+    /// One lane group of this table at located segments `seg` with
+    /// basis `h`: the knot values and memoised slopes of each lane's
+    /// segment (the only non-contiguous reads), then the value and
+    /// derivative combines in [`CompactTable::eval_segment`]'s
+    /// expression order.
+    #[inline(always)]
+    fn segment_lanes(
         &self,
         seg: &[usize; BATCH_LANES],
         h: &[[f64; BATCH_LANES]; 8],
-        val: &mut [f64; BATCH_LANES],
-        der: &mut [f64; BATCH_LANES],
-    ) {
-        let (y0, y1, d0, d1) = self.gather_segment_lanes(seg);
-        for k in 0..BATCH_LANES {
-            val[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
+    ) -> ([f64; BATCH_LANES], [f64; BATCH_LANES]) {
+        let g = self.gather_lanes(seg);
+        let mut der = combine_lanes(&h[4..], &g);
+        for d in &mut der {
+            *d /= self.dx;
         }
+        (combine_lanes(&h[..4], &g), der)
+    }
+
+    /// The knot values and memoised slopes of each lane's segment, in
+    /// the combine's operand order `[y0, d0, y1, d1]`. Segments are at
+    /// most `n − 2` ([`locate_lanes`]); the integer `min` restates that
+    /// where the bounds checks can see it.
+    #[inline(always)]
+    fn gather_lanes(&self, seg: &[usize; BATCH_LANES]) -> [[f64; BATCH_LANES]; 4] {
+        let n = self.values.len();
+        let (values, slopes) = (&self.values[..n], &self.slopes[..n]);
+        let mut g = [[0.0; BATCH_LANES]; 4];
         for k in 0..BATCH_LANES {
-            der[k] =
-                (h[4][k] * y0[k] + h[5][k] * d0[k] + h[6][k] * y1[k] + h[7][k] * d1[k]) / self.dx;
+            let i = seg[k].min(n - 2);
+            g[0][k] = values[i];
+            g[1][k] = slopes[i];
+            g[2][k] = values[i + 1];
+            g[3][k] = slopes[i + 1];
         }
+        g
     }
 
     /// Batched value + derivative: full [`BATCH_LANES`] groups go
-    /// through the lane kernel, the ragged tail through the scalar
-    /// [`CompactTable::eval_both`]. Bitwise identical to per-element
-    /// evaluation at every length.
+    /// through one inlined lane kernel (the clamped locate, the basis,
+    /// the gather and the combine, each a lane loop), the ragged tail
+    /// through the scalar [`CompactTable::eval_both`]. Each lane replays
+    /// the scalar expression, so the outputs are bitwise identical to
+    /// per-element evaluation at every length.
+    // flops: SEG_EVAL_FLOPS = 8 (per lane — the same Hermite value +
+    // derivative combination as the scalar segment eval)
     pub fn eval_batch(&self, xs: &[f64], val: &mut [f64], der: &mut [f64]) {
         assert_eq!(xs.len(), val.len());
         assert_eq!(xs.len(), der.len());
         let full = xs.len() - xs.len() % BATCH_LANES;
         for k in (0..full).step_by(BATCH_LANES) {
             let w = k..k + BATCH_LANES;
-            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
-            let h = hermite_basis_lanes(&t);
-            self.eval_segment_lanes(
-                &seg,
-                &h,
-                lane_mut(&mut val[w.clone()]),
-                lane_mut(&mut der[w]),
-            );
+            let (seg, t) = locate_lanes(self.n(), self.x0, self.dx, lane(&xs[w.clone()]));
+            let (v, d) = self.segment_lanes(&seg, &basis_lanes(&t));
+            val[w.clone()].copy_from_slice(&v);
+            der[w].copy_from_slice(&d);
         }
         for j in full..xs.len() {
             (val[j], der[j]) = self.eval_both(xs[j]);
@@ -361,10 +374,11 @@ impl CompactTable {
     }
 
     /// Batched fused two-table lookup — the batch counterpart of
-    /// [`CompactTable::eval2`]: per lane group, ONE locate pass and one
-    /// SoA Hermite basis serve both tables (which must share the knot
-    /// grid); the ragged tail reuses the scalar `eval2`. All four output
-    /// streams are bitwise identical to per-element `eval2` calls.
+    /// [`CompactTable::eval2`]: per lane group, ONE locate and one
+    /// Hermite basis serve both tables (which must share the knot
+    /// grid), all inlined into one lane kernel; the ragged tail reuses
+    /// the scalar `eval2`. All four output streams are bitwise identical
+    /// to per-element `eval2` calls.
     #[allow(clippy::too_many_arguments)]
     pub fn eval2_batch(
         &self,
@@ -382,15 +396,14 @@ impl CompactTable {
         let full = xs.len() - xs.len() % BATCH_LANES;
         for k in (0..full).step_by(BATCH_LANES) {
             let w = k..k + BATCH_LANES;
-            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
-            let h = hermite_basis_lanes(&t);
-            self.eval_segment_lanes(
-                &seg,
-                &h,
-                lane_mut(&mut va[w.clone()]),
-                lane_mut(&mut da[w.clone()]),
-            );
-            other.eval_segment_lanes(&seg, &h, lane_mut(&mut vb[w.clone()]), lane_mut(&mut db[w]));
+            let (seg, t) = locate_lanes(self.n(), self.x0, self.dx, lane(&xs[w.clone()]));
+            let h = basis_lanes(&t);
+            let (v, d) = self.segment_lanes(&seg, &h);
+            va[w.clone()].copy_from_slice(&v);
+            da[w.clone()].copy_from_slice(&d);
+            let (v, d) = other.segment_lanes(&seg, &h);
+            vb[w.clone()].copy_from_slice(&v);
+            db[w].copy_from_slice(&d);
         }
         for j in full..xs.len() {
             (va[j], da[j], vb[j], db[j]) = self.eval2(other, xs[j]);
@@ -398,21 +411,17 @@ impl CompactTable {
     }
 
     /// Batched value-only lookup — the density-pass kernel (ρ
-    /// accumulation never reads f'(r)), which skips the derivative
-    /// combine. Values are bitwise identical to per-element
+    /// accumulation never reads f'(r)): the lane kernel without the
+    /// derivative combine. Values are bitwise identical to per-element
     /// [`CompactTable::eval`] calls.
     pub fn eval_values_batch(&self, xs: &[f64], val: &mut [f64]) {
         assert_eq!(xs.len(), val.len());
         let full = xs.len() - xs.len() % BATCH_LANES;
-        for start in (0..full).step_by(BATCH_LANES) {
-            let w = start..start + BATCH_LANES;
-            let (seg, t) = self.locate_lanes(lane(&xs[w.clone()]));
-            let h = hermite_value_basis_lanes(&t);
-            let (y0, y1, d0, d1) = self.gather_segment_lanes(&seg);
-            let out = lane_mut(&mut val[w]);
-            for k in 0..BATCH_LANES {
-                out[k] = h[0][k] * y0[k] + h[1][k] * d0[k] + h[2][k] * y1[k] + h[3][k] * d1[k];
-            }
+        for k in (0..full).step_by(BATCH_LANES) {
+            let w = k..k + BATCH_LANES;
+            let (seg, t) = locate_lanes(self.n(), self.x0, self.dx, lane(&xs[w.clone()]));
+            let g = self.gather_lanes(&seg);
+            val[w].copy_from_slice(&combine_lanes(&basis_lanes(&t)[..4], &g));
         }
         for j in full..xs.len() {
             val[j] = self.eval(xs[j]);
@@ -548,6 +557,107 @@ mod tests {
                 assert_eq!(vals[j], a.eval(x), "len {len} lane {j}");
                 assert_eq!(v1[j], a.eval(x));
                 assert_eq!(d1[j], a.eval_deriv(x));
+            }
+        }
+    }
+
+    /// Where a locate can go wrong on `t`'s grid: every knot and one
+    /// ulp either side of it, values below `x0`, `x_max` and beyond it,
+    /// NaN and ±∞.
+    fn adversarial_abscissae(t: &CompactTable) -> Vec<f64> {
+        let mut xs = Vec::new();
+        for i in 0..t.n() {
+            let knot = t.x0 + i as f64 * t.dx;
+            xs.extend([knot.next_down(), knot, knot.next_up()]);
+        }
+        let x_max = t.x_max();
+        xs.extend([t.x0 - 1.0, t.x0 - t.dx / 3.0, -0.0, 0.0, f64::MIN_POSITIVE]);
+        xs.extend([
+            x_max,
+            x_max.next_up(),
+            x_max + t.dx / 3.0,
+            2.0 * x_max,
+            f64::MAX,
+        ]);
+        xs.extend([f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+        xs
+    }
+
+    /// Two tables on one grid: the smallest table, starting at 0 (so
+    /// that −0.0 meets `x0`), one of a few lane groups' knots, and one
+    /// of 777 knots.
+    fn adversarial_tables() -> Vec<(CompactTable, CompactTable)> {
+        let fa = |x: f64| (1.1 * x).sin() + 0.2 * x;
+        let fb = |x: f64| (-0.3 * x).exp() * x;
+        [(6, 0.0, 1.0), (21, 1.0, 5.0), (777, 0.5, 5.6)]
+            .map(|(n, x0, x1)| {
+                (
+                    CompactTable::build(fa, x0, x1, n),
+                    CompactTable::build(fb, x0, x1, n),
+                )
+            })
+            .into()
+    }
+
+    #[test]
+    fn clamped_locate_is_the_scalar_locate() {
+        for (t, _) in adversarial_tables() {
+            let xs = adversarial_abscissae(&t);
+            // Every abscissa in every lane position.
+            for start in 0..BATCH_LANES {
+                for group in xs[start..].chunks_exact(BATCH_LANES) {
+                    let (seg, u) = locate_lanes(t.n(), t.x0, t.dx, lane(group));
+                    for k in 0..BATCH_LANES {
+                        let (i, ti) = locate_on(t.n(), t.x0, t.dx, group[k]);
+                        assert_eq!(
+                            (seg[k], u[k].to_bits()),
+                            (i, ti.to_bits()),
+                            "x {}",
+                            group[k]
+                        );
+                    }
+                }
+            }
+            // NaN lands on segment 0, +∞ on the last segment's end.
+            let (seg, u) = locate_lanes(t.n(), t.x0, t.dx, &[f64::NAN; BATCH_LANES]);
+            assert_eq!((seg[0], u[0]), (0, 0.0));
+            let (seg, u) = locate_lanes(t.n(), t.x0, t.dx, &[f64::INFINITY; BATCH_LANES]);
+            assert_eq!((seg[0], u[0]), (t.n() - 2, 1.0));
+        }
+    }
+
+    #[test]
+    fn batch_kernels_are_bitwise_scalar_at_adversarial_abscissae() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in adversarial_tables() {
+            let all = adversarial_abscissae(&a);
+            for len in 0..=3 * BATCH_LANES + 1 {
+                // Windows of `len` from every offset: each abscissa meets
+                // the lane kernels and, for ragged lengths, the tail.
+                for start in 0..all.len().saturating_sub(len) {
+                    let xs = &all[start..start + len];
+                    let [mut va, mut da, mut vb, mut db, mut vals, mut v1, mut d1] =
+                        std::array::from_fn(|_| vec![0.0; len]);
+                    a.eval2_batch(&b, xs, &mut va, &mut da, &mut vb, &mut db);
+                    a.eval_values_batch(xs, &mut vals);
+                    a.eval_batch(xs, &mut v1, &mut d1);
+                    let scalar: Vec<_> = xs.iter().map(|&x| a.eval2(&b, x)).collect();
+                    let col = |f: fn(&(f64, f64, f64, f64)) -> f64| {
+                        scalar.iter().map(f).collect::<Vec<_>>()
+                    };
+                    let (sva, sda, svb, sdb) =
+                        (col(|s| s.0), col(|s| s.1), col(|s| s.2), col(|s| s.3));
+                    let at = format!("len {len} start {start}");
+                    assert_eq!(bits(&va), bits(&sva), "{at}");
+                    assert_eq!(bits(&da), bits(&sda), "{at}");
+                    assert_eq!(bits(&vb), bits(&svb), "{at}");
+                    assert_eq!(bits(&db), bits(&sdb), "{at}");
+                    let own: Vec<_> = xs.iter().map(|&x| a.eval_both(x)).collect();
+                    let (v, d): (Vec<f64>, Vec<f64>) = own.into_iter().unzip();
+                    assert_eq!(bits(&vals), bits(&v), "{at}");
+                    assert_eq!(bits(&v1), bits(&v), "{at}");
+                    assert_eq!(bits(&d1), bits(&d), "{at}");
+                }
             }
         }
     }

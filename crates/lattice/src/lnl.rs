@@ -86,6 +86,13 @@ pub struct LatticeNeighborList {
     /// checkpoint neither writes nor reads it.
     #[serde(skip)]
     pub wire: Vec<u8>,
+    /// Staging for passes over the live run-aways that read the whole
+    /// list while they compute and write each record afterwards (the
+    /// offload's MPE run-away passes): the values, in
+    /// [`Self::live_runaways`] order. Recycled, so such a pass allocates
+    /// nothing in steady state. Scratch, not state, like `wire`.
+    #[serde(skip)]
+    pub runaway_stage: Vec<f64>,
 }
 
 impl LatticeNeighborList {
@@ -136,6 +143,7 @@ impl LatticeNeighborList {
             n_runaways: 0,
             ghost_epoch: 0,
             wire: Vec::new(),
+            runaway_stage: Vec::new(),
         }
     }
 
@@ -466,10 +474,12 @@ mod tests {
         use serde::{Deserialize, Serialize};
         let mut l = lnl();
         l.wire = vec![7; 64];
+        l.runaway_stage = vec![0.5; 8];
         let v = l.to_value();
         assert!(v.get("wire").is_none() && v.get("ghost_epoch").is_some());
+        assert!(v.get("runaway_stage").is_none());
         let back = LatticeNeighborList::from_value(&v).unwrap();
-        assert!(back.wire.is_empty());
+        assert!(back.wire.is_empty() && back.runaway_stage.is_empty());
         assert_eq!(back.id, l.id);
     }
 

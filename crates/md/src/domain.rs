@@ -719,6 +719,60 @@ mod tests {
     }
 
     #[test]
+    fn migration_over_comm_keeps_its_wire_after_warm_up() {
+        // Two ranks split 10 × 5 × 5 cells along x; one run-away crosses
+        // the shared face every round, filed by its holder under the
+        // ghost image of a site the other rank owns. Each migration
+        // hands every rank its own wire back, pointer and capacity.
+        use mmds_swmpi::{MachineModel, World, WorldConfig};
+        let world = World::new(WorldConfig {
+            model: MachineModel::free(),
+            ..Default::default()
+        });
+        let out = world.run(2, |comm| {
+            let rank = comm.rank();
+            let global = BccGeometry::new(BccGeometry::fe_cube(1).a0, 10, 5, 5);
+            let grid = LocalGrid::new(global, [5 * rank, 0, 0], [5, 5, 5], 2);
+            let mut l = LatticeNeighborList::perfect(grid, 5.0);
+            let mut t = CommTransport::new(comm, CartGrid::new([2, 1, 1]));
+            if rank == 0 {
+                let inner = l.grid.site_id(6, 4, 4, 0); // global (4,2,2)
+                let lp = l.grid.site_position(6, 4, 4, 0);
+                let id = l.make_vacancy(inner);
+                l.add_runaway(inner, id, [lp[0] + 0.2, lp[1], lp[2]], [1.0, 0.0, 0.0]);
+            }
+            exchange_ghosts(&mut l, &mut t, GhostPhase::Positions);
+            exchange_ghosts(&mut l, &mut t, GhostPhase::Fp);
+            assert!(l.wire.capacity() > 0);
+            for n in 0..100 {
+                // Rank 0 files it under its high x ghost (global x 5),
+                // rank 1 under its low x ghost (global x 4).
+                let holder = n % 2;
+                if rank == holder {
+                    let i = if rank == 0 { 7 } else { 1 };
+                    let idx = l.live_runaways()[0];
+                    l.rehome_runaway(idx, l.grid.site_id(i, 4, 4, 0));
+                    let glp = l.grid.site_position(i, 4, 4, 0);
+                    l.runaway_mut(idx).pos = [glp[0] + 0.2, glp[1], glp[2]];
+                }
+                let wire = (l.wire.as_ptr(), l.wire.capacity());
+                let emigrants = migrate_runaways(&mut l, &mut t);
+                assert_eq!(emigrants, usize::from(rank == holder), "round {n}");
+                assert_eq!(l.n_runaways(), usize::from(rank != holder), "round {n}");
+                assert_eq!(
+                    (l.wire.as_ptr(), l.wire.capacity()),
+                    wire,
+                    "rank {rank} migration {n}"
+                );
+                exchange_ghosts(&mut l, &mut t, GhostPhase::Positions);
+            }
+            l.n_runaways()
+        });
+        // 100 crossings bring it back to rank 0.
+        assert_eq!(out.iter().map(|r| r.result).collect::<Vec<_>>(), [1, 0]);
+    }
+
+    #[test]
     fn loopback_positions_fill_ghosts_periodically() {
         let mut l = lnl(5);
         // Displace one interior atom near the low-x face; its periodic

@@ -717,8 +717,9 @@ impl PairChunk {
 
     /// Evaluates one window of at most [`BATCH_GATHER_CAP`] staged
     /// pairs, their r² and far ends: the lane square roots, the fused
-    /// lookup, and the lane divisions by r; appends φ'/r, f'/r and the
-    /// far ends to the chunk, and φ and f to `scratch`.
+    /// lookup straight into the chunk's φ'/f' arrays and `scratch`'s φ
+    /// and f arrays (each grown by the window), and the lane divisions
+    /// by r in place; appends the far ends to the chunk.
     fn evaluate(
         &mut self,
         scratch: &mut Scratch,
@@ -731,23 +732,28 @@ impl PairChunk {
             *x = x.sqrt();
         }
         let n = r.len();
-        let [mut phi, mut dphi, mut f, mut df] = [[0.0; BATCH_GATHER_CAP]; 4];
+        let grow = |v: &mut Vec<f64>| {
+            let at = v.len();
+            v.resize(at + n, 0.0);
+            at
+        };
+        let at = grow(&mut self.dphi_r);
+        grow(&mut self.df_r);
+        let at_s = grow(&mut scratch.phi);
+        grow(&mut scratch.f);
+        let (dphi, df) = (&mut self.dphi_r[at..], &mut self.df_r[at..]);
         pot.pair_density_batch(
             form,
             r,
-            &mut phi[..n],
-            &mut dphi[..n],
-            &mut f[..n],
-            &mut df[..n],
+            &mut scratch.phi[at_s..],
+            dphi,
+            &mut scratch.f[at_s..],
+            df,
         );
-        for k in 0..n {
-            dphi[k] /= r[k];
-            df[k] /= r[k];
+        for ((dphi, df), r) in dphi.iter_mut().zip(df.iter_mut()).zip(&*r) {
+            *dphi /= r;
+            *df /= r;
         }
-        scratch.phi.extend_from_slice(&phi[..n]);
-        scratch.f.extend_from_slice(&f[..n]);
-        self.dphi_r.extend_from_slice(&dphi[..n]);
-        self.df_r.extend_from_slice(&df[..n]);
         self.far.extend_from_slice(far);
         scratch.stats.charge(n, PAIR_BYTES + SCRATCH_BYTES);
     }

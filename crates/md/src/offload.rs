@@ -49,7 +49,7 @@ use mmds_eam::compact::{CompactTable, RECON_EXTRA_FLOPS};
 use mmds_eam::spline::{TraditionalTable, PAPER_TABLE_N};
 use mmds_eam::{EamPotential, TableForm, BATCH_LANES, LOCATE_FLOPS, SEG_EVAL_FLOPS};
 use mmds_lattice::lnl::LatticeNeighborList;
-use mmds_sunway::{ClusterReport, CpeCluster, CpeCtx, LdmPlan, SwModel};
+use mmds_sunway::{BlockCharges, ClusterReport, CpeCluster, CpeCtx, LdmPlan, Priced, SwModel};
 use serde::{Deserialize, Serialize};
 
 use crate::force::{for_each_partner, separation, Central, BATCH_GATHER_CAP};
@@ -318,16 +318,13 @@ struct CentralSums {
 /// CPE twin of the host passes' staging window, and in the batched
 /// configurations the lane buffers the LDM plan reserves.
 struct LaneWindow {
-    /// `central_pos − partner_pos`, one lane array per axis.
+    /// `central_pos − partner_pos`, one lane array per axis (force
+    /// walks only).
     d: [[f64; BATCH_GATHER_CAP]; 3],
     /// r² as staged; r when the window flushes.
     r: [f64; BATCH_GATHER_CAP],
-    /// The partner's F′.
+    /// The partner's F′ (force walks only).
     fp: [f64; BATCH_GATHER_CAP],
-    /// The storage site the partner lives at, and whether it is a
-    /// run-away record (the halo fetch's key).
-    site: [usize; BATCH_GATHER_CAP],
-    runaway: [bool; BATCH_GATHER_CAP],
     /// Accepted partners.
     n: usize,
 }
@@ -338,61 +335,152 @@ impl LaneWindow {
             d: [[0.0; BATCH_GATHER_CAP]; 3],
             r: [0.0; BATCH_GATHER_CAP],
             fp: [0.0; BATCH_GATHER_CAP],
-            site: [0; BATCH_GATHER_CAP],
-            runaway: [false; BATCH_GATHER_CAP],
             n: 0,
         }
     }
 
     /// Stages the partners of the regular atom at site `s` — its own
     /// chain, then each flat delta's atom and chain, the walk of
-    /// [`for_each_partner`] — and hands every full window, and the last
-    /// partial one, to `flush` with r in place of r². Every candidate is
-    /// written; the window advances only past an occupied one inside
-    /// the cutoff, so the distance test costs no branch.
-    fn walk(
+    /// [`for_each_partner`] — tells `sink` of each accepted partner as
+    /// it is staged, and hands it every full window, and the last
+    /// partial one, with r in place of r². Every candidate is written;
+    /// the window advances only past an occupied one inside the cutoff,
+    /// so the distance test costs no branch in the staging (only the
+    /// sink's call does, and nearly every candidate is accepted).
+    /// Monomorphised over what the sweep reads, as
+    /// `force::partner_sweep` is: a density walk (`FORCE = false`)
+    /// stages neither Δ nor F′, and the lanes it leaves alone hold
+    /// whatever an earlier walk put there. The fill count lives in a
+    /// local until the window flushes, and every helper is inlined, so
+    /// nothing a candidate touches goes through memory but its lanes.
+    #[inline(always)]
+    fn walk<const FORCE: bool>(
         &mut self,
         l: &LatticeNeighborList,
         s: usize,
         cut2: f64,
-        mut flush: impl FnMut(&LaneWindow),
+        sink: &mut impl WindowSink,
     ) {
         debug_assert!(l.id[s] >= 0, "central site {s} is a vacancy");
+        debug_assert_eq!(self.n, 0, "a walk starts on an empty window");
         let cpos = l.pos[s];
-        let mut put = |w: &mut Self, ppos: [f64; 3], fp: f64, site: usize, runaway: bool, live| {
-            let (k, (d, r2)) = (w.n, separation(cpos, ppos));
-            for ax in 0..3 {
-                w.d[ax][k] = d[ax];
-            }
-            (w.r[k], w.fp[k], w.site[k], w.runaway[k]) = (r2, fp, site, runaway);
-            w.n += usize::from(live & (r2 > 1e-12) & (r2 <= cut2));
-            if w.n == BATCH_GATHER_CAP {
-                w.emit(&mut flush);
-            }
-        };
+        let accept = |r2: f64, live: bool| live & (r2 > 1e-12) & (r2 <= cut2);
+        let mut n = 0;
         for (_, rec) in l.chain(s) {
-            put(self, rec.pos, rec.fp, s, true, true);
+            let (d, r2) = separation(cpos, rec.pos);
+            let key = halo_key(s, true);
+            n = self.stage::<FORCE>(n, d, r2, rec.fp, key, accept(r2, true), sink);
+            n = self.flush_full(n, sink);
         }
         for &delta in l.neighbor_deltas(s) {
             let nid = (s as isize + delta) as usize;
-            put(self, l.pos[nid], l.fp[nid], nid, false, l.id[nid] >= 0);
+            let (d, r2) = separation(cpos, l.pos[nid]);
+            let fp = if FORCE { l.fp[nid] } else { 0.0 };
+            let live = accept(r2, l.id[nid] >= 0);
+            n = self.stage::<FORCE>(n, d, r2, fp, halo_key(nid, false), live, sink);
+            n = self.flush_full(n, sink);
             for (_, rec) in l.chain(nid) {
-                put(self, rec.pos, rec.fp, nid, true, true);
+                let (d, r2) = separation(cpos, rec.pos);
+                let key = halo_key(nid, true);
+                n = self.stage::<FORCE>(n, d, r2, rec.fp, key, accept(r2, true), sink);
+                n = self.flush_full(n, sink);
             }
         }
-        if self.n > 0 {
-            self.emit(&mut flush);
+        if n > 0 {
+            self.emit(n, sink);
         }
     }
 
-    /// Takes the square roots in lanes, flushes, and empties the window.
-    fn emit(&mut self, flush: &mut impl FnMut(&LaneWindow)) {
-        for r in &mut self.r[..self.n] {
+    /// Writes one candidate into lane `n` — Δ and F′ for a force walk
+    /// only — and returns the fill count after it: `n + 1` if `accept`,
+    /// after `sink` has seen the partner.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn stage<const FORCE: bool>(
+        &mut self,
+        n: usize,
+        d: [f64; 3],
+        r2: f64,
+        fp: f64,
+        key: usize,
+        accept: bool,
+        sink: &mut impl WindowSink,
+    ) -> usize {
+        if FORCE {
+            for ax in 0..3 {
+                self.d[ax][n] = d[ax];
+            }
+            self.fp[n] = fp;
+        }
+        self.r[n] = r2;
+        if accept {
+            sink.partner(key);
+        }
+        n + usize::from(accept)
+    }
+
+    /// Flushes a full window; returns the fill count after it.
+    #[inline(always)]
+    fn flush_full(&mut self, n: usize, sink: &mut impl WindowSink) -> usize {
+        if n == BATCH_GATHER_CAP {
+            self.emit(n, sink);
+            0
+        } else {
+            n
+        }
+    }
+
+    /// Takes the square roots of the first `n` lanes, flushes them, and
+    /// empties the window.
+    #[inline(always)]
+    fn emit(&mut self, n: usize, sink: &mut impl WindowSink) {
+        for r in &mut self.r[..n] {
             *r = r.sqrt();
         }
-        flush(self);
+        self.n = n;
+        sink.window(self);
         self.n = 0;
     }
+}
+
+/// What a [`LaneWindow::walk`] feeds: each accepted partner as it is
+/// staged, and each window as it flushes.
+trait WindowSink {
+    /// An accepted partner, by [`halo_key`], in walk order.
+    fn partner(&mut self, key: usize);
+    /// A full window, or a central's last, with r in its lanes.
+    fn window(&mut self, w: &LaneWindow);
+}
+
+/// The lookup outputs and force scales of one window: one per slab
+/// kernel, overwritten window after window — a window reads only the
+/// lanes it has just written.
+struct EvalLanes {
+    phi: [f64; BATCH_GATHER_CAP],
+    dphi: [f64; BATCH_GATHER_CAP],
+    f: [f64; BATCH_GATHER_CAP],
+    df: [f64; BATCH_GATHER_CAP],
+    /// −φ′/r (or the summed traditional scale) and −(F′ᵢ + F′ⱼ)·f′/r.
+    scale: [[f64; BATCH_GATHER_CAP]; 2],
+}
+
+impl EvalLanes {
+    fn new() -> Self {
+        Self {
+            phi: [0.0; BATCH_GATHER_CAP],
+            dphi: [0.0; BATCH_GATHER_CAP],
+            f: [0.0; BATCH_GATHER_CAP],
+            df: [0.0; BATCH_GATHER_CAP],
+            scale: [[0.0; BATCH_GATHER_CAP]; 2],
+        }
+    }
+}
+
+/// A partner's halo fetch key: its storage site, in two planes — the
+/// site's regular atom (even) and the run-aways anchored there (odd),
+/// which travel as one fetch.
+fn halo_key(site: usize, is_runaway: bool) -> usize {
+    2 * site + usize::from(is_runaway)
 }
 
 /// The halo positions one block has already fetched: an exact set over
@@ -400,74 +488,136 @@ impl LaneWindow {
 /// of the block, each in two planes (the site's regular atom, and the
 /// run-aways anchored there, which travel as one fetch). A bitmap
 /// indexed relative to the block's window: no hashing on a path that
-/// runs for roughly every second partner of every central.
+/// runs for every partner of every central.
 #[derive(Default)]
 struct HaloSeen {
     bits: Vec<u64>,
     lo: usize,
+    /// The [`halo_key`]s of the regular atoms the block holds resident
+    /// (its own sites, and with data reuse the retained window before
+    /// it): never fetched.
+    resident: (usize, usize),
 }
 
 impl HaloSeen {
-    /// Empties the set and re-centres it on the block `blk_lo..=blk_hi`.
-    /// The backing store is reused from block to block.
-    fn start_block(&mut self, blk_lo: usize, blk_hi: usize, reach: usize) {
+    /// Empties the set and re-centres it on the block `blk_lo..=blk_hi`,
+    /// whose regular atoms from `window_lo` on are resident. The backing
+    /// store is reused from block to block.
+    fn start_block(&mut self, blk_lo: usize, blk_hi: usize, reach: usize, window_lo: usize) {
         self.lo = blk_lo.saturating_sub(reach);
+        self.resident = (halo_key(window_lo, false), halo_key(blk_hi, false));
         let slots = 2 * (blk_hi + reach - self.lo + 1);
         self.bits.clear();
         self.bits.resize(slots.div_ceil(64), 0);
     }
 
-    /// Records the partner's fetch; true if it is the block's first.
-    fn insert(&mut self, site: usize, is_runaway: bool) -> bool {
-        let slot = 2 * (site - self.lo) + usize::from(is_runaway);
+    /// Whether the partner with [`halo_key`] `key` is fetched now: true
+    /// for the block's first fetch of a run-away or of a site outside
+    /// the resident window, which is recorded. A resident atom is never
+    /// fetched and its slot is left alone: the test is arithmetic on one
+    /// word, and the one branch is on the rare first fetch.
+    #[inline]
+    fn fetch(&mut self, key: usize) -> bool {
+        let off = (key & 1 == 1) | (key < self.resident.0) | (key > self.resident.1);
+        let slot = key - 2 * self.lo;
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
-        let first = self.bits[word] & bit == 0;
-        self.bits[word] |= bit;
+        let first = off & (self.bits[word] & bit == 0);
+        if first {
+            self.bits[word] |= bit;
+        }
         first
     }
 }
 
-/// One scalar table access as the modelled sweep charges it, after the
-/// partner's `R_FLOPS` and halo fetch.
-fn charge_scalar_access(ctx: &mut CpeCtx, form: TableForm, sweep: Sweep) {
-    match (form, sweep) {
-        (TableForm::Compacted, _) => {
-            ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1)
+/// A sweep's per-partner charges, priced once per slab kernel: each
+/// adds to the block's accumulators exactly what the per-call charge of
+/// the modelled sweep adds.
+struct PartnerPrices {
+    /// `R_FLOPS`: one pair separation.
+    r: Priced,
+    /// One halo position fetch.
+    halo: Priced,
+    /// The coefficient rows a traditional access gathers: one row for
+    /// the density sweep; for the force, the pair and density rows,
+    /// still two gathers although ONE locate serves both segment
+    /// evaluations. None when the table is resident.
+    rows: Option<Priced>,
+    /// One scalar table access — also a batched window's ragged-tail
+    /// element.
+    access: Priced,
+    /// One full lane group's batch token against the resident table
+    /// (same flop total as its lanes' scalar accesses, reconciled by
+    /// the `mmds-audit` flop ledger).
+    batch: Priced,
+    /// Whether the lookups are charged as batches (lane-batched
+    /// configuration, compacted table).
+    batched: bool,
+}
+
+impl PartnerPrices {
+    fn new(ctx: &CpeCtx, cfg: &OffloadConfig, sweep: Sweep) -> Self {
+        let (rows, access) = match (cfg.form, sweep) {
+            (TableForm::Compacted, _) => (
+                None,
+                ctx.price_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1),
+            ),
+            (TableForm::Traditional, Sweep::Density) => (
+                Some(ctx.price_gather(TraditionalTable::ROW_BYTES)),
+                ctx.price_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 1),
+            ),
+            (TableForm::Traditional, _) => (
+                Some(ctx.price_gather(2 * TraditionalTable::ROW_BYTES)),
+                ctx.price_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 2),
+            ),
+        };
+        Self {
+            r: ctx.price_flops(R_FLOPS),
+            halo: ctx.price_gather(STAGE_BYTES_PER_SITE),
+            rows,
+            access,
+            batch: ctx.price_table_batch(
+                LOCATE_FLOPS,
+                SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS,
+                1,
+                BATCH_LANES as u64,
+            ),
+            batched: cfg.batched && cfg.form == TableForm::Compacted,
         }
-        // Traditional rows: every access gathers its coefficient rows.
-        (TableForm::Traditional, Sweep::Density) => {
-            ctx.charge_dma_gather(TraditionalTable::ROW_BYTES);
-            ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 1);
+    }
+
+    /// Charges one accepted partner, as it is staged: `R_FLOPS`, the
+    /// halo first fetch, then (scalar configurations) the table access.
+    #[inline(always)]
+    fn charge_partner(&self, charges: &mut BlockCharges, halo: &mut HaloSeen, key: usize) {
+        charges.flops(self.r);
+        // A halo position is fetched once per block; it stays in the
+        // local store afterwards.
+        if halo.fetch(key) {
+            charges.gather(self.halo);
         }
-        // Fused lookup: the pair and density rows are still two
-        // gathers, but ONE locate serves both segment evaluations.
-        (TableForm::Traditional, _) => {
-            ctx.charge_dma_gather(2 * TraditionalTable::ROW_BYTES);
-            ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS, 2);
+        if !self.batched {
+            if let Some(rows) = self.rows {
+                charges.gather(rows);
+            }
+            charges.flops(self.access);
+        }
+    }
+
+    /// Charges a flushed window's batch tokens, after its partners.
+    fn charge_batches(&self, charges: &mut BlockCharges, w: &LaneWindow) {
+        if self.batched {
+            for _ in 0..w.n / BATCH_LANES {
+                charges.table_batch(self.batch);
+            }
+            for _ in 0..w.n % BATCH_LANES {
+                charges.flops(self.access);
+            }
         }
     }
 }
 
-/// Charges one batched window's table accesses against the resident
-/// table: one batch token per full lane group and a scalar access per
-/// ragged-tail element (same flop totals as the scalar sweep,
-/// reconciled by the `mmds-audit` flop ledger).
-fn charge_window_batches(ctx: &mut CpeCtx, n: usize) {
-    for _ in 0..n / BATCH_LANES {
-        ctx.charge_table_batch(
-            LOCATE_FLOPS,
-            SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS,
-            1,
-            BATCH_LANES as u64,
-        );
-    }
-    for _ in 0..n % BATCH_LANES {
-        ctx.charge_table_access(LOCATE_FLOPS, SEG_EVAL_FLOPS + RECON_EXTRA_FLOPS, 1);
-    }
-}
-
-/// Evaluates one window and folds it into the central's sums **in
-/// partner order**. The batch kernels replay the scalar lookups per
+/// Evaluates one window into `e` and folds it into the central's sums
+/// **in partner order**. The batch kernels replay the scalar lookups per
 /// lane and the divisions by r run as lane loops ahead of the ordered
 /// accumulation, so every bit equals a partner-at-a-time sweep's.
 fn evaluate(
@@ -476,33 +626,35 @@ fn evaluate(
     sweep: Sweep,
     fp_c: f64,
     w: &LaneWindow,
+    e: &mut EvalLanes,
     sums: &mut CentralSums,
 ) {
     let n = w.n;
     let rs = &w.r[..n];
-    let [mut phi, mut dphi, mut f, mut df] = [[0.0; BATCH_GATHER_CAP]; 4];
+    let (phi, dphi, f, df) = (
+        &mut e.phi[..n],
+        &mut e.dphi[..n],
+        &mut e.f[..n],
+        &mut e.df[..n],
+    );
     match (sweep, form) {
-        (Sweep::Density, TableForm::Compacted) => {
-            pot.comp_density.eval_values_batch(rs, &mut f[..n])
-        }
-        (Sweep::Density, TableForm::Traditional) => {
-            pot.trad_density().eval_batch(rs, &mut f[..n], &mut df[..n])
+        (Sweep::Density, TableForm::Compacted) => pot.comp_density.eval_values_batch(rs, f),
+        (Sweep::Density, TableForm::Traditional) => pot.trad_density().eval_batch(rs, f, df),
+        // The oracle's sweeps read the table they do not evaluate as 0.
+        #[cfg(test)]
+        (Sweep::ForcePair, _) => {
+            pot.comp_pair.eval_batch(rs, phi, dphi);
+            df.fill(0.0);
         }
         #[cfg(test)]
-        (Sweep::ForcePair, _) => pot.comp_pair.eval_batch(rs, &mut phi[..n], &mut dphi[..n]),
-        #[cfg(test)]
-        (Sweep::ForceDensity, _) => pot.comp_density.eval_batch(rs, &mut f[..n], &mut df[..n]),
-        _ => pot.pair_density_batch(
-            form,
-            rs,
-            &mut phi[..n],
-            &mut dphi[..n],
-            &mut f[..n],
-            &mut df[..n],
-        ),
+        (Sweep::ForceDensity, _) => {
+            pot.comp_density.eval_batch(rs, f, df);
+            phi.fill(0.0);
+        }
+        _ => pot.pair_density_batch(form, rs, phi, dphi, f, df),
     }
     if sweep == Sweep::Density {
-        for f_r in &f[..n] {
+        for f_r in &*f {
             sums.rho += f_r;
         }
         return;
@@ -510,10 +662,10 @@ fn evaluate(
     // −φ′/r and the gradient scale −(F′ᵢ + F′ⱼ)·f′/r, as lane divisions:
     // summed into one term (traditional), kept apart (compacted), or
     // one of the two alone (the oracle's sweeps).
-    let mut scale = [[0.0; BATCH_GATHER_CAP]; 2];
+    let [s0, s1] = &mut e.scale;
     for k in 0..n {
         let gradient = (fp_c + w.fp[k]) * df[k];
-        (scale[0][k], scale[1][k]) = match sweep {
+        (s0[k], s1[k]) = match sweep {
             Sweep::ForceBoth => (-(dphi[k] + gradient) / rs[k], 0.0),
             #[cfg(test)]
             Sweep::ForceDensity => (-gradient / rs[k], 0.0),
@@ -522,7 +674,7 @@ fn evaluate(
     }
     for k in 0..n {
         sums.pair += 0.5 * phi[k];
-        for (term, scale) in sums.force.iter_mut().zip(&scale) {
+        for (term, scale) in sums.force.iter_mut().zip(&e.scale) {
             for ax in 0..3 {
                 term[ax] += scale[k] * w.d[ax][k];
             }
@@ -531,12 +683,16 @@ fn evaluate(
 }
 
 /// Charges + computes one slab of `sweep` on one CPE, writing per-site
-/// outputs. Per window the charges go out in window order per partner
-/// — `R_FLOPS`, the halo first fetch, then (scalar configurations) the
-/// table access — and the batch tokens after them: each of the
-/// context's three accumulators (compute, gather, stream) sees the
-/// operands of a partner-at-a-time sweep in that sweep's order.
-fn slab_kernel(
+/// outputs. `FORCE` is whether the sweep is a force sweep (the walk
+/// stages Δ and F′ only then). Each accepted partner is charged as the
+/// walk stages it — `R_FLOPS`, the halo first fetch, then (scalar
+/// configurations) the table access — and a window's batch tokens when
+/// it flushes, after its partners: each of the context's three
+/// accumulators (compute, gather, stream) sees the operands of a
+/// partner-at-a-time sweep in that sweep's order. Every per-partner
+/// charge is priced once per slab ([`PartnerPrices`]) and lands in
+/// register copies of the block's accumulators ([`BlockCharges`]).
+fn slab_kernel<const FORCE: bool>(
     ctx: &mut CpeCtx,
     l: &LatticeNeighborList,
     pot: &EamPotential,
@@ -545,6 +701,7 @@ fn slab_kernel(
     reach: usize,
     mut item: SlabItem<'_>,
 ) {
+    debug_assert_eq!(FORCE, sweep != Sweep::Density);
     let cut2 = pot.cutoff() * pot.cutoff();
     let compacted = cfg.form == TableForm::Compacted;
     // The resident table: its bytes reserved and its bulk DMA charged.
@@ -579,61 +736,55 @@ fn slab_kernel(
         .reserve_f64(words)
         .expect("block buffers, shadows, reuse margin and lanes fit in the local store");
 
-    let mut halo_seen = HaloSeen::default();
+    let atom = ctx.price_flops(ATOM_FLOPS);
+    let prices = PartnerPrices::new(ctx, cfg, sweep);
+    let mut halo = HaloSeen::default();
     let mut window = LaneWindow::new();
+    let mut lanes = EvalLanes::new();
     ctx.begin_blocks(cfg.double_buffer);
     let nblocks = item.sites.len().div_ceil(cfg.block_sites).max(1);
     for (bi, block) in item.sites.chunks(cfg.block_sites.max(1)).enumerate() {
         let blk_lo = block[0];
         let blk_hi = *block.last().expect("chunks are non-empty");
         debug_assert!(block.is_sorted(), "slab sites ascend");
-        halo_seen.start_block(blk_lo, blk_hi, reach);
         let window_lo = if cfg.data_reuse {
             blk_lo.saturating_sub(reach)
         } else {
             blk_lo
         };
+        halo.start_block(blk_lo, blk_hi, reach, window_lo);
         // Stage the block in.
         ctx.charge_dma_get(block.len() * STAGE_BYTES_PER_SITE);
+        let mut sink = BlockSink {
+            prices: &prices,
+            charges: ctx.block_charges(),
+            halo: &mut halo,
+            lanes: &mut lanes,
+            pot,
+            form: cfg.form,
+            sweep,
+            fp_c: 0.0,
+            sums: CentralSums::default(),
+        };
         let base = bi * cfg.block_sites;
         for (oi, &s) in block.iter().enumerate() {
             if l.id[s] < 0 {
                 // A vacancy: its output stays the zero it starts as.
                 continue;
             }
-            ctx.charge_flops(ATOM_FLOPS);
-            let fp_c = l.fp[s];
-            let mut sums = CentralSums::default();
-            window.walk(l, s, cut2, |w| {
-                for k in 0..w.n {
-                    ctx.charge_flops(R_FLOPS);
-                    // Halo position fetch: once per distinct off-window
-                    // site per block (it stays in the local store
-                    // afterwards).
-                    let (site, runaway) = (w.site[k], w.runaway[k]);
-                    if (runaway || site < window_lo || site > blk_hi)
-                        && halo_seen.insert(site, runaway)
-                    {
-                        ctx.charge_dma_gather(STAGE_BYTES_PER_SITE);
-                    }
-                    if !use_batch {
-                        charge_scalar_access(ctx, cfg.form, sweep);
-                    }
-                }
-                if use_batch {
-                    charge_window_batches(ctx, w.n);
-                }
-                evaluate(pot, cfg.form, sweep, fp_c, w, &mut sums);
-            });
+            sink.charges.flops(atom);
+            (sink.fp_c, sink.sums) = (l.fp[s], CentralSums::default());
+            window.walk::<FORCE>(l, s, cut2, &mut sink);
             let o = base + oi;
             match &mut item.out {
-                SlabOut::Rho(rho) => rho[o] = sums.rho,
+                SlabOut::Rho(rho) => rho[o] = sink.sums.rho,
                 SlabOut::Force { force, pair } => {
-                    force[o] = sums.force;
-                    **pair += sums.pair;
+                    force[o] = sink.sums.force;
+                    **pair += sink.sums.pair;
                 }
             }
         }
+        drop(sink);
         // Stage the block's results out.
         ctx.charge_dma_put(block.len() * 8 * sweep.out_words());
         if bi + 1 < nblocks {
@@ -641,6 +792,39 @@ fn slab_kernel(
         }
     }
     ctx.finish_blocks();
+}
+
+/// One block's walks on one CPE: its charges, halo set and evaluation
+/// lanes, and the central in flight. It charges what a
+/// partner-at-a-time sweep charges, in that sweep's order — each
+/// partner's charges as the walk stages it, a window's batch tokens when
+/// it flushes — and folds each window into the central's sums.
+struct BlockSink<'k, 'c> {
+    prices: &'k PartnerPrices,
+    charges: BlockCharges<'c>,
+    halo: &'k mut HaloSeen,
+    lanes: &'k mut EvalLanes,
+    pot: &'k EamPotential,
+    form: TableForm,
+    sweep: Sweep,
+    /// The central's F′ and running sums.
+    fp_c: f64,
+    sums: CentralSums,
+}
+
+impl WindowSink for BlockSink<'_, '_> {
+    #[inline(always)]
+    fn partner(&mut self, key: usize) {
+        self.prices
+            .charge_partner(&mut self.charges, self.halo, key);
+    }
+
+    #[inline(always)]
+    fn window(&mut self, w: &LaneWindow) {
+        self.prices.charge_batches(&mut self.charges, w);
+        let (pot, form, sweep, fp_c) = (self.pot, self.form, self.sweep, self.fp_c);
+        evaluate(pot, form, sweep, fp_c, w, self.lanes, &mut self.sums);
+    }
 }
 
 /// Sites per slab: the interior split evenly over the cluster's CPEs.
@@ -658,9 +842,15 @@ fn launch(
     items: Vec<SlabItem<'_>>,
 ) -> ClusterReport {
     let reach = reach_flat(l);
-    cluster.run(items, |ctx, item| {
-        slab_kernel(ctx, l, pot, cfg, sweep, reach, item)
-    })
+    if sweep == Sweep::Density {
+        cluster.run(items, |ctx, item| {
+            slab_kernel::<false>(ctx, l, pot, cfg, sweep, reach, item)
+        })
+    } else {
+        cluster.run(items, |ctx, item| {
+            slab_kernel::<true>(ctx, l, pot, cfg, sweep, reach, item)
+        })
+    }
 }
 
 /// The density sweep on the CPEs; the MPE scatters ρ back.
@@ -819,21 +1009,21 @@ fn compute_forces_with(
         let _span = mmds_telemetry::span!("md.offload.density");
         density_sweep(l, pot, cluster, cfg, interior)
     };
-    // Run-away densities on the MPE.
-    let runaways = l.live_runaways();
+    // Run-away densities on the MPE, staged and then written back.
     let cutoff = pot.cutoff();
+    let mut stage = std::mem::take(&mut l.runaway_stage);
     {
         let _span = mmds_telemetry::span!("md.offload.runaways");
-        let mut ra_rho = Vec::with_capacity(runaways.len());
-        for &i in &runaways {
+        stage.clear();
+        for i in l.live_runaway_ids() {
             let mut rho = 0.0;
             for_each_partner(l, Central::Runaway(i), cutoff, |p| {
                 rho += pot.density(cfg.form, p.r).0;
             });
-            ra_rho.push(rho);
+            stage.push(rho);
         }
-        for (&i, rho) in runaways.iter().zip(ra_rho) {
-            l.runaway_mut(i).rho = rho;
+        for (rec, &rho) in l.live_runaways_mut().zip(&stage) {
+            rec.rho = rho;
         }
     }
     let embed_energy =
@@ -846,8 +1036,8 @@ fn compute_forces_with(
     // Run-away forces on the MPE.
     {
         let _span = mmds_telemetry::span!("md.offload.runaways");
-        let mut ra_force = Vec::with_capacity(runaways.len());
-        for &i in &runaways {
+        stage.clear();
+        for i in l.live_runaway_ids() {
             let fp_c = l.runaway(i).fp;
             let mut fv = [0.0; 3];
             for_each_partner(l, Central::Runaway(i), cutoff, |p| {
@@ -858,12 +1048,13 @@ fn compute_forces_with(
                     fv[ax] += scale * p.dx[ax];
                 }
             });
-            ra_force.push(fv);
+            stage.extend(fv);
         }
-        for (&i, fv) in runaways.iter().zip(ra_force) {
-            l.runaway_mut(i).force = fv;
+        for (rec, fv) in l.live_runaways_mut().zip(stage.chunks_exact(3)) {
+            rec.force.copy_from_slice(fv);
         }
     }
+    l.runaway_stage = stage;
     OffloadOutcome {
         density: density_rep,
         force: force_rep,
@@ -883,25 +1074,31 @@ mod tests {
     #[test]
     fn halo_seen_is_an_exact_per_block_set() {
         let mut seen = HaloSeen::default();
-        // Block 100..=163 with reach 40: window 60..=203, and a block
-        // near the origin whose window is cut at site 0.
-        for (blk_lo, blk_hi, reach) in [(100, 163, 40), (3, 66, 40)] {
-            seen.start_block(blk_lo, blk_hi, reach);
+        // Block 100..=163 with reach 40: partners 60..=203, and a block
+        // near the origin whose window is cut at site 0; each with and
+        // without a retained window before the block.
+        for (blk_lo, blk_hi, reach) in [(100usize, 163, 40), (3, 66, 40)] {
             let (lo, hi) = (blk_lo.saturating_sub(reach), blk_hi + reach);
-            let mut reference = std::collections::HashSet::new();
-            // Every slot of both planes, visited twice in a scrambled
-            // order: first visits report true, repeats false.
-            let span = hi - lo + 1;
-            for k in 0..4 * span {
-                let site = lo + (k * 37) % span;
-                let is_runaway = (k / span) % 2 == 1;
-                assert_eq!(
-                    seen.insert(site, is_runaway),
-                    reference.insert((site, is_runaway)),
-                    "site {site} run-away {is_runaway}"
-                );
+            for window_lo in [lo, blk_lo] {
+                seen.start_block(blk_lo, blk_hi, reach, window_lo);
+                let mut reference = std::collections::HashSet::new();
+                // Every slot of both planes, visited twice in a scrambled
+                // order: first visits of a run-away or a site outside the
+                // window report true, repeats and resident atoms false.
+                let span = hi - lo + 1;
+                for k in 0..4 * span {
+                    let site = lo + (k * 37) % span;
+                    let is_runaway = (k / span) % 2 == 1;
+                    let resident = !is_runaway && (window_lo..=blk_hi).contains(&site);
+                    assert_eq!(
+                        seen.fetch(halo_key(site, is_runaway)),
+                        !resident && reference.insert((site, is_runaway)),
+                        "site {site} run-away {is_runaway} window {window_lo}"
+                    );
+                }
+                let resident = blk_hi - window_lo + 1;
+                assert_eq!(reference.len(), 2 * span - resident);
             }
-            assert_eq!(reference.len(), 2 * span);
         }
     }
 
@@ -1373,12 +1570,47 @@ mod tests {
     /// One staged partner, as bits: site, run-away flag, r, Δ and F′.
     type StagedBits = (usize, bool, u64, [u64; 3], u64);
 
+    /// A sink that records what a walk hands it: the partner keys as
+    /// they are staged, and each window's size and lanes — a window's
+    /// partners are the last keys it was told of.
+    #[derive(Default)]
+    struct Recorder {
+        keys: Vec<usize>,
+        windows: Vec<usize>,
+        staged: Vec<StagedBits>,
+    }
+
+    impl WindowSink for Recorder {
+        fn partner(&mut self, key: usize) {
+            self.keys.push(key);
+        }
+
+        fn window(&mut self, w: &LaneWindow) {
+            self.windows.push(w.n);
+            let keys = &self.keys[self.keys.len() - w.n..];
+            for (k, key) in keys.iter().enumerate() {
+                let d = [w.d[0][k], w.d[1][k], w.d[2][k]];
+                self.staged.push((
+                    key / 2,
+                    key % 2 == 1,
+                    w.r[k].to_bits(),
+                    d.map(f64::to_bits),
+                    w.fp[k].to_bits(),
+                ));
+            }
+        }
+    }
+
     #[test]
     fn lane_window_is_the_partner_walk() {
         // Each configuration's box, with run-aways on its slab and block
         // edges, plus two chained on one central's own site, one on a
         // neighbour and a vacant neighbour: every central's accepted
-        // window sequence is `for_each_partner`'s, bit for bit.
+        // window sequence is `for_each_partner`'s, bit for bit, and the
+        // sink hears of each partner, in order, before its window
+        // flushes. The density walk, run through the same window right
+        // after, stages the same r, site and run-away lanes in the same
+        // windows.
         let (model, _, cells) = small_shape();
         for (name, ocfg) in all_configs() {
             let mut s = thermal_box_with_runaways(cells, model.n_cpes, ocfg.block_sites);
@@ -1412,21 +1644,28 @@ mod tests {
                         p.fp.to_bits(),
                     ));
                 });
-                let mut staged: Vec<StagedBits> = Vec::new();
-                window.walk(l, site, cut * cut, |w| {
-                    full_windows += usize::from(w.n == BATCH_GATHER_CAP);
-                    for k in 0..w.n {
-                        let d = [w.d[0][k], w.d[1][k], w.d[2][k]];
-                        staged.push((
-                            w.site[k],
-                            w.runaway[k],
-                            w.r[k].to_bits(),
-                            d.map(f64::to_bits),
-                            w.fp[k].to_bits(),
-                        ));
-                    }
-                });
-                assert_eq!(staged, walk, "{name}: central {site}");
+                let mut force = Recorder::default();
+                window.walk::<true>(l, site, cut * cut, &mut force);
+                full_windows += force
+                    .windows
+                    .iter()
+                    .filter(|&&n| n == BATCH_GATHER_CAP)
+                    .count();
+                assert_eq!(force.staged, walk, "{name}: central {site}");
+                let keys: Vec<_> = walk.iter().map(|p| halo_key(p.0, p.1)).collect();
+                assert_eq!(force.keys, keys, "{name}: partners of central {site}");
+                let mut density = Recorder::default();
+                window.walk::<false>(l, site, cut * cut, &mut density);
+                let lanes = |staged: &[StagedBits]| -> Vec<_> {
+                    staged.iter().map(|p| (p.0, p.1, p.2)).collect()
+                };
+                assert_eq!(
+                    lanes(&density.staged),
+                    lanes(&walk),
+                    "{name}: density walk of central {site}"
+                );
+                assert_eq!(density.keys, keys, "{name}: central {site}");
+                assert_eq!(density.windows, force.windows, "{name}: central {site}");
                 if site == c {
                     assert_eq!(walk.iter().filter(|p| p.1 && p.0 == c).count(), 2, "{name}");
                     assert!(walk.iter().any(|p| p.1 && p.0 == near), "{name}");
@@ -1434,6 +1673,34 @@ mod tests {
                 }
             }
             assert!(full_windows > 0, "{name}: windows fill and flush mid-walk");
+        }
+    }
+
+    #[test]
+    fn runaway_passes_allocate_nothing_after_warm_up() {
+        // The MPE run-away passes stage through the list's recycled
+        // buffer: one warm-up evaluation sizes it, and 100 more with the
+        // run-aways moving keep its pointer and capacity.
+        let (model, block_sites, cells) = small_shape();
+        let ocfg = OffloadConfig {
+            block_sites,
+            ..OffloadConfig::optimized()
+        };
+        let mut s = thermal_box_with_runaways(cells, model.n_cpes, block_sites);
+        offload_forces_on(&mut s, &ocfg, model);
+        let stage =
+            |s: &MdSimulation| (s.lnl.runaway_stage.as_ptr(), s.lnl.runaway_stage.capacity());
+        let warm = stage(&s);
+        assert!(warm.1 >= 3 * 5, "five run-aways' forces");
+        for n in 0..100 {
+            for rec in s.lnl.live_runaways_mut() {
+                rec.pos[n % 3] += 1e-3;
+            }
+            offload_forces_on(&mut s, &ocfg, model);
+            assert_eq!(stage(&s), warm, "evaluation {n}");
+            // The buffer holds the forces the records were given.
+            let forces: Vec<f64> = s.lnl.live_runaways_mut().flat_map(|r| r.force).collect();
+            assert_eq!(s.lnl.runaway_stage, forces, "evaluation {n}");
         }
     }
 

@@ -152,6 +152,52 @@ impl CpeCtx {
         self.charge_flops(lanes * (locate_flops + segments * seg_flops));
     }
 
+    /// Prices `n` scalar flops once, for [`BlockCharges::flops`].
+    pub fn price_flops(&self, n: u64) -> Priced {
+        Priced {
+            units: n,
+            time: self.model.flops_time(n),
+        }
+    }
+
+    /// Prices one table access as [`CpeCtx::charge_table_access`]
+    /// charges it, for [`BlockCharges::flops`].
+    pub fn price_table_access(&self, locate_flops: u64, seg_flops: u64, segments: u64) -> Priced {
+        self.price_flops(locate_flops + segments * seg_flops)
+    }
+
+    /// Prices one lane-batched table access as
+    /// [`CpeCtx::charge_table_batch`] charges it, for
+    /// [`BlockCharges::table_batch`].
+    pub fn price_table_batch(
+        &self,
+        locate_flops: u64,
+        seg_flops: u64,
+        segments: u64,
+        lanes: u64,
+    ) -> Priced {
+        self.price_flops(lanes * (locate_flops + segments * seg_flops))
+    }
+
+    /// Prices one gather DMA of `bytes`, for [`BlockCharges::gather`].
+    pub fn price_gather(&self, bytes: usize) -> Priced {
+        Priced {
+            units: bytes as u64,
+            time: self.model.dma_time(bytes),
+        }
+    }
+
+    /// The open block's charges, for a loop that charges per partner:
+    /// the block is looked up once here instead of once per charge.
+    pub fn block_charges(&mut self) -> BlockCharges<'_> {
+        let block = self.block_acc.expect("block_charges outside begin_blocks");
+        BlockCharges {
+            counters: self.counters,
+            block,
+            ctx: self,
+        }
+    }
+
     /// Makes `table` resident: reserves its bytes and charges one bulk
     /// DMA get, and returns a view that reads `table` in place — the
     /// bytes a copy would hold, without the copy. Fails if the table
@@ -204,6 +250,59 @@ impl CpeCtx {
         self.counters.dma_time += dma_part;
         self.counters.compute_time += total - dma_part;
         self.blocks.clear();
+    }
+}
+
+/// A charge priced once by [`CpeCtx`]'s `price_*` methods: its units
+/// (flops, or the bytes of a gather) and its virtual time, computed by
+/// the same model call the per-call charge makes.
+#[derive(Debug, Clone, Copy)]
+pub struct Priced {
+    units: u64,
+    time: f64,
+}
+
+/// The charges of one open block ([`CpeCtx::block_charges`]). Each
+/// method updates the counters and the block's accumulators exactly as
+/// its per-call twin on [`CpeCtx`] does inside a block, so a sequence of
+/// priced charges adds the same `f64` values in the same order. It works
+/// on copies of the counters and the block, which a tight loop keeps in
+/// registers, and writes them back to the context when dropped.
+pub struct BlockCharges<'a> {
+    ctx: &'a mut CpeCtx,
+    counters: CpeCounters,
+    block: BlockCost,
+}
+
+impl BlockCharges<'_> {
+    /// [`CpeCtx::charge_flops`] (and `charge_table_access`) of a priced
+    /// flop count.
+    #[inline]
+    pub fn flops(&mut self, p: Priced) {
+        self.counters.flops += p.units;
+        self.block.compute += p.time;
+    }
+
+    /// [`CpeCtx::charge_table_batch`] of a priced batch.
+    #[inline]
+    pub fn table_batch(&mut self, p: Priced) {
+        self.counters.table_batches += 1;
+        self.flops(p);
+    }
+
+    /// [`CpeCtx::charge_dma_gather`] of a priced gather.
+    #[inline]
+    pub fn gather(&mut self, p: Priced) {
+        self.counters.dma_gets += 1;
+        self.counters.bytes_in += p.units;
+        self.block.gather += p.time;
+    }
+}
+
+impl Drop for BlockCharges<'_> {
+    fn drop(&mut self) {
+        self.ctx.counters = self.counters;
+        self.ctx.block_acc = Some(self.block);
     }
 }
 
@@ -320,6 +419,61 @@ mod tests {
         let per_item = SwModel::sw26010().flops_time(1_000_000);
         assert!((report.time - 2.0 * per_item).abs() < 1e-12);
         assert_eq!(report.counters.flops, 65_000_000);
+    }
+
+    #[test]
+    fn priced_block_charges_equal_the_per_call_charges() {
+        // One block charged per call and one through priced charges, in
+        // the same order: every counter and every virtual-time bit agree.
+        let model = SwModel::sw26010();
+        let run = |priced: bool| {
+            let mut ctx = CpeCtx::new(0, model);
+            ctx.begin_blocks(true);
+            for block in 0..3 {
+                ctx.charge_dma_get(96 * (block + 1));
+                let (r, halo) = (ctx.price_flops(18), ctx.price_gather(24));
+                let access = ctx.price_table_access(4, 36, 1);
+                let batch = ctx.price_table_batch(4, 36, 1, 8);
+                for k in 0..37 {
+                    if priced {
+                        let mut b = ctx.block_charges();
+                        b.flops(r);
+                        if k % 3 == 0 {
+                            b.gather(halo);
+                        }
+                        if k % 5 == 0 {
+                            b.table_batch(batch);
+                        } else {
+                            b.flops(access);
+                        }
+                    } else {
+                        ctx.charge_flops(18);
+                        if k % 3 == 0 {
+                            ctx.charge_dma_gather(24);
+                        }
+                        if k % 5 == 0 {
+                            ctx.charge_table_batch(4, 36, 1, 8);
+                        } else {
+                            ctx.charge_table_access(4, 36, 1);
+                        }
+                    }
+                }
+                ctx.charge_dma_put(32);
+                if block < 2 {
+                    ctx.next_block();
+                }
+            }
+            ctx.finish_blocks();
+            let c = ctx.counters();
+            (c, c.dma_time.to_bits(), c.compute_time.to_bits())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "block_charges outside begin_blocks")]
+    fn block_charges_need_an_open_block() {
+        CpeCtx::new(0, SwModel::sw26010()).block_charges();
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod register;
 pub use arch::SwModel;
 pub use budget::{LdmBudgetError, LdmItem, LdmPlan};
 pub use counters::CpeCounters;
-pub use cpe::{ClusterReport, CpeCluster, CpeCtx};
+pub use cpe::{BlockCharges, ClusterReport, CpeCluster, CpeCtx, Priced};
 pub use ldm_cache::SoftCache;
 pub use local_store::{LdmOverflow, LocalStore, LsReservation, LsView};
 pub use register::RegisterMesh;

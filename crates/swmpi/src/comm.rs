@@ -342,16 +342,23 @@ impl Comm {
     }
 
     /// Allgather of opaque byte buffers; returns one buffer per rank.
+    /// The caller's own slot is `mine` itself, capacity and all, so a
+    /// recycled buffer survives the call; the hub gathers a copy.
     pub fn allgather_bytes(&self, mine: Vec<u8>) -> Vec<Vec<u8>> {
         let len = mine.len();
         let mut slots = vec![None; self.size];
-        slots[self.rank] = Some(mine);
+        slots[self.rank] = Some(mine.clone());
         let cost = self.shared.model.allgather_time(len, self.size);
         match self.collective(Acc::Gather(slots), cost, CommOp::Allgather, len as u64) {
-            Acc::Gather(slots) => slots
-                .into_iter()
-                .map(|s| s.expect("every rank contributed"))
-                .collect(),
+            Acc::Gather(slots) => {
+                let mut all: Vec<Vec<u8>> = slots
+                    .into_iter()
+                    .map(|s| s.expect("every rank contributed"))
+                    .collect();
+                debug_assert_eq!(all[self.rank], mine, "the hub returns what this rank gave");
+                all[self.rank] = mine;
+                all
+            }
             _ => unreachable!(),
         }
     }
@@ -516,6 +523,22 @@ mod tests {
         });
         for r in out {
             assert_eq!(r.result[2], vec![2u8; 3]);
+        }
+    }
+
+    #[test]
+    fn allgather_bytes_hands_back_the_callers_own_buffer() {
+        let out = free_world().run(3, |comm| {
+            let mut mine = Vec::with_capacity(4096);
+            mine.extend([comm.rank() as u8; 2]);
+            let (ptr, cap) = (mine.as_ptr(), mine.capacity());
+            let all = comm.allgather_bytes(mine);
+            let own = &all[comm.rank()];
+            assert_eq!((own.as_ptr(), own.capacity()), (ptr, cap));
+            all.iter().map(|b| b[0]).collect::<Vec<_>>()
+        });
+        for r in out {
+            assert_eq!(r.result, [0, 1, 2]);
         }
     }
 
