@@ -159,6 +159,7 @@ impl HubModel {
         match self.ticket[rank] {
             None => {
                 let ticket = self.hub.arrive(
+                    rank,
                     Acc::SumU64(Self::contribution(rank, g)),
                     (10 * g + rank as u64) as f64,
                     100 * g + rank as u64,

@@ -153,10 +153,11 @@ pub fn kmc_solver_cost_view(report: &RunReport) -> String {
     }
     let per_event = |name: &str| evals(name) / events as f64;
     format!(
-        "  kmc solver: {:.1} site evals/event modelled, {:.1} computed by the host, \
-         {:.2} rate evals/event over {events} events\n",
+        "  kmc solver: {:.1} site evals/event modelled, {:.1} computed by the host \
+         ({:.1} from shell tables), {:.2} rate evals/event over {events} events\n",
         per_event("kmc.rate.site_evals"),
         per_event("kmc.rate.host_site_evals"),
+        per_event("kmc.rate.shell_hits"),
         per_event("kmc.rate.rate_evals"),
     )
 }
@@ -470,13 +471,14 @@ mod tests {
         events.extend([
             counter("kmc.rate.site_evals", 9000.0),
             counter("kmc.rate.host_site_evals", 5000.0),
+            counter("kmc.rate.shell_hits", 4300.0),
             counter("kmc.rate.rate_evals", 26.0),
         ]);
         let text = summary(&report_of(events));
         assert!(
             text.contains(
-                "2250.0 site evals/event modelled, 1250.0 computed by the host, \
-                 6.50 rate evals/event over 4 events"
+                "2250.0 site evals/event modelled, 1250.0 computed by the host \
+                 (1075.0 from shell tables), 6.50 rate evals/event over 4 events"
             ),
             "{text}"
         );

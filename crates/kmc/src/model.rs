@@ -8,6 +8,13 @@
 //! the inner loop reduces to occupancy sums. The embedding term is
 //! still evaluated through the (compacted) table at run time.
 //!
+//! Most shells of a dilute alloy are near-perfect: every neighbour is Fe,
+//! or all but one, which is Cu or a vacancy. Such a shell has one of
+//! `2 · 2 · (1 + 2·offsets)` energies (116 at 3 Å), so construction
+//! precomputes them into shell tables through the same summation a
+//! general shell runs, and a site energy locates its shell with integer
+//! ops before it sums anything (DESIGN §6.19).
+//!
 //! Alloys are supported end to end: the paper's Fe–Cu case (§2.1.2)
 //! uses one pair/density table per species pair and one embedding
 //! table per species — exactly the sampled-shell tables held here.
@@ -32,14 +39,21 @@ fn pair_idx(a: SiteState, b: SiteState) -> usize {
 
 /// Table-sampled pair/density values per neighbour offset, per species
 /// pair, plus per-species embedding tables.
+///
+/// The samples are read-only once built: the shell tables are derived
+/// from them, so a changed sample would leave them stale.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     /// φ(r_ideal) per `[pair][basis][offset]`.
-    pub phi: [[Vec<f64>; 2]; 3],
+    phi: [[Vec<f64>; 2]; 3],
     /// f(r_ideal) per `[pair][basis][offset]`.
-    pub f: [[Vec<f64>; 2]; 3],
+    f: [[Vec<f64>; 2]; 3],
     /// Compacted embedding tables per species (Fe, Cu).
-    pub embed: [CompactTable; 2],
+    embed: [CompactTable; 2],
+    /// Site energies of near-perfect shells per `[central species][basis]`,
+    /// indexed by [`ShellKey`]: every shell with at most one non-Fe
+    /// neighbour, computed by [`Self::shell_energy`] like every other.
+    shells: [[Vec<f64>; 2]; 2],
     /// k_B·T (eV).
     pub kbt: f64,
     /// Attempt frequency (1/s).
@@ -66,13 +80,44 @@ pub struct RateStats {
     pub host_site_evals: u64,
 }
 
+/// Where a shell with at most one non-Fe neighbour sits in its shell
+/// table: 0 for a shell of Fe only, `2·idx + code` for one whose single
+/// non-Fe neighbour sits at offset `idx` with state code `code` (Cu = 1,
+/// vacancy = 2). Fe's code is 0, so summing [`ShellKey::one`] over a
+/// shell gives its key whenever at most one term is non-zero.
+struct ShellKey;
+
+impl ShellKey {
+    /// Table length for `offsets` neighbour offsets.
+    fn len(offsets: usize) -> usize {
+        1 + 2 * offsets
+    }
+
+    /// The key term of state code `code` at offset `idx`.
+    #[inline]
+    fn one(idx: usize, code: usize) -> usize {
+        (code != 0) as usize * (2 * idx + code)
+    }
+
+    /// The state at offset `idx` of the shell with key `key`.
+    fn state_at(key: usize, idx: usize) -> SiteState {
+        if key != 0 && (key - 1) / 2 == idx {
+            SiteState::from_u8((2 - key % 2) as u8)
+        } else {
+            SiteState::Fe
+        }
+    }
+}
+
 /// Direct-mapped slots of an [`EmbedMemo`], per species.
 const EMBED_SLOTS: usize = 64;
 
 /// Embedding energies by species and exact density bits. `F_s` is a
 /// pure function of `ρ`, so a hit returns the bits a table lookup
-/// would; in a dilute lattice a few densities (full shell, one site
-/// vacant) recur across a whole patch. Recycled, never reallocated.
+/// would. It serves only shells with two or more non-Fe neighbours (the
+/// shell tables answer the rest), whose densities still recur across a
+/// patch: a divacancy, a vacancy beside a Cu atom. Recycled, never
+/// reallocated.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EmbedMemo {
     /// `(ρ bits, F(ρ))`: Fe's slots, then Cu's.
@@ -130,15 +175,52 @@ impl EnergyModel {
             let p = AnalyticEam::for_pair(s, s);
             CompactTable::build(move |rho| p.embed(rho), 0.0, RHO_MAX, n)
         };
-        Self {
+        let mut model = Self {
             phi,
             f,
             embed: [embed_of(Species::Fe), embed_of(Species::Cu)],
+            shells: Default::default(),
             kbt: cfg.kbt(),
             nu: cfg.nu,
             e_mig0: cfg.e_mig0,
             e_floor: cfg.e_mig_floor,
+        };
+        model.shells = model.shell_tables();
+        model
+    }
+
+    /// φ(r_ideal) per `[pair][basis][offset]` (Fe-Fe, Cu-Cu, Fe-Cu).
+    pub(crate) fn phi(&self) -> &[[Vec<f64>; 2]; 3] {
+        &self.phi
+    }
+
+    /// f(r_ideal) per `[pair][basis][offset]` (Fe-Fe, Cu-Cu, Fe-Cu).
+    pub(crate) fn f(&self) -> &[[Vec<f64>; 2]; 3] {
+        &self.f
+    }
+
+    /// Compacted embedding tables per species (Fe, Cu).
+    pub(crate) fn embed(&self) -> &[CompactTable; 2] {
+        &self.embed
+    }
+
+    /// The shell tables of the current samples: for each central atom
+    /// species and basis, the energy of the all-Fe shell and of every
+    /// shell with one Cu or one vacancy at one offset.
+    fn shell_tables(&self) -> [[Vec<f64>; 2]; 2] {
+        let mut shells: [[Vec<f64>; 2]; 2] = Default::default();
+        for (me, per_basis) in [SiteState::Fe, SiteState::Cu].into_iter().zip(&mut shells) {
+            for (b, table) in per_basis.iter_mut().enumerate() {
+                let offsets = self.f[0][b].len();
+                *table = (0..ShellKey::len(offsets))
+                    .map(|key| {
+                        let shell = |idx| ShellKey::state_at(key, idx);
+                        self.shell_energy(me, b, shell, |me, rho| self.embed_energy(me, rho))
+                    })
+                    .collect();
+            }
         }
+        shells
     }
 
     /// Embedding energy of a `species` atom at density `rho`.
@@ -156,29 +238,61 @@ impl EnergyModel {
     /// `F_s(ρ_s) + ½ Σ_j φ_{s,s_j}(r_sj)` (zero for a vacancy).
     pub fn site_energy(&self, lat: &KmcLattice, s: usize) -> f64 {
         self.site_energy_with(lat, s, |me, rho| self.embed_energy(me, rho))
+            .0
     }
 
-    /// [`Self::site_energy`] with its embedding term looked up in `memo`.
-    pub(crate) fn site_energy_memo(&self, lat: &KmcLattice, s: usize, memo: &mut EmbedMemo) -> f64 {
+    /// [`Self::site_energy`] with its embedding term looked up in `memo`,
+    /// and whether the shell tables answered it.
+    pub(crate) fn site_energy_memo(
+        &self,
+        lat: &KmcLattice,
+        s: usize,
+        memo: &mut EmbedMemo,
+    ) -> (f64, bool) {
         self.site_energy_with(lat, s, |me, rho| memo.embed(self, me, rho))
     }
 
+    /// A site's energy and whether the shell tables answered it. A shell
+    /// with at most one non-Fe neighbour is located with integer ops
+    /// alone; every other shell runs [`Self::shell_energy`].
     fn site_energy_with(
         &self,
         lat: &KmcLattice,
         s: usize,
         embed: impl FnOnce(SiteState, f64) -> f64,
-    ) -> f64 {
+    ) -> (f64, bool) {
         let me = lat.state[s];
         if me == SiteState::Vacancy {
-            return 0.0;
+            return (0.0, false);
         }
         let b = s & 1;
+        let neighbour = |idx: usize| lat.state[(s as isize + lat.deltas[b][idx]) as usize];
+        let (mut others, mut key) = (0, 0);
+        for idx in 0..lat.deltas[b].len() {
+            let code = neighbour(idx) as usize;
+            others += (code != 0) as usize;
+            key += ShellKey::one(idx, code);
+        }
+        if others <= 1 {
+            return (self.shells[me as usize][b][key], true);
+        }
+        (self.shell_energy(me, b, neighbour, embed), false)
+    }
+
+    /// `F_me(ρ) + ½ Σ_j φ_j` of a `me` atom on basis `b` whose neighbour
+    /// at offset `idx` holds `shell(idx)`: the one summation behind every
+    /// site energy, table entry or not, so both have one op order.
+    fn shell_energy(
+        &self,
+        me: SiteState,
+        b: usize,
+        shell: impl Fn(usize) -> SiteState,
+        embed: impl FnOnce(SiteState, f64) -> f64,
+    ) -> f64 {
         let mut rho = 0.0;
         let mut pair = 0.0;
-        for (idx, &d) in lat.deltas[b].iter().enumerate() {
-            let n = (s as isize + d) as usize;
-            let them = lat.state[n];
+        for idx in 0..self.f[0][b].len() {
+            let them = shell(idx);
             if them.is_atom() {
                 let pi = pair_idx(me, them);
                 rho += self.f[pi][b][idx];
@@ -201,6 +315,28 @@ impl EnergyModel {
 /// oracle for them.
 #[cfg(test)]
 impl EnergyModel {
+    /// The site energy loop the shell tables replaced, verbatim: the
+    /// bitwise oracle for the tables and for [`Self::shell_energy`].
+    fn site_energy_full_loop(&self, lat: &KmcLattice, s: usize) -> f64 {
+        let me = lat.state[s];
+        if me == SiteState::Vacancy {
+            return 0.0;
+        }
+        let b = s & 1;
+        let mut rho = 0.0;
+        let mut pair = 0.0;
+        for (idx, &d) in lat.deltas[b].iter().enumerate() {
+            let n = (s as isize + d) as usize;
+            let them = lat.state[n];
+            if them.is_atom() {
+                let pi = pair_idx(me, them);
+                rho += self.f[pi][b][idx];
+                pair += self.phi[pi][b][idx];
+            }
+        }
+        self.embed_energy(me, rho) + 0.5 * pair
+    }
+
     /// Energy of the patch affected by swapping `v` (vacancy) and `n`
     /// (atom): the two sites plus every neighbour of either.
     fn patch_energy(&self, lat: &KmcLattice, patch: &[usize], stats: &mut RateStats) -> f64 {
@@ -324,6 +460,7 @@ mod tests {
         // oracles cannot tell the species slots apart).
         let (_, mut m, _) = setup();
         m.embed[1] = CompactTable::build(|rho| 0.5 * rho - 1.0, 0.0, RHO_MAX, 100);
+        m.shells = m.shell_tables();
         let mut memo = EmbedMemo::default();
         memo.reset();
         for rho in [0.0, 1.5, 1.5 + f64::EPSILON, 7.25] {
@@ -331,6 +468,109 @@ mod tests {
                 let want = m.embed_energy(species, rho);
                 assert_eq!(memo.embed(&m, species, rho).to_bits(), want.to_bits());
             }
+        }
+    }
+
+    /// A lattice whose interior sites read only sites inside the grid,
+    /// at `rate_cutoff`.
+    fn oracle_box(cells: usize, rate_cutoff: f64) -> (KmcLattice, EnergyModel) {
+        let cfg = KmcConfig {
+            table_knots: 600,
+            rate_cutoff,
+            ..Default::default()
+        };
+        let ghost = crate::lattice::required_ghost(cfg.a0, rate_cutoff);
+        let lat = KmcLattice::all_fe(
+            LocalGrid::whole(BccGeometry::fe_cube(cells), ghost),
+            rate_cutoff,
+        );
+        let model = EnergyModel::new(&cfg, &lat);
+        (lat, model)
+    }
+
+    #[test]
+    fn every_shell_table_entry_equals_the_full_loop() {
+        for rate_cutoff in [3.0, 5.0] {
+            let (mut lat, m) = oracle_box(4, rate_cutoff);
+            let mut entries = 0;
+            for b in 0..2 {
+                let s = lat.grid.site_id(3, 3, 3, b);
+                let shell: Vec<usize> = lat.neighbors(s).collect();
+                let keys = ShellKey::len(shell.len());
+                for me in [SiteState::Fe, SiteState::Cu] {
+                    lat.set_state(s, me);
+                    for key in 0..keys {
+                        for (idx, &n) in shell.iter().enumerate() {
+                            lat.set_state(n, ShellKey::state_at(key, idx));
+                        }
+                        let non_fe = shell.iter().filter(|&&n| lat.state[n] != SiteState::Fe);
+                        assert_eq!(non_fe.count(), (key != 0) as usize, "key {key}");
+                        let want = m.site_energy_full_loop(&lat, s).to_bits();
+                        let entry = m.shells[me as usize][b][key];
+                        assert_eq!(entry.to_bits(), want, "{me:?}, basis {b}, key {key}");
+                        let (got, hit) =
+                            m.site_energy_with(&lat, s, |me, rho| m.embed_energy(me, rho));
+                        assert!(hit, "{me:?}, basis {b}, key {key} missed its table");
+                        assert_eq!(got.to_bits(), want, "{me:?}, basis {b}, key {key}");
+                        entries += 1;
+                    }
+                }
+            }
+            // Both species × both bases × (all-Fe + Cu or a vacancy at
+            // every offset); 116 entries at 3 Å.
+            let per_basis = ShellKey::len(lat.deltas[0].len());
+            assert_eq!(entries, 2 * 2 * per_basis, "cutoff {rate_cutoff}");
+            if rate_cutoff == 3.0 {
+                assert_eq!(entries, 116);
+            }
+        }
+    }
+
+    #[test]
+    fn every_site_energy_equals_the_full_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Table answers and full sums per cutoff: both paths must run.
+        let mut paths = [[0usize; 2]; 2];
+        for (rate_cutoff, cu, vac) in [
+            (3.0, 0.0f64, 0.05),
+            (3.0, 0.02, 0.05),
+            (3.0, 0.3, 0.1),
+            (5.0, 0.01, 0.01),
+            (5.0, 0.25, 0.05),
+        ] {
+            let (mut lat, m) = oracle_box(6, rate_cutoff);
+            let mut rng = StdRng::seed_from_u64(rate_cutoff.to_bits() ^ cu.to_bits());
+            for s in 0..lat.state.len() {
+                let u: f64 = rng.random();
+                let st = if u < vac {
+                    SiteState::Vacancy
+                } else if u < vac + cu {
+                    SiteState::Cu
+                } else {
+                    SiteState::Fe
+                };
+                lat.set_state(s, st);
+            }
+            let mut memo = EmbedMemo::default();
+            memo.reset();
+            for s in lat.grid.interior_ids() {
+                let want = m.site_energy_full_loop(&lat, s).to_bits();
+                let why = format!("cutoff {rate_cutoff}, Cu {cu}, vacancies {vac}, site {s}");
+                assert_eq!(m.site_energy(&lat, s).to_bits(), want, "{why}");
+                let (got, hit) = m.site_energy_memo(&lat, s, &mut memo);
+                assert_eq!(got.to_bits(), want, "{why}, through the memo");
+                if lat.state[s].is_atom() {
+                    paths[(rate_cutoff == 5.0) as usize][hit as usize] += 1;
+                }
+            }
+        }
+        for ran in paths {
+            assert!(
+                ran.iter().all(|&n| n > 0),
+                "full sums, table answers: {ran:?}"
+            );
         }
     }
 

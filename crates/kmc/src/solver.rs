@@ -78,8 +78,13 @@
 //! patch shapes (DESIGN §6.19). Every site energy is computed at most
 //! once per call: "before" energies are memoised by patch-union slot,
 //! an "after" energy that depends only on which species moved onto the
-//! vacancy is memoised by (slot, species), and embedding energies by
-//! exact density bits. Both sums still run over each patch in ascending
+//! vacancy is memoised by (slot, species). A site energy itself comes
+//! from the model's shell tables when at most one neighbour is not Fe
+//! (0.82 of the host's energies on `kmc_dense`), else from the full
+//! shell sum with its embedding energy memoised by exact density bits;
+//! the tables hold that sum's own results, so the choice moves no bit,
+//! and the host counts the hits apart (`kmc.rate.shell_hits`), outside
+//! `RateStats`. Both sums still run over each patch in ascending
 //! site id, so every rate has the bits of the `#[cfg(test)]` oracle
 //! `EnergyModel::rate`, and `RateStats::{rate_evals, site_evals}` are
 //! charged exactly what the oracle charges; `host_site_evals` counts
@@ -166,6 +171,9 @@ pub(crate) struct RateMemo {
     after: Vec<[Option<f64>; 2]>,
     /// Embedding energies of the sites computed.
     embed: EmbedMemo,
+    /// Site energies the model's shell tables answered, ever: host
+    /// telemetry, never reset.
+    shell_hits: u64,
 }
 
 impl RateMemo {
@@ -176,6 +184,11 @@ impl RateMemo {
         self.after.clear();
         self.after.resize(slots, [None; 2]);
         self.embed.reset();
+    }
+
+    /// Site energies the model's shell tables have answered so far.
+    pub(crate) fn shell_hits(&self) -> u64 {
+        self.shell_hits
     }
 }
 
@@ -281,17 +294,18 @@ impl RateCache {
 /// Visits every number of `model` a rate reads, each part after its
 /// length: the Boltzmann and barrier scalars, the shell samples, and each
 /// embedding table's end, knot count and knot values (its slopes follow
-/// from those).
+/// from those). The model's shell tables are derived from these, so
+/// they add no bits of their own.
 fn for_each_model_part(model: &EnergyModel, mut visit: impl FnMut(&[f64])) {
     let mut part = |p: &[f64]| {
         visit(&[p.len() as f64]);
         visit(p);
     };
     part(&[model.kbt, model.nu, model.e_mig0, model.e_floor]);
-    for samples in model.phi.iter().chain(&model.f).flatten() {
+    for samples in model.phi().iter().chain(model.f()).flatten() {
         part(samples);
     }
-    for table in &model.embed {
+    for table in model.embed() {
         part(&[table.x_max(), table.n() as f64]);
         part(table.values());
     }
@@ -402,11 +416,14 @@ fn shaped_rate(
         before: memo_before,
         after: memo_after,
         embed,
+        shell_hits,
     } = memo;
     let mut host = 0;
     let mut energy = |lat: &KmcLattice, p: &PatchSite| {
         host += 1;
-        model.site_energy_memo(lat, (v as isize + p.delta) as usize, embed)
+        let (e, hit) = model.site_energy_memo(lat, (v as isize + p.delta) as usize, embed);
+        *shell_hits += hit as u64;
+        e
     };
     let before: f64 = lat.patches[b].dirs[dir]
         .iter()

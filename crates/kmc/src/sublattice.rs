@@ -19,9 +19,9 @@ use crate::solver::{run_sector, sectors};
 /// change — so the rank's virtual KMC compute time follows the event
 /// catalogue, not a recompute of the whole sector per event. It does not
 /// follow the host's work (`RateStats::host_site_evals`): the per-vacancy
-/// energy memo, and the rate cache that answers a rate whose footprint
-/// did not change, are host-only, and a cached rate is charged what its
-/// evaluation was charged.
+/// energy memo, the model's shell tables, and the rate cache that answers
+/// a rate whose footprint did not change, are host-only, and a cached
+/// rate is charged what its evaluation was charged.
 pub const SITE_EVAL_SECONDS: f64 = 6.0e-8;
 
 /// Cumulative run statistics.
@@ -107,6 +107,7 @@ impl KmcSimulation {
             return 0;
         }
         let rate_before = self.stats.rate;
+        let shell_hits_before = self.lat.memo.shell_hits();
         let vac_before = self.lat.n_vacancies() as u64;
         let mut events = 0;
         let mut ghost_bytes = 0u64;
@@ -155,6 +156,8 @@ impl KmcSimulation {
             let host_site_evals = self.stats.rate.host_site_evals - rate_before.host_site_evals;
             mmds_telemetry::add_counter("kmc.rate.site_evals", site_evals as f64);
             mmds_telemetry::add_counter("kmc.rate.host_site_evals", host_site_evals as f64);
+            let shell_hits = self.lat.memo.shell_hits() - shell_hits_before;
+            mmds_telemetry::add_counter("kmc.rate.shell_hits", shell_hits as f64);
             mmds_telemetry::add_counter("kmc.rate.rate_evals", rate_evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.

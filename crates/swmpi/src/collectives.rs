@@ -13,6 +13,11 @@
 //! then park), and a non-blocking [`try_take`](CollectiveHub::try_take).
 //! The two halves are public so the rendezvous can be model-checked
 //! under every interleaving (`mmds-audit`, `tests/model_checks.rs`).
+//!
+//! A generation keeps each rank's contribution in that rank's slot and
+//! folds them in rank order once the last one arrives, so a reduction's
+//! bits never depend on the order in which the host scheduled the ranks
+//! (a floating-point sum over three or more ranks would).
 
 use crate::wait::{Gate, Waiter};
 
@@ -72,7 +77,8 @@ pub type Collected = (Acc, f64, u64, u64);
 
 struct Inner {
     arrived: usize,
-    acc: Option<Acc>,
+    /// Per rank, its contribution to the generation in progress.
+    contributions: Vec<Option<Acc>>,
     clock_max: f64,
     lamport_max: u64,
     /// The most recently completed collective.
@@ -112,7 +118,7 @@ impl CollectiveHub {
             n,
             gate: Gate::new(Inner {
                 arrived: 0,
-                acc: None,
+                contributions: vec![None; n],
                 clock_max: f64::NEG_INFINITY,
                 lamport_max: 0,
                 slot: None,
@@ -126,29 +132,35 @@ impl CollectiveHub {
     }
 
     /// First half of a collective, non-blocking: contributes `mine`,
-    /// this rank's virtual `clock` and its Lamport clock to the
+    /// this `rank`'s virtual `clock` and its Lamport clock to the
     /// generation in progress and returns that generation — the ticket
     /// for [`try_take`](Self::try_take). The last of the `n` arrivals
-    /// completes the generation and publishes its result.
-    pub fn arrive(&self, mine: Acc, clock: f64, lamport: u64) -> u64 {
+    /// completes the generation: it folds the contributions in rank
+    /// order and publishes the result.
+    pub fn arrive(&self, rank: usize, mine: Acc, clock: f64, lamport: u64) -> u64 {
         let mut g = self.gate.lock();
         let generation = g.epoch();
+        if g.contributions[rank].is_some() {
+            drop(g);
+            panic!("rank {rank} arrived twice at collective generation {generation}");
+        }
+        g.contributions[rank] = Some(mine);
         g.clock_max = g.clock_max.max(clock);
         g.lamport_max = g.lamport_max.max(lamport);
-        let acc = match g.acc.take() {
-            None => Ok(mine),
-            Some(a) => combine(a, mine),
-        };
-        match acc {
-            Ok(acc) => g.acc = Some(acc),
-            Err(violation) => {
-                drop(g);
-                panic!("{violation}");
-            }
-        }
         g.arrived += 1;
         if g.arrived == self.n {
-            let acc = g.acc.take().expect("accumulator present at completion");
+            let mut in_rank_order = g
+                .contributions
+                .iter_mut()
+                .map(|c| c.take().expect("every rank arrived"));
+            let first = in_rank_order.next().expect("a world has a rank");
+            let acc = match in_rank_order.try_fold(first, combine) {
+                Ok(acc) => acc,
+                Err(violation) => {
+                    drop(g);
+                    panic!("{violation}");
+                }
+            };
             g.slot = Some(Slot {
                 generation,
                 acc,
@@ -192,11 +204,12 @@ impl CollectiveHub {
     pub(crate) fn collect(
         &self,
         waiter: &Waiter,
+        rank: usize,
         mine: Acc,
         clock: f64,
         lamport: u64,
     ) -> Collected {
-        let generation = self.arrive(mine, clock, lamport);
+        let generation = self.arrive(rank, mine, clock, lamport);
         waiter.wait(&self.gate, |inner| Self::take(inner, generation))
     }
 
@@ -216,12 +229,14 @@ mod tests {
     /// drives it, through a parking waiter.
     struct RankHub<'a> {
         hub: &'a CollectiveHub,
+        rank: usize,
         waiter: Waiter,
     }
 
     impl RankHub<'_> {
         fn collect(&self, mine: Acc, clock: f64, lamport: u64) -> Collected {
-            self.hub.collect(&self.waiter, mine, clock, lamport)
+            self.hub
+                .collect(&self.waiter, self.rank, mine, clock, lamport)
         }
     }
 
@@ -238,7 +253,14 @@ mod tests {
                     let (hub, f, abort) = (&hub, &f, Arc::clone(&abort));
                     s.spawn(move || {
                         let waiter = Waiter::new(r, abort, false);
-                        f(r, &RankHub { hub, waiter })
+                        f(
+                            r,
+                            &RankHub {
+                                hub,
+                                rank: r,
+                                waiter,
+                            },
+                        )
                     })
                 })
                 .collect();
@@ -303,6 +325,40 @@ mod tests {
         });
         // Every round sums to 4*round + (0+1+2+3); totals agree on all ranks.
         assert!(out.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn sums_fold_in_rank_order_whatever_the_arrival_order() {
+        // (1 + 1e16) − 1e16 = 0 in f64, but 1 + (1e16 − 1e16) = 1: the
+        // sum depends on association, so only a fixed fold order gives
+        // the same bits for every arrival order.
+        let values = [1.0, 1.0e16, -1.0e16];
+        let sum_in = |order: [usize; 3]| {
+            let hub = CollectiveHub::new(3);
+            let tickets: Vec<u64> = order
+                .iter()
+                .map(|&r| {
+                    assert!(
+                        hub.try_take(0).is_none(),
+                        "complete before rank {r} arrived"
+                    );
+                    hub.arrive(r, Acc::SumF64(values[r]), 0.0, 0)
+                })
+                .collect();
+            assert!(tickets.iter().all(|&t| t == 0));
+            match hub.try_take(0) {
+                Some((Acc::SumF64(s), ..)) => s.to_bits(),
+                other => panic!("generation 0 not complete: {other:?}"),
+            }
+        };
+        let in_rank_order = ((values[0] + values[1]) + values[2]).to_bits();
+        assert_ne!(
+            in_rank_order,
+            (values[0] + (values[1] + values[2])).to_bits()
+        );
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1]] {
+            assert_eq!(sum_in(order), in_rank_order, "arrival order {order:?}");
+        }
     }
 
     #[test]

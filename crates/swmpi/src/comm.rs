@@ -264,10 +264,13 @@ impl Comm {
 
     fn collective(&self, mine: Acc, cost: f64, op: CommOp, bytes: u64) -> Acc {
         let timer = OpTimer::start(self.clock.get());
-        let (acc, clock_max, lamport_max, generation) =
-            self.shared
-                .hub
-                .collect(&self.waiter, mine, self.clock.get(), self.lamport.get());
+        let (acc, clock_max, lamport_max, generation) = self.shared.hub.collect(
+            &self.waiter,
+            self.rank,
+            mine,
+            self.clock.get(),
+            self.lamport.get(),
+        );
         self.advance_comm(clock_max + cost);
         self.stats.borrow_mut().collectives += 1;
         let lamport = lamport_max + 1;
