@@ -152,9 +152,18 @@ pub fn kmc_solver_cost_view(report: &RunReport) -> String {
         return String::new();
     }
     let per_event = |name: &str| evals(name) / events as f64;
+    let table = evals("kmc.rate.table_hits") + evals("kmc.rate.table_misses");
+    let table_share = if table > 0.0 {
+        format!(
+            "; the rate table answered {:.1} % of {table} vacancy evaluations",
+            100.0 * evals("kmc.rate.table_hits") / table
+        )
+    } else {
+        String::new()
+    };
     format!(
         "  kmc solver: {:.1} site evals/event modelled, {:.1} computed by the host \
-         ({:.1} from shell tables), {:.2} rate evals/event over {events} events\n",
+         ({:.1} from shell tables), {:.2} rate evals/event over {events} events{table_share}\n",
         per_event("kmc.rate.site_evals"),
         per_event("kmc.rate.host_site_evals"),
         per_event("kmc.rate.shell_hits"),
@@ -473,12 +482,15 @@ mod tests {
             counter("kmc.rate.host_site_evals", 5000.0),
             counter("kmc.rate.shell_hits", 4300.0),
             counter("kmc.rate.rate_evals", 26.0),
+            counter("kmc.rate.table_hits", 30.0),
+            counter("kmc.rate.table_misses", 10.0),
         ]);
         let text = summary(&report_of(events));
         assert!(
             text.contains(
                 "2250.0 site evals/event modelled, 1250.0 computed by the host \
-                 (1075.0 from shell tables), 6.50 rate evals/event over 4 events"
+                 (1075.0 from shell tables), 6.50 rate evals/event over 4 events; \
+                 the rate table answered 75.0 % of 40 vacancy evaluations"
             ),
             "{text}"
         );

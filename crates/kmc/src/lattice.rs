@@ -99,8 +99,8 @@ pub struct KmcLattice {
     pub(crate) patches: [PatchShapes; 2],
     /// The solver's per-vacancy energy memo, recycled like `wire`.
     pub(crate) memo: RateMemo,
-    /// The solver's per-vacancy rates, valid while their footprint's
-    /// states are.
+    /// The solver's rates by local environment: a vacancy's basis and
+    /// its footprint's states.
     pub(crate) rate_cache: RateCache,
 }
 
@@ -213,6 +213,7 @@ impl KmcLattice {
             .unwrap_or(1) as usize;
         let patches = [0, 1].map(|b| PatchShapes::build(b, &deltas, &nn1_deltas[b]));
         let n = grid.n_sites();
+        let rate_cache = RateCache::new(&patches, &nn1_deltas);
         Self {
             grid,
             offsets,
@@ -224,7 +225,7 @@ impl KmcLattice {
             wire: Vec::new(),
             patches,
             memo: RateMemo::default(),
-            rate_cache: RateCache::default(),
+            rate_cache,
         }
     }
 

@@ -47,30 +47,43 @@
 //!
 //! # The rate cache
 //!
-//! What outlives the sector is each vacancy's last evaluation, kept in
-//! the lattice's `RateCache`: its events, the `rate_evals` and
-//! `site_evals` it charged, and the states of its *footprint* — every
-//! site a rate of that vacancy reads, the union of the basis's 8
-//! patches and their cutoff neighbours (`PatchShapes::footprint`), 169
-//! sites at 3 Å. `evaluate` first compares that snapshot with the
-//! current states; if they are equal it returns the cached events and
-//! charges the stored counts, so the catalogue's invalidation rule,
-//! `RateStats::{rate_evals, site_evals}`, virtual time, every RNG draw
-//! and every trajectory bit stay what they were, and only
-//! `host_site_evals` falls. Validating by snapshot instead of hooking
-//! writes means ghost rewrites, full-ghost slabs and checkpoint
-//! restores need to tell the cache nothing.
+//! A vacancy's rates read only its basis and the states of its
+//! *footprint* — every site a rate of that vacancy reads, the union of
+//! the basis's 8 patches and their cutoff neighbours
+//! (`PatchShapes::footprint`), 169 sites at 3 Å — never where it sits:
+//! patches are flat-index deltas and every sum runs in ascending delta.
+//! So what outlives the sector is one table of rates by local
+//! environment, the lattice's `RateCache`, and a vacancy that moves
+//! into an environment any vacancy has met before computes nothing.
+//! `evaluate` answers from it the rates, the `rate_evals` and the
+//! `site_evals` that environment's evaluation charged, so the
+//! catalogue's invalidation rule, `RateStats::{rate_evals, site_evals}`,
+//! virtual time, every RNG draw and every trajectory bit stay what they
+//! were, and only `host_site_evals` falls. A key is read from the
+//! states, never from hooked writes, so ghost rewrites, full-ghost slabs
+//! and checkpoint restores need to tell the table nothing.
 //!
-//! * **One model.** `run_sector` binds the cache to its model for the
-//!   call and releases it on return; outside a bound call the cache
+//! * **Key.** The footprint's states, 2 bits per site in footprint
+//!   order, then the basis bit: 6 words at 3 Å; its length follows the
+//!   footprint, so a wider cutoff has a longer key.
+//! * **Entry.** One rate per atom partner in `nn1` order, and the two
+//!   modelled charges. The partners' states are part of the key, so the
+//!   basis's `nn1` deltas, filtered to atoms, rebuild `(v + δ, rate)`.
+//! * **Table.** `RATE_TABLE_CAPACITY` entries in sets of
+//!   `RATE_TABLE_WAYS`; a fixed multiply-xorshift of the key names the
+//!   set, so nothing iterates or seeds a hash container and the host
+//!   counters (`kmc.rate.table_hits`, `kmc.rate.table_misses`) repeat
+//!   from run to run. Entry storage is reserved once and written on
+//!   demand.
+//! * **Eviction.** A set keeps its entries most recently used first; a
+//!   store into a full set replaces the least recently used one. Hits
+//!   and evictions decide only what the host recomputes: a hit returns
+//!   the bits a recompute would.
+//! * **One model.** `run_sector` binds the table to its model for the
+//!   call and releases it on return; outside a bound call the table
 //!   answers nothing. Binding compares every number the rates read
 //!   from the model, bit for bit, with the entries' model, and drops
 //!   every entry if one differs.
-//! * **Pruning.** Each cycle's first sector drops the entries of sites
-//!   that are no longer vacancies, so the cache holds about one entry
-//!   per vacancy plus the sites vacancies left during one cycle.
-//! * **Order.** Entries sit in a `BTreeMap` by site id; nothing
-//!   iterates a hash container.
 //!
 //! # One vacancy's rates
 //!
@@ -80,7 +93,7 @@
 //! an "after" energy that depends only on which species moved onto the
 //! vacancy is memoised by (slot, species). A site energy itself comes
 //! from the model's shell tables when at most one neighbour is not Fe
-//! (0.82 of the host's energies on `kmc_dense`), else from the full
+//! (0.76 of the host's energies on `kmc_dense`), else from the full
 //! shell sum with its embedding energy memoised by exact density bits;
 //! the tables hold that sum's own results, so the choice moves no bit,
 //! and the host counts the hits apart (`kmc.rate.shell_hits`), outside
@@ -90,11 +103,9 @@
 //! charged exactly what the oracle charges; `host_site_evals` counts
 //! the energies computed.
 
-use std::collections::BTreeMap;
-
 use rand::Rng;
 
-use crate::lattice::{KmcLattice, PatchSite, SiteState};
+use crate::lattice::{KmcLattice, PatchShapes, PatchSite, SiteState};
 use crate::model::{EmbedMemo, EnergyModel, RateStats};
 
 /// What one sector sweep produced.
@@ -192,34 +203,99 @@ impl RateMemo {
     }
 }
 
-/// One vacancy's last evaluation.
-#[derive(Debug, Clone, Default)]
-struct CachedRates {
-    /// `(partner, rate)` per atom 1NN partner, in `nn1` order.
-    events: Vec<(usize, f64)>,
-    /// The modelled rate evaluations it charged.
-    rate_evals: u64,
-    /// The modelled site evaluations it charged.
-    site_evals: u64,
-    /// The states of the vacancy basis's footprint, in footprint order.
-    snapshot: Vec<SiteState>,
-}
+/// Most environments the rate table holds (see the module doc), 128 B
+/// each at 3 Å. On `kmc_dense` (2 269 distinct environments over a
+/// repetition) 512 entries compute 3 477 evaluations, 1 024 compute
+/// 2 592 and 2 048 compute 2 339; beyond 1 024 the wall time no longer
+/// falls, and the peak resident set rises above the per-site cache's.
+pub(crate) const RATE_TABLE_CAPACITY: usize = 1024;
 
-/// Per-vacancy rates that outlive the sector (see the module doc).
-#[derive(Debug, Clone, Default)]
+/// Entries per set of the rate table.
+const RATE_TABLE_WAYS: usize = 4;
+
+/// Rates by local environment that outlive the sector (see the module
+/// doc): a set-associative table keyed by a vacancy's basis and the
+/// states of its footprint.
+#[derive(Debug, Clone)]
 pub(crate) struct RateCache {
-    /// Entries by vacancy site id.
-    entries: BTreeMap<usize, CachedRates>,
+    /// `ways` slots per set, most recently used first: an entry's index
+    /// plus one, 0 for an empty slot. Allocated by the first store.
+    slots: Vec<u32>,
+    /// Sets of the full table, a power of two.
+    sets: usize,
+    /// Slots per set.
+    ways: usize,
+    /// Key words per entry: 2 bits per footprint site, then the basis.
+    words: usize,
+    /// Rates per entry: the longest `nn1` list.
+    stride: usize,
+    /// Entry keys, `words` each.
+    keys: Vec<u64>,
+    /// Entry rates, `stride` each: one per atom partner, in `nn1` order.
+    rates: Vec<f64>,
+    /// Entry charges: the modelled `(rate_evals, site_evals)`.
+    charged: Vec<(u64, u64)>,
+    /// The key of the vacancy being evaluated.
+    key: Vec<u64>,
     /// The model every entry was computed with.
     model: ModelBits,
     /// Address of the model of the `run_sector` call in progress.
     bound: Option<usize>,
+    /// Evaluations answered from the table, ever: host telemetry, never
+    /// reset.
+    hits: u64,
+    /// Evaluations computed while the table was bound, ever: likewise.
+    misses: u64,
     /// Tests: bind never, so every evaluation computes.
     #[cfg(test)]
     pub(crate) bypass: bool,
 }
 
 impl RateCache {
+    /// An empty table for vacancies with these patch shapes and `nn1`
+    /// lists.
+    pub(crate) fn new(patches: &[PatchShapes; 2], nn1: &[Vec<isize>; 2]) -> Self {
+        Self::with_shape(
+            patches,
+            nn1,
+            RATE_TABLE_CAPACITY / RATE_TABLE_WAYS,
+            RATE_TABLE_WAYS,
+        )
+    }
+
+    fn with_shape(
+        patches: &[PatchShapes; 2],
+        nn1: &[Vec<isize>; 2],
+        sets: usize,
+        ways: usize,
+    ) -> Self {
+        assert!(sets.is_power_of_two() && ways > 0);
+        let footprint = patches.iter().map(|p| p.footprint.len()).max().unwrap_or(0);
+        Self {
+            slots: Vec::new(),
+            sets,
+            ways,
+            words: (2 * footprint + 1).div_ceil(64),
+            stride: nn1.iter().map(Vec::len).max().unwrap_or(0),
+            keys: Vec::new(),
+            rates: Vec::new(),
+            charged: Vec::new(),
+            key: Vec::new(),
+            model: ModelBits::default(),
+            bound: None,
+            hits: 0,
+            misses: 0,
+            #[cfg(test)]
+            bypass: false,
+        }
+    }
+
+    /// Tests: a table of one entry, so every other environment evicts.
+    #[cfg(test)]
+    pub(crate) fn one_slot(patches: &[PatchShapes; 2], nn1: &[Vec<isize>; 2]) -> Self {
+        Self::with_shape(patches, nn1, 1, 1)
+    }
+
     /// Serves `model` until [`release`](Self::release); forgets every
     /// entry if `model`'s numbers differ from the entries' model's.
     pub(crate) fn bind(&mut self, model: &EnergyModel) {
@@ -228,7 +304,10 @@ impl RateCache {
             return;
         }
         if !self.model.matches(model) {
-            self.entries.clear();
+            self.slots.fill(0);
+            self.keys.clear();
+            self.rates.clear();
+            self.charged.clear();
             self.model = ModelBits::of(model);
         }
         self.bound = Some(model as *const EnergyModel as usize);
@@ -243,51 +322,119 @@ impl RateCache {
         self.bound == Some(model as *const EnergyModel as usize)
     }
 
-    /// Drops the entries of sites that are no longer vacancies.
-    fn prune(&mut self, state: &[SiteState]) {
-        self.entries.retain(|&v, _| state[v] == SiteState::Vacancy);
+    /// Evaluations answered from the table so far.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
     }
 
-    /// The entry of `v` if every footprint site still has its state.
-    fn lookup(
-        &self,
-        model: &EnergyModel,
+    /// Evaluations computed while the table was bound so far.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Packs the key of the basis-`b` vacancy at `v` into `self.key`.
+    fn load_key(&mut self, b: usize, v: usize, footprint: &[isize], state: &[SiteState]) {
+        self.key.clear();
+        self.key.resize(self.words, 0);
+        for (word, sites) in self.key.iter_mut().zip(footprint.chunks(32)) {
+            for (i, &d) in sites.iter().enumerate() {
+                *word |= (state[(v as isize + d) as usize] as u64) << (2 * i);
+            }
+        }
+        let end = 2 * footprint.len();
+        self.key[end / 64] |= (b as u64) << (end % 64);
+    }
+
+    /// The set `self.key` hashes to: a fixed multiply-xorshift, so the
+    /// table's contents, and its counters, repeat from run to run.
+    fn set_of_key(&self) -> usize {
+        let mut h = 0u64;
+        for &w in &self.key {
+            h = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h ^= h >> 29;
+        }
+        (h ^ (h >> 32)) as usize & (self.sets - 1)
+    }
+
+    /// The events and charges of the environment of the basis-`b`
+    /// vacancy at `v`, its events into `events`, if the table holds it;
+    /// else `None`, with its key loaded for [`store`](Self::store).
+    fn answer(
+        &mut self,
+        b: usize,
         v: usize,
         footprint: &[isize],
+        nn1: &[isize],
         state: &[SiteState],
-    ) -> Option<&CachedRates> {
-        if !self.serves(model) {
+        events: &mut Vec<(usize, f64)>,
+    ) -> Option<(u64, u64)> {
+        self.load_key(b, v, footprint, state);
+        let Some(e) = self.lookup() else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        let mut rates = self.rates[e * self.stride..(e + 1) * self.stride].iter();
+        events.clear();
+        for &d in nn1 {
+            let n = (v as isize + d) as usize;
+            if state[n].is_atom() {
+                let k = rates.next().expect("the key holds the partners' states");
+                events.push((n, *k));
+            }
+        }
+        Some(self.charged[e])
+    }
+
+    /// The entry holding `self.key`, made the most recently used of its
+    /// set.
+    fn lookup(&mut self) -> Option<usize> {
+        if self.slots.is_empty() {
             return None;
         }
-        let hit = self.entries.get(&v)?;
-        let unchanged = footprint
-            .iter()
-            .zip(&hit.snapshot)
-            .all(|(&d, &was)| state[(v as isize + d) as usize] == was);
-        unchanged.then_some(hit)
+        let set = self.set_of_key() * self.ways;
+        let (words, key, keys) = (self.words, &self.key, &self.keys);
+        let slots = &mut self.slots[set..set + self.ways];
+        let way = slots.iter().position(|&slot| {
+            let e = slot as usize;
+            e != 0 && keys[(e - 1) * words..e * words] == key[..]
+        })?;
+        slots[..=way].rotate_right(1);
+        Some(slots[0] as usize - 1)
     }
 
-    /// Records the evaluation of `v` that charged `charged`.
-    fn store(
-        &mut self,
-        model: &EnergyModel,
-        v: usize,
-        footprint: &[isize],
-        state: &[SiteState],
-        events: &[(usize, f64)],
-        charged: RateStats,
-    ) {
-        if !self.serves(model) {
-            return;
+    /// Records `events` and `charged` under `self.key`, in place of the
+    /// least recently used entry of its set if the set is full.
+    fn store(&mut self, events: &[(usize, f64)], charged: (u64, u64)) {
+        if self.slots.is_empty() {
+            let capacity = self.sets * self.ways;
+            self.slots.resize(capacity, 0);
+            // Reserved once, so no entry is ever moved; the pages are
+            // touched only as entries arrive.
+            self.keys.reserve_exact(capacity * self.words);
+            self.rates.reserve_exact(capacity * self.stride);
+            self.charged.reserve_exact(capacity);
         }
-        let e = self.entries.entry(v).or_default();
-        e.events.clear();
-        e.events.extend_from_slice(events);
-        e.rate_evals = charged.rate_evals;
-        e.site_evals = charged.site_evals;
-        e.snapshot.clear();
-        e.snapshot
-            .extend(footprint.iter().map(|&d| state[(v as isize + d) as usize]));
+        let set = self.set_of_key() * self.ways;
+        let slots = &mut self.slots[set..set + self.ways];
+        let e = match slots[self.ways - 1] {
+            0 => {
+                self.keys.resize(self.keys.len() + self.words, 0);
+                self.rates.resize(self.rates.len() + self.stride, 0.0);
+                self.charged.push((0, 0));
+                self.charged.len() - 1
+            }
+            victim => victim as usize - 1,
+        };
+        slots.rotate_right(1);
+        slots[0] = e as u32 + 1;
+        self.keys[e * self.words..(e + 1) * self.words].copy_from_slice(&self.key);
+        let rates = &mut self.rates[e * self.stride..(e + 1) * self.stride];
+        debug_assert!(events.len() <= rates.len());
+        for (slot, &(_, k)) in rates.iter_mut().zip(events) {
+            *slot = k;
+        }
+        self.charged[e] = charged;
     }
 }
 
@@ -344,10 +491,9 @@ impl ModelBits {
     }
 }
 
-/// The events of the vacancy at `v`, into `events`: from the cache if
-/// nothing `v`'s rates read has changed since it last computed them,
-/// else computed and cached. Charges `stats` the modelled counts either
-/// way.
+/// The events of the vacancy at `v`, into `events`: from the rate table
+/// if it holds `v`'s environment, else computed and stored there.
+/// Charges `stats` the modelled counts either way.
 fn evaluate(
     lat: &mut KmcLattice,
     model: &EnergyModel,
@@ -355,24 +501,32 @@ fn evaluate(
     events: &mut Vec<(usize, f64)>,
     stats: &mut RateStats,
 ) {
-    let footprint = &lat.patches[v & 1].footprint;
-    if let Some(hit) = lat.rate_cache.lookup(model, v, footprint, &lat.state) {
-        events.clear();
-        events.extend_from_slice(&hit.events);
-        stats.rate_evals += hit.rate_evals;
-        stats.site_evals += hit.site_evals;
-        return;
+    let b = v & 1;
+    let table = &mut lat.rate_cache;
+    let bound = table.serves(model);
+    if bound {
+        if let Some((rate_evals, site_evals)) = table.answer(
+            b,
+            v,
+            &lat.patches[b].footprint,
+            &lat.nn1_deltas[b],
+            &lat.state,
+            events,
+        ) {
+            stats.rate_evals += rate_evals;
+            stats.site_evals += site_evals;
+            return;
+        }
     }
     let before = *stats;
     compute_rates(lat, model, v, events, stats);
-    let charged = RateStats {
-        rate_evals: stats.rate_evals - before.rate_evals,
-        site_evals: stats.site_evals - before.site_evals,
-        host_site_evals: 0,
-    };
-    let footprint = &lat.patches[v & 1].footprint;
-    lat.rate_cache
-        .store(model, v, footprint, &lat.state, events, charged);
+    if bound {
+        let charged = (
+            stats.rate_evals - before.rate_evals,
+            stats.site_evals - before.site_evals,
+        );
+        lat.rate_cache.store(events, charged);
+    }
 }
 
 /// Computes the events of the vacancy at `v` into `events`: the
@@ -559,8 +713,8 @@ impl Catalogue {
 /// guarantees the owner is not concurrently active there). `stats`
 /// counts the evaluations performed: every rate once on entry, then per
 /// hop only those the hop can have changed (see the module doc). The
-/// rates come through the lattice's rate cache, bound to `model` for the
-/// call; the cycle's first sector (`sectors()[0]`) prunes it.
+/// rates come through the lattice's rate table, bound to `model` for the
+/// call.
 pub fn run_sector(
     lat: &mut KmcLattice,
     model: &EnergyModel,
@@ -571,9 +725,6 @@ pub fn run_sector(
 ) -> SectorOutcome {
     let _span = mmds_telemetry::span!("kmc.sector");
     let mut out = SectorOutcome::default();
-    if sec == sectors()[0] {
-        lat.rate_cache.prune(&lat.state);
-    }
     let active = active_vacancies(lat, sec);
     if !active.is_empty() {
         lat.rate_cache.bind(model);
@@ -1040,7 +1191,7 @@ mod tests {
                 .map(|&(n, k)| (n, k.to_bits()))
                 .collect::<Vec<_>>()
         };
-        // Evaluates through the cache; returns the bits and whether the
+        // Evaluates through the table; returns the bits and whether the
         // host computed anything (a miss).
         let cached = |lat: &mut KmcLattice, model: &EnergyModel, v: usize| {
             let (mut events, mut stats) = (Vec::new(), RateStats::default());
@@ -1073,19 +1224,23 @@ mod tests {
             assert_eq!((footprint.len(), cube.len()), (169, 686), "basis {b}");
             assert!(footprint.iter().all(|s| cube.binary_search(s).is_ok()));
 
+            // A flip outside the footprint changes no rate, and the table
+            // still answers.
             let want = rates(&mut lat, &model, v);
+            lat.rate_cache.bind(&model);
+            assert!(cached(&mut lat, &model, v).1, "a cold table computes");
             for &s in cube.iter().filter(|s| footprint.binary_search(s).is_err()) {
                 let was = lat.state[s];
                 for flipped in [SiteState::Cu, SiteState::Vacancy] {
                     lat.set_state(s, flipped);
                     assert_eq!(rates(&mut lat, &model, v), want, "basis {b}, site {s}");
+                    assert_eq!(cached(&mut lat, &model, v), (want.clone(), false));
                     lat.set_state(s, was);
                 }
             }
 
-            lat.rate_cache.bind(&model);
-            assert!(cached(&mut lat, &model, v).1, "a cold cache computes");
-            assert_eq!(cached(&mut lat, &model, v), (want.clone(), false));
+            // A flip inside it is another environment: it misses, and
+            // flipping back finds the original again.
             for &s in footprint.iter().filter(|&&s| s != v) {
                 let was = lat.state[s];
                 for flipped in [SiteState::Fe, SiteState::Cu, SiteState::Vacancy] {
@@ -1096,12 +1251,15 @@ mod tests {
                     let now = rates(&mut lat, &model, v);
                     assert_eq!(cached(&mut lat, &model, v), (now, true), "site {s}");
                     lat.set_state(s, was);
-                    assert_eq!(cached(&mut lat, &model, v), (want.clone(), true));
+                    assert_eq!(
+                        cached(&mut lat, &model, v),
+                        (want.clone(), false),
+                        "site {s}"
+                    );
                 }
             }
-            assert_eq!(cached(&mut lat, &model, v), (want.clone(), false));
             lat.rate_cache.release();
-            assert!(cached(&mut lat, &model, v).1, "a released cache computes");
+            assert!(cached(&mut lat, &model, v).1, "a released table computes");
 
             // Another model on the same lattice never reads these rates.
             let other_cfg = KmcConfig {
@@ -1119,5 +1277,135 @@ mod tests {
             assert_eq!(cached(&mut lat, &model, v), (want, true));
             lat.rate_cache.release();
         }
+    }
+
+    #[test]
+    fn one_environment_gives_one_answer_at_every_site() {
+        use crate::comm::LoopbackK;
+        use crate::exchange::full_exchange;
+
+        // One seeded footprint configuration written around a vacancy in
+        // the middle of a 16-cell box and around one at its low corner,
+        // whose footprint reaches the ghost shell; the two footprints
+        // (three cells each way) do not overlap.
+        let (mut lat, model, _) = oracle_box(16, 3.0);
+        full_exchange(&mut lat, &mut LoopbackK);
+        let g = lat.grid.ghost;
+        let mut draw = StdRng::seed_from_u64(0xE17);
+        // The events relative to the vacancy, and the charges.
+        let relative = |lat: &mut KmcLattice, v: usize, eval: Evaluator| {
+            let (mut events, mut stats) = (Vec::new(), RateStats::default());
+            eval(lat, &model, v, &mut events, &mut stats);
+            let events: Vec<(isize, u64)> = events
+                .iter()
+                .map(|&(n, k)| (n as isize - v as isize, k.to_bits()))
+                .collect();
+            (events, stats.rate_evals, stats.site_evals)
+        };
+        for b in 0..2 {
+            let sites = [
+                lat.grid.site_id(g + 8, g + 8, g + 8, b),
+                lat.grid.site_id(g, g, g, b),
+            ];
+            let footprint = lat.patches[b].footprint.clone();
+            assert!(footprint
+                .iter()
+                .any(|&d| !lat.is_owned((sites[1] as isize + d) as usize)));
+            for (cu, vac) in [(0.0, 0.0), (0.2, 0.0), (0.1, 0.05), (0.3, 0.1)] {
+                let config: Vec<SiteState> = footprint
+                    .iter()
+                    .map(|&d| {
+                        let u: f64 = draw.random();
+                        match () {
+                            _ if d == 0 || u < vac => SiteState::Vacancy,
+                            _ if u < vac + cu => SiteState::Cu,
+                            _ => SiteState::Fe,
+                        }
+                    })
+                    .collect();
+                for &v in &sites {
+                    for (&d, &st) in footprint.iter().zip(&config) {
+                        lat.set_state((v as isize + d) as usize, st);
+                    }
+                }
+                let uncached = sites.map(|v| relative(&mut lat, v, compute_rates));
+                assert_eq!(
+                    uncached[0], uncached[1],
+                    "basis {b}, Cu {cu}, vacancies {vac}"
+                );
+                lat.rate_cache.bind(&model);
+                let hits = lat.rate_cache.hits();
+                assert_eq!(relative(&mut lat, sites[0], evaluate), uncached[0]);
+                assert_eq!(relative(&mut lat, sites[1], evaluate), uncached[1]);
+                assert_eq!(lat.rate_cache.hits(), hits + 1, "the second site hits");
+                lat.rate_cache.release();
+            }
+        }
+
+        // The same states, footprint site by footprint site, around a
+        // vacancy of the other basis are another environment: the basis
+        // is part of the key.
+        let footprints = [0, 1].map(|b| lat.patches[b].footprint.clone());
+        let centres = footprints
+            .clone()
+            .map(|f| f.binary_search(&0).expect("the vacancy"));
+        let config: Vec<SiteState> = (0..footprints[0].len())
+            .map(|i| match draw.random::<f64>() {
+                _ if centres.contains(&i) => SiteState::Vacancy,
+                u if u < 0.3 => SiteState::Cu,
+                _ => SiteState::Fe,
+            })
+            .collect();
+        let sites = [
+            lat.grid.site_id(g + 8, g + 8, g + 8, 0),
+            lat.grid.site_id(g, g, g, 1),
+        ];
+        for (v, footprint) in sites.iter().zip(&footprints) {
+            assert_eq!(footprint.len(), config.len());
+            for (&d, &st) in footprint.iter().zip(&config) {
+                lat.set_state((*v as isize + d) as usize, st);
+            }
+        }
+        let uncached = relative(&mut lat, sites[1], compute_rates);
+        lat.rate_cache.bind(&model);
+        relative(&mut lat, sites[0], evaluate);
+        let misses = lat.rate_cache.misses();
+        assert_eq!(relative(&mut lat, sites[1], evaluate), uncached);
+        assert_eq!(
+            lat.rate_cache.misses(),
+            misses + 1,
+            "the other basis misses"
+        );
+        lat.rate_cache.release();
+    }
+
+    #[test]
+    fn a_full_set_evicts_its_least_recently_used_entry() {
+        let (lat, ..) = setup();
+        let mut table = RateCache::with_shape(&lat.patches, &lat.nn1_deltas, 1, 2);
+        let key = |table: &mut RateCache, word: u64| {
+            table.key.clear();
+            table.key.resize(table.words, word);
+        };
+        for (word, rate) in [(1, 1.0), (2, 2.0)] {
+            key(&mut table, word);
+            assert_eq!(table.lookup(), None);
+            table.store(&[(0, rate)], (1, word));
+        }
+        key(&mut table, 1);
+        assert!(table.lookup().is_some(), "1 is now the most recently used");
+        key(&mut table, 3);
+        table.store(&[(0, 3.0)], (1, 3));
+        let mut held = Vec::new();
+        for word in [1, 2, 3] {
+            key(&mut table, word);
+            held.push(
+                table
+                    .lookup()
+                    .map(|e| (table.rates[e * table.stride], table.charged[e])),
+            );
+        }
+        assert_eq!(held, [Some((1.0, (1, 1))), None, Some((3.0, (1, 3)))]);
+        assert_eq!(table.charged.len(), 2, "storage never outgrows the table");
     }
 }

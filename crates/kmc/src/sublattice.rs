@@ -19,9 +19,9 @@ use crate::solver::{run_sector, sectors};
 /// change — so the rank's virtual KMC compute time follows the event
 /// catalogue, not a recompute of the whole sector per event. It does not
 /// follow the host's work (`RateStats::host_site_evals`): the per-vacancy
-/// energy memo, the model's shell tables, and the rate cache that answers
-/// a rate whose footprint did not change, are host-only, and a cached
-/// rate is charged what its evaluation was charged.
+/// energy memo, the model's shell tables, and the rate table that answers
+/// a vacancy whose environment it has seen, are host-only, and a rate
+/// from the table is charged what its evaluation was charged.
 pub const SITE_EVAL_SECONDS: f64 = 6.0e-8;
 
 /// Cumulative run statistics.
@@ -108,6 +108,7 @@ impl KmcSimulation {
         }
         let rate_before = self.stats.rate;
         let shell_hits_before = self.lat.memo.shell_hits();
+        let table_before = (self.lat.rate_cache.hits(), self.lat.rate_cache.misses());
         let vac_before = self.lat.n_vacancies() as u64;
         let mut events = 0;
         let mut ghost_bytes = 0u64;
@@ -158,6 +159,10 @@ impl KmcSimulation {
             mmds_telemetry::add_counter("kmc.rate.host_site_evals", host_site_evals as f64);
             let shell_hits = self.lat.memo.shell_hits() - shell_hits_before;
             mmds_telemetry::add_counter("kmc.rate.shell_hits", shell_hits as f64);
+            let table_hits = self.lat.rate_cache.hits() - table_before.0;
+            let table_misses = self.lat.rate_cache.misses() - table_before.1;
+            mmds_telemetry::add_counter("kmc.rate.table_hits", table_hits as f64);
+            mmds_telemetry::add_counter("kmc.rate.table_misses", table_misses as f64);
             mmds_telemetry::add_counter("kmc.rate.rate_evals", rate_evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.
@@ -331,8 +336,8 @@ mod tests {
         assert_eq!(got, PINNED, "{got:#x?}");
         // Host work is not virtual time: the per-vacancy memo computes
         // each energy once per evaluation (0.57 × the modelled count on
-        // this box), and the rate cache skips evaluations whose footprint
-        // did not change (0.355 ×). A cache that stops hitting fails here.
+        // this box), and the rate table skips evaluations of environments
+        // it has seen (0.269 ×). A table that stops hitting fails here.
         let rate = s.stats.rate;
         assert!(
             rate.host_site_evals as f64 <= 0.4 * rate.site_evals as f64,
@@ -383,6 +388,102 @@ mod tests {
                 uncached.2
             );
         }
+    }
+
+    #[test]
+    fn rate_cache_is_invisible_at_5_angstrom() {
+        // A wider cutoff has a longer footprint, so a longer key: a dense
+        // Fe–Cu box at 5 Å, with the table and with every evaluation
+        // computed.
+        let run = |bypass: bool| {
+            let cfg = KmcConfig {
+                table_knots: 800,
+                rate_cutoff: 5.0,
+                ..Default::default()
+            };
+            let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
+            let grid = LocalGrid::whole(BccGeometry::fe_cube(12), ghost);
+            let mut s = KmcSimulation::new(cfg, grid);
+            s.lat.rate_cache.bypass = bypass;
+            let n_vac = (1.0e-2 * s.lat.n_owned() as f64).round() as usize;
+            s.lat.seed_vacancies_global(n_vac, 53);
+            s.lat.seed_solutes_global(s.lat.n_owned() / 20, 54);
+            s.initialize(&mut LoopbackK);
+            s.run_cycles(
+                ExchangeStrategy::OnDemand(OnDemandMode::OneSided),
+                &mut LoopbackK,
+                4,
+            );
+            let owned: Vec<_> = s.lat.grid.interior_ids().map(|i| s.lat.state[i]).collect();
+            let rate = s.stats.rate;
+            let modelled = (
+                s.stats.events,
+                s.time.to_bits(),
+                rate.rate_evals,
+                rate.site_evals,
+            );
+            (owned, modelled, rate.host_site_evals)
+        };
+        let (cached, uncached) = (run(false), run(true));
+        assert!(cached.1 .0 > 20, "dynamics happen: {:?}", cached.1);
+        assert_eq!(cached.0, uncached.0, "owned states");
+        assert_eq!(cached.1, uncached.1, "events, clock, counts");
+        assert!(
+            cached.2 < uncached.2,
+            "host site evaluations {} vs {}",
+            cached.2,
+            uncached.2
+        );
+    }
+
+    #[test]
+    fn a_one_slot_rate_table_changes_nothing_but_host_work() {
+        // On a dense 8³ box each new environment evicts the one before
+        // it: only what the host computed may differ.
+        let run = |one_slot: bool| {
+            let cfg = KmcConfig {
+                table_knots: 800,
+                ..Default::default()
+            };
+            let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
+            let mut s = KmcSimulation::new(cfg, LocalGrid::whole(BccGeometry::fe_cube(8), ghost));
+            if one_slot {
+                s.lat.rate_cache =
+                    crate::solver::RateCache::one_slot(&s.lat.patches, &s.lat.nn1_deltas);
+            }
+            s.lat
+                .seed_vacancies_global((2.0e-2 * s.lat.n_owned() as f64).round() as usize, 61);
+            s.lat.seed_solutes_global(s.lat.n_owned() / 50, 62);
+            s.initialize(&mut LoopbackK);
+            s.run_cycles(
+                ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
+                &mut LoopbackK,
+                12,
+            );
+            let owned: Vec<_> = s.lat.grid.interior_ids().map(|i| s.lat.state[i]).collect();
+            let fingerprint = mmds_telemetry::canon::fnv1a64(format!("{owned:?}").as_bytes());
+            let rate = s.stats.rate;
+            let modelled = (
+                fingerprint,
+                s.stats.events,
+                s.time.to_bits(),
+                rate.rate_evals,
+                rate.site_evals,
+            );
+            let table = (s.lat.rate_cache.hits(), s.lat.rate_cache.misses());
+            (modelled, rate.host_site_evals, table)
+        };
+        let (full, one) = (run(false), run(true));
+        assert!(full.0 .1 > 50, "dynamics happen: {:?}", full.0);
+        assert_eq!(full.0, one.0, "fingerprint, events, clock, counts");
+        assert!(
+            full.1 < one.1,
+            "host site evaluations {} vs {}",
+            full.1,
+            one.1
+        );
+        assert!(full.2 .1 < one.2 .1, "misses: {:?} vs {:?}", full.2, one.2);
+        assert_eq!(run(false), full, "host counters repeat from run to run");
     }
 
     #[test]
