@@ -302,9 +302,11 @@ pub fn strip_test_blocks(scrubbed: &str) -> String {
             i += 1;
             continue;
         }
-        // Find the opening brace of the gated item, then its match.
+        // Find the opening brace of the gated item, then its match. A
+        // gated struct field or last element has neither: the close of
+        // its enclosing block ends it, not the next item's body.
         let mut j = i + needle.len();
-        while j < text.len() && text[j] != '{' && text[j] != ';' {
+        while j < text.len() && !matches!(text[j], '{' | ';' | '}') {
             j += 1;
         }
         let end = if j < text.len() && text[j] == '{' {
@@ -324,8 +326,11 @@ pub fn strip_test_blocks(scrubbed: &str) -> String {
                 }
                 k += 1;
             }
-        } else {
+        } else if j < text.len() && text[j] == ';' {
             j + 1
+        } else {
+            // The enclosing block's `}` (or the end): it stays.
+            j
         };
         for ch in text
             .iter_mut()
@@ -382,6 +387,15 @@ mod tests {
         assert!(!stripped.contains("other.iter()"), "test code blanked");
         assert!(stripped.contains("fn after"), "code after the block kept");
         assert_eq!(stripped.matches('\n').count(), src.matches('\n').count());
+    }
+
+    #[test]
+    fn a_gated_field_hides_only_itself() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(test)]\n    b: bool,\n}\n\nimpl S {\n    fn live() { map.iter(); }\n}\n";
+        let stripped = strip_test_blocks(&scrub(src));
+        assert!(!stripped.contains("b: bool"), "the gated field is blanked");
+        assert!(stripped.contains("map.iter()"), "the next item is live");
+        assert_eq!(stripped.matches('}').count(), src.matches('}').count());
     }
 
     #[test]

@@ -152,18 +152,33 @@ pub fn kmc_solver_cost_view(report: &RunReport) -> String {
         return String::new();
     }
     let per_event = |name: &str| evals(name) / events as f64;
-    let table = evals("kmc.rate.table_hits") + evals("kmc.rate.table_misses");
-    let table_share = if table > 0.0 {
-        format!(
-            "; the rate table answered {:.1} % of {table} vacancy evaluations",
-            100.0 * evals("kmc.rate.table_hits") / table
-        )
-    } else {
-        String::new()
+    // The share of `what` a host memo answered, from its hit and miss
+    // counters; empty when it saw no lookup.
+    let share = |memo: &str, [hits, misses]: [&str; 2], what: &str| {
+        let (hits, lookups) = (evals(hits), evals(hits) + evals(misses));
+        if lookups > 0.0 {
+            format!(
+                "; {memo} answered {:.1} % of {lookups} {what}",
+                100.0 * hits / lookups
+            )
+        } else {
+            String::new()
+        }
     };
+    let table_share = share(
+        "the rate table",
+        ["kmc.rate.table_hits", "kmc.rate.table_misses"],
+        "vacancy evaluations",
+    );
+    let memo_share = share(
+        "the shell memo",
+        ["kmc.rate.shell_memo_hits", "kmc.rate.shell_memo_misses"],
+        "multi-defect shells",
+    );
     format!(
         "  kmc solver: {:.1} site evals/event modelled, {:.1} computed by the host \
-         ({:.1} from shell tables), {:.2} rate evals/event over {events} events{table_share}\n",
+         ({:.1} from shell tables), {:.2} rate evals/event over {events} events\
+         {table_share}{memo_share}\n",
         per_event("kmc.rate.site_evals"),
         per_event("kmc.rate.host_site_evals"),
         per_event("kmc.rate.shell_hits"),
@@ -484,13 +499,16 @@ mod tests {
             counter("kmc.rate.rate_evals", 26.0),
             counter("kmc.rate.table_hits", 30.0),
             counter("kmc.rate.table_misses", 10.0),
+            counter("kmc.rate.shell_memo_hits", 90.0),
+            counter("kmc.rate.shell_memo_misses", 10.0),
         ]);
         let text = summary(&report_of(events));
         assert!(
             text.contains(
                 "2250.0 site evals/event modelled, 1250.0 computed by the host \
                  (1075.0 from shell tables), 6.50 rate evals/event over 4 events; \
-                 the rate table answered 75.0 % of 40 vacancy evaluations"
+                 the rate table answered 75.0 % of 40 vacancy evaluations; \
+                 the shell memo answered 90.0 % of 100 multi-defect shells"
             ),
             "{text}"
         );

@@ -11,11 +11,11 @@
 //! Besides the states the lattice carries things derived from them or
 //! from its geometry: the owned-vacancy index, which
 //! [`KmcLattice::set_state`] keeps equal to
-//! `{owned s : state[s] == Vacancy}` (every state write outside a rate
-//! evaluation's swap-and-restore goes through it), the rate patch shapes
-//! and footprints with the solver's recycled energy memo and its rate
-//! cache, and the exchange's scratch — the recycled slab wire buffer and
-//! the cell reach of one hop.
+//! `{owned s : state[s] == Vacancy}` (every production state write goes
+//! through it; a rate evaluation reads the states and writes none), the
+//! rate patch shapes and footprints with the solver's recycled energy
+//! memo, event catalogue storage and rate cache, and the exchange's
+//! scratch — the recycled slab wire buffer and the cell reach of one hop.
 
 use std::collections::BTreeSet;
 
@@ -23,7 +23,7 @@ use mmds_lattice::neighbor_offsets::NeighborOffsets;
 use mmds_lattice::LocalGrid;
 use serde::{Deserialize, Serialize};
 
-use crate::solver::{RateCache, RateMemo};
+use crate::solver::{Catalogue, RateCache, RateMemo};
 
 /// What occupies a lattice site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -99,6 +99,9 @@ pub struct KmcLattice {
     pub(crate) patches: [PatchShapes; 2],
     /// The solver's per-vacancy energy memo, recycled like `wire`.
     pub(crate) memo: RateMemo,
+    /// The solver's event catalogue storage, recycled from sector to
+    /// sector.
+    pub(crate) catalogue: Catalogue,
     /// The solver's rates by local environment: a vacancy's basis and
     /// its footprint's states.
     pub(crate) rate_cache: RateCache,
@@ -112,10 +115,64 @@ pub(crate) struct PatchSite {
     /// Index in the union of the vacancy basis's patches: the site's
     /// memo slot.
     pub(crate) slot: usize,
+    /// The offset in the site's own shell at which it reads the vacancy,
+    /// if it does.
+    pub(crate) v_at: Option<u8>,
+    /// The offset in the site's own shell at which it reads the partner,
+    /// if it does.
+    pub(crate) n_at: Option<u8>,
     /// Neither end of the swap and does not read the partner, so after
     /// the swap the site sees only the species that moved onto the
     /// vacancy: one energy serves every partner of that species.
     pub(crate) shared_after: bool,
+}
+
+/// Consecutive flat-index deltas of a footprint: at most
+/// [`FootprintRun::MAX_LEN`] sites that one 8-byte load of the states
+/// covers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FootprintRun {
+    /// Delta of the run's first site from the vacancy.
+    pub(crate) start: isize,
+    /// Keeps the bytes of the run's sites, clears the rest of the load.
+    pub(crate) mask: u64,
+    /// The key word the run's 2-bit codes start in.
+    pub(crate) word: usize,
+    /// The bit of `word` they start at.
+    pub(crate) shift: u32,
+    /// Whether the codes run past the end of `word` into the next one.
+    pub(crate) spill: bool,
+}
+
+impl FootprintRun {
+    /// Sites one load covers.
+    pub(crate) const MAX_LEN: usize = 8;
+
+    /// The runs of `footprint` (ascending deltas), each placed where its
+    /// sites' 2-bit codes sit in a key that packs the footprint in order.
+    fn split(footprint: &[isize]) -> Vec<Self> {
+        let mut runs = Vec::new();
+        let mut first = 0;
+        while first < footprint.len() {
+            let mut len = 1;
+            while first + len < footprint.len()
+                && len < Self::MAX_LEN
+                && footprint[first + len] == footprint[first] + len as isize
+            {
+                len += 1;
+            }
+            let bit = 2 * first;
+            runs.push(Self {
+                start: footprint[first],
+                mask: u64::MAX >> (64 - 8 * len),
+                word: bit / 64,
+                shift: (bit % 64) as u32,
+                spill: bit % 64 + 2 * len > 64,
+            });
+            first += len;
+        }
+        runs
+    }
 }
 
 /// The rate patches of a vacancy on one basis.
@@ -130,14 +187,19 @@ pub(crate) struct PatchShapes {
     /// union of the patches and their cutoff neighbours (169 sites at
     /// 3 Å, of the 686 in the Chebyshev cube the catalogue invalidates).
     pub(crate) footprint: Vec<isize>,
+    /// The footprint as runs of consecutive deltas, in order (46 at 3 Å,
+    /// 134 at 5 Å): what the rate table's key loads.
+    pub(crate) runs: Vec<FootprintRun>,
 }
 
 impl PatchShapes {
     fn build(b: usize, deltas: &[Vec<isize>; 2], nn1: &[isize]) -> Self {
-        // Does the site at `from` read the site at `to` (both deltas)?
+        // The offset in the shell of the site at `from` that holds the
+        // site at `to` (both deltas), if it reads it.
         let reads = |from: isize, to: isize| {
             let basis = ((b as isize + from) & 1) as usize;
-            deltas[basis].contains(&(to - from))
+            let idx = deltas[basis].iter().position(|&d| d == to - from)?;
+            Some(u8::try_from(idx).expect("a shell has at most 255 offsets"))
         };
         let patches: Vec<Vec<isize>> = nn1
             .iter()
@@ -167,12 +229,17 @@ impl PatchShapes {
             .zip(nn1)
             .map(|(p, &dn)| {
                 p.iter()
-                    .map(|&delta| PatchSite {
-                        delta,
-                        slot: union
-                            .binary_search(&delta)
-                            .expect("a patch site is in the union"),
-                        shared_after: delta != 0 && delta != dn && !reads(delta, dn),
+                    .map(|&delta| {
+                        let n_at = reads(delta, dn);
+                        PatchSite {
+                            delta,
+                            slot: union
+                                .binary_search(&delta)
+                                .expect("a patch site is in the union"),
+                            v_at: reads(delta, 0),
+                            n_at,
+                            shared_after: delta != 0 && delta != dn && n_at.is_none(),
+                        }
                     })
                     .collect()
             })
@@ -180,6 +247,7 @@ impl PatchShapes {
         Self {
             dirs,
             union_len: union.len(),
+            runs: FootprintRun::split(&footprint),
             footprint,
         }
     }
@@ -225,6 +293,7 @@ impl KmcLattice {
             wire: Vec::new(),
             patches,
             memo: RateMemo::default(),
+            catalogue: Catalogue::default(),
             rate_cache,
         }
     }

@@ -12,8 +12,12 @@
 //! or all but one, which is Cu or a vacancy. Such a shell has one of
 //! `2 · 2 · (1 + 2·offsets)` energies (116 at 3 Å), so construction
 //! precomputes them into shell tables through the same summation a
-//! general shell runs, and a site energy locates its shell with integer
-//! ops before it sums anything (DESIGN §6.19).
+//! general shell runs. A site energy first walks its shell with integer
+//! ops into a `Shell` — the non-Fe count, the table key and the full
+//! 2-bit code — which the solver records and adjusts for the after-swap
+//! energies instead of walking again; any other shell is summed, or
+//! answered by a `ShellMemo` keyed by its full code, which holds that
+//! sum's own bits (DESIGN §6.19).
 //!
 //! Alloys are supported end to end: the paper's Fe–Cu case (§2.1.2)
 //! uses one pair/density table per species pair and one embedding
@@ -109,41 +113,180 @@ impl ShellKey {
     }
 }
 
-/// Direct-mapped slots of an [`EmbedMemo`], per species.
-const EMBED_SLOTS: usize = 64;
-
-/// Embedding energies by species and exact density bits. `F_s` is a
-/// pure function of `ρ`, so a hit returns the bits a table lookup
-/// would. It serves only shells with two or more non-Fe neighbours (the
-/// shell tables answer the rest), whose densities still recur across a
-/// patch: a divacancy, a vacancy beside a Cu atom. Recycled, never
-/// reallocated.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EmbedMemo {
-    /// `(ρ bits, F(ρ))`: Fe's slots, then Cu's.
-    slots: Vec<Option<(u64, f64)>>,
+/// One site's shell as a walk over its neighbour offsets records it:
+/// enough to locate its energy, and to derive the shell after a hop
+/// changes one or two of its neighbours without walking it again.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Shell {
+    /// Neighbours that are not Fe.
+    others: u32,
+    /// Σ [`ShellKey::one`]: the shell table index when `others ≤ 1`.
+    key: u32,
+    /// Every neighbour's state code, 2 bits per offset (offset 0
+    /// lowest): the shell itself, 28 bits at 3 Å and 116 at 5 Å.
+    code: u128,
 }
 
-impl EmbedMemo {
-    /// Forgets every entry (a memo serves one model at a time).
-    pub(crate) fn reset(&mut self) {
-        self.slots.clear();
-        self.slots.resize(2 * EMBED_SLOTS, None);
+impl Shell {
+    /// The shell of site `s`, whose neighbours sit at `deltas`.
+    #[inline]
+    pub(crate) fn walk(state: &[SiteState], deltas: &[isize], s: usize) -> Self {
+        let (mut others, mut key) = (0, 0);
+        // Two 64-bit halves, so the shifts stay in one register.
+        let mut code = [0u64; 2];
+        for (idx, &d) in deltas.iter().enumerate() {
+            let c = state[(s as isize + d) as usize] as usize;
+            others += (c != 0) as u32;
+            key += ShellKey::one(idx, c) as u32;
+            code[idx / 32] |= (c as u64) << (2 * (idx % 32));
+        }
+        Self {
+            others,
+            key,
+            code: code[0] as u128 | (code[1] as u128) << 64,
+        }
     }
 
-    /// `F_species(rho)` of an atom.
-    fn embed(&mut self, model: &EnergyModel, species: SiteState, rho: f64) -> f64 {
-        let bits = rho.to_bits();
-        let hash = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - EMBED_SLOTS.trailing_zeros());
-        let slot = &mut self.slots[species as usize * EMBED_SLOTS + hash as usize];
-        match *slot {
-            Some((b, e)) if b == bits => e,
-            _ => {
-                let e = model.embed_energy(species, rho);
-                *slot = Some((bits, e));
-                e
-            }
+    /// This shell with the neighbour at offset `at` (if any) changed from
+    /// `from` to `to`.
+    #[inline]
+    pub(crate) fn replace(self, at: Option<u8>, from: SiteState, to: SiteState) -> Self {
+        let Some(idx) = at else {
+            return self;
+        };
+        let idx = idx as usize;
+        let (from, to) = (from as usize, to as usize);
+        debug_assert_eq!((self.code >> (2 * idx)) as usize & 3, from);
+        Self {
+            others: self.others - (from != 0) as u32 + (to != 0) as u32,
+            key: (self.key as usize - ShellKey::one(idx, from) + ShellKey::one(idx, to)) as u32,
+            code: self.code ^ ((from ^ to) as u128) << (2 * idx),
         }
+    }
+
+    /// The state at offset `idx`.
+    fn state_at(&self, idx: usize) -> SiteState {
+        SiteState::from_u8((self.code >> (2 * idx)) as u8 & 3)
+    }
+}
+
+/// Most offsets a [`Shell`] code holds with the [`ShellMemo`] tag above
+/// it: rate cutoffs below the sixth BCC shell (2·a0).
+const SHELL_OFFSETS_MAX: usize = 63;
+
+/// Sets of the [`ShellMemo`], a power of two.
+const SHELL_MEMO_SETS: usize = 512;
+
+/// Entries per set of the [`ShellMemo`].
+const SHELL_MEMO_WAYS: usize = 2;
+
+/// Site energies of shells with two or more non-Fe neighbours, by central
+/// species, basis and full shell code: the shells the shell tables do not
+/// hold, which still recur across a patch and across vacancies (a
+/// divacancy, a vacancy beside a Cu atom). A bounded set-associative
+/// table, `SHELL_MEMO_SETS × SHELL_MEMO_WAYS` entries of 24 B; a fixed
+/// multiply-xorshift of the key names the set, and a set keeps its
+/// entries most recently used first, so its counters repeat from run to
+/// run. A miss computes through [`EnergyModel::shell_energy`], so an
+/// answer is always that sum's bits and no result depends on a hit. The
+/// solver's rate table owns it and binds it to one model, as it binds
+/// itself.
+#[derive(Debug, Clone)]
+pub(crate) struct ShellMemo {
+    /// Keys, `ways` per set, most recently used first; 0 marks an empty
+    /// slot (a memoised shell has two non-Fe codes, so its key is not 0).
+    /// Allocated by the first store.
+    keys: Vec<u128>,
+    /// The energy of each key's shell.
+    energies: Vec<f64>,
+    /// Sets, a power of two.
+    sets: usize,
+    /// Slots per set.
+    ways: usize,
+    /// Energies answered from the memo, ever: host telemetry, never reset.
+    hits: u64,
+    /// Energies computed through it, ever: likewise.
+    misses: u64,
+}
+
+impl Default for ShellMemo {
+    fn default() -> Self {
+        Self::with_shape(SHELL_MEMO_SETS, SHELL_MEMO_WAYS)
+    }
+}
+
+impl ShellMemo {
+    fn with_shape(sets: usize, ways: usize) -> Self {
+        assert!(sets.is_power_of_two() && ways > 0);
+        Self {
+            keys: Vec::new(),
+            energies: Vec::new(),
+            sets,
+            ways,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Tests: a memo of one entry, so every other shell evicts.
+    #[cfg(test)]
+    pub(crate) fn one_slot() -> Self {
+        Self::with_shape(1, 1)
+    }
+
+    /// Forgets every entry (the model changed).
+    pub(crate) fn clear(&mut self) {
+        self.keys.fill(0);
+    }
+
+    /// Energies answered from the memo so far.
+    pub(crate) fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Energies computed through the memo so far.
+    pub(crate) fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// The energy of a `me` atom on basis `b` with shell code `code`,
+    /// from the memo or from `compute`.
+    fn energy(
+        &mut self,
+        me: SiteState,
+        b: usize,
+        code: u128,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let key = code | (me as u128) << 126 | (b as u128) << 127;
+        debug_assert!(code >> 126 == 0 && code != 0);
+        let mut h = (key as u64 ^ ((key >> 64) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 29;
+        let set = (h ^ (h >> 32)) as usize & (self.sets - 1);
+        if self.keys.is_empty() {
+            self.keys.resize(self.sets * self.ways, 0);
+            self.energies.resize(self.sets * self.ways, 0.0);
+        }
+        let range = set * self.ways..(set + 1) * self.ways;
+        let (keys, energies) = (&mut self.keys[range.clone()], &mut self.energies[range]);
+        let way = match keys.iter().position(|&k| k == key) {
+            Some(way) => {
+                self.hits += 1;
+                way
+            }
+            None => {
+                self.misses += 1;
+                // The least recently used slot takes the new shell.
+                let last = self.ways - 1;
+                keys[last] = key;
+                energies[last] = compute();
+                last
+            }
+        };
+        keys[..=way].rotate_right(1);
+        energies[..=way].rotate_right(1);
+        energies[0]
     }
 }
 
@@ -171,6 +314,10 @@ impl EnergyModel {
                 f[pi][b] = offs.iter().map(|o| t_f.eval(o.r_ideal)).collect();
             }
         }
+        assert!(
+            lat.deltas.iter().all(|d| d.len() <= SHELL_OFFSETS_MAX),
+            "a shell code holds at most {SHELL_OFFSETS_MAX} neighbour offsets"
+        );
         let embed_of = |s: Species| {
             let p = AnalyticEam::for_pair(s, s);
             CompactTable::build(move |rho| p.embed(rho), 0.0, RHO_MAX, n)
@@ -237,46 +384,38 @@ impl EnergyModel {
     /// Energy of one site given current occupancies:
     /// `F_s(ρ_s) + ½ Σ_j φ_{s,s_j}(r_sj)` (zero for a vacancy).
     pub fn site_energy(&self, lat: &KmcLattice, s: usize) -> f64 {
-        self.site_energy_with(lat, s, |me, rho| self.embed_energy(me, rho))
-            .0
-    }
-
-    /// [`Self::site_energy`] with its embedding term looked up in `memo`,
-    /// and whether the shell tables answered it.
-    pub(crate) fn site_energy_memo(
-        &self,
-        lat: &KmcLattice,
-        s: usize,
-        memo: &mut EmbedMemo,
-    ) -> (f64, bool) {
-        self.site_energy_with(lat, s, |me, rho| memo.embed(self, me, rho))
-    }
-
-    /// A site's energy and whether the shell tables answered it. A shell
-    /// with at most one non-Fe neighbour is located with integer ops
-    /// alone; every other shell runs [`Self::shell_energy`].
-    fn site_energy_with(
-        &self,
-        lat: &KmcLattice,
-        s: usize,
-        embed: impl FnOnce(SiteState, f64) -> f64,
-    ) -> (f64, bool) {
         let me = lat.state[s];
         if me == SiteState::Vacancy {
-            return (0.0, false);
+            return 0.0;
         }
-        let b = s & 1;
-        let neighbour = |idx: usize| lat.state[(s as isize + lat.deltas[b][idx]) as usize];
-        let (mut others, mut key) = (0, 0);
-        for idx in 0..lat.deltas[b].len() {
-            let code = neighbour(idx) as usize;
-            others += (code != 0) as usize;
-            key += ShellKey::one(idx, code);
+        let shell = Shell::walk(&lat.state, &lat.deltas[s & 1], s);
+        self.site_energy_with(me, s & 1, &shell, None).0
+    }
+
+    /// The energy of a `me` atom on basis `b` whose neighbours form
+    /// `shell`, and whether the shell tables answered it. A shell with at
+    /// most one non-Fe neighbour is a table entry; every other shell runs
+    /// [`Self::shell_energy`], through `memo` when one is given.
+    #[inline]
+    pub(crate) fn site_energy_with(
+        &self,
+        me: SiteState,
+        b: usize,
+        shell: &Shell,
+        memo: Option<&mut ShellMemo>,
+    ) -> (f64, bool) {
+        if shell.others <= 1 {
+            return (self.shells[me as usize][b][shell.key as usize], true);
         }
-        if others <= 1 {
-            return (self.shells[me as usize][b][key], true);
-        }
-        (self.shell_energy(me, b, neighbour, embed), false)
+        let sum = || {
+            let embed = |me, rho| self.embed_energy(me, rho);
+            self.shell_energy(me, b, |idx| shell.state_at(idx), embed)
+        };
+        let e = match memo {
+            Some(memo) => memo.energy(me, b, shell.code, sum),
+            None => sum(),
+        };
+        (e, false)
     }
 
     /// `F_me(ρ) + ½ Σ_j φ_j` of a `me` atom on basis `b` whose neighbour
@@ -317,7 +456,7 @@ impl EnergyModel {
 impl EnergyModel {
     /// The site energy loop the shell tables replaced, verbatim: the
     /// bitwise oracle for the tables and for [`Self::shell_energy`].
-    fn site_energy_full_loop(&self, lat: &KmcLattice, s: usize) -> f64 {
+    pub(crate) fn site_energy_full_loop(&self, lat: &KmcLattice, s: usize) -> f64 {
         let me = lat.state[s];
         if me == SiteState::Vacancy {
             return 0.0;
@@ -454,19 +593,111 @@ mod tests {
     }
 
     #[test]
-    fn embed_memo_returns_the_table_bits() {
-        // One density for both species, with Cu given its own embedding
-        // function (the shipped model gives Cu iron's, so the rate
-        // oracles cannot tell the species slots apart).
-        let (_, mut m, _) = setup();
+    fn shell_memo_returns_the_sum_bits() {
+        // Cu is given its own embedding function (the shipped model gives
+        // Cu iron's, so the rate oracles cannot tell the species apart):
+        // one code, two species and two bases are four shells.
+        let (lat, mut m, _) = setup();
         m.embed[1] = CompactTable::build(|rho| 0.5 * rho - 1.0, 0.0, RHO_MAX, 100);
         m.shells = m.shell_tables();
-        let mut memo = EmbedMemo::default();
-        memo.reset();
-        for rho in [0.0, 1.5, 1.5 + f64::EPSILON, 7.25] {
-            for species in [SiteState::Fe, SiteState::Cu, SiteState::Fe, SiteState::Cu] {
-                let want = m.embed_energy(species, rho);
-                assert_eq!(memo.embed(&m, species, rho).to_bits(), want.to_bits());
+        let offsets = lat.deltas[0].len();
+        // Two non-Fe neighbours at least, so no shell table holds them.
+        let codes: Vec<u128> = (0..6u32)
+            .map(|i| {
+                let at = |k: u32| (k as usize * 5 + 3) % offsets;
+                let mut code = 2u128 << (2 * at(i)) | 1u128 << (2 * at(i + 1));
+                code |= ((i % 3) as u128) << (2 * at(i + 2));
+                code
+            })
+            .collect();
+        let direct = |me: SiteState, b: usize, code: u128| {
+            let shell = Shell {
+                others: 2,
+                key: 0,
+                code,
+            };
+            m.site_energy_with(me, b, &shell, None).0
+        };
+        for (memo, want_hits) in [(ShellMemo::default(), true), (ShellMemo::one_slot(), false)] {
+            let mut memo = memo;
+            for round in 0..2 {
+                for &code in &codes {
+                    for me in [SiteState::Fe, SiteState::Cu] {
+                        for b in 0..2 {
+                            let shell = Shell {
+                                others: 2,
+                                key: 0,
+                                code,
+                            };
+                            let (got, hit) = m.site_energy_with(me, b, &shell, Some(&mut memo));
+                            assert!(!hit, "no shell table holds two non-Fe neighbours");
+                            let want = direct(me, b, code);
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "{me:?}, basis {b}, round {round}"
+                            );
+                        }
+                    }
+                }
+            }
+            let lookups = 2 * codes.len() as u64 * 4;
+            assert_eq!(memo.hits() + memo.misses(), lookups);
+            if want_hits {
+                assert_eq!(memo.hits(), lookups / 2, "the second round hits");
+            } else {
+                assert_eq!(memo.hits(), 0, "one slot holds one shell");
+            }
+        }
+        assert_ne!(
+            direct(SiteState::Fe, 0, codes[0]).to_bits(),
+            direct(SiteState::Cu, 0, codes[0]).to_bits(),
+            "the species must differ for the key to matter"
+        );
+    }
+
+    #[test]
+    fn a_replaced_shell_equals_the_walk_of_the_changed_lattice() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let states = [SiteState::Fe, SiteState::Cu, SiteState::Vacancy];
+        for rate_cutoff in [3.0, 5.0] {
+            let (mut lat, _) = oracle_box(4, rate_cutoff);
+            let mut rng = StdRng::seed_from_u64(rate_cutoff.to_bits());
+            for s in 0..lat.state.len() {
+                lat.state[s] = states[rng.random_range(0..3usize)];
+            }
+            for b in 0..2 {
+                let s = lat.grid.site_id(3, 3, 3, b);
+                let deltas = lat.deltas[b].clone();
+                for (i, &di) in deltas.iter().enumerate() {
+                    // One neighbour, then that one and another, changed.
+                    let j = (i * 7 + 1) % deltas.len();
+                    let dj = deltas[j];
+                    let before = Shell::walk(&lat.state, &deltas, s);
+                    let (ni, nj) = ((s as isize + di) as usize, (s as isize + dj) as usize);
+                    let (was_i, was_j) = (lat.state[ni], lat.state[nj]);
+                    let (to_i, to_j) = (
+                        states[rng.random_range(0..3usize)],
+                        states[rng.random_range(0..3usize)],
+                    );
+                    lat.state[ni] = to_i;
+                    let one = before.replace(Some(i as u8), was_i, to_i);
+                    assert_eq!(
+                        one,
+                        Shell::walk(&lat.state, &deltas, s),
+                        "cutoff {rate_cutoff}"
+                    );
+                    if j != i {
+                        lat.state[nj] = to_j;
+                        let two = one.replace(Some(j as u8), was_j, to_j);
+                        assert_eq!(two, Shell::walk(&lat.state, &deltas, s));
+                        assert_eq!(two.replace(None, was_j, to_j), two, "no offset, no change");
+                    }
+                    lat.state[nj] = was_j;
+                    lat.state[ni] = was_i;
+                }
             }
         }
     }
@@ -508,8 +739,8 @@ mod tests {
                         let want = m.site_energy_full_loop(&lat, s).to_bits();
                         let entry = m.shells[me as usize][b][key];
                         assert_eq!(entry.to_bits(), want, "{me:?}, basis {b}, key {key}");
-                        let (got, hit) =
-                            m.site_energy_with(&lat, s, |me, rho| m.embed_energy(me, rho));
+                        let walked = Shell::walk(&lat.state, &lat.deltas[b], s);
+                        let (got, hit) = m.site_energy_with(me, b, &walked, None);
                         assert!(hit, "{me:?}, basis {b}, key {key} missed its table");
                         assert_eq!(got.to_bits(), want, "{me:?}, basis {b}, key {key}");
                         entries += 1;
@@ -553,15 +784,16 @@ mod tests {
                 };
                 lat.set_state(s, st);
             }
-            let mut memo = EmbedMemo::default();
-            memo.reset();
+            let mut memo = ShellMemo::default();
             for s in lat.grid.interior_ids() {
                 let want = m.site_energy_full_loop(&lat, s).to_bits();
                 let why = format!("cutoff {rate_cutoff}, Cu {cu}, vacancies {vac}, site {s}");
                 assert_eq!(m.site_energy(&lat, s).to_bits(), want, "{why}");
-                let (got, hit) = m.site_energy_memo(&lat, s, &mut memo);
-                assert_eq!(got.to_bits(), want, "{why}, through the memo");
-                if lat.state[s].is_atom() {
+                let me = lat.state[s];
+                if me.is_atom() {
+                    let shell = Shell::walk(&lat.state, &lat.deltas[s & 1], s);
+                    let (got, hit) = m.site_energy_with(me, s & 1, &shell, Some(&mut memo));
+                    assert_eq!(got.to_bits(), want, "{why}, through the memo");
                     paths[(rate_cutoff == 5.0) as usize][hit as usize] += 1;
                 }
             }

@@ -42,8 +42,11 @@
 //!   magnitude dearer than the scan, so it is deliberately not done.
 //!
 //! The catalogue lives for one `run_sector` call: ghosts are rewritten
-//! between sector entries. The recompute-everything loop is kept under
-//! `#[cfg(test)]` as the bitwise oracle.
+//! between sector entries. Its storage does not: the lattice keeps the
+//! entries and their event lists from sector to sector, so a sector
+//! allocates nothing once the lattice has held as many active vacancies.
+//! The recompute-everything loop is kept under `#[cfg(test)]` as the
+//! bitwise oracle.
 //!
 //! # The rate cache
 //!
@@ -65,7 +68,12 @@
 //!
 //! * **Key.** The footprint's states, 2 bits per site in footprint
 //!   order, then the basis bit: 6 words at 3 Å; its length follows the
-//!   footprint, so a wider cutoff has a longer key.
+//!   footprint, so a wider cutoff has a longer key. The footprint is
+//!   precomputed as runs of consecutive flat deltas (`FootprintRun`, 46
+//!   runs of at most 8 sites at 3 Å), so a key costs one 8-byte load of
+//!   the states per run, masked to the run's sites and packed at 2 bits
+//!   per site, not one load per site. A state outside the footprint is
+//!   masked off, so it never reaches the key.
 //! * **Entry.** One rate per atom partner in `nn1` order, and the two
 //!   modelled charges. The partners' states are part of the key, so the
 //!   basis's `nn1` deltas, filtered to atoms, rebuild `(v + δ, rate)`.
@@ -83,30 +91,44 @@
 //!   call and releases it on return; outside a bound call the table
 //!   answers nothing. Binding compares every number the rates read
 //!   from the model, bit for bit, with the entries' model, and drops
-//!   every entry if one differs.
+//!   every entry if one differs. The table's shell memo (below) is
+//!   bound and dropped with it.
 //!
 //! # One vacancy's rates
 //!
 //! `compute_rates` computes a vacancy's rates on the lattice's precomputed
-//! patch shapes (DESIGN §6.19). Every site energy is computed at most
-//! once per call: "before" energies are memoised by patch-union slot,
-//! an "after" energy that depends only on which species moved onto the
-//! vacancy is memoised by (slot, species). A site energy itself comes
-//! from the model's shell tables when at most one neighbour is not Fe
-//! (0.76 of the host's energies on `kmc_dense`), else from the full
-//! shell sum with its embedding energy memoised by exact density bits;
-//! the tables hold that sum's own results, so the choice moves no bit,
-//! and the host counts the hits apart (`kmc.rate.shell_hits`), outside
-//! `RateStats`. Both sums still run over each patch in ascending
-//! site id, so every rate has the bits of the `#[cfg(test)]` oracle
-//! `EnergyModel::rate`, and `RateStats::{rate_evals, site_evals}` are
-//! charged exactly what the oracle charges; `host_site_evals` counts
-//! the energies computed.
+//! patch shapes (DESIGN §6.19), and writes no state. Every site energy is
+//! computed at most once per call, and every shell is walked at most once:
+//!
+//! * **Before.** A patch site's pre-swap energy is memoised by
+//!   patch-union slot. Its walk records the shell: the non-Fe count, the
+//!   shell table key and the full shell code (`model::Shell`). The
+//!   vacancy's own shell is walked too, though its energy is 0: it holds
+//!   the atom after the swap.
+//! * **After.** A patch site knows the offsets in its own shell at which
+//!   the vacancy and the partner sit (`PatchSite::{v_at, n_at}`). Its
+//!   post-swap energy is its recorded shell with those two codes changed,
+//!   not a re-walk of a swapped lattice. An energy that depends only on
+//!   which species moved onto the vacancy is memoised by (slot, species).
+//! * **Energy of a shell.** A shell with at most one non-Fe neighbour is
+//!   an entry of the model's shell tables (0.76 of the host's energies on
+//!   `kmc_dense`). Any other shell is looked up in the rate table's
+//!   shell memo by (species, basis, shell code), a bounded
+//!   set-associative table that computes a miss through the one shell
+//!   sum. Tables and memo both hold that sum's own results, so neither
+//!   moves a bit; the host counts table answers (`kmc.rate.shell_hits`)
+//!   and memo hits and misses (`kmc.rate.shell_memo_hits`,
+//!   `kmc.rate.shell_memo_misses`) apart, outside `RateStats`.
+//!
+//! Both sums still run over each patch in ascending site id, so every
+//! rate has the bits of the `#[cfg(test)]` oracle `EnergyModel::rate`,
+//! and `RateStats::{rate_evals, site_evals}` are charged exactly what the
+//! oracle charges; `host_site_evals` counts the energies computed.
 
 use rand::Rng;
 
-use crate::lattice::{KmcLattice, PatchShapes, PatchSite, SiteState};
-use crate::model::{EmbedMemo, EnergyModel, RateStats};
+use crate::lattice::{FootprintRun, KmcLattice, PatchShapes, PatchSite, SiteState};
+use crate::model::{EnergyModel, RateStats, Shell, ShellMemo};
 
 /// What one sector sweep produced.
 #[derive(Debug, Clone, Default)]
@@ -148,6 +170,7 @@ pub fn sectors() -> [[usize; 3]; 8] {
 }
 
 /// One active vacancy with its cached events.
+#[derive(Debug, Clone, Default)]
 struct Entry {
     /// The vacancy's site id.
     v: usize,
@@ -157,9 +180,13 @@ struct Entry {
     events: Vec<(usize, f64)>,
 }
 
-/// The sector's events: entries in ascending `v`.
-struct Catalogue {
+/// The sector's events: entries in ascending `v`. The lattice keeps it
+/// from sector to sector, so entries and their event lists are reused.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Catalogue {
     entries: Vec<Entry>,
+    /// Entries of no active vacancy, kept with their event storage.
+    spare: Vec<Entry>,
     /// Cells (Chebyshev) within which a swapped site can change a
     /// vacancy's rates: three neighbour reaches, as `required_ghost`.
     reach: usize,
@@ -170,18 +197,19 @@ fn cell_of(lat: &KmcLattice, s: usize) -> [usize; 3] {
     [i, j, k]
 }
 
-/// Site energies memoised over one vacancy's rate evaluations, by
-/// [`PatchSite::slot`]. Valid only while the occupancies stay as they
-/// were when it was [`reset`](Self::reset).
+/// Site energies and shells memoised over one vacancy's rate
+/// evaluations, by [`PatchSite::slot`]. Valid only while the occupancies
+/// stay as they were when it was [`reset`](Self::reset).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RateMemo {
     /// Pre-swap energies.
     before: Vec<Option<f64>>,
+    /// The shells the pre-swap pass walked: of every atom slot whose
+    /// `before` energy is known, and of the vacancy's own slot.
+    shells: Vec<Shell>,
     /// Post-swap energies of `shared_after` sites, per species that
     /// moved onto the vacancy (Fe, Cu).
     after: Vec<[Option<f64>; 2]>,
-    /// Embedding energies of the sites computed.
-    embed: EmbedMemo,
     /// Site energies the model's shell tables answered, ever: host
     /// telemetry, never reset.
     shell_hits: u64,
@@ -192,9 +220,10 @@ impl RateMemo {
     fn reset(&mut self, slots: usize) {
         self.before.clear();
         self.before.resize(slots, None);
+        // Every shell is written by the walk before it is read.
+        self.shells.resize(slots, Shell::default());
         self.after.clear();
         self.after.resize(slots, [None; 2]);
-        self.embed.reset();
     }
 
     /// Site energies the model's shell tables have answered so far.
@@ -215,7 +244,8 @@ const RATE_TABLE_WAYS: usize = 4;
 
 /// Rates by local environment that outlive the sector (see the module
 /// doc): a set-associative table keyed by a vacancy's basis and the
-/// states of its footprint.
+/// states of its footprint, and the memo of the site energies of shells
+/// with two or more non-Fe neighbours, bound to one model together.
 #[derive(Debug, Clone)]
 pub(crate) struct RateCache {
     /// `ways` slots per set, most recently used first: an entry's index
@@ -227,6 +257,9 @@ pub(crate) struct RateCache {
     ways: usize,
     /// Key words per entry: 2 bits per footprint site, then the basis.
     words: usize,
+    /// Per basis, the key bit that holds the basis: two per footprint
+    /// site.
+    basis_bit: [usize; 2],
     /// Rates per entry: the longest `nn1` list.
     stride: usize,
     /// Entry keys, `words` each.
@@ -246,9 +279,34 @@ pub(crate) struct RateCache {
     hits: u64,
     /// Evaluations computed while the table was bound, ever: likewise.
     misses: u64,
+    /// Site energies of shells the model's shell tables do not hold,
+    /// under the entries' model.
+    pub(crate) shells: ShellMemo,
     /// Tests: bind never, so every evaluation computes.
     #[cfg(test)]
     pub(crate) bypass: bool,
+}
+
+/// The states of the 8 sites from `at`, one byte each, site `at` in the
+/// lowest byte; sites past the end of the lattice read as 0.
+#[inline]
+fn load_states(state: &[SiteState], at: usize) -> u64 {
+    match state.get(at..at + FootprintRun::MAX_LEN) {
+        Some(w) => {
+            let w: [SiteState; FootprintRun::MAX_LEN] = w.try_into().expect("8 sites");
+            u64::from_le_bytes(w.map(|s| s as u8))
+        }
+        None => state[at..].iter().rev().fold(0, |w, &s| w << 8 | s as u64),
+    }
+}
+
+/// The 2-bit codes of the one-byte states in `w` (each at most 2), in
+/// site order: 8 bytes packed into 16 bits.
+#[inline]
+fn pack_codes(w: u64) -> u64 {
+    let w = (w | w >> 6) & 0x000F_000F_000F_000F;
+    let w = (w | w >> 12) & 0x0000_00FF_0000_00FF;
+    (w | w >> 24) & 0xFFFF
 }
 
 impl RateCache {
@@ -276,6 +334,7 @@ impl RateCache {
             sets,
             ways,
             words: (2 * footprint + 1).div_ceil(64),
+            basis_bit: [0, 1].map(|b| 2 * patches[b].footprint.len()),
             stride: nn1.iter().map(Vec::len).max().unwrap_or(0),
             keys: Vec::new(),
             rates: Vec::new(),
@@ -285,6 +344,7 @@ impl RateCache {
             bound: None,
             hits: 0,
             misses: 0,
+            shells: ShellMemo::default(),
             #[cfg(test)]
             bypass: false,
         }
@@ -297,7 +357,11 @@ impl RateCache {
     }
 
     /// Serves `model` until [`release`](Self::release); forgets every
-    /// entry if `model`'s numbers differ from the entries' model's.
+    /// entry, and every memoised shell, if `model`'s numbers differ from
+    /// the entries' model's.
+    // mmds: nondeterministic_ok — the model's address is compared only
+    // with itself, to tell the bound model from another during one
+    // borrow; it never reaches a rate, a key or a counter.
     pub(crate) fn bind(&mut self, model: &EnergyModel) {
         #[cfg(test)]
         if self.bypass {
@@ -308,6 +372,7 @@ impl RateCache {
             self.keys.clear();
             self.rates.clear();
             self.charged.clear();
+            self.shells.clear();
             self.model = ModelBits::of(model);
         }
         self.bound = Some(model as *const EnergyModel as usize);
@@ -318,8 +383,14 @@ impl RateCache {
         self.bound = None;
     }
 
+    // mmds: nondeterministic_ok — as in `bind`.
     fn serves(&self, model: &EnergyModel) -> bool {
         self.bound == Some(model as *const EnergyModel as usize)
+    }
+
+    /// The shell memo, while the table serves `model`.
+    fn shell_memo(&mut self, model: &EnergyModel) -> Option<&mut ShellMemo> {
+        self.serves(model).then_some(&mut self.shells)
     }
 
     /// Evaluations answered from the table so far.
@@ -332,16 +403,20 @@ impl RateCache {
         self.misses
     }
 
-    /// Packs the key of the basis-`b` vacancy at `v` into `self.key`.
-    fn load_key(&mut self, b: usize, v: usize, footprint: &[isize], state: &[SiteState]) {
+    /// Packs the key of the basis-`b` vacancy at `v`, whose footprint runs
+    /// are `runs`, into `self.key`: one 8-site load per run.
+    fn load_key(&mut self, b: usize, v: usize, runs: &[FootprintRun], state: &[SiteState]) {
         self.key.clear();
         self.key.resize(self.words, 0);
-        for (word, sites) in self.key.iter_mut().zip(footprint.chunks(32)) {
-            for (i, &d) in sites.iter().enumerate() {
-                *word |= (state[(v as isize + d) as usize] as u64) << (2 * i);
+        for run in runs {
+            let at = (v as isize + run.start) as usize;
+            let codes = pack_codes(load_states(state, at) & run.mask);
+            self.key[run.word] |= codes << run.shift;
+            if run.spill {
+                self.key[run.word + 1] |= codes >> (64 - run.shift);
             }
         }
-        let end = 2 * footprint.len();
+        let end = self.basis_bit[b];
         self.key[end / 64] |= (b as u64) << (end % 64);
     }
 
@@ -363,12 +438,12 @@ impl RateCache {
         &mut self,
         b: usize,
         v: usize,
-        footprint: &[isize],
+        runs: &[FootprintRun],
         nn1: &[isize],
         state: &[SiteState],
         events: &mut Vec<(usize, f64)>,
     ) -> Option<(u64, u64)> {
-        self.load_key(b, v, footprint, state);
+        self.load_key(b, v, runs, state);
         let Some(e) = self.lookup() else {
             self.misses += 1;
             return None;
@@ -508,7 +583,7 @@ fn evaluate(
         if let Some((rate_evals, site_evals)) = table.answer(
             b,
             v,
-            &lat.patches[b].footprint,
+            &lat.patches[b].runs,
             &lat.nn1_deltas[b],
             &lat.state,
             events,
@@ -540,103 +615,150 @@ fn compute_rates(
 ) {
     events.clear();
     let b = v & 1;
-    let mut memo = std::mem::take(&mut lat.memo);
-    memo.reset(lat.patches[b].union_len);
-    for dir in 0..lat.nn1_deltas[b].len() {
-        let n = (v as isize + lat.nn1_deltas[b][dir]) as usize;
-        if lat.state[n].is_atom() {
-            events.push((n, shaped_rate(lat, model, v, n, dir, &mut memo, stats)));
+    let KmcLattice {
+        state,
+        deltas,
+        nn1_deltas,
+        patches,
+        memo,
+        rate_cache,
+        ..
+    } = lat;
+    let state: &[SiteState] = state;
+    memo.reset(patches[b].union_len);
+    let mut vacancy = Vacancy {
+        model,
+        state,
+        deltas,
+        v,
+        memo,
+        shells: rate_cache.shell_memo(model),
+        host: 0,
+    };
+    for (dir, &dn) in nn1_deltas[b].iter().enumerate() {
+        let n = (v as isize + dn) as usize;
+        if state[n].is_atom() {
+            events.push((n, vacancy.rate(&patches[b].dirs[dir], n, stats)));
         }
     }
-    lat.memo = memo;
+    stats.host_site_evals += vacancy.host;
 }
 
-/// The rate of swapping the vacancy at `v` with the atom at `n`, its
-/// `dir`-th `nn1` partner, through `memo` (reset for `v`'s evaluation).
-fn shaped_rate(
-    lat: &mut KmcLattice,
-    model: &EnergyModel,
+/// One vacancy's rate evaluation: what its site energies read, and the
+/// memos they fill.
+struct Vacancy<'a> {
+    model: &'a EnergyModel,
+    state: &'a [SiteState],
+    deltas: &'a [Vec<isize>; 2],
+    /// The vacancy's site id.
     v: usize,
-    n: usize,
-    dir: usize,
-    memo: &mut RateMemo,
-    stats: &mut RateStats,
-) -> f64 {
-    let b = v & 1;
-    let patch_len = lat.patches[b].dirs[dir].len() as u64;
-    stats.rate_evals += 1;
-    stats.site_evals += 2 * patch_len;
-    let RateMemo {
-        before: memo_before,
-        after: memo_after,
-        embed,
-        shell_hits,
-    } = memo;
-    let mut host = 0;
-    let mut energy = |lat: &KmcLattice, p: &PatchSite| {
-        host += 1;
-        let (e, hit) = model.site_energy_memo(lat, (v as isize + p.delta) as usize, embed);
-        *shell_hits += hit as u64;
-        e
-    };
-    let before: f64 = lat.patches[b].dirs[dir]
-        .iter()
-        .map(|p| *memo_before[p.slot].get_or_insert_with(|| energy(lat, p)))
-        .sum();
-    let atom = lat.state[n];
-    lat.state[n] = SiteState::Vacancy;
-    lat.state[v] = atom;
-    let species = atom as usize;
-    let after: f64 = lat.patches[b].dirs[dir]
-        .iter()
-        .map(|p| {
-            if p.shared_after {
-                *memo_after[p.slot][species].get_or_insert_with(|| energy(lat, p))
-            } else {
-                energy(lat, p)
+    /// Reset for this vacancy.
+    memo: &'a mut RateMemo,
+    /// The rate table's shell memo, while the table serves `model`.
+    shells: Option<&'a mut ShellMemo>,
+    /// Site energies computed.
+    host: u64,
+}
+
+impl Vacancy<'_> {
+    /// The rate of swapping the vacancy with the atom at `n`, whose
+    /// patch is `patch`.
+    fn rate(&mut self, patch: &[PatchSite], n: usize, stats: &mut RateStats) -> f64 {
+        stats.rate_evals += 1;
+        stats.site_evals += 2 * patch.len() as u64;
+        let before: f64 = patch.iter().map(|p| self.before(p)).sum();
+        let atom = self.state[n];
+        let after: f64 = patch.iter().map(|p| self.after(p, n, atom)).sum();
+        self.model.rate_of(after - before)
+    }
+
+    /// The pre-swap energy of patch site `p`. The first call per slot
+    /// walks the site's shell and records it for the after energies; a
+    /// vacancy other than `v` has energy 0 before and after, and is not
+    /// walked.
+    fn before(&mut self, p: &PatchSite) -> f64 {
+        if let Some(e) = self.memo.before[p.slot] {
+            return e;
+        }
+        self.host += 1;
+        let s = (self.v as isize + p.delta) as usize;
+        let me = self.state[s];
+        let mut e = 0.0;
+        if me.is_atom() || p.delta == 0 {
+            let shell = Shell::walk(self.state, &self.deltas[s & 1], s);
+            self.memo.shells[p.slot] = shell;
+            if me.is_atom() {
+                e = self.energy(me, s & 1, &shell);
             }
-        })
-        .sum();
-    lat.state[v] = SiteState::Vacancy;
-    lat.state[n] = atom;
-    stats.host_site_evals += host;
-    model.rate_of(after - before)
+        }
+        self.memo.before[p.slot] = Some(e);
+        e
+    }
+
+    /// The energy of patch site `p` once the vacancy and the `atom` at `n`
+    /// have swapped: its recorded shell with the codes at the vacancy's
+    /// and the partner's offsets changed (`v` itself holds `atom`, `n` a
+    /// vacancy).
+    fn after(&mut self, p: &PatchSite, n: usize, atom: SiteState) -> f64 {
+        let species = atom as usize;
+        if p.shared_after {
+            if let Some(e) = self.memo.after[p.slot][species] {
+                return e;
+            }
+        }
+        self.host += 1;
+        let s = (self.v as isize + p.delta) as usize;
+        let me = if p.delta == 0 { atom } else { self.state[s] };
+        let mut e = 0.0;
+        if s != n && me.is_atom() {
+            let shell = self.memo.shells[p.slot]
+                .replace(p.v_at, SiteState::Vacancy, atom)
+                .replace(p.n_at, atom, SiteState::Vacancy);
+            e = self.energy(me, s & 1, &shell);
+        }
+        if p.shared_after {
+            self.memo.after[p.slot][species] = Some(e);
+        }
+        e
+    }
+
+    /// The energy of a `me` atom on basis `b` with shell `shell`.
+    fn energy(&mut self, me: SiteState, b: usize, shell: &Shell) -> f64 {
+        let (e, hit) = self
+            .model
+            .site_energy_with(me, b, shell, self.shells.as_deref_mut());
+        self.memo.shell_hits += hit as u64;
+        e
+    }
 }
 
 /// The vacancy evaluators: [`evaluate`], or the oracles' [`compute_rates`].
 type Evaluator = fn(&mut KmcLattice, &EnergyModel, usize, &mut Vec<(usize, f64)>, &mut RateStats);
 
-/// Active vacancies: owned, inside the sector, in ascending site id.
-fn active_vacancies(lat: &KmcLattice, sec: [usize; 3]) -> Vec<usize> {
-    lat.vacancies()
-        .filter(|&v| in_sector(lat, v, sec))
-        .collect()
-}
-
 impl Catalogue {
-    /// The rates of the `active` vacancies, evaluated once on entry.
-    fn build(
+    /// Enters sector `sec`: one entry per active vacancy (owned, inside
+    /// the sector) in ascending site id, its events not yet evaluated.
+    fn enter(&mut self, lat: &KmcLattice, sec: [usize; 3]) {
+        self.spare.append(&mut self.entries);
+        self.reach = 3 * lat.offsets.max_cell_reach();
+        for v in lat.vacancies().filter(|&v| in_sector(lat, v, sec)) {
+            let mut entry = self.spare.pop().unwrap_or_default();
+            entry.v = v;
+            entry.cell = cell_of(lat, v);
+            self.entries.push(entry);
+        }
+    }
+
+    /// Evaluates the rates of every entry, in catalogue order.
+    fn evaluate_all(
+        &mut self,
         lat: &mut KmcLattice,
         model: &EnergyModel,
-        active: Vec<usize>,
         stats: &mut RateStats,
         eval: Evaluator,
-    ) -> Self {
-        let entries = active
-            .into_iter()
-            .map(|v| {
-                let mut events = Vec::with_capacity(lat.nn1_deltas[v & 1].len());
-                eval(lat, model, v, &mut events, stats);
-                Entry {
-                    v,
-                    cell: cell_of(lat, v),
-                    events,
-                }
-            })
-            .collect();
-        Self {
-            entries,
-            reach: 3 * lat.offsets.max_cell_reach(),
+    ) {
+        for e in &mut self.entries {
+            eval(lat, model, e.v, &mut e.events, stats);
         }
     }
 
@@ -695,6 +817,8 @@ impl Catalogue {
             moved.cell = swapped[1];
             // Its events are evaluated below: it is zero cells from `n`.
             self.entries.insert(at, moved);
+        } else {
+            self.spare.push(moved);
         }
         let reach = self.reach;
         for e in &mut self.entries {
@@ -725,11 +849,12 @@ pub fn run_sector(
 ) -> SectorOutcome {
     let _span = mmds_telemetry::span!("kmc.sector");
     let mut out = SectorOutcome::default();
-    let active = active_vacancies(lat, sec);
-    if !active.is_empty() {
+    let mut cat = std::mem::take(&mut lat.catalogue);
+    cat.enter(lat, sec);
+    if !cat.entries.is_empty() {
         lat.rate_cache.bind(model);
     }
-    let mut cat = Catalogue::build(lat, model, active, stats, evaluate);
+    cat.evaluate_all(lat, model, stats, evaluate);
     #[cfg(test)]
     cat.assert_equals_rebuild(lat, model, sec);
     let mut t_local = 0.0;
@@ -758,6 +883,7 @@ pub fn run_sector(
         cat.assert_equals_rebuild(lat, model, sec);
     }
     lat.rate_cache.release();
+    lat.catalogue = cat;
     out
 }
 
@@ -765,11 +891,18 @@ pub fn run_sector(
 impl Catalogue {
     /// Every unit test that runs a sector doubles as an invalidation
     /// test: the catalogue, on entry and after every hop, must equal one
-    /// built from scratch without the rate cache, bit for bit (a stale
-    /// rate can leave the chosen events unchanged for a while).
+    /// built from scratch without the rate table or its shell memo, bit
+    /// for bit (a stale rate can leave the chosen events unchanged for a
+    /// while).
     fn assert_equals_rebuild(&self, lat: &mut KmcLattice, model: &EnergyModel, sec: [usize; 3]) {
-        let active = active_vacancies(lat, sec);
-        let fresh = Self::build(lat, model, active, &mut RateStats::default(), compute_rates);
+        let bound = lat.rate_cache.serves(model);
+        lat.rate_cache.release();
+        let mut fresh = Self::default();
+        fresh.enter(lat, sec);
+        fresh.evaluate_all(lat, model, &mut RateStats::default(), compute_rates);
+        if bound {
+            lat.rate_cache.bind(model);
+        }
         let bits = |c: &Self| -> Vec<(usize, Vec<(usize, u64)>)> {
             let events = |e: &Entry| e.events.iter().map(|&(n, k)| (n, k.to_bits())).collect();
             c.entries.iter().map(|e| (e.v, events(e))).collect()
@@ -1377,6 +1510,212 @@ mod tests {
             "the other basis misses"
         );
         lat.rate_cache.release();
+    }
+
+    /// A box at `rate_cutoff` with Cu and vacancies seeded on every site,
+    /// ghosts included, and a vacancy at its centre on each basis.
+    fn seeded_box(rate_cutoff: f64, seed: u64) -> (KmcLattice, EnergyModel, [usize; 2]) {
+        let (mut lat, model, _) = oracle_box(8, rate_cutoff);
+        let mut draw = StdRng::seed_from_u64(seed);
+        for s in 0..lat.n_sites() {
+            let st = match draw.random::<f64>() {
+                u if u < 0.08 => SiteState::Vacancy,
+                u if u < 0.3 => SiteState::Cu,
+                _ => SiteState::Fe,
+            };
+            lat.set_state(s, st);
+        }
+        let c = lat.grid.ghost + 4;
+        let centres = [0, 1].map(|b| lat.grid.site_id(c, c, c, b));
+        for &v in &centres {
+            lat.set_state(v, SiteState::Vacancy);
+        }
+        (lat, model, centres)
+    }
+
+    /// The key the run-packed loads replaced: every footprint site's state
+    /// at 2 bits in footprint order, then the basis bit.
+    fn per_site_key(lat: &KmcLattice, v: usize) -> Vec<u64> {
+        let footprint = &lat.patches[v & 1].footprint;
+        let mut key = vec![0u64; lat.rate_cache.words];
+        for (i, &d) in footprint.iter().enumerate() {
+            key[i / 32] |= (lat.state[(v as isize + d) as usize] as u64) << (2 * (i % 32));
+        }
+        let end = 2 * footprint.len();
+        key[end / 64] |= ((v & 1) as u64) << (end % 64);
+        key
+    }
+
+    #[test]
+    fn a_key_changes_with_every_footprint_site_and_no_other() {
+        let others = |st: SiteState| {
+            [SiteState::Fe, SiteState::Cu, SiteState::Vacancy]
+                .into_iter()
+                .filter(move |&o| o != st)
+        };
+        for rate_cutoff in [3.0, 5.0] {
+            let (mut lat, model, centres) = seeded_box(rate_cutoff, 0xF007);
+            let mut outside = 0;
+            for v in centres {
+                let b = v & 1;
+                let runs = lat.patches[b].runs.clone();
+                let footprint = lat.patches[b].footprint.clone();
+                let covered: usize = runs.iter().map(|r| r.mask.count_ones() as usize / 8).sum();
+                assert_eq!(covered, footprint.len(), "the runs tile the footprint");
+                if rate_cutoff == 3.0 {
+                    assert_eq!(runs.len(), 46, "basis {b}");
+                }
+                let key = |lat: &mut KmcLattice| {
+                    let (runs, state) = (&lat.patches[b].runs, &lat.state);
+                    lat.rate_cache.load_key(b, v, runs, state);
+                    lat.rate_cache.key.clone()
+                };
+                let want = key(&mut lat);
+                assert_eq!(
+                    want,
+                    per_site_key(&lat, v),
+                    "cutoff {rate_cutoff}, basis {b}"
+                );
+
+                // Every footprint site, flipped to either other state,
+                // is another key: the one the per-site packing gives.
+                for &d in &footprint {
+                    let s = (v as isize + d) as usize;
+                    let was = lat.state[s];
+                    for flipped in others(was) {
+                        lat.state[s] = flipped;
+                        let got = key(&mut lat);
+                        assert_ne!(got, want, "cutoff {rate_cutoff}, delta {d}");
+                        assert_eq!(got, per_site_key(&lat, v));
+                    }
+                    lat.state[s] = was;
+                }
+
+                // A site a run's load reads but the footprint does not
+                // leaves the key, and the table's answer, as they are.
+                let mut events = Vec::new();
+                lat.rate_cache.bind(&model);
+                evaluate(&mut lat, &model, v, &mut events, &mut RateStats::default());
+                let answer = events.clone();
+                for run in &runs {
+                    for d in run.start..run.start + FootprintRun::MAX_LEN as isize {
+                        if footprint.binary_search(&d).is_ok() {
+                            continue;
+                        }
+                        outside += 1;
+                        let s = (v as isize + d) as usize;
+                        let was = lat.state[s];
+                        for flipped in others(was) {
+                            lat.set_state(s, flipped);
+                            assert_eq!(key(&mut lat), want, "cutoff {rate_cutoff}, delta {d}");
+                            let (hits, mut stats) = (lat.rate_cache.hits(), RateStats::default());
+                            evaluate(&mut lat, &model, v, &mut events, &mut stats);
+                            assert_eq!(lat.rate_cache.hits(), hits + 1, "delta {d} hits");
+                            assert_eq!((stats.host_site_evals, &events), (0, &answer));
+                        }
+                        lat.set_state(s, was);
+                    }
+                }
+                lat.rate_cache.release();
+            }
+            assert!(
+                outside > 0,
+                "cutoff {rate_cutoff}: some load reads past its run"
+            );
+
+            // A footprint that ends within a load of the last stored site
+            // (a ghost vacancy: an owned one's ends further in) packs the
+            // same key from the shortened load.
+            for b in 0..2 {
+                let reach = *lat.patches[b].footprint.last().expect("a footprint");
+                let last = lat.n_sites() as isize - 1 - reach;
+                let v = (last - ((last & 1) ^ b as isize)) as usize;
+                let runs = &lat.patches[b].runs;
+                let at = |r: &FootprintRun| (v as isize + r.start) as usize;
+                assert!(runs
+                    .iter()
+                    .any(|r| at(r) + FootprintRun::MAX_LEN > lat.n_sites()));
+                lat.state[v] = SiteState::Vacancy;
+                let want = per_site_key(&lat, v);
+                lat.rate_cache.load_key(b, v, runs, &lat.state);
+                assert_eq!(lat.rate_cache.key, want, "cutoff {rate_cutoff}, basis {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_after_energy_equals_the_full_loop_on_the_swapped_lattice() {
+        use crate::comm::LoopbackK;
+        use crate::exchange::full_exchange;
+
+        // Cu fractions that leave both the table and the memo work to do.
+        for (case, (rate_cutoff, cu)) in [(3.0, 0.25), (3.0, 0.05), (5.0, 0.02)]
+            .into_iter()
+            .enumerate()
+        {
+            let (mut lat, model, _) = oracle_box(8, rate_cutoff);
+            let owned = lat.n_owned();
+            lat.seed_solutes_global((cu * owned as f64) as usize, 700 + case as u64);
+            lat.seed_vacancies(owned / 25, 800 + case as u64);
+            full_exchange(&mut lat, &mut LoopbackK);
+            // After energies answered by the shell tables and by the memo.
+            let mut paths = [0usize; 2];
+            let mut shells = ShellMemo::default();
+            let vacancies: Vec<usize> = lat.vacancies().collect();
+            for v in vacancies {
+                let b = v & 1;
+                for (dir, &dn) in lat.nn1_deltas[b].clone().iter().enumerate() {
+                    let n = (v as isize + dn) as usize;
+                    let atom = lat.state[n];
+                    if !atom.is_atom() {
+                        continue;
+                    }
+                    let patch = lat.patches[b].dirs[dir].clone();
+                    let mut memo = RateMemo::default();
+                    memo.reset(lat.patches[b].union_len);
+                    let mut vacancy = Vacancy {
+                        model: &model,
+                        state: &lat.state,
+                        deltas: &lat.deltas,
+                        v,
+                        memo: &mut memo,
+                        shells: Some(&mut shells),
+                        host: 0,
+                    };
+                    for p in &patch {
+                        vacancy.before(p);
+                    }
+                    let got: Vec<(f64, u64)> = patch
+                        .iter()
+                        .map(|p| {
+                            let hits = vacancy.memo.shell_hits;
+                            (vacancy.after(p, n, atom), vacancy.memo.shell_hits - hits)
+                        })
+                        .collect();
+                    lat.state[v] = atom;
+                    lat.state[n] = SiteState::Vacancy;
+                    for (p, &(e, table)) in patch.iter().zip(&got) {
+                        let s = (v as isize + p.delta) as usize;
+                        let want = model.site_energy_full_loop(&lat, s);
+                        assert_eq!(
+                            e.to_bits(),
+                            want.to_bits(),
+                            "cutoff {rate_cutoff}, vacancy {v}, direction {dir}, delta {}",
+                            p.delta
+                        );
+                        if lat.state[s].is_atom() {
+                            paths[table as usize] += 1;
+                        }
+                    }
+                    lat.state[n] = atom;
+                    lat.state[v] = SiteState::Vacancy;
+                }
+            }
+            assert!(
+                paths.iter().all(|&n| n > 0),
+                "cutoff {rate_cutoff}: memo, table answers: {paths:?}"
+            );
+        }
     }
 
     #[test]

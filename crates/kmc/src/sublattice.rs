@@ -19,9 +19,10 @@ use crate::solver::{run_sector, sectors};
 /// change — so the rank's virtual KMC compute time follows the event
 /// catalogue, not a recompute of the whole sector per event. It does not
 /// follow the host's work (`RateStats::host_site_evals`): the per-vacancy
-/// energy memo, the model's shell tables, and the rate table that answers
-/// a vacancy whose environment it has seen, are host-only, and a rate
-/// from the table is charged what its evaluation was charged.
+/// energy memo, the model's shell tables, the shell memo, and the rate
+/// table that answers a vacancy whose environment it has seen, are
+/// host-only, and a rate from the table is charged what its evaluation
+/// was charged.
 pub const SITE_EVAL_SECONDS: f64 = 6.0e-8;
 
 /// Cumulative run statistics.
@@ -48,6 +49,11 @@ pub struct KmcSimulation {
     /// Statistics.
     pub stats: RunStats,
     pub(crate) rng: StdRng,
+    /// Added to the cycle count on this rank's `kmc.exchange.*` series
+    /// tracks: their last point when this simulation first wrote to them
+    /// (`mmds_telemetry::series_origin`), so a second simulation in one
+    /// process continues them.
+    series_origin: Option<u64>,
 }
 
 impl KmcSimulation {
@@ -68,6 +74,7 @@ impl KmcSimulation {
             time: 0.0,
             stats: RunStats::default(),
             rng: StdRng::seed_from_u64(cfg.seed),
+            series_origin: None,
         }
     }
 
@@ -109,6 +116,7 @@ impl KmcSimulation {
         let rate_before = self.stats.rate;
         let shell_hits_before = self.lat.memo.shell_hits();
         let table_before = (self.lat.rate_cache.hits(), self.lat.rate_cache.misses());
+        let memo_before = self.shell_memo_counts();
         let vac_before = self.lat.n_vacancies() as u64;
         let mut events = 0;
         let mut ghost_bytes = 0u64;
@@ -163,10 +171,18 @@ impl KmcSimulation {
             let table_misses = self.lat.rate_cache.misses() - table_before.1;
             mmds_telemetry::add_counter("kmc.rate.table_hits", table_hits as f64);
             mmds_telemetry::add_counter("kmc.rate.table_misses", table_misses as f64);
+            let memo = self.shell_memo_counts();
+            let memo_hits = memo.0 - memo_before.0;
+            let memo_misses = memo.1 - memo_before.1;
+            mmds_telemetry::add_counter("kmc.rate.shell_memo_hits", memo_hits as f64);
+            mmds_telemetry::add_counter("kmc.rate.shell_memo_misses", memo_misses as f64);
             mmds_telemetry::add_counter("kmc.rate.rate_evals", rate_evals as f64);
             // Comm-savings accounting vs. the analytic full-ghost
             // baseline (paper Fig. 12), per cycle and cumulative.
-            let cycle = self.stats.cycles;
+            let origin = *self
+                .series_origin
+                .get_or_insert_with(|| mmds_telemetry::series_origin("kmc.exchange.bytes"));
+            let cycle = origin + self.stats.cycles;
             mmds_telemetry::emit_series("kmc.exchange.bytes", cycle, ghost_bytes as f64);
             mmds_telemetry::emit_series(
                 "kmc.exchange.baseline_bytes",
@@ -186,6 +202,12 @@ impl KmcSimulation {
             mmds_telemetry::emit_heartbeat("kmc.heartbeat", self.stats.cycles, 0);
         }
         events
+    }
+
+    /// The rate table's shell memo hits and misses so far: host scratch.
+    fn shell_memo_counts(&self) -> (u64, u64) {
+        let memo = &self.lat.rate_cache.shells;
+        (memo.hits(), memo.misses())
     }
 
     /// Runs `cycles` synchronisation cycles.
@@ -483,6 +505,42 @@ mod tests {
             one.1
         );
         assert!(full.2 .1 < one.2 .1, "misses: {:?} vs {:?}", full.2, one.2);
+        assert_eq!(run(false), full, "host counters repeat from run to run");
+    }
+
+    #[test]
+    fn a_one_slot_shell_memo_changes_nothing_but_host_work() {
+        // A dense Fe–Cu 8³ box (10 % Cu) has many shells with two non-Fe
+        // neighbours; with one memo slot each evicts the one before it.
+        let run = |one_slot: bool| {
+            let cfg = KmcConfig {
+                table_knots: 800,
+                ..Default::default()
+            };
+            let ghost = crate::lattice::required_ghost(cfg.a0, cfg.rate_cutoff);
+            let mut s = KmcSimulation::new(cfg, LocalGrid::whole(BccGeometry::fe_cube(8), ghost));
+            if one_slot {
+                s.lat.rate_cache.shells = crate::model::ShellMemo::one_slot();
+            }
+            s.lat
+                .seed_vacancies_global((2.0e-2 * s.lat.n_owned() as f64).round() as usize, 63);
+            s.lat.seed_solutes_global(s.lat.n_owned() / 10, 64);
+            s.initialize(&mut LoopbackK);
+            s.run_cycles(
+                ExchangeStrategy::OnDemand(OnDemandMode::TwoSided),
+                &mut LoopbackK,
+                12,
+            );
+            let owned: Vec<_> = s.lat.grid.interior_ids().map(|i| s.lat.state[i]).collect();
+            let fingerprint = mmds_telemetry::canon::fnv1a64(format!("{owned:?}").as_bytes());
+            let modelled = (fingerprint, s.stats.events, s.time.to_bits(), s.stats.rate);
+            (modelled, s.shell_memo_counts())
+        };
+        let (full, one) = (run(false), run(true));
+        assert!(full.0 .1 > 50, "dynamics happen: {:?}", full.0);
+        assert_eq!(full.0, one.0, "fingerprint, events, clock, RateStats");
+        assert!(full.1 .0 > full.1 .1, "the memo mostly hits: {:?}", full.1);
+        assert!(full.1 .1 < one.1 .1, "misses: {:?} vs {:?}", full.1, one.1);
         assert_eq!(run(false), full, "host counters repeat from run to run");
     }
 

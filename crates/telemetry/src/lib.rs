@@ -294,6 +294,19 @@ pub fn emit_series(name: &str, t: u64, value: f64) {
     }
 }
 
+/// Where a run's points on the current rank's `name` series track start:
+/// the track's last `t` on the global instance, 0 for a new track (and
+/// while telemetry is off). An engine whose domain index restarts with
+/// each run adds this to its `t`, so a second run in one process
+/// continues the track instead of breaking its monotonicity.
+pub fn series_origin(name: &str) -> u64 {
+    let tel = global();
+    if !tel.enabled() {
+        return 0;
+    }
+    tel.series_last_t(current_rank(), name)
+}
+
 /// Records one identified rank's communication stats — and, when
 /// captured, its pairwise flow matrix — as one [`Event::RankComm`] on
 /// the global instance. The per-rank detail feeds the

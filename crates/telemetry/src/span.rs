@@ -286,6 +286,14 @@ impl Telemetry {
         self.inner.lock().unwrap().fold.report()
     }
 
+    /// The last `t` on the `(rank, name)` series track of this instance,
+    /// 0 for a track without points.
+    pub fn series_last_t(&self, rank: Option<u32>, name: &str) -> u64 {
+        let inner = self.inner.lock().unwrap();
+        let track = inner.fold.series().get(&(name.to_string(), rank));
+        track.and_then(|points| points.last()).map_or(0, |p| p.t)
+    }
+
     /// Renders the flamegraph-style self-time tree of this instance.
     pub fn render_tree(&self) -> String {
         crate::render::render_tree(&self.inner.lock().unwrap().fold.span_totals())
